@@ -7,7 +7,8 @@ identical inputs produce byte-identical output.  ``--recheck`` re-validates
 every inline certificate and witness against the problem data by substitution.
 
 Exit codes: 0 all holds/consistent, 1 some verdict fails (for ``corpus run``:
-some expectation missed), 2 some verdict unknown, 3 usage or input errors.
+some expectation missed), 2 some verdict unknown, 3 usage or input errors
+or an exceeded branch or case cap.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .problemfile import (
 from .ratmath import LpCertificate, LpResult, dot, rat, vec, verify_certificate
 from .stationarity import (
     BranchDualCertificate,
+    CaseLimitError,
     MultiplierSet,
     StationarityVerdict,
     build_case_problem,
@@ -54,6 +56,7 @@ from .stationarity import (
     check_m_stationary_anf,
     check_m_stationary_mpcc,
     multiplier_system,
+    uncovered_case,
     verify_branch_dual_certificate,
     verify_multipliers,
 )
@@ -257,20 +260,22 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
     return out
 
 
-def _stationarity_section(pa: PointAnalysis, which: set[str], forms: set[str]) -> dict:
+def _stationarity_section(
+    p: AbsNormalProgram, e, which: set[str], forms: set[str], branch_cap: int
+) -> dict:
     out = {}
+    if "mpcc" in forms:
+        mp, mp_point = to_mpcc(p), mpcc_point_from_eval(e)
     if "m" in which:
         if "anf" in forms:
-            out["m-anf"] = _ser_stationarity(check_m_stationary_anf(pa.program, pa.point_eval))
+            out["m-anf"] = _ser_stationarity(check_m_stationary_anf(p, e))
         if "mpcc" in forms:
-            out["m-mpcc"] = _ser_stationarity(check_m_stationary_mpcc(pa.mpcc, pa.mpcc_point))
+            out["m-mpcc"] = _ser_stationarity(check_m_stationary_mpcc(mp, mp_point))
     if "b" in which:
         if "anf" in forms:
-            out["b-anf"] = _ser_stationarity(check_b_stationary(pa.program, pa.point_eval, "anf"))
+            out["b-anf"] = _ser_stationarity(check_b_stationary(p, e, "anf", branch_cap))
         if "mpcc" in forms:
-            out["b-mpcc"] = _ser_stationarity(
-                check_b_stationary(pa.mpcc, pa.mpcc_point, "mpcc")
-            )
+            out["b-mpcc"] = _ser_stationarity(check_b_stationary(mp, mp_point, "mpcc", branch_cap))
     return out
 
 
@@ -457,12 +462,24 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
             for msg in verify_multipliers(system, ms):
                 errors.append(f"{prefix}: {msg}")
         elif status == FAILS:
+            # each entry closes the subtree of its case prefix; together they
+            # must cover every full case assignment
+            closed = []
             for case in verdict.get("failed_cases", []):
-                problem = build_case_problem(system, tuple(case["assignment"]))
+                assignment = tuple(case["assignment"])
+                try:
+                    problem = build_case_problem(system, assignment)
+                except ValueError as exc:
+                    errors.append(f"{prefix} case {case['assignment']}: {exc}")
+                    continue
+                closed.append(assignment)
                 cert = _parse_lp_certificate(case["certificate"])
                 result = _result_for_infeasibility(cert)
                 for msg in verify_certificate(problem, result):
                     errors.append(f"{prefix} case {case['assignment']}: {msg}")
+            hole = uncovered_case(closed, len(system.degenerate))
+            if hole is not None:
+                errors.append(f"{prefix}: no failed case covers the case assignment {list(hole)}")
     elif kind.startswith("b-"):
         if kind == "b-anf":
             branches = enumerate_branches(pf.program, e)
@@ -637,12 +654,14 @@ def cmd_check_stationarity(pf: ProblemFile, args) -> dict:
     forms = {args.form} if args.form else {"anf", "mpcc"}
     points = []
     for p in _selected_points(pf, args.point):
-        pa = _analyze(pf, p, args.branch_cap)
+        e = evaluate(pf.program, p.t)
+        if not e.is_feasible():
+            raise ValueError("point is not feasible")
         points.append(
             {
                 "label": p.label,
                 "t": _svec(p.t),
-                "stationarity": _stationarity_section(pa, which, forms),
+                "stationarity": _stationarity_section(pf.program, e, which, forms, args.branch_cap),
             }
         )
     report["points"] = points
@@ -860,7 +879,7 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
         _emit(report, args.out)
         return exit_code_for_report(report)
-    except (ProblemFileError, BranchLimitError, ValueError) as exc:
+    except (ProblemFileError, BranchLimitError, CaseLimitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -2,10 +2,18 @@
 
 M-stationarity asks for multipliers making the Lagrangian gradient vanish
 while the pair multipliers of each degenerate switch satisfy the disjunction
-"both strictly positive, or product zero".  The disjunction is decided by
-exhaustive case enumeration (three convex cases per degenerate index) with one
-strict-margin feasibility LP per case combination.  Both problem forms use the
-same three cases, which makes their provable equivalence a direct
+"both strictly positive, or product zero".  The disjunction splits into three
+convex cases per degenerate index, and the 3^k case assignments form a tree
+searched depth first in ``CASES`` order.  Each node is a prefix: it fixes the
+cases of the first degenerate indices and leaves the later pairs free in sign,
+so its strict-margin feasibility LP relaxes every assignment below it.  An
+infeasible prefix closes its whole subtree with one Farkas or margin
+certificate; the first feasible full assignment is the Holds case, the same
+one a flat enumeration in ``itertools.product`` order would find.  A Fails
+verdict lists the closed prefixes, and a recheck verifies each certificate and
+that the prefixes cover all 3^k assignments (``uncovered_case``).  The case cap
+bounds the LPs the search solves, at most (3^(k+1) - 3)/2.  Both problem forms
+use the same three cases, which makes their provable equivalence a direct
 computational cross-check.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
@@ -15,7 +23,6 @@ a Holds verdict carries a dual-cone membership certificate for the gradient.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,12 +234,19 @@ def _anf_system(p: AbsNormalProgram, e: EvalResult) -> _MultiplierSystem:
 
 
 def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -> LpProblem:
-    """The feasibility LP of one disjunction case combination.
+    """The feasibility LP of one case prefix.
 
-    Every row is an affine expression (coeffs, offset); as a constraint it
-    reads coeffs . lam = -offset (resp. >= -offset, strictly for the
-    both-positive case).
+    ``assignment`` fixes the cases of the first ``len(assignment)`` degenerate
+    indices; the pairs of the later ones stay free in sign, so the LP relaxes
+    every full assignment extending the prefix.  Every row is an affine
+    expression (coeffs, offset); as a constraint it reads coeffs . lam =
+    -offset (resp. >= -offset, strictly for the both-positive case).
     """
+    if len(assignment) > len(system.degenerate):
+        raise ValueError(
+            f"case assignment of length {len(assignment)} exceeds the "
+            f"{len(system.degenerate)} degenerate indices"
+        )
     n = system.n_unknowns
     eq: list[tuple[Vec, Fraction]] = list(system.stationary_rows)
     for i in system.fixed_pair_u_zero:
@@ -249,7 +263,7 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
         row[system.m1 + k] = ONE
         ineq.append((tuple(row), ZERO))
     strict: set[int] = set()
-    for i, case in zip(system.degenerate, assignment, strict=True):
+    for i, case in zip(system.degenerate, assignment):
         if case == CASE_U_ZERO:
             eq.append(system.pair_u[i])
         elif case == CASE_V_ZERO:
@@ -272,22 +286,63 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
 
 
 def _solve_system(system: _MultiplierSystem, kind: str, case_cap: int) -> StationarityVerdict:
-    if 3 ** len(system.degenerate) > case_cap:
-        raise CaseLimitError(
-            f"{3 ** len(system.degenerate)} multiplier case combinations exceed the cap {case_cap}"
-        )
+    k = len(system.degenerate)
     failed: list[CaseOutcome] = []
-    for assignment in itertools.product(CASES, repeat=len(system.degenerate)):
-        res = lp_solve(build_case_problem(system, assignment))
-        if res.status == "feasible":
-            lam = res.certificate.point
-            ms = _multipliers_from_lam(system, lam)
-            verdict = StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
-            errors = verify_multipliers(system, ms)
-            assert not errors, f"holds certificate failed self-check: {errors}"
-            return verdict
-        failed.append(CaseOutcome(assignment, res.certificate))
-    return StationarityVerdict(kind, FAILS, failed_cases=tuple(failed))
+    solved = 0
+
+    def first_feasible(prefix: tuple[str, ...]) -> tuple[tuple[str, ...], Vec] | None:
+        """Solve ``prefix``; return the first feasible full assignment below it."""
+        nonlocal solved
+        if solved >= case_cap:
+            raise CaseLimitError(
+                f"the multiplier case search over {k} degenerate switches needs "
+                f"more than the cap of {case_cap} case LPs"
+            )
+        solved += 1
+        res = lp_solve(build_case_problem(system, prefix))
+        if res.status != "feasible":
+            failed.append(CaseOutcome(prefix, res.certificate))
+            return None
+        if len(prefix) == k:
+            return prefix, res.certificate.point
+        return first_feasible_child(prefix)
+
+    def first_feasible_child(prefix: tuple[str, ...]) -> tuple[tuple[str, ...], Vec] | None:
+        for case in CASES:
+            found = first_feasible(prefix + (case,))
+            if found is not None:
+                return found
+        return None
+
+    # the root LP relaxes every case, so it decides nothing unless k == 0
+    found = first_feasible(()) if k == 0 else first_feasible_child(())
+    if found is None:
+        return StationarityVerdict(kind, FAILS, failed_cases=tuple(failed))
+    assignment, lam = found
+    ms = _multipliers_from_lam(system, lam)
+    errors = verify_multipliers(system, ms)
+    if errors:
+        raise RuntimeError(f"holds certificate failed self-check: {errors}")
+    return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
+
+
+def uncovered_case(prefixes, k: int) -> tuple[str, ...] | None:
+    """The first full case assignment over ``k`` degenerate indices that no
+    prefix in ``prefixes`` covers, or None when they cover all 3^k."""
+    closed = set(prefixes)
+
+    def hole(prefix: tuple[str, ...]) -> tuple[str, ...] | None:
+        if prefix in closed:
+            return None
+        if len(prefix) == k:
+            return prefix
+        for case in CASES:
+            found = hole(prefix + (case,))
+            if found is not None:
+                return found
+        return None
+
+    return hole(())
 
 
 def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
@@ -332,15 +387,20 @@ def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str
 
 
 def check_m_stationary_mpcc(
-    mp: MpccProgram, point: MpccPoint, case_cap: int = DEFAULT_CASE_CAP
+    mp: MpccProgram, point: MpccPoint, case_cap: int | None = None
 ) -> StationarityVerdict:
-    return _solve_system(_mpcc_system(mp, point), "m-mpcc", case_cap)
+    """M-stationarity of the counterpart; ``case_cap`` (default
+    ``DEFAULT_CASE_CAP``) bounds the case LPs solved."""
+    cap = DEFAULT_CASE_CAP if case_cap is None else case_cap
+    return _solve_system(_mpcc_system(mp, point), "m-mpcc", cap)
 
 
 def check_m_stationary_anf(
-    p: AbsNormalProgram, e: EvalResult, case_cap: int = DEFAULT_CASE_CAP
+    p: AbsNormalProgram, e: EvalResult, case_cap: int | None = None
 ) -> StationarityVerdict:
-    return _solve_system(_anf_system(p, e), "m-anf", case_cap)
+    """M-stationarity of the abs-normal form; ``case_cap`` as above."""
+    cap = DEFAULT_CASE_CAP if case_cap is None else case_cap
+    return _solve_system(_anf_system(p, e), "m-anf", cap)
 
 
 def translate_multipliers(
@@ -412,11 +472,16 @@ def _check_b_over_branches(branches, kind: str) -> StationarityVerdict:
         res = lp_solve(_branch_descent_lp(gradient, cone))
         if res.status == "unbounded":
             descent = res.certificate.ray
-            assert dot(gradient, descent) < 0
+            if dot(gradient, descent) >= 0:
+                raise RuntimeError(f"branch {b.label}: the unbounded ray does not descend")
             return StationarityVerdict(
                 kind, FAILS, failing_branch=b.label, descent=descent
             )
-        assert res.status == "optimal" and res.value == 0
+        if res.status != "optimal" or res.value != 0:
+            raise RuntimeError(
+                f"branch {b.label}: descent LP ended {res.status} with value {res.value}, "
+                "expected optimal with value 0"
+            )
         certificates.append(
             BranchDualCertificate(b.label, res.certificate.dual_eq, res.certificate.dual_ineq)
         )

@@ -4,13 +4,14 @@ Expected verdicts for these are derived by hand; the worksheets live in
 src/absnormal/corpus/WORKSHEETS.md.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from absnormal.anf import AbsNormalProgram, QuadraticFunc
+from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import PolyCone
-from absnormal.ratmath import RatMatrix
+from absnormal.ratmath import RatMatrix, zero_vec
 
 
 def affine(dim, constant, linear):
@@ -89,6 +90,56 @@ def e4_annotations():
     plus_ray = PolyCone.from_rows(3, eq=[[0, 1, 0], [1, 0, -1]], ineq=[[1, 0, 0]])
     minus_ray = PolyCone.from_rows(3, eq=[[0, 1, 0], [1, 0, -1]], ineq=[[-1, 0, 0]])
     return {"σ=+": (line, plus_ray), "σ=-": (line, minus_ray)}
+
+
+def random_affine_program(rng: random.Random, max_s: int = 2) -> AbsNormalProgram:
+    """A random affine program that is feasible at t = 0 with a mix of active,
+    inactive, and degenerate structure."""
+    n_t = rng.randint(1, 2)
+    s = rng.randint(1, max_s)
+    m1 = rng.randint(0, 1)
+    m2 = rng.randint(0, 2)
+    block = n_t + s
+
+    def coeff():
+        return Fraction(rng.randint(-2, 2))
+
+    c_z = []
+    for i in range(s):
+        linear = [coeff() for _ in range(n_t)] + [
+            coeff() if j < i else Fraction(0) for j in range(s)
+        ]
+        constant = rng.choice([Fraction(0), Fraction(0), coeff()])
+        c_z.append(QuadraticFunc(block, constant, tuple(linear)))
+    p0 = AbsNormalProgram(
+        n_t=n_t,
+        s=s,
+        m1=0,
+        m2=0,
+        f=QuadraticFunc.zero(n_t),
+        c_e=(),
+        c_i=(),
+        c_z=tuple(c_z),
+    )
+    e0 = evaluate(p0, zero_vec(n_t))
+    base = zero_vec(n_t) + e0.abs_z
+
+    c_e = []
+    for _ in range(m1):
+        linear = tuple(coeff() for _ in range(block))
+        # shift so the row vanishes at the anchor (keeps t = 0 feasible)
+        value = sum(c * x for c, x in zip(linear, base))
+        c_e.append(QuadraticFunc(block, -value, linear))
+    c_i = []
+    for _ in range(m2):
+        linear = tuple(coeff() for _ in range(block))
+        value = sum(c * x for c, x in zip(linear, base))
+        slack = rng.choice([Fraction(0), Fraction(0), Fraction(1)])
+        c_i.append(QuadraticFunc(block, slack - value, linear))
+    f = QuadraticFunc(n_t, Fraction(0), tuple(coeff() for _ in range(n_t)))
+    return AbsNormalProgram(
+        n_t=n_t, s=s, m1=m1, m2=m2, f=f, c_e=tuple(c_e), c_i=tuple(c_i), c_z=tuple(c_z)
+    )
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
+import copy
 import json
+from fractions import Fraction
 
 import pytest
 
+from absnormal import stationarity
 from absnormal.cli import main, recheck_report
+from absnormal.ratmath import KIND_FARKAS
 from absnormal.problemfile import (
     ProblemFileError,
     load_corpus_problem,
@@ -227,3 +231,86 @@ def test_cli_corpus_run_matches_and_is_deterministic(capsys):
     assert out1 == out2  # byte-identical
     report = json.loads(out1)
     assert report["summary"]["all_matched"] is True
+
+
+def kinks_problem(k: int, sign: int) -> dict:
+    """t_{k+1} = sum_i (i+1)|t_i| with objective sign * t_{k+1}: all k switches
+    are degenerate at the origin, which minimizes +t_{k+1} and maximizes -t_{k+1}."""
+    block = 2 * k + 1
+    equality = ["0"] * block
+    equality[k] = "-1"
+    for i in range(k):
+        equality[k + 1 + i] = str(i + 1)
+    return {
+        "name": f"kinks{k}",
+        "dimensions": {"n_t": k + 1, "s": k, "m1": 1, "m2": 0},
+        "objective": {"linear": ["0"] * k + [str(sign)]},
+        "equalities": [{"linear": equality}],
+        "switching": [
+            {"linear": ["1" if j == i else "0" for j in range(block)]} for i in range(k)
+        ],
+        "points": [{"label": "origin", "t": ["0"] * (k + 1)}],
+    }
+
+
+def write_problem(tmp_path, data) -> str:
+    path = tmp_path / f"{data['name']}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_maximizer_fails_with_three_top_prefixes_and_mutations_are_caught(tmp_path, capsys, k):
+    path = write_problem(tmp_path, kinks_problem(k, -1))
+    code, out, _ = run_cli(capsys, "check-stationarity", path, "--m", "--recheck")
+    assert code == 1
+    report = json.loads(out)
+    assert report["recheck"]["errors"] == []
+    del report["recheck"]
+    pf = parse_problem(path)
+    stat = report["points"][0]["stationarity"]
+    for kind in ("m-anf", "m-mpcc"):
+        cases = stat[kind]["failed_cases"]
+        assert [len(c["assignment"]) for c in cases] == [1, 1, 1]
+        for i in range(len(cases)):
+            dropped = copy.deepcopy(report)
+            del dropped["points"][0]["stationarity"][kind]["failed_cases"][i]
+            assert any("covers" in msg for msg in recheck_report(pf, dropped))
+        farkas = [
+            i for i, c in enumerate(cases) if c["certificate"]["kind"] == KIND_FARKAS
+        ]
+        assert farkas
+        negated = copy.deepcopy(report)
+        cert = negated["points"][0]["stationarity"][kind]["failed_cases"][farkas[0]]["certificate"]
+        j = next(j for j, y in enumerate(cert["dual_eq"]) if y != "0")
+        cert["dual_eq"][j] = str(-Fraction(cert["dual_eq"][j]))
+        assert recheck_report(pf, negated)
+
+
+def test_case_cap_bounds_solved_lps_not_case_count(tmp_path, capsys, monkeypatch):
+    # 11 degenerate switches: 3^11 assignments exceed the default cap, but the
+    # depth-first search solves only 3 case LPs per switch
+    path = write_problem(tmp_path, kinks_problem(11, 1))
+    code, out, _ = run_cli(capsys, "check-stationarity", path, "--m", "--form", "anf")
+    assert code == 0
+    verdict = json.loads(out)["points"][0]["stationarity"]["m-anf"]
+    assert verdict["case"] == ["pair-both>0"] * 11
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 2)
+    code, out, err = run_cli(capsys, "check-stationarity", path, "--m", "--form", "anf")
+    assert code == 3
+    assert err.startswith("error:") and "cap of 2 case LPs" in err
+    code, out, err = run_cli(capsys, "corpus", "run")
+    assert code == 3
+    assert err.startswith("error:")
+
+
+def test_check_stationarity_honours_branch_cap(capsys):
+    code, out, err = run_cli(capsys, "check-stationarity", "E2", "--branch-cap", "1")
+    assert code == 3
+    assert "exceed the cap of 1" in err
+
+
+def test_check_stationarity_rejects_infeasible_point(capsys):
+    code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "1,5")
+    assert code == 3
+    assert "not feasible" in err

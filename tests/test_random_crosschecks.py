@@ -6,12 +6,11 @@ them; any Unknown or inconsistency here is an implementation bug.
 """
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
+from absnormal.anf import evaluate
 from absnormal.cones import PolyCone, cone_equal, dual_cone
 from absnormal.cq import UNKNOWN, analyze_point, verify_relations
 from absnormal.ratmath import vec, zero_vec
@@ -22,55 +21,7 @@ from absnormal.stationarity import (
 )
 from absnormal.transforms import to_mpcc
 
-
-def random_affine_program(rng: random.Random) -> AbsNormalProgram:
-    """A random affine program that is feasible at t = 0 with a mix of active,
-    inactive, and degenerate structure."""
-    n_t = rng.randint(1, 2)
-    s = rng.randint(1, 2)
-    m1 = rng.randint(0, 1)
-    m2 = rng.randint(0, 2)
-    block = n_t + s
-
-    def coeff():
-        return Fraction(rng.randint(-2, 2))
-
-    c_z = []
-    for i in range(s):
-        linear = [coeff() for _ in range(n_t)] + [
-            coeff() if j < i else Fraction(0) for j in range(s)
-        ]
-        constant = rng.choice([Fraction(0), Fraction(0), coeff()])
-        c_z.append(QuadraticFunc(block, constant, tuple(linear)))
-    p0 = AbsNormalProgram(
-        n_t=n_t,
-        s=s,
-        m1=0,
-        m2=0,
-        f=QuadraticFunc.zero(n_t),
-        c_e=(),
-        c_i=(),
-        c_z=tuple(c_z),
-    )
-    e0 = evaluate(p0, zero_vec(n_t))
-    base = zero_vec(n_t) + e0.abs_z
-
-    c_e = []
-    for _ in range(m1):
-        linear = tuple(coeff() for _ in range(block))
-        # shift so the row vanishes at the anchor (keeps t = 0 feasible)
-        value = sum(c * x for c, x in zip(linear, base))
-        c_e.append(QuadraticFunc(block, -value, linear))
-    c_i = []
-    for _ in range(m2):
-        linear = tuple(coeff() for _ in range(block))
-        value = sum(c * x for c, x in zip(linear, base))
-        slack = rng.choice([Fraction(0), Fraction(0), Fraction(1)])
-        c_i.append(QuadraticFunc(block, slack - value, linear))
-    f = QuadraticFunc(n_t, Fraction(0), tuple(coeff() for _ in range(n_t)))
-    return AbsNormalProgram(
-        n_t=n_t, s=s, m1=m1, m2=m2, f=f, c_e=tuple(c_e), c_i=tuple(c_i), c_z=tuple(c_z)
-    )
+from conftest import random_affine_program
 
 
 def test_relations_and_stationarity_on_random_affine_programs():

@@ -1,15 +1,22 @@
+import itertools
+import random
+
 import pytest
 
+from absnormal import stationarity
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import lin_cone_branch
 from absnormal.cq import FAILS, HOLDS
-from absnormal.ratmath import dot, vec
+from absnormal.ratmath import LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
+    CASES,
+    build_case_problem,
     check_b_stationary,
     check_m_stationary_anf,
     check_m_stationary_mpcc,
     multiplier_system,
     translate_multipliers,
+    uncovered_case,
     verify_branch_dual_certificate,
     verify_multipliers,
 )
@@ -19,7 +26,7 @@ from absnormal.transforms import (
     to_mpcc,
 )
 
-from conftest import affine, make_e1
+from conftest import affine, make_e1, random_affine_program
 
 
 def with_objective(p: AbsNormalProgram, linear) -> AbsNormalProgram:
@@ -182,3 +189,73 @@ def test_translate_rejects_invalid_multipliers(e1):
     bogus = MultiplierSet(vec([5]), vec([]), vec([0]), vec([0]), vec([0]))
     with pytest.raises(ValueError):
         translate_multipliers(bogus, "anf->mpcc", (e1, e), (mp, point))
+
+
+def flat_case_enumeration(system):
+    """Reference: every full case assignment in itertools.product order, each
+    solved from scratch; returns (status, first feasible case, its LP point)."""
+    for assignment in itertools.product(CASES, repeat=len(system.degenerate)):
+        res = lp_solve(build_case_problem(system, assignment))
+        if res.status == "feasible":
+            return HOLDS, assignment, res.certificate.point
+    return FAILS, None, None
+
+
+def test_case_tree_agrees_with_flat_enumeration_on_random_programs():
+    rng = random.Random(424242)
+    seen = set()
+    deepest_failed_prefix = 0
+    checked = 0
+    while checked < 60:
+        p = random_affine_program(rng, max_s=3)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+        for verdict, system in (
+            (check_m_stationary_anf(p, e), multiplier_system(p, e)),
+            (check_m_stationary_mpcc(mp, point), multiplier_system(mp, point)),
+        ):
+            k = len(system.degenerate)
+            status, case, lam = flat_case_enumeration(system)
+            assert verdict.status == status
+            seen.add((k, status))
+            if status == HOLDS:
+                ms = verdict.multipliers
+                assert verdict.case == case
+                assert ms.lam_e + ms.lam_i + ms.lam_z == lam
+                assert verify_multipliers(system, ms) == []
+            else:
+                prefixes = [outcome.assignment for outcome in verdict.failed_cases]
+                assert uncovered_case(prefixes, k) is None
+                for outcome in verdict.failed_cases:
+                    problem = build_case_problem(system, outcome.assignment)
+                    result = LpResult("infeasible", None, outcome.certificate)
+                    assert verify_certificate(problem, result) == []
+                deepest_failed_prefix = max(deepest_failed_prefix, *map(len, prefixes))
+        checked += 1
+    assert {(3, HOLDS), (3, FAILS)} <= seen
+    assert deepest_failed_prefix >= 2  # some subtree is closed below the top level
+
+
+def test_uncovered_case_names_the_first_hole():
+    u, v, both = CASES
+    assert uncovered_case([(u,), (v,), (both,)], 2) is None
+    assert uncovered_case([(u,), (v,), (both, u), (both, both)], 2) == (both, v)
+    assert uncovered_case([(u,), (v,), (both, u), (both, v), (both, both)], 2) is None
+    assert uncovered_case([()], 3) is None
+    assert uncovered_case([], 0) == ()
+
+
+def test_case_cap_counts_solved_case_lps(e1):
+    # k = 1: the minimizer solves u=0, v=0 (both infeasible), then both>0
+    e = evaluate(e1, [0, 0])
+    assert check_m_stationary_anf(e1, e, case_cap=3).status == HOLDS
+    with pytest.raises(stationarity.CaseLimitError):
+        check_m_stationary_anf(e1, e, case_cap=2)
+
+
+def test_holds_self_check_raises_instead_of_asserting(e1, monkeypatch):
+    monkeypatch.setattr(stationarity, "verify_multipliers", lambda system, ms: ["tampered"])
+    with pytest.raises(RuntimeError, match="self-check"):
+        check_m_stationary_anf(e1, evaluate(e1, [0, 0]))
