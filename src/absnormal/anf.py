@@ -281,10 +281,6 @@ def jacobian_z(p: AbsNormalProgram, e: EvalResult, signs: SignatureVector) -> Ra
     return RatMatrix.from_rows(rows, p.n_t) if rows else RatMatrix.zeros(0, p.n_t)
 
 
-def objective_gradient(p: AbsNormalProgram, e: EvalResult) -> Vec:
-    return p.f.gradient(e.t)
-
-
 def quadratic_from_strings(dim: int, data: dict) -> QuadraticFunc:
     """Build a function from string/int coefficient data ({"constant", "linear", "quadratic"})."""
     constant = rat(data.get("constant", 0))

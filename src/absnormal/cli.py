@@ -7,8 +7,8 @@ identical inputs produce byte-identical output.  ``--recheck`` re-validates
 every inline certificate and witness against the problem data by substitution.
 
 Exit codes: 0 all holds/consistent, 1 some verdict fails (for ``corpus run``:
-some expectation missed), 2 some verdict unknown, 3 usage or input errors
-or an exceeded branch or case cap.
+some expectation missed), 2 some verdict unknown, 3 usage or input errors,
+an exceeded branch or case cap, or a failed internal self-check.
 """
 
 from __future__ import annotations
@@ -367,15 +367,27 @@ def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
         cq = point_entry.get("cq", {})
         for name, verdict in cq.items():
             if name == "branches":
+                # branch verdicts name the form ("anf"/"mpcc"), not the formulation
+                for key, entries in verdict.items():
+                    for entry in entries:
+                        for which in ("acq", "gcq"):
+                            where = f"{prefix} {key} {entry['branch']} {which}"
+                            errors.extend(_recheck_kink_verdict(where, entry[which], cones.get(key)))
                 continue
-            errors.extend(_recheck_kink_verdict(prefix + f" {name}", verdict, cones))
+            section = cones.get(verdict.get("formulation"))
+            errors.extend(_recheck_kink_verdict(f"{prefix} {name}", verdict, section))
+        kink_verdicts = point_entry.get("relations", {}).get("kink_verdicts", {})
+        for name, verdict in kink_verdicts.items():
+            section = cones.get(verdict.get("formulation"))
+            errors.extend(_recheck_kink_verdict(f"{prefix} {name}", verdict, section))
         stat = point_entry.get("stationarity", {})
         for name, verdict in stat.items():
             errors.extend(_recheck_stationarity(pf, e, prefix + f" {name}", verdict))
     return errors
 
 
-def _recheck_kink_verdict(prefix: str, verdict: dict, cones: dict) -> list[str]:
+def _recheck_kink_verdict(prefix: str, verdict: dict, section: dict | None) -> list[str]:
+    """Recheck one Abadie/Guignard witness against the cones ``section`` of its formulation."""
     errors: list[str] = []
     status = verdict.get("status")
     witness = verdict.get("witness")
@@ -384,13 +396,16 @@ def _recheck_kink_verdict(prefix: str, verdict: dict, cones: dict) -> list[str]:
     if witness is None:
         return errors
     w = vec(witness)
-    form = verdict.get("formulation")
-    section = cones.get(form)
     if section is None:
         return errors  # witness not re-checkable without the cone section
     dim = section["dim"]
     branches = section["branches"]
     kind = verdict.get("kind", "")
+    if kind.startswith("branch-"):
+        # a branch verdict speaks of its own linearized and tangent cones only
+        branches = [entry for entry in branches if entry["branch"] == verdict.get("branch")]
+        if not branches:
+            return errors + [f"{prefix}: no branch {verdict.get('branch')!r} in the cones section"]
     if kind in ("akq", "mpcc-acq", "branch-acq"):
         # a valid Abadie witness is linearized-feasible somewhere but escapes
         # the tangent upper bound of every branch
@@ -488,8 +503,18 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
             branches = enumerate_mpcc_branches(mp, mpcc_point_from_eval(e))
         by_label = {b.label: b for b in branches}
         if status == HOLDS:
-            for entry in verdict.get("branch_certificates", []):
-                b = by_label[entry["branch"]]
+            certificates = verdict.get("branch_certificates", [])
+            named = [entry["branch"] for entry in certificates]
+            for label in by_label:
+                if named.count(label) != 1:
+                    errors.append(
+                        f"{prefix}: branch {label} has {named.count(label)} certificates, expected 1"
+                    )
+            for entry in certificates:
+                b = by_label.get(entry["branch"])
+                if b is None:
+                    errors.append(f"{prefix}: certificate for unknown branch {entry['branch']!r}")
+                    continue
                 cone = lin_cone_branch(b)
                 gradient = b.objective.gradient(b.anchor)
                 cert = BranchDualCertificate(
@@ -498,7 +523,10 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
                 for msg in verify_branch_dual_certificate(cert, cone, gradient):
                     errors.append(f"{prefix} branch {entry['branch']}: {msg}")
         elif status == FAILS:
-            b = by_label[verdict["failing_branch"]]
+            b = by_label.get(verdict.get("failing_branch"))
+            if b is None:
+                errors.append(f"{prefix}: unknown failing branch {verdict.get('failing_branch')!r}")
+                return errors
             cone = lin_cone_branch(b)
             descent = vec(verdict["descent"])
             if not cone.contains_point(descent):
@@ -881,6 +909,11 @@ def main(argv=None) -> int:
         return exit_code_for_report(report)
     except (ProblemFileError, BranchLimitError, CaseLimitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except RuntimeError as exc:
+        # a failed self-check or an escaping subdivision cap: the tool's own
+        # failure, never to be read as a verdict
+        sys.stderr.write(f"error: internal: {exc}\n")
         return EXIT_USAGE
 
 

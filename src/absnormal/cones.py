@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
 from .ratmath import (
+    FEASIBLE,
     ONE,
     ZERO,
     LpCertificate,
@@ -140,10 +141,6 @@ class UnionCone:
         return any(cone.contains_point(d) for cone in self.cones)
 
 
-def dd_hrep_to_vrep(cone: PolyCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    return cone.generators()
-
-
 def dd_vrep_to_hrep(dim: int, rays, lineality) -> PolyCone:
     eq, ineq = generators_to_hrep(dim, [vec(r) for r in rays], [vec(l) for l in lineality])
     return PolyCone(dim, tuple(eq), tuple(ineq))
@@ -151,7 +148,10 @@ def dd_vrep_to_hrep(dim: int, rays, lineality) -> PolyCone:
 
 def dual_cone(cone: PolyCone) -> PolyCone:
     """Dual {w : w.d >= 0 on the cone}; generated by the inequality normals plus
-    the equality normals as lineality, then converted back to an H-representation."""
+    the equality normals as lineality, then converted back to an H-representation.
+
+    Only report output (``cones --dual``) builds duals; the Guignard deciders
+    test conic-hull membership with ``hull_escape`` instead."""
     return dd_vrep_to_hrep(cone.dim, cone.ineq_rows, cone.eq_rows)
 
 
@@ -168,18 +168,19 @@ def dual_union(u: UnionCone | list[PolyCone], dim: int | None = None) -> PolyCon
     return out
 
 
+def _signed_generators(cone: PolyCone):
+    rays, lin = cone.generators()
+    yield from rays
+    for l in lin:
+        yield l
+        yield vec_neg(l)
+
+
 def cone_contains(outer: PolyCone, inner: PolyCone) -> bool:
     """Set containment, decided on the generators of the inner cone."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch")
-    rays, lin = inner.generators()
-    for r in rays:
-        if not outer.contains_point(r):
-            return False
-    for l in lin:
-        if not outer.contains_point(l) or not outer.contains_point(vec_neg(l)):
-            return False
-    return True
+    return all(outer.contains_point(g) for g in _signed_generators(inner))
 
 
 def cone_equal(a: PolyCone, b: PolyCone) -> bool:
@@ -213,8 +214,7 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
     for m in members:
         if cone_contains(m, target):
             return True, None
-    rays, lin = target.generators()
-    gens = list(rays) + [l for l in lin] + [vec_neg(l) for l in lin]
+    gens = list(_signed_generators(target))
     if not gens:
         # the zero cone lies in every member
         return True, None
@@ -235,10 +235,46 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
     for g in gens[1:]:
         witness = tuple(a + b for a, b in zip(witness, g))
     witness = primitive(witness)
-    assert not is_zero_vec(witness)
-    for m in members:
-        assert not m.contains_point(witness), "subdivision invariant violated"
+    if is_zero_vec(witness) or any(m.contains_point(witness) for m in members):
+        raise RuntimeError("subdivision invariant violated")
     return False, witness
+
+
+def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
+    """A vector ``w`` pairing nonnegatively with every member and negatively
+    with some generator of ``target``, or None when ``target`` lies in the
+    closed conic hull of the members.
+
+    By biduality, None means that the dual of the union of the members lies in
+    the dual of ``target``; no H-representation of either dual is built.  A
+    generator inside a single member (those in ``first`` are tried first) is
+    accepted by substitution; any other costs one exact LP in ``w``.
+    """
+    rows = None
+    for g in _signed_generators(target):
+        if any(m.contains_point(g) for m in itertools.chain(first, members)):
+            continue
+        if rows is None:
+            eq, ineq = {}, {}
+            for m in members:
+                rays, lin = m.generators()
+                eq.update(dict.fromkeys(lin))
+                ineq.update(dict.fromkeys(rays))
+            rows = tuple(eq), tuple(ineq)
+        eq_rows, ineq_rows = rows
+        res = lp_solve(
+            LpProblem(
+                n_vars=target.dim,
+                eq_rows=eq_rows,
+                eq_rhs=zero_vec(len(eq_rows)),
+                ineq_rows=ineq_rows + (vec_neg(g),),
+                ineq_rhs=zero_vec(len(ineq_rows) + 1),
+                strict=frozenset([len(ineq_rows)]),
+            )
+        )
+        if res.status == FEASIBLE:
+            return primitive(res.certificate.point)
+    return None
 
 
 def cone_image(cone: PolyCone, m: RatMatrix) -> PolyCone:

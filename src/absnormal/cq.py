@@ -2,16 +2,18 @@
 
 Everything reduces to exact cone comparisons over the branch decomposition:
 
-* a branch Abadie condition compares the certified branch tangent cone with
-  the branch linearized cone,
-* the kink-level conditions compare the unions (respectively the duals of the
-  unions) over all branches,
+* an Abadie condition asks whether the tangent pieces cover the linearized
+  cones (of one branch, or of all branches for the kink-level conditions),
+* a Guignard condition asks for equal duals; by biduality that is whether
+  every linearized generator lies in the closed conic hull of the tangent
+  pieces, decided by substitution or one exact LP per generator, with no
+  H-representation of a dual,
 * the four formulations are analyzed with the same engine, with tangent
   knowledge transported along the branch homeomorphisms where a branch cannot
   certify its own tangent cone.
 
-Verdicts are tri-state.  Holds and Fails always rest on re-checkable material
-(certificates, witness rays, dual vectors); Unknown names the blocking
+Verdicts are tri-state.  Fails always rests on re-checkable material
+(witness rays, dual vectors); Unknown names the blocking
 branches instead of guessing.  Problem files may supply trusted tangent-cone
 annotations for branches outside every certificate class; those are
 sanity-checked against the branch linearized cone on load.
@@ -29,13 +31,13 @@ from .cones import (
     TangentCertificate,
     cone_contains,
     cone_image,
-    dual_cone,
-    dual_union,
+    dual_cone,  # unused here; bench/test_bench.py asserts the tracer rebinds cq.dual_cone
+    hull_escape,
     lin_cone_branch,
     tangent_cone_branch,
     union_covers,
 )
-from .ratmath import Vec, vec_neg
+from .ratmath import Vec
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     MpccPoint,
@@ -93,6 +95,11 @@ class BranchAnalysis:
     def tangent_known(self) -> bool:
         return self.tangent_pieces is not None
 
+    @property
+    def upper_pieces(self) -> tuple[PolyCone, ...]:
+        """The tangent pieces, or the linearized cone that bounds them when uncertified."""
+        return self.tangent_pieces if self.tangent_known else (self.lin,)
+
 
 @dataclass(frozen=True)
 class FormulationAnalysis:
@@ -102,18 +109,11 @@ class FormulationAnalysis:
 
     def upper_members(self) -> list[PolyCone]:
         """Pieces of the tightest known superset of the tangent union."""
-        out: list[PolyCone] = []
-        for ba in self.branches:
-            out.extend(ba.tangent_pieces if ba.tangent_known else (ba.lin,))
-        return out
+        return [piece for ba in self.branches for piece in ba.upper_pieces]
 
     def lower_members(self) -> list[PolyCone]:
         """Pieces of the known subset of the tangent union (certified branches only)."""
-        out: list[PolyCone] = []
-        for ba in self.branches:
-            if ba.tangent_known:
-                out.extend(ba.tangent_pieces)
-        return out
+        return [piece for ba in self.branches for piece in ba.tangent_pieces or ()]
 
     def blocking(self) -> tuple[str, ...]:
         return tuple(ba.label for ba in self.branches if not ba.tangent_known)
@@ -169,45 +169,35 @@ def check_branch_cq(ba: BranchAnalysis | SmoothBranchProblem, which: str) -> CQV
         if ok:
             return CQVerdict(kind, ba.problem.form, HOLDS, branch=ba.label, note=f"tangent source: {ba.tangent_source}")
         return CQVerdict(kind, ba.problem.form, FAILS, branch=ba.label, witness=witness)
-    dual_t = dual_union(list(ba.tangent_pieces), ba.lin.dim)
-    dual_l = dual_cone(ba.lin)
-    witness = containment_witness(dual_l, dual_t)
+    witness = hull_escape(ba.tangent_pieces, ba.lin)
     if witness is None:
         return CQVerdict(kind, ba.problem.form, HOLDS, branch=ba.label, note=f"tangent source: {ba.tangent_source}")
     return CQVerdict(kind, ba.problem.form, FAILS, branch=ba.label, witness=witness)
 
 
-def containment_witness(outer: PolyCone, inner: PolyCone) -> Vec | None:
-    """A generator of ``inner`` outside ``outer``, or None if contained."""
-    rays, lin = inner.generators()
-    for r in rays:
-        if not outer.contains_point(r):
-            return r
-    for l in lin:
-        if not outer.contains_point(l):
-            return l
-        if not outer.contains_point(vec_neg(l)):
-            return vec_neg(l)
+def _guignard_escape(fa: FormulationAnalysis, members: list[PolyCone], own) -> Vec | None:
+    """A dual vector of the members escaping the dual of some branch
+    linearized cone; ``own(ba)`` are the members tried first for branch ``ba``."""
+    for ba in fa.branches:
+        witness = hull_escape(members, ba.lin, own(ba))
+        if witness is not None:
+            return witness
     return None
 
 
 def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
     """Equality of the tangent union with the linearized union ("abadie"), or of
-    their duals ("guignard"), with sound bounds when some branches are uncertified."""
-    kind = {
-        ("abadie", ABS_I): "akq",
-        ("abadie", ABS_E): "akq",
-        ("guignard", ABS_I): "gkq",
-        ("guignard", ABS_E): "gkq",
-        ("abadie", MPCC_I): "mpcc-acq",
-        ("abadie", MPCC_E): "mpcc-acq",
-        ("guignard", MPCC_I): "mpcc-gcq",
-        ("guignard", MPCC_E): "mpcc-gcq",
-    }[(which, fa.key)]
+    their duals ("guignard"), with sound bounds when some branches are uncertified:
+    the tangent union lies between the certified pieces (lower members) and
+    the certified pieces plus the uncertified linearized cones (upper members)."""
+    letter = {"abadie": "a", "guignard": "g"}[which]
+    kind = f"{letter}kq" if fa.key in (ABS_I, ABS_E) else f"mpcc-{letter}cq"
     upper = fa.upper_members()
     all_known = not fa.blocking()
     if which == "abadie":
         for ba in fa.branches:
+            if any(cone_contains(piece, ba.lin) for piece in ba.upper_pieces):
+                continue  # covered by one of its own pieces, as union_covers would find
             try:
                 ok, witness = union_covers(upper, ba.lin)
             except SubdivisionDepthExceeded:
@@ -220,19 +210,15 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
         if all_known:
             return CQVerdict(kind, fa.key, HOLDS)
         return CQVerdict(kind, fa.key, UNKNOWN, blocking=fa.blocking())
-    # Guignard: compare duals of the unions
-    lin_dual = dual_union([ba.lin for ba in fa.branches], fa.dim)
-    lower = fa.lower_members()
-    lower_dual = dual_union(lower, fa.dim)  # full space when nothing is certified
-    if containment_witness(lin_dual, lower_dual) is None:
-        # dual of the tangent union is squeezed between lower_dual and lin_dual
+    # Guignard: the linearized union lies in the conic hull of the lower
+    # members (Holds) or escapes that of the upper members (Fails)
+    witness = _guignard_escape(fa, fa.lower_members(), lambda ba: ba.tangent_pieces or ())
+    if witness is None:
         return CQVerdict(kind, fa.key, HOLDS)
-    upper_dual = dual_union(upper, fa.dim)
-    witness = containment_witness(lin_dual, upper_dual)
+    if not all_known:  # with every branch certified the upper members are the lower ones
+        witness = _guignard_escape(fa, upper, lambda ba: ba.upper_pieces)
     if witness is not None:
         return CQVerdict(kind, fa.key, FAILS, witness=witness)
-    if all_known:
-        raise AssertionError("dual comparison must be decisive when all branches are certified")
     return CQVerdict(kind, fa.key, UNKNOWN, blocking=fa.blocking())
 
 
@@ -346,7 +332,8 @@ def analyze_point(
     slack = to_slack(p)
     ts = slack.lift_smooth_point(e, w_signs)
     se = evaluate(slack.program, ts)
-    assert se.is_feasible(), "slack lifting must preserve feasibility"
+    if not se.is_feasible():
+        raise RuntimeError("slack lifting must preserve feasibility")
 
     mpcc = to_mpcc(p)
     mpcc_point = mpcc_point_from_eval(e)
@@ -383,7 +370,8 @@ def analyze_point(
     def mpcc_side(mp, point, anf_analyses, branches):
         out = []
         for anf_ba, b in zip(anf_analyses, branches, strict=True):
-            assert anf_ba.problem.spec.signs == b.spec.signs
+            if anf_ba.problem.spec.signs != b.spec.signs:
+                raise RuntimeError(f"branch {b.label} does not align with its abs-normal branch")
             ba = analyze_branch(b)
             if not ba.tangent_known and anf_ba.tangent_known:
                 pieces = _transport_pieces_to_mpcc(anf_ba, b, mp.n_x, mp.s)
@@ -503,189 +491,69 @@ def verify_relations(
     """Evaluate every qualification in all four formulations and check each
     proved implication; one-sided results are only tested in the proved
     direction, with the converse observation logged as data."""
-    kink: dict[tuple[str, str], CQVerdict] = {}
-    for key in FORMULATIONS:
-        fa = pa.formulations[key]
-        kink[("abadie", key)] = decide_kink_cq(fa, "abadie")
-        kink[("guignard", key)] = decide_kink_cq(fa, "guignard")
-
-    branch_verdicts: dict[str, list[tuple[CQVerdict, CQVerdict]]] = {}
-    for key in FORMULATIONS:
-        fa = pa.formulations[key]
-        branch_verdicts[key] = [
-            (check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in fa.branches
-        ]
-
+    kink: dict[tuple[str, str], CQVerdict] = {
+        (which, key): decide_kink_cq(pa.formulations[key], which)
+        for key in FORMULATIONS
+        for which in ("abadie", "guignard")
+    }
+    branch_verdicts: dict[str, list[tuple[CQVerdict, CQVerdict]]] = {
+        key: [(check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in pa.formulations[key].branches]
+        for key in FORMULATIONS
+    }
     arrows: list[RelationArrow] = []
 
-    def implies(arrow_id, lhs_name, lhs_status, rhs_name, rhs_status, one_sided=False, note=""):
+    def add(kind, arrow_id, lhs, lhs_status, rhs, rhs_status, one_sided=False, note=""):
+        consistent = (_iff_consistent if kind == "iff" else _implies_consistent)(lhs_status, rhs_status)
+        converse = _converse(lhs_status, rhs_status) if one_sided else None
         arrows.append(
-            RelationArrow(
-                arrow_id,
+            RelationArrow(arrow_id, kind, lhs, lhs_status, rhs, rhs_status, consistent, converse, note)
+        )
+
+    def kink_side(which, key):
+        v = kink[(which, key)]
+        return f"{v.kind.upper()} ({key})", v.status
+
+    for key in FORMULATIONS:
+        for pos, (which, tag) in enumerate((("abadie", "acq"), ("guignard", "gcq"))):
+            add(
                 "implies",
-                lhs_name,
-                lhs_status,
-                rhs_name,
-                rhs_status,
-                _implies_consistent(lhs_status, rhs_status),
-                _converse(lhs_status, rhs_status) if one_sided else None,
-                note,
+                f"branch-{tag}-all=>{which}[{key}]",
+                f"{tag.upper()} for all branches ({key})",
+                _aggregate(pair[pos].status for pair in branch_verdicts[key]),
+                *kink_side(which, key),
             )
+    for lhs, rhs, note in (
+        (ABS_I, MPCC_I, ""),
+        (ABS_E, MPCC_E, ""),
+        (ABS_I, ABS_E, ""),
+        (MPCC_I, MPCC_E, "implied by the other Abadie equivalences"),
+    ):
+        add("iff", f"abadie[{lhs}]<=>abadie[{rhs}]", *kink_side("abadie", lhs), *kink_side("abadie", rhs), note=note)
+    for lhs, rhs in ((ABS_E, ABS_I), (MPCC_E, MPCC_I), (MPCC_I, ABS_I), (MPCC_E, ABS_E)):
+        add(
+            "implies",
+            f"guignard[{lhs}]=>guignard[{rhs}]",
+            *kink_side("guignard", lhs),
+            *kink_side("guignard", rhs),
+            one_sided=True,
         )
 
-    def iff(arrow_id, lhs_name, lhs_status, rhs_name, rhs_status, note=""):
-        arrows.append(
-            RelationArrow(
-                arrow_id,
+    def branch_iffs(lhs_key, lhs_pair, rhs_key, rhs_pair):
+        for tag, lhs, rhs in zip(("acq", "gcq"), lhs_pair, rhs_pair):
+            add(
                 "iff",
-                lhs_name,
-                lhs_status,
-                rhs_name,
-                rhs_status,
-                _iff_consistent(lhs_status, rhs_status),
-                None,
-                note,
-            )
-        )
-
-    for key, tag in ((ABS_I, "AKQ"), (ABS_E, "AKQ")):
-        acq_all = _aggregate(v.status for v, _ in branch_verdicts[key])
-        gcq_all = _aggregate(v.status for _, v in branch_verdicts[key])
-        implies(
-            f"branch-acq-all=>abadie[{key}]",
-            f"ACQ for all branches ({key})",
-            acq_all,
-            f"{tag} ({key})",
-            kink[("abadie", key)].status,
-        )
-        implies(
-            f"branch-gcq-all=>guignard[{key}]",
-            f"GCQ for all branches ({key})",
-            gcq_all,
-            f"GKQ ({key})",
-            kink[("guignard", key)].status,
-        )
-    for key in (MPCC_I, MPCC_E):
-        acq_all = _aggregate(v.status for v, _ in branch_verdicts[key])
-        gcq_all = _aggregate(v.status for _, v in branch_verdicts[key])
-        implies(
-            f"branch-acq-all=>abadie[{key}]",
-            f"ACQ for all branches ({key})",
-            acq_all,
-            f"MPCC-ACQ ({key})",
-            kink[("abadie", key)].status,
-        )
-        implies(
-            f"branch-gcq-all=>guignard[{key}]",
-            f"GCQ for all branches ({key})",
-            gcq_all,
-            f"MPCC-GCQ ({key})",
-            kink[("guignard", key)].status,
-        )
-
-    iff(
-        "abadie[abs-i]<=>abadie[mpcc-i]",
-        "AKQ (abs-i)",
-        kink[("abadie", ABS_I)].status,
-        "MPCC-ACQ (mpcc-i)",
-        kink[("abadie", MPCC_I)].status,
-    )
-    iff(
-        "abadie[abs-e]<=>abadie[mpcc-e]",
-        "AKQ (abs-e)",
-        kink[("abadie", ABS_E)].status,
-        "MPCC-ACQ (mpcc-e)",
-        kink[("abadie", MPCC_E)].status,
-    )
-    iff(
-        "abadie[abs-i]<=>abadie[abs-e]",
-        "AKQ (abs-i)",
-        kink[("abadie", ABS_I)].status,
-        "AKQ (abs-e)",
-        kink[("abadie", ABS_E)].status,
-    )
-    iff(
-        "abadie[mpcc-i]<=>abadie[mpcc-e]",
-        "MPCC-ACQ (mpcc-i)",
-        kink[("abadie", MPCC_I)].status,
-        "MPCC-ACQ (mpcc-e)",
-        kink[("abadie", MPCC_E)].status,
-        note="implied by the other Abadie equivalences",
-    )
-    implies(
-        "guignard[abs-e]=>guignard[abs-i]",
-        "GKQ (abs-e)",
-        kink[("guignard", ABS_E)].status,
-        "GKQ (abs-i)",
-        kink[("guignard", ABS_I)].status,
-        one_sided=True,
-    )
-    implies(
-        "guignard[mpcc-e]=>guignard[mpcc-i]",
-        "MPCC-GCQ (mpcc-e)",
-        kink[("guignard", MPCC_E)].status,
-        "MPCC-GCQ (mpcc-i)",
-        kink[("guignard", MPCC_I)].status,
-        one_sided=True,
-    )
-    implies(
-        "guignard[mpcc-i]=>guignard[abs-i]",
-        "MPCC-GCQ (mpcc-i)",
-        kink[("guignard", MPCC_I)].status,
-        "GKQ (abs-i)",
-        kink[("guignard", ABS_I)].status,
-        one_sided=True,
-    )
-    implies(
-        "guignard[mpcc-e]=>guignard[abs-e]",
-        "MPCC-GCQ (mpcc-e)",
-        kink[("guignard", MPCC_E)].status,
-        "GKQ (abs-e)",
-        kink[("guignard", ABS_E)].status,
-        one_sided=True,
-    )
-
-    for slack_form in (False, True):
-        abs_key = ABS_E if slack_form else ABS_I
-        mpcc_key = MPCC_E if slack_form else MPCC_I
-        abs_list = branch_verdicts[abs_key]
-        mpcc_list = branch_verdicts[mpcc_key]
-        for (a_acq, a_gcq), (m_acq, m_gcq) in zip(abs_list, mpcc_list, strict=True):
-            iff(
-                f"branch-acq[{abs_key}:{a_acq.branch}]<=>branch-acq[{mpcc_key}:{m_acq.branch}]",
-                f"ACQ {abs_key} {a_acq.branch}",
-                a_acq.status,
-                f"ACQ {mpcc_key} {m_acq.branch}",
-                m_acq.status,
-            )
-            iff(
-                f"branch-gcq[{abs_key}:{a_gcq.branch}]<=>branch-gcq[{mpcc_key}:{m_gcq.branch}]",
-                f"GCQ {abs_key} {a_gcq.branch}",
-                a_gcq.status,
-                f"GCQ {mpcc_key} {m_gcq.branch}",
-                m_gcq.status,
+                f"branch-{tag}[{lhs_key}:{lhs.branch}]<=>branch-{tag}[{rhs_key}:{rhs.branch}]",
+                f"{tag.upper()} {lhs_key} {lhs.branch}",
+                lhs.status,
+                f"{tag.upper()} {rhs_key} {rhs.branch}",
+                rhs.status,
             )
 
-    abs_i_verdicts = {
-        v.branch: (v, g) for v, g in branch_verdicts[ABS_I]
-    }
-    for base_ba, e_ba in pa.branch_pairs_i_to_e():
-        e_index = [ba.label for ba in pa.formulations[ABS_E].branches].index(e_ba.label)
-        e_acq, e_gcq = branch_verdicts[ABS_E][e_index]
-        i_acq, i_gcq = abs_i_verdicts[base_ba.label]
-        iff(
-            f"branch-acq[abs-i:{base_ba.label}]<=>branch-acq[abs-e:{e_ba.label}]",
-            f"ACQ abs-i {base_ba.label}",
-            i_acq.status,
-            f"ACQ abs-e {e_ba.label}",
-            e_acq.status,
-        )
-        iff(
-            f"branch-gcq[abs-i:{base_ba.label}]<=>branch-gcq[abs-e:{e_ba.label}]",
-            f"GCQ abs-i {base_ba.label}",
-            i_gcq.status,
-            f"GCQ abs-e {e_ba.label}",
-            e_gcq.status,
-        )
-
+    for abs_key, mpcc_key in ((ABS_I, MPCC_I), (ABS_E, MPCC_E)):
+        for a_pair, m_pair in zip(branch_verdicts[abs_key], branch_verdicts[mpcc_key], strict=True):
+            branch_iffs(abs_key, a_pair, mpcc_key, m_pair)
+    # branch_pairs_i_to_e follows the abs-e branch order
+    i_by_label = {pair[0].branch: pair for pair in branch_verdicts[ABS_I]}
+    for (base_ba, _), e_pair in zip(pa.branch_pairs_i_to_e(), branch_verdicts[ABS_E], strict=True):
+        branch_iffs(ABS_I, i_by_label[base_ba.label], ABS_E, e_pair)
     return RelationReport(tuple(arrows)), kink, branch_verdicts

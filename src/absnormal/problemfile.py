@@ -100,6 +100,9 @@ PROBLEM_SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would re-check the schema itself on every call
+_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+
 
 class ProblemFileError(ValueError):
     pass
@@ -143,11 +146,10 @@ def _is_signature_label(label: str, s: int) -> bool:
 
 
 def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
-    try:
-        jsonschema.validate(data, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise ProblemFileError(f"schema violation at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        path = "$" + "".join(f"[{p!r}]" for p in error.absolute_path)
+        raise ProblemFileError(f"schema violation at {path}: {error.message}")
     dims = data["dimensions"]
     n_t, s, m1, m2 = dims["n_t"], dims["s"], dims["m1"], dims["m2"]
     block = n_t + s

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrix import ONE, ZERO, Vec, dot, vec, zero_vec
+from .matrix import ONE, ZERO, Vec, dot, zero_vec
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -137,7 +137,8 @@ def _solve_strict(p: LpProblem) -> LpResult:
         return LpResult(
             FEASIBLE, None, LpCertificate(KIND_POINT, point=lifted[:-1], margin=lifted[-1])
         )
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"margin relaxation ended {res.status}, not optimal")
     if res.value > 0:
         point = res.certificate.point
         return LpResult(FEASIBLE, None, LpCertificate(KIND_POINT, point=point[:-1], margin=res.value))
@@ -320,7 +321,8 @@ class _Tableau:
         r_std = [ZERO] * self.n_struct
         r_std[c] = ONE
         for i, b in enumerate(self.basis):
-            assert b < self.n_struct, "artificial variable basic after cleanup"
+            if b >= self.n_struct:
+                raise RuntimeError("artificial variable basic after cleanup")
             r_std[b] = -self.rows[i][c]
         n = self.p.n_vars
         ray = tuple(r_std[j] - r_std[n + j] for j in range(n))

@@ -84,10 +84,6 @@ def primitive(a: Vec) -> Vec:
     return tuple(x / g for x in ints)
 
 
-def format_vec(a: Vec) -> list[str]:
-    return [str(x) for x in a]
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Dense immutable matrix of rationals (rows of equal length)."""
@@ -223,9 +219,3 @@ def rref(rows, cols: int) -> list[Vec]:
         if r == n_rows:
             break
     return [tuple(row) for row in work[:r]]
-
-
-def in_row_span(rows, cols: int, target: Vec) -> bool:
-    """Whether ``target`` lies in the linear span of ``rows``."""
-    base = list(rows)
-    return rank_rows(base, cols) == rank_rows(base + [target], cols)

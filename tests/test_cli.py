@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -314,3 +315,83 @@ def test_check_stationarity_rejects_infeasible_point(capsys):
     code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "1,5")
     assert code == 3
     assert "not feasible" in err
+
+
+def test_recheck_walks_relation_and_branch_witnesses(capsys):
+    pf = load_corpus_problem("E3")
+    code, out, _ = run_cli(capsys, "verify-relations", "E3", "--point", "origin", "--recheck")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    kink = report["points"][0]["relations"]["kink_verdicts"]["guignard[abs-i]"]
+    assert kink["status"] == "fails"
+    kink["witness"][1] = "1"  # pairs nonzero with the tangent line's free direction
+    assert any("guignard[abs-i]" in msg for msg in recheck_report(pf, report))
+
+    code, out, _ = run_cli(capsys, "check-cq", "E3", "--point", "origin", "--all", "--recheck")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    gcq = report["points"][0]["cq"]["branches"]["abs-i"][0]["gcq"]
+    assert (gcq["branch"], gcq["status"], gcq["witness"]) == ("σ=+", "fails", ["-1", "0", "0"])
+    # (1, 0, 0) escapes the linearized dual of σ=- only: a valid kink-level
+    # witness, but not for the branch σ=+
+    gcq["witness"][0] = "1"
+    errors = recheck_report(pf, report)
+    assert errors == ["point origin abs-i σ=+ gcq: witness does not escape the linearized dual"]
+
+
+def test_b_stationarity_recheck_needs_every_branch_once(capsys):
+    pf = load_corpus_problem("E1")
+    code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--recheck")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    certificates = report["points"][0]["stationarity"]["b-anf"]["branch_certificates"]
+    assert len(certificates) == 2
+    dropped = copy.deepcopy(report)
+    del dropped["points"][0]["stationarity"]["b-anf"]["branch_certificates"][0]
+    assert recheck_report(pf, dropped) == [
+        f"point origin b-anf: branch {certificates[0]['branch']} has 0 certificates, expected 1"
+    ]
+    renamed = copy.deepcopy(report)
+    renamed["points"][0]["stationarity"]["b-anf"]["branch_certificates"][1]["branch"] = "σ=?"
+    errors = recheck_report(pf, renamed)
+    assert any("unknown branch 'σ=?'" in msg for msg in errors)
+    assert any(f"branch {certificates[1]['branch']} has 0 certificates" in msg for msg in errors)
+
+
+def test_failed_self_check_exits_three_not_as_a_verdict(capsys, monkeypatch):
+    monkeypatch.setattr(stationarity, "verify_multipliers", lambda system, ms: ["forged"])
+    code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--m")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal: ") and "self-check" in err
+
+
+def _polar_dd_outside_transport(real):
+    """generators_to_hrep that raises unless it transports a tangent piece
+    (``cone_image``, the only H-representation a decision may still build)."""
+
+    def guarded(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name == "cone_image":
+                return real(*args, **kwargs)
+            frame = frame.f_back
+        raise AssertionError("double description on a polar in a decision path")
+
+    return guarded
+
+
+def test_qualifications_decide_without_polar_double_description(tmp_path, capsys, monkeypatch):
+    import absnormal.cones
+    import absnormal.ratmath
+    import absnormal.ratmath.dd
+
+    guarded = _polar_dd_outside_transport(absnormal.ratmath.dd.generators_to_hrep)
+    for module in (absnormal.ratmath.dd, absnormal.ratmath, absnormal.cones):
+        monkeypatch.setattr(module, "generators_to_hrep", guarded)
+    expected = {"E1": 0, "E2": 0, "E3": 1, "E4": 1, write_problem(tmp_path, kinks_problem(2, 1)): 0}
+    for problem, exit_code in expected.items():
+        for argv in (("check-cq", problem, "--all"), ("verify-relations", problem)):
+            code, out, err = run_cli(capsys, *argv, "--recheck")
+            assert (code, err) == (exit_code, ""), argv
+            assert json.loads(out)["recheck"]["errors"] == []

@@ -1,0 +1,118 @@
+"""Cross-check of the Guignard deciders against a dual H-representation reference.
+
+The reference reads the definition literally: it builds the duals by double
+description on the polar and compares them by generator containment.  The
+deciders under test compare conic hulls instead.  Both must agree in status,
+and every Fails witness must pass the report recheck.
+"""
+
+import dataclasses
+import functools
+import random
+
+from absnormal.cli import _cones_section, _recheck_kink_verdict, _ser_cq_verdict
+from absnormal.cones import PolyCone, cone_contains, dual_cone
+from absnormal.cq import (
+    FAILS,
+    FORMULATIONS,
+    HOLDS,
+    UNKNOWN,
+    analyze_point,
+    check_branch_cq,
+    decide_kink_cq,
+)
+from absnormal.anf import evaluate
+from absnormal.problemfile import load_corpus
+from absnormal.ratmath import zero_vec
+
+from conftest import random_affine_program
+
+
+_dual = functools.lru_cache(maxsize=None)(dual_cone)
+
+
+def dual_union(cones, dim: int) -> PolyCone:
+    """``cones.dual_union``, with each member dual built once per test run."""
+    return functools.reduce(PolyCone.intersect, map(_dual, cones), PolyCone.full_space(dim))
+
+
+def reference_kink_guignard(fa) -> str:
+    lin_dual = dual_union([ba.lin for ba in fa.branches], fa.dim)
+    if cone_contains(lin_dual, dual_union(fa.lower_members(), fa.dim)):
+        return HOLDS
+    if not cone_contains(lin_dual, dual_union(fa.upper_members(), fa.dim)):
+        return FAILS
+    return UNKNOWN
+
+
+def reference_branch_guignard(ba) -> str:
+    if not ba.tangent_known:
+        return UNKNOWN
+    tangent_dual = dual_union(ba.tangent_pieces, ba.lin.dim)
+    return HOLDS if cone_contains(_dual(ba.lin), tangent_dual) else FAILS
+
+
+def assert_agrees(pa, seen: set) -> None:
+    for key in FORMULATIONS:
+        fa = pa.formulations[key]
+        section = _cones_section(pa, False, {key})[key]
+        verdict = decide_kink_cq(fa, "guignard")
+        assert verdict.status == reference_kink_guignard(fa), (key, verdict)
+        assert _recheck_kink_verdict(key, _ser_cq_verdict(verdict), section) == []
+        seen.add(("kink", verdict.status))
+        for ba in fa.branches:
+            verdict = check_branch_cq(ba, "gcq")
+            assert verdict.status == reference_branch_guignard(ba), (key, ba.label, verdict)
+            assert _recheck_kink_verdict(key, _ser_cq_verdict(verdict), section) == []
+            seen.add(("branch", verdict.status))
+
+
+def _small_row(rng: random.Random, dim: int):
+    return [rng.randint(-1, 1) for _ in range(dim)]
+
+
+def with_trusted_knowledge(pa, rng: random.Random):
+    """The same point with some branches uncertified and some annotated by
+    pieces of their linearized cone (cut by a hyperplane or a halfspace each)."""
+    formulations = {}
+    for key, fa in pa.formulations.items():
+        branches = []
+        for ba in fa.branches:
+            roll = rng.random()
+            if roll < 0.25:
+                ba = dataclasses.replace(ba, tangent_pieces=None, tangent_source=None)
+            elif roll < 0.6:
+                pieces = []
+                for _ in range(rng.randint(1, 2)):
+                    row = _small_row(rng, fa.dim)
+                    cut = {"eq": [row]} if rng.random() < 0.5 else {"ineq": [row]}
+                    pieces.append(ba.lin.with_rows(**cut))
+                ba = dataclasses.replace(ba, tangent_pieces=tuple(pieces), tangent_source="annotation")
+            branches.append(ba)
+        formulations[key] = dataclasses.replace(fa, branches=tuple(branches))
+    return dataclasses.replace(pa, formulations=formulations)
+
+
+def test_guignard_agrees_with_dual_reference_on_corpus():
+    seen: set = set()
+    for pf in load_corpus():
+        for point in pf.points:
+            assert_agrees(analyze_point(pf.program, point.t, pf.annotations), seen)
+    assert {("kink", HOLDS), ("kink", FAILS), ("branch", HOLDS), ("branch", FAILS)} <= seen
+
+
+def test_guignard_agrees_with_dual_reference_on_random_affine_programs():
+    rng = random.Random(737373)
+    seen: set = set()
+    checked = 0
+    while checked < 60:
+        p = random_affine_program(rng)
+        t0 = zero_vec(p.n_t)
+        if not evaluate(p, t0).is_feasible():
+            continue
+        pa = analyze_point(p, t0)
+        assert_agrees(pa, seen)
+        assert_agrees(with_trusted_knowledge(pa, rng), seen)
+        checked += 1
+    for level in ("kink", "branch"):
+        assert {(level, HOLDS), (level, FAILS), (level, UNKNOWN)} <= seen
