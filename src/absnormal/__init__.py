@@ -13,12 +13,7 @@ from .anf import AbsNormalProgram, EvalResult, QuadraticFunc, SignatureVector, e
 from .cones import PolyCone, UnionCone, dual_cone, dual_union, lin_cone_abs, lin_cone_mpcc
 from .cq import analyze_point, check_akq, check_gkq, check_mpcc_cq, verify_relations
 from .problemfile import ProblemFile, load_corpus, load_corpus_problem, parse_problem
-from .stationarity import (
-    check_b_stationary,
-    check_m_stationary_anf,
-    check_m_stationary_mpcc,
-    translate_multipliers,
-)
+from .stationarity import check_b_stationary, check_m_stationary_anf, check_m_stationary_mpcc
 from .transforms import enumerate_branches, phi, phi_inv, to_mpcc, to_slack
 
 __all__ = [
@@ -50,7 +45,6 @@ __all__ = [
     "phi_inv",
     "to_mpcc",
     "to_slack",
-    "translate_multipliers",
     "validate",
     "verify_relations",
 ]

@@ -45,20 +45,19 @@ from .problemfile import (
     load_corpus_problem,
     parse_problem,
 )
-from .ratmath import LpCertificate, LpResult, dot, rat, vec, verify_certificate
+from .ratmath import LpCertificate, dot, rat, vec
 from .stationarity import (
     BranchDualCertificate,
     CaseLimitError,
+    CaseOutcome,
     MultiplierSet,
     StationarityVerdict,
-    build_case_problem,
     check_b_stationary,
     check_m_stationary_anf,
-    check_m_stationary_mpcc,
     multiplier_system,
-    uncovered_case,
+    translate_m_verdict,
     verify_branch_dual_certificate,
-    verify_multipliers,
+    verify_m_certificate,
 )
 from .transforms import (
     BranchLimitError,
@@ -260,6 +259,14 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
     return out
 
 
+def _m_counterpart(m_anf: StationarityVerdict, p: AbsNormalProgram, e, mp, mp_point) -> StationarityVerdict:
+    """The counterpart's M verdict: the abs-normal certificate re-checked in
+    the system read off the MPCC data, with no second case search."""
+    return translate_m_verdict(
+        m_anf, multiplier_system(p, e), multiplier_system(mp, mp_point), "m-mpcc"
+    )
+
+
 def _stationarity_section(
     p: AbsNormalProgram, e, which: set[str], forms: set[str], branch_cap: int
 ) -> dict:
@@ -267,10 +274,11 @@ def _stationarity_section(
     if "mpcc" in forms:
         mp, mp_point = to_mpcc(p), mpcc_point_from_eval(e)
     if "m" in which:
+        m_anf = check_m_stationary_anf(p, e)
         if "anf" in forms:
-            out["m-anf"] = _ser_stationarity(check_m_stationary_anf(p, e))
+            out["m-anf"] = _ser_stationarity(m_anf)
         if "mpcc" in forms:
-            out["m-mpcc"] = _ser_stationarity(check_m_stationary_mpcc(mp, mp_point))
+            out["m-mpcc"] = _ser_stationarity(_m_counterpart(m_anf, p, e, mp, mp_point))
     if "b" in which:
         if "anf" in forms:
             out["b-anf"] = _ser_stationarity(check_b_stationary(p, e, "anf", branch_cap))
@@ -364,22 +372,26 @@ def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
             if tuple(ev["signature"]) != e.sigma.entries:
                 errors.append(f"{prefix}: reported signature mismatch")
         cones = point_entry.get("cones", {})
-        cq = point_entry.get("cq", {})
-        for name, verdict in cq.items():
+
+        def recheck_witness(where: str, verdict: dict, formulation) -> list[str]:
+            section = cones.get(formulation)
+            if section is None and verdict.get("witness") is not None:
+                return [f"{where}: no cones section for formulation {formulation!r} to recheck the witness"]
+            return _recheck_kink_verdict(where, verdict, section)
+
+        for name, verdict in point_entry.get("cq", {}).items():
             if name == "branches":
                 # branch verdicts name the form ("anf"/"mpcc"), not the formulation
                 for key, entries in verdict.items():
                     for entry in entries:
                         for which in ("acq", "gcq"):
                             where = f"{prefix} {key} {entry['branch']} {which}"
-                            errors.extend(_recheck_kink_verdict(where, entry[which], cones.get(key)))
+                            errors.extend(recheck_witness(where, entry[which], key))
                 continue
-            section = cones.get(verdict.get("formulation"))
-            errors.extend(_recheck_kink_verdict(f"{prefix} {name}", verdict, section))
+            errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
         kink_verdicts = point_entry.get("relations", {}).get("kink_verdicts", {})
         for name, verdict in kink_verdicts.items():
-            section = cones.get(verdict.get("formulation"))
-            errors.extend(_recheck_kink_verdict(f"{prefix} {name}", verdict, section))
+            errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
         stat = point_entry.get("stationarity", {})
         for name, verdict in stat.items():
             errors.extend(_recheck_stationarity(pf, e, prefix + f" {name}", verdict))
@@ -396,8 +408,6 @@ def _recheck_kink_verdict(prefix: str, verdict: dict, section: dict | None) -> l
     if witness is None:
         return errors
     w = vec(witness)
-    if section is None:
-        return errors  # witness not re-checkable without the cone section
     dim = section["dim"]
     branches = section["branches"]
     kind = verdict.get("kind", "")
@@ -465,36 +475,9 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
         else:
             mp = to_mpcc(pf.program)
             system = multiplier_system(mp, mpcc_point_from_eval(e))
-        if status == HOLDS:
-            ms_data = verdict["multipliers"]
-            ms = MultiplierSet(
-                vec(ms_data["lam_e"]),
-                vec(ms_data["lam_i"]),
-                vec(ms_data["lam_z"]),
-                vec(ms_data["mu_u"]),
-                vec(ms_data["mu_v"]),
-            )
-            for msg in verify_multipliers(system, ms):
-                errors.append(f"{prefix}: {msg}")
-        elif status == FAILS:
-            # each entry closes the subtree of its case prefix; together they
-            # must cover every full case assignment
-            closed = []
-            for case in verdict.get("failed_cases", []):
-                assignment = tuple(case["assignment"])
-                try:
-                    problem = build_case_problem(system, assignment)
-                except ValueError as exc:
-                    errors.append(f"{prefix} case {case['assignment']}: {exc}")
-                    continue
-                closed.append(assignment)
-                cert = _parse_lp_certificate(case["certificate"])
-                result = _result_for_infeasibility(cert)
-                for msg in verify_certificate(problem, result):
-                    errors.append(f"{prefix} case {case['assignment']}: {msg}")
-            hole = uncovered_case(closed, len(system.degenerate))
-            if hole is not None:
-                errors.append(f"{prefix}: no failed case covers the case assignment {list(hole)}")
+        for msg in verify_m_certificate(system, _parse_m_verdict(verdict)):
+            # a message about one case prefix follows the verdict name directly
+            errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
         if kind == "b-anf":
             branches = enumerate_branches(pf.program, e)
@@ -536,8 +519,16 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
     return errors
 
 
-def _result_for_infeasibility(cert: LpCertificate) -> LpResult:
-    return LpResult("infeasible", None, cert)
+def _parse_m_verdict(data: dict) -> StationarityVerdict:
+    if data.get("status") == HOLDS:
+        ms = data["multipliers"]
+        multipliers = MultiplierSet(*(vec(ms[key]) for key in ("lam_e", "lam_i", "lam_z", "mu_u", "mu_v")))
+        return StationarityVerdict(data["kind"], HOLDS, multipliers=multipliers)
+    failed = tuple(
+        CaseOutcome(tuple(case["assignment"]), _parse_lp_certificate(case["certificate"]))
+        for case in data.get("failed_cases", [])
+    )
+    return StationarityVerdict(data["kind"], data.get("status"), failed_cases=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +713,7 @@ def _observed_verdicts(pf: ProblemFile, point: ProblemPoint, cap: int) -> tuple[
     pa = analyze_point(pf.program, point.t, pf.annotations, branch_cap=cap)
     relations, kink, _ = verify_relations(pa)
     m_anf = check_m_stationary_anf(pa.program, pa.point_eval)
-    m_mpcc = check_m_stationary_mpcc(pa.mpcc, pa.mpcc_point)
+    m_mpcc = _m_counterpart(m_anf, pa.program, pa.point_eval, pa.mpcc, pa.mpcc_point)
     b_anf = check_b_stationary(pa.program, pa.point_eval, "anf")
     b_mpcc = check_b_stationary(pa.mpcc, pa.mpcc_point, "mpcc")
     observed = {

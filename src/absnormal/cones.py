@@ -197,17 +197,16 @@ def _signed_rows(cone: PolyCone):
 def union_covers(
     members: UnionCone | list[PolyCone],
     target: PolyCone,
-    max_depth: int = DEFAULT_SPLIT_DEPTH,
 ) -> tuple[bool, Vec | None]:
     """Decide ``target subset-of union(members)`` by recursive hyperplane subdivision.
 
     Returns (True, None) or (False, witness ray in the target outside every
-    member).  Raises SubdivisionDepthExceeded past ``max_depth`` splits.
+    member).  Raises SubdivisionDepthExceeded past ``DEFAULT_SPLIT_DEPTH`` splits.
     """
     cones = members.cones if isinstance(members, UnionCone) else list(members)
     if not cones:
         raise ValueError("empty union")
-    return _covers(cones, target, max_depth)
+    return _covers(cones, target, DEFAULT_SPLIT_DEPTH)
 
 
 def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool, Vec | None]:
@@ -342,8 +341,7 @@ def lin_cone_abs_direct(p: AbsNormalProgram, e: EvalResult) -> UnionCone:
             ineq.append(
                 tuple(Fraction(signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
             )
-        label = "σ=" + "".join("+" if sg > 0 else "-" for sg in signs)
-        pieces.append((label, PolyCone(dim, tuple(eq), tuple(ineq))))
+        pieces.append((refined.label(), PolyCone(dim, tuple(eq), tuple(ineq))))
     return UnionCone(tuple(pieces))
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .anf import AbsNormalProgram, EvalResult, constraint_jacobians, evaluate
+from .anf import AbsNormalProgram, EvalResult, SignatureVector, constraint_jacobians, evaluate
 from .cones import (
     PolyCone,
     SubdivisionDepthExceeded,
@@ -301,13 +301,10 @@ class PointAnalysis:
         slack branch restricted to the first switching block."""
         by_label = {ba.label: ba for ba in self.formulations[ABS_I].branches}
         s = self.program.s
-        out = []
-        for ba in self.formulations[ABS_E].branches:
-            base_label = "σ=" + "".join(
-                "+" if sg > 0 else "-" for sg in ba.problem.spec.signs[:s]
-            )
-            out.append((by_label[base_label], ba))
-        return out
+        return [
+            (by_label[SignatureVector(ba.problem.spec.signs[:s]).label()], ba)
+            for ba in self.formulations[ABS_E].branches
+        ]
 
 
 def analyze_point(
@@ -351,9 +348,8 @@ def analyze_point(
     abs_e = []
     for b in abs_e_branches:
         signs = b.spec.signs
-        base_label = "σ=" + "".join("+" if sg > 0 else "-" for sg in signs[: p.s])
         pieces = None
-        base_ba = abs_i_by_label[base_label]
+        base_ba = abs_i_by_label[SignatureVector(signs[: p.s]).label()]
         if base_ba.tangent_pieces is not None and base_ba.tangent_source is not None:
             lifted = tuple(
                 lift_tangent_piece(p, e, piece, signs[: p.s], signs[p.s :])
@@ -412,19 +408,10 @@ def check_gkq(p: AbsNormalProgram, e: EvalResult, annotations=None) -> CQVerdict
     return decide_kink_cq(pa.formulations[ABS_I], "guignard")
 
 
-def check_mpcc_cq(
-    mp: MpccProgram,
-    point: MpccPoint,
-    which: str,
-    tangent_overrides: dict[str, tuple[PolyCone, ...]] | None = None,
-) -> CQVerdict:
-    """MPCC Abadie ("acq") or Guignard ("gcq") at the point.
-
-    ``tangent_overrides`` may supply trusted tangent pieces per branch label
-    (already in counterpart coordinates)."""
+def check_mpcc_cq(mp: MpccProgram, point: MpccPoint, which: str) -> CQVerdict:
+    """MPCC Abadie ("acq") or Guignard ("gcq") at the point."""
     branches = enumerate_mpcc_branches(mp, point)
-    overrides = tangent_overrides or {}
-    analyses = tuple(analyze_branch(b, overrides.get(b.label)) for b in branches)
+    analyses = tuple(analyze_branch(b) for b in branches)
     fa = FormulationAnalysis(MPCC_I, mp.dim, analyses)
     return decide_kink_cq(fa, "abadie" if which == "acq" else "guignard")
 

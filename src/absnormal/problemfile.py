@@ -25,80 +25,9 @@ from .anf import (
 from .cones import PolyCone
 from .ratmath import Vec, vec
 
-EXPECTED_KEYS = (
-    "akq",
-    "gkq",
-    "mpcc-acq",
-    "mpcc-gcq",
-    "m-stationary",
-    "b-stationary",
+PROBLEM_SCHEMA = json.loads(
+    (importlib.resources.files("absnormal") / "schema" / "problem.schema.json").read_text(encoding="utf-8")
 )
-
-_NUMBER = {"type": ["string", "integer"]}
-_VECTOR = {"type": "array", "items": _NUMBER}
-_MATRIX = {"type": "array", "items": _VECTOR}
-_FUNC = {
-    "type": "object",
-    "properties": {"constant": _NUMBER, "linear": _VECTOR, "quadratic": _MATRIX},
-    "required": ["linear"],
-    "additionalProperties": False,
-}
-_CONE = {
-    "type": "object",
-    "properties": {"eq": _MATRIX, "ineq": _MATRIX},
-    "additionalProperties": False,
-}
-
-PROBLEM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "Abs-normal verification problem",
-    "type": "object",
-    "properties": {
-        "name": {"type": "string"},
-        "description": {"type": "string"},
-        "dimensions": {
-            "type": "object",
-            "properties": {
-                "n_t": {"type": "integer", "minimum": 0},
-                "s": {"type": "integer", "minimum": 0},
-                "m1": {"type": "integer", "minimum": 0},
-                "m2": {"type": "integer", "minimum": 0},
-            },
-            "required": ["n_t", "s", "m1", "m2"],
-            "additionalProperties": False,
-        },
-        "objective": _FUNC,
-        "equalities": {"type": "array", "items": _FUNC},
-        "inequalities": {"type": "array", "items": _FUNC},
-        "switching": {"type": "array", "items": _FUNC},
-        "points": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "label": {"type": "string"},
-                    "t": _VECTOR,
-                    "minimizer": {"type": "boolean"},
-                    "expected": {
-                        "type": "object",
-                        "properties": {
-                            key: {"enum": ["holds", "fails", "unknown"]} for key in EXPECTED_KEYS
-                        },
-                        "additionalProperties": False,
-                    },
-                },
-                "required": ["label", "t"],
-                "additionalProperties": False,
-            },
-        },
-        "tangent_annotations": {
-            "type": "object",
-            "additionalProperties": {"type": "array", "items": _CONE},
-        },
-    },
-    "required": ["name", "dimensions", "objective", "switching"],
-    "additionalProperties": False,
-}
 
 # built once: jsonschema.validate would re-check the schema itself on every call
 _VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)

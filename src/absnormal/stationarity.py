@@ -12,9 +12,12 @@ certificate; the first feasible full assignment is the Holds case, the same
 one a flat enumeration in ``itertools.product`` order would find.  A Fails
 verdict lists the closed prefixes, and a recheck verifies each certificate and
 that the prefixes cover all 3^k assignments (``uncovered_case``).  The case cap
-bounds the LPs the search solves, at most (3^(k+1) - 3)/2.  Both problem forms
-use the same three cases, which makes their provable equivalence a direct
-computational cross-check.
+bounds the LPs the search solves, at most (3^(k+1) - 3)/2.
+
+Both problem forms give the same system, derived separately from each form's
+data (``_anf_system``, ``_mpcc_system``).  The search runs once;
+``translate_m_verdict`` re-checks its certificate by substitution in the other
+form's system, so a disagreement is a RuntimeError, never a verdict.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
 contains a first-order descent direction; per branch this is one exact LP, and
@@ -23,7 +26,7 @@ a Holds verdict carries a dual-cone membership certificate for the gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
@@ -34,10 +37,12 @@ from .ratmath import (
     ZERO,
     LpCertificate,
     LpProblem,
+    LpResult,
     Vec,
     dot,
     lp_solve,
     vec_add,
+    verify_certificate,
     zero_vec,
 )
 from .transforms import (
@@ -74,14 +79,6 @@ class MultiplierSet:
     lam_z: Vec
     mu_u: Vec
     mu_v: Vec
-
-    @property
-    def mu_plus(self) -> Vec:
-        return self.mu_u
-
-    @property
-    def mu_minus(self) -> Vec:
-        return self.mu_v
 
 
 @dataclass(frozen=True)
@@ -403,49 +400,61 @@ def check_m_stationary_anf(
     return _solve_system(_anf_system(p, e), "m-anf", cap)
 
 
-def translate_multipliers(
-    ms: MultiplierSet,
-    direction: str,
-    system_from,
-    system_to,
-) -> MultiplierSet:
-    """Map a valid multiplier set between the two formulations.
+def multiplier_system(program, point) -> _MultiplierSystem:
+    """The linear stationarity system at a point: of an ``MpccProgram`` at an
+    ``MpccPoint``, else of an ``AbsNormalProgram`` at an ``EvalResult``."""
+    if isinstance(program, MpccProgram):
+        return _mpcc_system(program, point)
+    return _anf_system(program, point)
 
-    The shared block (lam_e, lam_i, lam_z) is unchanged; the pair multipliers
-    are re-derived in the target system, where they coincide with the source
-    values because both systems build them from the same Jacobian rows.
-    ``direction`` is "anf->mpcc" or "mpcc->anf" and is recorded for intent;
-    the systems carry the actual data.
-    """
-    if direction not in ("anf->mpcc", "mpcc->anf"):
-        raise ValueError(f"unknown direction {direction!r}")
-    src = _as_system(system_from)
-    dst = _as_system(system_to)
-    errors = verify_multipliers(src, ms)
+
+def verify_m_certificate(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
+    """Re-check an M-stationarity verdict in ``system`` by substitution: the
+    multipliers of a Holds; for a Fails each prefix's LP certificate (messages
+    start ``case [...]``) and that the prefixes cover all 3^k assignments."""
+    if verdict.status == HOLDS:
+        return verify_multipliers(system, verdict.multipliers)
+    if verdict.status != FAILS:
+        return [f"an M-stationarity verdict holds or fails, not {verdict.status!r}"]
+    errors = []
+    closed = []
+    for outcome in verdict.failed_cases:
+        where = f"case {list(outcome.assignment)}"
+        try:
+            problem = build_case_problem(system, outcome.assignment)
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+            continue
+        closed.append(outcome.assignment)
+        result = LpResult("infeasible", None, outcome.certificate)
+        errors.extend(f"{where}: {msg}" for msg in verify_certificate(problem, result))
+    hole = uncovered_case(closed, len(system.degenerate))
+    if hole is not None:
+        errors.append(f"no failed case covers the case assignment {list(hole)}")
+    return errors
+
+
+def translate_m_verdict(
+    verdict: StationarityVerdict,
+    system_from: _MultiplierSystem,
+    system_to: _MultiplierSystem,
+    kind: str,
+) -> StationarityVerdict:
+    """The other form's M-stationarity verdict from this form's certificate:
+    Holds keeps lam and re-derives the pair multipliers in ``system_to``, Fails
+    keeps its prefixes.  Invalid in ``system_from`` is a ValueError; invalid in
+    ``system_to`` means the two derivations disagree, a RuntimeError."""
+    errors = verify_m_certificate(system_from, verdict)
     if errors:
-        raise ValueError("source multipliers are not valid: " + "; ".join(errors))
-    lam = ms.lam_e + ms.lam_i + ms.lam_z
-    out = _multipliers_from_lam(dst, lam)
-    errors = verify_multipliers(dst, out)
+        raise ValueError("source certificate is not valid: " + "; ".join(errors))
+    out = replace(verdict, kind=kind)
+    if verdict.status == HOLDS:
+        ms = verdict.multipliers
+        out = replace(out, multipliers=_multipliers_from_lam(system_to, ms.lam_e + ms.lam_i + ms.lam_z))
+    errors = verify_m_certificate(system_to, out)
     if errors:
-        raise AssertionError("translated multipliers failed the target system: " + "; ".join(errors))
+        raise RuntimeError("translated certificate failed the target system: " + "; ".join(errors))
     return out
-
-
-def _as_system(obj) -> _MultiplierSystem:
-    if isinstance(obj, _MultiplierSystem):
-        return obj
-    if isinstance(obj, tuple) and len(obj) == 2:
-        first, second = obj
-        if isinstance(first, MpccProgram):
-            return _mpcc_system(first, second)
-        return _anf_system(first, second)
-    raise TypeError("expected a (program, point) pair")
-
-
-def multiplier_system(obj, point) -> _MultiplierSystem:
-    """Public accessor for the linear stationarity system at a point."""
-    return _as_system((obj, point))
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,7 @@ class BranchSpec:
     @property
     def label(self) -> str:
         if self.kind == "signature":
-            return "σ=" + "".join("+" if sg > 0 else "-" for sg in self.signs)
+            return SignatureVector(self.signs).label()
         members = ",".join(str(i + 1) for i in sorted(self.partition))
         return "P={" + members + "}"
 

@@ -50,7 +50,7 @@ from absnormal.stationarity import (
     check_m_stationary_anf,
     check_m_stationary_mpcc,
     multiplier_system,
-    translate_multipliers,
+    translate_m_verdict,
 )
 from absnormal.transforms import (
     enumerate_branches,
@@ -369,9 +369,9 @@ def test_criterion_7_stationarity_equivalences():
         if m_anf.status == HOLDS:
             sys_anf = multiplier_system(pf.program, e)
             sys_mpcc = multiplier_system(mp, mpoint)
-            there = translate_multipliers(m_anf.multipliers, "anf->mpcc", sys_anf, sys_mpcc)
-            back = translate_multipliers(there, "mpcc->anf", sys_mpcc, sys_anf)
-            assert back == m_anf.multipliers  # certificate round trip
+            there = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
+            back = translate_m_verdict(there, sys_mpcc, sys_anf, "m-anf")
+            assert back.multipliers == m_anf.multipliers  # certificate round trip
         b_anf = check_b_stationary(pf.program, e, "anf")
         b_mpcc = check_b_stationary(mp, mpoint, "mpcc")
         assert b_anf.status == b_mpcc.status, f"{pf.name}/{point.label}: B-verdicts differ"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -339,6 +340,40 @@ def test_recheck_walks_relation_and_branch_witnesses(capsys):
     assert errors == ["point origin abs-i σ=+ gcq: witness does not escape the linearized dual"]
 
 
+def test_recheck_rejects_a_witness_without_its_cones_section(capsys):
+    pf = load_corpus_problem("E3")
+    code, out, _ = run_cli(capsys, "check-cq", "E3", "--point", "origin", "--all", "--recheck")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    missing = "no cones section for formulation"
+
+    no_cones = copy.deepcopy(report)
+    del no_cones["points"][0]["cones"]
+    errors = recheck_report(pf, no_cones)
+    assert "point origin gkq: no cones section for formulation 'abs-i' to recheck the witness" in errors
+    assert len(errors) == 24 and all(missing in msg for msg in errors)  # 8 kink + 16 branch witnesses
+
+    no_abs_i = copy.deepcopy(report)
+    del no_abs_i["points"][0]["cones"]["abs-i"]
+    errors = recheck_report(pf, no_abs_i)
+    assert len(errors) == 6  # akq, gkq and both abs-i branches' acq/gcq
+    assert all(f"{missing} 'abs-i'" in msg for msg in errors)
+
+    renamed = copy.deepcopy(report)
+    renamed["points"][0]["cq"]["gkq"]["formulation"] = "abs-x"
+    assert recheck_report(pf, renamed) == [
+        "point origin gkq: no cones section for formulation 'abs-x' to recheck the witness"
+    ]
+
+    code, out, _ = run_cli(capsys, "verify-relations", "E3", "--point", "origin", "--recheck")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    del report["points"][0]["cones"]
+    errors = recheck_report(pf, report)
+    assert "point origin guignard[abs-i]: no cones section for formulation 'abs-i' to recheck the witness" in errors
+    assert len(errors) == 8 and all(missing in msg for msg in errors)
+
+
 def test_b_stationarity_recheck_needs_every_branch_once(capsys):
     pf = load_corpus_problem("E1")
     code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--recheck")
@@ -364,6 +399,25 @@ def test_failed_self_check_exits_three_not_as_a_verdict(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: internal: ") and "self-check" in err
+
+
+def test_mpcc_system_disagreement_exits_three_not_as_a_verdict(capsys, monkeypatch):
+    # the counterpart's M verdict is the abs-normal certificate re-checked in
+    # the system read off the MPCC data; a wrong MPCC pair row must surface
+    real = stationarity._mpcc_system
+
+    def flipped(mp, point):
+        system = real(mp, point)
+        coeffs, offset = system.pair_u[0]
+        flipped_row = (tuple(-x for x in coeffs), -offset)
+        return dataclasses.replace(system, pair_u=(flipped_row,) + system.pair_u[1:])
+
+    monkeypatch.setattr(stationarity, "_mpcc_system", flipped)
+    for argv in (("check-stationarity", "E1", "--point", "origin"), ("corpus", "run")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal: ") and "target system" in err
 
 
 def _polar_dd_outside_transport(real):

@@ -2,16 +2,39 @@ import json
 
 import importlib.resources
 
+import pytest
+
 from absnormal.anf import evaluate
 from absnormal.cones import cone_equal, lin_cone_abs, lin_cone_mpcc, union_from_branches
-from absnormal.problemfile import PROBLEM_SCHEMA, load_corpus_problem
+from absnormal.problemfile import PROBLEM_SCHEMA, ProblemFileError, load_corpus_problem, parse_problem_data
 from absnormal.transforms import enumerate_branches, mpcc_point_from_eval, to_mpcc
 
 
-def test_shipped_schema_file_matches_code():
+def test_shipped_schema_file_is_a_valid_schema():
+    import jsonschema
+
     ref = importlib.resources.files("absnormal") / "schema" / "problem.schema.json"
     shipped = json.loads(ref.read_text())
-    assert shipped == PROBLEM_SCHEMA
+    jsonschema.validators.validator_for(shipped).check_schema(shipped)
+
+
+def test_shipped_schema_rejects_unknown_fields_with_exact_message():
+    data = {
+        "name": "tiny",
+        "dimensions": {"n_t": 1, "s": 0, "m1": 0, "m2": 0},
+        "objective": {"linear": ["1"]},
+        "switching": [],
+        "points": [{"label": "origin", "t": ["0"], "expected": {"akq": "holds", "kkt": "holds"}}],
+    }
+    with pytest.raises(ProblemFileError) as top:
+        parse_problem_data(dict(data, bogus=1))
+    assert str(top.value) == "schema violation at $: Additional properties are not allowed ('bogus' was unexpected)"
+    with pytest.raises(ProblemFileError) as nested:
+        parse_problem_data(data)
+    assert str(nested.value) == (
+        "schema violation at $['points'][0]['expected']: "
+        "Additional properties are not allowed ('kkt' was unexpected)"
+    )
 
 
 def test_corpus_files_validate_against_schema():

@@ -15,15 +15,17 @@ from absnormal.stationarity import (
     check_m_stationary_anf,
     check_m_stationary_mpcc,
     multiplier_system,
-    translate_multipliers,
+    translate_m_verdict,
     uncovered_case,
     verify_branch_dual_certificate,
     verify_multipliers,
 )
+from absnormal.problemfile import load_corpus
 from absnormal.transforms import (
     enumerate_branches,
     mpcc_point_from_eval,
     to_mpcc,
+    to_slack,
 )
 
 from conftest import affine, make_e1, random_affine_program
@@ -82,10 +84,11 @@ def test_m_stationary_anf_e1_holds_and_translates(e1):
     point = mpcc_point_from_eval(e)
     v = check_m_stationary_anf(e1, e)
     assert v.status == HOLDS
-    translated = translate_multipliers(v.multipliers, "anf->mpcc", (e1, e), (mp, point))
-    assert verify_multipliers(multiplier_system(mp, point), translated) == []
-    back = translate_multipliers(translated, "mpcc->anf", (mp, point), (e1, e))
-    assert back == v.multipliers  # round trip is the identity
+    sys_anf, sys_mpcc = multiplier_system(e1, e), multiplier_system(mp, point)
+    translated = translate_m_verdict(v, sys_anf, sys_mpcc, "m-mpcc")
+    assert verify_multipliers(sys_mpcc, translated.multipliers) == []
+    back = translate_m_verdict(translated, sys_mpcc, sys_anf, "m-anf")
+    assert back.multipliers == v.multipliers  # round trip is the identity
 
 
 def test_m_stationarity_agrees_across_forms_on_corpus(e1, e2, e3, e4):
@@ -181,14 +184,15 @@ def test_minimizers_with_akq_are_m_stationary(e1, e2):
 
 
 def test_translate_rejects_invalid_multipliers(e1):
-    from absnormal.stationarity import MultiplierSet
+    from absnormal.stationarity import MultiplierSet, StationarityVerdict
 
     e = evaluate(e1, [0, 0])
     mp = to_mpcc(e1)
     point = mpcc_point_from_eval(e)
     bogus = MultiplierSet(vec([5]), vec([]), vec([0]), vec([0]), vec([0]))
+    verdict = StationarityVerdict("m-anf", HOLDS, multipliers=bogus)
     with pytest.raises(ValueError):
-        translate_multipliers(bogus, "anf->mpcc", (e1, e), (mp, point))
+        translate_m_verdict(verdict, multiplier_system(e1, e), multiplier_system(mp, point), "m-mpcc")
 
 
 def flat_case_enumeration(system):
@@ -259,3 +263,45 @@ def test_holds_self_check_raises_instead_of_asserting(e1, monkeypatch):
     monkeypatch.setattr(stationarity, "verify_multipliers", lambda system, ms: ["tampered"])
     with pytest.raises(RuntimeError, match="self-check"):
         check_m_stationary_anf(e1, evaluate(e1, [0, 0]))
+
+
+def base_and_slack_forms(p, e):
+    """The program at a feasible point, then its slack form at the lifted point."""
+    slack = to_slack(p)
+    return [(p, e), (slack.program, evaluate(slack.program, slack.lift_smooth_point(e)))]
+
+
+def translated_equals_direct_search(p, e):
+    """Translate the abs-normal verdict to the counterpart, compare it with the
+    counterpart's own case search as a whole verdict, and return it."""
+    mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+    translated = translate_m_verdict(
+        check_m_stationary_anf(p, e), multiplier_system(p, e), multiplier_system(mp, point), "m-mpcc"
+    )
+    assert translated == check_m_stationary_mpcc(mp, point)
+    return translated
+
+
+def test_translated_m_verdict_equals_direct_search_on_corpus():
+    statuses = set()
+    for pf in load_corpus():
+        for pt in pf.points:
+            for p, e in base_and_slack_forms(pf.program, evaluate(pf.program, pt.t)):
+                statuses.add(translated_equals_direct_search(p, e).status)
+    assert statuses == {HOLDS, FAILS}
+
+
+def test_translated_m_verdict_equals_direct_search_on_random_programs():
+    rng = random.Random(90210)
+    seen = set()
+    checked = 0
+    while checked < 60:
+        p = random_affine_program(rng, max_s=3)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        for q, qe in base_and_slack_forms(p, e):
+            verdict = translated_equals_direct_search(q, qe)
+            seen.add((verdict.status, len(qe.alpha) > 0))
+        checked += 1
+    assert seen == {(HOLDS, True), (HOLDS, False), (FAILS, True), (FAILS, False)}
