@@ -14,6 +14,7 @@ an exceeded branch or case cap, or a failed internal self-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -393,8 +394,14 @@ def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
         for name, verdict in kink_verdicts.items():
             errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
         stat = point_entry.get("stationarity", {})
+
+        @functools.cache
+        def counterpart(e=e):
+            # the MPCC form and point, built once per point and only for an mpcc verdict
+            return to_mpcc(pf.program), mpcc_point_from_eval(e)
+
         for name, verdict in stat.items():
-            errors.extend(_recheck_stationarity(pf, e, prefix + f" {name}", verdict))
+            errors.extend(_recheck_stationarity(pf, e, counterpart, prefix + f" {name}", verdict))
     return errors
 
 
@@ -465,7 +472,7 @@ def _escapes_dual(w, cone: PolyCone) -> bool:
     return False
 
 
-def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> list[str]:
+def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict: dict) -> list[str]:
     errors: list[str] = []
     kind = verdict.get("kind", "")
     status = verdict.get("status")
@@ -473,8 +480,7 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
         if kind == "m-anf":
             system = multiplier_system(pf.program, e)
         else:
-            mp = to_mpcc(pf.program)
-            system = multiplier_system(mp, mpcc_point_from_eval(e))
+            system = multiplier_system(*counterpart())
         for msg in verify_m_certificate(system, _parse_m_verdict(verdict)):
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
@@ -482,8 +488,7 @@ def _recheck_stationarity(pf: ProblemFile, e, prefix: str, verdict: dict) -> lis
         if kind == "b-anf":
             branches = enumerate_branches(pf.program, e)
         else:
-            mp = to_mpcc(pf.program)
-            branches = enumerate_mpcc_branches(mp, mpcc_point_from_eval(e))
+            branches = enumerate_mpcc_branches(*counterpart())
         by_label = {b.label: b for b in branches}
         if status == HOLDS:
             certificates = verdict.get("branch_certificates", [])

@@ -1,8 +1,10 @@
 """Exact linear programming with re-checkable certificates.
 
-Two-phase tableau simplex over rationals with Bland's rule (anti-cycling, so
-termination needs no perturbation).  Every verdict carries a certificate that
-re-validates by pure substitution:
+Two-phase tableau simplex with Bland's rule (anti-cycling, so termination
+needs no perturbation).  The tableau is fraction-free (Edmonds 1967, Bareiss
+1968): its rows are primitive integer lists, and ``Fraction`` appears only in
+the problem and in the returned results.  Every verdict carries a certificate
+that re-validates by pure substitution:
 
 * feasible      -- a point satisfying all rows (strict rows strictly),
 * infeasible    -- a Farkas ray, or an optimal pair of the margin relaxation
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .matrix import ONE, ZERO, Vec, dot, zero_vec
 
@@ -172,7 +175,16 @@ def _solve_plain(p: LpProblem) -> LpResult:
 
 
 class _Tableau:
-    """Standard-form tableau: free variables split, slacks on >= rows, artificial basis."""
+    """Fraction-free standard-form tableau: free variables split, slacks on >= rows, artificial basis.
+
+    Row ``i`` is stored as a primitive integer list equal to the rational
+    tableau row times the positive integer in its basic column, so that entry
+    is the row's scale.  The objective row is the integer list ``obj`` over the
+    positive integer ``obj_den``.  Positive scales preserve every sign, and a
+    ratio of two rows compares by cross-multiplication, so Bland's rule takes
+    exactly the pivots of the rational simplex.  Fractions are formed only when
+    a point, ray or multiplier vector is read out.
+    """
 
     def __init__(self, p: LpProblem) -> None:
         self.p = p
@@ -180,52 +192,75 @@ class _Tableau:
         self.n_split = 2 * n
         self.n_ineq = len(p.ineq_rows)
         self.n_struct = self.n_split + self.n_ineq
-        rows: list[list[Fraction]] = []
-        flips: list[Fraction] = []
-        rhs_all = list(p.eq_rhs) + list(p.ineq_rhs)
-        for k, row in enumerate(itertools.chain(p.eq_rows, p.ineq_rows)):
-            body = list(row) + [-x for x in row] + [ZERO] * self.n_ineq
-            if k >= len(p.eq_rows):
-                body[self.n_split + (k - len(p.eq_rows))] = -ONE
-            b = rhs_all[k]
-            flip = -ONE if b < 0 else ONE
-            rows.append([flip * x for x in body] + [flip * b])
-            flips.append(flip)
-        self.flips = flips
-        self.m_orig = len(rows)
+        n_eq = len(p.eq_rows)
+        self.m_orig = n_eq + self.n_ineq
         # artificial columns: n_struct + k for original row k
         self.total = self.n_struct + self.m_orig
-        for k, row in enumerate(rows):
-            art = [ZERO] * self.m_orig
-            art[k] = ONE
-            rows[k] = row[:-1] + art + [row[-1]]
+        rows: list[list[int]] = []
+        flips: list[int] = []
+        for k, (row, b) in enumerate(
+            zip(itertools.chain(p.eq_rows, p.ineq_rows), itertools.chain(p.eq_rhs, p.ineq_rhs))
+        ):
+            # Scale by the lcm d of the row's denominators; the artificial
+            # entry d is the scale, and the row is primitive already.
+            d = lcm(b.denominator, *(x.denominator for x in row))
+            flip = -1 if b < 0 else 1
+            body = [flip * x.numerator * (d // x.denominator) for x in row]
+            rhs = flip * b.numerator * (d // b.denominator)
+            out = body + [-x for x in body] + [0] * (self.n_ineq + self.m_orig) + [rhs]
+            if k >= n_eq:
+                out[self.n_split + k - n_eq] = -flip * d
+            out[self.n_struct + k] = d
+            rows.append(out)
+            flips.append(flip)
+        self.flips = flips
         self.rows = rows
         self.basis = [self.n_struct + k for k in range(self.m_orig)]
-        self.obj: list[Fraction] = []
+        self.obj: list[int] = []
+        self.obj_den = 1
 
     # -- pivoting ---------------------------------------------------------
 
     def _recompute_obj(self, cost: list[Fraction]) -> None:
-        obj = cost + [ZERO]
+        # obj / obj_den = cost - sum of cost[basis[i]] times rational row i.
+        den = lcm(*(c.denominator for c in cost))
+        obj = [c.numerator * (den // c.denominator) for c in cost] + [0]
         for i, row in enumerate(self.rows):
             cb = cost[self.basis[i]]
             if cb:
-                for j in range(self.total + 1):
-                    obj[j] -= cb * row[j]
+                scale = row[self.basis[i]]
+                new_den = lcm(den, cb.denominator * scale)
+                up = new_den // den
+                f = cb.numerator * (new_den // (cb.denominator * scale))
+                obj = [up * a - f * b for a, b in zip(obj, row)]
+                den = new_den
+        self._set_obj(obj, den)
+
+    def _set_obj(self, obj: list[int], den: int) -> None:
+        g = gcd(den, *obj)
+        if g > 1:
+            obj = [a // g for a in obj]
+            den //= g
         self.obj = obj
+        self.obj_den = den
 
     def _pivot(self, r: int, c: int) -> None:
         row = self.rows[r]
         piv = row[c]
-        if piv != 1:
-            self.rows[r] = row = [x / piv for x in row]
+        if piv < 0:
+            piv = -piv
+            self.rows[r] = row = [-x for x in row]
         for i, other in enumerate(self.rows):
-            if i != r and other[c]:
-                f = other[c]
-                self.rows[i] = [a - f * b for a, b in zip(other, row)]
+            f = other[c]
+            if i != r and f:
+                new = [piv * a - f * b for a, b in zip(other, row)]
+                g = gcd(*new)
+                if g > 1:
+                    new = [a // g for a in new]
+                self.rows[i] = new
         if self.obj and self.obj[c]:
             f = self.obj[c]
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
+            self._set_obj([piv * a - f * b for a, b in zip(self.obj, row)], piv * self.obj_den)
         self.basis[r] = c
 
     def _iterate(self, allowed: range | list[int]) -> int | None:
@@ -239,13 +274,17 @@ class _Tableau:
             if enter is None:
                 return None
             leave = None
-            best = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
+                    if leave is None:
+                        leave = i
+                        continue
+                    # row[-1] / a against best[-1] / best[enter]; both divisors are positive.
+                    best = self.rows[leave]
+                    lhs = row[-1] * best[enter]
+                    rhs = best[-1] * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
             if leave is None:
                 return enter
@@ -258,9 +297,9 @@ class _Tableau:
         cost = [ZERO] * self.n_struct + [ONE] * self.m_orig
         self._recompute_obj(cost)
         self._iterate(range(self.total))
-        value = -self.obj[-1]
-        if value > 0:
-            y = [ONE - self.obj[self.n_struct + k] for k in range(self.m_orig)]
+        if self.obj[-1] < 0:
+            den = self.obj_den
+            y = [Fraction(den - self.obj[self.n_struct + k], den) for k in range(self.m_orig)]
             return self._unflip_duals(y)
         self._evict_artificials()
         return None
@@ -300,7 +339,8 @@ class _Tableau:
         x_std = [ZERO] * self.n_struct
         for i, b in enumerate(self.basis):
             if b < self.n_struct:
-                x_std[b] = self.rows[i][-1]
+                row = self.rows[i]
+                x_std[b] = Fraction(row[-1], row[b])
         n = self.p.n_vars
         return tuple(x_std[j] - x_std[n + j] for j in range(n))
 
@@ -308,7 +348,8 @@ class _Tableau:
         # The artificial block stays in the tableau, so -obj[artificial k] is
         # the simplex multiplier of original row k even after redundant rows
         # were dropped (their artificial columns keep the row-operation record).
-        y = [-self.obj[self.n_struct + k] for k in range(self.m_orig)]
+        den = self.obj_den
+        y = [Fraction(-self.obj[self.n_struct + k], den) for k in range(self.m_orig)]
         return self._unflip_duals(y)
 
     def _unflip_duals(self, y: list[Fraction]) -> tuple[Vec, Vec]:
@@ -323,7 +364,8 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             if b >= self.n_struct:
                 raise RuntimeError("artificial variable basic after cleanup")
-            r_std[b] = -self.rows[i][c]
+            row = self.rows[i]
+            r_std[b] = Fraction(-row[c], row[b])
         n = self.p.n_vars
         ray = tuple(r_std[j] - r_std[n + j] for j in range(n))
         return self.primal_point(), ray

@@ -43,21 +43,38 @@ def unit_vec(n: int, i: int) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
+    """Exact inner product.
+
+    Zero terms are skipped, so sparse vectors cost only their common support,
+    and the sum is kept as one integer numerator over one integer denominator
+    that is reduced once, at the end.  The value is the exact one.
+    """
     if len(a) != len(b):
         raise ValueError(f"dot of vectors with lengths {len(a)} and {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        if x and y:
+            d = x.denominator * y.denominator
+            if d == 1:
+                num += x.numerator * y.numerator * den
+            else:
+                num = num * d + x.numerator * y.numerator * den
+                den *= d
+    return Fraction(num, den)
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vec_scale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
+    if not c:
+        return zero_vec(len(a))
+    return tuple(c * x if x else ZERO for x in a)
 
 
 def vec_neg(a: Vec) -> Vec:
@@ -139,10 +156,7 @@ class RatMatrix:
     def vec_mat(self, v: Vec) -> Vec:
         if len(v) != len(self.rows):
             raise ValueError("vector length does not match row count")
-        return tuple(
-            sum((v[i] * self.rows[i][j] for i in range(len(self.rows))), ZERO)
-            for j in range(self.cols)
-        )
+        return tuple(dot(v, self.col(j)) for j in range(self.cols))
 
     def mat_mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.n_rows:

@@ -4,6 +4,10 @@ Self-checks must survive ``python -O``, which strips ``assert`` statements:
 the package signals a failed self-check with ``RuntimeError`` instead, so
 neither ``assert`` nor ``raise AssertionError`` may appear under
 ``src/absnormal``.
+
+Verdicts are exact: no float literal and no ``float(...)`` call may appear
+under ``src/absnormal`` either.  Naming ``float`` to reject it, as
+``ratmath.rat`` does, stays allowed.
 """
 
 import ast
@@ -24,11 +28,29 @@ def _assertion_sites(path: Path) -> list[str]:
     return sites
 
 
-def test_package_source_has_no_assertions():
-    root = Path(absnormal.__file__).parent
-    modules = sorted(root.rglob("*.py"))
+def _float_sites(path: Path) -> list[str]:
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            sites.append(f"{path.name}:{node.lineno}: float literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            sites.append(f"{path.name}:{node.lineno}: float() call")
+    return sites
+
+
+def _modules() -> list[Path]:
+    modules = sorted(Path(absnormal.__file__).parent.rglob("*.py"))
     assert len(modules) >= 10
-    sites = [site for path in modules for site in _assertion_sites(path)]
+    return modules
+
+
+def test_package_source_has_no_assertions():
+    sites = [site for path in _modules() for site in _assertion_sites(path)]
+    assert sites == []
+
+
+def test_package_source_has_no_floats():
+    sites = [site for path in _modules() for site in _float_sites(path)]
     assert sites == []
 
 
@@ -39,4 +61,14 @@ def test_assertion_sites_are_found(tmp_path):
         "probe.py:1: assert",
         "probe.py:2: raise AssertionError",
         "probe.py:3: raise AssertionError",
+    ]
+
+
+def test_float_sites_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = 0.5\ny = float('1')\nz = 1e-9 + 2\nok = isinstance(v, float) or 3\n")
+    assert _float_sites(probe) == [
+        "probe.py:1: float literal 0.5",
+        "probe.py:2: float() call",
+        "probe.py:3: float literal 1e-09",
     ]
