@@ -56,15 +56,19 @@ from .stationarity import (
     check_b_stationary,
     check_m_stationary_anf,
     multiplier_system,
+    translate_b_verdict,
     translate_m_verdict,
     verify_branch_dual_certificate,
     verify_m_certificate,
 )
 from .transforms import (
     BranchLimitError,
+    build_anf_branch,
+    build_mpcc_branch,
     enumerate_branches,
     enumerate_mpcc_branches,
     mpcc_point_from_eval,
+    parse_branch_label,
     to_mpcc,
     to_slack,
 )
@@ -80,7 +84,7 @@ EXIT_USAGE = 3
 
 
 def _s(x) -> str:
-    return str(Fraction(x))
+    return str(x) if type(x) is Fraction else str(Fraction(x))
 
 
 def _svec(v) -> list[str]:
@@ -281,10 +285,11 @@ def _stationarity_section(
         if "mpcc" in forms:
             out["m-mpcc"] = _ser_stationarity(_m_counterpart(m_anf, p, e, mp, mp_point))
     if "b" in which:
+        b_anf = check_b_stationary(p, e, "anf", branch_cap, m_anf if "m" in which else None)
         if "anf" in forms:
-            out["b-anf"] = _ser_stationarity(check_b_stationary(p, e, "anf", branch_cap))
+            out["b-anf"] = _ser_stationarity(b_anf)
         if "mpcc" in forms:
-            out["b-mpcc"] = _ser_stationarity(check_b_stationary(mp, mp_point, "mpcc", branch_cap))
+            out["b-mpcc"] = _ser_stationarity(translate_b_verdict(b_anf, mp, mp_point))
     return out
 
 
@@ -485,12 +490,12 @@ def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict:
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
-        if kind == "b-anf":
-            branches = enumerate_branches(pf.program, e)
-        else:
-            branches = enumerate_mpcc_branches(*counterpart())
-        by_label = {b.label: b for b in branches}
         if status == HOLDS:
+            if kind == "b-anf":
+                branches = enumerate_branches(pf.program, e)
+            else:
+                branches = enumerate_mpcc_branches(*counterpart())
+            by_label = {b.label: b for b in branches}
             certificates = verdict.get("branch_certificates", [])
             named = [entry["branch"] for entry in certificates]
             for label in by_label:
@@ -511,9 +516,17 @@ def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict:
                 for msg in verify_branch_dual_certificate(cert, cone, gradient):
                     errors.append(f"{prefix} branch {entry['branch']}: {msg}")
         elif status == FAILS:
-            b = by_label.get(verdict.get("failing_branch"))
+            # only the failing branch is built
+            label = verdict.get("failing_branch")
+            if kind == "b-anf":
+                spec = parse_branch_label(label, "signature", e.sigma.entries)
+                b = build_anf_branch(pf.program, e, spec) if spec is not None else None
+            else:
+                mp, mp_point = counterpart()
+                spec = parse_branch_label(label, "partition", mp_point.base_signature.entries)
+                b = build_mpcc_branch(mp, mp_point, spec) if spec is not None else None
             if b is None:
-                errors.append(f"{prefix}: unknown failing branch {verdict.get('failing_branch')!r}")
+                errors.append(f"{prefix}: unknown failing branch {label!r}")
                 return errors
             cone = lin_cone_branch(b)
             descent = vec(verdict["descent"])
@@ -719,8 +732,8 @@ def _observed_verdicts(pf: ProblemFile, point: ProblemPoint, cap: int) -> tuple[
     relations, kink, _ = verify_relations(pa)
     m_anf = check_m_stationary_anf(pa.program, pa.point_eval)
     m_mpcc = _m_counterpart(m_anf, pa.program, pa.point_eval, pa.mpcc, pa.mpcc_point)
-    b_anf = check_b_stationary(pa.program, pa.point_eval, "anf")
-    b_mpcc = check_b_stationary(pa.mpcc, pa.mpcc_point, "mpcc")
+    b_anf = check_b_stationary(pa.program, pa.point_eval, "anf", cap, m_anf)
+    b_mpcc = translate_b_verdict(b_anf, pa.mpcc, pa.mpcc_point)
     observed = {
         "akq": kink[("abadie", ABS_I)].status,
         "gkq": kink[("guignard", ABS_I)].status,

@@ -101,6 +101,15 @@ class PolyCone:
             self.ineq_rows + tuple(vec(r) for r in ineq),
         )
 
+    def __hash__(self) -> int:
+        # the generator cache hashes a cone on every lookup; hashing its
+        # Fractions once is enough for an immutable cone
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.dim, self.eq_rows, self.ineq_rows))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """(rays, lineality basis) whose conic hull is the cone."""
         return _generators_cached(self)
@@ -289,11 +298,14 @@ def cone_image(cone: PolyCone, m: RatMatrix) -> PolyCone:
 
 
 def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
-    """Gradients of equalities as equations, of anchor-active inequalities as inequalities."""
-    if not b.anchor_feasible():
+    """Gradients of equalities as equations, of anchor-active inequalities as
+    inequalities; each constraint is evaluated once at the anchor."""
+    anchor = b.anchor
+    values = [func.value(anchor) for func in b.ineqs]
+    if any(v < 0 for v in values) or any(func.value(anchor) != 0 for func in b.eqs):
         raise ValueError(f"anchor is infeasible for branch {b.label}")
-    eq = tuple(func.gradient(b.anchor) for func in b.eqs)
-    ineq = tuple(b.ineqs[k].gradient(b.anchor) for k in b.active_ineq_indices())
+    eq = tuple(func.gradient(anchor) for func in b.eqs)
+    ineq = tuple(func.gradient(anchor) for func, v in zip(b.ineqs, values) if v == 0)
     return PolyCone(b.n_vars, eq, ineq)
 
 
@@ -413,14 +425,18 @@ class TangentCertificate:
         return self.status != TANGENT_UNKNOWN
 
 
-def tangent_cone_branch(b: SmoothBranchProblem) -> tuple[PolyCone | None, TangentCertificate]:
+def tangent_cone_branch(
+    b: SmoothBranchProblem, lin: PolyCone | None = None
+) -> tuple[PolyCone | None, TangentCertificate]:
     """The branch tangent cone when certifiable, else (None, unknown-certificate).
 
     Affine constraints, linear independence of active gradients, or a strictly
     feasible direction for the linearized system each certify that the tangent
-    cone equals the linearized cone.
+    cone equals the linearized cone, which is then returned itself.  ``lin`` is
+    the branch linearized cone when the caller has already built it.
     """
-    lin = lin_cone_branch(b)
+    if lin is None:
+        lin = lin_cone_branch(b)
     if b.all_affine():
         return lin, TangentCertificate(TANGENT_AFFINE)
     active_rows = list(lin.eq_rows) + list(lin.ineq_rows)

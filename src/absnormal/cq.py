@@ -138,7 +138,7 @@ def analyze_branch(
     b: SmoothBranchProblem, annotation_pieces=None
 ) -> BranchAnalysis:
     lin = lin_cone_branch(b)
-    cone, cert = tangent_cone_branch(b)
+    cone, cert = tangent_cone_branch(b, lin)
     if cone is not None:
         return BranchAnalysis(b, lin, (cone,), cert.status, cert)
     if annotation_pieces is not None:

@@ -49,16 +49,15 @@ def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[list[Vec], list[Vec]]
         return dim - rank_rows(rows, dim) == len(lineality) + 2
 
     def split_rays(a: Vec, keep_positive_side: bool, new_index: int | None) -> None:
-        pos = [r for r in rays if dot(a, r.v) > 0]
-        zero = [r for r in rays if dot(a, r.v) == 0]
-        neg = [r for r in rays if dot(a, r.v) < 0]
+        vals = [(dot(a, r.v), r) for r in rays]
+        pos = [(x, r) for x, r in vals if x > 0]
+        zero = [r for x, r in vals if x == 0]
+        neg = [(x, r) for x, r in vals if x < 0]
         combos: list[_Ray] = []
-        for rp in pos:
-            ap = dot(a, rp.v)
-            for rn in neg:
+        for ap, rp in pos:
+            for an, rn in neg:
                 if not adjacent(rp, rn):
                     continue
-                an = dot(a, rn.v)
                 v = vec_sub(vec_scale(ap, rn.v), vec_scale(an, rp.v))
                 tight = rp.tight & rn.tight
                 if new_index is not None:
@@ -66,7 +65,7 @@ def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[list[Vec], list[Vec]]
                 combos.append(_Ray(primitive(v), tight))
         if new_index is not None:
             zero = [_Ray(r.v, r.tight | {new_index}) for r in zero]
-        rays[:] = (pos if keep_positive_side else []) + zero + combos
+        rays[:] = ([r for _, r in pos] if keep_positive_side else []) + zero + combos
 
     def extract_lineality(a: Vec, keep_pivot_as_ray: bool, new_index: int | None) -> None:
         pivot = next(l for l in lineality if dot(a, l) != 0)

@@ -60,6 +60,8 @@ def dot(a: Vec, b: Vec) -> Fraction:
             else:
                 num = num * d + x.numerator * y.numerator * den
                 den *= d
+    if den == 1:
+        return Fraction(num)  # no gcd to take
     return Fraction(num, den)
 
 

@@ -20,8 +20,14 @@ data (``_anf_system``, ``_mpcc_system``).  The search runs once;
 form's system, so a disagreement is a RuntimeError, never a verdict.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
-contains a first-order descent direction; per branch this is one exact LP, and
-a Holds verdict carries a dual-cone membership certificate for the gradient.
+contains a first-order descent direction; a Holds verdict carries, per branch,
+a dual-cone membership certificate for the gradient.  Strong stationarity
+implies it: strong-stationary multipliers (the M certificate itself when its
+degenerate pair multipliers are nonnegative, else one LP) map linearly onto
+every branch's certificate.  Only without them does the check solve one
+descent LP per branch, stopping at the first descent.  As for M, the
+counterpart's verdict is the abs-normal one translated branch by branch and
+re-checked there (``translate_b_verdict``).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
 from .cones import PolyCone, lin_cone_branch
 from .cq import FAILS, HOLDS
 from .ratmath import (
+    FEASIBLE,
     ONE,
     ZERO,
     LpCertificate,
@@ -41,7 +48,7 @@ from .ratmath import (
     Vec,
     dot,
     lp_solve,
-    vec_add,
+    vec_neg,
     verify_certificate,
     zero_vec,
 )
@@ -49,8 +56,13 @@ from .transforms import (
     DEFAULT_BRANCH_CAP,
     MpccPoint,
     MpccProgram,
-    enumerate_branches,
-    enumerate_mpcc_branches,
+    SmoothBranchProblem,
+    branch_correspondence,
+    build_mpcc_branch,
+    iter_branches,
+    iter_mpcc_branches,
+    parse_branch_label,
+    split_direction_matrix,
 )
 
 DEFAULT_CASE_CAP = 3**10
@@ -461,6 +473,70 @@ def translate_m_verdict(
 # B-stationarity on the branch linearized cones
 
 
+def _strong_problem(system: _MultiplierSystem) -> LpProblem:
+    """Strong stationarity: the M system with both pair multipliers of every
+    degenerate switch nonnegative (Scheel & Scholtes 2000)."""
+    base = build_case_problem(system, ())
+    pairs = [expr for i in system.degenerate for expr in (system.pair_u[i], system.pair_v[i])]
+    return replace(
+        base,
+        ineq_rows=base.ineq_rows + tuple(r for r, _ in pairs),
+        ineq_rhs=base.ineq_rhs + tuple(-b for _, b in pairs),
+    )
+
+
+def _strong_multipliers(
+    system: _MultiplierSystem, m_verdict: StationarityVerdict | None
+) -> MultiplierSet | None:
+    """Strong-stationary multipliers, or None when there are none.
+
+    An M certificate whose degenerate pair multipliers are all >= 0 is one and
+    costs no LP; a failed M verdict rules them out, since S implies M.
+    Otherwise one LP decides.
+    """
+    if m_verdict is not None:
+        if m_verdict.status != HOLDS:
+            return None
+        ms = m_verdict.multipliers
+        if all(ms.mu_u[i] >= 0 and ms.mu_v[i] >= 0 for i in system.degenerate):
+            return ms
+    res = lp_solve(_strong_problem(system))
+    if res.status != FEASIBLE:
+        return None
+    return _multipliers_from_lam(system, res.certificate.point)
+
+
+def _branch_certificate(
+    b: SmoothBranchProblem, ms: MultiplierSet, system: _MultiplierSystem
+) -> BranchDualCertificate:
+    """Branch ``b``'s dual certificate read off the multipliers.
+
+    The constraint rows take -lam_e and -lam_z, the active inequalities lam_i,
+    and the sign row of each degenerate switch the pair multiplier of the side
+    the branch resolves it to.  On an mpcc branch, the row pinning the other
+    side of each pair to zero takes that side's pair multiplier.
+    """
+    signs = b.spec.signs
+    dual_eq = vec_neg(ms.lam_e) + vec_neg(ms.lam_z)
+    if b.form == "mpcc":
+        dual_eq += tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs))
+    inactive = set(system.inactive_i)
+    dual_ineq = tuple(x for k, x in enumerate(ms.lam_i) if k not in inactive) + tuple(
+        ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in system.degenerate
+    )
+    return BranchDualCertificate(b.label, dual_eq, dual_ineq)
+
+
+def _checked_certificate(
+    b: SmoothBranchProblem, ms: MultiplierSet, system: _MultiplierSystem
+) -> BranchDualCertificate:
+    cert = _branch_certificate(b, ms, system)
+    errors = verify_branch_dual_certificate(cert, lin_cone_branch(b), b.objective.gradient(b.anchor))
+    if errors:
+        raise RuntimeError(f"branch {b.label}: certificate from the multipliers failed self-check: {errors}")
+    return cert
+
+
 def _branch_descent_lp(gradient: Vec, cone: PolyCone) -> LpProblem:
     return LpProblem(
         n_vars=cone.dim,
@@ -474,6 +550,8 @@ def _branch_descent_lp(gradient: Vec, cone: PolyCone) -> LpProblem:
 
 
 def _check_b_over_branches(branches, kind: str) -> StationarityVerdict:
+    """One descent LP per branch, in order; stops at the first descent, so
+    ``branches`` may be a generator that builds each branch on demand."""
     certificates = []
     for b in branches:
         cone = lin_cone_branch(b)
@@ -502,35 +580,102 @@ def check_b_stationary(
     point,
     form: str,
     branch_cap: int = DEFAULT_BRANCH_CAP,
+    m_verdict: StationarityVerdict | None = None,
 ) -> StationarityVerdict:
     """No-descent check over every branch linearized cone.
 
     ``form`` is "anf" (program: AbsNormalProgram, point: EvalResult) or "mpcc"
-    (program: MpccProgram, point: MpccPoint).  Holds carries one dual-cone
-    membership certificate per branch; Fails carries the violating branch and
-    an explicit descent direction.
+    (program: MpccProgram, point: MpccPoint); ``m_verdict`` is the point's
+    M-stationarity verdict in the same form, when already known.  Holds
+    carries one dual-cone membership certificate per branch; Fails carries the
+    violating branch and an explicit descent direction.
+
+    Strong-stationary multipliers give every branch's certificate by a linear
+    map (``_branch_certificate``), each checked by substitution, with no branch
+    LP.  Only when none exist does the check solve one descent LP per branch,
+    building the branches lazily and stopping at the first descent.
     """
     if form == "anf":
-        branches = enumerate_branches(program, point, branch_cap)
-        return _check_b_over_branches(branches, "b-anf")
-    if form == "mpcc":
-        branches = enumerate_mpcc_branches(program, point, branch_cap)
-        return _check_b_over_branches(branches, "b-mpcc")
-    raise ValueError(f"unknown form {form!r}")
+        system, branches = _anf_system(program, point), iter_branches(program, point, branch_cap)
+    elif form == "mpcc":
+        system, branches = _mpcc_system(program, point), iter_mpcc_branches(program, point, branch_cap)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    kind = "b-" + form
+    ms = _strong_multipliers(system, m_verdict)
+    if ms is None:
+        return _check_b_over_branches(branches, kind)
+    certificates = tuple(_checked_certificate(b, ms, system) for b in branches)
+    return StationarityVerdict(kind, HOLDS, branch_certificates=certificates)
+
+
+def translate_b_verdict(
+    verdict: StationarityVerdict, mp: MpccProgram, point: MpccPoint
+) -> StationarityVerdict:
+    """The counterpart's B verdict from the abs-normal one, re-checked by
+    substitution on the counterpart branches.
+
+    Holds: each branch certificate gives multipliers (lam_e, lam_i, lam_z);
+    the pair multipliers are re-derived from the MPCC data and mapped to the
+    certificate of the corresponding counterpart branch.  Fails: the descent
+    direction is mapped by ``split_direction_matrix`` of the failing branch.
+    A source label that names no branch is a ValueError; a translation that
+    fails its check means the two forms disagree, a RuntimeError.
+    """
+    system = _mpcc_system(mp, point)
+    base = point.base_signature.entries
+
+    def counterpart_branch(label: str) -> SmoothBranchProblem:
+        spec = parse_branch_label(label, "signature", base)
+        if spec is None:
+            raise ValueError(f"source verdict names no abs-normal branch: {label!r}")
+        return build_mpcc_branch(mp, point, branch_correspondence(spec))
+
+    if verdict.status == FAILS:
+        b = counterpart_branch(verdict.failing_branch)
+        descent = split_direction_matrix(mp.n_x, mp.s, b.spec).mat_vec(verdict.descent)
+        if not lin_cone_branch(b).contains_point(descent) or dot(
+            b.objective.gradient(b.anchor), descent
+        ) >= 0:
+            raise RuntimeError(f"translated descent direction fails on branch {b.label}")
+        return replace(verdict, kind="b-mpcc", failing_branch=b.label, descent=descent)
+    m1 = system.m1
+    inactive = set(system.inactive_i)
+    active = [k for k in range(system.m2) if k not in inactive]
+    certificates = []
+    for cert in verdict.branch_certificates:
+        if len(cert.dual_eq) != m1 + system.s or len(cert.dual_ineq) != len(active) + len(system.degenerate):
+            raise ValueError(f"source certificate of branch {cert.branch} has the wrong length")
+        lam_i = [ZERO] * system.m2
+        for k, x in zip(active, cert.dual_ineq):
+            lam_i[k] = x
+        ms = _multipliers_from_lam(system, vec_neg(cert.dual_eq[:m1]) + tuple(lam_i) + vec_neg(cert.dual_eq[m1:]))
+        try:
+            certificates.append(_checked_certificate(counterpart_branch(cert.branch), ms, system))
+        except RuntimeError as exc:
+            raise RuntimeError(f"translated B certificate failed the counterpart: {exc}") from exc
+    return replace(verdict, kind="b-mpcc", branch_certificates=tuple(certificates))
 
 
 def verify_branch_dual_certificate(
     cert: BranchDualCertificate, cone: PolyCone, gradient: Vec
 ) -> list[str]:
-    """Substitution check: gradient = E^T y + I^T lam with lam >= 0."""
+    """Substitution check: gradient = E^T y + I^T lam with lam >= 0, one
+    column dot per coordinate over the rows of nonzero weight."""
+    if len(cert.dual_eq) != len(cone.eq_rows) or len(cert.dual_ineq) != len(cone.ineq_rows):
+        return [
+            f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
+            f"{len(cone.eq_rows)} + {len(cone.ineq_rows)} cone rows"
+        ]
     errors = []
     if any(x < 0 for x in cert.dual_ineq):
         errors.append("negative inequality weight")
-    combo = zero_vec(cone.dim)
-    for y, row in zip(cert.dual_eq, cone.eq_rows, strict=True):
-        combo = vec_add(combo, tuple(y * x for x in row))
-    for lam, row in zip(cert.dual_ineq, cone.ineq_rows, strict=True):
-        combo = vec_add(combo, tuple(lam * x for x in row))
+    terms = [(w, row) for w, row in zip(cert.dual_eq + cert.dual_ineq, cone.eq_rows + cone.ineq_rows) if w]
+    if terms:
+        weights, rows = zip(*terms)
+        combo = tuple(dot(weights, column) for column in zip(*rows))
+    else:
+        combo = zero_vec(cone.dim)
     if combo != tuple(gradient):
         errors.append("dual combination does not reproduce the gradient")
     return errors

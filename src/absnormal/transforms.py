@@ -297,9 +297,6 @@ class SmoothBranchProblem:
             func.value(self.anchor) >= 0 for func in self.ineqs
         )
 
-    def active_ineq_indices(self) -> tuple[int, ...]:
-        return tuple(k for k, func in enumerate(self.ineqs) if func.value(self.anchor) == 0)
-
     def all_affine(self) -> bool:
         return all(func.is_affine() for func in itertools.chain(self.eqs, self.ineqs))
 
@@ -313,27 +310,18 @@ def _check_cap(n_degenerate: int, cap: int) -> None:
         )
 
 
-def branch_signature_matrix(p: AbsNormalProgram, signs: tuple[int, ...]) -> RatMatrix:
-    """Block map (t, z) -> (t, Sigma z) used to substitute zeta = Sigma z."""
-    dim = p.block_dim
-    rows = [unit_vec(dim, i) for i in range(p.n_t)]
-    for i in range(p.s):
-        rows.append(tuple(Fraction(signs[i]) if j == p.n_t + i else ZERO for j in range(dim)))
-    return RatMatrix.from_rows(rows, dim)
-
-
 def build_anf_branch(p: AbsNormalProgram, e: EvalResult, spec: BranchSpec) -> SmoothBranchProblem:
+    """The branch problem over (t, z): substitute zeta = Sigma z, which flips
+    the signs of the zeta columns where the signature is negative."""
     dim = p.block_dim
-    subs = branch_signature_matrix(p, spec.signs)
-    eqs = [func.compose_linear(subs) for func in p.c_e]
+    signs = (1,) * p.n_t + spec.signs
+    eqs = [func.flip_signs(signs) for func in p.c_e]
     for i, func in enumerate(p.c_z):
-        eqs.append(
-            func.compose_linear(subs).add_linear(vec_neg(unit_vec(dim, p.n_t + i)))
-        )
-    ineqs = [func.compose_linear(subs) for func in p.c_i]
+        eqs.append(func.flip_signs(signs).add_linear(vec_neg(unit_vec(dim, p.n_t + i))))
+    ineqs = [func.flip_signs(signs) for func in p.c_i]
     for i in range(p.s):
         row = tuple(Fraction(spec.signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
-        ineqs.append(QuadraticFunc.affine(dim, 0, row))
+        ineqs.append(QuadraticFunc(dim, ZERO, row))
     return SmoothBranchProblem(
         n_vars=dim,
         objective=p.f.embed(dim, tuple(range(p.n_t))),
@@ -345,20 +333,26 @@ def build_anf_branch(p: AbsNormalProgram, e: EvalResult, spec: BranchSpec) -> Sm
     )
 
 
-def enumerate_branches(
-    p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP
-) -> list[SmoothBranchProblem]:
-    """All branch problems at the point, one per definite signature dominating it.
+def iter_branches(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP):
+    """The branch problems at the point, built one at a time as they are
+    consumed.  The cap is checked at the call, before any branch is built.
 
     Order is deterministic: degenerate entries are resolved + before -, first
     index varying slowest.
     """
     _check_cap(len(e.alpha), cap)
-    out = []
-    for refined in e.sigma.refinements():
-        spec = BranchSpec("signature", refined.entries, e.sigma.entries)
-        out.append(build_anf_branch(p, e, spec))
-    return out
+    return (
+        build_anf_branch(p, e, BranchSpec("signature", refined.entries, e.sigma.entries))
+        for refined in e.sigma.refinements()
+    )
+
+
+def enumerate_branches(
+    p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP
+) -> list[SmoothBranchProblem]:
+    """All branch problems at the point, one per definite signature dominating
+    it, in the order of ``iter_branches``."""
+    return list(iter_branches(p, e, cap))
 
 
 def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> SmoothBranchProblem:
@@ -369,11 +363,11 @@ def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> Sm
         u_row = unit_vec(dim, mp.u_index(i))
         v_row = unit_vec(dim, mp.v_index(i))
         if sg > 0:
-            eqs.append(QuadraticFunc.affine(dim, 0, v_row))
-            ineqs.append(QuadraticFunc.affine(dim, 0, u_row))
+            eqs.append(QuadraticFunc(dim, ZERO, v_row))
+            ineqs.append(QuadraticFunc(dim, ZERO, u_row))
         else:
-            eqs.append(QuadraticFunc.affine(dim, 0, u_row))
-            ineqs.append(QuadraticFunc.affine(dim, 0, v_row))
+            eqs.append(QuadraticFunc(dim, ZERO, u_row))
+            ineqs.append(QuadraticFunc(dim, ZERO, v_row))
     return SmoothBranchProblem(
         n_vars=dim,
         objective=mp.objective,
@@ -385,17 +379,44 @@ def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> Sm
     )
 
 
+def iter_mpcc_branches(mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP):
+    """One branch per subset of degenerate pairs, aligned with the signature
+    order and built as consumed; the cap is checked at the call."""
+    base = point.base_signature
+    _check_cap(len(point.degenerate), cap)
+    return (
+        build_mpcc_branch(mp, point, BranchSpec("partition", refined.entries, base.entries))
+        for refined in base.refinements()
+    )
+
+
 def enumerate_mpcc_branches(
     mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP
 ) -> list[SmoothBranchProblem]:
-    """One branch per subset of degenerate pairs, aligned with the signature order."""
-    base = point.base_signature
-    _check_cap(len(point.degenerate), cap)
-    out = []
-    for refined in base.refinements():
-        spec = BranchSpec("partition", refined.entries, base.entries)
-        out.append(build_mpcc_branch(mp, point, spec))
-    return out
+    """All counterpart branch problems, in the order of ``iter_mpcc_branches``."""
+    return list(iter_mpcc_branches(mp, point, cap))
+
+
+def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchSpec | None:
+    """The branch of ``kind`` at a point of anchor signature ``base_signs``
+    whose label is ``label``, or None when no such branch has it."""
+    if not isinstance(label, str):
+        return None
+    if kind == "signature" and label.startswith("σ="):
+        signs = tuple(1 if ch == "+" else -1 if ch == "-" else 0 for ch in label[2:])
+    elif kind == "partition" and label.startswith("P={") and label.endswith("}"):
+        try:
+            negative = {int(m) - 1 for m in label[3:-1].split(",")} if label != "P={}" else set()
+        except ValueError:
+            return None
+        signs = tuple(-1 if i in negative else sg or 1 for i, sg in enumerate(base_signs))
+    else:
+        return None
+    try:
+        spec = BranchSpec(kind, signs, tuple(base_signs))
+    except ProgramError:
+        return None
+    return spec if spec.label == label else None
 
 
 # ---------------------------------------------------------------------------

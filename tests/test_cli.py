@@ -449,3 +449,48 @@ def test_qualifications_decide_without_polar_double_description(tmp_path, capsys
             code, out, err = run_cli(capsys, *argv, "--recheck")
             assert (code, err) == (exit_code, ""), argv
             assert json.loads(out)["recheck"]["errors"] == []
+
+
+def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
+    # the branch certificates read off the strong-stationary multipliers are
+    # each checked by substitution; one wrong entry is the tool's own fault
+    real = stationarity._branch_certificate
+    calls = []
+
+    def corrupt_second(b, ms, system):
+        cert = real(b, ms, system)
+        calls.append(b.label)
+        if len(calls) == 2:
+            cert = dataclasses.replace(cert, dual_ineq=tuple(x + 1 for x in cert.dual_ineq))
+        return cert
+
+    monkeypatch.setattr(stationarity, "_branch_certificate", corrupt_second)
+    for argv in (("check-stationarity", "E1", "--point", "origin", "--b"), ("corpus", "run")):
+        calls.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal: ") and "branch σ=-" in err
+
+
+def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
+    import absnormal.cli
+
+    pf = load_corpus_problem("E1")
+    code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b", "--recheck")
+    assert code == 1
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    stat = report["points"][0]["stationarity"]
+    assert (stat["b-anf"]["failing_branch"], stat["b-mpcc"]["failing_branch"]) == ("σ=+", "P={}")
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a B Fails recheck enumerates no branches")
+
+    monkeypatch.setattr(absnormal.cli, "enumerate_branches", no_enumeration)
+    monkeypatch.setattr(absnormal.cli, "enumerate_mpcc_branches", no_enumeration)
+    assert recheck_report(pf, report) == []
+    for kind, label in (("b-anf", "P={}"), ("b-anf", "σ=-"), ("b-anf", "σ=++"), ("b-mpcc", "σ=+"), ("b-mpcc", None)):
+        tampered = copy.deepcopy(report)
+        tampered["points"][0]["stationarity"][kind]["failing_branch"] = label
+        assert recheck_report(pf, tampered) == [f"point shoulder {kind}: unknown failing branch {label!r}"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,11 +11,14 @@ from absnormal.cq import FAILS, HOLDS
 from absnormal.ratmath import LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
     CASES,
+    BranchDualCertificate,
+    StationarityVerdict,
     build_case_problem,
     check_b_stationary,
     check_m_stationary_anf,
     check_m_stationary_mpcc,
     multiplier_system,
+    translate_b_verdict,
     translate_m_verdict,
     uncovered_case,
     verify_branch_dual_certificate,
@@ -23,6 +27,7 @@ from absnormal.stationarity import (
 from absnormal.problemfile import load_corpus
 from absnormal.transforms import (
     enumerate_branches,
+    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     to_mpcc,
     to_slack,
@@ -305,3 +310,153 @@ def test_translated_m_verdict_equals_direct_search_on_random_programs():
             seen.add((verdict.status, len(qe.alpha) > 0))
         checked += 1
     assert seen == {(HOLDS, True), (HOLDS, False), (FAILS, True), (FAILS, False)}
+
+
+def b_over_every_branch(branches, kind):
+    """Reference: the descent LP min grad.d over every branch linearized cone,
+    solved eagerly branch by branch; Fails at the first unbounded branch."""
+    certificates = []
+    for b in branches:
+        cone = lin_cone_branch(b)
+        gradient = b.objective.gradient(b.anchor)
+        res = lp_solve(stationarity._branch_descent_lp(gradient, cone))
+        if res.status == "unbounded":
+            return StationarityVerdict(kind, FAILS, failing_branch=b.label, descent=res.certificate.ray)
+        assert res.status == "optimal" and res.value == 0
+        certificates.append(BranchDualCertificate(b.label, res.certificate.dual_eq, res.certificate.dual_ineq))
+    return StationarityVerdict(kind, HOLDS, branch_certificates=tuple(certificates))
+
+
+def assert_certificates_verify(verdict, branches):
+    by_label = {b.label: b for b in branches}
+    assert [c.branch for c in verdict.branch_certificates] == list(by_label)
+    for cert in verdict.branch_certificates:
+        b = by_label[cert.branch]
+        gradient = b.objective.gradient(b.anchor)
+        assert verify_branch_dual_certificate(cert, lin_cone_branch(b), gradient) == []
+
+
+def b_routes(p, e):
+    """The B verdict with and without the M verdict, its route, and the reference."""
+    m_verdict = check_m_stationary_anf(p, e)
+    with_m = check_b_stationary(p, e, "anf", m_verdict=m_verdict)
+    without_m = check_b_stationary(p, e, "anf")
+    assert without_m.status == with_m.status
+    if with_m.status == FAILS:
+        assert without_m == with_m
+    else:
+        assert_certificates_verify(without_m, enumerate_branches(p, e))
+    strong = stationarity._strong_multipliers(multiplier_system(p, e), None) is not None
+    return m_verdict, with_m, strong, b_over_every_branch(enumerate_branches(p, e), "b-anf")
+
+
+def test_strong_route_agrees_with_the_branch_lp_loop_on_random_programs():
+    rng = random.Random(31337)
+    seen = set()
+    checked = 0
+    while checked < 80:
+        p = random_affine_program(rng, max_s=3)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        for q, qe in base_and_slack_forms(p, e):
+            m_verdict, verdict, strong, reference = b_routes(q, qe)
+            assert verdict.status == reference.status
+            if verdict.status == HOLDS:
+                assert_certificates_verify(verdict, enumerate_branches(q, qe))
+            else:
+                # the lazy loop stops where the eager one does
+                assert not strong
+                assert verdict == reference
+            # S implies B, and linearized B implies M
+            assert not strong or verdict.status == HOLDS
+            assert verdict.status == FAILS or m_verdict.status == HOLDS
+            seen.add((verdict.status, strong, len(qe.alpha) > 0))
+        checked += 1
+    assert {(HOLDS, True, True), (HOLDS, False, True), (FAILS, False, True)} <= seen
+
+
+def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, monkeypatch):
+    e = evaluate(e1, [0, 0])
+    m_verdict = check_m_stationary_anf(e1, e)
+    assert m_verdict.multipliers.mu_u[0] > 0 and m_verdict.multipliers.mu_v[0] > 0
+
+    def no_lp(problem):
+        raise AssertionError("no LP expected")
+
+    monkeypatch.setattr(stationarity, "lp_solve", no_lp)
+    verdict = check_b_stationary(e1, e, "anf", m_verdict=m_verdict)
+    assert verdict.status == HOLDS and len(verdict.branch_certificates) == 2
+    # a failed M verdict rules out strong multipliers; the loop solves the LPs
+    monkeypatch.undo()
+    p = with_objective(e1, [0, -1])
+    e = evaluate(p, [0, 0])
+    m_fails = check_m_stationary_anf(p, e)
+    assert check_b_stationary(p, e, "anf", m_verdict=m_fails).status == FAILS
+
+
+def b_translation_matches_direct_check(p, e):
+    """Translate b-anf to the counterpart and compare it with the counterpart's
+    own check and with the reference loop over the counterpart branches."""
+    mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+    m_anf = check_m_stationary_anf(p, e)
+    b_anf = check_b_stationary(p, e, "anf", m_verdict=m_anf)
+    translated = translate_b_verdict(b_anf, mp, point)
+    m_mpcc = translate_m_verdict(m_anf, multiplier_system(p, e), multiplier_system(mp, point), "m-mpcc")
+    direct = check_b_stationary(mp, point, "mpcc", m_verdict=m_mpcc)
+    reference = b_over_every_branch(enumerate_mpcc_branches(mp, point), "b-mpcc")
+    assert translated.kind == direct.kind == "b-mpcc"
+    assert translated.status == direct.status == reference.status
+    if translated.status == HOLDS:
+        assert_certificates_verify(translated, enumerate_mpcc_branches(mp, point))
+        if m_anf.status == HOLDS and all(
+            m_anf.multipliers.mu_u[i] >= 0 and m_anf.multipliers.mu_v[i] >= 0 for i in e.alpha
+        ):
+            assert translated == direct  # the same multipliers on both sides
+    else:
+        assert translated.failing_branch == direct.failing_branch == reference.failing_branch
+        b = next(b for b in enumerate_mpcc_branches(mp, point) if b.label == translated.failing_branch)
+        assert lin_cone_branch(b).contains_point(translated.descent)
+        assert dot(b.objective.gradient(b.anchor), translated.descent) < 0
+    return translated
+
+
+def test_translated_b_verdict_matches_direct_check_on_corpus():
+    statuses = set()
+    for pf in load_corpus():
+        for pt in pf.points:
+            for p, e in base_and_slack_forms(pf.program, evaluate(pf.program, pt.t)):
+                statuses.add(b_translation_matches_direct_check(p, e).status)
+    assert statuses == {HOLDS, FAILS}
+
+
+def test_translated_b_verdict_matches_direct_check_on_random_programs():
+    rng = random.Random(8086)
+    seen = set()
+    checked = 0
+    while checked < 60:
+        p = random_affine_program(rng, max_s=3)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        for q, qe in base_and_slack_forms(p, e):
+            seen.add(b_translation_matches_direct_check(q, qe).status)
+        checked += 1
+    assert seen == {HOLDS, FAILS}
+
+
+def test_b_translation_rejects_a_disagreeing_counterpart(e1):
+    e = evaluate(e1, [0, 0])
+    mp, point = to_mpcc(e1), mpcc_point_from_eval(e)
+    verdict = check_b_stationary(e1, e, "anf")
+    first = verdict.branch_certificates[0]
+    forged = replace(first, dual_eq=tuple(x + 1 for x in first.dual_eq))
+    with pytest.raises(RuntimeError, match="counterpart"):
+        translate_b_verdict(replace(verdict, branch_certificates=(forged,)), mp, point)
+    with pytest.raises(ValueError, match="names no abs-normal branch"):
+        translate_b_verdict(replace(verdict, branch_certificates=(replace(first, branch="P={}"),)), mp, point)
+    p = with_objective(e1, [1, 0])
+    e = evaluate(p, [0, 0])
+    fails = check_b_stationary(p, e, "anf")
+    with pytest.raises(RuntimeError, match="descent"):
+        translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), to_mpcc(p), point)

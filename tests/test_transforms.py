@@ -1,13 +1,20 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from absnormal.anf import evaluate, validate
-from absnormal.ratmath import rat, vec
+from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate, validate
+from absnormal.problemfile import load_corpus
+from absnormal.ratmath import ZERO, RatMatrix, rat, unit_vec, vec, vec_neg
 from absnormal.transforms import (
     BranchLimitError,
     BranchSpec,
+    SmoothBranchProblem,
     branch_correspondence,
     enumerate_branches,
     enumerate_mpcc_branches,
+    iter_branches,
+    parse_branch_label,
     merge_direction,
     mpcc_feasible,
     mpcc_point_from_eval,
@@ -193,3 +200,107 @@ def test_direction_split_merge_roundtrip():
         dx, du, dv = split_direction(vec([1, 2]), vec(dz), signs)
         merged = merge_direction(dx + du + dv, 2, 1)
         assert merged == vec([1, 2] + dz)
+
+
+def branch_signature_matrix(p: AbsNormalProgram, signs: tuple[int, ...]) -> RatMatrix:
+    """Reference: the block map (t, z) -> (t, Sigma z) that substitutes zeta = Sigma z."""
+    dim = p.block_dim
+    rows = [unit_vec(dim, i) for i in range(p.n_t)]
+    for i in range(p.s):
+        rows.append(tuple(Fraction(signs[i]) if j == p.n_t + i else ZERO for j in range(dim)))
+    return RatMatrix.from_rows(rows, dim)
+
+
+def composed_anf_branch(p: AbsNormalProgram, e, spec: BranchSpec) -> SmoothBranchProblem:
+    """Reference: the branch problem by dense composition with the signature matrix."""
+    dim = p.block_dim
+    subs = branch_signature_matrix(p, spec.signs)
+    eqs = [func.compose_linear(subs) for func in p.c_e]
+    for i, func in enumerate(p.c_z):
+        eqs.append(func.compose_linear(subs).add_linear(vec_neg(unit_vec(dim, p.n_t + i))))
+    ineqs = [func.compose_linear(subs) for func in p.c_i]
+    for i in range(p.s):
+        row = tuple(Fraction(spec.signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
+        ineqs.append(QuadraticFunc.affine(dim, 0, row))
+    return SmoothBranchProblem(
+        n_vars=dim,
+        objective=p.f.embed(dim, tuple(range(p.n_t))),
+        eqs=tuple(eqs),
+        ineqs=tuple(ineqs),
+        spec=spec,
+        anchor=e.t + e.z,
+        form="anf",
+    )
+
+
+def random_quadratic(rng: random.Random, dim: int) -> QuadraticFunc:
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    quad = None
+    if rng.random() < 0.7:
+        rows = [[ZERO] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                rows[i][j] = rows[j][i] = coeff() if rng.random() < 0.6 else ZERO
+        quad = RatMatrix.from_rows(rows, dim)
+    return QuadraticFunc(dim, coeff(), tuple(coeff() for _ in range(dim)), quad)
+
+
+def test_flip_signs_equals_composition_with_the_sign_matrix():
+    rng = random.Random(7171)
+    nonzero_quadratic = 0
+    for _ in range(300):
+        n_t, s = rng.randint(0, 3), rng.randint(1, 3)
+        p = AbsNormalProgram(n_t, s, 0, 0, QuadraticFunc.zero(n_t), (), (), ())
+        func = random_quadratic(rng, p.block_dim)
+        signs = tuple(rng.choice((1, -1)) for _ in range(s))
+        flipped = func.flip_signs((1,) * n_t + signs)
+        assert flipped == func.compose_linear(branch_signature_matrix(p, signs))
+        nonzero_quadratic += not flipped.is_affine()
+    assert nonzero_quadratic > 100
+
+
+def test_anf_branches_equal_the_composed_reference():
+    # the corpus mixes affine rows with E3's zeta^2 and E4's t2*zeta
+    for pf in load_corpus():
+        for pt in pf.points:
+            e = evaluate(pf.program, pt.t)
+            for b in iter_branches(pf.program, e):
+                assert b == composed_anf_branch(pf.program, e, b.spec)
+
+
+def test_enumerations_return_lists(e1):
+    # callers take len() of the enumerations; only iter_branches is lazy
+    e = evaluate(e1, [0, 0])
+    assert isinstance(enumerate_branches(e1, e), list)
+    assert isinstance(enumerate_mpcc_branches(to_mpcc(e1), mpcc_point_from_eval(e)), list)
+
+
+def test_iter_branches_checks_the_cap_before_building(e2):
+    e = evaluate(e2, [0, 0])
+    with pytest.raises(BranchLimitError):
+        iter_branches(e2, e, cap=1)
+
+
+def test_branch_labels_parse_back_to_their_specs():
+    base = (0, 1, 0)
+    for signs in ((1, 1, 1), (1, 1, -1), (-1, 1, 1), (-1, 1, -1)):
+        spec = BranchSpec("signature", signs, base)
+        assert parse_branch_label(spec.label, "signature", base) == spec
+        other = branch_correspondence(spec)
+        assert parse_branch_label(other.label, "partition", base) == other
+    for label, kind in (
+        ("σ=+++", "partition"),  # right label, wrong form
+        ("P={}", "signature"),
+        ("σ=++", "signature"),  # too short
+        ("σ=+-+", "signature"),  # does not dominate the anchor signature
+        ("σ=+0+", "signature"),
+        ("P={2}", "partition"),  # not a degenerate switch
+        ("P={3,1}", "partition"),  # not in canonical order
+        ("P={01}", "partition"),
+        ("P={1,}", "partition"),
+        ("P={4}", "partition"),
+        (None, "signature"),
+    ):
+        assert parse_branch_label(label, kind, base) is None, label
