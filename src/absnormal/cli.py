@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .anf import AbsNormalProgram, evaluate
-from .cones import PolyCone, dual_cone, dual_union, lin_cone_branch
+from .cones import PolyCone, dual_cone, dual_union, linearize_anf, linearize_mpcc
 from .cq import (
     ABS_E,
     ABS_I,
@@ -58,15 +58,11 @@ from .stationarity import (
     multiplier_system,
     translate_b_verdict,
     translate_m_verdict,
-    verify_branch_dual_certificate,
+    verify_branch_certificate,
     verify_m_certificate,
 )
 from .transforms import (
     BranchLimitError,
-    build_anf_branch,
-    build_mpcc_branch,
-    enumerate_branches,
-    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     parse_branch_label,
     to_mpcc,
@@ -490,12 +486,11 @@ def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict:
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
+        # every branch cone and certificate is checked on the point's one
+        # linearization; no branch problem is built
+        lin = linearize_anf(pf.program, e) if kind == "b-anf" else linearize_mpcc(*counterpart())
         if status == HOLDS:
-            if kind == "b-anf":
-                branches = enumerate_branches(pf.program, e)
-            else:
-                branches = enumerate_mpcc_branches(*counterpart())
-            by_label = {b.label: b for b in branches}
+            by_label = {spec.label: spec for spec in lin.specs()}
             certificates = verdict.get("branch_certificates", [])
             named = [entry["branch"] for entry in certificates]
             for label in by_label:
@@ -503,36 +498,28 @@ def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict:
                     errors.append(
                         f"{prefix}: branch {label} has {named.count(label)} certificates, expected 1"
                     )
+            memo: dict = {}
             for entry in certificates:
-                b = by_label.get(entry["branch"])
-                if b is None:
+                spec = by_label.get(entry["branch"])
+                if spec is None:
                     errors.append(f"{prefix}: certificate for unknown branch {entry['branch']!r}")
                     continue
-                cone = lin_cone_branch(b)
-                gradient = b.objective.gradient(b.anchor)
                 cert = BranchDualCertificate(
                     entry["branch"], vec(entry["dual_eq"]), vec(entry["dual_ineq"])
                 )
-                for msg in verify_branch_dual_certificate(cert, cone, gradient):
+                for msg in verify_branch_certificate(lin, spec.signs, cert, memo):
                     errors.append(f"{prefix} branch {entry['branch']}: {msg}")
         elif status == FAILS:
-            # only the failing branch is built
             label = verdict.get("failing_branch")
-            if kind == "b-anf":
-                spec = parse_branch_label(label, "signature", e.sigma.entries)
-                b = build_anf_branch(pf.program, e, spec) if spec is not None else None
-            else:
-                mp, mp_point = counterpart()
-                spec = parse_branch_label(label, "partition", mp_point.base_signature.entries)
-                b = build_mpcc_branch(mp, mp_point, spec) if spec is not None else None
-            if b is None:
+            kind_of_label = "signature" if kind == "b-anf" else "partition"
+            spec = parse_branch_label(label, kind_of_label, lin.base.entries)
+            if spec is None:
                 errors.append(f"{prefix}: unknown failing branch {label!r}")
                 return errors
-            cone = lin_cone_branch(b)
             descent = vec(verdict["descent"])
-            if not cone.contains_point(descent):
+            if not lin.cone(spec.signs).contains_point(descent):
                 errors.append(f"{prefix}: descent direction is not linearized-feasible")
-            if dot(b.objective.gradient(b.anchor), descent) >= 0:
+            if dot(lin.gradient, descent) >= 0:
                 errors.append(f"{prefix}: descent direction does not descend")
     return errors
 
@@ -801,7 +788,10 @@ def corpus_exit_code(report: dict) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process (parsing keeps no state in it)."""
     parser = argparse.ArgumentParser(
         prog="absnormal",
         description="Exact verification of kink/complementarity constraint "

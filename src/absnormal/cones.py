@@ -4,7 +4,9 @@ All cones are closed convex polyhedra in H-representation
 ``{d : eq_rows . d = 0, ineq_rows . d >= 0}``; the nonconvex objects of the
 theory (abs-normal-linearized and complementarity-linearized cones) are kept
 as finite labeled unions of such pieces, which the branch decomposition makes
-canonical.
+canonical.  Every branch linearized cone comes from one linearization of its
+formulation at the point (``linearize_anf``, ``linearize_mpcc``), which
+evaluates each constraint gradient once for all branches.
 
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
@@ -17,13 +19,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
+from .anf import AbsNormalProgram, EvalResult, SignatureVector
 from .ratmath import (
     FEASIBLE,
-    ONE,
-    ZERO,
     LpCertificate,
     LpProblem,
     RatMatrix,
@@ -42,11 +41,11 @@ from .ratmath import (
 )
 from .transforms import (
     DEFAULT_BRANCH_CAP,
+    BranchSpec,
     MpccPoint,
     MpccProgram,
     SmoothBranchProblem,
-    enumerate_branches,
-    enumerate_mpcc_branches,
+    branch_specs,
 )
 
 DEFAULT_SPLIT_DEPTH = 32
@@ -297,112 +296,182 @@ def cone_image(cone: PolyCone, m: RatMatrix) -> PolyCone:
 # linearized cones
 
 
-def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
-    """Gradients of equalities as equations, of anchor-active inequalities as
-    inequalities; each constraint is evaluated once at the anchor."""
-    anchor = b.anchor
-    values = [func.value(anchor) for func in b.ineqs]
-    if any(v < 0 for v in values) or any(func.value(anchor) != 0 for func in b.eqs):
-        raise ValueError(f"anchor is infeasible for branch {b.label}")
-    eq = tuple(func.gradient(anchor) for func in b.eqs)
-    ineq = tuple(func.gradient(anchor) for func, v in zip(b.ineqs, values) if v == 0)
-    return PolyCone(b.n_vars, eq, ineq)
+@dataclass(frozen=True)
+class BranchLinearization:
+    """The linearization of one formulation at one point, shared by its branches.
+
+    A branch problem substitutes its definite signature into the same
+    constraint functions, so every branch linearized cone is made from the
+    gradients evaluated once here:
+
+    * abs-normal form, variables ``(t, z)``: ``eq_grads`` are the gradients of
+      ``c_e`` and ``c_z`` at ``(t, |z|)``, ``ineq_grads`` those of the active
+      ``c_i``.  A branch flips the zeta columns where its signature is
+      negative, subtracts from each switching row its own ``z`` unit, and
+      adds the sign row ``sigma_i dz_i >= 0`` of each degenerate switch.
+    * counterpart, variables ``(x, u, v)``: ``eq_grads`` are the gradients of
+      ``eq_funcs``, ``ineq_grads`` those of the active ``ci_funcs``.  A branch
+      adds one row per pair pinning the side it leaves to zero, and the row
+      of the resolved side of each degenerate pair.
+
+    ``cone`` has exactly the rows, in the same order, of the linearized cone
+    of the branch problem that ``transforms`` builds for the same signature.
+    """
+
+    form: str  # "anf" | "mpcc"
+    n_x: int  # columns before the switching block
+    base: SignatureVector
+    gradient: Vec  # of the objective, at the anchor
+    eq_grads: tuple[Vec, ...]
+    ineq_grads: tuple[Vec, ...]
+    degenerate: tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.gradient)
+
+    @property
+    def n_eq(self) -> int:
+        pins = len(self.base.entries) if self.form == "mpcc" else 0
+        return len(self.eq_grads) + pins
+
+    @property
+    def n_ineq(self) -> int:
+        return len(self.ineq_grads) + len(self.degenerate)
+
+    def specs(self, cap: int = DEFAULT_BRANCH_CAP):
+        """The branches at the point, lazily, in enumeration order; the cap is
+        checked at the call."""
+        return branch_specs("signature" if self.form == "anf" else "partition", self.base, cap)
+
+    def _negated(self, signs: tuple[int, ...]) -> list[int]:
+        if self.form == "mpcc":
+            return []
+        return [self.n_x + i for i, sg in enumerate(signs) if sg < 0]
+
+    def _units(self, signs: tuple[int, ...]):
+        """The branch's unit terms ``(row, column, coefficient)``, rows indexed
+        over its equalities and its active inequalities."""
+        s = len(signs)
+        if self.form == "anf":
+            # the switching rows close the equality rows
+            first = len(self.eq_grads) - s
+            eq = [(first + i, self.n_x + i, -1) for i in range(s)]
+            ineq = [(len(self.ineq_grads) + j, self.n_x + i, signs[i]) for j, i in enumerate(self.degenerate)]
+        else:
+            u, v = self.n_x, self.n_x + s
+            eq = [(len(self.eq_grads) + i, v + i if sg > 0 else u + i, 1) for i, sg in enumerate(signs)]
+            ineq = [
+                (len(self.ineq_grads) + j, u + i if signs[i] > 0 else v + i, 1)
+                for j, i in enumerate(self.degenerate)
+            ]
+        return eq, ineq
+
+    def cone(self, signs: tuple[int, ...]) -> PolyCone:
+        """The linearized cone of the branch with definite signature ``signs``."""
+        negated = self._negated(signs)
+        eq_units, ineq_units = self._units(signs)
+
+        def rows(grads, units, count):
+            out = [list(g) for g in grads] + [list(zero_vec(self.dim)) for _ in range(count - len(grads))]
+            for row in out[: len(grads)]:
+                for c in negated:
+                    row[c] = -row[c]
+            for r, c, coeff in units:
+                out[r][c] += coeff
+            return tuple(tuple(row) for row in out)
+
+        return PolyCone(
+            self.dim,
+            rows(self.eq_grads, eq_units, self.n_eq),
+            rows(self.ineq_grads, ineq_units, self.n_ineq),
+        )
+
+    def combination(self, signs: tuple[int, ...], dual_eq: Vec, dual_ineq: Vec, memo: dict) -> Vec:
+        """``E^T dual_eq + I^T dual_ineq`` over the rows of the branch ``signs``.
+
+        The sum over the gradient rows does not depend on the branch, only on
+        their weights: ``memo``, a dict the caller keeps for this
+        linearization, holds it keyed by those weights.  The branch's column
+        flip and unit terms are then applied in O(s).
+        """
+        if len(dual_eq) != self.n_eq or len(dual_ineq) != self.n_ineq:
+            raise ValueError(
+                f"{len(dual_eq)} + {len(dual_ineq)} weights for {self.n_eq} + {self.n_ineq} cone rows"
+            )
+        key = tuple(dual_eq[: len(self.eq_grads)]) + tuple(dual_ineq[: len(self.ineq_grads)])
+        shared = memo.get(key)
+        if shared is None:
+            terms = [(w, g) for w, g in zip(key, self.eq_grads + self.ineq_grads) if w]
+            if terms:
+                weights, grads = zip(*terms)
+                shared = tuple(dot(weights, column) for column in zip(*grads))
+            else:
+                shared = zero_vec(self.dim)
+            memo[key] = shared
+        out = list(shared)
+        for c in self._negated(signs):
+            out[c] = -out[c]
+        eq_units, ineq_units = self._units(signs)
+        for weights, units in ((dual_eq, eq_units), (dual_ineq, ineq_units)):
+            for r, c, coeff in units:
+                w = weights[r]
+                if w:
+                    out[c] += w if coeff > 0 else -w
+        return tuple(out)
 
 
-def union_from_branches(branches) -> UnionCone:
-    return UnionCone(tuple((b.label, lin_cone_branch(b)) for b in branches))
+def _infeasible_anchor(kind: str, base: SignatureVector) -> ValueError:
+    # every branch has the anchor's constraint values, so the first one names it
+    first = BranchSpec(kind, next(base.refinements()).entries, base.entries)
+    return ValueError(f"anchor is infeasible for branch {first.label}")
+
+
+def linearize_anf(p: AbsNormalProgram, e: EvalResult) -> BranchLinearization:
+    """The abs-normal branch linearization at the evaluated point."""
+    if not e.is_feasible():
+        raise _infeasible_anchor("signature", e.sigma)
+    block = e.t + e.abs_z
+    return BranchLinearization(
+        form="anf",
+        n_x=p.n_t,
+        base=e.sigma,
+        gradient=p.f.gradient(e.t) + zero_vec(p.s),
+        eq_grads=tuple(func.gradient(block) for func in p.c_e + p.c_z),
+        ineq_grads=tuple(p.c_i[k].gradient(block) for k in e.active_i),
+        degenerate=e.alpha,
+    )
+
+
+def linearize_mpcc(mp: MpccProgram, point: MpccPoint) -> BranchLinearization:
+    """The counterpart branch linearization at the point."""
+    coords = point.coords
+    values_i = [func.value(coords) for func in mp.ci_funcs]
+    if any(func.value(coords) != 0 for func in mp.eq_funcs) or any(v < 0 for v in values_i):
+        raise _infeasible_anchor("partition", point.base_signature)
+    return BranchLinearization(
+        form="mpcc",
+        n_x=mp.n_x,
+        base=point.base_signature,
+        gradient=mp.objective.gradient(coords),
+        eq_grads=tuple(func.gradient(coords) for func in mp.eq_funcs),
+        ineq_grads=tuple(func.gradient(coords) for func, v in zip(mp.ci_funcs, values_i) if v == 0),
+        degenerate=point.degenerate,
+    )
+
+
+def _branch_union(lin: BranchLinearization, cap: int) -> UnionCone:
+    return UnionCone(tuple((spec.label, lin.cone(spec.signs)) for spec in lin.specs(cap)))
 
 
 def lin_cone_abs(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP) -> UnionCone:
     """The abs-normal-linearized cone as its canonical branch union."""
-    return union_from_branches(enumerate_branches(p, e, cap))
+    return _branch_union(linearize_anf(p, e), cap)
 
 
 def lin_cone_mpcc(mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP) -> UnionCone:
     """The complementarity-linearized cone as its canonical branch union."""
-    return union_from_branches(enumerate_mpcc_branches(mp, point, cap))
-
-
-def lin_cone_abs_direct(p: AbsNormalProgram, e: EvalResult) -> UnionCone:
-    """The abs-normal-linearized cone from its defining rows, split by the sign
-    pattern of the active switching directions (no branch problems involved).
-
-    Each piece fixes signs on the active entries, replaces the zeta-directions
-    by the signed z-directions, and adds the matching sign conditions.
-    """
-    jac = constraint_jacobians(p, e)
-    dim = p.n_t + p.s
-    pieces = []
-    for refined in e.sigma.refinements():
-        signs = refined.entries
-        eq = []
-        ineq = []
-
-        def direction_row(d1_row: Vec, d2_row: Vec) -> Vec:
-            return d1_row + tuple(Fraction(signs[i]) * d2_row[i] for i in range(p.s))
-
-        for k in range(p.m1):
-            eq.append(direction_row(jac.d1_ce.row(k), jac.d2_ce.row(k)))
-        for i in range(p.s):
-            row = direction_row(jac.d1_cz.row(i), jac.d2_cz.row(i))
-            row = tuple(x - (ONE if j == p.n_t + i else ZERO) for j, x in enumerate(row))
-            eq.append(row)
-        for k in e.active_i:
-            ineq.append(direction_row(jac.d1_ci.row(k), jac.d2_ci.row(k)))
-        for i in e.alpha:
-            ineq.append(
-                tuple(Fraction(signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
-            )
-        pieces.append((refined.label(), PolyCone(dim, tuple(eq), tuple(ineq))))
-    return UnionCone(tuple(pieces))
-
-
-def lin_cone_mpcc_direct(mp: MpccProgram, point: MpccPoint) -> UnionCone:
-    """The complementarity-linearized cone from its defining rows: Jacobians of
-    the substituted constraints plus one complementarity-cone piece per
-    resolution of the degenerate pairs."""
-    coords = point.coords
-    dim = mp.dim
-    eq_base = [func.gradient(coords) for func in mp.eq_funcs]
-    ineq_base = [
-        func.gradient(coords) for func in mp.ci_funcs if func.value(coords) == 0
-    ]
-    compl = compl_cone(point)
-    pad = zero_vec(mp.n_x)
-    pieces = []
-    for label, piece in compl.members:
-        eq = tuple(eq_base) + tuple(pad + r for r in piece.eq_rows)
-        ineq = tuple(ineq_base) + tuple(pad + r for r in piece.ineq_rows)
-        pieces.append((label, PolyCone(dim, eq, ineq)))
-    return UnionCone(tuple(pieces))
-
-
-def compl_cone(point: MpccPoint) -> UnionCone:
-    """Tangent (= linearized) cone of the complementarity set at the point, in
-    (du, dv) coordinates: a union over resolutions of the degenerate pairs."""
-    s = len(point.u)
-    dim = 2 * s
-    base = point.base_signature
-    pieces = []
-    for refined in base.refinements():
-        eq = []
-        ineq = []
-        for i, sg in enumerate(refined.entries):
-            u_row = unit_vec(dim, i)
-            v_row = unit_vec(dim, s + i)
-            if sg > 0:
-                eq.append(v_row)
-                if base.entries[i] == 0:
-                    ineq.append(u_row)
-            else:
-                eq.append(u_row)
-                if base.entries[i] == 0:
-                    ineq.append(v_row)
-        spec_label = "P={" + ",".join(
-            str(i + 1) for i in point.degenerate if refined.entries[i] == -1
-        ) + "}"
-        pieces.append((spec_label, PolyCone(dim, tuple(eq), tuple(ineq))))
-    return UnionCone(tuple(pieces))
+    return _branch_union(linearize_mpcc(mp, point), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +495,15 @@ class TangentCertificate:
 
 
 def tangent_cone_branch(
-    b: SmoothBranchProblem, lin: PolyCone | None = None
+    b: SmoothBranchProblem, lin: PolyCone
 ) -> tuple[PolyCone | None, TangentCertificate]:
     """The branch tangent cone when certifiable, else (None, unknown-certificate).
 
     Affine constraints, linear independence of active gradients, or a strictly
     feasible direction for the linearized system each certify that the tangent
-    cone equals the linearized cone, which is then returned itself.  ``lin`` is
-    the branch linearized cone when the caller has already built it.
+    cone equals the linearized cone ``lin`` of the branch, which is then
+    returned itself.
     """
-    if lin is None:
-        lin = lin_cone_branch(b)
     if b.all_affine():
         return lin, TangentCertificate(TANGENT_AFFINE)
     active_rows = list(lin.eq_rows) + list(lin.ineq_rows)

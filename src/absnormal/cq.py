@@ -33,7 +33,8 @@ from .cones import (
     cone_image,
     dual_cone,  # unused here; bench/test_bench.py asserts the tracer rebinds cq.dual_cone
     hull_escape,
-    lin_cone_branch,
+    linearize_anf,
+    linearize_mpcc,
     tangent_cone_branch,
     union_covers,
 )
@@ -135,9 +136,11 @@ def _validated_pieces(pieces, lin: PolyCone, label: str) -> tuple[PolyCone, ...]
 
 
 def analyze_branch(
-    b: SmoothBranchProblem, annotation_pieces=None
+    b: SmoothBranchProblem, lin: PolyCone, annotation_pieces=None
 ) -> BranchAnalysis:
-    lin = lin_cone_branch(b)
+    """Branch ``b`` with its linearized cone ``lin`` (from the linearization
+    of its formulation at the point) and its tangent cone, when certified or
+    annotated."""
     cone, cert = tangent_cone_branch(b, lin)
     if cone is not None:
         return BranchAnalysis(b, lin, (cone,), cert.status, cert)
@@ -147,10 +150,8 @@ def analyze_branch(
     return BranchAnalysis(b, lin, None, None, cert)
 
 
-def check_branch_cq(ba: BranchAnalysis | SmoothBranchProblem, which: str) -> CQVerdict:
+def check_branch_cq(ba: BranchAnalysis, which: str) -> CQVerdict:
     """Abadie ("acq") or Guignard ("gcq") for one smooth branch problem."""
-    if isinstance(ba, SmoothBranchProblem):
-        ba = analyze_branch(ba)
     kind = "branch-acq" if which == "acq" else "branch-gcq"
     if not ba.tangent_known:
         return CQVerdict(
@@ -337,16 +338,17 @@ def analyze_point(
     mpcc_e = to_mpcc(slack.program)
     mpcc_e_point = mpcc_point_from_eval(se)
 
-    abs_i_branches = enumerate_branches(p, e, branch_cap)
-    abs_i = []
-    for b in abs_i_branches:
-        abs_i.append(analyze_branch(b, annotations.get(b.label)))
+    lin_i = linearize_anf(p, e)
+    abs_i = [
+        analyze_branch(b, lin_i.cone(b.spec.signs), annotations.get(b.label))
+        for b in enumerate_branches(p, e, branch_cap)
+    ]
 
     abs_i_by_label = {ba.label: ba for ba in abs_i}
 
-    abs_e_branches = enumerate_branches(slack.program, se, branch_cap)
+    lin_e = linearize_anf(slack.program, se)
     abs_e = []
-    for b in abs_e_branches:
+    for b in enumerate_branches(slack.program, se, branch_cap):
         signs = b.spec.signs
         pieces = None
         base_ba = abs_i_by_label[SignatureVector(signs[: p.s]).label()]
@@ -356,19 +358,20 @@ def analyze_point(
                 for piece in base_ba.tangent_pieces
             )
             pieces = lifted
-        ba = analyze_branch(b)
+        ba = analyze_branch(b, lin_e.cone(signs))
         if not ba.tangent_known and pieces is not None:
             lin = ba.lin
             pieces = _validated_pieces(pieces, lin, b.label)
             ba = BranchAnalysis(b, lin, pieces, f"lift:{base_ba.tangent_source}", ba.certificate)
         abs_e.append(ba)
 
-    def mpcc_side(mp, point, anf_analyses, branches):
+    def mpcc_side(mp, point, anf_analyses):
+        lin = linearize_mpcc(mp, point)
         out = []
-        for anf_ba, b in zip(anf_analyses, branches, strict=True):
+        for anf_ba, b in zip(anf_analyses, enumerate_mpcc_branches(mp, point, branch_cap), strict=True):
             if anf_ba.problem.spec.signs != b.spec.signs:
                 raise RuntimeError(f"branch {b.label} does not align with its abs-normal branch")
-            ba = analyze_branch(b)
+            ba = analyze_branch(b, lin.cone(b.spec.signs))
             if not ba.tangent_known and anf_ba.tangent_known:
                 pieces = _transport_pieces_to_mpcc(anf_ba, b, mp.n_x, mp.s)
                 pieces = _validated_pieces(pieces, ba.lin, b.label)
@@ -378,10 +381,8 @@ def analyze_point(
             out.append(ba)
         return out
 
-    mpcc_i = mpcc_side(mpcc, mpcc_point, abs_i, enumerate_mpcc_branches(mpcc, mpcc_point, branch_cap))
-    mpcc_ee = mpcc_side(
-        mpcc_e, mpcc_e_point, abs_e, enumerate_mpcc_branches(mpcc_e, mpcc_e_point, branch_cap)
-    )
+    mpcc_i = mpcc_side(mpcc, mpcc_point, abs_i)
+    mpcc_ee = mpcc_side(mpcc_e, mpcc_e_point, abs_e)
 
     formulations = {
         ABS_I: FormulationAnalysis(ABS_I, p.n_t + p.s, tuple(abs_i)),
@@ -410,8 +411,8 @@ def check_gkq(p: AbsNormalProgram, e: EvalResult, annotations=None) -> CQVerdict
 
 def check_mpcc_cq(mp: MpccProgram, point: MpccPoint, which: str) -> CQVerdict:
     """MPCC Abadie ("acq") or Guignard ("gcq") at the point."""
-    branches = enumerate_mpcc_branches(mp, point)
-    analyses = tuple(analyze_branch(b) for b in branches)
+    lin = linearize_mpcc(mp, point)
+    analyses = tuple(analyze_branch(b, lin.cone(b.spec.signs)) for b in enumerate_mpcc_branches(mp, point))
     fa = FormulationAnalysis(MPCC_I, mp.dim, analyses)
     return decide_kink_cq(fa, "abadie" if which == "acq" else "guignard")
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
-from .cones import PolyCone, lin_cone_branch
+from .cones import BranchLinearization, PolyCone, linearize_anf, linearize_mpcc
 from .cq import FAILS, HOLDS
 from .ratmath import (
     FEASIBLE,
@@ -54,13 +54,10 @@ from .ratmath import (
 )
 from .transforms import (
     DEFAULT_BRANCH_CAP,
+    BranchSpec,
     MpccPoint,
     MpccProgram,
-    SmoothBranchProblem,
     branch_correspondence,
-    build_mpcc_branch,
-    iter_branches,
-    iter_mpcc_branches,
     parse_branch_label,
     split_direction_matrix,
 )
@@ -506,34 +503,41 @@ def _strong_multipliers(
     return _multipliers_from_lam(system, res.certificate.point)
 
 
-def _branch_certificate(
-    b: SmoothBranchProblem, ms: MultiplierSet, system: _MultiplierSystem
-) -> BranchDualCertificate:
-    """Branch ``b``'s dual certificate read off the multipliers.
-
-    The constraint rows take -lam_e and -lam_z, the active inequalities lam_i,
-    and the sign row of each degenerate switch the pair multiplier of the side
-    the branch resolves it to.  On an mpcc branch, the row pinning the other
-    side of each pair to zero takes that side's pair multiplier.
-    """
-    signs = b.spec.signs
-    dual_eq = vec_neg(ms.lam_e) + vec_neg(ms.lam_z)
-    if b.form == "mpcc":
-        dual_eq += tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs))
+def _row_weights(ms: MultiplierSet, system: _MultiplierSystem) -> tuple[Vec, Vec]:
+    """The weights that every branch certificate read off ``ms`` gives the
+    constraint rows: -lam_e and -lam_z, and lam_i on the active inequalities."""
     inactive = set(system.inactive_i)
-    dual_ineq = tuple(x for k, x in enumerate(ms.lam_i) if k not in inactive) + tuple(
-        ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in system.degenerate
+    return (
+        vec_neg(ms.lam_e) + vec_neg(ms.lam_z),
+        tuple(x for k, x in enumerate(ms.lam_i) if k not in inactive),
     )
-    return BranchDualCertificate(b.label, dual_eq, dual_ineq)
+
+
+def _branch_certificate(
+    lin: BranchLinearization, spec: BranchSpec, ms: MultiplierSet, row_weights: tuple[Vec, Vec]
+) -> BranchDualCertificate:
+    """The dual certificate of branch ``spec`` of ``lin`` read off the multipliers.
+
+    The constraint rows take ``row_weights`` (``_row_weights``), and the sign
+    row of each degenerate switch the pair multiplier of the side the branch
+    resolves it to.  On an mpcc branch, the row pinning the other side of each
+    pair to zero takes that side's pair multiplier.
+    """
+    signs = spec.signs
+    dual_eq, dual_ineq = row_weights
+    if lin.form == "mpcc":
+        dual_eq += tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs))
+    dual_ineq += tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate)
+    return BranchDualCertificate(spec.label, dual_eq, dual_ineq)
 
 
 def _checked_certificate(
-    b: SmoothBranchProblem, ms: MultiplierSet, system: _MultiplierSystem
+    lin: BranchLinearization, spec: BranchSpec, ms: MultiplierSet, row_weights: tuple[Vec, Vec], memo: dict
 ) -> BranchDualCertificate:
-    cert = _branch_certificate(b, ms, system)
-    errors = verify_branch_dual_certificate(cert, lin_cone_branch(b), b.objective.gradient(b.anchor))
+    cert = _branch_certificate(lin, spec, ms, row_weights)
+    errors = verify_branch_certificate(lin, spec.signs, cert, memo)
     if errors:
-        raise RuntimeError(f"branch {b.label}: certificate from the multipliers failed self-check: {errors}")
+        raise RuntimeError(f"branch {spec.label}: certificate from the multipliers failed self-check: {errors}")
     return cert
 
 
@@ -549,28 +553,27 @@ def _branch_descent_lp(gradient: Vec, cone: PolyCone) -> LpProblem:
     )
 
 
-def _check_b_over_branches(branches, kind: str) -> StationarityVerdict:
+def _check_b_over_branches(lin: BranchLinearization, specs, kind: str) -> StationarityVerdict:
     """One descent LP per branch, in order; stops at the first descent, so
-    ``branches`` may be a generator that builds each branch on demand."""
+    ``specs`` may be a generator that makes each branch on demand."""
     certificates = []
-    for b in branches:
-        cone = lin_cone_branch(b)
-        gradient = b.objective.gradient(b.anchor)
-        res = lp_solve(_branch_descent_lp(gradient, cone))
+    gradient = lin.gradient
+    for spec in specs:
+        res = lp_solve(_branch_descent_lp(gradient, lin.cone(spec.signs)))
         if res.status == "unbounded":
             descent = res.certificate.ray
             if dot(gradient, descent) >= 0:
-                raise RuntimeError(f"branch {b.label}: the unbounded ray does not descend")
+                raise RuntimeError(f"branch {spec.label}: the unbounded ray does not descend")
             return StationarityVerdict(
-                kind, FAILS, failing_branch=b.label, descent=descent
+                kind, FAILS, failing_branch=spec.label, descent=descent
             )
         if res.status != "optimal" or res.value != 0:
             raise RuntimeError(
-                f"branch {b.label}: descent LP ended {res.status} with value {res.value}, "
+                f"branch {spec.label}: descent LP ended {res.status} with value {res.value}, "
                 "expected optimal with value 0"
             )
         certificates.append(
-            BranchDualCertificate(b.label, res.certificate.dual_eq, res.certificate.dual_ineq)
+            BranchDualCertificate(spec.label, res.certificate.dual_eq, res.certificate.dual_ineq)
         )
     return StationarityVerdict(kind, HOLDS, branch_certificates=tuple(certificates))
 
@@ -593,19 +596,22 @@ def check_b_stationary(
     Strong-stationary multipliers give every branch's certificate by a linear
     map (``_branch_certificate``), each checked by substitution, with no branch
     LP.  Only when none exist does the check solve one descent LP per branch,
-    building the branches lazily and stopping at the first descent.
+    making the branches lazily and stopping at the first descent.  No branch
+    problem is built: every branch cone comes from one linearization.
     """
     if form == "anf":
-        system, branches = _anf_system(program, point), iter_branches(program, point, branch_cap)
+        system, lin = _anf_system(program, point), linearize_anf(program, point)
     elif form == "mpcc":
-        system, branches = _mpcc_system(program, point), iter_mpcc_branches(program, point, branch_cap)
+        system, lin = _mpcc_system(program, point), linearize_mpcc(program, point)
     else:
         raise ValueError(f"unknown form {form!r}")
+    specs = lin.specs(branch_cap)
     kind = "b-" + form
     ms = _strong_multipliers(system, m_verdict)
     if ms is None:
-        return _check_b_over_branches(branches, kind)
-    certificates = tuple(_checked_certificate(b, ms, system) for b in branches)
+        return _check_b_over_branches(lin, specs, kind)
+    row_weights, memo = _row_weights(ms, system), {}
+    certificates = tuple(_checked_certificate(lin, spec, ms, row_weights, memo) for spec in specs)
     return StationarityVerdict(kind, HOLDS, branch_certificates=certificates)
 
 
@@ -623,59 +629,62 @@ def translate_b_verdict(
     fails its check means the two forms disagree, a RuntimeError.
     """
     system = _mpcc_system(mp, point)
+    lin = linearize_mpcc(mp, point)
     base = point.base_signature.entries
 
-    def counterpart_branch(label: str) -> SmoothBranchProblem:
+    def counterpart_spec(label: str) -> BranchSpec:
         spec = parse_branch_label(label, "signature", base)
         if spec is None:
             raise ValueError(f"source verdict names no abs-normal branch: {label!r}")
-        return build_mpcc_branch(mp, point, branch_correspondence(spec))
+        return branch_correspondence(spec)
 
     if verdict.status == FAILS:
-        b = counterpart_branch(verdict.failing_branch)
-        descent = split_direction_matrix(mp.n_x, mp.s, b.spec).mat_vec(verdict.descent)
-        if not lin_cone_branch(b).contains_point(descent) or dot(
-            b.objective.gradient(b.anchor), descent
-        ) >= 0:
-            raise RuntimeError(f"translated descent direction fails on branch {b.label}")
-        return replace(verdict, kind="b-mpcc", failing_branch=b.label, descent=descent)
+        spec = counterpart_spec(verdict.failing_branch)
+        descent = split_direction_matrix(mp.n_x, mp.s, spec).mat_vec(verdict.descent)
+        if not lin.cone(spec.signs).contains_point(descent) or dot(lin.gradient, descent) >= 0:
+            raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
+        return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)
     m1 = system.m1
     inactive = set(system.inactive_i)
     active = [k for k in range(system.m2) if k not in inactive]
     certificates = []
+    memo: dict = {}
+    # the multipliers of a certificate depend on its weights of the constraint
+    # rows only, which the strong-stationarity certificates of all branches share
+    by_weights: dict = {}
     for cert in verdict.branch_certificates:
         if len(cert.dual_eq) != m1 + system.s or len(cert.dual_ineq) != len(active) + len(system.degenerate):
             raise ValueError(f"source certificate of branch {cert.branch} has the wrong length")
-        lam_i = [ZERO] * system.m2
-        for k, x in zip(active, cert.dual_ineq):
-            lam_i[k] = x
-        ms = _multipliers_from_lam(system, vec_neg(cert.dual_eq[:m1]) + tuple(lam_i) + vec_neg(cert.dual_eq[m1:]))
+        key = (cert.dual_eq, cert.dual_ineq[: len(active)])
+        mapped = by_weights.get(key)
+        if mapped is None:
+            lam_i = [ZERO] * system.m2
+            for k, x in zip(active, cert.dual_ineq):
+                lam_i[k] = x
+            ms = _multipliers_from_lam(system, vec_neg(cert.dual_eq[:m1]) + tuple(lam_i) + vec_neg(cert.dual_eq[m1:]))
+            mapped = by_weights[key] = (ms, _row_weights(ms, system))
         try:
-            certificates.append(_checked_certificate(counterpart_branch(cert.branch), ms, system))
+            certificates.append(_checked_certificate(lin, counterpart_spec(cert.branch), *mapped, memo))
         except RuntimeError as exc:
             raise RuntimeError(f"translated B certificate failed the counterpart: {exc}") from exc
     return replace(verdict, kind="b-mpcc", branch_certificates=tuple(certificates))
 
 
-def verify_branch_dual_certificate(
-    cert: BranchDualCertificate, cone: PolyCone, gradient: Vec
+def verify_branch_certificate(
+    lin: BranchLinearization, signs: tuple[int, ...], cert: BranchDualCertificate, memo: dict
 ) -> list[str]:
-    """Substitution check: gradient = E^T y + I^T lam with lam >= 0, one
-    column dot per coordinate over the rows of nonzero weight."""
-    if len(cert.dual_eq) != len(cone.eq_rows) or len(cert.dual_ineq) != len(cone.ineq_rows):
+    """Substitution check of the dual certificate of the branch ``signs`` of
+    ``lin``: gradient = E^T y + I^T lam with lam >= 0 over that branch's rows.
+    ``memo`` is the caller's ``BranchLinearization.combination`` memo, kept
+    across the branches of ``lin``."""
+    if len(cert.dual_eq) != lin.n_eq or len(cert.dual_ineq) != lin.n_ineq:
         return [
             f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
-            f"{len(cone.eq_rows)} + {len(cone.ineq_rows)} cone rows"
+            f"{lin.n_eq} + {lin.n_ineq} cone rows"
         ]
     errors = []
     if any(x < 0 for x in cert.dual_ineq):
         errors.append("negative inequality weight")
-    terms = [(w, row) for w, row in zip(cert.dual_eq + cert.dual_ineq, cone.eq_rows + cone.ineq_rows) if w]
-    if terms:
-        weights, rows = zip(*terms)
-        combo = tuple(dot(weights, column) for column in zip(*rows))
-    else:
-        combo = zero_vec(cone.dim)
-    if combo != tuple(gradient):
+    if lin.combination(signs, cert.dual_eq, cert.dual_ineq, memo) != lin.gradient:
         errors.append("dual combination does not reproduce the gradient")
     return errors

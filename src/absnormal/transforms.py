@@ -6,7 +6,9 @@ a program in abs-normal form (over ``(t, w)`` with switching block
 ``zeta -> u + v`` and ``z -> u - v`` with one complementarity pair per
 switching variable.  Branch problems fix a definite signature (respectively a
 resolution of the degenerate pairs) and are plain smooth quadratic programs;
-all cone and stationarity machinery downstream consumes those.
+the qualification checker consumes those, while branch linearized cones come
+from one linearization per point (``cones.linearize_anf``/``linearize_mpcc``)
+that needs only the branch specs.
 """
 
 from __future__ import annotations
@@ -333,18 +335,22 @@ def build_anf_branch(p: AbsNormalProgram, e: EvalResult, spec: BranchSpec) -> Sm
     )
 
 
-def iter_branches(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP):
-    """The branch problems at the point, built one at a time as they are
-    consumed.  The cap is checked at the call, before any branch is built.
+def branch_specs(kind: str, base: SignatureVector, cap: int = DEFAULT_BRANCH_CAP):
+    """The branches of ``kind`` at a point of anchor signature ``base``, one
+    spec per definite signature dominating it, made as they are consumed.  The
+    cap is checked at the call, before any spec is made.
 
     Order is deterministic: degenerate entries are resolved + before -, first
     index varying slowest.
     """
-    _check_cap(len(e.alpha), cap)
-    return (
-        build_anf_branch(p, e, BranchSpec("signature", refined.entries, e.sigma.entries))
-        for refined in e.sigma.refinements()
-    )
+    _check_cap(base.entries.count(0), cap)
+    return (BranchSpec(kind, refined.entries, base.entries) for refined in base.refinements())
+
+
+def iter_branches(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP):
+    """The branch problems at the point, in ``branch_specs`` order, built one
+    at a time as they are consumed; the cap is checked at the call."""
+    return (build_anf_branch(p, e, spec) for spec in branch_specs("signature", e.sigma, cap))
 
 
 def enumerate_branches(
@@ -382,11 +388,9 @@ def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> Sm
 def iter_mpcc_branches(mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP):
     """One branch per subset of degenerate pairs, aligned with the signature
     order and built as consumed; the cap is checked at the call."""
-    base = point.base_signature
-    _check_cap(len(point.degenerate), cap)
     return (
-        build_mpcc_branch(mp, point, BranchSpec("partition", refined.entries, base.entries))
-        for refined in base.refinements()
+        build_mpcc_branch(mp, point, spec)
+        for spec in branch_specs("partition", point.base_signature, cap)
     )
 
 

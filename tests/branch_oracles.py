@@ -1,0 +1,140 @@
+"""Reference constructions of branch linearized cones, for cross-checks.
+
+The package builds every branch linearized cone from one linearization per
+formulation and point (``cones.linearize_anf``/``linearize_mpcc``).  These
+oracles build the same cones the slow, independent ways: from a built branch
+problem's own functions (``lin_cone_branch``), or from the defining rows of
+the nonconvex linearized cones (``lin_cone_abs_direct``,
+``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
+certificate against a built cone, one column dot per coordinate.
+"""
+
+from fractions import Fraction
+
+from absnormal.anf import AbsNormalProgram, EvalResult, constraint_jacobians
+from absnormal.cones import PolyCone, UnionCone
+from absnormal.ratmath import ONE, ZERO, Vec, dot, unit_vec, zero_vec
+from absnormal.stationarity import BranchDualCertificate
+from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
+
+
+def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
+    """Gradients of equalities as equations, of anchor-active inequalities as
+    inequalities; each constraint is evaluated once at the anchor."""
+    anchor = b.anchor
+    values = [func.value(anchor) for func in b.ineqs]
+    if any(v < 0 for v in values) or any(func.value(anchor) != 0 for func in b.eqs):
+        raise ValueError(f"anchor is infeasible for branch {b.label}")
+    eq = tuple(func.gradient(anchor) for func in b.eqs)
+    ineq = tuple(func.gradient(anchor) for func, v in zip(b.ineqs, values) if v == 0)
+    return PolyCone(b.n_vars, eq, ineq)
+
+
+def union_from_branches(branches) -> UnionCone:
+    return UnionCone(tuple((b.label, lin_cone_branch(b)) for b in branches))
+
+
+def lin_cone_abs_direct(p: AbsNormalProgram, e: EvalResult) -> UnionCone:
+    """The abs-normal-linearized cone from its defining rows, split by the sign
+    pattern of the active switching directions (no branch problems involved).
+
+    Each piece fixes signs on the active entries, replaces the zeta-directions
+    by the signed z-directions, and adds the matching sign conditions.
+    """
+    jac = constraint_jacobians(p, e)
+    dim = p.n_t + p.s
+    pieces = []
+    for refined in e.sigma.refinements():
+        signs = refined.entries
+        eq = []
+        ineq = []
+
+        def direction_row(d1_row: Vec, d2_row: Vec) -> Vec:
+            return d1_row + tuple(Fraction(signs[i]) * d2_row[i] for i in range(p.s))
+
+        for k in range(p.m1):
+            eq.append(direction_row(jac.d1_ce.row(k), jac.d2_ce.row(k)))
+        for i in range(p.s):
+            row = direction_row(jac.d1_cz.row(i), jac.d2_cz.row(i))
+            row = tuple(x - (ONE if j == p.n_t + i else ZERO) for j, x in enumerate(row))
+            eq.append(row)
+        for k in e.active_i:
+            ineq.append(direction_row(jac.d1_ci.row(k), jac.d2_ci.row(k)))
+        for i in e.alpha:
+            ineq.append(
+                tuple(Fraction(signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
+            )
+        pieces.append((refined.label(), PolyCone(dim, tuple(eq), tuple(ineq))))
+    return UnionCone(tuple(pieces))
+
+
+def lin_cone_mpcc_direct(mp: MpccProgram, point: MpccPoint) -> UnionCone:
+    """The complementarity-linearized cone from its defining rows: Jacobians of
+    the substituted constraints plus one complementarity-cone piece per
+    resolution of the degenerate pairs."""
+    coords = point.coords
+    dim = mp.dim
+    eq_base = [func.gradient(coords) for func in mp.eq_funcs]
+    ineq_base = [
+        func.gradient(coords) for func in mp.ci_funcs if func.value(coords) == 0
+    ]
+    compl = compl_cone(point)
+    pad = zero_vec(mp.n_x)
+    pieces = []
+    for label, piece in compl.members:
+        eq = tuple(eq_base) + tuple(pad + r for r in piece.eq_rows)
+        ineq = tuple(ineq_base) + tuple(pad + r for r in piece.ineq_rows)
+        pieces.append((label, PolyCone(dim, eq, ineq)))
+    return UnionCone(tuple(pieces))
+
+
+def compl_cone(point: MpccPoint) -> UnionCone:
+    """Tangent (= linearized) cone of the complementarity set at the point, in
+    (du, dv) coordinates: a union over resolutions of the degenerate pairs."""
+    s = len(point.u)
+    dim = 2 * s
+    base = point.base_signature
+    pieces = []
+    for refined in base.refinements():
+        eq = []
+        ineq = []
+        for i, sg in enumerate(refined.entries):
+            u_row = unit_vec(dim, i)
+            v_row = unit_vec(dim, s + i)
+            if sg > 0:
+                eq.append(v_row)
+                if base.entries[i] == 0:
+                    ineq.append(u_row)
+            else:
+                eq.append(u_row)
+                if base.entries[i] == 0:
+                    ineq.append(v_row)
+        spec_label = "P={" + ",".join(
+            str(i + 1) for i in point.degenerate if refined.entries[i] == -1
+        ) + "}"
+        pieces.append((spec_label, PolyCone(dim, tuple(eq), tuple(ineq))))
+    return UnionCone(tuple(pieces))
+
+
+def verify_branch_dual_certificate(
+    cert: BranchDualCertificate, cone: PolyCone, gradient: Vec
+) -> list[str]:
+    """Substitution check: gradient = E^T y + I^T lam with lam >= 0, one
+    column dot per coordinate over the rows of nonzero weight."""
+    if len(cert.dual_eq) != len(cone.eq_rows) or len(cert.dual_ineq) != len(cone.ineq_rows):
+        return [
+            f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
+            f"{len(cone.eq_rows)} + {len(cone.ineq_rows)} cone rows"
+        ]
+    errors = []
+    if any(x < 0 for x in cert.dual_ineq):
+        errors.append("negative inequality weight")
+    terms = [(w, row) for w, row in zip(cert.dual_eq + cert.dual_ineq, cone.eq_rows + cone.ineq_rows) if w]
+    if terms:
+        weights, rows = zip(*terms)
+        combo = tuple(dot(weights, column) for column in zip(*rows))
+    else:
+        combo = zero_vec(cone.dim)
+    if combo != tuple(gradient):
+        errors.append("dual combination does not reproduce the gradient")
+    return errors

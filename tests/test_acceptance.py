@@ -20,11 +20,9 @@ from absnormal.cones import (
     cone_equal,
     cone_image,
     dual_cone,
-    lin_cone_abs_direct,
-    lin_cone_branch,
-    lin_cone_mpcc_direct,
+    lin_cone_abs,
+    lin_cone_mpcc,
     union_covers,
-    union_from_branches,
 )
 from absnormal.cq import (
     ABS_E,
@@ -63,6 +61,8 @@ from absnormal.transforms import (
     to_mpcc,
     to_slack,
 )
+
+from branch_oracles import lin_cone_abs_direct, lin_cone_mpcc_direct, union_from_branches
 
 
 def _corpus_cases():
@@ -217,11 +217,14 @@ def test_criterion_3_decomposition_into_branches():
         direct = lin_cone_abs_direct(pf.program, e)
         branch_union = union_from_branches(enumerate_branches(pf.program, e))
         assert _unions_equal_as_sets(direct, branch_union), f"{pf.name}/{point.label}: abs-form"
+        # the package's one linearization gives the built branches' cones, row for row
+        assert lin_cone_abs(pf.program, e) == branch_union, f"{pf.name}/{point.label}: abs-form"
         mp = pa.mpcc
         mpoint = pa.mpcc_point
         direct_m = lin_cone_mpcc_direct(mp, mpoint)
         branch_union_m = union_from_branches(enumerate_mpcc_branches(mp, mpoint))
         assert _unions_equal_as_sets(direct_m, branch_union_m), f"{pf.name}/{point.label}: counterpart"
+        assert lin_cone_mpcc(mp, mpoint) == branch_union_m, f"{pf.name}/{point.label}: counterpart"
     print(
         "\nACCEPTANCE 3 PASS: linearized-cone decomposition (defining rows vs branch "
         f"union) verified on {len(CASES)} corpus points, both forms, zero tolerance"

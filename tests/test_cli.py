@@ -457,9 +457,9 @@ def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
     real = stationarity._branch_certificate
     calls = []
 
-    def corrupt_second(b, ms, system):
-        cert = real(b, ms, system)
-        calls.append(b.label)
+    def corrupt_second(lin, spec, *rest):
+        cert = real(lin, spec, *rest)
+        calls.append(spec.label)
         if len(calls) == 2:
             cert = dataclasses.replace(cert, dual_ineq=tuple(x + 1 for x in cert.dual_ineq))
         return cert
@@ -473,9 +473,23 @@ def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
         assert err.startswith("error: internal: ") and "branch σ=-" in err
 
 
-def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
-    import absnormal.cli
+def forbid_branch_problems(monkeypatch):
+    """Make building a branch problem raise, wherever the builders are bound."""
+    import absnormal.transforms
 
+    def no_build(*args, **kwargs):
+        raise AssertionError("a branch problem was built")
+
+    modules = [m for name, m in sys.modules.items() if name == "absnormal" or name.startswith("absnormal.")]
+    for name in ("build_anf_branch", "build_mpcc_branch"):
+        original = getattr(absnormal.transforms, name)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, no_build)
+
+
+def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
     pf = load_corpus_problem("E1")
     code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b", "--recheck")
     assert code == 1
@@ -484,13 +498,89 @@ def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
     stat = report["points"][0]["stationarity"]
     assert (stat["b-anf"]["failing_branch"], stat["b-mpcc"]["failing_branch"]) == ("σ=+", "P={}")
 
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("a B Fails recheck enumerates no branches")
-
-    monkeypatch.setattr(absnormal.cli, "enumerate_branches", no_enumeration)
-    monkeypatch.setattr(absnormal.cli, "enumerate_mpcc_branches", no_enumeration)
+    # the failing branch's cone comes from the point's linearization
+    forbid_branch_problems(monkeypatch)
     assert recheck_report(pf, report) == []
     for kind, label in (("b-anf", "P={}"), ("b-anf", "σ=-"), ("b-anf", "σ=++"), ("b-mpcc", "σ=+"), ("b-mpcc", None)):
         tampered = copy.deepcopy(report)
         tampered["points"][0]["stationarity"][kind]["failing_branch"] = label
         assert recheck_report(pf, tampered) == [f"point shoulder {kind}: unknown failing branch {label!r}"]
+
+
+def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys, monkeypatch):
+    pf = load_corpus_problem("E1")
+    code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--recheck")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    # the whole command too, both forms, certificates and descent LPs alike
+    commands = [
+        ("check-stationarity", problem, "--b", "--form", form, "--recheck")
+        for problem in ("E1", "E2", "E3", "E4", skewed_kinks3(tmp_path), write_problem(tmp_path, kinks_problem(3, -1)))
+        for form in ("anf", "mpcc")
+    ]
+    outputs = [run_cli(capsys, *argv) for argv in commands]
+    assert {code for code, _, _ in outputs} == {0, 1}
+    forbid_branch_problems(monkeypatch)
+    assert recheck_report(pf, report) == []
+    for argv, expected in zip(commands, outputs):
+        assert run_cli(capsys, *argv) == expected, argv
+        assert json.loads(expected[1])["recheck"]["errors"] == []
+
+
+def skewed_kinks3(tmp_path) -> str:
+    """kinks3 at its minimizer with objective t_4 + t_1/2: the t_1 term gives
+    switch 1 the pair multipliers 1/2 and 3/2, so branches that resolve it
+    differently carry different B certificates."""
+    data = kinks_problem(3, 1)
+    data["name"] = "kinks3-skewed"
+    data["objective"] = {"linear": ["1/2", "0", "0", "1"]}
+    return write_problem(tmp_path, data)
+
+
+@pytest.mark.parametrize("kind", ["b-anf", "b-mpcc"])
+def test_one_branch_certificate_mutation_names_exactly_that_branch(tmp_path, capsys, kind):
+    path = skewed_kinks3(tmp_path)
+    code, out, _ = run_cli(capsys, "check-stationarity", path, "--b", "--recheck")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    pf = parse_problem(path)
+    certificates = report["points"][0]["stationarity"][kind]["branch_certificates"]
+    assert len(certificates) == 8
+    victim, donor = 5, 1  # resolve switch 1 to different sides, share switches 2 and 3
+    label = certificates[victim]["branch"]
+    assert certificates[victim]["dual_ineq"] != certificates[donor]["dual_ineq"]
+
+    def bump(values, j):
+        values[j] = str(Fraction(values[j]) + 1)
+
+    mutations = {
+        "shared-row weight": lambda c: bump(c["dual_eq"], 0),
+        "degenerate sign-row weight": lambda c: bump(c["dual_ineq"], len(c["dual_ineq"]) - 3),
+        "another branch's certificate": lambda c: c.update(
+            {key: list(certificates[donor][key]) for key in ("dual_eq", "dual_ineq")}
+        ),
+    }
+    for what, mutate in mutations.items():
+        tampered = copy.deepcopy(report)
+        mutate(tampered["points"][0]["stationarity"][kind]["branch_certificates"][victim])
+        assert recheck_report(pf, tampered) == [
+            f"point origin {kind} branch {label}: dual combination does not reproduce the gradient"
+        ], what
+
+
+def test_back_to_back_main_calls_share_the_parser_but_no_state(capsys):
+    from absnormal.cli import build_parser
+
+    code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--recheck", "--m")
+    assert code == 0
+    first = json.loads(out)
+    assert first["recheck"] == {"errors": []}
+    assert set(first["points"][0]["stationarity"]) == {"m-anf", "m-mpcc"}
+    code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin")
+    assert code == 0
+    second = json.loads(out)
+    assert "recheck" not in second
+    assert set(second["points"][0]["stationarity"]) == {"m-anf", "m-mpcc", "b-anf", "b-mpcc"}
+    assert build_parser() is build_parser()

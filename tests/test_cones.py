@@ -1,6 +1,10 @@
+import dataclasses
+import random
+from fractions import Fraction
+
 import pytest
 
-from absnormal.anf import evaluate
+from absnormal.anf import QuadraticFunc, evaluate
 from absnormal.cones import (
     PolyCone,
     TANGENT_AFFINE,
@@ -8,20 +12,19 @@ from absnormal.cones import (
     TANGENT_MFCQ,
     TANGENT_UNKNOWN,
     UnionCone,
-    compl_cone,
     cone_contains,
     cone_equal,
     cone_image,
     dual_cone,
     dual_union,
-    lin_cone_abs_direct,
-    lin_cone_branch,
-    lin_cone_mpcc_direct,
+    lin_cone_abs,
+    lin_cone_mpcc,
+    linearize_anf,
+    linearize_mpcc,
     tangent_cone_branch,
     union_covers,
-    union_from_branches,
 )
-from absnormal.ratmath import vec
+from absnormal.ratmath import RatMatrix, vec, zero_vec
 from absnormal.transforms import (
     enumerate_branches,
     enumerate_mpcc_branches,
@@ -29,7 +32,17 @@ from absnormal.transforms import (
     phi_inv,
     split_direction_matrix,
     to_mpcc,
+    to_slack,
 )
+
+from branch_oracles import (
+    compl_cone,
+    lin_cone_abs_direct,
+    lin_cone_branch,
+    lin_cone_mpcc_direct,
+    union_from_branches,
+)
+from conftest import make_e2, make_e3, make_e4, random_affine_program
 
 
 def cone(dim, eq=(), ineq=()):
@@ -73,6 +86,7 @@ def test_lin_cone_abs_direct_matches_branch_union(e1, e2, e3, e4):
         via_branches = union_from_branches(enumerate_branches(p, e))
         for (_, a), (_, b) in zip(direct.members, via_branches.members, strict=True):
             assert cone_equal(a, b)
+        assert lin_cone_abs(p, e) == via_branches
 
 
 def test_lin_cone_mpcc_direct_matches_branch_union(e1, e2, e3, e4):
@@ -84,6 +98,7 @@ def test_lin_cone_mpcc_direct_matches_branch_union(e1, e2, e3, e4):
         via_branches = union_from_branches(enumerate_mpcc_branches(mp, point))
         for (_, a), (_, b) in zip(direct.members, via_branches.members, strict=True):
             assert cone_equal(a, b)
+        assert lin_cone_mpcc(mp, point) == via_branches
 
 
 def test_compl_cone_l_shape():
@@ -105,8 +120,9 @@ def test_compl_cone_inactive_pair_single_piece():
 
 def test_tangent_affine_branches(e1):
     e = evaluate(e1, [0, 0])
+    lin = linearize_anf(e1, e)
     for b in enumerate_branches(e1, e):
-        c, cert = tangent_cone_branch(b)
+        c, cert = tangent_cone_branch(b, lin.cone(b.spec.signs))
         assert cert.status == TANGENT_AFFINE
         assert cone_equal(c, lin_cone_branch(b))
 
@@ -114,7 +130,7 @@ def test_tangent_affine_branches(e1):
 def test_tangent_unknown_for_degenerate_quadratic(e3):
     e = evaluate(e3, [0, 0])
     for b in enumerate_branches(e3, e):
-        c, cert = tangent_cone_branch(b)
+        c, cert = tangent_cone_branch(b, lin_cone_branch(b))
         assert c is None
         assert cert.status == TANGENT_UNKNOWN
         assert cert.active_rank < cert.active_rows  # rank evidence
@@ -141,7 +157,7 @@ def test_tangent_licq_branch():
     )
     e = evaluate(p, [0, 0])
     (b,) = enumerate_branches(p, e)
-    c, cert = tangent_cone_branch(b)
+    c, cert = tangent_cone_branch(b, lin_cone_branch(b))
     assert cert.status == TANGENT_LICQ
     assert c is not None
 
@@ -173,7 +189,7 @@ def test_tangent_mfcq_branch():
     )
     e = evaluate(p, [0, 0])
     (b,) = enumerate_branches(p, e)
-    c, cert = tangent_cone_branch(b)
+    c, cert = tangent_cone_branch(b, lin_cone_branch(b))
     assert cert.status == TANGENT_MFCQ
     assert cert.strict_point is not None
     assert c is not None
@@ -278,3 +294,166 @@ def test_zero_cone_is_covered_by_anything():
     ok, witness = union_covers([c], z)
     assert ok and witness is None
     assert z.is_zero_cone()
+
+
+# -- the per-point linearization against the built branch problems ------------
+
+
+def linearizations(p, e):
+    """Both forms' linearizations at the point, each with the branch problems
+    that ``transforms`` builds for it."""
+    mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+    return [
+        (linearize_anf(p, e), enumerate_branches(p, e)),
+        (linearize_mpcc(mp, point), enumerate_mpcc_branches(mp, point)),
+    ]
+
+
+def assert_rows_of_built_branches(p, e) -> int:
+    """Every branch cone and the objective gradient of each linearization
+    equal, as tuples, those read off the built branch problem; returns the
+    number of branches compared."""
+    count = 0
+    for lin, branches in linearizations(p, e):
+        specs = list(lin.specs())
+        assert specs == [b.spec for b in branches]
+        for spec, b in zip(specs, branches):
+            ref = lin_cone_branch(b)
+            got = lin.cone(spec.signs)
+            assert (got.dim, got.eq_rows, got.ineq_rows) == (ref.dim, ref.eq_rows, ref.ineq_rows), b.label
+            assert lin.gradient == b.objective.gradient(b.anchor)
+            assert (lin.n_eq, lin.n_ineq) == (len(ref.eq_rows), len(ref.ineq_rows))
+            count += 1
+    return count
+
+
+def with_slack_form(p, e):
+    slack = to_slack(p)
+    return [(p, e), (slack.program, evaluate(slack.program, slack.lift_smooth_point(e)))]
+
+
+def with_random_quadratics(rng, p):
+    """``p`` with a random symmetric quadratic term on each equality and
+    inequality row, shifted so that every row keeps its value at t = 0."""
+    base = zero_vec(p.n_t) + evaluate(p, zero_vec(p.n_t)).abs_z
+    dim = p.block_dim
+
+    def bump(func):
+        entries = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                entries[i][j] = entries[j][i] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        quad = RatMatrix.from_rows(entries, dim)
+        shift = sum(x * y for x, y in zip(base, quad.mat_vec(base)))
+        return QuadraticFunc(dim, func.constant - shift, func.linear, quad)
+
+    return dataclasses.replace(p, c_e=tuple(map(bump, p.c_e)), c_i=tuple(map(bump, p.c_i)))
+
+
+def test_linearization_rows_equal_built_branches_on_corpus_and_quadratic_points():
+    from absnormal.problemfile import load_corpus
+
+    points = [(pf.program, pt.t) for pf in load_corpus() for pt in pf.points]
+    # E3/E4 away from the origin, where their quadratic rows have nonzero gradients
+    e3, e4 = make_e3(), make_e4()
+    points += [(e3, [0, 5]), (e3, [0, -2]), (e4, [0, 3]), (e4, [2, 0]), (e4, [-2, 0])]
+    compared = 0
+    for p, t in points:
+        for q, qe in with_slack_form(p, evaluate(p, t)):
+            compared += assert_rows_of_built_branches(q, qe)
+    assert compared >= 60
+
+
+def test_linearization_rows_equal_built_branches_on_random_programs():
+    rng = random.Random(271828)
+    checked = degenerate = quadratic = 0
+    while checked < 60:
+        p = random_affine_program(rng, max_s=3)
+        if checked % 2:
+            p = with_random_quadratics(rng, p)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        for q, qe in with_slack_form(p, e):
+            assert_rows_of_built_branches(q, qe)
+        checked += 1
+        degenerate += len(e.alpha) > 0
+        quadratic += any(not f.is_affine() for f in p.c_e + p.c_i)
+    assert degenerate >= 20 and quadratic >= 20
+
+
+def naive_combination(cone, dual_eq, dual_ineq):
+    out = [Fraction(0)] * cone.dim
+    for w, row in zip(dual_eq + dual_ineq, cone.eq_rows + cone.ineq_rows):
+        for j, x in enumerate(row):
+            out[j] += w * x
+    return tuple(out)
+
+
+def random_weights(rng, n):
+    return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+
+
+def test_combination_equals_the_naive_sum_for_shared_and_per_branch_weights():
+    rng = random.Random(1618)
+    programs = [make_e2(), make_e4()]
+    while len(programs) < 20:
+        p = random_affine_program(rng, max_s=3)
+        if evaluate(p, zero_vec(p.n_t)).is_feasible():
+            programs.append(with_random_quadratics(rng, p) if len(programs) % 2 else p)
+    compared = 0
+    for p in programs:
+        for q, qe in with_slack_form(p, evaluate(p, zero_vec(p.n_t))):
+            for lin, _ in linearizations(q, qe):
+                n_shared_eq, n_shared_ineq = len(lin.eq_grads), len(lin.ineq_grads)
+                shared = random_weights(rng, n_shared_eq), random_weights(rng, n_shared_ineq)
+                memo = {}
+                for spec in lin.specs():
+                    cone = lin.cone(spec.signs)
+                    # shared row weights with per-branch unit weights, then
+                    # wholly per-branch weights, through the same memo
+                    for eq_w, ineq_w in (
+                        (shared[0] + random_weights(rng, lin.n_eq - n_shared_eq),
+                         shared[1] + random_weights(rng, lin.n_ineq - n_shared_ineq)),
+                        (random_weights(rng, lin.n_eq), random_weights(rng, lin.n_ineq)),
+                    ):
+                        got = lin.combination(spec.signs, eq_w, ineq_w, memo)
+                        assert got == naive_combination(cone, eq_w, ineq_w)
+                        compared += 1
+    assert compared >= 500
+
+
+def test_combination_memo_never_masks_a_different_weight():
+    e2 = make_e2()
+    e = evaluate(e2, [0, 0])
+    lin = linearize_anf(e2, e)
+    spec = next(iter(lin.specs()))
+    cone = lin.cone(spec.signs)
+    memo = {}
+    eq_w, ineq_w = (Fraction(1),) * lin.n_eq, (Fraction(2),) * lin.n_ineq
+    first = lin.combination(spec.signs, eq_w, ineq_w, memo)
+    assert first == naive_combination(cone, eq_w, ineq_w)
+    # change one shared-row weight, then one per-branch weight only
+    for changed in (
+        (eq_w[:0] + (Fraction(5),) + eq_w[1:], ineq_w),
+        (eq_w, ineq_w[:-1] + (Fraction(7),)),
+    ):
+        got = lin.combination(spec.signs, *changed, memo)
+        assert got == naive_combination(cone, *changed) != first
+    with pytest.raises(ValueError, match="cone rows"):
+        lin.combination(spec.signs, eq_w[1:], ineq_w, memo)
+
+
+def test_linearization_rejects_an_infeasible_anchor_like_the_branch_cone(e1):
+    e = evaluate(e1, [1, 0])  # t2 = 0 != |t1|
+    with pytest.raises(ValueError) as from_lin:
+        linearize_anf(e1, e)
+    with pytest.raises(ValueError) as from_branch:
+        lin_cone_branch(enumerate_branches(e1, e)[0])
+    assert str(from_lin.value) == str(from_branch.value) == "anchor is infeasible for branch σ=+"
+    mp, point = to_mpcc(e1), mpcc_point_from_eval(e)
+    with pytest.raises(ValueError) as from_lin:
+        linearize_mpcc(mp, point)
+    with pytest.raises(ValueError) as from_branch:
+        lin_cone_branch(enumerate_mpcc_branches(mp, point)[0])
+    assert str(from_lin.value) == str(from_branch.value) == "anchor is infeasible for branch P={}"

@@ -1,7 +1,7 @@
 import pytest
 
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
-from absnormal.cones import PolyCone, cone_equal
+from absnormal.cones import PolyCone, cone_equal, linearize_anf
 from absnormal.cq import (
     ABS_E,
     ABS_I,
@@ -31,6 +31,16 @@ from absnormal.transforms import (
 from conftest import e3_annotations, e4_annotations
 
 
+def branch_analyses(p, e, annotations=None):
+    """Each branch at the point with its cone from the point's linearization."""
+    lin = linearize_anf(p, e)
+    annotations = annotations or {}
+    return [
+        analyze_branch(b, lin.cone(b.spec.signs), annotations.get(b.label))
+        for b in enumerate_branches(p, e)
+    ]
+
+
 def kink_statuses(pa):
     report, kink, branch_verdicts = verify_relations(pa)
     return report, kink, branch_verdicts
@@ -38,25 +48,24 @@ def kink_statuses(pa):
 
 def test_branch_acq_holds_on_affine_branches(e1):
     e = evaluate(e1, [0, 0])
-    for b in enumerate_branches(e1, e):
-        v = check_branch_cq(b, "acq")
+    for ba in branch_analyses(e1, e):
+        v = check_branch_cq(ba, "acq")
         assert v.status == HOLDS
         assert "affine" in v.note
-        assert check_branch_cq(b, "gcq").status == HOLDS
+        assert check_branch_cq(ba, "gcq").status == HOLDS
 
 
 def test_branch_acq_unknown_without_annotation(e3):
     e = evaluate(e3, [0, 0])
-    b = enumerate_branches(e3, e)[0]
-    v = check_branch_cq(b, "acq")
+    ba = branch_analyses(e3, e)[0]
+    v = check_branch_cq(ba, "acq")
     assert v.status == UNKNOWN
-    assert v.blocking == (b.label,)
+    assert v.blocking == (ba.label,)
 
 
 def test_branch_acq_fails_with_annotation(e3):
     e = evaluate(e3, [0, 0])
-    b = enumerate_branches(e3, e)[0]
-    ba = analyze_branch(b, e3_annotations()["σ=+"])
+    ba = branch_analyses(e3, e, e3_annotations())[0]
     v = check_branch_cq(ba, "acq")
     assert v.status == FAILS
     # witness: a linearized direction with dt1 = dz = 1 escaping the tangent line
@@ -66,8 +75,7 @@ def test_branch_acq_fails_with_annotation(e3):
 def test_branch_gcq_fails_with_annotation(e3):
     # duals: tangent line dual {w2 = 0} strictly contains lin dual {w2 = 0, w1 + w3 >= 0}
     e = evaluate(e3, [0, 0])
-    b = enumerate_branches(e3, e)[0]
-    ba = analyze_branch(b, e3_annotations()["σ=+"])
+    ba = branch_analyses(e3, e, e3_annotations())[0]
     v = check_branch_cq(ba, "gcq")
     assert v.status == FAILS
     assert v.witness is not None
@@ -77,18 +85,16 @@ def test_branch_gcq_holds_on_e4_branches(e4):
     # hand duals: both the annotated tangent union and the lin cone dualize to
     # {w2 = 0, w1 + w3 >= 0} on the positive branch
     e = evaluate(e4, [0, 0])
-    b = enumerate_branches(e4, e)[0]
-    ba = analyze_branch(b, e4_annotations()["σ=+"])
+    ba = branch_analyses(e4, e, e4_annotations())[0]
     assert check_branch_cq(ba, "acq").status == FAILS
     assert check_branch_cq(ba, "gcq").status == HOLDS
 
 
 def test_annotation_must_sit_inside_lin_cone(e3):
     e = evaluate(e3, [0, 0])
-    b = enumerate_branches(e3, e)[0]
     bogus = (PolyCone.from_rows(3, eq=[[0, 1, 0]]),)  # contains (1,0,0), not in lin cone
     with pytest.raises(AnnotationError):
-        analyze_branch(b, bogus)
+        branch_analyses(e3, e, {"σ=+": bogus})
 
 
 def test_akq_holds_e1(e1):

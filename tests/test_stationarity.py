@@ -6,7 +6,6 @@ import pytest
 
 from absnormal import stationarity
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
-from absnormal.cones import lin_cone_branch
 from absnormal.cq import FAILS, HOLDS
 from absnormal.ratmath import LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
@@ -21,7 +20,6 @@ from absnormal.stationarity import (
     translate_b_verdict,
     translate_m_verdict,
     uncovered_case,
-    verify_branch_dual_certificate,
     verify_multipliers,
 )
 from absnormal.problemfile import load_corpus
@@ -33,6 +31,7 @@ from absnormal.transforms import (
     to_slack,
 )
 
+from branch_oracles import lin_cone_branch, verify_branch_dual_certificate
 from conftest import affine, make_e1, random_affine_program
 
 
