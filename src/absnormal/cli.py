@@ -8,7 +8,8 @@ every inline certificate and witness against the problem data by substitution.
 
 Exit codes: 0 all holds/consistent, 1 some verdict fails (for ``corpus run``:
 some expectation missed), 2 some verdict unknown, 3 usage or input errors,
-an exceeded branch or case cap, or a failed internal self-check.
+an exceeded branch or case cap, a report that ``--out`` cannot write, or a
+failed internal self-check.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .problemfile import (
     load_corpus_problem,
     parse_problem,
 )
-from .ratmath import LpCertificate, dot, rat, vec
+from .ratmath import LpCertificate, dot, integer_dot, primitive_integer, rat, vec
 from .stationarity import (
     BranchDualCertificate,
     CaseLimitError,
@@ -464,13 +465,8 @@ def _recheck_kink_verdict(prefix: str, verdict: dict, section: dict | None) -> l
 def _escapes_dual(w, cone: PolyCone) -> bool:
     """Whether some generator of the cone pairs negatively with w."""
     rays, lineality = cone.generators()
-    for g in rays:
-        if dot(w, g) < 0:
-            return True
-    for l in lineality:
-        if dot(w, l) != 0:
-            return True
-    return False
+    w = primitive_integer(w)  # a positive multiple: the same signs against each generator
+    return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
 
 
 def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict: dict) -> list[str]:
@@ -861,13 +857,20 @@ def _load_problem_arg(arg: str) -> ProblemFile:
     return parse_problem(arg)
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _emit(report: dict, out_path: str | None, code: int) -> int:
+    """Write the report and return the exit ``code``; a report that cannot be
+    written is the tool's failure, not a verdict, and exits 3."""
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {out_path}: {exc.strerror or exc}\n")
+        return EXIT_USAGE
+    return code
 
 
 def main(argv=None) -> int:
@@ -884,8 +887,7 @@ def main(argv=None) -> int:
             code = corpus_exit_code(report)
             if args.recheck:
                 report["recheck"] = {"errors": [], "note": "corpus reports carry no inline certificates"}
-            _emit(report, args.out)
-            return code
+            return _emit(report, args.out, code)
 
         pf = _load_problem_arg(args.problem)
         handlers = {
@@ -902,10 +904,8 @@ def main(argv=None) -> int:
             errors = recheck_report(pf, report)
             report["recheck"] = {"errors": errors}
             if errors:
-                _emit(report, args.out)
-                return EXIT_USAGE
-        _emit(report, args.out)
-        return exit_code_for_report(report)
+                return _emit(report, args.out, EXIT_USAGE)
+        return _emit(report, args.out, exit_code_for_report(report))
     except (ProblemFileError, BranchLimitError, CaseLimitError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -30,9 +30,10 @@ from .ratmath import (
     cone_generators,
     dot,
     generators_to_hrep,
-    is_zero_vec,
+    integer_dot,
     lp_solve,
     primitive,
+    primitive_integer,
     rank_rows,
     unit_vec,
     vec,
@@ -54,6 +55,8 @@ TANGENT_AFFINE = "affine"
 TANGENT_LICQ = "branch-licq"
 TANGENT_MFCQ = "branch-mfcq"
 TANGENT_UNKNOWN = "unknown"
+
+IntVec = tuple[int, ...]
 
 
 class SubdivisionDepthExceeded(RuntimeError):
@@ -109,19 +112,40 @@ class PolyCone:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """(rays, lineality basis) whose conic hull is the cone."""
-        return _generators_cached(self)
+    def integer_rows(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        """The (eq, ineq) rows scaled to primitive integer rows, made once.
 
-    def is_zero_cone(self) -> bool:
-        rays, lin = self.generators()
-        return not rays and not lin
+        A positive scale keeps every sign, so these rows test a vector for
+        membership exactly as the rational rows do."""
+        rows = self.__dict__.get("_integer_rows")
+        if rows is None:
+            rows = (
+                tuple(primitive_integer(r) for r in self.eq_rows),
+                tuple(primitive_integer(r) for r in self.ineq_rows),
+            )
+            object.__setattr__(self, "_integer_rows", rows)
+        return rows
+
+    def contains_integer(self, g: IntVec) -> bool:
+        """``contains_point`` for an integer vector, in integer arithmetic."""
+        eq, ineq = self.integer_rows()
+        return all(integer_dot(r, g) == 0 for r in eq) and all(integer_dot(r, g) >= 0 for r in ineq)
+
+    def generators(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        """(rays, lineality basis) whose conic hull is the cone, as primitive
+        integer vectors."""
+        return _generators_cached(self)
 
 
 @functools.lru_cache(maxsize=4096)
-def _generators_cached(cone: PolyCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    rays, lin = cone_generators(cone.dim, cone.eq_rows, cone.ineq_rows)
-    return tuple(rays), tuple(lin)
+def _generators_cached(cone: PolyCone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    eq, ineq = cone.integer_rows()
+    rays, lin = cone_generators(cone.dim, eq, ineq)
+    # both are primitive integer vectors: keep the numerators only
+    return (
+        tuple(tuple(x.numerator for x in r) for r in rays),
+        tuple(tuple(x.numerator for x in l) for l in lin),
+    )
 
 
 @dataclass(frozen=True)
@@ -177,6 +201,7 @@ def dual_union(u: UnionCone | list[PolyCone], dim: int | None = None) -> PolyCon
 
 
 def _signed_generators(cone: PolyCone):
+    """The integer generators of the cone, each lineality vector both ways."""
     rays, lin = cone.generators()
     yield from rays
     for l in lin:
@@ -188,18 +213,16 @@ def cone_contains(outer: PolyCone, inner: PolyCone) -> bool:
     """Set containment, decided on the generators of the inner cone."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch")
-    return all(outer.contains_point(g) for g in _signed_generators(inner))
-
-
-def cone_equal(a: PolyCone, b: PolyCone) -> bool:
-    return cone_contains(a, b) and cone_contains(b, a)
+    return all(outer.contains_integer(g) for g in _signed_generators(inner))
 
 
 def _signed_rows(cone: PolyCone):
-    for r in cone.eq_rows:
-        yield r
-        yield vec_neg(r)
-    yield from cone.ineq_rows
+    """(row, its primitive integer row): each equality both ways, then the inequalities."""
+    eq, ineq = cone.integer_rows()
+    for r, ri in zip(cone.eq_rows, eq):
+        yield r, ri
+        yield vec_neg(r), vec_neg(ri)
+    yield from zip(cone.ineq_rows, ineq)
 
 
 def union_covers(
@@ -228,8 +251,8 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
     if depth <= 0:
         raise SubdivisionDepthExceeded("hyperplane subdivision exceeded the depth cap")
     for m in members:
-        for h in _signed_rows(m):
-            vals = [dot(h, g) for g in gens]
+        for h, hi in _signed_rows(m):
+            vals = [integer_dot(hi, g) for g in gens]
             if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                 ok, witness = _covers(members, target.with_rows(ineq=[h]), depth - 1)
                 if not ok:
@@ -238,13 +261,10 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
     # No member hyperplane separates the generators strictly, so the sum of all
     # generators violates, for every member, some row on which no generator is
     # positive; it is therefore a single ray escaping the whole union.
-    witness = gens[0]
-    for g in gens[1:]:
-        witness = tuple(a + b for a, b in zip(witness, g))
-    witness = primitive(witness)
-    if is_zero_vec(witness) or any(m.contains_point(witness) for m in members):
+    witness = primitive_integer([sum(column) for column in zip(*gens)])
+    if not any(witness) or any(m.contains_integer(witness) for m in members):
         raise RuntimeError("subdivision invariant violated")
-    return False, witness
+    return False, vec(witness)
 
 
 def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
@@ -259,7 +279,7 @@ def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
     """
     rows = None
     for g in _signed_generators(target):
-        if any(m.contains_point(g) for m in itertools.chain(first, members)):
+        if any(m.contains_integer(g) for m in itertools.chain(first, members)):
             continue
         if rows is None:
             eq, ineq = {}, {}

@@ -7,49 +7,60 @@ rank test on the common tight set, which stays correct in the presence of a
 lineality space.  The reverse conversion runs the same algorithm on the polar
 cone.
 
-Output is canonical: rays are primitive integer vectors sorted
-lexicographically, the lineality basis is the primitive reduced row echelon
-form of the lineality space.
+The kernel is fraction-free.  Each input row is scaled once to a primitive
+integer row; rays and lineality vectors are integer vectors updated by integer
+combinations and divided by the gcd of their entries, and the rank test is
+Bareiss elimination on the scaled rows (Bareiss 1968).  A ray so differs from
+its rational counterpart by a positive factor and a lineality vector by a
+nonzero one, so the pivot sequence, and with it the output, are those of the
+rational algorithm.  Fractions are made only for the returned generators.
+
+The lineality basis is canonical: the primitive reduced row echelon form of
+the lineality space.  Rays are primitive integer vectors sorted
+lexicographically.  For a pointed cone they are the canonical extreme rays;
+with a lineality space present, a ray is the representative, modulo the
+lineality, that the processing order of the rows picks, which is why the
+kernel keeps that order.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .matrix import (
     Vec,
-    dot,
-    is_zero_vec,
+    integer_dot,
+    integer_rank,
     primitive,
-    rank_rows,
+    primitive_integer,
     rref,
-    unit_vec,
-    vec_scale,
-    vec_sub,
+    vec,
 )
 
 
 class _Ray:
     __slots__ = ("v", "tight")
 
-    def __init__(self, v: Vec, tight: frozenset[int]):
+    def __init__(self, v: tuple[int, ...], tight: frozenset[int]):
         self.v = v
         self.tight = tight
 
 
 def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[list[Vec], list[Vec]]:
     """Return (rays, lineality) generating ``{d : eq_rows . d = 0, ineq_rows . d >= 0}``."""
-    lineality: list[Vec] = [unit_vec(dim, i) for i in range(dim)]
+    lineality: list[tuple[int, ...]] = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[_Ray] = []
-    eq_seen: list[Vec] = []
-    ineq_seen: list[Vec] = []
+    eq_seen: list[tuple[int, ...]] = []
+    ineq_seen: list[tuple[int, ...]] = []
 
     def adjacent(r1: _Ray, r2: _Ray) -> bool:
-        rows = eq_seen + [ineq_seen[i] for i in sorted(r1.tight & r2.tight)]
-        return dim - rank_rows(rows, dim) == len(lineality) + 2
+        common = r1.tight & r2.tight
+        need = dim - len(lineality) - 2  # the rank of the common tight rows
+        if len(eq_seen) + len(common) < need:
+            return False
+        rows = [list(a) for a in eq_seen] + [list(ineq_seen[i]) for i in common]
+        return integer_rank(rows, dim) == need
 
-    def split_rays(a: Vec, keep_positive_side: bool, new_index: int | None) -> None:
-        vals = [(dot(a, r.v), r) for r in rays]
+    def split_rays(a, keep_positive_side: bool, new_index: int | None) -> None:
+        vals = [(integer_dot(a, r.v), r) for r in rays]
         pos = [(x, r) for x, r in vals if x > 0]
         zero = [r for x, r in vals if x == 0]
         neg = [(x, r) for x, r in vals if x < 0]
@@ -58,63 +69,66 @@ def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[list[Vec], list[Vec]]
             for an, rn in neg:
                 if not adjacent(rp, rn):
                     continue
-                v = vec_sub(vec_scale(ap, rn.v), vec_scale(an, rp.v))
+                v = [ap * y - an * x for x, y in zip(rp.v, rn.v)]
                 tight = rp.tight & rn.tight
                 if new_index is not None:
                     tight = tight | {new_index}
-                combos.append(_Ray(primitive(v), tight))
+                combos.append(_Ray(primitive_integer(v), tight))
         if new_index is not None:
             zero = [_Ray(r.v, r.tight | {new_index}) for r in zero]
         rays[:] = ([r for _, r in pos] if keep_positive_side else []) + zero + combos
 
-    def extract_lineality(a: Vec, keep_pivot_as_ray: bool, new_index: int | None) -> None:
-        pivot = next(l for l in lineality if dot(a, l) != 0)
-        scale = dot(a, pivot)
-        u = vec_scale(Fraction(1) / scale, pivot) if scale != 1 else pivot
-        lineality[:] = [vec_sub(l, vec_scale(dot(a, l), u)) for l in lineality if l is not pivot]
+    def extract_lineality(a, vals: list[int], keep_pivot_as_ray: bool, new_index: int | None) -> None:
+        # the first lineality vector p off the hyperplane is the pivot, s = a.p:
+        # l <- s l - (a.l) p keeps a lineality vector (up to a nonzero factor)
+        # in a's kernel, r <- |s| r - sign(s) (a.r) p a ray (up to a positive one)
+        k = next(i for i, x in enumerate(vals) if x)
+        p, s = lineality[k], vals[k]
+        lineality[:] = [
+            primitive_integer([s * y - x * q for y, q in zip(l, p)]) if x else l
+            for i, (l, x) in enumerate(zip(lineality, vals))
+            if i != k
+        ]
+        p_signed, abs_s = (p, s) if s > 0 else (tuple(-q for q in p), -s)
         for r in rays:
-            r.v = primitive(vec_sub(r.v, vec_scale(dot(a, r.v), u)))
+            x = integer_dot(a, r.v)
+            if x:
+                r.v = primitive_integer([abs_s * y - x * q for y, q in zip(r.v, p_signed)])
             if new_index is not None:
                 r.tight = r.tight | {new_index}
         if keep_pivot_as_ray:
             tight = frozenset(range(len(ineq_seen)))
-            rays.append(_Ray(primitive(u), tight))
+            rays.append(_Ray(p_signed, tight))
 
     for a in eq_rows:
-        a = tuple(a)
-        if is_zero_vec(a):
+        a = primitive_integer(a)
+        if not any(a):
             continue
-        if any(dot(a, l) != 0 for l in lineality):
-            extract_lineality(a, keep_pivot_as_ray=False, new_index=None)
+        vals = [integer_dot(a, l) for l in lineality]
+        if any(vals):
+            extract_lineality(a, vals, keep_pivot_as_ray=False, new_index=None)
         else:
             split_rays(a, keep_positive_side=False, new_index=None)
         eq_seen.append(a)
 
     for a in ineq_rows:
-        a = tuple(a)
+        a = primitive_integer(a)
         idx = len(ineq_seen)
-        if is_zero_vec(a):
+        if not any(a):
             ineq_seen.append(a)
             for r in rays:
                 r.tight = r.tight | {idx}
             continue
-        if any(dot(a, l) != 0 for l in lineality):
-            extract_lineality(a, keep_pivot_as_ray=True, new_index=idx)
+        vals = [integer_dot(a, l) for l in lineality]
+        if any(vals):
+            extract_lineality(a, vals, keep_pivot_as_ray=True, new_index=idx)
         else:
             split_rays(a, keep_positive_side=True, new_index=idx)
         ineq_seen.append(a)
 
     lin_basis = [primitive(row) for row in rref(lineality, dim)]
-    out: list[Vec] = []
-    seen: set[Vec] = set()
-    for r in rays:
-        v = primitive(r.v)
-        if is_zero_vec(v) or v in seen:
-            continue
-        seen.add(v)
-        out.append(v)
-    out.sort()
-    return out, lin_basis
+    out = sorted({r.v for r in rays if any(r.v)})
+    return [vec(v) for v in out], lin_basis
 
 
 def generators_to_hrep(dim: int, rays, lineality) -> tuple[list[Vec], list[Vec]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vec = tuple[Fraction, ...]
 
@@ -178,17 +179,40 @@ class RatMatrix:
         return all(is_zero_vec(r) for r in self.rows)
 
 
-def rank_rows(rows, cols: int) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on integer-scaled rows."""
-    work: list[list[int]] = []
-    for r in rows:
-        r = vec(r)
-        if len(r) != cols:
-            raise ValueError("inconsistent row length")
-        denom = 1
-        for x in r:
-            denom = lcm(denom, x.denominator)
-        work.append([int(x * denom) for x in r])
+def integer_row(a) -> list[int]:
+    """The row times the lcm of its denominators: the integer row that is its
+    least positive multiple.  Every sign is kept."""
+    dens = [x.denominator for x in a]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in a]
+    return [x.numerator * (den // d) for x, d in zip(a, dens)]
+
+
+def primitive_integer(a) -> tuple[int, ...]:
+    """The integer vector with coprime entries that is a positive multiple of
+    ``a``, as plain ints; the zero vector stays zero."""
+    row = integer_row(a)
+    g = gcd(*row)
+    if g > 1:
+        return tuple(x // g for x in row)
+    return tuple(row)
+
+
+def integer_dot(a, b) -> int:
+    """Inner product of two integer vectors."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors with lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
+
+
+def integer_rank(work: list[list[int]], cols: int) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination.
+
+    ``work`` is overwritten.  Each division by the previous pivot is exact,
+    and every entry is then a minor of the input rows, so the integers stay
+    as small as those minors.
+    """
     n_rows = len(work)
     r = 0
     prev_pivot = 1
@@ -198,15 +222,28 @@ def rank_rows(rows, cols: int) -> int:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         pivot = work[r][c]
+        top = work[r]
         for i in range(r + 1, n_rows):
-            factor = work[i][c]
+            row = work[i]
+            factor = row[c]
             for j in range(c, cols):
-                work[i][j] = (pivot * work[i][j] - factor * work[r][j]) // prev_pivot
+                row[j] = (pivot * row[j] - factor * top[j]) // prev_pivot
         prev_pivot = pivot
         r += 1
         if r == n_rows:
             break
     return r
+
+
+def rank_rows(rows, cols: int) -> int:
+    """Exact rank via fraction-free (Bareiss) elimination on integer-scaled rows."""
+    work: list[list[int]] = []
+    for r in rows:
+        r = vec(r)
+        if len(r) != cols:
+            raise ValueError("inconsistent row length")
+        work.append(integer_row(r))
+    return integer_rank(work, cols)
 
 
 def rank(m: RatMatrix) -> int:

@@ -7,12 +7,13 @@ problem's own functions (``lin_cone_branch``), or from the defining rows of
 the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
+``cone_equal`` is set equality of two cones, by containment both ways.
 """
 
 from fractions import Fraction
 
 from absnormal.anf import AbsNormalProgram, EvalResult, constraint_jacobians
-from absnormal.cones import PolyCone, UnionCone
+from absnormal.cones import PolyCone, UnionCone, cone_contains
 from absnormal.ratmath import ONE, ZERO, Vec, dot, unit_vec, zero_vec
 from absnormal.stationarity import BranchDualCertificate
 from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
@@ -28,6 +29,11 @@ def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
     eq = tuple(func.gradient(anchor) for func in b.eqs)
     ineq = tuple(func.gradient(anchor) for func, v in zip(b.ineqs, values) if v == 0)
     return PolyCone(b.n_vars, eq, ineq)
+
+
+def cone_equal(a: PolyCone, b: PolyCone) -> bool:
+    """Set equality of two cones, by containment both ways."""
+    return cone_contains(a, b) and cone_contains(b, a)
 
 
 def union_from_branches(branches) -> UnionCone:

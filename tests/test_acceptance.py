@@ -17,7 +17,6 @@ from absnormal.anf import evaluate
 from absnormal.cli import main
 from absnormal.cones import (
     PolyCone,
-    cone_equal,
     cone_image,
     dual_cone,
     lin_cone_abs,
@@ -62,7 +61,7 @@ from absnormal.transforms import (
     to_slack,
 )
 
-from branch_oracles import lin_cone_abs_direct, lin_cone_mpcc_direct, union_from_branches
+from branch_oracles import cone_equal, lin_cone_abs_direct, lin_cone_mpcc_direct, union_from_branches
 
 
 def _corpus_cases():

@@ -180,6 +180,25 @@ def test_cli_out_writes_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["command"] == "eval"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "E1", "--point", "origin"),
+        ("check-cq", "E2", "--all", "--recheck"),
+        ("corpus", "run"),
+        ("corpus", "run", "--recheck"),
+    ],
+)
+def test_cli_out_unwritable_is_an_error_not_a_verdict(tmp_path, capsys, argv):
+    out_path = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_cli_recheck_passes_everywhere(capsys):
     for name in ("E1", "E2", "E3", "E4"):
         code, out, _ = run_cli(capsys, "check-cq", name, "--all", "--recheck")

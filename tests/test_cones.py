@@ -13,7 +13,6 @@ from absnormal.cones import (
     TANGENT_UNKNOWN,
     UnionCone,
     cone_contains,
-    cone_equal,
     cone_image,
     dual_cone,
     dual_union,
@@ -37,6 +36,7 @@ from absnormal.transforms import (
 
 from branch_oracles import (
     compl_cone,
+    cone_equal,
     lin_cone_abs_direct,
     lin_cone_branch,
     lin_cone_mpcc_direct,
@@ -293,7 +293,7 @@ def test_zero_cone_is_covered_by_anything():
     c = cone(3, ineq=[[1, 1, 1]])
     ok, witness = union_covers([c], z)
     assert ok and witness is None
-    assert z.is_zero_cone()
+    assert z.generators() == ((), ())
 
 
 # -- the per-point linearization against the built branch problems ------------

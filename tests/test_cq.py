@@ -1,7 +1,7 @@
 import pytest
 
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
-from absnormal.cones import PolyCone, cone_equal, linearize_anf
+from absnormal.cones import PolyCone, linearize_anf
 from absnormal.cq import (
     ABS_E,
     ABS_I,
@@ -28,6 +28,7 @@ from absnormal.transforms import (
     to_mpcc,
 )
 
+from branch_oracles import cone_equal
 from conftest import e3_annotations, e4_annotations
 
 

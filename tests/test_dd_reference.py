@@ -1,0 +1,247 @@
+"""The fraction-free double description against the rational one it replaced.
+
+``rational_cone_generators`` is the ``Fraction`` kernel that ``ratmath.dd``
+used before its rays and lineality vectors became integer vectors, kept here
+unchanged but for its name as the reference.  Equal ``repr`` of the returned
+``(rays, lineality)`` lists means the integer kernel took the same pivots and
+picked the same ray representatives, down to the types of the entries.  The
+integer membership tests of ``cones`` and ``cli`` are checked against the
+rational ``PolyCone.contains_point`` the same way.
+"""
+
+import random
+from fractions import Fraction
+
+from absnormal.cli import _escapes_dual
+from absnormal.cones import PolyCone, cone_contains
+from absnormal.ratmath import (
+    ZERO,
+    cone_generators,
+    dot,
+    generators_to_hrep,
+    primitive_integer,
+    rank_rows,
+)
+from absnormal.ratmath.matrix import (
+    Vec,
+    is_zero_vec,
+    primitive,
+    rref,
+    unit_vec,
+    vec_scale,
+    vec_sub,
+)
+
+
+class _Ray:
+    __slots__ = ("v", "tight")
+
+    def __init__(self, v: Vec, tight: frozenset[int]):
+        self.v = v
+        self.tight = tight
+
+
+def rational_cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[list[Vec], list[Vec]]:
+    """Return (rays, lineality) generating ``{d : eq_rows . d = 0, ineq_rows . d >= 0}``."""
+    lineality: list[Vec] = [unit_vec(dim, i) for i in range(dim)]
+    rays: list[_Ray] = []
+    eq_seen: list[Vec] = []
+    ineq_seen: list[Vec] = []
+
+    def adjacent(r1: _Ray, r2: _Ray) -> bool:
+        rows = eq_seen + [ineq_seen[i] for i in sorted(r1.tight & r2.tight)]
+        return dim - rank_rows(rows, dim) == len(lineality) + 2
+
+    def split_rays(a: Vec, keep_positive_side: bool, new_index: int | None) -> None:
+        vals = [(dot(a, r.v), r) for r in rays]
+        pos = [(x, r) for x, r in vals if x > 0]
+        zero = [r for x, r in vals if x == 0]
+        neg = [(x, r) for x, r in vals if x < 0]
+        combos: list[_Ray] = []
+        for ap, rp in pos:
+            for an, rn in neg:
+                if not adjacent(rp, rn):
+                    continue
+                v = vec_sub(vec_scale(ap, rn.v), vec_scale(an, rp.v))
+                tight = rp.tight & rn.tight
+                if new_index is not None:
+                    tight = tight | {new_index}
+                combos.append(_Ray(primitive(v), tight))
+        if new_index is not None:
+            zero = [_Ray(r.v, r.tight | {new_index}) for r in zero]
+        rays[:] = ([r for _, r in pos] if keep_positive_side else []) + zero + combos
+
+    def extract_lineality(a: Vec, keep_pivot_as_ray: bool, new_index: int | None) -> None:
+        pivot = next(l for l in lineality if dot(a, l) != 0)
+        scale = dot(a, pivot)
+        u = vec_scale(Fraction(1) / scale, pivot) if scale != 1 else pivot
+        lineality[:] = [vec_sub(l, vec_scale(dot(a, l), u)) for l in lineality if l is not pivot]
+        for r in rays:
+            r.v = primitive(vec_sub(r.v, vec_scale(dot(a, r.v), u)))
+            if new_index is not None:
+                r.tight = r.tight | {new_index}
+        if keep_pivot_as_ray:
+            tight = frozenset(range(len(ineq_seen)))
+            rays.append(_Ray(primitive(u), tight))
+
+    for a in eq_rows:
+        a = tuple(a)
+        if is_zero_vec(a):
+            continue
+        if any(dot(a, l) != 0 for l in lineality):
+            extract_lineality(a, keep_pivot_as_ray=False, new_index=None)
+        else:
+            split_rays(a, keep_positive_side=False, new_index=None)
+        eq_seen.append(a)
+
+    for a in ineq_rows:
+        a = tuple(a)
+        idx = len(ineq_seen)
+        if is_zero_vec(a):
+            ineq_seen.append(a)
+            for r in rays:
+                r.tight = r.tight | {idx}
+            continue
+        if any(dot(a, l) != 0 for l in lineality):
+            extract_lineality(a, keep_pivot_as_ray=True, new_index=idx)
+        else:
+            split_rays(a, keep_positive_side=True, new_index=idx)
+        ineq_seen.append(a)
+
+    lin_basis = [primitive(row) for row in rref(lineality, dim)]
+    out: list[Vec] = []
+    seen: set[Vec] = set()
+    for r in rays:
+        v = primitive(r.v)
+        if is_zero_vec(v) or v in seen:
+            continue
+        seen.add(v)
+        out.append(v)
+    out.sort()
+    return out, lin_basis
+
+
+def _entry(rng: random.Random) -> Fraction:
+    if rng.random() < 0.4:
+        return ZERO
+    if rng.random() < 0.2:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return Fraction(rng.randint(-3, 3))
+
+
+def _factor(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 7), rng.randint(1, 3))
+
+
+def random_rows(rng: random.Random, dim: int, m: int) -> list[Vec]:
+    """``m`` random rows, then zero rows and duplicated, positively and
+    negatively scaled copies inserted at random places."""
+    rows = [tuple(_entry(rng) for _ in range(dim)) for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.choice(("zero", "copy", "positive", "negative"))
+        if kind == "zero" or not rows:
+            new = (ZERO,) * dim
+        else:
+            factor = {"copy": 1, "positive": _factor(rng), "negative": -_factor(rng)}[kind]
+            new = tuple(factor * x for x in rng.choice(rows))
+        rows.insert(rng.randint(0, len(rows)), new)
+    return rows
+
+
+def random_cone_rows(rng: random.Random) -> tuple[int, list[Vec], list[Vec]]:
+    dim = rng.randint(1, 8)
+    eq = random_rows(rng, dim, rng.choice((0, 0, 1, 2)))
+    ineq = random_rows(rng, dim, rng.randint(0, min(dim + 2, 8)))
+    return dim, eq, ineq
+
+
+def _signed(rays, lineality):
+    yield from rays
+    for l in lineality:
+        yield l
+        yield tuple(-x for x in l)
+
+
+def test_integer_kernel_matches_rational_reference():
+    rng = random.Random(20261018)
+    shapes = {"pointed": 0, "lineality only": 0, "rays and lineality": 0}
+    for trial in range(2400):
+        dim, eq, ineq = random_cone_rows(rng)
+        result = cone_generators(dim, eq, ineq)
+        assert repr(result) == repr(rational_cone_generators(dim, eq, ineq)), (trial, dim, eq, ineq)
+        rays, lineality = result
+        if not lineality:
+            shapes["pointed"] += 1
+        else:
+            shapes["rays and lineality" if rays else "lineality only"] += 1
+    # each shape of cone occurs often enough to matter
+    assert min(shapes.values()) >= 300, shapes
+
+
+def test_integer_kernel_matches_on_integer_rows():
+    # the cones pass their rows pre-scaled to primitive integer rows
+    rng = random.Random(7)
+    for _ in range(300):
+        dim, eq, ineq = random_cone_rows(rng)
+        as_ints = ([primitive_integer(r) for r in eq], [primitive_integer(r) for r in ineq])
+        assert repr(cone_generators(dim, *as_ints)) == repr(rational_cone_generators(dim, eq, ineq))
+
+
+def test_generators_to_hrep_matches_rational_reference():
+    rng = random.Random(31)
+    for trial in range(600):
+        dim = rng.randint(1, 8)
+        rays = random_rows(rng, dim, rng.randint(0, min(dim + 2, 8)))
+        lineality = random_rows(rng, dim, rng.choice((0, 0, 1, 2)))
+        polar_rays, polar_lin = rational_cone_generators(dim, eq_rows=lineality, ineq_rows=rays)
+        result = generators_to_hrep(dim, rays, lineality)
+        assert repr(result) == repr((polar_lin, polar_rays)), (trial, dim, rays, lineality)
+
+
+def _probe_vectors(rng: random.Random, dim: int, gens: list[Vec]):
+    """Random vectors, and nonnegative combinations of the cone's generators
+    (inside the cone), some of them pushed off by a small random term."""
+    for _ in range(4):
+        yield tuple(_entry(rng) for _ in range(dim))
+    for _ in range(4):
+        if not gens:
+            break
+        v = (ZERO,) * dim
+        for g in rng.sample(gens, rng.randint(1, min(3, len(gens)))):
+            v = tuple(x + _factor(rng) * y for x, y in zip(v, g))
+        yield v
+        k = rng.randrange(dim)
+        yield tuple(x + (Fraction(rng.choice((-1, 1)), rng.randint(1, 9)) if i == k else 0) for i, x in enumerate(v))
+
+
+def test_integer_membership_matches_rational():
+    rng = random.Random(404)
+    seen = {True: 0, False: 0}
+    escapes = {True: 0, False: 0}
+    contained = {True: 0, False: 0}
+    for _ in range(500):
+        dim, eq, ineq = random_cone_rows(rng)
+        cone = PolyCone(dim, tuple(eq), tuple(ineq))
+        rays, lineality = rational_cone_generators(dim, eq, ineq)
+        gens = list(_signed(rays, lineality))
+        for v in _probe_vectors(rng, dim, gens):
+            inside = cone.contains_point(v)
+            assert cone.contains_integer(primitive_integer(v)) is inside, (cone, v)
+            seen[inside] += 1
+            # the recheck's dual test: some generator pairs negatively with v
+            escaped = _escapes_dual(v, cone)
+            assert escaped == any(dot(v, g) < 0 for g in gens), (cone, v)
+            escapes[escaped] += 1
+        # containment of a subcone of the cone or of another random cone,
+        # against the rational generators
+        extra = random_rows(rng, dim, rng.randint(0, 2))
+        if rng.random() < 0.5:
+            other = cone.with_rows(ineq=extra)
+        else:
+            other = PolyCone(dim, tuple(extra[:1]), tuple(random_rows(rng, dim, rng.randint(0, dim))))
+        other_gens = _signed(*rational_cone_generators(dim, other.eq_rows, other.ineq_rows))
+        inside = cone_contains(cone, other)
+        assert inside == all(cone.contains_point(g) for g in other_gens), (cone, other)
+        contained[inside] += 1
+    assert min(seen.values()) >= 500 and min(escapes.values()) >= 500, (seen, escapes)
+    assert min(contained.values()) >= 100, contained

@@ -5,11 +5,11 @@ import importlib.resources
 import pytest
 
 from absnormal.anf import evaluate
-from absnormal.cones import cone_equal, lin_cone_abs, lin_cone_mpcc
+from absnormal.cones import lin_cone_abs, lin_cone_mpcc
 from absnormal.problemfile import PROBLEM_SCHEMA, ProblemFileError, load_corpus_problem, parse_problem_data
 from absnormal.transforms import enumerate_branches, mpcc_point_from_eval, to_mpcc
 
-from branch_oracles import union_from_branches
+from branch_oracles import cone_equal, union_from_branches
 
 
 def test_shipped_schema_file_is_a_valid_schema():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absnormal.anf import evaluate
-from absnormal.cones import PolyCone, cone_equal, dual_cone
+from absnormal.cones import PolyCone, dual_cone
 from absnormal.cq import UNKNOWN, analyze_point, verify_relations
 from absnormal.ratmath import vec, zero_vec
 from absnormal.stationarity import (
@@ -21,6 +21,7 @@ from absnormal.stationarity import (
 )
 from absnormal.transforms import to_mpcc
 
+from branch_oracles import cone_equal
 from conftest import random_affine_program
 
 
