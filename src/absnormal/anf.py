@@ -277,26 +277,6 @@ def constraint_jacobians(p: AbsNormalProgram, e: EvalResult) -> JacobianBlocks:
     return JacobianBlocks(d1_ce, d2_ce, d1_ci, d2_ci, d1_cz, d2_cz)
 
 
-def jacobian_z(p: AbsNormalProgram, e: EvalResult, signs: SignatureVector) -> RatMatrix:
-    """Jacobian of the fixed-signature switching solve: (I - d2 Sigma)^(-1) d1.
-
-    The inverse exists because ``d2 Sigma`` is strictly lower triangular, so the
-    system solves row by row.
-    """
-    if not signs.definite or not signs.dominates(e.sigma):
-        raise ProgramError("signature must be definite and dominate the signature at the point")
-    jac = constraint_jacobians(p, e)
-    rows: list[Vec] = []
-    for i in range(p.s):
-        row = jac.d1_cz.row(i)
-        for j in range(i):
-            coeff = jac.d2_cz.entry(i, j) * signs.entries[j]
-            if coeff:
-                row = vec_add(row, tuple(coeff * x for x in rows[j]))
-        rows.append(row)
-    return RatMatrix.from_rows(rows, p.n_t) if rows else RatMatrix.zeros(0, p.n_t)
-
-
 def quadratic_from_strings(dim: int, data: dict) -> QuadraticFunc:
     """Build a function from string/int coefficient data ({"constant", "linear", "quadratic"})."""
     constant = rat(data.get("constant", 0))

@@ -3,22 +3,25 @@
 Subcommands: eval, branches, reformulate, cones, check-cq,
 check-stationarity, verify-relations, and corpus run.  Reports are
 deterministic (stable ordering, canonical rational strings, no timestamps):
-identical inputs produce byte-identical output.  ``--recheck`` re-validates
-every inline certificate and witness against the problem data by substitution.
+identical inputs produce byte-identical output, the text of
+``json.dumps(report, indent=2, ensure_ascii=False)`` and a newline.
+``--recheck`` re-validates every inline certificate and witness against the
+problem data by substitution.
 
 Exit codes: 0 all holds/consistent, 1 some verdict fails (for ``corpus run``:
-some expectation missed), 2 some verdict unknown, 3 usage or input errors,
-an exceeded branch or case cap, a report that ``--out`` cannot write, or a
-failed internal self-check.
+some expectation missed), 2 some verdict unknown, 3 usage or input errors
+(a zero denominator among them), an exceeded branch or case cap, a report
+that ``--out`` cannot write, or a failed internal self-check.  The verdict
+codes are read from the verdict sections of each point.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from . import __version__
 from .anf import AbsNormalProgram, evaluate
@@ -86,6 +89,61 @@ def _s(x) -> str:
 
 def _svec(v) -> list[str]:
     return [_s(x) for x in v]
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(node, out: list[str], indent: str) -> None:
+    """Append ``node`` to ``out`` exactly as ``json.dumps(node, indent=2,
+    ensure_ascii=False)`` writes it, ``indent`` being its line's indentation.
+
+    Accepts dicts with ``str`` keys, lists, tuples, strings, ints, bools and
+    None; anything else (a ``Fraction``, a float) raises ``TypeError``.
+    """
+    if isinstance(node, str):
+        out.append(encode_basestring(node))
+    elif node is None or node is True or node is False:
+        out.append(_JSON_CONSTANTS[node])
+    elif isinstance(node, int):
+        out.append(int.__repr__(node))
+    elif isinstance(node, (list, tuple, dict)) and not node:
+        out.append("{}" if isinstance(node, dict) else "[]")
+    elif isinstance(node, (list, tuple)):
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if isinstance(node[0], str):
+            try:
+                # a list of strings (a vector, a cone row) in one join
+                out.append("[\n" + inner + sep.join(map(encode_basestring, node)) + "\n" + indent + "]")
+                return
+            except TypeError:
+                pass
+        out.append("[\n" + inner)
+        for i, item in enumerate(node):
+            if i:
+                out.append(sep)
+            _write_json(item, out, inner)
+        out.append("\n" + indent + "]")
+    elif isinstance(node, dict):
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, (key, value) in enumerate(node.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append((sep if i else "") + encode_basestring(key) + ": ")
+            _write_json(value, out, inner)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2, ensure_ascii=False)``, in one pass."""
+    out: list[str] = []
+    _write_json(report, out, "")
+    return "".join(out)
 
 
 def _ser_func(func) -> dict:
@@ -213,10 +271,13 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators
         fa = pa.formulations[key]
         branches = []
         for ba in fa.branches:
+            lin = ser(ba.lin)
+            # a certified tangent piece is the linearized cone object itself: serialize it once
+            tangent = [lin if p is ba.lin else ser(p) for p in ba.tangent_pieces] if ba.tangent_known else None
             entry = {
                 "branch": ba.label,
-                "lin": ser(ba.lin),
-                "tangent": [ser(p) for p in ba.tangent_pieces] if ba.tangent_known else None,
+                "lin": lin,
+                "tangent": tangent,
                 "tangent_source": ba.tangent_source,
             }
             if include_dual:
@@ -336,6 +397,10 @@ def _branches_section(pa: PointAnalysis, forms) -> dict:
 # verdict aggregation and rechecking
 
 
+# the sections of a point entry that hold verdict statuses
+_VERDICT_SECTIONS = ("cq", "stationarity", "relations")
+
+
 def _collect_statuses(node, out: list[str]) -> None:
     if isinstance(node, dict):
         for key, value in node.items():
@@ -351,11 +416,16 @@ def _collect_statuses(node, out: list[str]) -> None:
 
 
 def exit_code_for_report(report: dict) -> int:
+    """The exit code from the statuses in each point's verdict sections
+    (a ``consistent: false`` counts as a failing verdict); the cones and the
+    evaluation carry none and are not read."""
     statuses: list[str] = []
-    _collect_statuses(report, statuses)
-    if any(s == FAILS for s in statuses):
+    for point_entry in report.get("points", []):
+        for name in _VERDICT_SECTIONS:
+            _collect_statuses(point_entry.get(name), statuses)
+    if FAILS in statuses:
         return EXIT_FAILS
-    if any(s == UNKNOWN for s in statuses):
+    if UNKNOWN in statuses:
         return EXIT_UNKNOWN
     return EXIT_OK
 
@@ -860,7 +930,7 @@ def _load_problem_arg(arg: str) -> ProblemFile:
 def _emit(report: dict, out_path: str | None, code: int) -> int:
     """Write the report and return the exit ``code``; a report that cannot be
     written is the tool's failure, not a verdict, and exits 3."""
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    text = report_text(report) + "\n"
     if not out_path:
         sys.stdout.write(text)
         return code

@@ -217,18 +217,6 @@ def mpcc_point_from_eval(e: EvalResult) -> MpccPoint:
     return phi_inv(e.t, e.z)
 
 
-def mpcc_residuals(mp: MpccProgram, point: MpccPoint) -> tuple[Vec, Vec]:
-    coords = point.coords
-    eq = tuple(func.value(coords) for func in mp.eq_funcs)
-    ineq = tuple(func.value(coords) for func in mp.ci_funcs)
-    return eq, ineq
-
-
-def mpcc_feasible(mp: MpccProgram, point: MpccPoint) -> bool:
-    eq, ineq = mpcc_residuals(mp, point)
-    return all(r == 0 for r in eq) and all(v >= 0 for v in ineq)
-
-
 # ---------------------------------------------------------------------------
 # branch problems
 
@@ -427,18 +415,6 @@ def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchS
 # direction homeomorphisms
 
 
-def merge_direction_matrix(n_x: int, s: int) -> RatMatrix:
-    """(dx, du, dv) -> (dx, du - dv)."""
-    dim = n_x + 2 * s
-    rows = [unit_vec(dim, i) for i in range(n_x)]
-    for i in range(s):
-        row = [ZERO] * dim
-        row[n_x + i] = ONE
-        row[n_x + s + i] = -ONE
-        rows.append(tuple(row))
-    return RatMatrix.from_rows(rows, dim)
-
-
 def split_direction_matrix(n_x: int, s: int, spec: BranchSpec) -> RatMatrix:
     """(dx, dz) -> (dx, du, dv) restricted to one branch, where it is linear.
 
@@ -454,37 +430,3 @@ def split_direction_matrix(n_x: int, s: int, spec: BranchSpec) -> RatMatrix:
             vec_neg(unit_vec(dim_in, n_x + i)) if spec.signs[i] < 0 else zero_vec(dim_in)
         )
     return RatMatrix.from_rows(rows, dim_in)
-
-
-def split_direction(
-    direction_x: Vec, direction_z: Vec, base_signs: tuple[int, ...]
-) -> tuple[Vec, Vec, Vec]:
-    """The inverse direction map on the full nonconvex cones (piecewise linear).
-
-    Inactive indices keep their sign, degenerate ones are split into positive
-    and negative parts.
-    """
-    du = []
-    dv = []
-    for i, sg in enumerate(base_signs):
-        d = direction_z[i]
-        if sg > 0:
-            du.append(d)
-            dv.append(ZERO)
-        elif sg < 0:
-            du.append(ZERO)
-            dv.append(-d)
-        else:
-            du.append(max(d, ZERO))
-            dv.append(max(-d, ZERO))
-    return vec(direction_x), tuple(du), tuple(dv)
-
-
-def merge_direction(direction: Vec, n_x: int, s: int) -> Vec:
-    """(dx, du, dv) -> (dx, du - dv) applied to a concrete vector."""
-    if len(direction) != n_x + 2 * s:
-        raise ProgramError("direction has the wrong dimension")
-    dx = direction[:n_x]
-    du = direction[n_x : n_x + s]
-    dv = direction[n_x + s :]
-    return dx + tuple(a - b for a, b in zip(du, dv))

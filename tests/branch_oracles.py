@@ -8,13 +8,19 @@ the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
 ``cone_equal`` is set equality of two cones, by containment both ways.
+
+The rest are maps the package no longer needs: the feasibility test of a
+counterpart point (``mpcc_feasible``), the direction maps between the
+abs-normal and the counterpart coordinates (``merge_direction``,
+``merge_direction_matrix``, ``split_direction``) and the Jacobian of the
+fixed-signature switching solve (``jacobian_z``).
 """
 
 from fractions import Fraction
 
-from absnormal.anf import AbsNormalProgram, EvalResult, constraint_jacobians
+from absnormal.anf import AbsNormalProgram, EvalResult, ProgramError, SignatureVector, constraint_jacobians
 from absnormal.cones import PolyCone, UnionCone, cone_contains
-from absnormal.ratmath import ONE, ZERO, Vec, dot, unit_vec, zero_vec
+from absnormal.ratmath import ONE, ZERO, RatMatrix, Vec, dot, unit_vec, vec, vec_add, zero_vec
 from absnormal.stationarity import BranchDualCertificate
 from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
 
@@ -144,3 +150,81 @@ def verify_branch_dual_certificate(
     if combo != tuple(gradient):
         errors.append("dual combination does not reproduce the gradient")
     return errors
+
+
+def mpcc_residuals(mp: MpccProgram, point: MpccPoint) -> tuple[Vec, Vec]:
+    coords = point.coords
+    eq = tuple(func.value(coords) for func in mp.eq_funcs)
+    ineq = tuple(func.value(coords) for func in mp.ci_funcs)
+    return eq, ineq
+
+
+def mpcc_feasible(mp: MpccProgram, point: MpccPoint) -> bool:
+    eq, ineq = mpcc_residuals(mp, point)
+    return all(r == 0 for r in eq) and all(v >= 0 for v in ineq)
+
+
+def merge_direction_matrix(n_x: int, s: int) -> RatMatrix:
+    """(dx, du, dv) -> (dx, du - dv)."""
+    dim = n_x + 2 * s
+    rows = [unit_vec(dim, i) for i in range(n_x)]
+    for i in range(s):
+        row = [ZERO] * dim
+        row[n_x + i] = ONE
+        row[n_x + s + i] = -ONE
+        rows.append(tuple(row))
+    return RatMatrix.from_rows(rows, dim)
+
+
+def split_direction(
+    direction_x: Vec, direction_z: Vec, base_signs: tuple[int, ...]
+) -> tuple[Vec, Vec, Vec]:
+    """The inverse direction map on the full nonconvex cones (piecewise linear).
+
+    Inactive indices keep their sign, degenerate ones are split into positive
+    and negative parts.
+    """
+    du = []
+    dv = []
+    for i, sg in enumerate(base_signs):
+        d = direction_z[i]
+        if sg > 0:
+            du.append(d)
+            dv.append(ZERO)
+        elif sg < 0:
+            du.append(ZERO)
+            dv.append(-d)
+        else:
+            du.append(max(d, ZERO))
+            dv.append(max(-d, ZERO))
+    return vec(direction_x), tuple(du), tuple(dv)
+
+
+def merge_direction(direction: Vec, n_x: int, s: int) -> Vec:
+    """(dx, du, dv) -> (dx, du - dv) applied to a concrete vector."""
+    if len(direction) != n_x + 2 * s:
+        raise ProgramError("direction has the wrong dimension")
+    dx = direction[:n_x]
+    du = direction[n_x : n_x + s]
+    dv = direction[n_x + s :]
+    return dx + tuple(a - b for a, b in zip(du, dv))
+
+
+def jacobian_z(p: AbsNormalProgram, e: EvalResult, signs: SignatureVector) -> RatMatrix:
+    """Jacobian of the fixed-signature switching solve: (I - d2 Sigma)^(-1) d1.
+
+    The inverse exists because ``d2 Sigma`` is strictly lower triangular, so the
+    system solves row by row.
+    """
+    if not signs.definite or not signs.dominates(e.sigma):
+        raise ProgramError("signature must be definite and dominate the signature at the point")
+    jac = constraint_jacobians(p, e)
+    rows: list[Vec] = []
+    for i in range(p.s):
+        row = jac.d1_cz.row(i)
+        for j in range(i):
+            coeff = jac.d2_cz.entry(i, j) * signs.entries[j]
+            if coeff:
+                row = vec_add(row, tuple(coeff * x for x in rows[j]))
+        rows.append(row)
+    return RatMatrix.from_rows(rows, p.n_t) if rows else RatMatrix.zeros(0, p.n_t)

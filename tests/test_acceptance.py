@@ -52,8 +52,6 @@ from absnormal.stationarity import (
 from absnormal.transforms import (
     enumerate_branches,
     enumerate_mpcc_branches,
-    merge_direction_matrix,
-    mpcc_feasible,
     mpcc_point_from_eval,
     phi,
     split_direction_matrix,
@@ -61,7 +59,14 @@ from absnormal.transforms import (
     to_slack,
 )
 
-from branch_oracles import cone_equal, lin_cone_abs_direct, lin_cone_mpcc_direct, union_from_branches
+from branch_oracles import (
+    cone_equal,
+    lin_cone_abs_direct,
+    lin_cone_mpcc_direct,
+    merge_direction_matrix,
+    mpcc_feasible,
+    union_from_branches,
+)
 
 
 def _corpus_cases():

@@ -199,6 +199,25 @@ def test_cli_out_unwritable_is_an_error_not_a_verdict(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("site", ["cli-point", "coefficient", "point", "annotation-row"])
+def test_zero_denominator_is_an_input_error_not_a_verdict(tmp_path, capsys, site):
+    data = minimal_problem(tangent_annotations={"σ=+": [{"eq": [["1", "0", "0"]]}]})
+    if site == "coefficient":
+        data["objective"]["linear"][1] = "1/0"
+    elif site == "point":
+        data["points"][0]["t"][0] = "1/0"
+    elif site == "annotation-row":
+        data["tangent_annotations"]["σ=+"][0]["eq"][0][2] = "1/0"
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    point = "1/0,0" if site == "cli-point" else "origin"
+    code, out, err = run_cli(capsys, "check-stationarity", str(path), "--point", point)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "1/0" in err
+    assert "Traceback" not in err
+
+
 def test_cli_recheck_passes_everywhere(capsys):
     for name in ("E1", "E2", "E3", "E4"):
         code, out, _ = run_cli(capsys, "check-cq", name, "--all", "--recheck")

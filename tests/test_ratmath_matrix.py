@@ -21,6 +21,11 @@ def test_rat_rejects_floats():
         rat(True)
 
 
+def test_rat_zero_denominator_is_a_value_error_naming_the_string():
+    with pytest.raises(ValueError, match="'-3/0'"):
+        rat("-3/0")
+
+
 def test_rank_identity():
     assert rank(RatMatrix.identity(2)) == 2
 

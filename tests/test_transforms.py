@@ -15,16 +15,14 @@ from absnormal.transforms import (
     enumerate_mpcc_branches,
     iter_branches,
     parse_branch_label,
-    merge_direction,
-    mpcc_feasible,
     mpcc_point_from_eval,
     phi,
     phi_inv,
-    split_direction,
     to_mpcc,
     to_slack,
 )
 
+from branch_oracles import merge_direction, mpcc_feasible, split_direction
 from conftest import make_e1, make_e2
 
 
