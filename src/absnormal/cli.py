@@ -38,6 +38,7 @@ from .cq import (
     CQVerdict,
     PointAnalysis,
     analyze_point,
+    anchor_point,
     check_branch_cq,
     decide_kink_cq,
     verify_relations,
@@ -67,6 +68,8 @@ from .stationarity import (
 )
 from .transforms import (
     BranchLimitError,
+    enumerate_branches,
+    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     parse_branch_label,
     to_mpcc,
@@ -373,22 +376,24 @@ def _relations_section(pa: PointAnalysis) -> dict:
     return {"consistent": report.consistent, "arrows": arrows, "kink_verdicts": kink_out}
 
 
-def _branches_section(pa: PointAnalysis, forms) -> dict:
+def _branches_section(pa: PointAnalysis, forms, cap: int) -> dict:
+    """The branch problems of the requested formulations at the anchored
+    point; the only report that builds them."""
     out = {}
     for key in FORMULATIONS:
         if forms and key not in forms:
             continue
-        fa = pa.formulations[key]
+        enumerate_ = enumerate_branches if key in (ABS_I, ABS_E) else enumerate_mpcc_branches
         out[key] = [
             {
-                "branch": ba.label,
-                "variables": ba.problem.n_vars,
-                "equalities": len(ba.problem.eqs),
-                "inequalities": len(ba.problem.ineqs),
-                "anchor": _svec(ba.problem.anchor),
-                "anchor_feasible": ba.problem.anchor_feasible(),
+                "branch": b.label,
+                "variables": b.n_vars,
+                "equalities": len(b.eqs),
+                "inequalities": len(b.ineqs),
+                "anchor": _svec(b.anchor),
+                "anchor_feasible": b.anchor_feasible(),
             }
-            for ba in fa.branches
+            for b in enumerate_(*pa.anchor(key), cap)
         ]
     return out
 
@@ -639,9 +644,9 @@ def cmd_branches(pf: ProblemFile, args) -> dict:
     forms = {args.form} if args.form else None
     points = []
     for p in _selected_points(pf, args.point):
-        pa = _analyze(pf, p, args.branch_cap)
+        pa = anchor_point(pf.program, p.t)
         points.append(
-            {"label": p.label, "t": _svec(p.t), "branches": _branches_section(pa, forms)}
+            {"label": p.label, "t": _svec(p.t), "branches": _branches_section(pa, forms, args.branch_cap)}
         )
     report["points"] = points
     return report

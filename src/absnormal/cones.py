@@ -40,14 +40,7 @@ from .ratmath import (
     vec_neg,
     zero_vec,
 )
-from .transforms import (
-    DEFAULT_BRANCH_CAP,
-    BranchSpec,
-    MpccPoint,
-    MpccProgram,
-    SmoothBranchProblem,
-    branch_specs,
-)
+from .transforms import DEFAULT_BRANCH_CAP, BranchSpec, MpccPoint, MpccProgram, branch_specs
 
 DEFAULT_SPLIT_DEPTH = 32
 
@@ -336,6 +329,9 @@ class BranchLinearization:
 
     ``cone`` has exactly the rows, in the same order, of the linearized cone
     of the branch problem that ``transforms`` builds for the same signature.
+    ``affine`` says whether every constraint function of the formulation is
+    affine (inactive inequalities included), which makes each branch
+    linearized cone its tangent cone.
     """
 
     form: str  # "anf" | "mpcc"
@@ -345,6 +341,7 @@ class BranchLinearization:
     eq_grads: tuple[Vec, ...]
     ineq_grads: tuple[Vec, ...]
     degenerate: tuple[int, ...]
+    affine: bool
 
     @property
     def dim(self) -> int:
@@ -460,6 +457,7 @@ def linearize_anf(p: AbsNormalProgram, e: EvalResult) -> BranchLinearization:
         eq_grads=tuple(func.gradient(block) for func in p.c_e + p.c_z),
         ineq_grads=tuple(p.c_i[k].gradient(block) for k in e.active_i),
         degenerate=e.alpha,
+        affine=all(func.is_affine() for func in p.c_e + p.c_z + p.c_i),
     )
 
 
@@ -477,6 +475,7 @@ def linearize_mpcc(mp: MpccProgram, point: MpccPoint) -> BranchLinearization:
         eq_grads=tuple(func.gradient(coords) for func in mp.eq_funcs),
         ineq_grads=tuple(func.gradient(coords) for func, v in zip(mp.ci_funcs, values_i) if v == 0),
         degenerate=point.degenerate,
+        affine=all(func.is_affine() for func in mp.eq_funcs + mp.ci_funcs),
     )
 
 
@@ -514,27 +513,25 @@ class TangentCertificate:
         return self.status != TANGENT_UNKNOWN
 
 
-def tangent_cone_branch(
-    b: SmoothBranchProblem, lin: PolyCone
-) -> tuple[PolyCone | None, TangentCertificate]:
+def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, TangentCertificate]:
     """The branch tangent cone when certifiable, else (None, unknown-certificate).
 
-    Affine constraints, linear independence of active gradients, or a strictly
-    feasible direction for the linearized system each certify that the tangent
-    cone equals the linearized cone ``lin`` of the branch, which is then
-    returned itself.
+    Affine constraints (``affine``, decided once per formulation), linear
+    independence of active gradients, or a strictly feasible direction for
+    the linearized system each certify that the tangent cone equals the
+    linearized cone ``lin`` of the branch, which is then returned itself.
     """
-    if b.all_affine():
+    if affine:
         return lin, TangentCertificate(TANGENT_AFFINE)
     active_rows = list(lin.eq_rows) + list(lin.ineq_rows)
-    r = rank_rows(active_rows, b.n_vars)
+    r = rank_rows(active_rows, lin.dim)
     if r == len(active_rows):
         return lin, TangentCertificate(TANGENT_LICQ, active_rank=r, active_rows=len(active_rows))
-    eq_rank = rank_rows(list(lin.eq_rows), b.n_vars)
+    eq_rank = rank_rows(list(lin.eq_rows), lin.dim)
     if eq_rank == len(lin.eq_rows) and lin.ineq_rows:
         n_ineq = len(lin.ineq_rows)
         problem = LpProblem(
-            n_vars=b.n_vars,
+            n_vars=lin.dim,
             eq_rows=lin.eq_rows,
             eq_rhs=zero_vec(len(lin.eq_rows)),
             ineq_rows=lin.ineq_rows,

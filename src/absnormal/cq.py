@@ -12,20 +12,24 @@ Everything reduces to exact cone comparisons over the branch decomposition:
   knowledge transported along the branch homeomorphisms where a branch cannot
   certify its own tangent cone.
 
-Verdicts are tri-state.  Fails always rests on re-checkable material
+A branch is its spec (``transforms.BranchSpec``) and its linearized cone from
+the linearization of its formulation at the point; no branch problem is
+built.  Verdicts are tri-state.  Fails always rests on re-checkable material
 (witness rays, dual vectors); Unknown names the blocking
 branches instead of guessing.  Problem files may supply trusted tangent-cone
-annotations for branches outside every certificate class; those are
-sanity-checked against the branch linearized cone on load.
+annotations for branches outside every certificate class; an annotation
+that a branch needs is sanity-checked against its linearized cone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, SignatureVector, constraint_jacobians, evaluate
 from .cones import (
+    BranchLinearization,
     PolyCone,
     SubdivisionDepthExceeded,
     TangentCertificate,
@@ -41,12 +45,10 @@ from .cones import (
 from .ratmath import Vec
 from .transforms import (
     DEFAULT_BRANCH_CAP,
+    BranchSpec,
     MpccPoint,
     MpccProgram,
     SlackProgram,
-    SmoothBranchProblem,
-    enumerate_branches,
-    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     split_direction_matrix,
     to_mpcc,
@@ -82,7 +84,7 @@ class CQVerdict:
 
 @dataclass(frozen=True)
 class BranchAnalysis:
-    problem: SmoothBranchProblem
+    spec: BranchSpec
     lin: PolyCone
     tangent_pieces: tuple[PolyCone, ...] | None
     tangent_source: str | None
@@ -90,7 +92,12 @@ class BranchAnalysis:
 
     @property
     def label(self) -> str:
-        return self.problem.label
+        return self.spec.label
+
+    @property
+    def form(self) -> str:
+        """``anf`` for an abs-normal branch, ``mpcc`` for a counterpart branch."""
+        return "anf" if self.spec.kind == "signature" else "mpcc"
 
     @property
     def tangent_known(self) -> bool:
@@ -135,28 +142,38 @@ def _validated_pieces(pieces, lin: PolyCone, label: str) -> tuple[PolyCone, ...]
     return tuple(pieces)
 
 
-def analyze_branch(
-    b: SmoothBranchProblem, lin: PolyCone, annotation_pieces=None
-) -> BranchAnalysis:
-    """Branch ``b`` with its linearized cone ``lin`` (from the linearization
-    of its formulation at the point) and its tangent cone, when certified or
+def analyze_branch(lin: BranchLinearization, spec: BranchSpec, annotation_pieces=None) -> BranchAnalysis:
+    """Branch ``spec`` with its linearized cone from the linearization ``lin``
+    of its formulation at the point, and its tangent cone when certified or
     annotated."""
-    cone, cert = tangent_cone_branch(b, lin)
-    if cone is not None:
-        return BranchAnalysis(b, lin, (cone,), cert.status, cert)
+    cone = lin.cone(spec.signs)
+    tangent, cert = tangent_cone_branch(cone, lin.affine)
+    if tangent is not None:
+        return BranchAnalysis(spec, cone, (tangent,), cert.status, cert)
     if annotation_pieces is not None:
-        pieces = _validated_pieces(annotation_pieces, lin, b.label)
-        return BranchAnalysis(b, lin, pieces, "annotation", cert)
-    return BranchAnalysis(b, lin, None, None, cert)
+        pieces = _validated_pieces(annotation_pieces, cone, spec.label)
+        return BranchAnalysis(spec, cone, pieces, "annotation", cert)
+    return BranchAnalysis(spec, cone, None, None, cert)
+
+
+def _carry(ba: BranchAnalysis, source: BranchAnalysis, how: str, image) -> BranchAnalysis:
+    """``ba`` with the tangent pieces of ``source`` carried to it along the
+    branch map (``how`` is ``lift`` or ``transport``; ``image`` maps one
+    piece), when ``ba`` cannot certify itself and ``source`` knows its tangent
+    cone; otherwise ``ba`` as it is, with no piece mapped."""
+    if ba.tangent_known or not source.tangent_known:
+        return ba
+    pieces = _validated_pieces(tuple(image(piece) for piece in source.tangent_pieces), ba.lin, ba.label)
+    return replace(ba, tangent_pieces=pieces, tangent_source=f"{how}:{source.tangent_source}")
 
 
 def check_branch_cq(ba: BranchAnalysis, which: str) -> CQVerdict:
-    """Abadie ("acq") or Guignard ("gcq") for one smooth branch problem."""
+    """Abadie ("acq") or Guignard ("gcq") for one branch."""
     kind = "branch-acq" if which == "acq" else "branch-gcq"
     if not ba.tangent_known:
         return CQVerdict(
             kind,
-            ba.problem.form,
+            ba.form,
             UNKNOWN,
             branch=ba.label,
             blocking=(ba.label,),
@@ -166,14 +183,14 @@ def check_branch_cq(ba: BranchAnalysis, which: str) -> CQVerdict:
         try:
             ok, witness = union_covers(list(ba.tangent_pieces), ba.lin)
         except SubdivisionDepthExceeded:
-            return CQVerdict(kind, ba.problem.form, UNKNOWN, branch=ba.label, blocking=(ba.label,), note="subdivision depth cap exceeded")
+            return CQVerdict(kind, ba.form, UNKNOWN, branch=ba.label, blocking=(ba.label,), note="subdivision depth cap exceeded")
         if ok:
-            return CQVerdict(kind, ba.problem.form, HOLDS, branch=ba.label, note=f"tangent source: {ba.tangent_source}")
-        return CQVerdict(kind, ba.problem.form, FAILS, branch=ba.label, witness=witness)
+            return CQVerdict(kind, ba.form, HOLDS, branch=ba.label, note=f"tangent source: {ba.tangent_source}")
+        return CQVerdict(kind, ba.form, FAILS, branch=ba.label, witness=witness)
     witness = hull_escape(ba.tangent_pieces, ba.lin)
     if witness is None:
-        return CQVerdict(kind, ba.problem.form, HOLDS, branch=ba.label, note=f"tangent source: {ba.tangent_source}")
-    return CQVerdict(kind, ba.problem.form, FAILS, branch=ba.label, witness=witness)
+        return CQVerdict(kind, ba.form, HOLDS, branch=ba.label, note=f"tangent source: {ba.tangent_source}")
+    return CQVerdict(kind, ba.form, FAILS, branch=ba.label, witness=witness)
 
 
 def _guignard_escape(fa: FormulationAnalysis, members: list[PolyCone], own) -> Vec | None:
@@ -225,11 +242,6 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
 
 # ---------------------------------------------------------------------------
 # formulation assembly
-
-
-def _transport_pieces_to_mpcc(anf_ba: BranchAnalysis, mpcc_branch: SmoothBranchProblem, n_x: int, s: int):
-    m = split_direction_matrix(n_x, s, mpcc_branch.spec)
-    return tuple(cone_image(piece, m) for piece in anf_ba.tangent_pieces)
 
 
 def lift_tangent_piece(
@@ -290,12 +302,15 @@ class PointAnalysis:
     slack_mpcc_point: MpccPoint
     formulations: dict[str, FormulationAnalysis] = field(hash=False, default_factory=dict)
 
-    def branch_pairs_abs_to_mpcc(self, slack_form: bool):
-        """Aligned (abs branch, mpcc branch) analyses; alignment is positional
-        because both enumerations refine the same base signature in the same order."""
-        a = self.formulations[ABS_E if slack_form else ABS_I].branches
-        m = self.formulations[MPCC_E if slack_form else MPCC_I].branches
-        return list(zip(a, m, strict=True))
+    def anchor(self, key: str):
+        """Formulation ``key`` at the point: an abs-normal program with its
+        evaluation, or a counterpart with its point."""
+        return {
+            ABS_I: (self.program, self.point_eval),
+            ABS_E: (self.slack.program, self.slack_eval),
+            MPCC_I: (self.mpcc, self.mpcc_point),
+            MPCC_E: (self.slack_mpcc, self.slack_mpcc_point),
+        }[key]
 
     def branch_pairs_i_to_e(self):
         """Aligned (inequality-form branch, slack-form branch) analyses: the
@@ -303,9 +318,27 @@ class PointAnalysis:
         by_label = {ba.label: ba for ba in self.formulations[ABS_I].branches}
         s = self.program.s
         return [
-            (by_label[SignatureVector(ba.problem.spec.signs[:s]).label()], ba)
+            (by_label[SignatureVector(ba.spec.signs[:s]).label()], ba)
             for ba in self.formulations[ABS_E].branches
         ]
+
+
+def anchor_point(p: AbsNormalProgram, t, w_signs: tuple[int, ...] | None = None) -> PointAnalysis:
+    """The point in all four formulations, with no branch analyzed yet.
+
+    Raises ``ValueError`` when the point is not feasible.  ``w_signs`` chooses
+    the slack representative (default nonnegative).
+    """
+    e = evaluate(p, t)
+    if not e.is_feasible():
+        raise ValueError("point is not feasible")
+    slack = to_slack(p)
+    se = evaluate(slack.program, slack.lift_smooth_point(e, w_signs))
+    if not se.is_feasible():
+        raise RuntimeError("slack lifting must preserve feasibility")
+    return PointAnalysis(
+        p, e, slack, se, to_mpcc(p), mpcc_point_from_eval(e), to_mpcc(slack.program), mpcc_point_from_eval(se)
+    )
 
 
 def analyze_point(
@@ -315,84 +348,47 @@ def analyze_point(
     w_signs: tuple[int, ...] | None = None,
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> PointAnalysis:
-    """Build and cross-link the four formulations at a point.
+    """Anchor the point in the four formulations and analyze their branches.
 
     ``annotations`` maps inequality-form branch labels to trusted tangent
     unions; they are transported to the other three formulations along the
     branch homeomorphisms whenever a branch cannot certify its own tangent
     cone.  ``w_signs`` chooses the slack representative (default nonnegative).
     """
-    e = evaluate(p, t)
-    if not e.is_feasible():
-        raise ValueError("point is not feasible")
+    pa = anchor_point(p, t, w_signs)
     annotations = annotations or {}
-
-    slack = to_slack(p)
-    ts = slack.lift_smooth_point(e, w_signs)
-    se = evaluate(slack.program, ts)
-    if not se.is_feasible():
-        raise RuntimeError("slack lifting must preserve feasibility")
-
-    mpcc = to_mpcc(p)
-    mpcc_point = mpcc_point_from_eval(e)
-    mpcc_e = to_mpcc(slack.program)
-    mpcc_e_point = mpcc_point_from_eval(se)
-
-    lin_i = linearize_anf(p, e)
+    lins = {
+        key: (linearize_anf if key in (ABS_I, ABS_E) else linearize_mpcc)(*pa.anchor(key))
+        for key in FORMULATIONS
+    }
     abs_i = [
-        analyze_branch(b, lin_i.cone(b.spec.signs), annotations.get(b.label))
-        for b in enumerate_branches(p, e, branch_cap)
+        analyze_branch(lins[ABS_I], spec, annotations.get(spec.label))
+        for spec in lins[ABS_I].specs(branch_cap)
     ]
-
     abs_i_by_label = {ba.label: ba for ba in abs_i}
-
-    lin_e = linearize_anf(slack.program, se)
     abs_e = []
-    for b in enumerate_branches(slack.program, se, branch_cap):
-        signs = b.spec.signs
-        pieces = None
-        base_ba = abs_i_by_label[SignatureVector(signs[: p.s]).label()]
-        if base_ba.tangent_pieces is not None and base_ba.tangent_source is not None:
-            lifted = tuple(
-                lift_tangent_piece(p, e, piece, signs[: p.s], signs[p.s :])
-                for piece in base_ba.tangent_pieces
-            )
-            pieces = lifted
-        ba = analyze_branch(b, lin_e.cone(signs))
-        if not ba.tangent_known and pieces is not None:
-            lin = ba.lin
-            pieces = _validated_pieces(pieces, lin, b.label)
-            ba = BranchAnalysis(b, lin, pieces, f"lift:{base_ba.tangent_source}", ba.certificate)
-        abs_e.append(ba)
+    for spec in lins[ABS_E].specs(branch_cap):
+        z_signs, slack_signs = spec.signs[: p.s], spec.signs[p.s :]
+        base = abs_i_by_label[SignatureVector(z_signs).label()]
+        lift = functools.partial(lift_tangent_piece, p, pa.point_eval, z_signs=z_signs, w_signs=slack_signs)
+        abs_e.append(_carry(analyze_branch(lins[ABS_E], spec), base, "lift", lift))
 
-    def mpcc_side(mp, point, anf_analyses):
-        lin = linearize_mpcc(mp, point)
+    def mpcc_side(key: str, anf_analyses: list[BranchAnalysis]) -> list[BranchAnalysis]:
+        lin = lins[key]
         out = []
-        for anf_ba, b in zip(anf_analyses, enumerate_mpcc_branches(mp, point, branch_cap), strict=True):
-            if anf_ba.problem.spec.signs != b.spec.signs:
-                raise RuntimeError(f"branch {b.label} does not align with its abs-normal branch")
-            ba = analyze_branch(b, lin.cone(b.spec.signs))
-            if not ba.tangent_known and anf_ba.tangent_known:
-                pieces = _transport_pieces_to_mpcc(anf_ba, b, mp.n_x, mp.s)
-                pieces = _validated_pieces(pieces, ba.lin, b.label)
-                ba = BranchAnalysis(
-                    b, ba.lin, pieces, f"transport:{anf_ba.tangent_source}", ba.certificate
-                )
-            out.append(ba)
+        for anf_ba, spec in zip(anf_analyses, lin.specs(branch_cap), strict=True):
+            if anf_ba.spec.signs != spec.signs:
+                raise RuntimeError(f"branch {spec.label} does not align with its abs-normal branch")
+
+            def split(piece: PolyCone, spec=spec) -> PolyCone:
+                return cone_image(piece, split_direction_matrix(lin.n_x, len(spec.signs), spec))
+
+            out.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", split))
         return out
 
-    mpcc_i = mpcc_side(mpcc, mpcc_point, abs_i)
-    mpcc_ee = mpcc_side(mpcc_e, mpcc_e_point, abs_e)
-
-    formulations = {
-        ABS_I: FormulationAnalysis(ABS_I, p.n_t + p.s, tuple(abs_i)),
-        ABS_E: FormulationAnalysis(ABS_E, slack.program.n_t + slack.program.s, tuple(abs_e)),
-        MPCC_I: FormulationAnalysis(MPCC_I, mpcc.dim, tuple(mpcc_i)),
-        MPCC_E: FormulationAnalysis(MPCC_E, mpcc_e.dim, tuple(mpcc_ee)),
-    }
-    return PointAnalysis(
-        p, e, slack, se, mpcc, mpcc_point, mpcc_e, mpcc_e_point, formulations
-    )
+    analyses = {ABS_I: abs_i, ABS_E: abs_e, MPCC_I: mpcc_side(MPCC_I, abs_i), MPCC_E: mpcc_side(MPCC_E, abs_e)}
+    formulations = {key: FormulationAnalysis(key, lins[key].dim, tuple(analyses[key])) for key in FORMULATIONS}
+    return replace(pa, formulations=formulations)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +408,7 @@ def check_gkq(p: AbsNormalProgram, e: EvalResult, annotations=None) -> CQVerdict
 def check_mpcc_cq(mp: MpccProgram, point: MpccPoint, which: str) -> CQVerdict:
     """MPCC Abadie ("acq") or Guignard ("gcq") at the point."""
     lin = linearize_mpcc(mp, point)
-    analyses = tuple(analyze_branch(b, lin.cone(b.spec.signs)) for b in enumerate_mpcc_branches(mp, point))
-    fa = FormulationAnalysis(MPCC_I, mp.dim, analyses)
+    fa = FormulationAnalysis(MPCC_I, lin.dim, tuple(analyze_branch(lin, spec) for spec in lin.specs()))
     return decide_kink_cq(fa, "abadie" if which == "acq" else "guignard")
 
 

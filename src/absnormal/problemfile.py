@@ -83,21 +83,27 @@ def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
     n_t, s, m1, m2 = dims["n_t"], dims["s"], dims["m1"], dims["m2"]
     block = n_t + s
 
-    def build(func_data: dict, dim: int, where: str) -> QuadraticFunc:
+    def located(where: str, make, *args):
+        """``make(*args)``, with an input error reported at ``where``."""
         try:
-            return quadratic_from_strings(dim, func_data)
+            return make(*args)
         except (ProgramError, ValueError, TypeError) as exc:
             raise ProblemFileError(f"{where}: {exc}") from exc
+
+    def funcs(key: str) -> tuple[QuadraticFunc, ...]:
+        return tuple(
+            located(f"{key}[{k}]", quadratic_from_strings, block, fd) for k, fd in enumerate(data.get(key, []))
+        )
 
     program = AbsNormalProgram(
         n_t=n_t,
         s=s,
         m1=m1,
         m2=m2,
-        f=build(data["objective"], n_t, "objective"),
-        c_e=tuple(build(fd, block, f"equalities[{k}]") for k, fd in enumerate(data.get("equalities", []))),
-        c_i=tuple(build(fd, block, f"inequalities[{k}]") for k, fd in enumerate(data.get("inequalities", []))),
-        c_z=tuple(build(fd, block, f"switching[{k}]") for k, fd in enumerate(data.get("switching", []))),
+        f=located("objective", quadratic_from_strings, n_t, data["objective"]),
+        c_e=funcs("equalities"),
+        c_i=funcs("inequalities"),
+        c_z=funcs("switching"),
     )
     issues = validate(program)
     if issues:
@@ -105,7 +111,7 @@ def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
 
     points = []
     for k, pd in enumerate(data.get("points", [])):
-        t = vec(pd["t"])
+        t = located(f"points[{k}]", vec, pd["t"])
         if len(t) != n_t:
             raise ProblemFileError(f"points[{k}]: expected {n_t} coordinates, got {len(t)}")
         points.append(
@@ -120,13 +126,12 @@ def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
             )
         cones = []
         for j, piece in enumerate(pieces):
-            eq = [vec(r) for r in piece.get("eq", [])]
-            ineq = [vec(r) for r in piece.get("ineq", [])]
+            where = f"tangent annotation {label}[{j}]"
+            eq = [located(where, vec, r) for r in piece.get("eq", [])]
+            ineq = [located(where, vec, r) for r in piece.get("ineq", [])]
             for r in eq + ineq:
                 if len(r) != block:
-                    raise ProblemFileError(
-                        f"tangent annotation {label}[{j}]: row length {len(r)}, expected {block}"
-                    )
+                    raise ProblemFileError(f"{where}: row length {len(r)}, expected {block}")
             cones.append(PolyCone(block, tuple(eq), tuple(ineq)))
         annotations[label] = tuple(cones)
 

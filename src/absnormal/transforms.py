@@ -5,15 +5,14 @@ a program in abs-normal form (over ``(t, w)`` with switching block
 ``(z, z_w)``), and the complementarity counterpart of either one substitutes
 ``zeta -> u + v`` and ``z -> u - v`` with one complementarity pair per
 switching variable.  Branch problems fix a definite signature (respectively a
-resolution of the degenerate pairs) and are plain smooth quadratic programs;
-the qualification checker consumes those, while branch linearized cones come
-from one linearization per point (``cones.linearize_anf``/``linearize_mpcc``)
-that needs only the branch specs.
+resolution of the degenerate pairs) and are plain smooth quadratic programs,
+built only for the ``branches`` report; every verdict works on the branch
+specs and one linearization per formulation and point
+(``cones.linearize_anf``/``linearize_mpcc``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -287,9 +286,6 @@ class SmoothBranchProblem:
             func.value(self.anchor) >= 0 for func in self.ineqs
         )
 
-    def all_affine(self) -> bool:
-        return all(func.is_affine() for func in itertools.chain(self.eqs, self.ineqs))
-
 
 def _check_cap(n_degenerate: int, cap: int) -> None:
     if 2**n_degenerate > cap:
@@ -335,18 +331,12 @@ def branch_specs(kind: str, base: SignatureVector, cap: int = DEFAULT_BRANCH_CAP
     return (BranchSpec(kind, refined.entries, base.entries) for refined in base.refinements())
 
 
-def iter_branches(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP):
-    """The branch problems at the point, in ``branch_specs`` order, built one
-    at a time as they are consumed; the cap is checked at the call."""
-    return (build_anf_branch(p, e, spec) for spec in branch_specs("signature", e.sigma, cap))
-
-
 def enumerate_branches(
     p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP
 ) -> list[SmoothBranchProblem]:
     """All branch problems at the point, one per definite signature dominating
-    it, in the order of ``iter_branches``."""
-    return list(iter_branches(p, e, cap))
+    it, in ``branch_specs`` order."""
+    return [build_anf_branch(p, e, spec) for spec in branch_specs("signature", e.sigma, cap)]
 
 
 def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> SmoothBranchProblem:
@@ -373,20 +363,13 @@ def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> Sm
     )
 
 
-def iter_mpcc_branches(mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP):
-    """One branch per subset of degenerate pairs, aligned with the signature
-    order and built as consumed; the cap is checked at the call."""
-    return (
-        build_mpcc_branch(mp, point, spec)
-        for spec in branch_specs("partition", point.base_signature, cap)
-    )
-
-
 def enumerate_mpcc_branches(
     mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP
 ) -> list[SmoothBranchProblem]:
-    """All counterpart branch problems, in the order of ``iter_mpcc_branches``."""
-    return list(iter_mpcc_branches(mp, point, cap))
+    """All counterpart branch problems, one per subset of degenerate pairs,
+    aligned with the signature order of ``enumerate_branches``."""
+    specs = branch_specs("partition", point.base_signature, cap)
+    return [build_mpcc_branch(mp, point, spec) for spec in specs]
 
 
 def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchSpec | None:

@@ -3,7 +3,8 @@
 The package builds every branch linearized cone from one linearization per
 formulation and point (``cones.linearize_anf``/``linearize_mpcc``).  These
 oracles build the same cones the slow, independent ways: from a built branch
-problem's own functions (``lin_cone_branch``), or from the defining rows of
+problem's own functions (``lin_cone_branch``, with ``branch_is_affine`` for
+the affine certificate), or from the defining rows of
 the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
@@ -35,6 +36,12 @@ def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
     eq = tuple(func.gradient(anchor) for func in b.eqs)
     ineq = tuple(func.gradient(anchor) for func, v in zip(b.ineqs, values) if v == 0)
     return PolyCone(b.n_vars, eq, ineq)
+
+
+def branch_is_affine(b: SmoothBranchProblem) -> bool:
+    """Whether every constraint function of the built branch problem is
+    affine: the reference for ``BranchLinearization.affine``."""
+    return all(func.is_affine() for func in b.eqs + b.ineqs)
 
 
 def cone_equal(a: PolyCone, b: PolyCone) -> bool:

@@ -274,9 +274,13 @@ def test_criterion_4_homeomorphism_suite():
     pair_count = 0
     for pf, point, pa in CASES:
         for slack_form in (False, True):
-            for anf_ba, mpcc_ba in pa.branch_pairs_abs_to_mpcc(slack_form):
+            # both enumerations refine the same base signature in the same order
+            anf_key, mpcc_key = (ABS_E, MPCC_E) if slack_form else (ABS_I, MPCC_I)
+            for anf_ba, mpcc_ba in zip(
+                pa.formulations[anf_key].branches, pa.formulations[mpcc_key].branches, strict=True
+            ):
                 mp = pa.slack_mpcc if slack_form else pa.mpcc
-                split = split_direction_matrix(mp.n_x, mp.s, mpcc_ba.problem.spec)
+                split = split_direction_matrix(mp.n_x, mp.s, mpcc_ba.spec)
                 merge = merge_direction_matrix(mp.n_x, mp.s)
                 assert cone_equal(cone_image(anf_ba.lin, split), mpcc_ba.lin)
                 assert cone_equal(cone_image(mpcc_ba.lin, merge), anf_ba.lin)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import importlib.resources
 import json
 import sys
 from fractions import Fraction
@@ -199,15 +200,26 @@ def test_cli_out_unwritable_is_an_error_not_a_verdict(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("site", ["cli-point", "coefficient", "point", "annotation-row"])
+@pytest.mark.parametrize("site", ["cli-point", "coefficient", "point", "annotation-row", "annotation-ineq-row"])
 def test_zero_denominator_is_an_input_error_not_a_verdict(tmp_path, capsys, site):
-    data = minimal_problem(tangent_annotations={"σ=+": [{"eq": [["1", "0", "0"]]}]})
+    data = minimal_problem(
+        tangent_annotations={"σ=+": [{"eq": [["1", "0", "0"]]}, {"ineq": [["0", "1", "0"]]}]}
+    )
+    # where a problem file's error says the bad string sits
+    where = {
+        "coefficient": "objective",
+        "point": "points[0]",
+        "annotation-row": "tangent annotation σ=+[0]",
+        "annotation-ineq-row": "tangent annotation σ=+[1]",
+    }.get(site)
     if site == "coefficient":
         data["objective"]["linear"][1] = "1/0"
     elif site == "point":
         data["points"][0]["t"][0] = "1/0"
     elif site == "annotation-row":
         data["tangent_annotations"]["σ=+"][0]["eq"][0][2] = "1/0"
+    elif site == "annotation-ineq-row":
+        data["tangent_annotations"]["σ=+"][1]["ineq"][0][0] = "1/0"
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(data))
     point = "1/0,0" if site == "cli-point" else "origin"
@@ -216,6 +228,8 @@ def test_zero_denominator_is_an_input_error_not_a_verdict(tmp_path, capsys, site
     assert out == ""
     assert err.startswith("error: ") and "1/0" in err
     assert "Traceback" not in err
+    if where is not None:
+        assert err == f"error: {path}: {where}: zero denominator in '1/0'\n"
 
 
 def test_cli_recheck_passes_everywhere(capsys):
@@ -564,6 +578,44 @@ def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys, monkeyp
     for argv, expected in zip(commands, outputs):
         assert run_cli(capsys, *argv) == expected, argv
         assert json.loads(expected[1])["recheck"]["errors"] == []
+
+
+def test_qualification_commands_build_no_branch_problem(capsys, monkeypatch):
+    # every qualification verdict works on branch specs and one linearization
+    # per formulation; only the branches report builds branch problems
+    commands = [
+        (command, name, *extra)
+        for name in ("E1", "E2", "E3", "E4")
+        for command, *extra in (("check-cq", "--all", "--recheck"), ("verify-relations", "--recheck"), ("cones", "--dual"))
+    ] + [("corpus", "run")]
+    outputs = [run_cli(capsys, *argv) for argv in commands]
+    assert {code for code, _, _ in outputs} == {0, 1}
+    forbid_branch_problems(monkeypatch)
+    for argv, expected in zip(commands, outputs):
+        assert run_cli(capsys, *argv) == expected, argv
+    with pytest.raises(AssertionError, match="a branch problem was built"):
+        main(["branches", "E1"])
+
+
+def test_branches_enumerates_only_the_requested_formulation(capsys):
+    # abs-i has 2 branches at the E2 origin, the slack forms 8 (the cap
+    # refuses those only when they are listed: test_cli_branch_cap)
+    code, out, err = run_cli(capsys, "branches", "E2", "--point", "origin", "--form", "abs-i", "--branch-cap", "2")
+    assert (code, err) == (0, "")
+    assert [b["branch"] for b in json.loads(out)["points"][0]["branches"]["abs-i"]] == ["σ=+", "σ=-"]
+
+
+def test_branches_does_not_check_annotations_but_check_cq_does(tmp_path, capsys):
+    data = json.loads(importlib.resources.files("absnormal").joinpath("corpus", "E3.json").read_text("utf-8"))
+    # contains (1, 0, 0), which is outside the linearized cone of σ=+
+    data["tangent_annotations"]["σ=+"] = [{"eq": [["0", "1", "0"]]}]
+    path = write_problem(tmp_path, data)
+    code, out, err = run_cli(capsys, "branches", path)
+    assert (code, err) == (0, "")
+    assert set(json.loads(out)["points"][0]["branches"]) == {"abs-i", "abs-e", "mpcc-i", "mpcc-e"}
+    code, out, err = run_cli(capsys, "check-cq", path)
+    assert (code, out) == (3, "")
+    assert err == "error: annotation for branch σ=+ is not contained in the branch linearized cone\n"
 
 
 def skewed_kinks3(tmp_path) -> str:

@@ -35,6 +35,7 @@ from absnormal.transforms import (
 )
 
 from branch_oracles import (
+    branch_is_affine,
     compl_cone,
     cone_equal,
     lin_cone_abs_direct,
@@ -122,7 +123,7 @@ def test_tangent_affine_branches(e1):
     e = evaluate(e1, [0, 0])
     lin = linearize_anf(e1, e)
     for b in enumerate_branches(e1, e):
-        c, cert = tangent_cone_branch(b, lin.cone(b.spec.signs))
+        c, cert = tangent_cone_branch(lin.cone(b.spec.signs), branch_is_affine(b))
         assert cert.status == TANGENT_AFFINE
         assert cone_equal(c, lin_cone_branch(b))
 
@@ -130,7 +131,7 @@ def test_tangent_affine_branches(e1):
 def test_tangent_unknown_for_degenerate_quadratic(e3):
     e = evaluate(e3, [0, 0])
     for b in enumerate_branches(e3, e):
-        c, cert = tangent_cone_branch(b, lin_cone_branch(b))
+        c, cert = tangent_cone_branch(lin_cone_branch(b), branch_is_affine(b))
         assert c is None
         assert cert.status == TANGENT_UNKNOWN
         assert cert.active_rank < cert.active_rows  # rank evidence
@@ -157,7 +158,7 @@ def test_tangent_licq_branch():
     )
     e = evaluate(p, [0, 0])
     (b,) = enumerate_branches(p, e)
-    c, cert = tangent_cone_branch(b, lin_cone_branch(b))
+    c, cert = tangent_cone_branch(lin_cone_branch(b), branch_is_affine(b))
     assert cert.status == TANGENT_LICQ
     assert c is not None
 
@@ -189,7 +190,7 @@ def test_tangent_mfcq_branch():
     )
     e = evaluate(p, [0, 0])
     (b,) = enumerate_branches(p, e)
-    c, cert = tangent_cone_branch(b, lin_cone_branch(b))
+    c, cert = tangent_cone_branch(lin_cone_branch(b), branch_is_affine(b))
     assert cert.status == TANGENT_MFCQ
     assert cert.strict_point is not None
     assert c is not None
@@ -323,6 +324,7 @@ def assert_rows_of_built_branches(p, e) -> int:
             assert (got.dim, got.eq_rows, got.ineq_rows) == (ref.dim, ref.eq_rows, ref.ineq_rows), b.label
             assert lin.gradient == b.objective.gradient(b.anchor)
             assert (lin.n_eq, lin.n_ineq) == (len(ref.eq_rows), len(ref.ineq_rows))
+            assert lin.affine == branch_is_affine(b), b.label
             count += 1
     return count
 

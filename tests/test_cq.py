@@ -21,12 +21,7 @@ from absnormal.cq import (
     verify_relations,
 )
 from absnormal.ratmath import vec
-from absnormal.transforms import (
-    enumerate_branches,
-    enumerate_mpcc_branches,
-    mpcc_point_from_eval,
-    to_mpcc,
-)
+from absnormal.transforms import mpcc_point_from_eval, to_mpcc
 
 from branch_oracles import cone_equal
 from conftest import e3_annotations, e4_annotations
@@ -36,10 +31,7 @@ def branch_analyses(p, e, annotations=None):
     """Each branch at the point with its cone from the point's linearization."""
     lin = linearize_anf(p, e)
     annotations = annotations or {}
-    return [
-        analyze_branch(b, lin.cone(b.spec.signs), annotations.get(b.label))
-        for b in enumerate_branches(p, e)
-    ]
+    return [analyze_branch(lin, spec, annotations.get(spec.label)) for spec in lin.specs()]
 
 
 def kink_statuses(pa):
@@ -226,3 +218,31 @@ def test_annotation_lift_through_slack_form():
     for ba in pa.formulations[ABS_E].branches:
         assert ba.tangent_known
         assert ba.tangent_source.startswith("lift:")
+
+
+def test_tangent_pieces_are_carried_only_to_branches_that_cannot_certify(e2, e3, monkeypatch):
+    import absnormal.cq
+
+    carried = []
+    for name in ("lift_tangent_piece", "cone_image"):
+        real = getattr(absnormal.cq, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            carried.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(absnormal.cq, name, counted)
+    # E2: every branch is affine, so no piece is lifted or transported
+    pa = analyze_point(e2, [0, 0])
+    assert carried == []
+    assert all(ba.tangent_source == "affine" for fa in pa.formulations.values() for ba in fa.branches)
+    # E3: no branch certifies itself, so each takes the annotation along its map
+    pa = analyze_point(e3, [0, 0], e3_annotations())
+    assert sorted(carried) == ["cone_image"] * 4 + ["lift_tangent_piece"] * 2
+    sources = {key: {ba.tangent_source for ba in fa.branches} for key, fa in pa.formulations.items()}
+    assert sources == {
+        ABS_I: {"annotation"},
+        ABS_E: {"lift:annotation"},
+        MPCC_I: {"transport:annotation"},
+        MPCC_E: {"transport:lift:annotation"},
+    }

@@ -11,9 +11,9 @@ from absnormal.transforms import (
     BranchSpec,
     SmoothBranchProblem,
     branch_correspondence,
+    branch_specs,
     enumerate_branches,
     enumerate_mpcc_branches,
-    iter_branches,
     parse_branch_label,
     mpcc_point_from_eval,
     phi,
@@ -264,21 +264,23 @@ def test_anf_branches_equal_the_composed_reference():
     for pf in load_corpus():
         for pt in pf.points:
             e = evaluate(pf.program, pt.t)
-            for b in iter_branches(pf.program, e):
+            for b in enumerate_branches(pf.program, e):
                 assert b == composed_anf_branch(pf.program, e, b.spec)
 
 
 def test_enumerations_return_lists(e1):
-    # callers take len() of the enumerations; only iter_branches is lazy
+    # callers take len() of the enumerations; only branch_specs is lazy
     e = evaluate(e1, [0, 0])
     assert isinstance(enumerate_branches(e1, e), list)
     assert isinstance(enumerate_mpcc_branches(to_mpcc(e1), mpcc_point_from_eval(e)), list)
 
 
-def test_iter_branches_checks_the_cap_before_building(e2):
+def test_branch_specs_check_the_cap_before_making_a_spec(e2):
     e = evaluate(e2, [0, 0])
     with pytest.raises(BranchLimitError):
-        iter_branches(e2, e, cap=1)
+        branch_specs("signature", e.sigma, cap=1)
+    with pytest.raises(BranchLimitError):
+        enumerate_branches(e2, e, cap=1)
 
 
 def test_branch_labels_parse_back_to_their_specs():
