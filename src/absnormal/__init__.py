@@ -10,8 +10,8 @@ points, emitting machine-checkable certificates.
 __version__ = "0.1.0"
 
 from .anf import AbsNormalProgram, EvalResult, QuadraticFunc, SignatureVector, evaluate, validate
-from .cones import PolyCone, UnionCone, dual_cone, dual_union, lin_cone_abs, lin_cone_mpcc
-from .cq import analyze_point, check_akq, check_gkq, check_mpcc_cq, verify_relations
+from .cones import PolyCone, dual_cone, dual_union, linearize_anf, linearize_mpcc
+from .cq import analyze_point, check_branch_cq, decide_kink_cq, verify_relations
 from .problemfile import ProblemFile, load_corpus, load_corpus_problem, parse_problem
 from .stationarity import check_b_stationary, check_m_stationary_anf, check_m_stationary_mpcc
 from .transforms import enumerate_branches, phi, phi_inv, to_mpcc, to_slack
@@ -23,21 +23,19 @@ __all__ = [
     "ProblemFile",
     "QuadraticFunc",
     "SignatureVector",
-    "UnionCone",
     "__version__",
     "analyze_point",
-    "check_akq",
     "check_b_stationary",
-    "check_gkq",
+    "check_branch_cq",
     "check_m_stationary_anf",
     "check_m_stationary_mpcc",
-    "check_mpcc_cq",
+    "decide_kink_cq",
     "dual_cone",
     "dual_union",
     "enumerate_branches",
     "evaluate",
-    "lin_cone_abs",
-    "lin_cone_mpcc",
+    "linearize_anf",
+    "linearize_mpcc",
     "load_corpus",
     "load_corpus_problem",
     "parse_problem",

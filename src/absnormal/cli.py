@@ -24,7 +24,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from . import __version__
-from .anf import AbsNormalProgram, evaluate
+from .anf import AbsNormalProgram, EvalResult, evaluate
 from .cones import PolyCone, dual_cone, dual_union, linearize_anf, linearize_mpcc
 from .cq import (
     ABS_E,
@@ -32,8 +32,8 @@ from .cq import (
     FAILS,
     FORMULATIONS,
     HOLDS,
-    MPCC_E,
-    MPCC_I,
+    KINK_VERDICTS,
+    SLACK_FORMS,
     UNKNOWN,
     CQVerdict,
     PointAnalysis,
@@ -67,6 +67,7 @@ from .stationarity import (
     verify_m_certificate,
 )
 from .transforms import (
+    DEFAULT_BRANCH_CAP,
     BranchLimitError,
     enumerate_branches,
     enumerate_mpcc_branches,
@@ -250,10 +251,9 @@ def _ser_stationarity(v: StationarityVerdict) -> dict:
 # report sections
 
 
-def _eval_section(pf: ProblemFile, point: ProblemPoint) -> dict:
-    e = evaluate(pf.program, point.t)
+def _eval_section(label: str, e: EvalResult) -> dict:
     return {
-        "label": point.label,
+        "label": label,
         "t": _svec(e.t),
         "z": _svec(e.z),
         "signature": list(e.sigma.entries),
@@ -296,20 +296,16 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators
 
 
 def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> dict:
+    """The kink verdicts named in ``which`` (``KINK_VERDICTS`` names), each one
+    on the slack form too when ``which`` holds ``slack``, and the branch
+    verdicts of every formulation when ``include_branches``."""
     out = {}
-    if "akq" in which:
-        out["akq"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[ABS_I], "abadie"))
-    if "gkq" in which:
-        out["gkq"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[ABS_I], "guignard"))
-    if "mpcc-acq" in which:
-        out["mpcc-acq"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[MPCC_I], "abadie"))
-    if "mpcc-gcq" in which:
-        out["mpcc-gcq"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[MPCC_I], "guignard"))
+    for name, (key, condition) in KINK_VERDICTS.items():
+        if name in which:
+            out[name] = _ser_cq_verdict(decide_kink_cq(pa.formulations[key], condition))
     if "slack" in which:
-        out["akq-slack"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[ABS_E], "abadie"))
-        out["gkq-slack"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[ABS_E], "guignard"))
-        out["mpcc-acq-slack"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[MPCC_E], "abadie"))
-        out["mpcc-gcq-slack"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[MPCC_E], "guignard"))
+        for name, (key, condition) in KINK_VERDICTS.items():
+            out[f"{name}-slack"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[SLACK_FORMS[key]], condition))
     if include_branches:
         branch_out = {}
         for key in FORMULATIONS:
@@ -325,32 +321,33 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
     return out
 
 
-def _m_counterpart(m_anf: StationarityVerdict, p: AbsNormalProgram, e, mp, mp_point) -> StationarityVerdict:
-    """The counterpart's M verdict: the abs-normal certificate re-checked in
-    the system read off the MPCC data, with no second case search."""
-    return translate_m_verdict(
-        m_anf, multiplier_system(p, e), multiplier_system(mp, mp_point), "m-mpcc"
-    )
-
-
-def _stationarity_section(
-    p: AbsNormalProgram, e, which: set[str], forms: set[str], branch_cap: int
-) -> dict:
+def _stationarity_verdicts(
+    p: AbsNormalProgram, e: EvalResult, counterpart, which: set[str], forms: set[str], branch_cap: int
+) -> dict[str, StationarityVerdict]:
+    """The verdicts ``which`` (``m``, ``b``) in the ``forms`` (``anf``,
+    ``mpcc``), by name in report order: M on the abs-normal form, its
+    translation to the counterpart (re-checked in the system read off the
+    MPCC data, with no second case search), B given the M verdict, and B's
+    translation.  ``counterpart()`` gives the MPCC form and point, asked
+    for only when ``forms`` holds ``mpcc``."""
     out = {}
     if "mpcc" in forms:
-        mp, mp_point = to_mpcc(p), mpcc_point_from_eval(e)
+        mp, mp_point = counterpart()
+    m_anf = None
     if "m" in which:
         m_anf = check_m_stationary_anf(p, e)
         if "anf" in forms:
-            out["m-anf"] = _ser_stationarity(m_anf)
+            out["m-anf"] = m_anf
         if "mpcc" in forms:
-            out["m-mpcc"] = _ser_stationarity(_m_counterpart(m_anf, p, e, mp, mp_point))
+            out["m-mpcc"] = translate_m_verdict(
+                m_anf, multiplier_system(p, e), multiplier_system(mp, mp_point), "m-mpcc"
+            )
     if "b" in which:
-        b_anf = check_b_stationary(p, e, "anf", branch_cap, m_anf if "m" in which else None)
+        b_anf = check_b_stationary(p, e, branch_cap, m_anf)
         if "anf" in forms:
-            out["b-anf"] = _ser_stationarity(b_anf)
+            out["b-anf"] = b_anf
         if "mpcc" in forms:
-            out["b-mpcc"] = _ser_stationarity(translate_b_verdict(b_anf, mp, mp_point))
+            out["b-mpcc"] = translate_b_verdict(b_anf, mp, mp_point)
     return out
 
 
@@ -626,30 +623,32 @@ def _selected_points(pf: ProblemFile, point_arg: str | None) -> list[ProblemPoin
     return list(pf.points)
 
 
+def _point_report(command: str, pf: ProblemFile, args, sections) -> dict:
+    """The report of ``command``: one entry per selected point, its label and
+    ``t`` followed by the sections ``sections(point)`` returns."""
+    report = _report_skeleton(command, pf)
+    report["points"] = [
+        {"label": p.label, "t": _svec(p.t), **sections(p)} for p in _selected_points(pf, args.point)
+    ]
+    return report
+
+
 def _analyze(pf: ProblemFile, point: ProblemPoint, cap: int) -> PointAnalysis:
     return analyze_point(pf.program, point.t, pf.annotations, branch_cap=cap)
 
 
 def cmd_eval(pf: ProblemFile, args) -> dict:
-    report = _report_skeleton("eval", pf)
-    report["points"] = [
-        {"label": p.label, "t": _svec(p.t), "eval": _eval_section(pf, p)}
-        for p in _selected_points(pf, args.point)
-    ]
-    return report
+    return _point_report("eval", pf, args, lambda p: {"eval": _eval_section(p.label, evaluate(pf.program, p.t))})
 
 
 def cmd_branches(pf: ProblemFile, args) -> dict:
-    report = _report_skeleton("branches", pf)
     forms = {args.form} if args.form else None
-    points = []
-    for p in _selected_points(pf, args.point):
-        pa = anchor_point(pf.program, p.t)
-        points.append(
-            {"label": p.label, "t": _svec(p.t), "branches": _branches_section(pa, forms, args.branch_cap)}
-        )
-    report["points"] = points
-    return report
+    return _point_report(
+        "branches",
+        pf,
+        args,
+        lambda p: {"branches": _branches_section(anchor_point(pf.program, p.t), forms, args.branch_cap)},
+    )
 
 
 def cmd_reformulate(pf: ProblemFile, args) -> dict:
@@ -689,96 +688,60 @@ def _ser_mpcc(mp) -> dict:
 
 
 def cmd_cones(pf: ProblemFile, args) -> dict:
-    report = _report_skeleton("cones", pf)
     forms = {args.form} if args.form else None
-    points = []
-    for p in _selected_points(pf, args.point):
+
+    def sections(p: ProblemPoint) -> dict:
         pa = _analyze(pf, p, args.branch_cap)
-        points.append(
-            {
-                "label": p.label,
-                "t": _svec(p.t),
-                "cones": _cones_section(pa, args.dual, forms, with_generators=True),
-            }
-        )
-    report["points"] = points
-    return report
+        return {"cones": _cones_section(pa, args.dual, forms, with_generators=True)}
+
+    return _point_report("cones", pf, args, sections)
 
 
 def cmd_check_cq(pf: ProblemFile, args) -> dict:
-    report = _report_skeleton("check-cq", pf)
-    which: set[str] = set()
+    which = {name for name in KINK_VERDICTS if args.all or getattr(args, name.replace("-", "_"))}
     if args.all:
-        which = {"akq", "gkq", "mpcc-acq", "mpcc-gcq", "slack"}
-    if args.akq:
-        which.add("akq")
-    if args.gkq:
-        which.add("gkq")
-    if args.mpcc_acq:
-        which.add("mpcc-acq")
-    if args.mpcc_gcq:
-        which.add("mpcc-gcq")
+        which.add("slack")
     include_branches = args.branches or args.all
     if not which and not include_branches:
-        which = {"akq", "gkq", "mpcc-acq", "mpcc-gcq"}
-    points = []
-    for p in _selected_points(pf, args.point):
+        which = set(KINK_VERDICTS)
+
+    def sections(p: ProblemPoint) -> dict:
         pa = _analyze(pf, p, args.branch_cap)
-        points.append(
-            {
-                "label": p.label,
-                "t": _svec(p.t),
-                "eval": _eval_section(pf, p),
-                "cq": _cq_section(pa, which, include_branches),
-                "cones": _cones_section(pa, False, None),
-            }
-        )
-    report["points"] = points
-    return report
+        return {
+            "eval": _eval_section(p.label, pa.point_eval),
+            "cq": _cq_section(pa, which, include_branches),
+            "cones": _cones_section(pa, False, None),
+        }
+
+    return _point_report("check-cq", pf, args, sections)
 
 
 def cmd_check_stationarity(pf: ProblemFile, args) -> dict:
-    report = _report_skeleton("check-stationarity", pf)
-    which = set()
-    if args.m:
-        which.add("m")
-    if args.b:
-        which.add("b")
-    if not which:
-        which = {"m", "b"}
+    which = {key for key in ("m", "b") if getattr(args, key)} or {"m", "b"}
     forms = {args.form} if args.form else {"anf", "mpcc"}
-    points = []
-    for p in _selected_points(pf, args.point):
+
+    def sections(p: ProblemPoint) -> dict:
         e = evaluate(pf.program, p.t)
         if not e.is_feasible():
             raise ValueError("point is not feasible")
-        points.append(
-            {
-                "label": p.label,
-                "t": _svec(p.t),
-                "stationarity": _stationarity_section(pf.program, e, which, forms, args.branch_cap),
-            }
+        verdicts = _stationarity_verdicts(
+            pf.program, e, lambda: (to_mpcc(pf.program), mpcc_point_from_eval(e)), which, forms, args.branch_cap
         )
-    report["points"] = points
-    return report
+        return {"stationarity": {name: _ser_stationarity(v) for name, v in verdicts.items()}}
+
+    return _point_report("check-stationarity", pf, args, sections)
 
 
 def cmd_verify_relations(pf: ProblemFile, args) -> dict:
-    report = _report_skeleton("verify-relations", pf)
-    points = []
-    for p in _selected_points(pf, args.point):
+    def sections(p: ProblemPoint) -> dict:
         pa = _analyze(pf, p, args.branch_cap)
-        points.append(
-            {
-                "label": p.label,
-                "t": _svec(p.t),
-                "eval": _eval_section(pf, p),
-                "relations": _relations_section(pa),
-                "cones": _cones_section(pa, False, None),
-            }
-        )
-    report["points"] = points
-    return report
+        return {
+            "eval": _eval_section(p.label, pa.point_eval),
+            "relations": _relations_section(pa),
+            "cones": _cones_section(pa, False, None),
+        }
+
+    return _point_report("verify-relations", pf, args, sections)
 
 
 # ---------------------------------------------------------------------------
@@ -786,21 +749,15 @@ def cmd_verify_relations(pf: ProblemFile, args) -> dict:
 
 
 def _observed_verdicts(pf: ProblemFile, point: ProblemPoint, cap: int) -> tuple[dict, bool, bool]:
-    pa = analyze_point(pf.program, point.t, pf.annotations, branch_cap=cap)
+    pa = _analyze(pf, point, cap)
     relations, kink, _ = verify_relations(pa)
-    m_anf = check_m_stationary_anf(pa.program, pa.point_eval)
-    m_mpcc = _m_counterpart(m_anf, pa.program, pa.point_eval, pa.mpcc, pa.mpcc_point)
-    b_anf = check_b_stationary(pa.program, pa.point_eval, "anf", cap, m_anf)
-    b_mpcc = translate_b_verdict(b_anf, pa.mpcc, pa.mpcc_point)
-    observed = {
-        "akq": kink[("abadie", ABS_I)].status,
-        "gkq": kink[("guignard", ABS_I)].status,
-        "mpcc-acq": kink[("abadie", MPCC_I)].status,
-        "mpcc-gcq": kink[("guignard", MPCC_I)].status,
-        "m-stationary": m_anf.status,
-        "b-stationary": b_anf.status,
-    }
-    forms_agree = m_anf.status == m_mpcc.status and b_anf.status == b_mpcc.status
+    stat = _stationarity_verdicts(
+        pa.program, pa.point_eval, lambda: (pa.mpcc, pa.mpcc_point), {"m", "b"}, {"anf", "mpcc"}, cap
+    )
+    observed = {name: kink[(condition, key)].status for name, (key, condition) in KINK_VERDICTS.items()}
+    observed["m-stationary"] = stat["m-anf"].status
+    observed["b-stationary"] = stat["b-anf"].status
+    forms_agree = all(stat[f"{x}-anf"].status == stat[f"{x}-mpcc"].status for x in ("m", "b"))
     return observed, relations.consistent, forms_agree
 
 
@@ -871,22 +828,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"absnormal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_branch_cap(sp):
+        sp.add_argument(
+            "--branch-cap",
+            type=int,
+            default=DEFAULT_BRANCH_CAP,
+            help=f"refuse enumerations beyond this many branches (default {DEFAULT_BRANCH_CAP})",
+        )
+
     def add_common(sp, with_point=True):
         sp.add_argument("problem", help="problem file (JSON) or corpus name E1..E4")
         if with_point:
             sp.add_argument("--point", help="point label from the file or comma-separated coordinates")
         sp.add_argument("--out", help="write the report to this path instead of stdout")
         sp.add_argument("--recheck", action="store_true", help="re-validate all inline certificates")
-        sp.add_argument(
-            "--branch-cap",
-            type=int,
-            default=2**16,
-            help="refuse enumerations beyond this many branches (default 65536)",
-        )
 
     add_common(sub.add_parser("eval", help="solve the switching system and classify the point"))
     sp = sub.add_parser("branches", help="list the smooth branch problems at a point")
     add_common(sp)
+    add_branch_cap(sp)
     sp.add_argument("--form", choices=list(FORMULATIONS), help="restrict to one formulation")
 
     sp = sub.add_parser("reformulate", help="emit the slack and counterpart reformulations")
@@ -897,31 +857,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cones", help="emit branch linearized/tangent cones")
     add_common(sp)
+    add_branch_cap(sp)
     sp.add_argument("--dual", action="store_true", help="include dual cones")
     sp.add_argument("--form", choices=list(FORMULATIONS))
 
     sp = sub.add_parser("check-cq", help="decide the kink and counterpart qualifications")
     add_common(sp)
+    add_branch_cap(sp)
     sp.add_argument("--all", action="store_true")
-    sp.add_argument("--akq", action="store_true")
-    sp.add_argument("--gkq", action="store_true")
-    sp.add_argument("--mpcc-acq", action="store_true", dest="mpcc_acq")
-    sp.add_argument("--mpcc-gcq", action="store_true", dest="mpcc_gcq")
+    for name in KINK_VERDICTS:
+        sp.add_argument(f"--{name}", action="store_true")
     sp.add_argument("--branches", action="store_true", help="include per-branch verdicts")
 
     sp = sub.add_parser("check-stationarity", help="decide M-/B-stationarity")
     add_common(sp)
+    add_branch_cap(sp)
     sp.add_argument("--m", action="store_true")
     sp.add_argument("--b", action="store_true")
     sp.add_argument("--form", choices=["anf", "mpcc"])
 
-    add_common(sub.add_parser("verify-relations", help="cross-check every proved implication"))
+    sp = sub.add_parser("verify-relations", help="cross-check every proved implication")
+    add_common(sp)
+    add_branch_cap(sp)
 
     sp = sub.add_parser("corpus", help="bundled corpus operations")
     sp.add_argument("action", choices=["run"])
     sp.add_argument("--out")
     sp.add_argument("--recheck", action="store_true")
-    sp.add_argument("--branch-cap", type=int, default=2**16)
+    add_branch_cap(sp)
 
     return parser
 

@@ -3,7 +3,7 @@
 All cones are closed convex polyhedra in H-representation
 ``{d : eq_rows . d = 0, ineq_rows . d >= 0}``; the nonconvex objects of the
 theory (abs-normal-linearized and complementarity-linearized cones) are kept
-as finite labeled unions of such pieces, which the branch decomposition makes
+as lists of such pieces, one per branch, which the branch decomposition makes
 canonical.  Every branch linearized cone comes from one linearization of its
 formulation at the point (``linearize_anf``, ``linearize_mpcc``), which
 evaluates each constraint gradient once for all branches.
@@ -97,11 +97,12 @@ class PolyCone:
         )
 
     def __hash__(self) -> int:
-        # the generator cache hashes a cone on every lookup; hashing its
-        # Fractions once is enough for an immutable cone
+        # the generator cache hashes a cone on every lookup: hash the primitive
+        # integer rows it needs anyway, once for an immutable cone (equal
+        # cones have equal integer rows)
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.dim, self.eq_rows, self.ineq_rows))
+            h = hash((self.dim, *self.integer_rows()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -141,31 +142,6 @@ def _generators_cached(cone: PolyCone) -> tuple[tuple[IntVec, ...], tuple[IntVec
     )
 
 
-@dataclass(frozen=True)
-class UnionCone:
-    """A finite union of polyhedral cones, labeled by branch."""
-
-    members: tuple[tuple[str, PolyCone], ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("a union needs at least one member")
-        dims = {cone.dim for _, cone in self.members}
-        if len(dims) != 1:
-            raise ValueError("union members must share a dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.members[0][1].dim
-
-    @property
-    def cones(self) -> tuple[PolyCone, ...]:
-        return tuple(cone for _, cone in self.members)
-
-    def contains_point(self, d: Vec) -> bool:
-        return any(cone.contains_point(d) for cone in self.cones)
-
-
 def dd_vrep_to_hrep(dim: int, rays, lineality) -> PolyCone:
     eq, ineq = generators_to_hrep(dim, [vec(r) for r in rays], [vec(l) for l in lineality])
     return PolyCone(dim, tuple(eq), tuple(ineq))
@@ -180,12 +156,10 @@ def dual_cone(cone: PolyCone) -> PolyCone:
     return dd_vrep_to_hrep(cone.dim, cone.ineq_rows, cone.eq_rows)
 
 
-def dual_union(u: UnionCone | list[PolyCone], dim: int | None = None) -> PolyCone:
-    """Dual of a union: the intersection of the member duals."""
-    cones = u.cones if isinstance(u, UnionCone) else tuple(u)
+def dual_union(cones: list[PolyCone], dim: int) -> PolyCone:
+    """Dual of the union of the cones (of dimension ``dim``): the
+    intersection of the member duals."""
     if not cones:
-        if dim is None:
-            raise ValueError("dimension required for an empty union")
         return PolyCone.full_space(dim)  # dual of {0}
     out = dual_cone(cones[0])
     for cone in cones[1:]:
@@ -218,19 +192,15 @@ def _signed_rows(cone: PolyCone):
     yield from zip(cone.ineq_rows, ineq)
 
 
-def union_covers(
-    members: UnionCone | list[PolyCone],
-    target: PolyCone,
-) -> tuple[bool, Vec | None]:
+def union_covers(members: list[PolyCone], target: PolyCone) -> tuple[bool, Vec | None]:
     """Decide ``target subset-of union(members)`` by recursive hyperplane subdivision.
 
     Returns (True, None) or (False, witness ray in the target outside every
     member).  Raises SubdivisionDepthExceeded past ``DEFAULT_SPLIT_DEPTH`` splits.
     """
-    cones = members.cones if isinstance(members, UnionCone) else list(members)
-    if not cones:
+    if not members:
         raise ValueError("empty union")
-    return _covers(cones, target, DEFAULT_SPLIT_DEPTH)
+    return _covers(list(members), target, DEFAULT_SPLIT_DEPTH)
 
 
 def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool, Vec | None]:
@@ -477,20 +447,6 @@ def linearize_mpcc(mp: MpccProgram, point: MpccPoint) -> BranchLinearization:
         degenerate=point.degenerate,
         affine=all(func.is_affine() for func in mp.eq_funcs + mp.ci_funcs),
     )
-
-
-def _branch_union(lin: BranchLinearization, cap: int) -> UnionCone:
-    return UnionCone(tuple((spec.label, lin.cone(spec.signs)) for spec in lin.specs(cap)))
-
-
-def lin_cone_abs(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP) -> UnionCone:
-    """The abs-normal-linearized cone as its canonical branch union."""
-    return _branch_union(linearize_anf(p, e), cap)
-
-
-def lin_cone_mpcc(mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP) -> UnionCone:
-    """The complementarity-linearized cone as its canonical branch union."""
-    return _branch_union(linearize_mpcc(mp, point), cap)
 
 
 # ---------------------------------------------------------------------------

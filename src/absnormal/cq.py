@@ -66,6 +66,21 @@ MPCC_E = "mpcc-e"
 
 FORMULATIONS = (ABS_I, ABS_E, MPCC_I, MPCC_E)
 
+# the report name of each kink-level verdict: (formulation, condition); the
+# same condition on a formulation's slack form carries the same name
+KINK_VERDICTS = {
+    "akq": (ABS_I, "abadie"),
+    "gkq": (ABS_I, "guignard"),
+    "mpcc-acq": (MPCC_I, "abadie"),
+    "mpcc-gcq": (MPCC_I, "guignard"),
+}
+SLACK_FORMS = {ABS_I: ABS_E, MPCC_I: MPCC_E}
+_KINK_NAMES = {
+    (form, condition): name
+    for name, (key, condition) in KINK_VERDICTS.items()
+    for form in (key, SLACK_FORMS[key])
+}
+
 
 class AnnotationError(ValueError):
     pass
@@ -208,8 +223,7 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
     their duals ("guignard"), with sound bounds when some branches are uncertified:
     the tangent union lies between the certified pieces (lower members) and
     the certified pieces plus the uncertified linearized cones (upper members)."""
-    letter = {"abadie": "a", "guignard": "g"}[which]
-    kind = f"{letter}kq" if fa.key in (ABS_I, ABS_E) else f"mpcc-{letter}cq"
+    kind = _KINK_NAMES[(fa.key, which)]
     upper = fa.upper_members()
     all_known = not fa.blocking()
     if which == "abadie":
@@ -389,27 +403,6 @@ def analyze_point(
     analyses = {ABS_I: abs_i, ABS_E: abs_e, MPCC_I: mpcc_side(MPCC_I, abs_i), MPCC_E: mpcc_side(MPCC_E, abs_e)}
     formulations = {key: FormulationAnalysis(key, lins[key].dim, tuple(analyses[key])) for key in FORMULATIONS}
     return replace(pa, formulations=formulations)
-
-
-# ---------------------------------------------------------------------------
-# public entry points per the module contract
-
-
-def check_akq(p: AbsNormalProgram, e: EvalResult, annotations=None) -> CQVerdict:
-    pa = analyze_point(p, e.t, annotations)
-    return decide_kink_cq(pa.formulations[ABS_I], "abadie")
-
-
-def check_gkq(p: AbsNormalProgram, e: EvalResult, annotations=None) -> CQVerdict:
-    pa = analyze_point(p, e.t, annotations)
-    return decide_kink_cq(pa.formulations[ABS_I], "guignard")
-
-
-def check_mpcc_cq(mp: MpccProgram, point: MpccPoint, which: str) -> CQVerdict:
-    """MPCC Abadie ("acq") or Guignard ("gcq") at the point."""
-    lin = linearize_mpcc(mp, point)
-    fa = FormulationAnalysis(MPCC_I, lin.dim, tuple(analyze_branch(lin, spec) for spec in lin.specs()))
-    return decide_kink_cq(fa, "abadie" if which == "acq" else "guignard")
 
 
 # ---------------------------------------------------------------------------

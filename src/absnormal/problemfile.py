@@ -24,6 +24,7 @@ from .anf import (
 )
 from .cones import PolyCone
 from .ratmath import Vec, vec
+from .transforms import parse_branch_label
 
 PROBLEM_SCHEMA = json.loads(
     (importlib.resources.files("absnormal") / "schema" / "problem.schema.json").read_text(encoding="utf-8")
@@ -65,13 +66,6 @@ class ProblemFile:
                 f"no point labeled {label_or_coords!r} and the value does not parse as coordinates"
             ) from exc
         return ProblemPoint(label_or_coords, coords)
-
-
-def _is_signature_label(label: str, s: int) -> bool:
-    if not label.startswith("σ="):
-        return False
-    signs = label[2:]
-    return len(signs) == s and all(ch in "+-" for ch in signs)
 
 
 def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
@@ -120,7 +114,8 @@ def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
 
     annotations: dict[str, tuple[PolyCone, ...]] = {}
     for label, pieces in data.get("tangent_annotations", {}).items():
-        if not _is_signature_label(label, s):
+        # a definite signature of length s, a branch where every switch is degenerate
+        if parse_branch_label(label, "signature", (0,) * s) is None:
             raise ProblemFileError(
                 f"tangent annotation references unknown branch label {label!r}"
             )

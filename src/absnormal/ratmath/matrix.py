@@ -73,16 +73,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y if y else x for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Vec) -> Vec:
-    if not c:
-        return zero_vec(len(a))
-    return tuple(c * x if x else ZERO for x in a)
-
-
 def vec_neg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
@@ -127,10 +117,6 @@ class RatMatrix:
                 raise ValueError("column count required for an empty matrix")
             cols = len(tup[0])
         return RatMatrix(tup, cols)
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(tuple(unit_vec(n, i) for i in range(n)), n)
 
     @staticmethod
     def zeros(n_rows: int, n_cols: int) -> "RatMatrix":

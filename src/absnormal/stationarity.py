@@ -581,17 +581,16 @@ def _check_b_over_branches(lin: BranchLinearization, specs, kind: str) -> Statio
 def check_b_stationary(
     program,
     point,
-    form: str,
     branch_cap: int = DEFAULT_BRANCH_CAP,
     m_verdict: StationarityVerdict | None = None,
 ) -> StationarityVerdict:
     """No-descent check over every branch linearized cone.
 
-    ``form`` is "anf" (program: AbsNormalProgram, point: EvalResult) or "mpcc"
-    (program: MpccProgram, point: MpccPoint); ``m_verdict`` is the point's
-    M-stationarity verdict in the same form, when already known.  Holds
-    carries one dual-cone membership certificate per branch; Fails carries the
-    violating branch and an explicit descent direction.
+    ``program`` is an ``MpccProgram`` at an ``MpccPoint`` (verdict ``b-mpcc``)
+    or an ``AbsNormalProgram`` at an ``EvalResult`` (``b-anf``); ``m_verdict``
+    is the point's M-stationarity verdict in the same form, when already
+    known.  Holds carries one dual-cone membership certificate per branch;
+    Fails carries the violating branch and an explicit descent direction.
 
     Strong-stationary multipliers give every branch's certificate by a linear
     map (``_branch_certificate``), each checked by substitution, with no branch
@@ -599,14 +598,10 @@ def check_b_stationary(
     making the branches lazily and stopping at the first descent.  No branch
     problem is built: every branch cone comes from one linearization.
     """
-    if form == "anf":
-        system, lin = _anf_system(program, point), linearize_anf(program, point)
-    elif form == "mpcc":
-        system, lin = _mpcc_system(program, point), linearize_mpcc(program, point)
-    else:
-        raise ValueError(f"unknown form {form!r}")
+    linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
+    system, lin = multiplier_system(program, point), linearize(program, point)
     specs = lin.specs(branch_cap)
-    kind = "b-" + form
+    kind = "b-" + lin.form
     ms = _strong_multipliers(system, m_verdict)
     if ms is None:
         return _check_b_over_branches(lin, specs, kind)

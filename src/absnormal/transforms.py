@@ -26,7 +26,7 @@ from .anf import (
 )
 from .ratmath import ONE, ZERO, RatMatrix, Vec, unit_vec, vec, vec_neg, zero_vec
 
-DEFAULT_BRANCH_CAP = 2**16
+DEFAULT_BRANCH_CAP = 65536  # branches, 2^16: the default of every --branch-cap
 
 
 class BranchLimitError(RuntimeError):

@@ -9,6 +9,9 @@ the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
 ``cone_equal`` is set equality of two cones, by containment both ways.
+``UnionCone`` labels the pieces of a nonconvex cone by branch;
+``branch_union`` gives the package's own union from one linearization, to be
+compared with the oracle unions.
 
 The rest are maps the package no longer needs: the feasibility test of a
 counterpart point (``mpcc_feasible``), the direction maps between the
@@ -17,13 +20,45 @@ abs-normal and the counterpart coordinates (``merge_direction``,
 fixed-signature switching solve (``jacobian_z``).
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from absnormal.anf import AbsNormalProgram, EvalResult, ProgramError, SignatureVector, constraint_jacobians
-from absnormal.cones import PolyCone, UnionCone, cone_contains
+from absnormal.cones import BranchLinearization, PolyCone, cone_contains
 from absnormal.ratmath import ONE, ZERO, RatMatrix, Vec, dot, unit_vec, vec, vec_add, zero_vec
 from absnormal.stationarity import BranchDualCertificate
 from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
+
+
+@dataclass(frozen=True)
+class UnionCone:
+    """A finite union of polyhedral cones, labeled by branch."""
+
+    members: tuple[tuple[str, PolyCone], ...]
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            raise ValueError("a union needs at least one member")
+        dims = {cone.dim for _, cone in self.members}
+        if len(dims) != 1:
+            raise ValueError("union members must share a dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.members[0][1].dim
+
+    @property
+    def cones(self) -> tuple[PolyCone, ...]:
+        return tuple(cone for _, cone in self.members)
+
+    def contains_point(self, d: Vec) -> bool:
+        return any(cone.contains_point(d) for cone in self.cones)
+
+
+def branch_union(lin: BranchLinearization) -> UnionCone:
+    """The package's branch cones (``BranchLinearization.cone``) of every
+    branch of the linearization, labeled by branch."""
+    return UnionCone(tuple((spec.label, lin.cone(spec.signs)) for spec in lin.specs()))
 
 
 def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:

@@ -19,8 +19,8 @@ from absnormal.cones import (
     PolyCone,
     cone_image,
     dual_cone,
-    lin_cone_abs,
-    lin_cone_mpcc,
+    linearize_anf,
+    linearize_mpcc,
     union_covers,
 )
 from absnormal.cq import (
@@ -60,6 +60,7 @@ from absnormal.transforms import (
 )
 
 from branch_oracles import (
+    branch_union,
     cone_equal,
     lin_cone_abs_direct,
     lin_cone_mpcc_direct,
@@ -205,11 +206,11 @@ def test_criterion_2_double_description_biduality():
 
 def _unions_equal_as_sets(u1, u2) -> bool:
     for _, piece in u1.members:
-        ok, _ = union_covers(u2, piece)
+        ok, _ = union_covers(u2.cones, piece)
         if not ok:
             return False
     for _, piece in u2.members:
-        ok, _ = union_covers(u1, piece)
+        ok, _ = union_covers(u1.cones, piece)
         if not ok:
             return False
     return True
@@ -219,16 +220,16 @@ def test_criterion_3_decomposition_into_branches():
     for pf, point, pa in CASES:
         e = pa.point_eval
         direct = lin_cone_abs_direct(pf.program, e)
-        branch_union = union_from_branches(enumerate_branches(pf.program, e))
-        assert _unions_equal_as_sets(direct, branch_union), f"{pf.name}/{point.label}: abs-form"
+        built = union_from_branches(enumerate_branches(pf.program, e))
+        assert _unions_equal_as_sets(direct, built), f"{pf.name}/{point.label}: abs-form"
         # the package's one linearization gives the built branches' cones, row for row
-        assert lin_cone_abs(pf.program, e) == branch_union, f"{pf.name}/{point.label}: abs-form"
+        assert branch_union(linearize_anf(pf.program, e)) == built, f"{pf.name}/{point.label}: abs-form"
         mp = pa.mpcc
         mpoint = pa.mpcc_point
         direct_m = lin_cone_mpcc_direct(mp, mpoint)
-        branch_union_m = union_from_branches(enumerate_mpcc_branches(mp, mpoint))
-        assert _unions_equal_as_sets(direct_m, branch_union_m), f"{pf.name}/{point.label}: counterpart"
-        assert lin_cone_mpcc(mp, mpoint) == branch_union_m, f"{pf.name}/{point.label}: counterpart"
+        built_m = union_from_branches(enumerate_mpcc_branches(mp, mpoint))
+        assert _unions_equal_as_sets(direct_m, built_m), f"{pf.name}/{point.label}: counterpart"
+        assert branch_union(linearize_mpcc(mp, mpoint)) == built_m, f"{pf.name}/{point.label}: counterpart"
     print(
         "\nACCEPTANCE 3 PASS: linearized-cone decomposition (defining rows vs branch "
         f"union) verified on {len(CASES)} corpus points, both forms, zero tolerance"
@@ -383,8 +384,8 @@ def test_criterion_7_stationarity_equivalences():
             there = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
             back = translate_m_verdict(there, sys_mpcc, sys_anf, "m-anf")
             assert back.multipliers == m_anf.multipliers  # certificate round trip
-        b_anf = check_b_stationary(pf.program, e, "anf")
-        b_mpcc = check_b_stationary(mp, mpoint, "mpcc")
+        b_anf = check_b_stationary(pf.program, e)
+        b_mpcc = check_b_stationary(mp, mpoint)
         assert b_anf.status == b_mpcc.status, f"{pf.name}/{point.label}: B-verdicts differ"
         # slack forms, as instances of the same machinery
         se = pa.slack_eval

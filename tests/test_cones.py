@@ -11,13 +11,10 @@ from absnormal.cones import (
     TANGENT_LICQ,
     TANGENT_MFCQ,
     TANGENT_UNKNOWN,
-    UnionCone,
     cone_contains,
     cone_image,
     dual_cone,
     dual_union,
-    lin_cone_abs,
-    lin_cone_mpcc,
     linearize_anf,
     linearize_mpcc,
     tangent_cone_branch,
@@ -35,7 +32,9 @@ from absnormal.transforms import (
 )
 
 from branch_oracles import (
+    UnionCone,
     branch_is_affine,
+    branch_union,
     compl_cone,
     cone_equal,
     lin_cone_abs_direct,
@@ -87,7 +86,7 @@ def test_lin_cone_abs_direct_matches_branch_union(e1, e2, e3, e4):
         via_branches = union_from_branches(enumerate_branches(p, e))
         for (_, a), (_, b) in zip(direct.members, via_branches.members, strict=True):
             assert cone_equal(a, b)
-        assert lin_cone_abs(p, e) == via_branches
+        assert branch_union(linearize_anf(p, e)) == via_branches
 
 
 def test_lin_cone_mpcc_direct_matches_branch_union(e1, e2, e3, e4):
@@ -99,7 +98,7 @@ def test_lin_cone_mpcc_direct_matches_branch_union(e1, e2, e3, e4):
         via_branches = union_from_branches(enumerate_mpcc_branches(mp, point))
         for (_, a), (_, b) in zip(direct.members, via_branches.members, strict=True):
             assert cone_equal(a, b)
-        assert lin_cone_mpcc(mp, point) == via_branches
+        assert branch_union(linearize_mpcc(mp, point)) == via_branches
 
 
 def test_compl_cone_l_shape():
@@ -210,7 +209,7 @@ def test_dual_of_l_shaped_union_is_orthant():
     leg_b = cone(2, eq=[[1, 0]], ineq=[[0, 1]])  # {(0, b): b >= 0}
     union = UnionCone((("a", leg_a), ("b", leg_b)))
     orthant = cone(2, ineq=[[1, 0], [0, 1]])
-    assert cone_equal(dual_union(union), orthant)
+    assert cone_equal(dual_union(union.cones, union.dim), orthant)
 
 
 def test_dual_union_contained_in_member_duals():
@@ -256,7 +255,7 @@ def test_union_covers_member_containment(e1):
     union = union_from_branches(enumerate_branches(e1, e))
     # the half-plane {dt2 = dt1 >= 0, dz = dt1} is the first member itself
     target = cone(3, eq=[[1, -1, 0], [1, 0, -1]], ineq=[[1, 0, 0]])
-    ok, _ = union_covers(union, target)
+    ok, _ = union_covers(union.cones, target)
     assert ok
 
 

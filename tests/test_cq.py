@@ -13,10 +13,7 @@ from absnormal.cq import (
     AnnotationError,
     analyze_branch,
     analyze_point,
-    check_akq,
     check_branch_cq,
-    check_gkq,
-    check_mpcc_cq,
     decide_kink_cq,
     verify_relations,
 )
@@ -32,6 +29,11 @@ def branch_analyses(p, e, annotations=None):
     lin = linearize_anf(p, e)
     annotations = annotations or {}
     return [analyze_branch(lin, spec, annotations.get(spec.label)) for spec in lin.specs()]
+
+
+def kink_cq(p, e, which, annotations=None):
+    """The kink-level verdict ``which`` on the inequality form at the point."""
+    return decide_kink_cq(analyze_point(p, e.t, annotations).formulations[ABS_I], which)
 
 
 def kink_statuses(pa):
@@ -92,29 +94,29 @@ def test_annotation_must_sit_inside_lin_cone(e3):
 
 def test_akq_holds_e1(e1):
     e = evaluate(e1, [0, 0])
-    assert check_akq(e1, e).status == HOLDS
-    assert check_gkq(e1, e).status == HOLDS
+    assert kink_cq(e1, e, "abadie").status == HOLDS
+    assert kink_cq(e1, e, "guignard").status == HOLDS
 
 
 def test_akq_holds_e2(e2):
     e = evaluate(e2, [0, 0])
-    assert check_akq(e2, e).status == HOLDS
-    assert check_gkq(e2, e).status == HOLDS
+    assert kink_cq(e2, e, "abadie").status == HOLDS
+    assert kink_cq(e2, e, "guignard").status == HOLDS
 
 
 def test_akq_unknown_then_fails_with_annotations(e3):
     # trusted tangent information only ever resolves Unknown, never flips
     e = evaluate(e3, [0, 0])
-    assert check_akq(e3, e).status == UNKNOWN
-    assert check_akq(e3, e, e3_annotations()).status == FAILS
-    assert check_gkq(e3, e).status == UNKNOWN
-    assert check_gkq(e3, e, e3_annotations()).status == FAILS
+    assert kink_cq(e3, e, "abadie").status == UNKNOWN
+    assert kink_cq(e3, e, "abadie", e3_annotations()).status == FAILS
+    assert kink_cq(e3, e, "guignard").status == UNKNOWN
+    assert kink_cq(e3, e, "guignard", e3_annotations()).status == FAILS
 
 
 def test_akq_fails_gkq_holds_e4(e4):
     e = evaluate(e4, [0, 0])
-    akq = check_akq(e4, e, e4_annotations())
-    gkq = check_gkq(e4, e, e4_annotations())
+    akq = kink_cq(e4, e, "abadie", e4_annotations())
+    gkq = kink_cq(e4, e, "guignard", e4_annotations())
     assert akq.status == FAILS
     assert gkq.status == HOLDS
     assert akq.witness is not None
@@ -138,10 +140,12 @@ def test_mpcc_gcq_e4_holds_while_acq_fails(e4):
 
 def test_check_mpcc_cq_standalone(e1):
     e = evaluate(e1, [0, 0])
-    mp = to_mpcc(e1)
-    point = mpcc_point_from_eval(e)
-    assert check_mpcc_cq(mp, point, "acq").status == HOLDS
-    assert check_mpcc_cq(mp, point, "gcq").status == HOLDS
+    pa = analyze_point(e1, e.t)
+    # the counterpart formulation is the counterpart of the program at the point
+    assert pa.anchor(MPCC_I) == (to_mpcc(e1), mpcc_point_from_eval(e))
+    fa = pa.formulations[MPCC_I]
+    assert decide_kink_cq(fa, "abadie").status == HOLDS
+    assert decide_kink_cq(fa, "guignard").status == HOLDS
 
 
 def test_verify_relations_consistent_everywhere(e1, e2, e3, e4):

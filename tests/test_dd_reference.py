@@ -28,9 +28,17 @@ from absnormal.ratmath.matrix import (
     primitive,
     rref,
     unit_vec,
-    vec_scale,
-    vec_sub,
 )
+
+
+def vec_sub(a: Vec, b: Vec) -> Vec:
+    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
+
+
+def vec_scale(c: Fraction, a: Vec) -> Vec:
+    if not c:
+        return (ZERO,) * len(a)
+    return tuple(c * x if x else ZERO for x in a)
 
 
 class _Ray:

@@ -20,8 +20,6 @@ from absnormal.ratmath import (
     dot,
     lp_solve,
     vec_add,
-    vec_scale,
-    vec_sub,
     verify_certificate,
 )
 from absnormal.ratmath import lp
@@ -283,13 +281,8 @@ def test_sparse_products_equal_the_naive_ones():
         naive = sum((x * y for x, y in zip(a, b)), ZERO)
         value = dot(a, b)
         assert value == naive and type(value) is Fraction
-        c = rng.choice((ZERO, ONE, Fraction(-3, 2)))
-        for got, want in (
-            (vec_scale(c, a), [c * x for x in a]),
-            (vec_sub(a, b), [x - y for x, y in zip(a, b)]),
-            (vec_add(a, b), [x + y for x, y in zip(a, b)]),
-        ):
-            assert got == tuple(want) and all(type(x) is Fraction for x in got)
+        got = vec_add(a, b)
+        assert got == tuple(x + y for x, y in zip(a, b)) and all(type(x) is Fraction for x in got)
         m = RatMatrix(tuple(_sparse(rng, 3) for _ in range(n)), 3)
         cols = m.vec_mat(a)
         assert cols == tuple(sum((a[i] * m.rows[i][j] for i in range(n)), ZERO) for j in range(3))

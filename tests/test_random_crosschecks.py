@@ -43,8 +43,8 @@ def test_relations_and_stationarity_on_random_affine_programs():
         m_anf = check_m_stationary_anf(p, e)
         m_mpcc = check_m_stationary_mpcc(mp, pa.mpcc_point)
         assert m_anf.status == m_mpcc.status
-        b_anf = check_b_stationary(p, e, "anf")
-        b_mpcc = check_b_stationary(mp, pa.mpcc_point, "mpcc")
+        b_anf = check_b_stationary(p, e)
+        b_mpcc = check_b_stationary(mp, pa.mpcc_point)
         assert b_anf.status == b_mpcc.status
         checked += 1
 

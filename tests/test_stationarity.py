@@ -119,7 +119,7 @@ def test_m_stationary_smooth_point_reduces_to_kkt(e1):
 
 def test_b_stationary_e1_holds(e1):
     e = evaluate(e1, [0, 0])
-    v = check_b_stationary(e1, e, "anf")
+    v = check_b_stationary(e1, e)
     assert v.status == HOLDS
     assert len(v.branch_certificates) == 2
     # each certificate proves dual-cone membership of the gradient by substitution
@@ -133,14 +133,14 @@ def test_b_stationary_e1_holds(e1):
 def test_b_stationary_zero_gradient_trivial(e1):
     p = with_objective(e1, [0, 0])
     e = evaluate(p, [0, 0])
-    assert check_b_stationary(p, e, "anf").status == HOLDS
+    assert check_b_stationary(p, e).status == HOLDS
 
 
 def test_b_stationary_fails_with_descent(e1):
     # minimizing t1 at the kink: the negative branch admits d = (-1, 1, -1)
     p = with_objective(e1, [1, 0])
     e = evaluate(p, [0, 0])
-    v = check_b_stationary(p, e, "anf")
+    v = check_b_stationary(p, e)
     assert v.status == FAILS
     assert v.failing_branch == "σ=-"
     gradient = vec([1, 0, 0])
@@ -152,8 +152,8 @@ def test_b_stationarity_agrees_across_forms(e1, e2, e3, e4):
     for p, t in cases:
         e = evaluate(p, t)
         mp = to_mpcc(p)
-        v_anf = check_b_stationary(p, e, "anf")
-        v_mpcc = check_b_stationary(mp, mpcc_point_from_eval(e), "mpcc")
+        v_anf = check_b_stationary(p, e)
+        v_mpcc = check_b_stationary(mp, mpcc_point_from_eval(e))
         assert v_anf.status == v_mpcc.status
         if v_anf.status == FAILS:
             assert v_anf.failing_branch.startswith("σ")
@@ -174,9 +174,9 @@ def test_b_stationary_unconstrained_kink_needs_no_qualification():
         c_z=(affine(2, 0, [1, 0]),),
     )
     e = evaluate(p, [0])
-    assert check_b_stationary(p, e, "anf").status == HOLDS
+    assert check_b_stationary(p, e).status == HOLDS
     mp = to_mpcc(p)
-    assert check_b_stationary(mp, mpcc_point_from_eval(e), "mpcc").status == HOLDS
+    assert check_b_stationary(mp, mpcc_point_from_eval(e)).status == HOLDS
 
 
 def test_minimizers_with_akq_are_m_stationary(e1, e2):
@@ -184,7 +184,7 @@ def test_minimizers_with_akq_are_m_stationary(e1, e2):
     for p in (e1, e2):
         e = evaluate(p, [0, 0])
         assert check_m_stationary_anf(p, e).status == HOLDS
-        assert check_b_stationary(p, e, "anf").status == HOLDS
+        assert check_b_stationary(p, e).status == HOLDS
 
 
 def test_translate_rejects_invalid_multipliers(e1):
@@ -338,8 +338,8 @@ def assert_certificates_verify(verdict, branches):
 def b_routes(p, e):
     """The B verdict with and without the M verdict, its route, and the reference."""
     m_verdict = check_m_stationary_anf(p, e)
-    with_m = check_b_stationary(p, e, "anf", m_verdict=m_verdict)
-    without_m = check_b_stationary(p, e, "anf")
+    with_m = check_b_stationary(p, e, m_verdict=m_verdict)
+    without_m = check_b_stationary(p, e)
     assert without_m.status == with_m.status
     if with_m.status == FAILS:
         assert without_m == with_m
@@ -384,14 +384,14 @@ def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, monkeypatc
         raise AssertionError("no LP expected")
 
     monkeypatch.setattr(stationarity, "lp_solve", no_lp)
-    verdict = check_b_stationary(e1, e, "anf", m_verdict=m_verdict)
+    verdict = check_b_stationary(e1, e, m_verdict=m_verdict)
     assert verdict.status == HOLDS and len(verdict.branch_certificates) == 2
     # a failed M verdict rules out strong multipliers; the loop solves the LPs
     monkeypatch.undo()
     p = with_objective(e1, [0, -1])
     e = evaluate(p, [0, 0])
     m_fails = check_m_stationary_anf(p, e)
-    assert check_b_stationary(p, e, "anf", m_verdict=m_fails).status == FAILS
+    assert check_b_stationary(p, e, m_verdict=m_fails).status == FAILS
 
 
 def b_translation_matches_direct_check(p, e):
@@ -399,10 +399,10 @@ def b_translation_matches_direct_check(p, e):
     own check and with the reference loop over the counterpart branches."""
     mp, point = to_mpcc(p), mpcc_point_from_eval(e)
     m_anf = check_m_stationary_anf(p, e)
-    b_anf = check_b_stationary(p, e, "anf", m_verdict=m_anf)
+    b_anf = check_b_stationary(p, e, m_verdict=m_anf)
     translated = translate_b_verdict(b_anf, mp, point)
     m_mpcc = translate_m_verdict(m_anf, multiplier_system(p, e), multiplier_system(mp, point), "m-mpcc")
-    direct = check_b_stationary(mp, point, "mpcc", m_verdict=m_mpcc)
+    direct = check_b_stationary(mp, point, m_verdict=m_mpcc)
     reference = b_over_every_branch(enumerate_mpcc_branches(mp, point), "b-mpcc")
     assert translated.kind == direct.kind == "b-mpcc"
     assert translated.status == direct.status == reference.status
@@ -447,7 +447,7 @@ def test_translated_b_verdict_matches_direct_check_on_random_programs():
 def test_b_translation_rejects_a_disagreeing_counterpart(e1):
     e = evaluate(e1, [0, 0])
     mp, point = to_mpcc(e1), mpcc_point_from_eval(e)
-    verdict = check_b_stationary(e1, e, "anf")
+    verdict = check_b_stationary(e1, e)
     first = verdict.branch_certificates[0]
     forged = replace(first, dual_eq=tuple(x + 1 for x in first.dual_eq))
     with pytest.raises(RuntimeError, match="counterpart"):
@@ -456,6 +456,6 @@ def test_b_translation_rejects_a_disagreeing_counterpart(e1):
         translate_b_verdict(replace(verdict, branch_certificates=(replace(first, branch="P={}"),)), mp, point)
     p = with_objective(e1, [1, 0])
     e = evaluate(p, [0, 0])
-    fails = check_b_stationary(p, e, "anf")
+    fails = check_b_stationary(p, e)
     with pytest.raises(RuntimeError, match="descent"):
         translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), to_mpcc(p), point)
