@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -33,9 +34,9 @@ from .cq import (
     FORMULATIONS,
     HOLDS,
     KINK_VERDICTS,
+    MPCC_I,
     SLACK_FORMS,
     UNKNOWN,
-    CQVerdict,
     PointAnalysis,
     analyze_point,
     anchor_point,
@@ -71,7 +72,6 @@ from .transforms import (
     BranchLimitError,
     enumerate_branches,
     enumerate_mpcc_branches,
-    mpcc_point_from_eval,
     parse_branch_label,
     to_mpcc,
     to_slack,
@@ -93,6 +93,28 @@ def _s(x) -> str:
 
 def _svec(v) -> list[str]:
     return [_s(x) for x in v]
+
+
+@functools.cache
+def _entry_fields(cls) -> tuple[tuple[str, object], ...] | None:
+    """(name, default) of each field of a dataclass; None for any other type."""
+    return tuple((f.name, f.default) for f in fields(cls)) if is_dataclass(cls) else None
+
+
+def _ser(obj):
+    """A verdict or certificate as a report entry: a dataclass's fields by
+    name in declaration order, less those at their default; rationals as
+    canonical strings, tuples as lists."""
+    if isinstance(obj, tuple):
+        if obj and isinstance(obj[0], (Fraction, int)):
+            return _svec(obj)  # a vector, in one pass
+        return [_ser(x) for x in obj]
+    if type(obj) is Fraction:
+        return str(obj)
+    entry_fields = _entry_fields(type(obj))
+    if entry_fields is None:
+        return obj
+    return {name: _ser(v) for name, default in entry_fields if (v := getattr(obj, name)) != default}
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -173,21 +195,6 @@ def _parse_cone(data: dict, dim: int) -> PolyCone:
     return PolyCone.from_rows(dim, data.get("eq", []), data.get("ineq", []))
 
 
-def _ser_lp_certificate(cert: LpCertificate) -> dict:
-    out = {"kind": cert.kind}
-    if cert.point is not None:
-        out["point"] = _svec(cert.point)
-    if cert.ray is not None:
-        out["ray"] = _svec(cert.ray)
-    if cert.dual_eq is not None:
-        out["dual_eq"] = _svec(cert.dual_eq)
-    if cert.dual_ineq is not None:
-        out["dual_ineq"] = _svec(cert.dual_ineq)
-    if cert.margin is not None:
-        out["margin"] = _s(cert.margin)
-    return out
-
-
 def _parse_lp_certificate(data: dict) -> LpCertificate:
     return LpCertificate(
         kind=data["kind"],
@@ -197,54 +204,6 @@ def _parse_lp_certificate(data: dict) -> LpCertificate:
         dual_ineq=vec(data["dual_ineq"]) if "dual_ineq" in data else None,
         margin=rat(data["margin"]) if "margin" in data else None,
     )
-
-
-def _ser_cq_verdict(v: CQVerdict) -> dict:
-    out = {"kind": v.kind, "formulation": v.formulation, "status": v.status}
-    if v.branch is not None:
-        out["branch"] = v.branch
-    if v.witness is not None:
-        out["witness"] = _svec(v.witness)
-    if v.blocking:
-        out["blocking"] = list(v.blocking)
-    if v.note:
-        out["note"] = v.note
-    return out
-
-
-def _ser_multipliers(ms: MultiplierSet) -> dict:
-    return {
-        "lam_e": _svec(ms.lam_e),
-        "lam_i": _svec(ms.lam_i),
-        "lam_z": _svec(ms.lam_z),
-        "mu_u": _svec(ms.mu_u),
-        "mu_v": _svec(ms.mu_v),
-    }
-
-
-def _ser_stationarity(v: StationarityVerdict) -> dict:
-    out = {"kind": v.kind, "status": v.status}
-    if v.multipliers is not None:
-        out["multipliers"] = _ser_multipliers(v.multipliers)
-    if v.case is not None:
-        out["case"] = list(v.case)
-    if v.failing_branch is not None:
-        out["failing_branch"] = v.failing_branch
-    if v.descent is not None:
-        out["descent"] = _svec(v.descent)
-    if v.branch_certificates:
-        out["branch_certificates"] = [
-            {"branch": c.branch, "dual_eq": _svec(c.dual_eq), "dual_ineq": _svec(c.dual_ineq)}
-            for c in v.branch_certificates
-        ]
-    if v.failed_cases:
-        out["failed_cases"] = [
-            {"assignment": list(c.assignment), "certificate": _ser_lp_certificate(c.certificate)}
-            for c in v.failed_cases
-        ]
-    if v.note:
-        out["note"] = v.note
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +232,7 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators
             continue
         fa = pa.formulations[key]
         branches = []
+        lin_duals = []
         for ba in fa.branches:
             lin = ser(ba.lin)
             # a certified tangent piece is the linearized cone object itself: serialize it once
@@ -284,13 +244,19 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators
                 "tangent_source": ba.tangent_source,
             }
             if include_dual:
-                entry["lin_dual"] = _ser_cone(dual_cone(ba.lin))
-                if ba.tangent_known:
+                # each branch dual is built once, and reused where the tangent union is the linearized cone
+                lin_duals.append(dual_cone(ba.lin))
+                entry["lin_dual"] = _ser_cone(lin_duals[-1])
+                if ba.tangent_pieces == (ba.lin,):
+                    entry["tangent_dual"] = entry["lin_dual"]
+                elif ba.tangent_known:
                     entry["tangent_dual"] = _ser_cone(dual_union(list(ba.tangent_pieces), fa.dim))
             branches.append(entry)
         section = {"dim": fa.dim, "branches": branches}
         if include_dual:
-            section["lin_union_dual"] = _ser_cone(dual_union([b.lin for b in fa.branches], fa.dim))
+            # the dual of the union is the intersection of the member duals (cones.dual_union)
+            union_dual = functools.reduce(PolyCone.intersect, lin_duals, PolyCone.full_space(fa.dim))
+            section["lin_union_dual"] = _ser_cone(union_dual)
         out[key] = section
     return out
 
@@ -302,18 +268,18 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
     out = {}
     for name, (key, condition) in KINK_VERDICTS.items():
         if name in which:
-            out[name] = _ser_cq_verdict(decide_kink_cq(pa.formulations[key], condition))
+            out[name] = _ser(decide_kink_cq(pa.formulations[key], condition))
     if "slack" in which:
         for name, (key, condition) in KINK_VERDICTS.items():
-            out[f"{name}-slack"] = _ser_cq_verdict(decide_kink_cq(pa.formulations[SLACK_FORMS[key]], condition))
+            out[f"{name}-slack"] = _ser(decide_kink_cq(pa.formulations[SLACK_FORMS[key]], condition))
     if include_branches:
         branch_out = {}
         for key in FORMULATIONS:
             branch_out[key] = [
                 {
                     "branch": ba.label,
-                    "acq": _ser_cq_verdict(check_branch_cq(ba, "acq")),
-                    "gcq": _ser_cq_verdict(check_branch_cq(ba, "gcq")),
+                    "acq": _ser(check_branch_cq(ba, "acq")),
+                    "gcq": _ser(check_branch_cq(ba, "gcq")),
                 }
                 for ba in pa.formulations[key].branches
             ]
@@ -322,17 +288,16 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
 
 
 def _stationarity_verdicts(
-    p: AbsNormalProgram, e: EvalResult, counterpart, which: set[str], forms: set[str], branch_cap: int
+    pa: PointAnalysis, which: set[str], forms: set[str], branch_cap: int
 ) -> dict[str, StationarityVerdict]:
     """The verdicts ``which`` (``m``, ``b``) in the ``forms`` (``anf``,
     ``mpcc``), by name in report order: M on the abs-normal form, its
     translation to the counterpart (re-checked in the system read off the
     MPCC data, with no second case search), B given the M verdict, and B's
-    translation.  ``counterpart()`` gives the MPCC form and point, asked
-    for only when ``forms`` holds ``mpcc``."""
+    translation.  The counterpart is anchored only when ``forms`` holds
+    ``mpcc``."""
     out = {}
-    if "mpcc" in forms:
-        mp, mp_point = counterpart()
+    p, e = pa.anchor(ABS_I)
     m_anf = None
     if "m" in which:
         m_anf = check_m_stationary_anf(p, e)
@@ -340,37 +305,21 @@ def _stationarity_verdicts(
             out["m-anf"] = m_anf
         if "mpcc" in forms:
             out["m-mpcc"] = translate_m_verdict(
-                m_anf, multiplier_system(p, e), multiplier_system(mp, mp_point), "m-mpcc"
+                m_anf, multiplier_system(p, e), multiplier_system(*pa.anchor(MPCC_I)), "m-mpcc"
             )
     if "b" in which:
         b_anf = check_b_stationary(p, e, branch_cap, m_anf)
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
-            out["b-mpcc"] = translate_b_verdict(b_anf, mp, mp_point)
+            out["b-mpcc"] = translate_b_verdict(b_anf, *pa.anchor(MPCC_I))
     return out
 
 
 def _relations_section(pa: PointAnalysis) -> dict:
     report, kink, branch_verdicts = verify_relations(pa)
-    arrows = []
-    for a in report.arrows:
-        entry = {
-            "id": a.arrow_id,
-            "kind": a.kind,
-            "lhs": {"name": a.lhs, "status": a.lhs_status},
-            "rhs": {"name": a.rhs, "status": a.rhs_status},
-            "consistent": a.consistent,
-        }
-        if a.converse_observation is not None:
-            entry["converse_observation"] = a.converse_observation
-        if a.note:
-            entry["note"] = a.note
-        arrows.append(entry)
-    kink_out = {}
-    for (which, key), verdict in sorted(kink.items()):
-        kink_out[f"{which}[{key}]"] = _ser_cq_verdict(verdict)
-    return {"consistent": report.consistent, "arrows": arrows, "kink_verdicts": kink_out}
+    kink_out = {f"{which}[{key}]": _ser(verdict) for (which, key), verdict in sorted(kink.items())}
+    return {"consistent": report.consistent, "arrows": [_ser(a) for a in report.arrows], "kink_verdicts": kink_out}
 
 
 def _branches_section(pa: PointAnalysis, forms, cap: int) -> dict:
@@ -467,15 +416,9 @@ def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
         kink_verdicts = point_entry.get("relations", {}).get("kink_verdicts", {})
         for name, verdict in kink_verdicts.items():
             errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
-        stat = point_entry.get("stationarity", {})
-
-        @functools.cache
-        def counterpart(e=e):
-            # the MPCC form and point, built once per point and only for an mpcc verdict
-            return to_mpcc(pf.program), mpcc_point_from_eval(e)
-
-        for name, verdict in stat.items():
-            errors.extend(_recheck_stationarity(pf, e, counterpart, prefix + f" {name}", verdict))
+        pa = PointAnalysis(pf.program, e)
+        for name, verdict in point_entry.get("stationarity", {}).items():
+            errors.extend(_recheck_stationarity(pa, prefix + f" {name}", verdict))
     return errors
 
 
@@ -541,22 +484,20 @@ def _escapes_dual(w, cone: PolyCone) -> bool:
     return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
 
 
-def _recheck_stationarity(pf: ProblemFile, e, counterpart, prefix: str, verdict: dict) -> list[str]:
+def _recheck_stationarity(pa: PointAnalysis, prefix: str, verdict: dict) -> list[str]:
     errors: list[str] = []
     kind = verdict.get("kind", "")
     status = verdict.get("status")
+    form = ABS_I if kind.endswith("-anf") else MPCC_I
     if kind.startswith("m-"):
-        if kind == "m-anf":
-            system = multiplier_system(pf.program, e)
-        else:
-            system = multiplier_system(*counterpart())
+        system = multiplier_system(*pa.anchor(form))
         for msg in verify_m_certificate(system, _parse_m_verdict(verdict)):
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
         # every branch cone and certificate is checked on the point's one
         # linearization; no branch problem is built
-        lin = linearize_anf(pf.program, e) if kind == "b-anf" else linearize_mpcc(*counterpart())
+        lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
         if status == HOLDS:
             by_label = {spec.label: spec for spec in lin.specs()}
             certificates = verdict.get("branch_certificates", [])
@@ -721,13 +662,8 @@ def cmd_check_stationarity(pf: ProblemFile, args) -> dict:
     forms = {args.form} if args.form else {"anf", "mpcc"}
 
     def sections(p: ProblemPoint) -> dict:
-        e = evaluate(pf.program, p.t)
-        if not e.is_feasible():
-            raise ValueError("point is not feasible")
-        verdicts = _stationarity_verdicts(
-            pf.program, e, lambda: (to_mpcc(pf.program), mpcc_point_from_eval(e)), which, forms, args.branch_cap
-        )
-        return {"stationarity": {name: _ser_stationarity(v) for name, v in verdicts.items()}}
+        verdicts = _stationarity_verdicts(anchor_point(pf.program, p.t), which, forms, args.branch_cap)
+        return {"stationarity": {name: _ser(v) for name, v in verdicts.items()}}
 
     return _point_report("check-stationarity", pf, args, sections)
 
@@ -751,9 +687,7 @@ def cmd_verify_relations(pf: ProblemFile, args) -> dict:
 def _observed_verdicts(pf: ProblemFile, point: ProblemPoint, cap: int) -> tuple[dict, bool, bool]:
     pa = _analyze(pf, point, cap)
     relations, kink, _ = verify_relations(pa)
-    stat = _stationarity_verdicts(
-        pa.program, pa.point_eval, lambda: (pa.mpcc, pa.mpcc_point), {"m", "b"}, {"anf", "mpcc"}, cap
-    )
+    stat = _stationarity_verdicts(pa, {"m", "b"}, {"anf", "mpcc"}, cap)
     observed = {name: kink[(condition, key)].status for name, (key, condition) in KINK_VERDICTS.items()}
     observed["m-stationary"] = stat["m-anf"].status
     observed["b-stationary"] = stat["b-anf"].status
@@ -777,20 +711,14 @@ def cmd_corpus(args) -> dict:
             matches = all(observed.get(k) == v for k, v in point.expected.items())
             ok = matches and consistent and forms_agree
             all_ok = all_ok and ok
-            for key, expected_value in point.expected.items():
-                got = observed.get(key, "?")
+            rows = [(key, expected_value, observed.get(key, "?")) for key, expected_value in point.expected.items()]
+            rows.append(("relations", HOLDS, HOLDS if consistent else FAILS))
+            rows.append(("form-agree", HOLDS, HOLDS if forms_agree else FAILS))
+            for check, expected_value, got in rows:
                 table.append(
-                    f"{pf.name:<7}  {point.label:<8}  {key:<13}  {expected_value:<8}  "
+                    f"{pf.name:<7}  {point.label:<8}  {check:<13}  {expected_value:<8}  "
                     f"{got:<8}  {'ok' if got == expected_value else 'MISMATCH'}"
                 )
-            table.append(
-                f"{pf.name:<7}  {point.label:<8}  {'relations':<13}  {'holds':<8}  "
-                f"{'holds' if consistent else 'fails':<8}  {'ok' if consistent else 'MISMATCH'}"
-            )
-            table.append(
-                f"{pf.name:<7}  {point.label:<8}  {'form-agree':<13}  {'holds':<8}  "
-                f"{'holds' if forms_agree else 'fails':<8}  {'ok' if forms_agree else 'MISMATCH'}"
-            )
             entry["points"].append(
                 {
                     "label": point.label,

@@ -304,27 +304,53 @@ def lift_tangent_piece(
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """All four formulations of one program anchored at one evaluation point."""
+    """All four formulations of one program anchored at one evaluation point.
+
+    Only the inequality form is evaluated up front; the slack form and the
+    counterparts, with their points, are built the first time they are read.
+    """
 
     program: AbsNormalProgram
     point_eval: EvalResult
-    slack: SlackProgram
-    slack_eval: EvalResult
-    mpcc: MpccProgram
-    mpcc_point: MpccPoint
-    slack_mpcc: MpccProgram
-    slack_mpcc_point: MpccPoint
+    w_signs: tuple[int, ...] | None = None
     formulations: dict[str, FormulationAnalysis] = field(hash=False, default_factory=dict)
+
+    @functools.cached_property
+    def slack(self) -> SlackProgram:
+        return to_slack(self.program)
+
+    @functools.cached_property
+    def slack_eval(self) -> EvalResult:
+        se = evaluate(self.slack.program, self.slack.lift_smooth_point(self.point_eval, self.w_signs))
+        if not se.is_feasible():
+            raise RuntimeError("slack lifting must preserve feasibility")
+        return se
+
+    @functools.cached_property
+    def mpcc(self) -> MpccProgram:
+        return to_mpcc(self.program)
+
+    @functools.cached_property
+    def mpcc_point(self) -> MpccPoint:
+        return mpcc_point_from_eval(self.point_eval)
+
+    @functools.cached_property
+    def slack_mpcc(self) -> MpccProgram:
+        return to_mpcc(self.slack.program)
+
+    @functools.cached_property
+    def slack_mpcc_point(self) -> MpccPoint:
+        return mpcc_point_from_eval(self.slack_eval)
 
     def anchor(self, key: str):
         """Formulation ``key`` at the point: an abs-normal program with its
         evaluation, or a counterpart with its point."""
         return {
-            ABS_I: (self.program, self.point_eval),
-            ABS_E: (self.slack.program, self.slack_eval),
-            MPCC_I: (self.mpcc, self.mpcc_point),
-            MPCC_E: (self.slack_mpcc, self.slack_mpcc_point),
-        }[key]
+            ABS_I: lambda: (self.program, self.point_eval),
+            ABS_E: lambda: (self.slack.program, self.slack_eval),
+            MPCC_I: lambda: (self.mpcc, self.mpcc_point),
+            MPCC_E: lambda: (self.slack_mpcc, self.slack_mpcc_point),
+        }[key]()
 
     def branch_pairs_i_to_e(self):
         """Aligned (inequality-form branch, slack-form branch) analyses: the
@@ -338,7 +364,8 @@ class PointAnalysis:
 
 
 def anchor_point(p: AbsNormalProgram, t, w_signs: tuple[int, ...] | None = None) -> PointAnalysis:
-    """The point in all four formulations, with no branch analyzed yet.
+    """The point, with no branch analyzed yet and the other formulations
+    anchored on first read.
 
     Raises ``ValueError`` when the point is not feasible.  ``w_signs`` chooses
     the slack representative (default nonnegative).
@@ -346,13 +373,7 @@ def anchor_point(p: AbsNormalProgram, t, w_signs: tuple[int, ...] | None = None)
     e = evaluate(p, t)
     if not e.is_feasible():
         raise ValueError("point is not feasible")
-    slack = to_slack(p)
-    se = evaluate(slack.program, slack.lift_smooth_point(e, w_signs))
-    if not se.is_feasible():
-        raise RuntimeError("slack lifting must preserve feasibility")
-    return PointAnalysis(
-        p, e, slack, se, to_mpcc(p), mpcc_point_from_eval(e), to_mpcc(slack.program), mpcc_point_from_eval(se)
-    )
+    return PointAnalysis(p, e, w_signs)
 
 
 def analyze_point(
@@ -401,8 +422,11 @@ def analyze_point(
         return out
 
     analyses = {ABS_I: abs_i, ABS_E: abs_e, MPCC_I: mpcc_side(MPCC_I, abs_i), MPCC_E: mpcc_side(MPCC_E, abs_e)}
-    formulations = {key: FormulationAnalysis(key, lins[key].dim, tuple(analyses[key])) for key in FORMULATIONS}
-    return replace(pa, formulations=formulations)
+    # filled in place, so the anchors built above stay cached on ``pa``
+    pa.formulations.update(
+        (key, FormulationAnalysis(key, lins[key].dim, tuple(analyses[key]))) for key in FORMULATIONS
+    )
+    return pa
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +434,17 @@ def analyze_point(
 
 
 @dataclass(frozen=True)
+class RelationSide:
+    name: str
+    status: str
+
+
+@dataclass(frozen=True)
 class RelationArrow:
-    arrow_id: str
+    id: str
     kind: str  # "iff" | "implies"
-    lhs: str
-    lhs_status: str
-    rhs: str
-    rhs_status: str
+    lhs: RelationSide
+    rhs: RelationSide
     consistent: bool
     converse_observation: str | None = None
     note: str = ""
@@ -478,25 +506,25 @@ def verify_relations(
     }
     arrows: list[RelationArrow] = []
 
-    def add(kind, arrow_id, lhs, lhs_status, rhs, rhs_status, one_sided=False, note=""):
-        consistent = (_iff_consistent if kind == "iff" else _implies_consistent)(lhs_status, rhs_status)
-        converse = _converse(lhs_status, rhs_status) if one_sided else None
-        arrows.append(
-            RelationArrow(arrow_id, kind, lhs, lhs_status, rhs, rhs_status, consistent, converse, note)
-        )
+    def add(kind, arrow_id, lhs: RelationSide, rhs: RelationSide, one_sided=False, note=""):
+        consistent = (_iff_consistent if kind == "iff" else _implies_consistent)(lhs.status, rhs.status)
+        converse = _converse(lhs.status, rhs.status) if one_sided else None
+        arrows.append(RelationArrow(arrow_id, kind, lhs, rhs, consistent, converse, note))
 
-    def kink_side(which, key):
+    def kink_side(which, key) -> RelationSide:
         v = kink[(which, key)]
-        return f"{v.kind.upper()} ({key})", v.status
+        return RelationSide(f"{v.kind.upper()} ({key})", v.status)
 
     for key in FORMULATIONS:
         for pos, (which, tag) in enumerate((("abadie", "acq"), ("guignard", "gcq"))):
             add(
                 "implies",
                 f"branch-{tag}-all=>{which}[{key}]",
-                f"{tag.upper()} for all branches ({key})",
-                _aggregate(pair[pos].status for pair in branch_verdicts[key]),
-                *kink_side(which, key),
+                RelationSide(
+                    f"{tag.upper()} for all branches ({key})",
+                    _aggregate(pair[pos].status for pair in branch_verdicts[key]),
+                ),
+                kink_side(which, key),
             )
     for lhs, rhs, note in (
         (ABS_I, MPCC_I, ""),
@@ -504,13 +532,13 @@ def verify_relations(
         (ABS_I, ABS_E, ""),
         (MPCC_I, MPCC_E, "implied by the other Abadie equivalences"),
     ):
-        add("iff", f"abadie[{lhs}]<=>abadie[{rhs}]", *kink_side("abadie", lhs), *kink_side("abadie", rhs), note=note)
+        add("iff", f"abadie[{lhs}]<=>abadie[{rhs}]", kink_side("abadie", lhs), kink_side("abadie", rhs), note=note)
     for lhs, rhs in ((ABS_E, ABS_I), (MPCC_E, MPCC_I), (MPCC_I, ABS_I), (MPCC_E, ABS_E)):
         add(
             "implies",
             f"guignard[{lhs}]=>guignard[{rhs}]",
-            *kink_side("guignard", lhs),
-            *kink_side("guignard", rhs),
+            kink_side("guignard", lhs),
+            kink_side("guignard", rhs),
             one_sided=True,
         )
 
@@ -519,10 +547,8 @@ def verify_relations(
             add(
                 "iff",
                 f"branch-{tag}[{lhs_key}:{lhs.branch}]<=>branch-{tag}[{rhs_key}:{rhs.branch}]",
-                f"{tag.upper()} {lhs_key} {lhs.branch}",
-                lhs.status,
-                f"{tag.upper()} {rhs_key} {rhs.branch}",
-                rhs.status,
+                RelationSide(f"{tag.upper()} {lhs_key} {lhs.branch}", lhs.status),
+                RelationSide(f"{tag.upper()} {rhs_key} {rhs.branch}", rhs.status),
             )
 
     for abs_key, mpcc_key in ((ABS_I, MPCC_I), (ABS_E, MPCC_E)):

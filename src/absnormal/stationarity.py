@@ -105,15 +105,15 @@ class BranchDualCertificate:
 
 @dataclass(frozen=True)
 class StationarityVerdict:
+    # the report writes the fields by name, in this order
     kind: str  # "m-anf" | "m-mpcc" | "b-anf" | "b-mpcc"
     status: str
     multipliers: MultiplierSet | None = None
     case: tuple[str, ...] | None = None
-    failed_cases: tuple[CaseOutcome, ...] = ()
-    branch_certificates: tuple[BranchDualCertificate, ...] = ()
     failing_branch: str | None = None
     descent: Vec | None = None
-    note: str = ""
+    branch_certificates: tuple[BranchDualCertificate, ...] = ()
+    failed_cases: tuple[CaseOutcome, ...] = ()
 
 
 # ---------------------------------------------------------------------------

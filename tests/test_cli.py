@@ -525,6 +525,15 @@ def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
         assert err.startswith("error: internal: ") and "branch σ=-" in err
 
 
+def rebind(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` wherever the package binds it."""
+    modules = [m for name, m in sys.modules.items() if name == "absnormal" or name.startswith("absnormal.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def forbid_branch_problems(monkeypatch):
     """Make building a branch problem raise, wherever the builders are bound."""
     import absnormal.transforms
@@ -532,13 +541,8 @@ def forbid_branch_problems(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a branch problem was built")
 
-    modules = [m for name, m in sys.modules.items() if name == "absnormal" or name.startswith("absnormal.")]
     for name in ("build_anf_branch", "build_mpcc_branch"):
-        original = getattr(absnormal.transforms, name)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, no_build)
+        rebind(monkeypatch, getattr(absnormal.transforms, name), no_build)
 
 
 def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
@@ -674,3 +678,42 @@ def test_back_to_back_main_calls_share_the_parser_but_no_state(capsys):
     assert "recheck" not in second
     assert set(second["points"][0]["stationarity"]) == {"m-anf", "m-mpcc", "b-anf", "b-mpcc"}
     assert build_parser() is build_parser()
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record every call of ``module.name``, wherever the package binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    rebind(monkeypatch, original, counted)
+    return calls
+
+
+def test_branches_anchors_only_the_listed_formulation(capsys, monkeypatch):
+    import absnormal.cq
+
+    calls = {name: count_calls(monkeypatch, absnormal.cq, name) for name in ("evaluate", "to_slack", "to_mpcc")}
+    code, _, err = run_cli(capsys, "branches", "E2", "--point", "origin", "--form", "abs-i")
+    assert (code, err) == (0, "")
+    assert {name: len(c) for name, c in calls.items()} == {"evaluate": 1, "to_slack": 0, "to_mpcc": 0}
+
+
+def test_cones_dual_builds_each_branch_dual_once(capsys, monkeypatch):
+    import absnormal.cones
+
+    calls = count_calls(monkeypatch, absnormal.cones, "dual_cone")
+    counts = {}
+    for name in ("E1", "E2", "E3", "E4"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "cones", name, "--dual")
+        assert code == 0
+        branches = [b for point in json.loads(out)["points"] for f in point["cones"].values() for b in f["branches"]]
+        # one dual per branch cone, and one per tangent piece that is not the branch cone (annotations)
+        other_pieces = [p for b in branches if b["tangent"] not in (None, [b["lin"]]) for p in b["tangent"]]
+        assert len(calls) == len(branches) + len(other_pieces)
+        counts[name] = len(calls)
+    assert counts == {"E1": 12, "E2": 26, "E3": 16, "E4": 24}

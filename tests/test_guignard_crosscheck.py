@@ -10,7 +10,7 @@ import dataclasses
 import functools
 import random
 
-from absnormal.cli import _cones_section, _recheck_kink_verdict, _ser_cq_verdict
+from absnormal.cli import _cones_section, _recheck_kink_verdict, _ser
 from absnormal.cones import PolyCone, cone_contains, dual_cone
 from absnormal.cq import (
     FAILS,
@@ -58,12 +58,12 @@ def assert_agrees(pa, seen: set) -> None:
         section = _cones_section(pa, False, {key})[key]
         verdict = decide_kink_cq(fa, "guignard")
         assert verdict.status == reference_kink_guignard(fa), (key, verdict)
-        assert _recheck_kink_verdict(key, _ser_cq_verdict(verdict), section) == []
+        assert _recheck_kink_verdict(key, _ser(verdict), section) == []
         seen.add(("kink", verdict.status))
         for ba in fa.branches:
             verdict = check_branch_cq(ba, "gcq")
             assert verdict.status == reference_branch_guignard(ba), (key, ba.label, verdict)
-            assert _recheck_kink_verdict(key, _ser_cq_verdict(verdict), section) == []
+            assert _recheck_kink_verdict(key, _ser(verdict), section) == []
             seen.add(("branch", verdict.status))
 
 

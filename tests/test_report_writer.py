@@ -23,8 +23,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absnormal.cli import EXIT_FAILS, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, exit_code_for_report, main, report_text
-from absnormal.cq import FAILS, UNKNOWN
+from absnormal.anf import evaluate
+from absnormal.cli import (
+    EXIT_FAILS,
+    EXIT_OK,
+    EXIT_UNKNOWN,
+    EXIT_USAGE,
+    _parse_lp_certificate,
+    _parse_m_verdict,
+    _ser,
+    exit_code_for_report,
+    main,
+    report_text,
+)
+from absnormal.cq import FAILS, HOLDS, UNKNOWN
+from absnormal.ratmath import zero_vec
+from absnormal.stationarity import check_m_stationary_anf
+
+from conftest import random_affine_program
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,6 +101,31 @@ def test_writer_on_deep_nesting():
 def test_writer_refuses_what_is_not_report_data(x):
     with pytest.raises(TypeError):
         report_text(x)
+
+
+def test_m_verdicts_round_trip_through_their_entries():
+    # a verdict entry is written from the dataclass fields; reading it back
+    # must give the same multipliers, failed cases and case certificates
+    rng = random.Random(909090)
+    seen = set()
+    checked = 0
+    while checked < 40:
+        p = random_affine_program(rng)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        verdict = check_m_stationary_anf(p, e)
+        entry = _ser(verdict)
+        assert report_text(entry) == dumps(entry)
+        back = _parse_m_verdict(json.loads(dumps(entry)))
+        assert (back.kind, back.status) == (verdict.kind, verdict.status)
+        assert back.multipliers == verdict.multipliers
+        assert back.failed_cases == verdict.failed_cases
+        for case in verdict.failed_cases:
+            assert _parse_lp_certificate(_ser(case.certificate)) == case.certificate
+        seen.add(verdict.status)
+        checked += 1
+    assert seen == {HOLDS, FAILS}
 
 
 # ---------------------------------------------------------------------------
