@@ -65,7 +65,7 @@ from .stationarity import (
     translate_b_verdict,
     translate_m_verdict,
     verify_branch_certificate,
-    verify_m_certificate,
+    verify_multiplier_verdict,
 )
 from .transforms import (
     DEFAULT_BRANCH_CAP,
@@ -294,25 +294,27 @@ def _stationarity_verdicts(
     ``mpcc``), by name in report order: M on the abs-normal form, its
     translation to the counterpart (re-checked in the system read off the
     MPCC data, with no second case search), B given the M verdict, and B's
-    translation.  The counterpart is anchored only when ``forms`` holds
-    ``mpcc``."""
+    translation.  Each form's multiplier system is built once and shared; the
+    counterpart is anchored only when ``forms`` holds ``mpcc``."""
     out = {}
     p, e = pa.anchor(ABS_I)
+    system = multiplier_system(p, e)
+    if "mpcc" in forms:
+        counterpart = pa.anchor(MPCC_I)
+        counterpart_system = multiplier_system(*counterpart)
     m_anf = None
     if "m" in which:
-        m_anf = check_m_stationary_anf(p, e)
+        m_anf = check_m_stationary_anf(p, e, system=system)
         if "anf" in forms:
             out["m-anf"] = m_anf
         if "mpcc" in forms:
-            out["m-mpcc"] = translate_m_verdict(
-                m_anf, multiplier_system(p, e), multiplier_system(*pa.anchor(MPCC_I)), "m-mpcc"
-            )
+            out["m-mpcc"] = translate_m_verdict(m_anf, system, counterpart_system, "m-mpcc")
     if "b" in which:
-        b_anf = check_b_stationary(p, e, branch_cap, m_anf)
+        b_anf = check_b_stationary(p, e, branch_cap, m_anf, system)
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
-            out["b-mpcc"] = translate_b_verdict(b_anf, *pa.anchor(MPCC_I))
+            out["b-mpcc"] = translate_b_verdict(b_anf, system, counterpart_system, *counterpart)
     return out
 
 
@@ -417,8 +419,9 @@ def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
         for name, verdict in kink_verdicts.items():
             errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
         pa = PointAnalysis(pf.program, e)
+        systems = functools.cache(lambda form: multiplier_system(*pa.anchor(form)))
         for name, verdict in point_entry.get("stationarity", {}).items():
-            errors.extend(_recheck_stationarity(pa, prefix + f" {name}", verdict))
+            errors.extend(_recheck_stationarity(pa, systems, prefix + f" {name}", verdict))
     return errors
 
 
@@ -484,14 +487,19 @@ def _escapes_dual(w, cone: PolyCone) -> bool:
     return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
 
 
-def _recheck_stationarity(pa: PointAnalysis, prefix: str, verdict: dict) -> list[str]:
+def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: dict) -> list[str]:
+    """Recheck one stationarity verdict; ``systems(form)`` is the point's
+    multiplier system of the formulation ``form``, built once."""
     errors: list[str] = []
     kind = verdict.get("kind", "")
     status = verdict.get("status")
     form = ABS_I if kind.endswith("-anf") else MPCC_I
-    if kind.startswith("m-"):
-        system = multiplier_system(*pa.anchor(form))
-        for msg in verify_m_certificate(system, _parse_m_verdict(verdict)):
+    b_holds = kind.startswith("b-") and status == HOLDS
+    if b_holds and ("multipliers" in verdict) == ("branch_certificates" in verdict):
+        errors.append(f"{prefix}: a B Holds carries either multipliers or branch certificates, not both or neither")
+    elif kind.startswith("m-") or (b_holds and "multipliers" in verdict):
+        # an M verdict, or a B Holds by strong multipliers: substitution and signs, no branch
+        for msg in verify_multiplier_verdict(systems(form), _parse_m_verdict(verdict)):
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
@@ -536,7 +544,7 @@ def _recheck_stationarity(pa: PointAnalysis, prefix: str, verdict: dict) -> list
 def _parse_m_verdict(data: dict) -> StationarityVerdict:
     if data.get("status") == HOLDS:
         ms = data["multipliers"]
-        multipliers = MultiplierSet(*(vec(ms[key]) for key in ("lam_e", "lam_i", "lam_z", "mu_u", "mu_v")))
+        multipliers = MultiplierSet(*(vec(ms.get(key, [])) for key in ("lam_e", "lam_i", "lam_z", "mu_u", "mu_v")))
         return StationarityVerdict(data["kind"], HOLDS, multipliers=multipliers)
     failed = tuple(
         CaseOutcome(tuple(case["assignment"]), _parse_lp_certificate(case["certificate"]))

@@ -20,14 +20,15 @@ data (``_anf_system``, ``_mpcc_system``).  The search runs once;
 form's system, so a disagreement is a RuntimeError, never a verdict.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
-contains a first-order descent direction; a Holds verdict carries, per branch,
-a dual-cone membership certificate for the gradient.  Strong stationarity
-implies it: strong-stationary multipliers (the M certificate itself when its
-degenerate pair multipliers are nonnegative, else one LP) map linearly onto
-every branch's certificate.  Only without them does the check solve one
-descent LP per branch, stopping at the first descent.  As for M, the
-counterpart's verdict is the abs-normal one translated branch by branch and
-re-checked there (``translate_b_verdict``).
+contains a first-order descent direction.  Strong stationarity implies it
+(Scheel & Scholtes 2000), so strong-stationary multipliers -- the M
+certificate itself when its degenerate pair multipliers are nonnegative, else
+one LP -- are a Holds certificate on their own, checked once by substitution
+and by those signs (``verify_multiplier_verdict``); no branch is enumerated.
+Only without them does the check solve one descent LP per branch, stopping at
+the first descent, and a Holds then carries one dual-cone membership
+certificate per branch.  As for M, the counterpart's verdict is the
+abs-normal one translated and re-checked there (``translate_b_verdict``).
 """
 
 from __future__ import annotations
@@ -363,6 +364,9 @@ def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
 
 def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
     """Re-check an M-stationarity certificate by substitution."""
+    lengths = [len(ms.lam_e), len(ms.lam_i), len(ms.lam_z), len(ms.mu_u), len(ms.mu_v)]
+    if lengths != [system.m1, system.m2, system.s, system.s, system.s]:
+        return [f"multiplier lengths {lengths} do not fit the system's {system.m1}, {system.m2} and {system.s}"]
     lam = ms.lam_e + ms.lam_i + ms.lam_z
     errors = []
     for row, offset in system.stationary_rows:
@@ -402,11 +406,12 @@ def check_m_stationary_mpcc(
 
 
 def check_m_stationary_anf(
-    p: AbsNormalProgram, e: EvalResult, case_cap: int | None = None
+    p: AbsNormalProgram, e: EvalResult, case_cap: int | None = None, system: _MultiplierSystem | None = None
 ) -> StationarityVerdict:
-    """M-stationarity of the abs-normal form; ``case_cap`` as above."""
+    """M-stationarity of the abs-normal form; ``case_cap`` as above.
+    ``system`` is ``multiplier_system(p, e)`` when the caller already has it."""
     cap = DEFAULT_CASE_CAP if case_cap is None else case_cap
-    return _solve_system(_anf_system(p, e), "m-anf", cap)
+    return _solve_system(_anf_system(p, e) if system is None else system, "m-anf", cap)
 
 
 def multiplier_system(program, point) -> _MultiplierSystem:
@@ -417,12 +422,22 @@ def multiplier_system(program, point) -> _MultiplierSystem:
     return _anf_system(program, point)
 
 
-def verify_m_certificate(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
-    """Re-check an M-stationarity verdict in ``system`` by substitution: the
-    multipliers of a Holds; for a Fails each prefix's LP certificate (messages
-    start ``case [...]``) and that the prefixes cover all 3^k assignments."""
+def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
+    """Re-check a verdict that rests on the multiplier system, in ``system``
+    by substitution: the multipliers of an M Holds, and of a B Holds by strong
+    stationarity, whose degenerate pair multipliers must also be
+    nonnegative; for an M Fails each prefix's LP certificate (messages start
+    ``case [...]``) and that the prefixes cover all 3^k assignments."""
     if verdict.status == HOLDS:
-        return verify_multipliers(system, verdict.multipliers)
+        ms = verdict.multipliers
+        errors = verify_multipliers(system, ms)
+        if verdict.kind.startswith("b-") and not errors:
+            errors = [
+                f"degenerate pair {i} has a negative multiplier, so it is not strongly stationary"
+                for i in system.degenerate
+                if ms.mu_u[i] < 0 or ms.mu_v[i] < 0
+            ]
+        return errors
     if verdict.status != FAILS:
         return [f"an M-stationarity verdict holds or fails, not {verdict.status!r}"]
     errors = []
@@ -449,18 +464,19 @@ def translate_m_verdict(
     system_to: _MultiplierSystem,
     kind: str,
 ) -> StationarityVerdict:
-    """The other form's M-stationarity verdict from this form's certificate:
-    Holds keeps lam and re-derives the pair multipliers in ``system_to``, Fails
-    keeps its prefixes.  Invalid in ``system_from`` is a ValueError; invalid in
+    """The other form's verdict from this form's multiplier certificate (an M
+    verdict, or a B Holds by strong stationarity): Holds keeps lam and
+    re-derives the pair multipliers in ``system_to``, Fails keeps its
+    prefixes.  Invalid in ``system_from`` is a ValueError; invalid in
     ``system_to`` means the two derivations disagree, a RuntimeError."""
-    errors = verify_m_certificate(system_from, verdict)
+    errors = verify_multiplier_verdict(system_from, verdict)
     if errors:
         raise ValueError("source certificate is not valid: " + "; ".join(errors))
     out = replace(verdict, kind=kind)
     if verdict.status == HOLDS:
         ms = verdict.multipliers
         out = replace(out, multipliers=_multipliers_from_lam(system_to, ms.lam_e + ms.lam_i + ms.lam_z))
-    errors = verify_m_certificate(system_to, out)
+    errors = verify_multiplier_verdict(system_to, out)
     if errors:
         raise RuntimeError("translated certificate failed the target system: " + "; ".join(errors))
     return out
@@ -501,44 +517,6 @@ def _strong_multipliers(
     if res.status != FEASIBLE:
         return None
     return _multipliers_from_lam(system, res.certificate.point)
-
-
-def _row_weights(ms: MultiplierSet, system: _MultiplierSystem) -> tuple[Vec, Vec]:
-    """The weights that every branch certificate read off ``ms`` gives the
-    constraint rows: -lam_e and -lam_z, and lam_i on the active inequalities."""
-    inactive = set(system.inactive_i)
-    return (
-        vec_neg(ms.lam_e) + vec_neg(ms.lam_z),
-        tuple(x for k, x in enumerate(ms.lam_i) if k not in inactive),
-    )
-
-
-def _branch_certificate(
-    lin: BranchLinearization, spec: BranchSpec, ms: MultiplierSet, row_weights: tuple[Vec, Vec]
-) -> BranchDualCertificate:
-    """The dual certificate of branch ``spec`` of ``lin`` read off the multipliers.
-
-    The constraint rows take ``row_weights`` (``_row_weights``), and the sign
-    row of each degenerate switch the pair multiplier of the side the branch
-    resolves it to.  On an mpcc branch, the row pinning the other side of each
-    pair to zero takes that side's pair multiplier.
-    """
-    signs = spec.signs
-    dual_eq, dual_ineq = row_weights
-    if lin.form == "mpcc":
-        dual_eq += tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs))
-    dual_ineq += tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate)
-    return BranchDualCertificate(spec.label, dual_eq, dual_ineq)
-
-
-def _checked_certificate(
-    lin: BranchLinearization, spec: BranchSpec, ms: MultiplierSet, row_weights: tuple[Vec, Vec], memo: dict
-) -> BranchDualCertificate:
-    cert = _branch_certificate(lin, spec, ms, row_weights)
-    errors = verify_branch_certificate(lin, spec.signs, cert, memo)
-    if errors:
-        raise RuntimeError(f"branch {spec.label}: certificate from the multipliers failed self-check: {errors}")
-    return cert
 
 
 def _branch_descent_lp(gradient: Vec, cone: PolyCone) -> LpProblem:
@@ -583,47 +561,62 @@ def check_b_stationary(
     point,
     branch_cap: int = DEFAULT_BRANCH_CAP,
     m_verdict: StationarityVerdict | None = None,
+    system: _MultiplierSystem | None = None,
 ) -> StationarityVerdict:
     """No-descent check over every branch linearized cone.
 
     ``program`` is an ``MpccProgram`` at an ``MpccPoint`` (verdict ``b-mpcc``)
     or an ``AbsNormalProgram`` at an ``EvalResult`` (``b-anf``); ``m_verdict``
     is the point's M-stationarity verdict in the same form, when already
-    known.  Holds carries one dual-cone membership certificate per branch;
-    Fails carries the violating branch and an explicit descent direction.
+    known, and ``system`` its ``multiplier_system``, when already built.
 
-    Strong-stationary multipliers give every branch's certificate by a linear
-    map (``_branch_certificate``), each checked by substitution, with no branch
-    LP.  Only when none exist does the check solve one descent LP per branch,
-    making the branches lazily and stopping at the first descent.  No branch
-    problem is built: every branch cone comes from one linearization.
+    A Holds carries strong-stationary multipliers when there are any, checked
+    by ``verify_multiplier_verdict`` with no branch built.  Only when none
+    exist does the check solve one descent LP per branch, making the branches
+    lazily and stopping at the first descent: a Holds then carries one
+    dual-cone membership certificate per branch, a Fails the violating branch
+    and an explicit descent direction.  Every branch cone comes from one
+    linearization; the branch cap applies on either route.
     """
     linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
-    system, lin = multiplier_system(program, point), linearize(program, point)
+    lin = linearize(program, point)
     specs = lin.specs(branch_cap)
     kind = "b-" + lin.form
+    if system is None:
+        system = multiplier_system(program, point)
     ms = _strong_multipliers(system, m_verdict)
     if ms is None:
         return _check_b_over_branches(lin, specs, kind)
-    row_weights, memo = _row_weights(ms, system), {}
-    certificates = tuple(_checked_certificate(lin, spec, ms, row_weights, memo) for spec in specs)
-    return StationarityVerdict(kind, HOLDS, branch_certificates=certificates)
+    verdict = StationarityVerdict(kind, HOLDS, multipliers=ms)
+    errors = verify_multiplier_verdict(system, verdict)
+    if errors:
+        raise RuntimeError(f"strong-stationarity certificate failed self-check: {errors}")
+    return verdict
 
 
 def translate_b_verdict(
-    verdict: StationarityVerdict, mp: MpccProgram, point: MpccPoint
+    verdict: StationarityVerdict,
+    system_from: _MultiplierSystem,
+    system_to: _MultiplierSystem,
+    mp: MpccProgram,
+    point: MpccPoint,
 ) -> StationarityVerdict:
     """The counterpart's B verdict from the abs-normal one, re-checked by
-    substitution on the counterpart branches.
+    substitution in the counterpart.
 
-    Holds: each branch certificate gives multipliers (lam_e, lam_i, lam_z);
-    the pair multipliers are re-derived from the MPCC data and mapped to the
-    certificate of the corresponding counterpart branch.  Fails: the descent
+    ``system_from`` and ``system_to`` are the multiplier systems of the
+    abs-normal form and of ``mp`` at ``point``.  Strong multipliers translate
+    as an M certificate does (``translate_m_verdict``).  A branch certificate
+    keeps its weights of the constraint rows, which give (lam_e, lam_i,
+    lam_z); the pair multipliers re-derived from them in ``system_to`` weight
+    the pair rows of the corresponding counterpart branch.  Fails: the descent
     direction is mapped by ``split_direction_matrix`` of the failing branch.
-    A source label that names no branch is a ValueError; a translation that
-    fails its check means the two forms disagree, a RuntimeError.
+    A source that is not valid or names no branch is a ValueError; a
+    translation that fails its check means the two forms disagree, a
+    RuntimeError.
     """
-    system = _mpcc_system(mp, point)
+    if verdict.multipliers is not None:
+        return translate_m_verdict(verdict, system_from, system_to, "b-mpcc")
     lin = linearize_mpcc(mp, point)
     base = point.base_signature.entries
 
@@ -639,29 +632,27 @@ def translate_b_verdict(
         if not lin.cone(spec.signs).contains_point(descent) or dot(lin.gradient, descent) >= 0:
             raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
         return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)
-    m1 = system.m1
-    inactive = set(system.inactive_i)
-    active = [k for k in range(system.m2) if k not in inactive]
+    m1 = system_to.m1
+    active = [k for k in range(system_to.m2) if k not in system_to.inactive_i]
     certificates = []
     memo: dict = {}
-    # the multipliers of a certificate depend on its weights of the constraint
-    # rows only, which the strong-stationarity certificates of all branches share
-    by_weights: dict = {}
     for cert in verdict.branch_certificates:
-        if len(cert.dual_eq) != m1 + system.s or len(cert.dual_ineq) != len(active) + len(system.degenerate):
+        if len(cert.dual_eq) != m1 + system_to.s or len(cert.dual_ineq) != len(active) + len(lin.degenerate):
             raise ValueError(f"source certificate of branch {cert.branch} has the wrong length")
-        key = (cert.dual_eq, cert.dual_ineq[: len(active)])
-        mapped = by_weights.get(key)
-        if mapped is None:
-            lam_i = [ZERO] * system.m2
-            for k, x in zip(active, cert.dual_ineq):
-                lam_i[k] = x
-            ms = _multipliers_from_lam(system, vec_neg(cert.dual_eq[:m1]) + tuple(lam_i) + vec_neg(cert.dual_eq[m1:]))
-            mapped = by_weights[key] = (ms, _row_weights(ms, system))
-        try:
-            certificates.append(_checked_certificate(lin, counterpart_spec(cert.branch), *mapped, memo))
-        except RuntimeError as exc:
-            raise RuntimeError(f"translated B certificate failed the counterpart: {exc}") from exc
+        spec = counterpart_spec(cert.branch)
+        active_weights = dict(zip(active, cert.dual_ineq))
+        lam_i = tuple(active_weights.get(k, ZERO) for k in range(system_to.m2))
+        ms = _multipliers_from_lam(system_to, vec_neg(cert.dual_eq[:m1]) + lam_i + vec_neg(cert.dual_eq[m1:]))
+        signs = spec.signs
+        mapped = BranchDualCertificate(
+            spec.label,
+            cert.dual_eq + tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs)),
+            cert.dual_ineq[: len(active)] + tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate),
+        )
+        errors = verify_branch_certificate(lin, signs, mapped, memo)
+        if errors:
+            raise RuntimeError(f"translated B certificate failed the counterpart: branch {spec.label}: {errors}")
+        certificates.append(mapped)
     return replace(verdict, kind="b-mpcc", branch_certificates=tuple(certificates))
 
 

@@ -9,6 +9,9 @@ the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
 ``cone_equal`` is set equality of two cones, by containment both ways.
+``strong_branch_certificates`` is the S => B oracle: it maps strong-stationary
+multipliers onto the dual certificate of every branch, the construction a B
+Holds by strong stationarity stands for without listing it.
 ``UnionCone`` labels the pieces of a nonconvex cone by branch;
 ``branch_union`` gives the package's own union from one linearization, to be
 compared with the oracle unions.
@@ -26,7 +29,7 @@ from fractions import Fraction
 from absnormal.anf import AbsNormalProgram, EvalResult, ProgramError, SignatureVector, constraint_jacobians
 from absnormal.cones import BranchLinearization, PolyCone, cone_contains
 from absnormal.ratmath import ONE, ZERO, RatMatrix, Vec, dot, unit_vec, vec, vec_add, zero_vec
-from absnormal.stationarity import BranchDualCertificate
+from absnormal.stationarity import BranchDualCertificate, MultiplierSet, verify_branch_certificate
 from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
 
 
@@ -192,6 +195,50 @@ def verify_branch_dual_certificate(
     if combo != tuple(gradient):
         errors.append("dual combination does not reproduce the gradient")
     return errors
+
+
+def row_weights(ms: MultiplierSet, system) -> tuple[Vec, Vec]:
+    """The weights that every branch certificate read off ``ms`` gives the
+    constraint rows of ``system``'s form: -lam_e and -lam_z, and lam_i on the
+    active inequalities."""
+    return (
+        tuple(-x for x in ms.lam_e + ms.lam_z),
+        tuple(x for k, x in enumerate(ms.lam_i) if k not in system.inactive_i),
+    )
+
+
+def branch_certificate(
+    lin: BranchLinearization, spec, ms: MultiplierSet, weights: tuple[Vec, Vec]
+) -> BranchDualCertificate:
+    """The dual certificate of branch ``spec`` of ``lin`` read off the multipliers.
+
+    The constraint rows take ``weights`` (``row_weights``), and the sign row of
+    each degenerate switch the pair multiplier of the side the branch resolves
+    it to.  On an mpcc branch, the row pinning the other side of each pair to
+    zero takes that side's pair multiplier.
+    """
+    signs = spec.signs
+    dual_eq, dual_ineq = weights
+    if lin.form == "mpcc":
+        dual_eq += tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs))
+    dual_ineq += tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate)
+    return BranchDualCertificate(spec.label, dual_eq, dual_ineq)
+
+
+def strong_branch_certificates(lin: BranchLinearization, system, ms: MultiplierSet) -> tuple[BranchDualCertificate, ...]:
+    """S => B (Scheel & Scholtes 2000): the certificate of every branch of
+    ``lin``, in ``lin.specs()`` order, read off the strong-stationary
+    multipliers ``ms`` of ``system`` (the same form and point).  Every branch
+    shares the constraint-row weights, so they are computed once; each
+    certificate must pass ``verify_branch_certificate``."""
+    weights, memo = row_weights(ms, system), {}
+    out = []
+    for spec in lin.specs():
+        cert = branch_certificate(lin, spec, ms, weights)
+        errors = verify_branch_certificate(lin, spec.signs, cert, memo)
+        assert errors == [], f"branch {spec.label}: certificate from the strong multipliers: {errors}"
+        out.append(cert)
+    return tuple(out)
 
 
 def mpcc_residuals(mp: MpccProgram, point: MpccPoint) -> tuple[Vec, Vec]:

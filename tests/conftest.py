@@ -4,8 +4,11 @@ Expected verdicts for these are derived by hand; the worksheets live in
 src/absnormal/corpus/WORKSHEETS.md.
 """
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +143,42 @@ def random_affine_program(rng: random.Random, max_s: int = 2) -> AbsNormalProgra
     return AbsNormalProgram(
         n_t=n_t, s=s, m1=m1, m2=m2, f=f, c_e=tuple(c_e), c_i=tuple(c_i), c_z=tuple(c_z)
     )
+
+
+def fallback_kinks_problem(k: int) -> dict:
+    """``t_{k+i} = |t_i|`` and ``t_i <= 0`` for ``i = 1..k``, with objective
+    ``-sum_i i (t_i + t_{k+i})``, as problem data at the origin.
+
+    The objective vanishes on the feasible set, so the origin is B-stationary
+    in every one of its 2^k branches.  M holds only with the pair multiplier
+    ``mu_v = -2i`` of switch ``i``, so there are no strong multipliers and a
+    B Holds comes from the descent-LP route, one certificate per branch.
+    """
+    n_t = 2 * k
+
+    def row(entries: dict[int, int]) -> list[str]:
+        return [str(entries.get(j, 0)) for j in range(n_t + k)]
+
+    return {
+        "name": f"fallback-kinks{k}",
+        "dimensions": {"n_t": n_t, "s": k, "m1": k, "m2": k},
+        "objective": {"linear": [str(-(i % k + 1)) for i in range(n_t)]},
+        "equalities": [{"linear": row({n_t + i: 1, k + i: -1})} for i in range(k)],
+        "inequalities": [{"linear": row({i: -1})} for i in range(k)],
+        "switching": [{"linear": row({i: 1})} for i in range(k)],
+        "points": [{"label": "origin", "t": ["0"] * n_t}],
+    }
+
+
+def bench_kinks():
+    """The benchmark's seeded ``kinks{k}`` generator, ``bench/kinks.py``."""
+    kinks = sys.modules.get("bench_kinks")
+    if kinks is None:
+        path = Path(__file__).resolve().parent.parent / "bench" / "kinks.py"
+        spec = importlib.util.spec_from_file_location("bench_kinks", path)
+        kinks = sys.modules["bench_kinks"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(kinks)
+    return kinks
 
 
 @pytest.fixture

@@ -2,20 +2,26 @@ import copy
 import dataclasses
 import importlib.resources
 import json
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from absnormal import stationarity
-from absnormal.cli import main, recheck_report
-from absnormal.ratmath import KIND_FARKAS
+from absnormal.anf import evaluate
+from absnormal.cli import _ser_program, main, recheck_report
+from absnormal.cones import BranchLinearization, linearize_anf, linearize_mpcc
+from absnormal.cq import MPCC_I, anchor_point
+from absnormal.ratmath import KIND_FARKAS, zero_vec
 from absnormal.problemfile import (
     ProblemFileError,
     load_corpus_problem,
     parse_problem,
     parse_problem_data,
 )
+
+from conftest import bench_kinks, fallback_kinks_problem, random_affine_program
 
 
 def run_cli(capsys, *argv):
@@ -426,9 +432,11 @@ def test_recheck_rejects_a_witness_without_its_cones_section(capsys):
     assert len(errors) == 8 and all(missing in msg for msg in errors)
 
 
-def test_b_stationarity_recheck_needs_every_branch_once(capsys):
-    pf = load_corpus_problem("E1")
-    code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--recheck")
+def test_b_stationarity_recheck_needs_every_branch_once(tmp_path, capsys):
+    # a Holds with no strong multipliers lists one certificate per branch
+    path = write_problem(tmp_path, fallback_kinks_problem(1))
+    pf = parse_problem(path)
+    code, out, _ = run_cli(capsys, "check-stationarity", path, "--point", "origin", "--b", "--recheck")
     report = json.loads(out)
     assert report.pop("recheck")["errors"] == []
     certificates = report["points"][0]["stationarity"]["b-anf"]["branch_certificates"]
@@ -504,25 +512,21 @@ def test_qualifications_decide_without_polar_double_description(tmp_path, capsys
 
 
 def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
-    # the branch certificates read off the strong-stationary multipliers are
-    # each checked by substitution; one wrong entry is the tool's own fault
-    real = stationarity._branch_certificate
-    calls = []
+    # the strong-stationary multipliers of a B Holds are checked once by
+    # substitution; one wrong entry is the tool's own fault
+    real = stationarity._strong_multipliers
 
-    def corrupt_second(lin, spec, *rest):
-        cert = real(lin, spec, *rest)
-        calls.append(spec.label)
-        if len(calls) == 2:
-            cert = dataclasses.replace(cert, dual_ineq=tuple(x + 1 for x in cert.dual_ineq))
-        return cert
+    def corrupt_mu_v(system, m_verdict):
+        ms = real(system, m_verdict)
+        return ms and dataclasses.replace(ms, mu_v=(ms.mu_v[0] + 1,) + ms.mu_v[1:])
 
-    monkeypatch.setattr(stationarity, "_branch_certificate", corrupt_second)
+    monkeypatch.setattr(stationarity, "_strong_multipliers", corrupt_mu_v)
     for argv in (("check-stationarity", "E1", "--point", "origin", "--b"), ("corpus", "run")):
-        calls.clear()
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: internal: ") and "branch σ=-" in err
+        assert err.startswith("error: internal: strong-stationarity certificate failed self-check")
+        assert "pair multiplier v[0] mismatch" in err
 
 
 def rebind(monkeypatch, original, replacement) -> None:
@@ -570,9 +574,10 @@ def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys, monkeyp
     report = json.loads(out)
     assert report.pop("recheck")["errors"] == []
     # the whole command too, both forms, certificates and descent LPs alike
+    problems = [fallback_kinks_problem(3), kinks_problem(3, 1), kinks_problem(3, -1)]
     commands = [
         ("check-stationarity", problem, "--b", "--form", form, "--recheck")
-        for problem in ("E1", "E2", "E3", "E4", skewed_kinks3(tmp_path), write_problem(tmp_path, kinks_problem(3, -1)))
+        for problem in ("E1", "E2", "E3", "E4", *(write_problem(tmp_path, data) for data in problems))
         for form in ("anf", "mpcc")
     ]
     outputs = [run_cli(capsys, *argv) for argv in commands]
@@ -622,19 +627,11 @@ def test_branches_does_not_check_annotations_but_check_cq_does(tmp_path, capsys)
     assert err == "error: annotation for branch σ=+ is not contained in the branch linearized cone\n"
 
 
-def skewed_kinks3(tmp_path) -> str:
-    """kinks3 at its minimizer with objective t_4 + t_1/2: the t_1 term gives
-    switch 1 the pair multipliers 1/2 and 3/2, so branches that resolve it
-    differently carry different B certificates."""
-    data = kinks_problem(3, 1)
-    data["name"] = "kinks3-skewed"
-    data["objective"] = {"linear": ["1/2", "0", "0", "1"]}
-    return write_problem(tmp_path, data)
-
-
 @pytest.mark.parametrize("kind", ["b-anf", "b-mpcc"])
 def test_one_branch_certificate_mutation_names_exactly_that_branch(tmp_path, capsys, kind):
-    path = skewed_kinks3(tmp_path)
+    # no strong multipliers: the descent LPs give each branch its own
+    # certificate, and those that resolve switch 1 differently differ
+    path = write_problem(tmp_path, fallback_kinks_problem(3))
     code, out, _ = run_cli(capsys, "check-stationarity", path, "--b", "--recheck")
     assert code == 0
     report = json.loads(out)
@@ -662,6 +659,172 @@ def test_one_branch_certificate_mutation_names_exactly_that_branch(tmp_path, cap
         assert recheck_report(pf, tampered) == [
             f"point origin {kind} branch {label}: dual combination does not reproduce the gradient"
         ], what
+
+
+def b_report(capsys, problem: str, *argv) -> dict:
+    """The clean ``check-stationarity --b --recheck`` report of ``problem``
+    at its origin, with its recheck entry taken out."""
+    code, out, err = run_cli(capsys, "check-stationarity", problem, "--point", "origin", "--b", "--recheck", *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    return report
+
+
+@pytest.mark.parametrize("kind", ["b-anf", "b-mpcc"])
+def test_strong_b_certificate_mutation_is_a_named_recheck_error(capsys, kind):
+    # E2's origin: B holds by strong multipliers, with two active inequalities
+    pf = load_corpus_problem("E2")
+    report = b_report(capsys, "E2")
+    assert set(report["points"][0]["stationarity"][kind]) == {"kind", "status", "multipliers"}
+    row = "Lagrangian gradient row does not vanish"
+    pair_u, pair_v = "pair multiplier u[0] mismatch", "pair multiplier v[0] mismatch"
+    expected = {
+        "lam_e": [row, pair_u, pair_v],
+        "lam_i": [row],
+        "lam_z": [row, pair_u, pair_v],
+        "mu_u": [pair_u],
+        "mu_v": [pair_v],
+    }
+    for field, messages in expected.items():
+        tampered = copy.deepcopy(report)
+        values = tampered["points"][0]["stationarity"][kind]["multipliers"][field]
+        values[0] = str(Fraction(values[0]) + 1)
+        assert recheck_report(pf, tampered) == [f"point origin {kind}: {msg}" for msg in messages], field
+        del values[0]
+        (error,) = recheck_report(pf, tampered)
+        assert error.startswith(f"point origin {kind}: multiplier lengths "), field
+
+
+def test_m_certificate_is_not_a_strong_b_certificate(tmp_path, capsys):
+    # M holds with the pair multiplier mu_v = -2: valid for M, but put in
+    # place of strong multipliers it must not pass for B
+    path = write_problem(tmp_path, fallback_kinks_problem(1))
+    pf = parse_problem(path)
+    code, out, _ = run_cli(capsys, "check-stationarity", path, "--recheck")
+    assert code == 0
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    stat = report["points"][0]["stationarity"]
+    for form in ("anf", "mpcc"):
+        assert stat[f"m-{form}"]["multipliers"]["mu_v"] == ["-2"]
+        forged = copy.deepcopy(report)
+        forged["points"][0]["stationarity"][f"b-{form}"] = {
+            "kind": f"b-{form}",
+            "status": "holds",
+            "multipliers": stat[f"m-{form}"]["multipliers"],
+        }
+        assert recheck_report(pf, forged) == [
+            f"point origin b-{form}: degenerate pair 0 has a negative multiplier, so it is not strongly stationary"
+        ]
+
+
+def test_b_holds_with_both_or_neither_certificate_is_a_recheck_error(tmp_path, capsys):
+    pf = load_corpus_problem("E1")
+    report = b_report(capsys, "E1", "--form", "anf")
+    fallback = b_report(capsys, write_problem(tmp_path, fallback_kinks_problem(1)), "--form", "anf")
+    both = copy.deepcopy(report)
+    verdict = both["points"][0]["stationarity"]["b-anf"]
+    verdict["branch_certificates"] = fallback["points"][0]["stationarity"]["b-anf"]["branch_certificates"]
+    neither = copy.deepcopy(report)
+    del neither["points"][0]["stationarity"]["b-anf"]["multipliers"]
+    for tampered in (both, neither):
+        assert recheck_report(pf, tampered) == [
+            "point origin b-anf: a B Holds carries either multipliers or branch certificates, not both or neither"
+        ]
+
+
+def descent_route_random_program():
+    """The first random program whose origin has a degenerate switch and is
+    B-stationary with no strong multipliers (the descent-LP route)."""
+    rng = random.Random(31337)
+    while True:
+        p = random_affine_program(rng, max_s=3)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible() or not e.alpha:
+            continue
+        verdict = stationarity.check_b_stationary(p, e)
+        if verdict.status == "holds" and verdict.multipliers is None:
+            return p
+
+
+def test_descent_route_b_holds_end_to_end(tmp_path, capsys):
+    program = descent_route_random_program()
+    data = {"name": "descent-route", **_ser_program(program), "points": [{"label": "origin", "t": ["0"] * program.n_t}]}
+    path = write_problem(tmp_path, data)
+    pf = parse_problem(path)
+    report = b_report(capsys, path)
+    pa = anchor_point(pf.program, pf.points[0].t)
+    lins = {"b-anf": linearize_anf(pf.program, pa.point_eval), "b-mpcc": linearize_mpcc(*pa.anchor(MPCC_I))}
+    for kind, lin in lins.items():
+        verdict = report["points"][0]["stationarity"][kind]
+        assert "multipliers" not in verdict
+        labels = [entry["branch"] for entry in verdict["branch_certificates"]]
+        assert labels == [spec.label for spec in lin.specs()] and len(labels) > 1
+        first = labels[0]
+
+        def bump(entry):
+            entry["dual_eq"][0] = str(Fraction(entry["dual_eq"][0]) + 1)
+
+        mutations = {
+            "dropped": (lambda certs: certs.pop(0), [f"branch {first} has 0 certificates, expected 1"]),
+            "renamed": (
+                lambda certs: certs[0].update(branch="?"),
+                [f"branch {first} has 0 certificates, expected 1", "certificate for unknown branch '?'"],
+            ),
+            "corrupted": (lambda certs: bump(certs[0]), [None]),
+        }
+        for what, (mutate, messages) in mutations.items():
+            tampered = copy.deepcopy(report)
+            mutate(tampered["points"][0]["stationarity"][kind]["branch_certificates"])
+            expected = [
+                f"point origin {kind} branch {first}: dual combination does not reproduce the gradient"
+                if msg is None
+                else f"point origin {kind}: {msg}"
+                for msg in messages
+            ]
+            assert recheck_report(pf, tampered) == expected, what
+
+
+def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkeypatch):
+    kinks = bench_kinks()
+    verified = count_calls(monkeypatch, stationarity, "verify_branch_certificate")
+    cones = []
+    real_cone = BranchLinearization.cone
+
+    def counted_cone(lin, signs):
+        cones.append(signs)
+        return real_cone(lin, signs)
+
+    monkeypatch.setattr(BranchLinearization, "cone", counted_cone)
+    # the counters see the descent-LP route: one cone per abs-normal branch
+    # LP, and one check per branch for the translation and for each recheck
+    b_report(capsys, write_problem(tmp_path, fallback_kinks_problem(3)))
+    assert (len(verified), len(cones)) == (3 * 8, 8)
+    verified.clear()
+    cones.clear()
+    path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 10)))
+    report_path = tmp_path / "kinks10-b.json"
+    code, out, err = run_cli(capsys, "check-stationarity", path, "--b", "--recheck", "--out", str(report_path))
+    assert (code, out, err) == (0, "", "")
+    assert report_path.stat().st_size < 8 * 1024
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["recheck"] == {"errors": []}
+    assert [v["status"] for v in report["points"][0]["stationarity"].values()] == ["holds", "holds"]
+    assert (len(verified), len(cones)) == (0, 0)
+
+
+def test_check_stationarity_builds_each_multiplier_system_once_per_pass(tmp_path, capsys, monkeypatch):
+    # the M search, B and both translations share one system per form; the
+    # recheck rebuilds each from the problem file, once
+    kinks = bench_kinks()
+    builds = {name: count_calls(monkeypatch, stationarity, name) for name in ("_anf_system", "_mpcc_system")}
+    for sign, code in ((1, 0), (-1, 1)):
+        path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 4, sign)))
+        for calls in builds.values():
+            calls.clear()
+        assert run_cli(capsys, "check-stationarity", path, "--recheck")[::2] == (code, "")
+        assert {name: len(calls) for name, calls in builds.items()} == {"_anf_system": 2, "_mpcc_system": 2}
 
 
 def test_back_to_back_main_calls_share_the_parser_but_no_state(capsys):

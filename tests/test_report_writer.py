@@ -11,13 +11,10 @@ a change that moves a byte of them fails here.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +37,7 @@ from absnormal.cq import FAILS, HOLDS, UNKNOWN
 from absnormal.ratmath import zero_vec
 from absnormal.stationarity import check_m_stationary_anf
 
-from conftest import random_affine_program
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import bench_kinks, random_affine_program
 
 SPECIAL = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "σ", " ", "\ud800", "\udfff", "/", "é", "😀"]
 strings = st.lists(st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL)), max_size=4).map("".join)
@@ -158,14 +153,10 @@ def oracle_exit_code(report: dict) -> int:
     return EXIT_UNKNOWN if UNKNOWN in statuses else EXIT_OK
 
 
-def seed1_kinks(tmp_path_factory, k: int, inequalities: bool) -> str:
+def seed1_kinks(tmp_path_factory, k: int, inequalities: bool, sign: int = 1) -> str:
     """The benchmark's seed-1 ``kinks{k}`` instance, as a problem file."""
-    kinks = sys.modules.get("bench_kinks")
-    if kinks is None:
-        spec = importlib.util.spec_from_file_location("bench_kinks", ROOT / "bench" / "kinks.py")
-        kinks = sys.modules["bench_kinks"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(kinks)
-    inst = kinks.draw(random.Random(1), k, inequalities=inequalities)
+    kinks = bench_kinks()
+    inst = kinks.draw(random.Random(1), k, sign, inequalities)
     path = tmp_path_factory.mktemp("kinks") / f"{inst.name}.json"
     path.write_text(json.dumps(kinks.problem_data(inst)), encoding="utf-8")
     return str(path)
@@ -227,13 +218,25 @@ def test_corpus_run_report_text(recheck):
     assert code == EXIT_OK
 
 
+QUALIFICATION_ARGV = (["check-cq", "--all", "--recheck"], ["verify-relations", "--recheck"])
+STATIONARITY_ARGV = (["check-stationarity", "--recheck"],)
+
+
 @pytest.mark.parametrize(
-    "k, inequalities", [(2, False), (2, True), (3, False)], ids=["eq", "ineq", "kinks3-eq"]
+    "k, inequalities, sign, commands",
+    [
+        (2, False, 1, QUALIFICATION_ARGV),
+        (2, True, 1, QUALIFICATION_ARGV),
+        (3, False, 1, QUALIFICATION_ARGV),
+        (4, False, 1, STATIONARITY_ARGV),
+        (4, False, -1, STATIONARITY_ARGV),
+    ],
+    ids=["eq", "ineq", "kinks3-eq", "kinks4-eq+t_5", "kinks4-eq-t_5"],
 )
-def test_kinks_report_contract(tmp_path_factory, k, inequalities):
-    path = seed1_kinks(tmp_path_factory, k, inequalities)
-    tag = f"kinks{k}-{'ineq' if inequalities else 'eq'}"
-    for argv in (["check-cq", "--all", "--recheck"], ["verify-relations", "--recheck"]):
+def test_kinks_report_contract(tmp_path_factory, k, inequalities, sign, commands):
+    path = seed1_kinks(tmp_path_factory, k, inequalities, sign)
+    tag = f"kinks{k}-{'ineq' if inequalities else 'eq'}{'' if sign > 0 else '-max'}"
+    for argv in commands:
         digest = KINKS_DIGESTS.get(f"{tag} {' '.join(argv)}")
         assert_contract([argv[0], path, "--point", "origin", *argv[1:]], digest)
 
@@ -403,4 +406,6 @@ KINKS_DIGESTS = {
     "kinks2-ineq verify-relations --recheck": "dd3c6552f789878c78ddf5c5168116101c1ae0bd7ca215646abd1275a04b065f",
     "kinks3-eq check-cq --all --recheck": "1b8e66c1cc32e46833e2a77bcbb85a635ae47a2b3d4ec0ed9be091926c33b68a",
     "kinks3-eq verify-relations --recheck": "b5064cd141a910636b7ae02139058624e9ae3332b678f6e0000c6cf52f55d3b2",
+    "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
+    "kinks4-eq-max check-stationarity --recheck": "ee6ab35337f1e999f7e8552797a5c73e23f6615cc4d2439158bd96a2731b74cd",
 }

@@ -6,6 +6,7 @@ import pytest
 
 from absnormal import stationarity
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
+from absnormal.cones import linearize_anf, linearize_mpcc
 from absnormal.cq import FAILS, HOLDS
 from absnormal.ratmath import LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
@@ -22,8 +23,9 @@ from absnormal.stationarity import (
     uncovered_case,
     verify_multipliers,
 )
-from absnormal.problemfile import load_corpus
+from absnormal.problemfile import load_corpus, parse_problem_data
 from absnormal.transforms import (
+    MpccProgram,
     enumerate_branches,
     enumerate_mpcc_branches,
     mpcc_point_from_eval,
@@ -31,8 +33,8 @@ from absnormal.transforms import (
     to_slack,
 )
 
-from branch_oracles import lin_cone_branch, verify_branch_dual_certificate
-from conftest import affine, make_e1, random_affine_program
+from branch_oracles import lin_cone_branch, strong_branch_certificates, verify_branch_dual_certificate
+from conftest import affine, bench_kinks, fallback_kinks_problem, make_e1, random_affine_program
 
 
 def with_objective(p: AbsNormalProgram, linear) -> AbsNormalProgram:
@@ -117,14 +119,29 @@ def test_m_stationary_smooth_point_reduces_to_kkt(e1):
     assert check_m_stationary_anf(p2, evaluate(p2, [2, 2])).status == HOLDS
 
 
+def branch_certificates(verdict, program, point):
+    """The per-branch certificates of a B Holds: its own on the descent-LP
+    route, else those the S => B oracle reads off its strong multipliers."""
+    if verdict.multipliers is None:
+        return verdict.branch_certificates
+    assert verdict.branch_certificates == ()
+    linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
+    return strong_branch_certificates(
+        linearize(program, point), multiplier_system(program, point), verdict.multipliers
+    )
+
+
 def test_b_stationary_e1_holds(e1):
     e = evaluate(e1, [0, 0])
     v = check_b_stationary(e1, e)
     assert v.status == HOLDS
-    assert len(v.branch_certificates) == 2
+    # strong stationarity decides it: one multiplier vector, no branch listed
+    assert v.multipliers is not None and v.branch_certificates == ()
+    certificates = branch_certificates(v, e1, e)
+    assert len(certificates) == 2
     # each certificate proves dual-cone membership of the gradient by substitution
     branches = enumerate_branches(e1, e)
-    for cert, b in zip(v.branch_certificates, branches):
+    for cert, b in zip(certificates, branches):
         cone = lin_cone_branch(b)
         gradient = b.objective.gradient(b.anchor)
         assert verify_branch_dual_certificate(cert, cone, gradient) == []
@@ -326,10 +343,14 @@ def b_over_every_branch(branches, kind):
     return StationarityVerdict(kind, HOLDS, branch_certificates=tuple(certificates))
 
 
-def assert_certificates_verify(verdict, branches):
-    by_label = {b.label: b for b in branches}
-    assert [c.branch for c in verdict.branch_certificates] == list(by_label)
-    for cert in verdict.branch_certificates:
+def assert_certificates_verify(verdict, program, point):
+    """Every branch has its certificate, in order, each checked on the built
+    branch problem."""
+    enumerate_ = enumerate_mpcc_branches if isinstance(program, MpccProgram) else enumerate_branches
+    by_label = {b.label: b for b in enumerate_(program, point)}
+    certificates = branch_certificates(verdict, program, point)
+    assert [c.branch for c in certificates] == list(by_label)
+    for cert in certificates:
         b = by_label[cert.branch]
         gradient = b.objective.gradient(b.anchor)
         assert verify_branch_dual_certificate(cert, lin_cone_branch(b), gradient) == []
@@ -344,8 +365,10 @@ def b_routes(p, e):
     if with_m.status == FAILS:
         assert without_m == with_m
     else:
-        assert_certificates_verify(without_m, enumerate_branches(p, e))
+        assert_certificates_verify(without_m, p, e)
     strong = stationarity._strong_multipliers(multiplier_system(p, e), None) is not None
+    # the route a Holds took shows in its certificate
+    assert (with_m.multipliers is not None) == (without_m.multipliers is not None) == strong
     return m_verdict, with_m, strong, b_over_every_branch(enumerate_branches(p, e), "b-anf")
 
 
@@ -362,7 +385,14 @@ def test_strong_route_agrees_with_the_branch_lp_loop_on_random_programs():
             m_verdict, verdict, strong, reference = b_routes(q, qe)
             assert verdict.status == reference.status
             if verdict.status == HOLDS:
-                assert_certificates_verify(verdict, enumerate_branches(q, qe))
+                assert_certificates_verify(verdict, q, qe)
+                # the counterpart's own check takes the same route, and its
+                # certificate maps onto every counterpart branch
+                mp, point = to_mpcc(q), mpcc_point_from_eval(qe)
+                counterpart = check_b_stationary(mp, point)
+                assert counterpart.status == HOLDS
+                assert (counterpart.multipliers is not None) == strong
+                assert_certificates_verify(counterpart, mp, point)
             else:
                 # the lazy loop stops where the eager one does
                 assert not strong
@@ -385,7 +415,8 @@ def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, monkeypatc
 
     monkeypatch.setattr(stationarity, "lp_solve", no_lp)
     verdict = check_b_stationary(e1, e, m_verdict=m_verdict)
-    assert verdict.status == HOLDS and len(verdict.branch_certificates) == 2
+    assert verdict.status == HOLDS and verdict.multipliers == m_verdict.multipliers
+    assert len(branch_certificates(verdict, e1, e)) == 2
     # a failed M verdict rules out strong multipliers; the loop solves the LPs
     monkeypatch.undo()
     p = with_objective(e1, [0, -1])
@@ -400,14 +431,16 @@ def b_translation_matches_direct_check(p, e):
     mp, point = to_mpcc(p), mpcc_point_from_eval(e)
     m_anf = check_m_stationary_anf(p, e)
     b_anf = check_b_stationary(p, e, m_verdict=m_anf)
-    translated = translate_b_verdict(b_anf, mp, point)
-    m_mpcc = translate_m_verdict(m_anf, multiplier_system(p, e), multiplier_system(mp, point), "m-mpcc")
+    sys_anf, sys_mpcc = multiplier_system(p, e), multiplier_system(mp, point)
+    translated = translate_b_verdict(b_anf, sys_anf, sys_mpcc, mp, point)
+    m_mpcc = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
     direct = check_b_stationary(mp, point, m_verdict=m_mpcc)
     reference = b_over_every_branch(enumerate_mpcc_branches(mp, point), "b-mpcc")
     assert translated.kind == direct.kind == "b-mpcc"
     assert translated.status == direct.status == reference.status
     if translated.status == HOLDS:
-        assert_certificates_verify(translated, enumerate_mpcc_branches(mp, point))
+        assert_certificates_verify(b_anf, p, e)
+        assert_certificates_verify(translated, mp, point)
         if m_anf.status == HOLDS and all(
             m_anf.multipliers.mu_u[i] >= 0 and m_anf.multipliers.mu_v[i] >= 0 for i in e.alpha
         ):
@@ -444,18 +477,60 @@ def test_translated_b_verdict_matches_direct_check_on_random_programs():
     assert seen == {HOLDS, FAILS}
 
 
+def forms_at_origin(p):
+    """The program's evaluation at the origin, its counterpart and point, and
+    the multiplier systems of both forms."""
+    e = evaluate(p, zero_vec(p.n_t))
+    mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+    return e, mp, point, multiplier_system(p, e), multiplier_system(mp, point)
+
+
 def test_b_translation_rejects_a_disagreeing_counterpart(e1):
-    e = evaluate(e1, [0, 0])
-    mp, point = to_mpcc(e1), mpcc_point_from_eval(e)
-    verdict = check_b_stationary(e1, e)
+    # per-branch certificates, from the descent-LP route
+    p = parse_problem_data(fallback_kinks_problem(1)).program
+    e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
+    verdict = check_b_stationary(p, e)
+    assert verdict.multipliers is None
     first = verdict.branch_certificates[0]
     forged = replace(first, dual_eq=tuple(x + 1 for x in first.dual_eq))
     with pytest.raises(RuntimeError, match="counterpart"):
-        translate_b_verdict(replace(verdict, branch_certificates=(forged,)), mp, point)
+        translate_b_verdict(replace(verdict, branch_certificates=(forged,)), sys_anf, sys_mpcc, mp, point)
     with pytest.raises(ValueError, match="names no abs-normal branch"):
-        translate_b_verdict(replace(verdict, branch_certificates=(replace(first, branch="P={}"),)), mp, point)
+        translate_b_verdict(
+            replace(verdict, branch_certificates=(replace(first, branch="P={}"),)), sys_anf, sys_mpcc, mp, point
+        )
+    # strong multipliers: an invalid source, or a counterpart system that disagrees
+    e, mp, point, sys_anf, sys_mpcc = forms_at_origin(e1)
+    strong = check_b_stationary(e1, e)
+    bogus = replace(strong, multipliers=replace(strong.multipliers, lam_e=vec([5])))
+    with pytest.raises(ValueError, match="source certificate is not valid"):
+        translate_b_verdict(bogus, sys_anf, sys_mpcc, mp, point)
+    coeffs, offset = sys_mpcc.pair_u[0]
+    flipped = replace(sys_mpcc, pair_u=((tuple(-x for x in coeffs), -offset),))
+    with pytest.raises(RuntimeError, match="target system"):
+        translate_b_verdict(strong, sys_anf, flipped, mp, point)
     p = with_objective(e1, [1, 0])
-    e = evaluate(p, [0, 0])
+    e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
     fails = check_b_stationary(p, e)
     with pytest.raises(RuntimeError, match="descent"):
-        translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), to_mpcc(p), point)
+        translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), sys_anf, sys_mpcc, mp, point)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_strong_certificates_map_onto_every_branch_on_kinks(k):
+    # seed-1 kinks{k}: the minimizer of +t_{k+1} is strongly stationary in
+    # both forms; the maximizer of -t_{k+1} has no strong multipliers
+    kinks = bench_kinks()
+    for sign in (1, -1):
+        inst = kinks.draw(random.Random(1), k, sign)
+        p = parse_problem_data(kinks.problem_data(inst)).program
+        e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
+        b_anf = check_b_stationary(p, e, m_verdict=check_m_stationary_anf(p, e))
+        b_mpcc = translate_b_verdict(b_anf, sys_anf, sys_mpcc, mp, point)
+        assert b_anf.status == b_mpcc.status == kinks.stationarity_status(inst)
+        if sign < 0:
+            assert stationarity._strong_multipliers(sys_anf, None) is None
+            continue
+        assert len(branch_certificates(b_anf, p, e)) == len(branch_certificates(b_mpcc, mp, point)) == 2**k
+        assert_certificates_verify(b_anf, p, e)
+        assert_certificates_verify(b_mpcc, mp, point)
