@@ -315,8 +315,8 @@ CORPUS_DIGESTS = {
     "check-cq E1 --all --branches --recheck": "df59aa5cb4ce3ab70f224f4f2e46ab3adca09214d4dab845d692a0c83b2e13d3",
     "check-cq E1 --branches": "d4f4fe6b7c27c861af4c84ad42fe29a32e406730228d82bcc78ba4d811190e6b",
     "check-cq E1 --branches --recheck": "a183d9cc756d8ceed89acf774f888e6fab0aaf74524658efdba80466a6bbbdf7",
-    "check-stationarity E1": "1cc209b2e23aa975528c9d4ca21a68416dfb6eebfb931125cfb0e26c0f03535f",
-    "check-stationarity E1 --recheck": "a8e4d26153054836af4764c59f7c2e7980ea2ed997482b8bb11ba276a5342e9f",
+    "check-stationarity E1": "bcb7edaf35e4993d9ff98a36077192144e44950e917565c69a1f1d0e7d2ad632",
+    "check-stationarity E1 --recheck": "4c21d992584a7c7a457d483bb6c69748e45da47214d2353ffd8c4899ec0f5afb",
     "verify-relations E1": "c5418bf2d4e1351980ea8ac17d26fd3c610fd5c097daa810d3c7f0706881e1ff",
     "verify-relations E1 --recheck": "183b7807754f059826bf785295218865281ef12c67b3bec9d913c6ccb0dad337",
     "eval E2": "5a5da98a1180b555225f02bf33c07c795df565cfef79dc78f43c99d4c7393a37",
@@ -341,8 +341,8 @@ CORPUS_DIGESTS = {
     "check-cq E2 --all --branches --recheck": "68085153934045e62d0b40c07bd16905b181975f18ec7fa4ec7a2cb1f44d81ac",
     "check-cq E2 --branches": "089a13f94ef0e12cbc1a06cd9577931d0f45205e84c31341c3b21617addb2986",
     "check-cq E2 --branches --recheck": "f04a2a887c3b589c2a340eab55623b154263fd2c423581b934bda03a627cf7b0",
-    "check-stationarity E2": "83296537d41187237ce17ce3192254a5e8fdeea64e9f1216fb8c7ef1576cb252",
-    "check-stationarity E2 --recheck": "45625387a296ade23e0cc203cecd9fa928c546a824892df64e04dd996e2c8797",
+    "check-stationarity E2": "ca12bc13525673448ac0d3809a09d0dc78c00f359aea09a1b3e499b949a26463",
+    "check-stationarity E2 --recheck": "430a32360c6b72b85d269c5f07c1aa664e775cb741062f7db5527120b707604c",
     "verify-relations E2": "db8b19fa6e13da444e690469ea1f7274278ccb45a2083161055d93d4b7e779f0",
     "verify-relations E2 --recheck": "1a3c449ca11c3149ddf4b2e1153abb06749cfb7f0369144a05e6302d0e0bdf0d",
     "eval E3": "a08ad7ee0145cbf02aa272044b35147753e16ae936d1525f0e46268e557be4ca",
