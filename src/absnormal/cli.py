@@ -533,7 +533,13 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: dict
             if spec is None:
                 errors.append(f"{prefix}: unknown failing branch {label!r}")
                 return errors
+            if "descent" not in verdict:
+                errors.append(f"{prefix}: descent missing")
+                return errors
             descent = vec(verdict["descent"])
+            if len(descent) != len(lin.gradient):
+                errors.append(f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}")
+                return errors
             if not lin.cone(spec.signs).contains_point(descent):
                 errors.append(f"{prefix}: descent direction is not linearized-feasible")
             if dot(lin.gradient, descent) >= 0:

@@ -2,8 +2,11 @@
 
 Problems are JSON with all numbers as exact rational strings ("3", "-2/7",
 "0.25"); unknown fields are rejected.  The machine-readable schema ships with
-the package (schema/problem.schema.json) and parsing validates against it
-before any semantic checks.
+the package (schema/problem.schema.json) and parsing checks a document
+against it before any semantic checks.  The check is done in-package, under
+JSON Schema draft 2020-12 rules, for exactly the keywords that file uses; it
+reports the error that ``jsonschema.exceptions.best_match`` would pick, with
+jsonschema 4's message.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import json
+import numbers
 from dataclasses import dataclass, field
-
-import jsonschema
 
 from .anf import (
     AbsNormalProgram,
@@ -30,8 +32,105 @@ PROBLEM_SCHEMA = json.loads(
     (importlib.resources.files("absnormal") / "schema" / "problem.schema.json").read_text(encoding="utf-8")
 )
 
-# built once: jsonschema.validate would re-check the schema itself on every call
-_VALIDATOR = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    # a bool is neither a number nor an integer; 1.0 is an integer
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or (isinstance(x, float) and x.is_integer())
+    ),
+}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items", "minimum", "enum"}
+_ANNOTATIONS = {"$schema", "title"}
+
+
+def check_schema_keywords(schema: dict, where: str = "#") -> None:
+    """Reject any keyword ``schema_errors`` does not implement, so none is skipped silently."""
+    if not isinstance(schema, dict):
+        raise RuntimeError(f"problem schema: {schema!r} at {where} is not an object schema")
+    unknown = sorted(set(schema) - _KEYWORDS - _ANNOTATIONS)
+    if unknown:
+        raise RuntimeError(f"problem schema: unsupported keyword {unknown[0]!r} at {where}")
+    types = schema.get("type", [])
+    for name in [types] if isinstance(types, str) else types:
+        if name not in _TYPES:
+            raise RuntimeError(f"problem schema: unsupported type {name!r} at {where}")
+    for name, sub in schema.get("properties", {}).items():
+        check_schema_keywords(sub, f"{where}/properties/{name}")
+    extra = schema.get("additionalProperties", False)
+    if extra is not False:
+        check_schema_keywords(extra, f"{where}/additionalProperties")
+    if "items" in schema:
+        check_schema_keywords(schema["items"], f"{where}/items")
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: ``True`` is not ``1``, also inside arrays and objects."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def schema_errors(schema: dict, x, path: tuple = ()):
+    """Yield ``(path, message)`` for each violation of ``schema`` by ``x``, in
+    jsonschema's order: schema key order, then ``properties`` and ``required``
+    order, extra keys in document order, array items by index."""
+    for key, value in schema.items():
+        if key == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_TYPES[name](x) for name in types):
+                yield path, f"{x!r} is not of type {', '.join(map(repr, types))}"
+        elif key == "enum":
+            if not any(_equal(each, x) for each in value):
+                yield path, f"{x!r} is not one of {value!r}"
+        elif key == "minimum":
+            if _TYPES["number"](x) and x < value:
+                yield path, f"{x!r} is less than the minimum of {value!r}"
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from schema_errors(value, item, path + (i,))
+        elif not isinstance(x, dict):
+            continue
+        elif key == "properties":
+            for name, sub in value.items():
+                if name in x:
+                    yield from schema_errors(sub, x[name], path + (name,))
+        elif key == "required":
+            for name in value:
+                if name not in x:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties":
+            extras = [name for name in x if name not in schema.get("properties", {})]
+            if value is not False:
+                for name in extras:
+                    yield from schema_errors(value, x[name], path + (name,))
+            elif extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def schema_violation(data) -> str | None:
+    """The best-matching schema error of ``data``, or None: the shallowest
+    path, the greatest among those, the first reported on ties."""
+    best = max(schema_errors(PROBLEM_SCHEMA, data), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if best is None:
+        return None
+    path, message = best
+    return "schema violation at $" + "".join(f"[{p!r}]" for p in path) + f": {message}"
+
+
+check_schema_keywords(PROBLEM_SCHEMA)
 
 
 class ProblemFileError(ValueError):
@@ -69,11 +168,14 @@ class ProblemFile:
 
 
 def parse_problem_data(data: dict, digest: str = "") -> ProblemFile:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
-    if error is not None:
-        path = "$" + "".join(f"[{p!r}]" for p in error.absolute_path)
-        raise ProblemFileError(f"schema violation at {path}: {error.message}")
+    violation = schema_violation(data)
+    if violation is not None:
+        raise ProblemFileError(violation)
     dims = data["dimensions"]
+    for key, value in dims.items():
+        # draft 2020-12 counts 1.0 as an integer; a dimension must be an int
+        if not isinstance(value, int):
+            raise ProblemFileError(f"dimensions: non-integer dimension {key} = {value!r}")
     n_t, s, m1, m2 = dims["n_t"], dims["s"], dims["m1"], dims["m2"]
     block = n_t + s
 

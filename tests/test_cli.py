@@ -238,6 +238,18 @@ def test_zero_denominator_is_an_input_error_not_a_verdict(tmp_path, capsys, site
         assert err == f"error: {path}: {where}: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("key", ["n_t", "s", "m1", "m2"])
+def test_integral_float_dimension_is_an_input_error(tmp_path, capsys, key):
+    # draft 2020-12 counts 1.0 as an integer, so the schema lets it through
+    data = minimal_problem()
+    data["dimensions"][key] = float(data["dimensions"][key])
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check-stationarity", str(path))
+    value = data["dimensions"][key]
+    assert (code, out, err) == (3, "", f"error: {path}: dimensions: non-integer dimension {key} = {value!r}\n")
+
+
 def test_cli_recheck_passes_everywhere(capsys):
     for name in ("E1", "E2", "E3", "E4"):
         code, out, _ = run_cli(capsys, "check-cq", name, "--all", "--recheck")
@@ -565,6 +577,22 @@ def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
         tampered = copy.deepcopy(report)
         tampered["points"][0]["stationarity"][kind]["failing_branch"] = label
         assert recheck_report(pf, tampered) == [f"point shoulder {kind}: unknown failing branch {label!r}"]
+
+
+def test_b_fails_descent_missing_or_misshapen_is_a_named_recheck_error(capsys):
+    pf = load_corpus_problem("E1")
+    _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
+    report = json.loads(out)
+    for kind, dim in (("b-anf", 3), ("b-mpcc", 4)):
+        missing = copy.deepcopy(report)
+        del missing["points"][0]["stationarity"][kind]["descent"]
+        assert recheck_report(pf, missing) == [f"point shoulder {kind}: descent missing"]
+        for descent in (["-1"], ["-1"] * (dim + 1)):
+            short = copy.deepcopy(report)
+            short["points"][0]["stationarity"][kind]["descent"] = descent
+            assert recheck_report(pf, short) == [
+                f"point shoulder {kind}: descent has {len(descent)} entries, expected {dim}"
+            ]
 
 
 def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys, monkeypatch):

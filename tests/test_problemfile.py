@@ -1,12 +1,26 @@
-import json
-
+import copy
 import importlib.resources
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import absnormal
 from absnormal.anf import evaluate
 from absnormal.cones import linearize_anf, linearize_mpcc
-from absnormal.problemfile import PROBLEM_SCHEMA, ProblemFileError, load_corpus_problem, parse_problem_data
+from absnormal.problemfile import (
+    PROBLEM_SCHEMA,
+    ProblemFileError,
+    check_schema_keywords,
+    load_corpus_problem,
+    parse_problem_data,
+    schema_errors,
+    schema_violation,
+)
 from absnormal.transforms import enumerate_branches, mpcc_point_from_eval, to_mpcc
 
 from branch_oracles import branch_union, cone_equal, union_from_branches
@@ -45,6 +59,115 @@ def test_corpus_files_validate_against_schema():
     for name in ("E1", "E2", "E3", "E4"):
         ref = importlib.resources.files("absnormal") / "corpus" / f"{name}.json"
         jsonschema.validate(json.loads(ref.read_text()), PROBLEM_SCHEMA)
+
+
+def _corpus_documents() -> list[dict]:
+    files = importlib.resources.files("absnormal") / "corpus"
+    return [json.loads((files / f"{name}.json").read_text()) for name in ("E1", "E2", "E3", "E4")]
+
+
+_KEYS = ["name", "t", "label", "linear", "quadratic", "constant", "eq", "ineq", "akq", "b-stationary",
+         "n_t", "s", "m1", "m2", "points", "expected", "minimizer", "σ=+", "bogus", "zz"]
+_LEAVES = [True, False, None, 1.0, -2.0, 0.5, -1, 0, 3, "holds", "x", "1/2"]
+
+
+def _random_value(rng: random.Random, depth: int = 0):
+    """A bool, float, null, int or string, or below depth 2 also a list or a dict."""
+    r = rng.randrange(len(_LEAVES) + (3 if depth < 2 else 0))
+    if r < len(_LEAVES):
+        return _LEAVES[r]
+    if r < len(_LEAVES) + 2:
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    return {rng.choice(_KEYS): _random_value(rng, depth + 1) for _ in range(rng.randrange(3))}
+
+
+def _mutate(rng: random.Random, doc: dict) -> dict:
+    """One to three edits of ``doc``: a replaced value, a deleted key or an added key."""
+    for _ in range(rng.randint(1, 3)):
+        parents = [doc]
+        for node in parents:
+            children = node.values() if isinstance(node, dict) else node
+            parents.extend(c for c in children if isinstance(c, (dict, list)))
+        node = rng.choice(parents)
+        if isinstance(node, list):
+            if node:
+                node[rng.randrange(len(node))] = _random_value(rng)
+        elif node and rng.randrange(3) == 0:
+            del node[rng.choice(list(node))]
+        else:
+            key = rng.choice(list(node) + _KEYS) if rng.randrange(2) else rng.choice(_KEYS)
+            node[key] = _random_value(rng)
+    return doc
+
+
+def test_schema_check_agrees_with_jsonschema_best_match():
+    import jsonschema
+
+    validator = jsonschema.validators.validator_for(PROBLEM_SCHEMA)(PROBLEM_SCHEMA)
+    rng = random.Random(20201)
+    documents = _corpus_documents()
+    rejected = set()
+    for _ in range(1500):
+        doc = _mutate(rng, copy.deepcopy(rng.choice(documents)))
+        error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+        expected = None
+        if error is not None:
+            path = "".join(f"[{p!r}]" for p in error.absolute_path)
+            expected = f"schema violation at ${path}: {error.message}"
+            rejected.add(error.validator)
+        assert schema_violation(doc) == expected, doc
+    # every keyword's message was compared
+    assert rejected == {"type", "enum", "minimum", "required", "additionalProperties"}
+
+
+def test_schema_check_follows_draft_2020_12_types():
+    assert list(schema_errors({"type": "integer"}, True)) == [((), "True is not of type 'integer'")]
+    assert list(schema_errors({"minimum": 0}, False)) == []
+    assert list(schema_errors({"type": "integer", "minimum": 0}, 2.0)) == []
+    assert list(schema_errors({"type": ["string", "integer"]}, 0.5)) == [
+        ((), "0.5 is not of type 'string', 'integer'")
+    ]
+    assert list(schema_errors({"enum": [1, [0]]}, True)) == [((), "True is not one of [1, [0]]")]
+    assert list(schema_errors({"enum": [1, [0]]}, [False])) == [((), "[False] is not one of [1, [0]]")]
+    assert list(schema_errors({"enum": [1, [0]]}, 1.0)) == []
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "pattern": "x"},
+        {"properties": {"a": {"items": {"format": "date"}}}},
+        {"additionalProperties": True},
+        {"type": "float"},
+    ],
+)
+def test_schema_keyword_walk_rejects_what_the_check_does_not_implement(schema):
+    with pytest.raises(RuntimeError, match="problem schema"):
+        check_schema_keywords(schema)
+
+
+_WITHOUT_JSONSCHEMA = """
+import contextlib, io, sys
+import absnormal.cli
+if "jsonschema" in sys.modules:
+    sys.exit("importing absnormal.cli imported jsonschema")
+sys.modules["jsonschema"] = None  # any import of it now raises ImportError
+with contextlib.redirect_stdout(io.StringIO()):
+    code = absnormal.cli.main(["corpus", "run"])
+if code != 0:
+    sys.exit(f"corpus run exited {code}")
+import test_problemfile
+test_problemfile.test_shipped_schema_rejects_unknown_fields_with_exact_message()
+"""
+
+
+def test_cli_imports_and_runs_without_jsonschema():
+    src = Path(absnormal.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_JSONSCHEMA], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_lin_cone_union_constructors():
