@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields, is_dataclass
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -37,6 +39,8 @@ from .cq import (
     MPCC_I,
     SLACK_FORMS,
     UNKNOWN,
+    CQVerdict,
+    FormulationAnalysis,
     PointAnalysis,
     analyze_point,
     anchor_point,
@@ -52,12 +56,9 @@ from .problemfile import (
     load_corpus_problem,
     parse_problem,
 )
-from .ratmath import LpCertificate, dot, integer_dot, primitive_integer, rat, vec
+from .ratmath import dot, integer_dot, primitive_integer, rat, vec
 from .stationarity import (
-    BranchDualCertificate,
     CaseLimitError,
-    CaseOutcome,
-    MultiplierSet,
     StationarityVerdict,
     check_b_stationary,
     check_m_stationary_anf,
@@ -183,27 +184,53 @@ def _ser_cone(cone: PolyCone) -> dict:
     return {"eq": [_svec(r) for r in cone.eq_rows], "ineq": [_svec(r) for r in cone.ineq_rows]}
 
 
-def _ser_cone_with_generators(cone: PolyCone) -> dict:
-    out = _ser_cone(cone)
+def _ser_hv(cone: PolyCone) -> dict:
+    """The cone's rows and its generators."""
     rays, lineality = cone.generators()
-    out["rays"] = [_svec(r) for r in rays]
-    out["lineality"] = [_svec(l) for l in lineality]
-    return out
+    return {**_ser_cone(cone), "rays": [_svec(r) for r in rays], "lineality": [_svec(l) for l in lineality]}
 
 
-def _parse_cone(data: dict, dim: int) -> PolyCone:
-    return PolyCone.from_rows(dim, data.get("eq", []), data.get("ineq", []))
+def _checked(data, tp):
+    if not isinstance(data, tp):
+        raise ValueError(f"expected a {tp.__name__}, not {data!r}")
+    return data
 
 
-def _parse_lp_certificate(data: dict) -> LpCertificate:
-    return LpCertificate(
-        kind=data["kind"],
-        point=vec(data["point"]) if "point" in data else None,
-        ray=vec(data["ray"]) if "ray" in data else None,
-        dual_eq=vec(data["dual_eq"]) if "dual_eq" in data else None,
-        dual_ineq=vec(data["dual_ineq"]) if "dual_ineq" in data else None,
-        margin=rat(data["margin"]) if "margin" in data else None,
-    )
+@functools.cache
+def _reader(tp):
+    """The reader of a report entry back into the value of type ``tp`` that
+    ``_ser`` wrote it from: a dataclass by field name and type, an absent
+    field at its default, rationals through ``rat``, lists as tuples.  Data
+    that no value of ``tp`` writes raises ``ValueError`` or ``TypeError``."""
+    if tp is Fraction:
+        return rat
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):  # an optional field, written only when set
+        read = _reader(next(a for a in args if a is not type(None)))
+        return lambda data: None if data is None else read(data)
+    if typing.get_origin(tp) is tuple:
+        read = _reader(args[0])
+        return lambda data: tuple(map(read, _checked(data, list)))
+    entry_fields = _entry_fields(tp)
+    if entry_fields is None:
+        return lambda data: _checked(data, tp)
+    readers = {name: _reader(field_type) for name, field_type in typing.get_type_hints(tp).items()}
+    required = {name for name, default in entry_fields if default is MISSING}
+
+    def read_fields(data):
+        if unknown := _checked(data, dict).keys() - readers.keys():
+            raise ValueError(f"unknown field {min(unknown)!r}")
+        if missing := required - data.keys():
+            raise ValueError(f"field {min(missing)!r} missing")
+        values = {}
+        for name, value in data.items():
+            try:
+                values[name] = readers[name](value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return tp(**values)
+
+    return read_fields
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +251,9 @@ def _eval_section(label: str, e: EvalResult) -> dict:
     }
 
 
-def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators: bool = False) -> dict:
-    ser = _ser_cone_with_generators if with_generators else _ser_cone
+def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
+    """The ``cones`` report: each branch's linearized and tangent cones, with
+    generators, and their duals when ``include_dual``."""
     out = {}
     for key in FORMULATIONS:
         if forms and key not in forms:
@@ -234,15 +262,10 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators
         branches = []
         lin_duals = []
         for ba in fa.branches:
-            lin = ser(ba.lin)
+            lin = _ser_hv(ba.lin)
             # a certified tangent piece is the linearized cone object itself: serialize it once
-            tangent = [lin if p is ba.lin else ser(p) for p in ba.tangent_pieces] if ba.tangent_known else None
-            entry = {
-                "branch": ba.label,
-                "lin": lin,
-                "tangent": tangent,
-                "tangent_source": ba.tangent_source,
-            }
+            tangent = [lin if p is ba.lin else _ser_hv(p) for p in ba.tangent_pieces] if ba.tangent_known else None
+            entry = {"branch": ba.label, "lin": lin, "tangent": tangent, "tangent_source": ba.tangent_source}
             if include_dual:
                 # each branch dual is built once, and reused where the tangent union is the linearized cone
                 lin_duals.append(dual_cone(ba.lin))
@@ -259,6 +282,14 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms, with_generators
             section["lin_union_dual"] = _ser_cone(union_dual)
         out[key] = section
     return out
+
+
+def _branch_list_section(pa: PointAnalysis) -> dict:
+    """Each formulation's branches and tangent sources; the cones are the ``cones`` report's."""
+    return {
+        key: {"dim": fa.dim, "branches": [{"branch": b.label, "tangent_source": b.tangent_source} for b in fa.branches]}
+        for key, fa in pa.formulations.items()
+    }
 
 
 def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> dict:
@@ -383,8 +414,11 @@ def exit_code_for_report(report: dict) -> int:
     return EXIT_OK
 
 
-def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
-    """Re-validate every certificate and witness in the report by substitution."""
+def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRANCH_CAP) -> list[str]:
+    """Re-validate every certificate and witness in the report's verdict
+    entries by substitution, against cones rebuilt from the problem file: the
+    point is analyzed once, with its annotations and ``branch_cap``, when
+    some kink, branch or relation verdict carries a witness."""
     errors: list[str] = []
     for point_entry in report.get("points", []):
         label = point_entry.get("label", "?")
@@ -397,85 +431,74 @@ def recheck_report(pf: ProblemFile, report: dict) -> list[str]:
                 errors.append(f"{prefix}: reported switching solution does not re-solve")
             if tuple(ev["signature"]) != e.sigma.entries:
                 errors.append(f"{prefix}: reported signature mismatch")
-        cones = point_entry.get("cones", {})
-
-        def recheck_witness(where: str, verdict: dict, formulation) -> list[str]:
-            section = cones.get(formulation)
-            if section is None and verdict.get("witness") is not None:
-                return [f"{where}: no cones section for formulation {formulation!r} to recheck the witness"]
-            return _recheck_kink_verdict(where, verdict, section)
-
-        for name, verdict in point_entry.get("cq", {}).items():
-            if name == "branches":
-                # branch verdicts name the form ("anf"/"mpcc"), not the formulation
-                for key, entries in verdict.items():
-                    for entry in entries:
-                        for which in ("acq", "gcq"):
-                            where = f"{prefix} {key} {entry['branch']} {which}"
-                            errors.extend(recheck_witness(where, entry[which], key))
-                continue
-            errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
-        kink_verdicts = point_entry.get("relations", {}).get("kink_verdicts", {})
-        for name, verdict in kink_verdicts.items():
-            errors.extend(recheck_witness(f"{prefix} {name}", verdict, verdict.get("formulation")))
-        pa = PointAnalysis(pf.program, e)
+        cq = point_entry.get("cq", {})
+        named = [*cq.items(), *point_entry.get("relations", {}).get("kink_verdicts", {}).items()]
+        # every verdict entry: where, its type, its formulation (None: the verdict's own) and the entry;
+        # branch verdicts name the form ("anf"/"mpcc"), so their formulation is their section's
+        entries = [(f"{prefix} {name}", CQVerdict, None, entry) for name, entry in named if name != "branches"]
+        entries += [
+            (f"{prefix} {key} {branch_entry.get('branch')} {which}", CQVerdict, key, branch_entry.get(which))
+            for key, branch_entries in cq.get("branches", {}).items()
+            for branch_entry in branch_entries
+            for which in ("acq", "gcq")
+        ]
+        stationarity = point_entry.get("stationarity", {}).items()
+        entries += [(f"{prefix} {name}", StationarityVerdict, None, entry) for name, entry in stationarity]
+        verdicts = []
+        for where, cls, key, entry in entries:
+            try:
+                verdicts.append((where, key, _reader(cls)(entry)))
+            except (TypeError, ValueError) as exc:
+                errors.append(f"{where}: malformed entry: {exc}")
+        kink = [(where, key or v.formulation, v) for where, key, v in verdicts if type(v) is CQVerdict]
+        if not any(verdict.witness is not None for _, _, verdict in kink):
+            pa = PointAnalysis(pf.program, e)
+        elif e.is_feasible():
+            pa = analyze_point(pf.program, t, pf.annotations, branch_cap=branch_cap)
+        else:
+            errors.append(f"{prefix}: point is not feasible, so no witness rechecks")
+            pa, kink = PointAnalysis(pf.program, e), []
+        for where, key, verdict in kink:
+            errors.extend(_recheck_kink_verdict(where, verdict, key, pa.formulations.get(key)))
         systems = functools.cache(lambda form: multiplier_system(*pa.anchor(form)))
-        for name, verdict in point_entry.get("stationarity", {}).items():
-            errors.extend(_recheck_stationarity(pa, systems, prefix + f" {name}", verdict))
+        for where, _, verdict in verdicts:
+            if type(verdict) is StationarityVerdict:
+                errors.extend(_recheck_stationarity(pa, systems, where, verdict, branch_cap))
     return errors
 
 
-def _recheck_kink_verdict(prefix: str, verdict: dict, section: dict | None) -> list[str]:
-    """Recheck one Abadie/Guignard witness against the cones ``section`` of its formulation."""
-    errors: list[str] = []
-    status = verdict.get("status")
-    witness = verdict.get("witness")
-    if status == FAILS and witness is None:
-        errors.append(f"{prefix}: fails without a witness")
-    if witness is None:
-        return errors
-    w = vec(witness)
-    dim = section["dim"]
-    branches = section["branches"]
-    kind = verdict.get("kind", "")
-    if kind.startswith("branch-"):
+def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, fa: FormulationAnalysis | None) -> list[str]:
+    """Recheck one Abadie/Guignard witness against the branch cones ``fa`` of its formulation ``key``."""
+    w = verdict.witness
+    if w is None:
+        return [f"{prefix}: fails without a witness"] if verdict.status == FAILS else []
+    if fa is None:
+        return [f"{prefix}: no formulation {key!r} to recheck the witness in"]
+    if len(w) != fa.dim:
+        return [f"{prefix}: witness has {len(w)} entries, expected {fa.dim}"]
+    branches = fa.branches
+    if verdict.kind.startswith("branch-"):
         # a branch verdict speaks of its own linearized and tangent cones only
-        branches = [entry for entry in branches if entry["branch"] == verdict.get("branch")]
+        branches = [ba for ba in branches if ba.label == verdict.branch]
         if not branches:
-            return errors + [f"{prefix}: no branch {verdict.get('branch')!r} in the cones section"]
-    if kind in ("akq", "mpcc-acq", "branch-acq"):
+            return [f"{prefix}: no branch {verdict.branch!r} in formulation {key}"]
+    errors: list[str] = []
+    if verdict.kind in ("akq", "mpcc-acq", "branch-acq"):
         # a valid Abadie witness is linearized-feasible somewhere but escapes
         # the tangent upper bound of every branch
-        in_lin = False
-        for entry in branches:
-            lin = _parse_cone(entry["lin"], dim)
-            if lin.contains_point(w):
-                in_lin = True
-            pieces = entry["tangent"]
-            upper = [_parse_cone(p, dim) for p in pieces] if pieces is not None else [lin]
-            if any(piece.contains_point(w) for piece in upper):
-                errors.append(
-                    f"{prefix}: witness lies inside the tangent bound of branch {entry['branch']}"
-                )
-        if not in_lin:
+        for ba in branches:
+            if any(piece.contains_point(w) for piece in ba.upper_pieces):
+                errors.append(f"{prefix}: witness lies inside the tangent bound of branch {ba.label}")
+        if not any(ba.lin.contains_point(w) for ba in branches):
             errors.append(f"{prefix}: witness is not linearized-feasible")
-    elif kind in ("gkq", "mpcc-gcq", "branch-gcq"):
+    elif verdict.kind in ("gkq", "mpcc-gcq", "branch-gcq"):
         # a valid Guignard witness pairs nonnegatively with the whole tangent
         # upper bound and strictly negatively with some linearized direction
-        escapes_lin_dual = False
-        for entry in branches:
-            lin = _parse_cone(entry["lin"], dim)
-            pieces = entry["tangent"]
-            upper = [_parse_cone(p, dim) for p in pieces] if pieces is not None else [lin]
-            for piece in upper:
+        for ba in branches:
+            for piece in ba.upper_pieces:
                 if _escapes_dual(w, piece):
-                    errors.append(
-                        f"{prefix}: witness is not in the dual of the tangent bound "
-                        f"of branch {entry['branch']}"
-                    )
-            if _escapes_dual(w, lin):
-                escapes_lin_dual = True
-        if not escapes_lin_dual:
+                    errors.append(f"{prefix}: witness is not in the dual of the tangent bound of branch {ba.label}")
+        if not any(_escapes_dual(w, ba.lin) for ba in branches):
             errors.append(f"{prefix}: witness does not escape the linearized dual")
     return errors
 
@@ -487,19 +510,19 @@ def _escapes_dual(w, cone: PolyCone) -> bool:
     return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
 
 
-def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: dict) -> list[str]:
+def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: StationarityVerdict, cap: int) -> list[str]:
     """Recheck one stationarity verdict; ``systems(form)`` is the point's
-    multiplier system of the formulation ``form``, built once."""
+    multiplier system of the formulation ``form``, built once, and ``cap``
+    the branch cap."""
     errors: list[str] = []
-    kind = verdict.get("kind", "")
-    status = verdict.get("status")
+    kind, status = verdict.kind, verdict.status
     form = ABS_I if kind.endswith("-anf") else MPCC_I
     b_holds = kind.startswith("b-") and status == HOLDS
-    if b_holds and ("multipliers" in verdict) == ("branch_certificates" in verdict):
+    if b_holds and (verdict.multipliers is None) == (not verdict.branch_certificates):
         errors.append(f"{prefix}: a B Holds carries either multipliers or branch certificates, not both or neither")
-    elif kind.startswith("m-") or (b_holds and "multipliers" in verdict):
+    elif kind.startswith("m-") or (b_holds and verdict.multipliers is not None):
         # an M verdict, or a B Holds by strong multipliers: substitution and signs, no branch
-        for msg in verify_multiplier_verdict(systems(form), _parse_m_verdict(verdict)):
+        for msg in verify_multiplier_verdict(systems(form), verdict):
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
@@ -507,56 +530,35 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: dict
         # linearization; no branch problem is built
         lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
         if status == HOLDS:
-            by_label = {spec.label: spec for spec in lin.specs()}
-            certificates = verdict.get("branch_certificates", [])
-            named = [entry["branch"] for entry in certificates]
+            by_label = {spec.label: spec for spec in lin.specs(cap)}
+            named = [cert.branch for cert in verdict.branch_certificates]
             for label in by_label:
                 if named.count(label) != 1:
-                    errors.append(
-                        f"{prefix}: branch {label} has {named.count(label)} certificates, expected 1"
-                    )
+                    errors.append(f"{prefix}: branch {label} has {named.count(label)} certificates, expected 1")
             memo: dict = {}
-            for entry in certificates:
-                spec = by_label.get(entry["branch"])
+            for cert in verdict.branch_certificates:
+                spec = by_label.get(cert.branch)
                 if spec is None:
-                    errors.append(f"{prefix}: certificate for unknown branch {entry['branch']!r}")
+                    errors.append(f"{prefix}: certificate for unknown branch {cert.branch!r}")
                     continue
-                cert = BranchDualCertificate(
-                    entry["branch"], vec(entry["dual_eq"]), vec(entry["dual_ineq"])
-                )
                 for msg in verify_branch_certificate(lin, spec.signs, cert, memo):
-                    errors.append(f"{prefix} branch {entry['branch']}: {msg}")
+                    errors.append(f"{prefix} branch {cert.branch}: {msg}")
         elif status == FAILS:
-            label = verdict.get("failing_branch")
+            label = verdict.failing_branch
             kind_of_label = "signature" if kind == "b-anf" else "partition"
             spec = parse_branch_label(label, kind_of_label, lin.base.entries)
             if spec is None:
-                errors.append(f"{prefix}: unknown failing branch {label!r}")
-                return errors
-            if "descent" not in verdict:
-                errors.append(f"{prefix}: descent missing")
-                return errors
-            descent = vec(verdict["descent"])
+                return [f"{prefix}: unknown failing branch {label!r}"]
+            descent = verdict.descent
+            if descent is None:
+                return [f"{prefix}: descent missing"]
             if len(descent) != len(lin.gradient):
-                errors.append(f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}")
-                return errors
+                return [f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}"]
             if not lin.cone(spec.signs).contains_point(descent):
                 errors.append(f"{prefix}: descent direction is not linearized-feasible")
             if dot(lin.gradient, descent) >= 0:
                 errors.append(f"{prefix}: descent direction does not descend")
     return errors
-
-
-def _parse_m_verdict(data: dict) -> StationarityVerdict:
-    if data.get("status") == HOLDS:
-        ms = data["multipliers"]
-        multipliers = MultiplierSet(*(vec(ms.get(key, [])) for key in ("lam_e", "lam_i", "lam_z", "mu_u", "mu_v")))
-        return StationarityVerdict(data["kind"], HOLDS, multipliers=multipliers)
-    failed = tuple(
-        CaseOutcome(tuple(case["assignment"]), _parse_lp_certificate(case["certificate"]))
-        for case in data.get("failed_cases", [])
-    )
-    return StationarityVerdict(data["kind"], data.get("status"), failed_cases=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +649,7 @@ def cmd_cones(pf: ProblemFile, args) -> dict:
 
     def sections(p: ProblemPoint) -> dict:
         pa = _analyze(pf, p, args.branch_cap)
-        return {"cones": _cones_section(pa, args.dual, forms, with_generators=True)}
+        return {"cones": _cones_section(pa, args.dual, forms)}
 
     return _point_report("cones", pf, args, sections)
 
@@ -665,7 +667,7 @@ def cmd_check_cq(pf: ProblemFile, args) -> dict:
         return {
             "eval": _eval_section(p.label, pa.point_eval),
             "cq": _cq_section(pa, which, include_branches),
-            "cones": _cones_section(pa, False, None),
+            "cones": _branch_list_section(pa),
         }
 
     return _point_report("check-cq", pf, args, sections)
@@ -688,7 +690,7 @@ def cmd_verify_relations(pf: ProblemFile, args) -> dict:
         return {
             "eval": _eval_section(p.label, pa.point_eval),
             "relations": _relations_section(pa),
-            "cones": _cones_section(pa, False, None),
+            "cones": _branch_list_section(pa),
         }
 
     return _point_report("verify-relations", pf, args, sections)
@@ -881,7 +883,7 @@ def main(argv=None) -> int:
         }
         report = handlers[args.command](pf, args)
         if getattr(args, "recheck", False):
-            errors = recheck_report(pf, report)
+            errors = recheck_report(pf, report, getattr(args, "branch_cap", DEFAULT_BRANCH_CAP))
             report["recheck"] = {"errors": errors}
             if errors:
                 return _emit(report, args.out, EXIT_USAGE)

@@ -292,7 +292,7 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
     )
 
 
-def _solve_system(system: _MultiplierSystem, kind: str, case_cap: int) -> StationarityVerdict:
+def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
     k = len(system.degenerate)
     failed: list[CaseOutcome] = []
     solved = 0
@@ -300,10 +300,10 @@ def _solve_system(system: _MultiplierSystem, kind: str, case_cap: int) -> Statio
     def first_feasible(prefix: tuple[str, ...]) -> tuple[tuple[str, ...], Vec] | None:
         """Solve ``prefix``; return the first feasible full assignment below it."""
         nonlocal solved
-        if solved >= case_cap:
+        if solved >= DEFAULT_CASE_CAP:
             raise CaseLimitError(
                 f"the multiplier case search over {k} degenerate switches needs "
-                f"more than the cap of {case_cap} case LPs"
+                f"more than the cap of {DEFAULT_CASE_CAP} case LPs"
             )
         solved += 1
         res = lp_solve(build_case_problem(system, prefix))
@@ -396,22 +396,17 @@ def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str
     return errors
 
 
-def check_m_stationary_mpcc(
-    mp: MpccProgram, point: MpccPoint, case_cap: int | None = None
-) -> StationarityVerdict:
-    """M-stationarity of the counterpart; ``case_cap`` (default
-    ``DEFAULT_CASE_CAP``) bounds the case LPs solved."""
-    cap = DEFAULT_CASE_CAP if case_cap is None else case_cap
-    return _solve_system(_mpcc_system(mp, point), "m-mpcc", cap)
+def check_m_stationary_mpcc(mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
+    """M-stationarity of the counterpart, within ``DEFAULT_CASE_CAP`` case LPs."""
+    return _solve_system(_mpcc_system(mp, point), "m-mpcc")
 
 
 def check_m_stationary_anf(
-    p: AbsNormalProgram, e: EvalResult, case_cap: int | None = None, system: _MultiplierSystem | None = None
+    p: AbsNormalProgram, e: EvalResult, system: _MultiplierSystem | None = None
 ) -> StationarityVerdict:
-    """M-stationarity of the abs-normal form; ``case_cap`` as above.
+    """M-stationarity of the abs-normal form, with the case cap as above.
     ``system`` is ``multiplier_system(p, e)`` when the caller already has it."""
-    cap = DEFAULT_CASE_CAP if case_cap is None else case_cap
-    return _solve_system(_anf_system(p, e) if system is None else system, "m-anf", cap)
+    return _solve_system(_anf_system(p, e) if system is None else system, "m-anf")
 
 
 def multiplier_system(program, point) -> _MultiplierSystem:
@@ -430,6 +425,8 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
     ``case [...]``) and that the prefixes cover all 3^k assignments."""
     if verdict.status == HOLDS:
         ms = verdict.multipliers
+        if ms is None:
+            return ["holds without multipliers"]
         errors = verify_multipliers(system, ms)
         if verdict.kind.startswith("b-") and not errors:
             errors = [

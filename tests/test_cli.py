@@ -410,38 +410,146 @@ def test_recheck_walks_relation_and_branch_witnesses(capsys):
     assert errors == ["point origin abs-i σ=+ gcq: witness does not escape the linearized dual"]
 
 
-def test_recheck_rejects_a_witness_without_its_cones_section(capsys):
+def test_recheck_rebuilds_cones_from_the_problem_file(capsys):
+    # the recheck reads verdict entries only: deleting or rewriting the cones
+    # section changes nothing, and a witness is checked against the cones of
+    # the problem file even where a rewritten section would vouch for it
     pf = load_corpus_problem("E3")
-    code, out, _ = run_cli(capsys, "check-cq", "E3", "--point", "origin", "--all", "--recheck")
-    report = json.loads(out)
-    assert report.pop("recheck")["errors"] == []
-    missing = "no cones section for formulation"
+    for command, extra, abadie, guignard in (
+        ("check-cq", ["--all"], "akq", "gkq"),
+        ("verify-relations", [], "abadie[abs-i]", "guignard[abs-i]"),
+    ):
+        code, out, _ = run_cli(capsys, command, "E3", "--point", "origin", *extra, "--recheck")
+        report = json.loads(out)
+        assert (code, report.pop("recheck")["errors"]) == (1, [])
+        point = report["points"][0]
+        # one entry per branch, no cone rows
+        assert point["cones"]["abs-i"] == {
+            "dim": 3,
+            "branches": [{"branch": label, "tangent_source": "annotation"} for label in ("σ=+", "σ=-")],
+        }
+        del point["cones"]
+        assert recheck_report(pf, report) == []
+        # tangent pieces that leave out (0, 1, 0), which does lie in both
+        point["cones"] = {
+            key: {
+                "dim": 3,
+                "branches": [
+                    {"branch": label, "lin": {"eq": [], "ineq": []}, "tangent": [{"eq": [["0", "1", "0"]]}]}
+                    for label in ("σ=+", "σ=-")
+                ],
+            }
+            for key in ("abs-i", "abs-e")
+        }
+        assert recheck_report(pf, report) == []
 
-    no_cones = copy.deepcopy(report)
-    del no_cones["points"][0]["cones"]
-    errors = recheck_report(pf, no_cones)
-    assert "point origin gkq: no cones section for formulation 'abs-i' to recheck the witness" in errors
-    assert len(errors) == 24 and all(missing in msg for msg in errors)  # 8 kink + 16 branch witnesses
+        def verdict(report, name):
+            point = report["points"][0]
+            return (point["cq"] if command == "check-cq" else point["relations"]["kink_verdicts"])[name]
 
-    no_abs_i = copy.deepcopy(report)
-    del no_abs_i["points"][0]["cones"]["abs-i"]
-    errors = recheck_report(pf, no_abs_i)
-    assert len(errors) == 6  # akq, gkq and both abs-i branches' acq/gcq
-    assert all(f"{missing} 'abs-i'" in msg for msg in errors)
+        moved = copy.deepcopy(report)
+        verdict(moved, abadie)["witness"] = ["0", "1", "0"]
+        assert recheck_report(pf, moved) == [
+            f"point origin {abadie}: witness lies inside the tangent bound of branch {label}"
+            for label in ("σ=+", "σ=-")
+        ]
+        infeasible = copy.deepcopy(report)
+        infeasible["points"][0]["t"] = ["1", "0"]
+        assert recheck_report(pf, infeasible) == [
+            "point origin: reported switching solution does not re-solve",
+            "point origin: reported signature mismatch",
+            "point origin: point is not feasible, so no witness rechecks",
+        ]
+        verdict(report, guignard)["formulation"] = "abs-x"
+        assert recheck_report(pf, report) == [
+            f"point origin {guignard}: no formulation 'abs-x' to recheck the witness in"
+        ]
 
-    renamed = copy.deepcopy(report)
-    renamed["points"][0]["cq"]["gkq"]["formulation"] = "abs-x"
-    assert recheck_report(pf, renamed) == [
-        "point origin gkq: no cones section for formulation 'abs-x' to recheck the witness"
-    ]
 
-    code, out, _ = run_cli(capsys, "verify-relations", "E3", "--point", "origin", "--recheck")
-    report = json.loads(out)
-    assert report.pop("recheck")["errors"] == []
-    del report["points"][0]["cones"]
-    errors = recheck_report(pf, report)
-    assert "point origin guignard[abs-i]: no cones section for formulation 'abs-i' to recheck the witness" in errors
-    assert len(errors) == 8 and all(missing in msg for msg in errors)
+def test_recheck_analyzes_the_point_once_and_only_for_a_witness(tmp_path, capsys, monkeypatch):
+    import absnormal.cq
+
+    kinks = bench_kinks()
+    kinks3 = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 3)))
+    calls = count_calls(monkeypatch, absnormal.cq, "analyze_point")
+    # seed-1 kinks3 has no witness: the command's own analysis only; E3 has witnesses
+    for problem, code, analyses in ((kinks3, 0, 1), ("E3", 1, 2)):
+        for command, *extra in (("check-cq", "--all"), ("verify-relations",)):
+            calls.clear()
+            out = run_cli(capsys, command, problem, "--point", "origin", *extra, "--recheck")[1]
+            assert (json.loads(out)["recheck"]["errors"], len(calls)) == ([], analyses), (problem, command)
+
+
+def test_check_cq_report_does_not_grow_with_the_cones(tmp_path, capsys):
+    kinks = bench_kinks()
+    path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 4, 1, True)))
+    report_path = tmp_path / "kinks4-ineq-cq.json"
+    code, out, err = run_cli(capsys, "check-cq", path, "--all", "--recheck", "--out", str(report_path))
+    assert (code, out, err) == (0, "", "")
+    assert report_path.stat().st_size < 256 * 1024
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["recheck"] == {"errors": []}
+    assert {key: len(section["branches"]) for key, section in report["points"][0]["cones"].items()} == {
+        "abs-i": 16,
+        "abs-e": 64,
+        "mpcc-i": 16,
+        "mpcc-e": 64,
+    }
+
+
+MALFORMED = "malformed entry: "
+
+
+@pytest.mark.parametrize(
+    "argv, name, field, value, message",
+    [
+        (("E1", "shoulder", "--b"), "b-anf", "descent", 5, MALFORMED + "descent: expected a list, not 5"),
+        (
+            ("E1", "shoulder", "--b"),
+            "b-anf",
+            "descent",
+            ["x", "1", "1"],
+            MALFORMED + "descent: Invalid literal for Fraction: 'x'",
+        ),
+        (("E1", "origin", "--m"), "m-anf", "multipliers", 3, MALFORMED + "multipliers: expected a dict, not 3"),
+        (("E1", "origin", "--m"), "m-anf", "multipliers", None, "holds without multipliers"),
+        (("E1", "origin", "--m"), "m-anf", "case", [1], MALFORMED + "case: expected a str, not 1"),
+        (("E1", "origin", "--m"), "m-anf", "bogus", "1", MALFORMED + "unknown field 'bogus'"),
+        (("E3", "origin", "--gkq"), "gkq", "witness", 5, MALFORMED + "witness: expected a list, not 5"),
+        (
+            ("E3", "origin", "--gkq"),
+            "gkq",
+            "witness",
+            ["1", 0.5, "0"],
+            MALFORMED + "witness: refusing inexact value 0.5; use int, Fraction, or a string like '2/3'",
+        ),
+        (("E3", "origin", "--gkq"), "gkq", "kind", None, MALFORMED + "field 'kind' missing"),
+        (("E3", "origin", "--gkq"), "gkq", "witness", ["1", "0"], "witness has 2 entries, expected 3"),
+    ],
+    ids=[
+        "descent-int",
+        "descent-literal",
+        "multipliers-int",
+        "multipliers-missing",
+        "case-int",
+        "unknown-field",
+        "witness-int",
+        "witness-float",
+        "kind-missing",
+        "witness-short",
+    ],
+)
+def test_malformed_verdict_entry_is_a_named_recheck_error(capsys, argv, name, field, value, message):
+    # a field no verdict writes is a recheck error, not an exception out of recheck_report
+    problem, point, flag = argv
+    command = "check-cq" if name == "gkq" else "check-stationarity"
+    report = json.loads(run_cli(capsys, command, problem, "--point", point, flag)[1])
+    entry = report["points"][0]["cq" if name == "gkq" else "stationarity"][name]
+    if value is None:
+        del entry[field]
+    else:
+        entry[field] = value
+    assert recheck_report(load_corpus_problem(problem), report) == [f"point {point} {name}: {message}"]
 
 
 def test_b_stationarity_recheck_needs_every_branch_once(tmp_path, capsys):

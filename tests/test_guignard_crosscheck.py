@@ -10,10 +10,11 @@ import dataclasses
 import functools
 import random
 
-from absnormal.cli import _cones_section, _recheck_kink_verdict, _ser
+from absnormal.cli import _reader, _recheck_kink_verdict, _ser
 from absnormal.cones import PolyCone, cone_contains, dual_cone
 from absnormal.cq import (
     FAILS,
+    CQVerdict,
     FORMULATIONS,
     HOLDS,
     UNKNOWN,
@@ -52,18 +53,25 @@ def reference_branch_guignard(ba) -> str:
     return HOLDS if cone_contains(_dual(ba.lin), tangent_dual) else FAILS
 
 
+def recheck(key: str, verdict, fa) -> list[str]:
+    """The recheck errors of ``verdict`` on formulation ``key``, read back
+    from its report entry."""
+    entry = _reader(CQVerdict)(_ser(verdict))
+    assert entry == verdict
+    return _recheck_kink_verdict(key, entry, key, fa)
+
+
 def assert_agrees(pa, seen: set) -> None:
     for key in FORMULATIONS:
         fa = pa.formulations[key]
-        section = _cones_section(pa, False, {key})[key]
         verdict = decide_kink_cq(fa, "guignard")
         assert verdict.status == reference_kink_guignard(fa), (key, verdict)
-        assert _recheck_kink_verdict(key, _ser(verdict), section) == []
+        assert recheck(key, verdict, fa) == []
         seen.add(("kink", verdict.status))
         for ba in fa.branches:
             verdict = check_branch_cq(ba, "gcq")
             assert verdict.status == reference_branch_guignard(ba), (key, ba.label, verdict)
-            assert _recheck_kink_verdict(key, _ser(verdict), section) == []
+            assert recheck(key, verdict, fa) == []
             seen.add(("branch", verdict.status))
 
 

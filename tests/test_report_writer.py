@@ -14,7 +14,10 @@ import hashlib
 import io
 import json
 import random
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,18 +29,18 @@ from absnormal.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
-    _parse_lp_certificate,
-    _parse_m_verdict,
+    _reader,
     _ser,
     exit_code_for_report,
     main,
     report_text,
 )
 from absnormal.cq import FAILS, HOLDS, UNKNOWN
+from absnormal.problemfile import parse_problem_data
 from absnormal.ratmath import zero_vec
-from absnormal.stationarity import check_m_stationary_anf
+from absnormal.stationarity import StationarityVerdict, check_b_stationary, check_m_stationary_anf
 
-from conftest import bench_kinks, random_affine_program
+from conftest import bench_kinks, fallback_kinks_problem, random_affine_program
 
 SPECIAL = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "σ", " ", "\ud800", "\udfff", "/", "é", "😀"]
 strings = st.lists(st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL)), max_size=4).map("".join)
@@ -100,27 +103,31 @@ def test_writer_refuses_what_is_not_report_data(x):
 
 def test_m_verdicts_round_trip_through_their_entries():
     # a verdict entry is written from the dataclass fields; reading it back
-    # must give the same multipliers, failed cases and case certificates
+    # gives the verdict itself: M and B, Holds and Fails, and a B Holds by
+    # strong multipliers and by per-branch certificates
     rng = random.Random(909090)
+    fallback = parse_problem_data(fallback_kinks_problem(2)).program
     seen = set()
     checked = 0
     while checked < 40:
-        p = random_affine_program(rng)
+        p = random_affine_program(rng) if checked else fallback
         e = evaluate(p, zero_vec(p.n_t))
         if not e.is_feasible():
             continue
-        verdict = check_m_stationary_anf(p, e)
-        entry = _ser(verdict)
-        assert report_text(entry) == dumps(entry)
-        back = _parse_m_verdict(json.loads(dumps(entry)))
-        assert (back.kind, back.status) == (verdict.kind, verdict.status)
-        assert back.multipliers == verdict.multipliers
-        assert back.failed_cases == verdict.failed_cases
-        for case in verdict.failed_cases:
-            assert _parse_lp_certificate(_ser(case.certificate)) == case.certificate
-        seen.add(verdict.status)
+        m_verdict = check_m_stationary_anf(p, e)
+        for verdict in (m_verdict, check_b_stationary(p, e, m_verdict=m_verdict)):
+            entry = _ser(verdict)
+            assert report_text(entry) == dumps(entry)
+            assert _reader(StationarityVerdict)(json.loads(dumps(entry))) == verdict
+            seen.add((verdict.kind, verdict.status, verdict.multipliers is not None))
         checked += 1
-    assert seen == {HOLDS, FAILS}
+    assert seen == {
+        ("m-anf", HOLDS, True),
+        ("m-anf", FAILS, False),
+        ("b-anf", HOLDS, True),
+        ("b-anf", HOLDS, False),
+        ("b-anf", FAILS, False),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +160,15 @@ def oracle_exit_code(report: dict) -> int:
     return EXIT_UNKNOWN if UNKNOWN in statuses else EXIT_OK
 
 
-def seed1_kinks(tmp_path_factory, k: int, inequalities: bool, sign: int = 1) -> str:
-    """The benchmark's seed-1 ``kinks{k}`` instance, as a problem file."""
+def kinks_commands(directory: Path, k: int, inequalities: bool, sign: int, commands) -> list[tuple[str, list[str]]]:
+    """The digest key and argv of each of ``commands`` on the benchmark's
+    seed-1 ``kinks{k}`` instance, written as a problem file to ``directory``."""
     kinks = bench_kinks()
     inst = kinks.draw(random.Random(1), k, sign, inequalities)
-    path = tmp_path_factory.mktemp("kinks") / f"{inst.name}.json"
+    path = directory / f"{inst.name}.json"
     path.write_text(json.dumps(kinks.problem_data(inst)), encoding="utf-8")
-    return str(path)
+    tag = f"kinks{k}-{'ineq' if inequalities else 'eq'}{'' if sign > 0 else '-max'}"
+    return [(f"{tag} {' '.join(argv)}", [argv[0], str(path), "--point", "origin", *argv[1:]]) for argv in commands]
 
 
 CORPUS_COMMANDS = [
@@ -222,23 +231,19 @@ QUALIFICATION_ARGV = (["check-cq", "--all", "--recheck"], ["verify-relations", "
 STATIONARITY_ARGV = (["check-stationarity", "--recheck"],)
 
 
-@pytest.mark.parametrize(
-    "k, inequalities, sign, commands",
-    [
-        (2, False, 1, QUALIFICATION_ARGV),
-        (2, True, 1, QUALIFICATION_ARGV),
-        (3, False, 1, QUALIFICATION_ARGV),
-        (4, False, 1, STATIONARITY_ARGV),
-        (4, False, -1, STATIONARITY_ARGV),
-    ],
-    ids=["eq", "ineq", "kinks3-eq", "kinks4-eq+t_5", "kinks4-eq-t_5"],
-)
-def test_kinks_report_contract(tmp_path_factory, k, inequalities, sign, commands):
-    path = seed1_kinks(tmp_path_factory, k, inequalities, sign)
-    tag = f"kinks{k}-{'ineq' if inequalities else 'eq'}{'' if sign > 0 else '-max'}"
-    for argv in commands:
-        digest = KINKS_DIGESTS.get(f"{tag} {' '.join(argv)}")
-        assert_contract([argv[0], path, "--point", "origin", *argv[1:]], digest)
+KINKS_CASES = {
+    "eq": (2, False, 1, QUALIFICATION_ARGV),
+    "ineq": (2, True, 1, QUALIFICATION_ARGV),
+    "kinks3-eq": (3, False, 1, QUALIFICATION_ARGV),
+    "kinks4-eq+t_5": (4, False, 1, STATIONARITY_ARGV),
+    "kinks4-eq-t_5": (4, False, -1, STATIONARITY_ARGV),
+}
+
+
+@pytest.mark.parametrize("case", KINKS_CASES.values(), ids=KINKS_CASES.keys())
+def test_kinks_report_contract(tmp_path_factory, case):
+    for key, argv in kinks_commands(tmp_path_factory.mktemp("kinks"), *case):
+        assert_contract(argv, KINKS_DIGESTS.get(key))
 
 
 def point_report(**sections) -> dict:
@@ -290,7 +295,8 @@ def test_exit_code_does_not_read_the_cones_or_eval():
 
 # ---------------------------------------------------------------------------
 # pinned outputs: sha256 of the exit code, stderr and stdout of each command
-# (``output_digest``); regenerate them only for a deliberate change of report bytes
+# (``output_digest``); regenerate them only for a deliberate change of report
+# bytes, with ``PYTHONPATH=src python tests/test_report_writer.py``
 
 CORPUS_DIGESTS = {
     "eval E1": "d2c7f385d42c9b66861f7540204ec6139c466a60ed7aafff03ed53223f7fe384",
@@ -409,3 +415,21 @@ KINKS_DIGESTS = {
     "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
     "kinks4-eq-max check-stationarity --recheck": "ee6ab35337f1e999f7e8552797a5c73e23f6615cc4d2439158bd96a2731b74cd",
 }
+
+
+def print_digests() -> None:
+    """Print ``CORPUS_DIGESTS`` and ``KINKS_DIGESTS`` as the current code writes them."""
+    with tempfile.TemporaryDirectory() as directory:
+        tables = {
+            "CORPUS_DIGESTS": [(" ".join(argv), argv) for argv in CORPUS_COMMANDS],
+            "KINKS_DIGESTS": [pair for case in KINKS_CASES.values() for pair in kinks_commands(Path(directory), *case)],
+        }
+        for name, commands in tables.items():
+            sys.stdout.write(f"{name} = {{\n")
+            for key, argv in commands:
+                sys.stdout.write(f'    "{key}": "{output_digest(*run(argv))}",\n')
+            sys.stdout.write("}\n\n")
+
+
+if __name__ == "__main__":
+    print_digests()

@@ -272,12 +272,14 @@ def test_uncovered_case_names_the_first_hole():
     assert uncovered_case([], 0) == ()
 
 
-def test_case_cap_counts_solved_case_lps(e1):
+def test_case_cap_counts_solved_case_lps(e1, monkeypatch):
     # k = 1: the minimizer solves u=0, v=0 (both infeasible), then both>0
     e = evaluate(e1, [0, 0])
-    assert check_m_stationary_anf(e1, e, case_cap=3).status == HOLDS
-    with pytest.raises(stationarity.CaseLimitError):
-        check_m_stationary_anf(e1, e, case_cap=2)
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 3)
+    assert check_m_stationary_anf(e1, e).status == HOLDS
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 2)
+    with pytest.raises(stationarity.CaseLimitError, match="cap of 2 case LPs"):
+        check_m_stationary_anf(e1, e)
 
 
 def test_holds_self_check_raises_instead_of_asserting(e1, monkeypatch):
