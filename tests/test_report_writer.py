@@ -313,18 +313,18 @@ CORPUS_DIGESTS = {
     "cones E1 --dual --recheck": "336619643dc47393882895bd46644978a7131188150a238f2cd2d07458809331",
     "cones E1 --form mpcc-i": "21a01c022c86cac687e4c99d8917ef235a286639d729ecfa38663b51636c40be",
     "cones E1 --form mpcc-i --recheck": "0d3e92669518525cd25e66fc46aeab2a0ba6504fac7dd5938d434db044801a38",
-    "check-cq E1": "e59faad818cd483a31cf99bbd83c56bb525bdbc3d22f33b10ffb2576ce6f69ce",
-    "check-cq E1 --recheck": "248dd104a4754a225ef7b6b89ad6c8c20ec0a9b9fcd3797bb4902c30f0b97712",
-    "check-cq E1 --all": "0cb528ce78d7ac6a4ed40c1ac4eeb5f5689d9aa16e1516539caee80454c1f2a3",
-    "check-cq E1 --all --recheck": "df59aa5cb4ce3ab70f224f4f2e46ab3adca09214d4dab845d692a0c83b2e13d3",
-    "check-cq E1 --all --branches": "0cb528ce78d7ac6a4ed40c1ac4eeb5f5689d9aa16e1516539caee80454c1f2a3",
-    "check-cq E1 --all --branches --recheck": "df59aa5cb4ce3ab70f224f4f2e46ab3adca09214d4dab845d692a0c83b2e13d3",
-    "check-cq E1 --branches": "d4f4fe6b7c27c861af4c84ad42fe29a32e406730228d82bcc78ba4d811190e6b",
-    "check-cq E1 --branches --recheck": "a183d9cc756d8ceed89acf774f888e6fab0aaf74524658efdba80466a6bbbdf7",
+    "check-cq E1": "c88f3eab0c644578df2486493f396ea3e7d69ecb3e8db560a30fbb153d6751e6",
+    "check-cq E1 --recheck": "1a1a2a65023f21c5458532c4ac1b350961672d3d6903642f8cbd16c960b94645",
+    "check-cq E1 --all": "6d98c49710ee2ebe163e0cc8fd779cb648e5b7a451e7f7c58429383a327ac65e",
+    "check-cq E1 --all --recheck": "fae409215ec08ec5ef3181874f7d0336467aff6a999c0ac49a242a93d9f3739d",
+    "check-cq E1 --all --branches": "6d98c49710ee2ebe163e0cc8fd779cb648e5b7a451e7f7c58429383a327ac65e",
+    "check-cq E1 --all --branches --recheck": "fae409215ec08ec5ef3181874f7d0336467aff6a999c0ac49a242a93d9f3739d",
+    "check-cq E1 --branches": "fbb5926a1c04f347876bb421793701f139b83b852e049ea0dcdbf2d88f24ae0b",
+    "check-cq E1 --branches --recheck": "d651bb9296d7c92fee01bf0c8c556d36ed8c8fcb066ee82e5695c4ce80ba7183",
     "check-stationarity E1": "bcb7edaf35e4993d9ff98a36077192144e44950e917565c69a1f1d0e7d2ad632",
     "check-stationarity E1 --recheck": "4c21d992584a7c7a457d483bb6c69748e45da47214d2353ffd8c4899ec0f5afb",
-    "verify-relations E1": "c5418bf2d4e1351980ea8ac17d26fd3c610fd5c097daa810d3c7f0706881e1ff",
-    "verify-relations E1 --recheck": "183b7807754f059826bf785295218865281ef12c67b3bec9d913c6ccb0dad337",
+    "verify-relations E1": "6ab742787330896416a6ad471209c1dd4f06599765be3c22a7146e1dd607149c",
+    "verify-relations E1 --recheck": "4fc1d03245aa22e9450a0b7cc2e659f6feb2e7d68d14727d7c8be481bcdd3108",
     "eval E2": "5a5da98a1180b555225f02bf33c07c795df565cfef79dc78f43c99d4c7393a37",
     "eval E2 --recheck": "1c206e7e4bbbf047f6f96cd518ee40cab58831677bb689deaf0e4743f9617f35",
     "branches E2": "c2b6580d86ebc6d3c3c3511e7b805abc4b37000ea9c4aa0fd97fdddc2c9d3466",
@@ -339,18 +339,18 @@ CORPUS_DIGESTS = {
     "cones E2 --dual --recheck": "6e328ee7568946dcf59ae05d3ddf1fac3aea5980c645ee9137ba2b3f2bddb688",
     "cones E2 --form mpcc-i": "5b058e161850e51cccbf8b674e83ac062ba192bfab1a93a0d5478df487b44574",
     "cones E2 --form mpcc-i --recheck": "0ffd06fc7bbed2bd700845e5054f1f251dec15228907aa0fc656e64ea731f2f2",
-    "check-cq E2": "d9f2ce3630b4551a8a10fc4033de60f48f61d23257b14a5501b9af0263af3e6f",
-    "check-cq E2 --recheck": "50c64995e2faa2e6b63bb12f7168111d042e133e2f358ed45bbd01033f32acb5",
-    "check-cq E2 --all": "ef17e0efea2e42dc78e1e34b91f126b16c894d57e407902b71fc17d1724c1954",
-    "check-cq E2 --all --recheck": "68085153934045e62d0b40c07bd16905b181975f18ec7fa4ec7a2cb1f44d81ac",
-    "check-cq E2 --all --branches": "ef17e0efea2e42dc78e1e34b91f126b16c894d57e407902b71fc17d1724c1954",
-    "check-cq E2 --all --branches --recheck": "68085153934045e62d0b40c07bd16905b181975f18ec7fa4ec7a2cb1f44d81ac",
-    "check-cq E2 --branches": "089a13f94ef0e12cbc1a06cd9577931d0f45205e84c31341c3b21617addb2986",
-    "check-cq E2 --branches --recheck": "f04a2a887c3b589c2a340eab55623b154263fd2c423581b934bda03a627cf7b0",
+    "check-cq E2": "bff55a882246bfbd15d24704e978c2b93a49b055a0df540be314ebe7d920e220",
+    "check-cq E2 --recheck": "1c65bb27861b271f10bd602145c2437b59dc210c3baa31da6a44cd4457aa11e2",
+    "check-cq E2 --all": "5f4beb4959e21a1eace8b51f6836f50a6f4b3bcb1c37164cd7ef09fcd7fc6cd8",
+    "check-cq E2 --all --recheck": "0c4a8d22b1bab4e54e60e8971e4c65aa815076d97895c6e6bf0d5c9043675bc5",
+    "check-cq E2 --all --branches": "5f4beb4959e21a1eace8b51f6836f50a6f4b3bcb1c37164cd7ef09fcd7fc6cd8",
+    "check-cq E2 --all --branches --recheck": "0c4a8d22b1bab4e54e60e8971e4c65aa815076d97895c6e6bf0d5c9043675bc5",
+    "check-cq E2 --branches": "992218b93e9d73aee062b29bdbcddccc2dc9dd0e07b5b982b7a5221c1b118638",
+    "check-cq E2 --branches --recheck": "61a7a17e713ab1fbf454893d755068e0e102c6d326955b275c608c726ee96075",
     "check-stationarity E2": "ca12bc13525673448ac0d3809a09d0dc78c00f359aea09a1b3e499b949a26463",
     "check-stationarity E2 --recheck": "430a32360c6b72b85d269c5f07c1aa664e775cb741062f7db5527120b707604c",
-    "verify-relations E2": "db8b19fa6e13da444e690469ea1f7274278ccb45a2083161055d93d4b7e779f0",
-    "verify-relations E2 --recheck": "1a3c449ca11c3149ddf4b2e1153abb06749cfb7f0369144a05e6302d0e0bdf0d",
+    "verify-relations E2": "d8f709ca4394b5d5dd1971594a1a62626741f6a495a9a64565c66273fdb174de",
+    "verify-relations E2 --recheck": "7148554a7f60a174e778803be9d45d3168a1b1386ea5b4f0f74c131633bb88fd",
     "eval E3": "a08ad7ee0145cbf02aa272044b35147753e16ae936d1525f0e46268e557be4ca",
     "eval E3 --recheck": "93322fcc150a2f4509991289f6d247ab7f68b6285aa719a7392a6d152df320f1",
     "branches E3": "38b9a3bd394d8d792e45a3efc44307839acb2daf8f40a89e8bd8f9d57883fc41",
@@ -365,18 +365,18 @@ CORPUS_DIGESTS = {
     "cones E3 --dual --recheck": "6480ed0b7788307ababfb305aaacaa19caf6c74fb8ca400cc7889a6a19bd4b47",
     "cones E3 --form mpcc-i": "e68b4573bf2c31d81f6dc49b858de06695f80cdc585d3e27f606d6f249eeb2ed",
     "cones E3 --form mpcc-i --recheck": "632103ffa2a32037865f94202fc4cc29e9abcd4205f78cf3fa1ce0d33b368733",
-    "check-cq E3": "ed77391c28743b10df71b8a28b9ec7f3740d2ce458645411b49c679e6f7ffd2a",
-    "check-cq E3 --recheck": "142e703cbbdc2138c795fd08d2e68fceb44fd06ae010b659b2fe2246d763e539",
-    "check-cq E3 --all": "fb6b985389212149d00e8f750ce2aa900785bc029bcff82ac2a009bfe0ff66c2",
-    "check-cq E3 --all --recheck": "54ad1d38049d4703f8951d85deafad176b5949bf96fc1bb9d0e99ee6134d1acd",
-    "check-cq E3 --all --branches": "fb6b985389212149d00e8f750ce2aa900785bc029bcff82ac2a009bfe0ff66c2",
-    "check-cq E3 --all --branches --recheck": "54ad1d38049d4703f8951d85deafad176b5949bf96fc1bb9d0e99ee6134d1acd",
-    "check-cq E3 --branches": "d7e257dfca865ad2d0714e344ec20b3100419c1e4f101fcdc834029749dfc55e",
-    "check-cq E3 --branches --recheck": "47a81bec0006fea1081f52c20936bf7603ceed49e6d63f882ea985685d5e10db",
+    "check-cq E3": "026e4ac4ac9adfcef5c3e0da9bffda8e85d3363445b54e911c0fa2fdc5024ad6",
+    "check-cq E3 --recheck": "c63904056bebf17157293ff24e0c33e578662a227b264bef4d0d2831440c80b0",
+    "check-cq E3 --all": "a6acf0d56312c496a303188e566587799dc0b6b4a0e2d57b8bfacc4e32ff53cb",
+    "check-cq E3 --all --recheck": "a4b3d32160579671c732f781fb6c136a6af3709099c87cb437f75bcd8ea4f5d0",
+    "check-cq E3 --all --branches": "a6acf0d56312c496a303188e566587799dc0b6b4a0e2d57b8bfacc4e32ff53cb",
+    "check-cq E3 --all --branches --recheck": "a4b3d32160579671c732f781fb6c136a6af3709099c87cb437f75bcd8ea4f5d0",
+    "check-cq E3 --branches": "5cf603cefdb8baf3c5b4c1ec12c461bd5a50785e8005b162ec252585c38b9456",
+    "check-cq E3 --branches --recheck": "bcd1ecd9e4fd4a208d4eda194966a3a6838d23f63c12384ef15c9bc7e9bf0880",
     "check-stationarity E3": "34f32b3287f9b397f1684b3eb195b7dbf10cde587d599d820c66237157922176",
     "check-stationarity E3 --recheck": "3191b636a28fb73928af52cf2e19bc8815fee9f7bf422a291cb8ccf4dec50922",
-    "verify-relations E3": "e7875e86c3b537a56d506a122e998813219820627a56d1705722346b68cd17a4",
-    "verify-relations E3 --recheck": "35336ffae917e60e693e4526b76553fccd68a4ba69ff19255fc0cf68d620c515",
+    "verify-relations E3": "49c5702ff3fff8966081230cfe0e3410504179868bad7d4d6199f9bed5977a19",
+    "verify-relations E3 --recheck": "65c6c39c8b42e927112b918e57b9a5429279b0d663f5fe6b6cf262d1dec60f73",
     "eval E4": "43a609b29c7f016fb26717f46c4389115a4f82d92b53572129cd36cdd02e9429",
     "eval E4 --recheck": "fac4b5b89bcac10213406b2a0c671ff1b232023751aa41536137863e869569cf",
     "branches E4": "428e8ce01200b8dcc9377616a898b43a2ab37b2a9ecbc4a3de80dcef7f64055e",
@@ -391,27 +391,27 @@ CORPUS_DIGESTS = {
     "cones E4 --dual --recheck": "72d362a238220a1407e7016a05493f8576b209b5b1e4554387c1428c221d6ff9",
     "cones E4 --form mpcc-i": "2d58badf4bd2e5a3c8b0c3ee26865a80cfd34ac7e3f9aa464030a34f581ec96d",
     "cones E4 --form mpcc-i --recheck": "adb44385eb3b2f662e11aabd60ba15c8d2e6cc98fac9e05c2ea1a3d31a6e41d5",
-    "check-cq E4": "005862a9f5ba41befac79d717a605440982cdcff1e41614d37b4093025addea2",
-    "check-cq E4 --recheck": "4a819364f834582338b29d633346891678c5d50e4cf6144ffbef758f18ed0faf",
-    "check-cq E4 --all": "0e1dcd359e6b75413392b521bdf0de9b04f0da976623efd99cf8d01dbceb28c9",
-    "check-cq E4 --all --recheck": "bb82882ac254643ab4a8cf1f9dbd9c0669c7edaa8f9acc7c955e2f472dc4903a",
-    "check-cq E4 --all --branches": "0e1dcd359e6b75413392b521bdf0de9b04f0da976623efd99cf8d01dbceb28c9",
-    "check-cq E4 --all --branches --recheck": "bb82882ac254643ab4a8cf1f9dbd9c0669c7edaa8f9acc7c955e2f472dc4903a",
-    "check-cq E4 --branches": "3b09225eaa5b447684a34b68e6d72c263d039942166a9108255cae0fc9754283",
-    "check-cq E4 --branches --recheck": "1be9b03be22c09a6ab8a504ddc488cb7e9abc665f0e76c38e306314dcd5b4c59",
+    "check-cq E4": "f77159529ca0e87a3fa38ef733765fadd62a89836129bd83dcf0687dd6bb5240",
+    "check-cq E4 --recheck": "92712326d5038182ca2c15b93a1c153f228f84ce39f993500f7f7d61a328334c",
+    "check-cq E4 --all": "241b42b167843adce84442401df1e69a6fc24fae2d046774770ae92859933fd7",
+    "check-cq E4 --all --recheck": "f1c95d2d167f65fb1e28d3fd1324f6183c64862762c0b9028ddd3d7c7d1ff9a8",
+    "check-cq E4 --all --branches": "241b42b167843adce84442401df1e69a6fc24fae2d046774770ae92859933fd7",
+    "check-cq E4 --all --branches --recheck": "f1c95d2d167f65fb1e28d3fd1324f6183c64862762c0b9028ddd3d7c7d1ff9a8",
+    "check-cq E4 --branches": "ee0363af46f99c8765f1cf406d82a961d781eb5fe5b6c96f53791be3f04a8ddb",
+    "check-cq E4 --branches --recheck": "1633674f1c3c98c7324165b10dcef8ee4a3195f4b53b9ab13d9a94487762be21",
     "check-stationarity E4": "dbe6253bcfc8af662aaa565410587f8fc3526ee1dc8985d3bc492fff10bbc5ec",
     "check-stationarity E4 --recheck": "4945043f21f7b3789fa4431317af259eecdf2357b1a5d15a5f67c3f018cacec9",
-    "verify-relations E4": "01f9170fd5e2250aab5e5852c506e6eea212ebf10d9e977f7307be1c3367ec37",
-    "verify-relations E4 --recheck": "209c467cb967d6737870418f541c25ec14286e5443399e1a9d4ae5896fc4b554",
+    "verify-relations E4": "1b730997d932954e9ae2c2dfaaa87d4522bd2ef9163d05c3e82afe024a33bd2c",
+    "verify-relations E4 --recheck": "21dc2c2a2598651d41577980badfe2c609bf54164068d810ccffc30a7e155342",
 }
 
 KINKS_DIGESTS = {
-    "kinks2-eq check-cq --all --recheck": "d08f3cf2e0b5bc84023fa231350e92b5ae7a7cfb4bde4ab2848e81525b6a583d",
-    "kinks2-eq verify-relations --recheck": "8a983352bc32f81264e4b162f79e286afeea5fe357b8dfd71c41cfc25e3837d5",
-    "kinks2-ineq check-cq --all --recheck": "2d8da8d031b9a07b251e3da3b06c1a539aee7a74aa16952171fad7905a93385a",
-    "kinks2-ineq verify-relations --recheck": "dd3c6552f789878c78ddf5c5168116101c1ae0bd7ca215646abd1275a04b065f",
-    "kinks3-eq check-cq --all --recheck": "1b8e66c1cc32e46833e2a77bcbb85a635ae47a2b3d4ec0ed9be091926c33b68a",
-    "kinks3-eq verify-relations --recheck": "b5064cd141a910636b7ae02139058624e9ae3332b678f6e0000c6cf52f55d3b2",
+    "kinks2-eq check-cq --all --recheck": "e70743832df61180b81e094cbfe593639b3f3ea2cc0b591c4547c364da462b68",
+    "kinks2-eq verify-relations --recheck": "54359e2200cb0bf3e70b740c01957dc673fcbc27e8c27b8119fcc186dc935aae",
+    "kinks2-ineq check-cq --all --recheck": "6d01ed1e7a4b6fb28c1ff237c8f2ea46c119d544b3fde77cae750e758ffd7fbe",
+    "kinks2-ineq verify-relations --recheck": "a3f9a1dd5deddf2f57110d45bc7dc02c6a4c2fad90629ab63cc719538c42e860",
+    "kinks3-eq check-cq --all --recheck": "9291f7a59342778944f4025e897e149e010f2f2a5be56767e6a65ca0b2fc2f42",
+    "kinks3-eq verify-relations --recheck": "3c578fbe9450ca7bc9f43a2c04c163401e3232a3993f8f49fe22bdf6df6c1b23",
     "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
     "kinks4-eq-max check-stationarity --recheck": "ee6ab35337f1e999f7e8552797a5c73e23f6615cc4d2439158bd96a2731b74cd",
 }
