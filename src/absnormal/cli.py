@@ -192,8 +192,21 @@ def _ser_hv(cone: PolyCone) -> dict:
 
 def _checked(data, tp):
     if not isinstance(data, tp):
-        raise ValueError(f"expected a {tp.__name__}, not {data!r}")
+        got = f"a {type(data).__name__}" if isinstance(data, (list, dict)) else repr(data)
+        raise ValueError(f"expected a {tp.__name__}, not {got}")
     return data
+
+
+def _read_named(name: str, read, data):
+    """``read(data)``, a failure named by ``name`` as a ``ValueError``."""
+    try:
+        return read(data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+# a rational vector of a report, as ``_reader`` reads it
+_VECTOR = tuple[Fraction, ...]
 
 
 @functools.cache
@@ -211,6 +224,9 @@ def _reader(tp):
     if typing.get_origin(tp) is tuple:
         read = _reader(args[0])
         return lambda data: tuple(map(read, _checked(data, list)))
+    if typing.get_origin(tp) is dict:
+        read = _reader(args[1])
+        return lambda data: {key: _read_named(key, read, value) for key, value in _checked(data, dict).items()}
     entry_fields = _entry_fields(tp)
     if entry_fields is None:
         return lambda data: _checked(data, tp)
@@ -222,13 +238,7 @@ def _reader(tp):
             raise ValueError(f"unknown field {min(unknown)!r}")
         if missing := required - data.keys():
             raise ValueError(f"field {min(missing)!r} missing")
-        values = {}
-        for name, value in data.items():
-            try:
-                values[name] = readers[name](value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
-        return tp(**values)
+        return tp(**{name: _read_named(name, readers[name], value) for name, value in data.items()})
 
     return read_fields
 
@@ -418,38 +428,56 @@ def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRAN
     """Re-validate every certificate and witness in the report's verdict
     entries by substitution, against cones rebuilt from the problem file: the
     point is analyzed once, with its annotations and ``branch_cap``, when
-    some kink, branch or relation verdict carries a witness."""
+    some kink, branch or relation verdict carries a witness.  A part of a
+    point entry that no report writes is a named ``malformed entry`` error."""
     errors: list[str] = []
-    for point_entry in report.get("points", []):
+
+    def read(where: str, data, tp, default=None):
+        """``data`` read as ``tp``; when malformed, ``default`` and a named error."""
+        try:
+            return _reader(tp)(data)
+        except (TypeError, ValueError) as exc:
+            errors.append(f"{where}: malformed entry: {exc}")
+            return default
+
+    for point_entry in read("points", report.get("points", []), tuple[dict, ...], ()):
         label = point_entry.get("label", "?")
-        t = vec(point_entry["t"]) if "t" in point_entry else pf.point(label).t
-        e = evaluate(pf.program, t)
         prefix = f"point {label}"
-        if "eval" in point_entry:
-            ev = point_entry["eval"]
-            if vec(ev["z"]) != e.z:
+        t = read(f"{prefix} t", point_entry["t"], _VECTOR) if "t" in point_entry else pf.point(label).t
+        if t is None:
+            continue
+        if len(t) != pf.program.n_t:
+            errors.append(f"{prefix}: t has {len(t)} entries, expected {pf.program.n_t}")
+            continue
+        e = evaluate(pf.program, t)
+        ev = read(f"{prefix} eval", point_entry["eval"], dict) if "eval" in point_entry else None
+        if ev is not None:
+            z = read(f"{prefix} eval z", ev.get("z"), _VECTOR)
+            if z is not None and z != e.z:
                 errors.append(f"{prefix}: reported switching solution does not re-solve")
-            if tuple(ev["signature"]) != e.sigma.entries:
+            signature = read(f"{prefix} eval signature", ev.get("signature"), tuple[int, ...])
+            if signature is not None and signature != e.sigma.entries:
                 errors.append(f"{prefix}: reported signature mismatch")
-        cq = point_entry.get("cq", {})
-        named = [*cq.items(), *point_entry.get("relations", {}).get("kink_verdicts", {}).items()]
+        cq = read(f"{prefix} cq", point_entry.get("cq", {}), dict, {})
+        branches = read(f"{prefix} branches", cq.get("branches", {}), dict[str, tuple[dict, ...]], {})
+        relations = read(f"{prefix} relations", point_entry.get("relations", {}), dict, {})
+        kink_verdicts = read(f"{prefix} kink_verdicts", relations.get("kink_verdicts", {}), dict, {})
+        stationarity = read(f"{prefix} stationarity", point_entry.get("stationarity", {}), dict, {})
         # every verdict entry: where, its type, its formulation (None: the verdict's own) and the entry;
         # branch verdicts name the form ("anf"/"mpcc"), so their formulation is their section's
-        entries = [(f"{prefix} {name}", CQVerdict, None, entry) for name, entry in named if name != "branches"]
+        entries = [
+            (f"{prefix} {name}", CQVerdict, None, entry)
+            for name, entry in [*cq.items(), *kink_verdicts.items()]
+            if name != "branches"
+        ]
         entries += [
             (f"{prefix} {key} {branch_entry.get('branch')} {which}", CQVerdict, key, branch_entry.get(which))
-            for key, branch_entries in cq.get("branches", {}).items()
+            for key, branch_entries in branches.items()
             for branch_entry in branch_entries
             for which in ("acq", "gcq")
         ]
-        stationarity = point_entry.get("stationarity", {}).items()
-        entries += [(f"{prefix} {name}", StationarityVerdict, None, entry) for name, entry in stationarity]
-        verdicts = []
-        for where, cls, key, entry in entries:
-            try:
-                verdicts.append((where, key, _reader(cls)(entry)))
-            except (TypeError, ValueError) as exc:
-                errors.append(f"{where}: malformed entry: {exc}")
+        entries += [(f"{prefix} {name}", StationarityVerdict, None, entry) for name, entry in stationarity.items()]
+        verdicts = [(where, key, v) for where, cls, key, entry in entries if (v := read(where, entry, cls)) is not None]
         kink = [(where, key or v.formulation, v) for where, key, v in verdicts if type(v) is CQVerdict]
         if not any(verdict.witness is not None for _, _, verdict in kink):
             pa = PointAnalysis(pf.program, e)

@@ -19,10 +19,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import lcm
 
 from .anf import AbsNormalProgram, EvalResult, SignatureVector
 from .ratmath import (
     FEASIBLE,
+    ZERO,
     LpCertificate,
     LpProblem,
     RatMatrix,
@@ -40,6 +42,7 @@ from .ratmath import (
     vec_neg,
     zero_vec,
 )
+from .ratmath.matrix import coprime_integer
 from .transforms import DEFAULT_BRANCH_CAP, BranchSpec, MpccPoint, MpccProgram, branch_specs
 
 DEFAULT_SPLIT_DEPTH = 32
@@ -56,16 +59,57 @@ class SubdivisionDepthExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class PolyCone:
-    dim: int
-    eq_rows: tuple[Vec, ...] = ()
-    ineq_rows: tuple[Vec, ...] = ()
+    """The cone ``{d : eq_rows . d = 0, ineq_rows . d >= 0}`` in ``dim`` variables.
 
-    def __post_init__(self) -> None:
-        for r in itertools.chain(self.eq_rows, self.ineq_rows):
-            if len(r) != self.dim:
+    The rows are given, or made when first read (``on_first_read``).  Two
+    cones are equal when their dimensions and their rows, in order, are; a
+    cone is not changed once made.
+    """
+
+    __slots__ = ("dim", "_rows", "_integer_rows")
+
+    def __init__(self, dim: int, eq_rows=(), ineq_rows=()) -> None:
+        rows = (tuple(eq_rows), tuple(ineq_rows))
+        for r in itertools.chain(*rows):
+            if len(r) != dim:
                 raise ValueError("cone row length does not match dimension")
+        self.dim = dim
+        self._rows = rows
+        self._integer_rows = None
+
+    @staticmethod
+    def on_first_read(dim: int, rows, integer_rows) -> "PolyCone":
+        """The cone whose rational ``(eq_rows, ineq_rows)`` are ``rows()`` and
+        whose ``integer_rows()`` are ``integer_rows()``: each is called at most
+        once, when first read, and the two must make the same rows."""
+        cone = object.__new__(PolyCone)
+        cone.dim, cone._rows, cone._integer_rows = dim, rows, integer_rows
+        return cone
+
+    def _read_rows(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        rows = self._rows
+        if callable(rows):
+            rows = self._rows = rows()
+        return rows
+
+    @property
+    def eq_rows(self) -> tuple[Vec, ...]:
+        return self._read_rows()[0]
+
+    @property
+    def ineq_rows(self) -> tuple[Vec, ...]:
+        return self._read_rows()[1]
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not PolyCone:
+            return NotImplemented
+        return self.dim == other.dim and self._read_rows() == other._read_rows()
+
+    def __repr__(self) -> str:
+        return f"PolyCone(dim={self.dim}, eq_rows={self.eq_rows!r}, ineq_rows={self.ineq_rows!r})"
 
     @staticmethod
     def from_rows(dim: int, eq=(), ineq=()) -> "PolyCone":
@@ -96,28 +140,17 @@ class PolyCone:
             self.ineq_rows + tuple(vec(r) for r in ineq),
         )
 
-    def __hash__(self) -> int:
-        # the generator cache hashes a cone on every lookup: hash the primitive
-        # integer rows it needs anyway, once for an immutable cone (equal
-        # cones have equal integer rows)
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.dim, *self.integer_rows()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def integer_rows(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         """The (eq, ineq) rows scaled to primitive integer rows, made once.
 
         A positive scale keeps every sign, so these rows test a vector for
         membership exactly as the rational rows do."""
-        rows = self.__dict__.get("_integer_rows")
+        rows = self._integer_rows
         if rows is None:
-            rows = (
-                tuple(primitive_integer(r) for r in self.eq_rows),
-                tuple(primitive_integer(r) for r in self.ineq_rows),
-            )
-            object.__setattr__(self, "_integer_rows", rows)
+            eq, ineq = self._read_rows()
+            rows = self._integer_rows = (tuple(map(primitive_integer, eq)), tuple(map(primitive_integer, ineq)))
+        elif callable(rows):
+            rows = self._integer_rows = rows()
         return rows
 
     def contains_integer(self, g: IntVec) -> bool:
@@ -128,13 +161,16 @@ class PolyCone:
     def generators(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         """(rays, lineality basis) whose conic hull is the cone, as primitive
         integer vectors."""
-        return _generators_cached(self)
+        return _generators_cached(self.dim, *self.integer_rows())
 
 
 @functools.lru_cache(maxsize=4096)
-def _generators_cached(cone: PolyCone) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    eq, ineq = cone.integer_rows()
-    rays, lin = cone_generators(cone.dim, eq, ineq)
+def _generators_cached(
+    dim: int, eq: tuple[IntVec, ...], ineq: tuple[IntVec, ...]
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """The generators of the cone with primitive integer rows ``eq`` and
+    ``ineq``: keyed by the rows, equal cones share one double description."""
+    rays, lin = cone_generators(dim, eq, ineq)
     # both are primitive integer vectors: keep the numerators only
     return (
         tuple(tuple(x.numerator for x in r) for r in rays),
@@ -177,10 +213,26 @@ def _signed_generators(cone: PolyCone):
 
 
 def cone_contains(outer: PolyCone, inner: PolyCone) -> bool:
-    """Set containment, decided on the generators of the inner cone."""
+    """Set containment ``inner`` in ``outer``, exact.
+
+    Decided from the rows first, with no generator: a cone lies in itself,
+    and ``inner`` lies in ``outer`` when, on the primitive integer rows, every
+    eq row of ``outer`` is an eq row of ``inner`` in either sign and every
+    ineq row of ``outer`` an ineq row of ``inner`` or an eq row in either
+    sign.  Otherwise decided on the generators of ``inner``."""
     if outer.dim != inner.dim:
         raise ValueError("dimension mismatch")
+    if outer is inner or _rows_contain(outer, inner):
+        return True
     return all(outer.contains_integer(g) for g in _signed_generators(inner))
+
+
+def _rows_contain(outer: PolyCone, inner: PolyCone) -> bool:
+    """Whether every row of ``outer`` is a row of ``inner`` (the sufficient row test of ``cone_contains``)."""
+    outer_eq, outer_ineq = outer.integer_rows()
+    inner_eq, inner_ineq = inner.integer_rows()
+    eq = set(inner_eq).union(map(vec_neg, inner_eq))
+    return all(r in eq for r in outer_eq) and all(r in eq or r in inner_ineq for r in outer_ineq)
 
 
 def _signed_rows(cone: PolyCone):
@@ -355,24 +407,59 @@ class BranchLinearization:
         return eq, ineq
 
     def cone(self, signs: tuple[int, ...]) -> PolyCone:
-        """The linearized cone of the branch with definite signature ``signs``."""
+        """The linearized cone of the branch with definite signature ``signs``,
+        whose rows are made when first read.
+
+        ``integer_rows()`` come from the gradient rows scaled to integers once
+        per linearization: the branch's column flips and unit terms act on
+        integers, and one gcd per row makes it primitive.  The rational rows,
+        which printing, LP rows and rank tests read, are made only for them.
+        """
+        return PolyCone.on_first_read(
+            self.dim,
+            functools.partial(self._rational_rows, signs),
+            functools.partial(self._integer_rows, signs),
+        )
+
+    @functools.cached_property
+    def _integer_grads(self) -> tuple[list[tuple[IntVec, int]], list[tuple[IntVec, int]]]:
+        """Each (eq, ineq) gradient row times the lcm of its denominators, with that scale."""
+
+        def scaled(g: Vec) -> tuple[IntVec, int]:
+            scale = lcm(*(x.denominator for x in g))
+            return tuple(x.numerator * (scale // x.denominator) for x in g), scale
+
+        return [scaled(g) for g in self.eq_grads], [scaled(g) for g in self.ineq_grads]
+
+    def _branch_rows(self, signs: tuple[int, ...], eq_grads, ineq_grads, zero) -> tuple[list[list], list[list]]:
+        """The branch's (eq, ineq) rows from gradient rows given as ``(row,
+        scale)``: the negated columns flipped, each unit term added times the
+        scale of its row, and the rows past the gradients made of ``zero``."""
         negated = self._negated(signs)
-        eq_units, ineq_units = self._units(signs)
 
         def rows(grads, units, count):
-            out = [list(g) for g in grads] + [list(zero_vec(self.dim)) for _ in range(count - len(grads))]
+            padding = count - len(grads)
+            out = [list(g) for g, _ in grads] + [[zero] * self.dim for _ in range(padding)]
+            scales = [scale for _, scale in grads] + [1] * padding
             for row in out[: len(grads)]:
                 for c in negated:
                     row[c] = -row[c]
             for r, c, coeff in units:
-                out[r][c] += coeff
-            return tuple(tuple(row) for row in out)
+                out[r][c] += coeff * scales[r]
+            return out
 
-        return PolyCone(
-            self.dim,
-            rows(self.eq_grads, eq_units, self.n_eq),
-            rows(self.ineq_grads, ineq_units, self.n_ineq),
+        eq_units, ineq_units = self._units(signs)
+        return rows(eq_grads, eq_units, self.n_eq), rows(ineq_grads, ineq_units, self.n_ineq)
+
+    def _rational_rows(self, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        eq, ineq = self._branch_rows(
+            signs, [(g, 1) for g in self.eq_grads], [(g, 1) for g in self.ineq_grads], ZERO
         )
+        return tuple(map(tuple, eq)), tuple(map(tuple, ineq))
+
+    def _integer_rows(self, signs: tuple[int, ...]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+        eq, ineq = self._branch_rows(signs, *self._integer_grads, 0)
+        return tuple(map(coprime_integer, eq)), tuple(map(coprime_integer, ineq))
 
     def combination(self, signs: tuple[int, ...], dual_eq: Vec, dual_ineq: Vec, memo: dict) -> Vec:
         """``E^T dual_eq + I^T dual_ineq`` over the rows of the branch ``signs``.

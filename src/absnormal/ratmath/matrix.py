@@ -181,7 +181,11 @@ def integer_row(a) -> list[int]:
 def primitive_integer(a) -> tuple[int, ...]:
     """The integer vector with coprime entries that is a positive multiple of
     ``a``, as plain ints; the zero vector stays zero."""
-    row = integer_row(a)
+    return coprime_integer(integer_row(a))
+
+
+def coprime_integer(row) -> tuple[int, ...]:
+    """The integer row divided by the gcd of its entries; the zero row stays zero."""
     g = gcd(*row)
     if g > 1:
         return tuple(x // g for x in row)

@@ -13,6 +13,7 @@ specs and one linearization per formulation and point
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -251,7 +252,7 @@ class BranchSpec:
     def partition(self) -> frozenset[int]:
         return frozenset(i for i in self.degenerate if self.signs[i] == -1)
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
         if self.kind == "signature":
             return SignatureVector(self.signs).label()

@@ -12,6 +12,8 @@ certificate against a built cone, one column dot per coordinate.
 ``strong_branch_certificates`` is the S => B oracle: it maps strong-stationary
 multipliers onto the dual certificate of every branch, the construction a B
 Holds by strong stationarity stands for without listing it.
+``eager_branch_cone`` is the branch cone built eagerly in ``Fraction`` rows,
+the reference for the rows a branch cone makes on first read.
 ``UnionCone`` labels the pieces of a nonconvex cone by branch;
 ``branch_union`` gives the package's own union from one linearization, to be
 compared with the oracle unions.
@@ -62,6 +64,26 @@ def branch_union(lin: BranchLinearization) -> UnionCone:
     """The package's branch cones (``BranchLinearization.cone``) of every
     branch of the linearization, labeled by branch."""
     return UnionCone(tuple((spec.label, lin.cone(spec.signs)) for spec in lin.specs()))
+
+
+def eager_branch_cone(lin: BranchLinearization, signs: tuple[int, ...]) -> PolyCone:
+    """The branch linearized cone of ``lin`` as ``BranchLinearization.cone``
+    built it before its rows were made on first read: dense ``Fraction`` rows,
+    the gradient rows with the negated columns flipped, padded with zero rows,
+    and each unit term added in place."""
+    negated = lin._negated(signs)
+    eq_units, ineq_units = lin._units(signs)
+
+    def rows(grads, units, count):
+        out = [list(g) for g in grads] + [list(zero_vec(lin.dim)) for _ in range(count - len(grads))]
+        for row in out[: len(grads)]:
+            for c in negated:
+                row[c] = -row[c]
+        for r, c, coeff in units:
+            out[r][c] += coeff
+        return tuple(tuple(row) for row in out)
+
+    return PolyCone(lin.dim, rows(lin.eq_grads, eq_units, lin.n_eq), rows(lin.ineq_grads, ineq_units, lin.n_ineq))
 
 
 def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:

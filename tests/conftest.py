@@ -95,9 +95,10 @@ def e4_annotations():
     return {"σ=+": (line, plus_ray), "σ=-": (line, minus_ray)}
 
 
-def random_affine_program(rng: random.Random, max_s: int = 2) -> AbsNormalProgram:
+def random_affine_program(rng: random.Random, max_s: int = 2, rational: bool = False) -> AbsNormalProgram:
     """A random affine program that is feasible at t = 0 with a mix of active,
-    inactive, and degenerate structure."""
+    inactive, and degenerate structure; with ``rational``, each coefficient
+    ``k`` is divided by a random 1, 2 or 3."""
     n_t = rng.randint(1, 2)
     s = rng.randint(1, max_s)
     m1 = rng.randint(0, 1)
@@ -105,7 +106,8 @@ def random_affine_program(rng: random.Random, max_s: int = 2) -> AbsNormalProgra
     block = n_t + s
 
     def coeff():
-        return Fraction(rng.randint(-2, 2))
+        k = Fraction(rng.randint(-2, 2))
+        return k / rng.randint(1, 3) if rational else k
 
     c_z = []
     for i in range(s):

@@ -552,6 +552,48 @@ def test_malformed_verdict_entry_is_a_named_recheck_error(capsys, argv, name, fi
     assert recheck_report(load_corpus_problem(problem), report) == [f"point {point} {name}: {message}"]
 
 
+def _set_t(report):
+    report["points"][0]["t"] = ["x", "0"]
+
+
+def _set_eval_z(report):
+    report["points"][0]["eval"]["z"] = 5
+
+
+def _list_branches(report):
+    cq = report["points"][0]["cq"]
+    cq["branches"] = list(cq["branches"].values())
+
+
+def _shorten_t(report):
+    report["points"][0]["t"] = ["0"]
+
+
+def _replace_point(report):
+    report["points"][0] = 5
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_t, "point origin t: malformed entry: Invalid literal for Fraction: 'x'"),
+        (_set_eval_z, "point origin eval z: malformed entry: expected a list, not 5"),
+        (_list_branches, "point origin branches: malformed entry: expected a dict, not a list"),
+        (_shorten_t, "point origin: t has 1 entries, expected 2"),
+        (_replace_point, "points: malformed entry: expected a dict, not 5"),
+    ],
+    ids=["t-literal", "eval-z-int", "branches-list", "t-short", "point-int"],
+)
+def test_malformed_point_entry_part_is_a_named_recheck_error(capsys, edit, message):
+    # the parts of a point entry that are not verdict entries are read as
+    # strictly as the verdicts: a malformed one is a recheck error, not an
+    # exception out of recheck_report
+    report = json.loads(run_cli(capsys, "check-cq", "E3", "--all")[1])
+    assert recheck_report(load_corpus_problem("E3"), report) == []
+    edit(report)
+    assert recheck_report(load_corpus_problem("E3"), report) == [message]
+
+
 def test_b_stationarity_recheck_needs_every_branch_once(tmp_path, capsys):
     # a Holds with no strong multipliers lists one certificate per branch
     path = write_problem(tmp_path, fallback_kinks_problem(1))
@@ -1016,3 +1058,29 @@ def test_cones_dual_builds_each_branch_dual_once(capsys, monkeypatch):
         assert len(calls) == len(branches) + len(other_pieces)
         counts[name] = len(calls)
     assert counts == {"E1": 12, "E2": 26, "E3": 16, "E4": 24}
+
+
+def test_affine_qualification_commands_make_no_rational_branch_rows(tmp_path, capsys, monkeypatch):
+    # on affine programs each branch cone is its own tangent piece: the
+    # own-piece containments are decided by identity and the generators come
+    # from the integer rows, so no verdict or recheck reads a rational row
+    made = []
+    rational_rows = BranchLinearization._rational_rows
+
+    def counted(lin, signs):
+        made.append(signs)
+        return rational_rows(lin, signs)
+
+    monkeypatch.setattr(BranchLinearization, "_rational_rows", counted)
+    kinks = bench_kinks()
+    for k, inequalities, argv in (
+        (3, False, ("check-cq", "--all", "--recheck")),
+        (2, True, ("verify-relations", "--recheck")),
+    ):
+        path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), k, 1, inequalities)))
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert (code, err, json.loads(out)["recheck"]) == (0, "", {"errors": []}), argv
+        assert made == [], argv
+    # the cones report prints the rows, so it makes them
+    code, _, _ = run_cli(capsys, "cones", "E2", "--point", "origin", "--form", "abs-i")
+    assert code == 0 and made == [(1,), (-1,)]

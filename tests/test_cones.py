@@ -20,7 +20,7 @@ from absnormal.cones import (
     tangent_cone_branch,
     union_covers,
 )
-from absnormal.ratmath import RatMatrix, vec, zero_vec
+from absnormal.ratmath import RatMatrix, primitive_integer, vec, zero_vec
 from absnormal.transforms import (
     enumerate_branches,
     enumerate_mpcc_branches,
@@ -37,6 +37,7 @@ from branch_oracles import (
     branch_union,
     compl_cone,
     cone_equal,
+    eager_branch_cone,
     lin_cone_abs_direct,
     lin_cone_branch,
     lin_cone_mpcc_direct,
@@ -381,6 +382,51 @@ def test_linearization_rows_equal_built_branches_on_random_programs():
         degenerate += len(e.alpha) > 0
         quadratic += any(not f.is_affine() for f in p.c_e + p.c_i)
     assert degenerate >= 20 and quadratic >= 20
+
+
+def assert_rows_made_on_first_read(p, e) -> int:
+    """Every branch cone of both forms' linearizations at the point, against
+    the eager builder: its integer rows, made before any rational row, are the
+    primitive rows of the eager rows, and its rational rows, read after them,
+    are the eager rows, types included.  A second cone of the same branch is
+    read the other way round.  Returns the number of rows with a fraction."""
+    fractional = 0
+    for lin, _ in linearizations(p, e):
+        for spec in lin.specs():
+            ref = eager_branch_cone(lin, spec.signs)
+            primitive = tuple(tuple(map(primitive_integer, rows)) for rows in (ref.eq_rows, ref.ineq_rows))
+            cone, again = lin.cone(spec.signs), lin.cone(spec.signs)
+            assert cone.integer_rows() == primitive, spec.label
+            assert all(type(x) is int for rows in primitive for row in rows for x in row)
+            assert repr((cone.eq_rows, cone.ineq_rows)) == repr((ref.eq_rows, ref.ineq_rows)), spec.label
+            assert repr((again.eq_rows, again.ineq_rows)) == repr((ref.eq_rows, ref.ineq_rows)), spec.label
+            assert again.integer_rows() == primitive, spec.label
+            assert cone == ref == again
+            fractional += sum(any(x.denominator > 1 for x in row) for row in ref.eq_rows + ref.ineq_rows)
+    return fractional
+
+
+def test_rows_made_on_first_read_equal_the_eager_rows_at_fractional_gradients():
+    # E2 has the coefficients 1/2; E4's quadratic 1/2 gives fractional
+    # gradients away from the origin
+    e2, e4 = make_e2(), make_e4()
+    points = [(e2, [0, 0]), (e2, [0, 2]), (e2, [3, 0])]
+    points += [(e4, [0, Fraction(1, 3)]), (e4, [Fraction(1, 2), 0]), (e4, [0, 0])]
+    fractional = 0
+    for p, t in points:
+        for q, qe in with_slack_form(p, evaluate(p, t)):
+            fractional += assert_rows_made_on_first_read(q, qe)
+    rng = random.Random(1616)
+    checked = 0
+    while checked < 60:
+        p = random_affine_program(rng, max_s=3, rational=True)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        for q, qe in with_slack_form(p, e):
+            fractional += assert_rows_made_on_first_read(q, qe)
+        checked += 1
+    assert fractional >= 1000, fractional
 
 
 def naive_combination(cone, dual_eq, dual_ineq):

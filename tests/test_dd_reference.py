@@ -6,14 +6,16 @@ unchanged but for its name as the reference.  Equal ``repr`` of the returned
 ``(rays, lineality)`` lists means the integer kernel took the same pivots and
 picked the same ray representatives, down to the types of the entries.  The
 integer membership tests of ``cones`` and ``cli`` are checked against the
-rational ``PolyCone.contains_point`` the same way.
+rational ``PolyCone.contains_point`` the same way, and the row test that
+``cone_contains`` tries first against containment of the reference
+generators.
 """
 
 import random
 from fractions import Fraction
 
 from absnormal.cli import _escapes_dual
-from absnormal.cones import PolyCone, cone_contains
+from absnormal.cones import PolyCone, _rows_contain, cone_contains
 from absnormal.ratmath import (
     ZERO,
     cone_generators,
@@ -253,3 +255,56 @@ def test_integer_membership_matches_rational():
         contained[inside] += 1
     assert min(seen.values()) >= 500 and min(escapes.values()) >= 500, (seen, escapes)
     assert min(contained.values()) >= 100, contained
+
+
+def _inner_from_rows(rng: random.Random, dim: int, eq: list[Vec], ineq: list[Vec]):
+    """A cone made from the rows of an outer cone, and how the rows went in.
+
+    An eq row goes in positively scaled (``keep``) or negatively scaled
+    (``flip``) as an eq row, an ineq row positively scaled as an ineq row
+    (``keep``) or scaled in either sign as an eq row (``as-eq``).  Or a row is
+    split into two rows of its kind, ``r + s`` and ``r - s``, which imply it
+    without being it (``split``), or left out (``drop``).  Random rows are
+    added on top."""
+    inner_eq, inner_ineq, ways = [], [], set()
+    for kind, rows, same, other_way in (("eq", eq, inner_eq, "flip"), ("ineq", ineq, inner_ineq, "as-eq")):
+        for r in rows:
+            way = rng.choice(("keep", "keep", other_way, "split", "drop"))
+            ways.add(f"{kind} {way}")
+            if way == "keep":
+                same.append(vec_scale(_factor(rng), r))
+            elif way == "flip":
+                same.append(vec_scale(-_factor(rng), r))
+            elif way == "as-eq":
+                inner_eq.append(vec_scale(rng.choice((1, -1)) * _factor(rng), r))
+            elif way == "split":
+                s = tuple(_entry(rng) for _ in range(dim))
+                same.extend([tuple(x + y for x, y in zip(r, s)), vec_sub(r, s)])
+    inner_eq += random_rows(rng, dim, rng.choice((0, 0, 1)))
+    inner_ineq += random_rows(rng, dim, rng.randint(0, 2))
+    rng.shuffle(inner_eq)
+    rng.shuffle(inner_ineq)
+    return PolyCone(dim, inner_eq, inner_ineq), ways
+
+
+def test_row_containment_agrees_with_the_generators():
+    # the rows decide containment only when it holds; the generators of the
+    # inner cone decide every case
+    rng = random.Random(1601)
+    seen = {"eq flip": 0, "ineq as-eq": 0, "rows miss": 0, "rows": 0, "outside": 0}
+    for _ in range(1500):
+        dim, eq, ineq = random_cone_rows(rng)
+        outer = PolyCone(dim, eq, ineq)
+        inner, ways = _inner_from_rows(rng, dim, eq, ineq)
+        gens = _signed(*rational_cone_generators(dim, inner.eq_rows, inner.ineq_rows))
+        inside = all(outer.contains_point(g) for g in gens)
+        by_rows = _rows_contain(outer, inner)
+        assert inside or not by_rows, (outer, inner)
+        assert cone_contains(outer, inner) == inside, (outer, inner)
+        if by_rows:
+            seen["rows"] += 1
+            seen["eq flip"] += "eq flip" in ways
+            seen["ineq as-eq"] += "ineq as-eq" in ways
+        else:
+            seen["rows miss" if inside else "outside"] += 1
+    assert min(seen.values()) >= 100, seen

@@ -29,7 +29,14 @@ from absnormal.ratmath import zero_vec
 from conftest import random_affine_program
 
 
-_dual = functools.lru_cache(maxsize=None)(dual_cone)
+@functools.lru_cache(maxsize=None)
+def _dual_of_rows(dim: int, eq_rows, ineq_rows) -> PolyCone:
+    return dual_cone(PolyCone(dim, eq_rows, ineq_rows))
+
+
+def _dual(cone: PolyCone) -> PolyCone:
+    """``dual_cone``, built once per test run for each distinct cone."""
+    return _dual_of_rows(cone.dim, cone.eq_rows, cone.ineq_rows)
 
 
 def dual_union(cones, dim: int) -> PolyCone:
