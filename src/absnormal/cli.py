@@ -56,7 +56,7 @@ from .problemfile import (
     load_corpus_problem,
     parse_problem,
 )
-from .ratmath import dot, integer_dot, primitive_integer, rat, vec
+from .ratmath import dot, integer_dot, primitive_integer, rat
 from .stationarity import (
     CaseLimitError,
     StationarityVerdict,
@@ -443,7 +443,11 @@ def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRAN
     for point_entry in read("points", report.get("points", []), tuple[dict, ...], ()):
         label = point_entry.get("label", "?")
         prefix = f"point {label}"
-        t = read(f"{prefix} t", point_entry["t"], _VECTOR) if "t" in point_entry else pf.point(label).t
+        try:
+            t = read(f"{prefix} t", point_entry["t"], _VECTOR) if "t" in point_entry else pf.point(str(label)).t
+        except ProblemFileError as exc:  # no point of the file has the label
+            errors.append(f"{prefix}: malformed entry: {exc}")
+            continue
         if t is None:
             continue
         if len(t) != pf.program.n_t:

@@ -27,7 +27,6 @@ from .ratmath import (
     ZERO,
     LpCertificate,
     LpProblem,
-    RatMatrix,
     Vec,
     cone_generators,
     dot,
@@ -178,18 +177,14 @@ def _generators_cached(
     )
 
 
-def dd_vrep_to_hrep(dim: int, rays, lineality) -> PolyCone:
-    eq, ineq = generators_to_hrep(dim, [vec(r) for r in rays], [vec(l) for l in lineality])
-    return PolyCone(dim, tuple(eq), tuple(ineq))
-
-
 def dual_cone(cone: PolyCone) -> PolyCone:
     """Dual {w : w.d >= 0 on the cone}; generated by the inequality normals plus
     the equality normals as lineality, then converted back to an H-representation.
 
     Only report output (``cones --dual``) builds duals; the Guignard deciders
     test conic-hull membership with ``hull_escape`` instead."""
-    return dd_vrep_to_hrep(cone.dim, cone.ineq_rows, cone.eq_rows)
+    eq, ineq = generators_to_hrep(cone.dim, cone.ineq_rows, cone.eq_rows)
+    return PolyCone(cone.dim, tuple(eq), tuple(ineq))
 
 
 def dual_union(cones: list[PolyCone], dim: int) -> PolyCone:
@@ -317,14 +312,6 @@ def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
         if res.status == FEASIBLE:
             return primitive(res.certificate.point)
     return None
-
-
-def cone_image(cone: PolyCone, m: RatMatrix) -> PolyCone:
-    """Image of the cone under the linear map with matrix ``m`` (rows = output coords)."""
-    if m.cols != cone.dim:
-        raise ValueError("matrix width must match cone dimension")
-    rays, lin = cone.generators()
-    return dd_vrep_to_hrep(m.n_rows, [m.mat_vec(r) for r in rays], [m.mat_vec(l) for l in lin])
 
 
 # ---------------------------------------------------------------------------

@@ -25,16 +25,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
-from .anf import AbsNormalProgram, EvalResult, SignatureVector, constraint_jacobians, evaluate
+from .anf import AbsNormalProgram, EvalResult, SignatureVector, evaluate
 from .cones import (
     BranchLinearization,
     PolyCone,
     SubdivisionDepthExceeded,
     TangentCertificate,
     cone_contains,
-    cone_image,
     dual_cone,  # unused here; bench/test_bench.py asserts the tracer rebinds cq.dual_cone
     hull_escape,
     linearize_anf,
@@ -42,7 +40,7 @@ from .cones import (
     tangent_cone_branch,
     union_covers,
 )
-from .ratmath import Vec
+from .ratmath import Vec, vec_neg, zero_vec
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
@@ -50,7 +48,6 @@ from .transforms import (
     MpccProgram,
     SlackProgram,
     mpcc_point_from_eval,
-    split_direction_matrix,
     to_mpcc,
     to_slack,
 )
@@ -171,14 +168,24 @@ def analyze_branch(lin: BranchLinearization, spec: BranchSpec, annotation_pieces
     return BranchAnalysis(spec, cone, None, None, cert)
 
 
-def _carry(ba: BranchAnalysis, source: BranchAnalysis, how: str, image) -> BranchAnalysis:
+def _carry(ba: BranchAnalysis, source: BranchAnalysis, how: str, compose) -> BranchAnalysis:
     """``ba`` with the tangent pieces of ``source`` carried to it along the
-    branch map (``how`` is ``lift`` or ``transport``; ``image`` maps one
-    piece), when ``ba`` cannot certify itself and ``source`` knows its tangent
-    cone; otherwise ``ba`` as it is, with no piece mapped."""
+    branch map (``how`` is ``lift`` or ``transport``), when ``ba`` cannot
+    certify itself and ``source`` knows its tangent cone; otherwise ``ba`` as
+    it is.
+
+    The branch map is linear and injective; ``compose`` maps a row of a source
+    piece through its left inverse.  A carried piece is ``ba.lin`` plus those
+    rows: the pin and graph rows of ``ba.lin`` fix the range of the map, and
+    its other rows hold on the image because each source piece lies in its
+    own branch's linearized cone.  No generator is built."""
     if ba.tangent_known or not source.tangent_known:
         return ba
-    pieces = _validated_pieces(tuple(image(piece) for piece in source.tangent_pieces), ba.lin, ba.label)
+    pieces = tuple(
+        ba.lin.with_rows(eq=map(compose, piece.eq_rows), ineq=map(compose, piece.ineq_rows))
+        for piece in source.tangent_pieces
+    )
+    pieces = _validated_pieces(pieces, ba.lin, ba.label)
     return replace(ba, tangent_pieces=pieces, tangent_source=f"{how}:{source.tangent_source}")
 
 
@@ -256,50 +263,6 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
 
 # ---------------------------------------------------------------------------
 # formulation assembly
-
-
-def lift_tangent_piece(
-    base: AbsNormalProgram,
-    base_eval: EvalResult,
-    piece: PolyCone,
-    z_signs: tuple[int, ...],
-    w_signs: tuple[int, ...],
-) -> PolyCone:
-    """Tangent piece of a slack-form branch from the base-form piece.
-
-    On the branch, the slack switching block solves to
-    ``z_w = Sigma_w c_i(t, Sigma z)``, so the lifted feasible set is the graph
-    of a smooth map over the base branch and its tangent cone is the graph of
-    the differential over the base tangent cone.
-    """
-    n_t, s, m2 = base.n_t, base.s, base.m2
-    new_dim = n_t + m2 + s + m2
-    jac = constraint_jacobians(base, base_eval)
-
-    def embed(row: Vec) -> Vec:
-        out = [Fraction(0)] * new_dim
-        for j in range(n_t):
-            out[j] = row[j]
-        for i in range(s):
-            out[n_t + m2 + i] = row[n_t + i]
-        return tuple(out)
-
-    eq = [embed(r) for r in piece.eq_rows]
-    ineq = [embed(r) for r in piece.ineq_rows]
-    for k in range(m2):
-        row = [Fraction(0)] * new_dim
-        for j in range(n_t):
-            row[j] = w_signs[k] * jac.d1_ci.entry(k, j)
-        for i in range(s):
-            row[n_t + m2 + i] = w_signs[k] * jac.d2_ci.entry(k, i) * z_signs[i]
-        row[n_t + m2 + s + k] = Fraction(-1)
-        eq.append(tuple(row))
-    for k in range(m2):
-        row = [Fraction(0)] * new_dim
-        row[n_t + k] = Fraction(1)
-        row[n_t + m2 + s + k] = Fraction(-1)
-        eq.append(tuple(row))
-    return PolyCone(new_dim, tuple(eq), tuple(ineq))
 
 
 @dataclass(frozen=True)
@@ -401,24 +364,29 @@ def analyze_point(
         for spec in lins[ABS_I].specs(branch_cap)
     ]
     abs_i_by_label = {ba.label: ba for ba in abs_i}
+    # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
+    zeros = zero_vec(p.m2)
+
+    def lift(row: Vec) -> Vec:
+        return row[: p.n_t] + zeros + row[p.n_t :] + zeros
+
     abs_e = []
     for spec in lins[ABS_E].specs(branch_cap):
-        z_signs, slack_signs = spec.signs[: p.s], spec.signs[p.s :]
-        base = abs_i_by_label[SignatureVector(z_signs).label()]
-        lift = functools.partial(lift_tangent_piece, p, pa.point_eval, z_signs=z_signs, w_signs=slack_signs)
+        base = abs_i_by_label[SignatureVector(spec.signs[: p.s]).label()]
         abs_e.append(_carry(analyze_branch(lins[ABS_E], spec), base, "lift", lift))
 
     def mpcc_side(key: str, anf_analyses: list[BranchAnalysis]) -> list[BranchAnalysis]:
         lin = lins[key]
+
+        # the split (x, z) -> (x, u, v) has the left inverse (x, u, v) -> (x, u - v)
+        def transport(row: Vec) -> Vec:
+            return row + vec_neg(row[lin.n_x :])
+
         out = []
         for anf_ba, spec in zip(anf_analyses, lin.specs(branch_cap), strict=True):
             if anf_ba.spec.signs != spec.signs:
                 raise RuntimeError(f"branch {spec.label} does not align with its abs-normal branch")
-
-            def split(piece: PolyCone, spec=spec) -> PolyCone:
-                return cone_image(piece, split_direction_matrix(lin.n_x, len(spec.signs), spec))
-
-            out.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", split))
+            out.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", transport))
         return out
 
     analyses = {ABS_I: abs_i, ABS_E: abs_e, MPCC_I: mpcc_side(MPCC_I, abs_i), MPCC_E: mpcc_side(MPCC_E, abs_e)}

@@ -9,6 +9,10 @@ the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
 ``cone_equal`` is set equality of two cones, by containment both ways.
+``cone_image`` (by double description on the polar) and ``lift_tangent_piece``
+(from the constraint Jacobians) carry a tangent piece along the branch maps
+the slow, independent ways: the references for the pieces ``cq._carry`` makes
+from the target branch's own rows.
 ``strong_branch_certificates`` is the S => B oracle: it maps strong-stationary
 multipliers onto the dual certificate of every branch, the construction a B
 Holds by strong stationarity stands for without listing it.
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 from absnormal.anf import AbsNormalProgram, EvalResult, ProgramError, SignatureVector, constraint_jacobians
 from absnormal.cones import BranchLinearization, PolyCone, cone_contains
-from absnormal.ratmath import ONE, ZERO, RatMatrix, Vec, dot, unit_vec, vec, vec_add, zero_vec
+from absnormal.ratmath import ONE, ZERO, RatMatrix, Vec, dot, generators_to_hrep, unit_vec, vec, vec_add, zero_vec
 from absnormal.stationarity import BranchDualCertificate, MultiplierSet, verify_branch_certificate
 from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
 
@@ -107,6 +111,61 @@ def branch_is_affine(b: SmoothBranchProblem) -> bool:
 def cone_equal(a: PolyCone, b: PolyCone) -> bool:
     """Set equality of two cones, by containment both ways."""
     return cone_contains(a, b) and cone_contains(b, a)
+
+
+def cone_image(cone: PolyCone, m: RatMatrix) -> PolyCone:
+    """Image of the cone under the linear map with matrix ``m`` (rows = output
+    coords), by double description on the polar: the reference for the rows
+    ``cq._carry`` gives a transported tangent piece."""
+    if m.cols != cone.dim:
+        raise ValueError("matrix width must match cone dimension")
+    rays, lin = cone.generators()
+    eq, ineq = generators_to_hrep(m.n_rows, [vec(m.mat_vec(r)) for r in rays], [vec(m.mat_vec(l)) for l in lin])
+    return PolyCone(m.n_rows, tuple(eq), tuple(ineq))
+
+
+def lift_tangent_piece(
+    base: AbsNormalProgram,
+    base_eval: EvalResult,
+    piece: PolyCone,
+    z_signs: tuple[int, ...],
+    w_signs: tuple[int, ...],
+) -> PolyCone:
+    """Tangent piece of a slack-form branch from the base-form piece.
+
+    On the branch, the slack switching block solves to
+    ``z_w = Sigma_w c_i(t, Sigma z)``, so the lifted feasible set is the graph
+    of a smooth map over the base branch and its tangent cone is the graph of
+    the differential over the base tangent cone.
+    """
+    n_t, s, m2 = base.n_t, base.s, base.m2
+    new_dim = n_t + m2 + s + m2
+    jac = constraint_jacobians(base, base_eval)
+
+    def embed(row: Vec) -> Vec:
+        out = [Fraction(0)] * new_dim
+        for j in range(n_t):
+            out[j] = row[j]
+        for i in range(s):
+            out[n_t + m2 + i] = row[n_t + i]
+        return tuple(out)
+
+    eq = [embed(r) for r in piece.eq_rows]
+    ineq = [embed(r) for r in piece.ineq_rows]
+    for k in range(m2):
+        row = [Fraction(0)] * new_dim
+        for j in range(n_t):
+            row[j] = w_signs[k] * jac.d1_ci.entry(k, j)
+        for i in range(s):
+            row[n_t + m2 + i] = w_signs[k] * jac.d2_ci.entry(k, i) * z_signs[i]
+        row[n_t + m2 + s + k] = Fraction(-1)
+        eq.append(tuple(row))
+    for k in range(m2):
+        row = [Fraction(0)] * new_dim
+        row[n_t + k] = Fraction(1)
+        row[n_t + m2 + s + k] = Fraction(-1)
+        eq.append(tuple(row))
+    return PolyCone(new_dim, tuple(eq), tuple(ineq))
 
 
 def union_from_branches(branches) -> UnionCone:

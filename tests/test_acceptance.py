@@ -17,7 +17,6 @@ from absnormal.anf import evaluate
 from absnormal.cli import main
 from absnormal.cones import (
     PolyCone,
-    cone_image,
     dual_cone,
     linearize_anf,
     linearize_mpcc,
@@ -62,6 +61,7 @@ from absnormal.transforms import (
 from branch_oracles import (
     branch_union,
     cone_equal,
+    cone_image,
     lin_cone_abs_direct,
     lin_cone_mpcc_direct,
     merge_direction_matrix,

@@ -594,6 +594,18 @@ def test_malformed_point_entry_part_is_a_named_recheck_error(capsys, edit, messa
     assert recheck_report(load_corpus_problem("E3"), report) == [message]
 
 
+def test_point_entry_with_an_unknown_label_is_a_named_recheck_error():
+    # an entry without ``t`` names its point by label; a label the problem
+    # file does not know is a recheck error, not a ProblemFileError (exit 3)
+    assert recheck_report(load_corpus_problem("E3"), {"points": [{"label": "nope"}]}) == [
+        "point nope: malformed entry: no point labeled 'nope' and the value does not parse as coordinates"
+    ]
+    # a label that is not a string is read as the command line reads --point
+    assert recheck_report(load_corpus_problem("E3"), {"points": [{"label": 5}]}) == [
+        "point 5: t has 1 entries, expected 2"
+    ]
+
+
 def test_b_stationarity_recheck_needs_every_branch_once(tmp_path, capsys):
     # a Holds with no strong multipliers lists one certificate per branch
     path = write_problem(tmp_path, fallback_kinks_problem(1))
@@ -642,35 +654,30 @@ def test_mpcc_system_disagreement_exits_three_not_as_a_verdict(capsys, monkeypat
         assert err.startswith("error: internal: ") and "target system" in err
 
 
-def _polar_dd_outside_transport(real):
-    """generators_to_hrep that raises unless it transports a tangent piece
-    (``cone_image``, the only H-representation a decision may still build)."""
-
-    def guarded(*args, **kwargs):
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code.co_name == "cone_image":
-                return real(*args, **kwargs)
-            frame = frame.f_back
-        raise AssertionError("double description on a polar in a decision path")
-
-    return guarded
+def _no_polar_double_description(*args, **kwargs):
+    raise AssertionError("double description on a polar in a decision path")
 
 
 def test_qualifications_decide_without_polar_double_description(tmp_path, capsys, monkeypatch):
+    # no decision builds an H-representation from generators: Guignard is
+    # decided by conic-hull membership and carried tangent pieces are rows
     import absnormal.cones
     import absnormal.ratmath
     import absnormal.ratmath.dd
 
-    guarded = _polar_dd_outside_transport(absnormal.ratmath.dd.generators_to_hrep)
     for module in (absnormal.ratmath.dd, absnormal.ratmath, absnormal.cones):
-        monkeypatch.setattr(module, "generators_to_hrep", guarded)
+        monkeypatch.setattr(module, "generators_to_hrep", _no_polar_double_description)
     expected = {"E1": 0, "E2": 0, "E3": 1, "E4": 1, write_problem(tmp_path, kinks_problem(2, 1)): 0}
     for problem, exit_code in expected.items():
         for argv in (("check-cq", problem, "--all"), ("verify-relations", problem)):
             code, out, err = run_cli(capsys, *argv, "--recheck")
             assert (code, err) == (exit_code, ""), argv
             assert json.loads(out)["recheck"]["errors"] == []
+    code, out, err = run_cli(capsys, "corpus", "run")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "cones", "E3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["points"]
 
 
 def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from absnormal.cones import (
     TANGENT_MFCQ,
     TANGENT_UNKNOWN,
     cone_contains,
-    cone_image,
     dual_cone,
     dual_union,
     linearize_anf,
@@ -37,6 +36,7 @@ from branch_oracles import (
     branch_union,
     compl_cone,
     cone_equal,
+    cone_image,
     eager_branch_cone,
     lin_cone_abs_direct,
     lin_cone_branch,

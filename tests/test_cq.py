@@ -1,6 +1,11 @@
+import dataclasses
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
-from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
+from absnormal.anf import AbsNormalProgram, QuadraticFunc, SignatureVector, evaluate
 from absnormal.cones import PolyCone, linearize_anf
 from absnormal.cq import (
     ABS_E,
@@ -17,11 +22,11 @@ from absnormal.cq import (
     decide_kink_cq,
     verify_relations,
 )
-from absnormal.ratmath import vec
-from absnormal.transforms import mpcc_point_from_eval, to_mpcc
+from absnormal.ratmath import RatMatrix, generators_to_hrep, vec, zero_vec
+from absnormal.transforms import mpcc_point_from_eval, split_direction_matrix, to_mpcc
 
-from branch_oracles import cone_equal
-from conftest import e3_annotations, e4_annotations
+from branch_oracles import cone_equal, cone_image, lift_tangent_piece
+from conftest import e3_annotations, e4_annotations, random_affine_program
 
 
 def branch_analyses(p, e, annotations=None):
@@ -189,15 +194,10 @@ def test_slack_representative_independence(e2):
         assert kink[("guignard", ABS_E)].status == HOLDS
 
 
-def test_annotation_lift_through_slack_form():
-    # a degenerate quadratic program with an inequality: the slack branches
-    # cannot self-certify, so the trusted inequality-form tangent must lift
-    from fractions import Fraction
-
-    from absnormal.ratmath import RatMatrix
-
+def lift_program() -> AbsNormalProgram:
+    """``zeta^2 = 0`` with ``z = t1``, and the inequality ``t2 >= 0``."""
     quad = RatMatrix.from_rows([[0] * 3, [0] * 3, [0, 0, 1]])
-    p = AbsNormalProgram(
+    return AbsNormalProgram(
         n_t=2,
         s=1,
         m1=1,
@@ -207,13 +207,23 @@ def test_annotation_lift_through_slack_form():
         c_i=(QuadraticFunc.affine(3, 0, [0, 1, 0]),),
         c_z=(QuadraticFunc.affine(3, 0, [1, 0, 0]),),
     )
+
+
+def lift_annotations() -> dict[str, tuple[PolyCone, ...]]:
+    """The tangent cone of both branches at the origin: ``{dt1 = 0, dz = 0, dt2 >= 0}``."""
+    piece = PolyCone.from_rows(3, eq=[[1, 0, 0], [0, 0, 1]], ineq=[[0, 1, 0]])
+    return {"σ=+": (piece,), "σ=-": (piece,)}
+
+
+def test_annotation_lift_through_slack_form():
+    # a degenerate quadratic program with an inequality: the slack branches
+    # cannot self-certify, so the trusted inequality-form tangent must lift
+    p = lift_program()
     # feasible set: t1 = 0, t2 >= 0; at the origin the inequality is active.
     # tangent cone of both branches: {dt1 = 0, dz = 0} (t2 free but >= 0 is
     # inactive in the branch since... it *is* active: tangent is
     # {dt1 = 0, dz = 0, dt2 >= 0}
-    piece = PolyCone.from_rows(3, eq=[[1, 0, 0], [0, 0, 1]], ineq=[[0, 1, 0]])
-    annotations = {"σ=+": (piece,), "σ=-": (piece,)}
-    pa = analyze_point(p, [0, 0], annotations)
+    pa = analyze_point(p, [0, 0], lift_annotations())
     report, kink, _ = verify_relations(pa)
     assert report.consistent, report.inconsistencies()
     assert kink[("abadie", ABS_I)].status == FAILS
@@ -228,21 +238,22 @@ def test_tangent_pieces_are_carried_only_to_branches_that_cannot_certify(e2, e3,
     import absnormal.cq
 
     carried = []
-    for name in ("lift_tangent_piece", "cone_image"):
-        real = getattr(absnormal.cq, name)
+    real = absnormal.cq._carry
 
-        def counted(*args, real=real, name=name, **kwargs):
-            carried.append(name)
-            return real(*args, **kwargs)
+    def counted(ba, source, how, compose):
+        out = real(ba, source, how, compose)
+        if out is not ba:
+            carried.extend([how] * len(out.tangent_pieces))
+        return out
 
-        monkeypatch.setattr(absnormal.cq, name, counted)
+    monkeypatch.setattr(absnormal.cq, "_carry", counted)
     # E2: every branch is affine, so no piece is lifted or transported
     pa = analyze_point(e2, [0, 0])
     assert carried == []
     assert all(ba.tangent_source == "affine" for fa in pa.formulations.values() for ba in fa.branches)
     # E3: no branch certifies itself, so each takes the annotation along its map
     pa = analyze_point(e3, [0, 0], e3_annotations())
-    assert sorted(carried) == ["cone_image"] * 4 + ["lift_tangent_piece"] * 2
+    assert sorted(carried) == ["lift"] * 2 + ["transport"] * 4
     sources = {key: {ba.tangent_source for ba in fa.branches} for key, fa in pa.formulations.items()}
     assert sources == {
         ABS_I: {"annotation"},
@@ -250,3 +261,89 @@ def test_tangent_pieces_are_carried_only_to_branches_that_cannot_certify(e2, e3,
         MPCC_I: {"transport:annotation"},
         MPCC_E: {"transport:lift:annotation"},
     }
+
+
+def carried_against_references(p: AbsNormalProgram, pa) -> Counter:
+    """Assert that every carried piece of ``pa`` equals its reference, made the
+    independent way: ``lift_tangent_piece`` from the constraint Jacobians, or
+    ``cone_image`` of the source piece under the branch's split map.  Returns
+    the number of pieces checked per kind."""
+    checked = Counter()
+    i_by_label = {ba.label: ba for ba in pa.formulations[ABS_I].branches}
+    for ba in pa.formulations[ABS_E].branches:
+        if ba.tangent_source.startswith("lift:"):
+            z_signs, w_signs = ba.spec.signs[: p.s], ba.spec.signs[p.s :]
+            base = i_by_label[SignatureVector(z_signs).label()]
+            references = [lift_tangent_piece(p, pa.point_eval, piece, z_signs, w_signs) for piece in base.tangent_pieces]
+            assert len(ba.tangent_pieces) == len(references)
+            assert all(map(cone_equal, ba.tangent_pieces, references)), ba.label
+            checked["lift"] += len(references)
+    for anf_key, mpcc_key in ((ABS_I, MPCC_I), (ABS_E, MPCC_E)):
+        fa = pa.formulations[mpcc_key]
+        for anf_ba, ba in zip(pa.formulations[anf_key].branches, fa.branches, strict=True):
+            if ba.tangent_source.startswith("transport:"):
+                s = len(ba.spec.signs)
+                split = split_direction_matrix(fa.dim - 2 * s, s, ba.spec)
+                references = [cone_image(piece, split) for piece in anf_ba.tangent_pieces]
+                assert len(ba.tangent_pieces) == len(references)
+                assert all(map(cone_equal, ba.tangent_pieces, references)), (mpcc_key, ba.label)
+                checked["transport"] += len(references)
+    return checked
+
+
+def test_carried_pieces_equal_their_references(e3, e4):
+    for p, annotations, counts in (
+        (e3, e3_annotations(), {"lift": 2, "transport": 4}),
+        (e4, e4_annotations(), {"lift": 4, "transport": 8}),
+        (lift_program(), lift_annotations(), {"lift": 4, "transport": 6}),
+    ):
+        pa = analyze_point(p, zero_vec(p.n_t), annotations)
+        assert carried_against_references(p, pa) == counts
+
+
+def uncertifiable_program(rng: random.Random) -> AbsNormalProgram:
+    """A random affine program plus the equality ``(l . t)^2 = 0`` for a random
+    nonzero row ``l``: its gradient vanishes at ``t = 0``, so no branch of any
+    formulation is affine or has a full-rank or strictly feasible certificate."""
+    p = random_affine_program(rng, rational=True)
+    block = p.n_t + p.s
+    l = [Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)) for _ in range(p.n_t)] + [Fraction(0)] * p.s
+    square = RatMatrix.from_rows([[a * b for b in l] for a in l])
+    return dataclasses.replace(p, m1=p.m1 + 1, c_e=p.c_e + (QuadraticFunc(block, Fraction(0), zero_vec(block), square),))
+
+
+def random_annotations(p: AbsNormalProgram, rng: random.Random) -> dict[str, tuple[PolyCone, ...]]:
+    """One or two pieces of each inequality-form branch's linearized cone:
+    the cone cut by a random row, or the hull of some of its generators,
+    whose rows need not include the cone's own."""
+    lin = linearize_anf(p, evaluate(p, zero_vec(p.n_t)))
+    annotations = {}
+    for spec in lin.specs():
+        cone = lin.cone(spec.signs)
+        pieces = []
+        for _ in range(rng.randint(1, 2)):
+            rays, lineality = cone.generators()
+            if rng.random() < 0.5 and rays:
+                kept = [vec(r) for r in rays if rng.random() < 0.7]
+                eq, ineq = generators_to_hrep(cone.dim, kept, [vec(l) for l in lineality])
+                pieces.append(PolyCone(cone.dim, tuple(eq), tuple(ineq)))
+            else:
+                row = [rng.randint(-1, 1) for _ in range(cone.dim)]
+                pieces.append(cone.with_rows(**{rng.choice(["eq", "ineq"]): [row]}))
+        annotations[spec.label] = tuple(pieces)
+    return annotations
+
+
+def test_carried_pieces_equal_their_references_on_random_programs():
+    rng = random.Random(171717)
+    total = Counter()
+    programs = 0
+    while programs < 30:
+        p = uncertifiable_program(rng)
+        if not evaluate(p, zero_vec(p.n_t)).is_feasible():
+            continue
+        pa = analyze_point(p, zero_vec(p.n_t), random_annotations(p, rng))
+        assert not any(ba.certificate.certified for fa in pa.formulations.values() for ba in fa.branches)
+        total += carried_against_references(p, pa)
+        programs += 1
+    assert total["lift"] >= 100 and total["transport"] >= 200, total

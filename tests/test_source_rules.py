@@ -8,6 +8,10 @@ neither ``assert`` nor ``raise AssertionError`` may appear under
 Verdicts are exact: no float literal and no ``float(...)`` call may appear
 under ``src/absnormal`` either.  Naming ``float`` to reject it, as
 ``ratmath.rat`` does, stays allowed.
+
+No module imports a name it never uses; an ``__init__`` re-exports what it
+imports, so it is exempt.  ``UNUSED_IMPORTS_ALLOWED`` lists the exceptions,
+each with its reason.
 """
 
 import ast
@@ -38,6 +42,32 @@ def _float_sites(path: Path) -> list[str]:
     return sites
 
 
+# (module file, imported name) -> why the module keeps an import it never uses
+UNUSED_IMPORTS_ALLOWED = {
+    ("cq.py", "dual_cone"): "bench/test_bench.py asserts that the tracer rebinds absnormal.cq.dual_cone",
+}
+
+
+def _unused_import_sites(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{line}: unused import {name}"
+        for name, line in imported.items()
+        if name not in used and (path.name, name) not in UNUSED_IMPORTS_ALLOWED
+    ]
+
+
 def _modules() -> list[Path]:
     modules = sorted(Path(absnormal.__file__).parent.rglob("*.py"))
     assert len(modules) >= 10
@@ -51,6 +81,11 @@ def test_package_source_has_no_assertions():
 
 def test_package_source_has_no_floats():
     sites = [site for path in _modules() for site in _float_sites(path)]
+    assert sites == []
+
+
+def test_package_source_imports_only_what_it_uses():
+    sites = [site for path in _modules() if path.name != "__init__.py" for site in _unused_import_sites(path)]
     assert sites == []
 
 
@@ -72,3 +107,13 @@ def test_float_sites_are_found(tmp_path):
         "probe.py:2: float() call",
         "probe.py:3: float literal 1e-09",
     ]
+
+
+def test_unused_import_sites_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\nfrom json import dumps, loads as read\nfrom math import gcd\n"
+        "print(system.argv, read, os.sep)\n"
+    )
+    assert _unused_import_sites(probe) == ["probe.py:4: unused import dumps", "probe.py:5: unused import gcd"]
