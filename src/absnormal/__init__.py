@@ -14,7 +14,7 @@ from .cones import PolyCone, dual_cone, dual_union, linearize_anf, linearize_mpc
 from .cq import analyze_point, check_branch_cq, decide_kink_cq, verify_relations
 from .problemfile import ProblemFile, load_corpus, load_corpus_problem, parse_problem
 from .stationarity import check_b_stationary, check_m_stationary_anf, check_m_stationary_mpcc
-from .transforms import enumerate_branches, phi, phi_inv, to_mpcc, to_slack
+from .transforms import phi, phi_inv, to_mpcc, to_slack
 
 __all__ = [
     "AbsNormalProgram",
@@ -32,7 +32,6 @@ __all__ = [
     "decide_kink_cq",
     "dual_cone",
     "dual_union",
-    "enumerate_branches",
     "evaluate",
     "linearize_anf",
     "linearize_mpcc",

@@ -98,22 +98,6 @@ class QuadraticFunc:
             quad = m.transpose().mat_mul(self.quadratic).mat_mul(m)
         return QuadraticFunc(m.cols, self.constant, linear, quad)
 
-    def flip_signs(self, signs: tuple[int, ...]) -> "QuadraticFunc":
-        """The function ``y -> f(S y)`` for the diagonal matrix ``S = diag(signs)``
-        of entries +1/-1: ``compose_linear`` through ``S``, negating only the
-        nonzero entries in a flipped column (and row)."""
-        if len(signs) != self.dim:
-            raise ProgramError("need one sign per variable")
-        linear = tuple(-x if sg < 0 and x else x for sg, x in zip(signs, self.linear))
-        quad = None
-        if self.quadratic is not None and not self.quadratic.is_zero():
-            rows = tuple(
-                tuple(-x if x and si != sj else x for sj, x in zip(signs, row))
-                for si, row in zip(signs, self.quadratic.rows)
-            )
-            quad = RatMatrix(rows, self.dim)
-        return QuadraticFunc(self.dim, self.constant, linear, quad)
-
     def add_linear(self, extra: Vec, constant=ZERO) -> "QuadraticFunc":
         return QuadraticFunc(self.dim, self.constant + constant, vec_add(self.linear, extra), self.quadratic)
 

@@ -366,24 +366,33 @@ def _relations_section(pa: PointAnalysis) -> dict:
 
 
 def _branches_section(pa: PointAnalysis, forms, cap: int) -> dict:
-    """The branch problems of the requested formulations at the anchored
-    point; the only report that builds them."""
+    """One row per branch of each requested formulation at the anchored
+    point: its label, and the sizes and anchor of its smooth branch problem,
+    which are the formulation's.  An abs-normal branch over ``(t, z)`` adds
+    one sign row per switch to ``c_i``; a counterpart branch over
+    ``(x, u, v)`` pins one side of each pair and signs the other."""
     out = {}
     for key in FORMULATIONS:
         if forms and key not in forms:
             continue
-        enumerate_ = enumerate_branches if key in (ABS_I, ABS_E) else enumerate_mpcc_branches
-        out[key] = [
-            {
-                "branch": b.label,
-                "variables": b.n_vars,
-                "equalities": len(b.eqs),
-                "inequalities": len(b.ineqs),
-                "anchor": _svec(b.anchor),
-                "anchor_feasible": b.anchor_feasible(),
-            }
-            for b in enumerate_(*pa.anchor(key), cap)
-        ]
+        program, point = pa.anchor(key)
+        if key in (ABS_I, ABS_E):
+            specs = enumerate_branches(point, cap)
+            sizes = {"variables": program.block_dim, "equalities": program.m1 + program.s}
+            anchor = point.t + point.z
+        else:
+            specs = enumerate_mpcc_branches(point, cap)
+            sizes = {"variables": program.dim, "equalities": program.m1 + 2 * program.s}
+            anchor = point.coords
+        row = {
+            **sizes,
+            "inequalities": program.m2 + program.s,
+            "anchor": _svec(anchor),
+            # anchor_point rejects an infeasible point, and every branch
+            # signature dominates the point's signature
+            "anchor_feasible": True,
+        }
+        out[key] = [{"branch": spec.label, **row} for spec in specs]
     return out
 
 
@@ -559,7 +568,9 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
     elif kind.startswith("b-"):
         # every branch cone and certificate is checked on the point's one
-        # linearization; no branch problem is built
+        # linearization, which only a feasible point has
+        if not pa.point_eval.is_feasible():
+            return [f"{prefix}: point is not feasible, so no branch rechecks"]
         lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
         if status == HOLDS:
             by_label = {spec.label: spec for spec in lin.specs(cap)}

@@ -337,7 +337,8 @@ class BranchLinearization:
       of the resolved side of each degenerate pair.
 
     ``cone`` has exactly the rows, in the same order, of the linearized cone
-    of the branch problem that ``transforms`` builds for the same signature.
+    of the branch problem built for the same signature by the test oracles
+    (``build_anf_branch``/``build_mpcc_branch`` in ``tests/branch_oracles.py``).
     ``affine`` says whether every constraint function of the formulation is
     affine (inactive inequalities included), which makes each branch
     linearized cone its tangent cone.

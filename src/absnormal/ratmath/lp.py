@@ -391,9 +391,22 @@ def _point_feasible(p: LpProblem, x: Vec, strictly: bool) -> bool:
 
 
 def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
-    """Re-check a verdict by substitution only; returns a list of violations (empty = valid)."""
-    errors: list[str] = []
+    """Re-check a verdict by substitution only; returns a list of violations (empty = valid).
+
+    Every certificate vector must fit the problem before any product is
+    taken; a margin certificate's vectors fit the margin relaxation instead,
+    and are checked there."""
     cert = result.certificate
+    if not (result.status == INFEASIBLE and cert.kind == KIND_PAIR):
+        sizes = {"point": p.n_vars, "ray": p.n_vars, "dual_eq": len(p.eq_rows), "dual_ineq": len(p.ineq_rows)}
+        errors = [
+            f"{name} has {len(v)} entries, expected {n}"
+            for name, n in sizes.items()
+            if (v := getattr(cert, name)) is not None and len(v) != n
+        ]
+        if errors:
+            return errors
+    errors = []
     if result.status == FEASIBLE:
         if cert.kind != KIND_POINT or cert.point is None:
             return ["feasible verdict without a point certificate"]

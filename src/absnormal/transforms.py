@@ -4,11 +4,11 @@ Four formulations share two generic shapes.  The slack-lifted program is again
 a program in abs-normal form (over ``(t, w)`` with switching block
 ``(z, z_w)``), and the complementarity counterpart of either one substitutes
 ``zeta -> u + v`` and ``z -> u - v`` with one complementarity pair per
-switching variable.  Branch problems fix a definite signature (respectively a
-resolution of the degenerate pairs) and are plain smooth quadratic programs,
-built only for the ``branches`` report; every verdict works on the branch
-specs and one linearization per formulation and point
-(``cones.linearize_anf``/``linearize_mpcc``).
+switching variable.  A branch fixes a definite signature (respectively a
+resolution of the degenerate pairs) and is made here only as its spec; every
+verdict and the ``branches`` report work on the branch specs and one
+linearization per formulation and point (``cones.linearize_anf``/
+``linearize_mpcc``).
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def mpcc_point_from_eval(e: EvalResult) -> MpccPoint:
 
 
 # ---------------------------------------------------------------------------
-# branch problems
+# branches
 
 
 @dataclass(frozen=True)
@@ -266,28 +266,6 @@ def branch_correspondence(spec: BranchSpec) -> BranchSpec:
     return BranchSpec(other, spec.signs, spec.base_signs)
 
 
-@dataclass(frozen=True)
-class SmoothBranchProblem:
-    """A smooth quadratic NLP: min objective s.t. eqs = 0, ineqs >= 0, anchored at a feasible point."""
-
-    n_vars: int
-    objective: QuadraticFunc
-    eqs: tuple[QuadraticFunc, ...]
-    ineqs: tuple[QuadraticFunc, ...]
-    spec: BranchSpec
-    anchor: Vec
-    form: str  # "anf" | "mpcc"
-
-    @property
-    def label(self) -> str:
-        return self.spec.label
-
-    def anchor_feasible(self) -> bool:
-        return all(func.value(self.anchor) == 0 for func in self.eqs) and all(
-            func.value(self.anchor) >= 0 for func in self.ineqs
-        )
-
-
 def _check_cap(n_degenerate: int, cap: int) -> None:
     if 2**n_degenerate > cap:
         raise BranchLimitError(
@@ -295,29 +273,6 @@ def _check_cap(n_degenerate: int, cap: int) -> None:
             f"exceed the cap of {cap}; the enumeration is exponential by nature, "
             "raise the cap explicitly to proceed"
         )
-
-
-def build_anf_branch(p: AbsNormalProgram, e: EvalResult, spec: BranchSpec) -> SmoothBranchProblem:
-    """The branch problem over (t, z): substitute zeta = Sigma z, which flips
-    the signs of the zeta columns where the signature is negative."""
-    dim = p.block_dim
-    signs = (1,) * p.n_t + spec.signs
-    eqs = [func.flip_signs(signs) for func in p.c_e]
-    for i, func in enumerate(p.c_z):
-        eqs.append(func.flip_signs(signs).add_linear(vec_neg(unit_vec(dim, p.n_t + i))))
-    ineqs = [func.flip_signs(signs) for func in p.c_i]
-    for i in range(p.s):
-        row = tuple(Fraction(spec.signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
-        ineqs.append(QuadraticFunc(dim, ZERO, row))
-    return SmoothBranchProblem(
-        n_vars=dim,
-        objective=p.f.embed(dim, tuple(range(p.n_t))),
-        eqs=tuple(eqs),
-        ineqs=tuple(ineqs),
-        spec=spec,
-        anchor=e.t + e.z,
-        form="anf",
-    )
 
 
 def branch_specs(kind: str, base: SignatureVector, cap: int = DEFAULT_BRANCH_CAP):
@@ -332,45 +287,14 @@ def branch_specs(kind: str, base: SignatureVector, cap: int = DEFAULT_BRANCH_CAP
     return (BranchSpec(kind, refined.entries, base.entries) for refined in base.refinements())
 
 
-def enumerate_branches(
-    p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP
-) -> list[SmoothBranchProblem]:
-    """All branch problems at the point, one per definite signature dominating
-    it, in ``branch_specs`` order."""
-    return [build_anf_branch(p, e, spec) for spec in branch_specs("signature", e.sigma, cap)]
+def enumerate_branches(e: EvalResult, cap: int = DEFAULT_BRANCH_CAP) -> list[BranchSpec]:
+    """The branches at the abs-normal point ``e``, in ``branch_specs`` order."""
+    return list(branch_specs("signature", e.sigma, cap))
 
 
-def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> SmoothBranchProblem:
-    dim = mp.dim
-    eqs = list(mp.eq_funcs)
-    ineqs = list(mp.ci_funcs)
-    for i, sg in enumerate(spec.signs):
-        u_row = unit_vec(dim, mp.u_index(i))
-        v_row = unit_vec(dim, mp.v_index(i))
-        if sg > 0:
-            eqs.append(QuadraticFunc(dim, ZERO, v_row))
-            ineqs.append(QuadraticFunc(dim, ZERO, u_row))
-        else:
-            eqs.append(QuadraticFunc(dim, ZERO, u_row))
-            ineqs.append(QuadraticFunc(dim, ZERO, v_row))
-    return SmoothBranchProblem(
-        n_vars=dim,
-        objective=mp.objective,
-        eqs=tuple(eqs),
-        ineqs=tuple(ineqs),
-        spec=spec,
-        anchor=point.coords,
-        form="mpcc",
-    )
-
-
-def enumerate_mpcc_branches(
-    mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP
-) -> list[SmoothBranchProblem]:
-    """All counterpart branch problems, one per subset of degenerate pairs,
-    aligned with the signature order of ``enumerate_branches``."""
-    specs = branch_specs("partition", point.base_signature, cap)
-    return [build_mpcc_branch(mp, point, spec) for spec in specs]
+def enumerate_mpcc_branches(point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP) -> list[BranchSpec]:
+    """The branches at the counterpart point, aligned with ``enumerate_branches``."""
+    return list(branch_specs("partition", point.base_signature, cap))
 
 
 def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchSpec | None:

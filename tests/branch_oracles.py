@@ -1,10 +1,15 @@
 """Reference constructions of branch linearized cones, for cross-checks.
 
 The package builds every branch linearized cone from one linearization per
-formulation and point (``cones.linearize_anf``/``linearize_mpcc``).  These
-oracles build the same cones the slow, independent ways: from a built branch
-problem's own functions (``lin_cone_branch``, with ``branch_is_affine`` for
-the affine certificate), or from the defining rows of
+formulation and point (``cones.linearize_anf``/``linearize_mpcc``), and the
+``branches`` report from the branch specs and the formulation's shape.  These
+oracles build the branch problems themselves: ``SmoothBranchProblem``, a
+smooth quadratic NLP built by ``build_anf_branch`` (substituting
+``zeta = Sigma z`` with ``flip_signs``) and ``build_mpcc_branch``, one per
+branch spec (``anf_branches``, ``mpcc_branches``).  From them the same cones
+come the slow, independent ways: from a built branch problem's own functions
+(``lin_cone_branch``, with ``branch_is_affine`` for the affine certificate),
+or from the defining rows of
 the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
@@ -32,11 +37,128 @@ fixed-signature switching solve (``jacobian_z``).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from absnormal.anf import AbsNormalProgram, EvalResult, ProgramError, SignatureVector, constraint_jacobians
+from absnormal.anf import (
+    AbsNormalProgram,
+    EvalResult,
+    ProgramError,
+    QuadraticFunc,
+    SignatureVector,
+    constraint_jacobians,
+)
 from absnormal.cones import BranchLinearization, PolyCone, cone_contains
-from absnormal.ratmath import ONE, ZERO, RatMatrix, Vec, dot, generators_to_hrep, unit_vec, vec, vec_add, zero_vec
+from absnormal.ratmath import (
+    ONE,
+    ZERO,
+    RatMatrix,
+    Vec,
+    dot,
+    generators_to_hrep,
+    unit_vec,
+    vec,
+    vec_add,
+    vec_neg,
+    zero_vec,
+)
 from absnormal.stationarity import BranchDualCertificate, MultiplierSet, verify_branch_certificate
-from absnormal.transforms import MpccPoint, MpccProgram, SmoothBranchProblem
+from absnormal.transforms import DEFAULT_BRANCH_CAP, BranchSpec, MpccPoint, MpccProgram, branch_specs
+
+
+@dataclass(frozen=True)
+class SmoothBranchProblem:
+    """A smooth quadratic NLP: min objective s.t. eqs = 0, ineqs >= 0, anchored at a feasible point."""
+
+    n_vars: int
+    objective: QuadraticFunc
+    eqs: tuple[QuadraticFunc, ...]
+    ineqs: tuple[QuadraticFunc, ...]
+    spec: BranchSpec
+    anchor: Vec
+    form: str  # "anf" | "mpcc"
+
+    @property
+    def label(self) -> str:
+        return self.spec.label
+
+    def anchor_feasible(self) -> bool:
+        return all(func.value(self.anchor) == 0 for func in self.eqs) and all(
+            func.value(self.anchor) >= 0 for func in self.ineqs
+        )
+
+
+def flip_signs(func: QuadraticFunc, signs: tuple[int, ...]) -> QuadraticFunc:
+    """The function ``y -> func(S y)`` for the diagonal matrix ``S = diag(signs)``
+    of entries +1/-1: ``compose_linear`` through ``S``, negating only the
+    nonzero entries in a flipped column (and row)."""
+    if len(signs) != func.dim:
+        raise ProgramError("need one sign per variable")
+    linear = tuple(-x if sg < 0 and x else x for sg, x in zip(signs, func.linear))
+    quad = None
+    if func.quadratic is not None and not func.quadratic.is_zero():
+        rows = tuple(
+            tuple(-x if x and si != sj else x for sj, x in zip(signs, row))
+            for si, row in zip(signs, func.quadratic.rows)
+        )
+        quad = RatMatrix(rows, func.dim)
+    return QuadraticFunc(func.dim, func.constant, linear, quad)
+
+
+def build_anf_branch(p: AbsNormalProgram, e: EvalResult, spec: BranchSpec) -> SmoothBranchProblem:
+    """The branch problem over (t, z): substitute zeta = Sigma z, which flips
+    the signs of the zeta columns where the signature is negative."""
+    dim = p.block_dim
+    signs = (1,) * p.n_t + spec.signs
+    eqs = [flip_signs(func, signs) for func in p.c_e]
+    for i, func in enumerate(p.c_z):
+        eqs.append(flip_signs(func, signs).add_linear(vec_neg(unit_vec(dim, p.n_t + i))))
+    ineqs = [flip_signs(func, signs) for func in p.c_i]
+    for i in range(p.s):
+        row = tuple(Fraction(spec.signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
+        ineqs.append(QuadraticFunc(dim, ZERO, row))
+    return SmoothBranchProblem(
+        n_vars=dim,
+        objective=p.f.embed(dim, tuple(range(p.n_t))),
+        eqs=tuple(eqs),
+        ineqs=tuple(ineqs),
+        spec=spec,
+        anchor=e.t + e.z,
+        form="anf",
+    )
+
+
+def build_mpcc_branch(mp: MpccProgram, point: MpccPoint, spec: BranchSpec) -> SmoothBranchProblem:
+    """The counterpart branch problem over (x, u, v): each pair pins the side
+    the branch leaves to zero and keeps the other nonnegative."""
+    dim = mp.dim
+    eqs = list(mp.eq_funcs)
+    ineqs = list(mp.ci_funcs)
+    for i, sg in enumerate(spec.signs):
+        u_row = unit_vec(dim, mp.u_index(i))
+        v_row = unit_vec(dim, mp.v_index(i))
+        if sg > 0:
+            eqs.append(QuadraticFunc(dim, ZERO, v_row))
+            ineqs.append(QuadraticFunc(dim, ZERO, u_row))
+        else:
+            eqs.append(QuadraticFunc(dim, ZERO, u_row))
+            ineqs.append(QuadraticFunc(dim, ZERO, v_row))
+    return SmoothBranchProblem(
+        n_vars=dim,
+        objective=mp.objective,
+        eqs=tuple(eqs),
+        ineqs=tuple(ineqs),
+        spec=spec,
+        anchor=point.coords,
+        form="mpcc",
+    )
+
+
+def anf_branches(p: AbsNormalProgram, e: EvalResult, cap: int = DEFAULT_BRANCH_CAP) -> list[SmoothBranchProblem]:
+    """The branch problem of every branch at the point, in ``branch_specs`` order."""
+    return [build_anf_branch(p, e, spec) for spec in branch_specs("signature", e.sigma, cap)]
+
+
+def mpcc_branches(mp: MpccProgram, point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP) -> list[SmoothBranchProblem]:
+    """The counterpart branch problems, aligned with ``anf_branches``."""
+    return [build_mpcc_branch(mp, point, spec) for spec in branch_specs("partition", point.base_signature, cap)]
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,6 @@ from absnormal.stationarity import (
     translate_m_verdict,
 )
 from absnormal.transforms import (
-    enumerate_branches,
-    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     phi,
     split_direction_matrix,
@@ -59,12 +57,14 @@ from absnormal.transforms import (
 )
 
 from branch_oracles import (
+    anf_branches,
     branch_union,
     cone_equal,
     cone_image,
     lin_cone_abs_direct,
     lin_cone_mpcc_direct,
     merge_direction_matrix,
+    mpcc_branches,
     mpcc_feasible,
     union_from_branches,
 )
@@ -220,14 +220,14 @@ def test_criterion_3_decomposition_into_branches():
     for pf, point, pa in CASES:
         e = pa.point_eval
         direct = lin_cone_abs_direct(pf.program, e)
-        built = union_from_branches(enumerate_branches(pf.program, e))
+        built = union_from_branches(anf_branches(pf.program, e))
         assert _unions_equal_as_sets(direct, built), f"{pf.name}/{point.label}: abs-form"
         # the package's one linearization gives the built branches' cones, row for row
         assert branch_union(linearize_anf(pf.program, e)) == built, f"{pf.name}/{point.label}: abs-form"
         mp = pa.mpcc
         mpoint = pa.mpcc_point
         direct_m = lin_cone_mpcc_direct(mp, mpoint)
-        built_m = union_from_branches(enumerate_mpcc_branches(mp, mpoint))
+        built_m = union_from_branches(mpcc_branches(mp, mpoint))
         assert _unions_equal_as_sets(direct_m, built_m), f"{pf.name}/{point.label}: counterpart"
         assert branch_union(linearize_mpcc(mp, mpoint)) == built_m, f"{pf.name}/{point.label}: counterpart"
     print(

@@ -19,7 +19,6 @@ PACKAGE_API = [
     "decide_kink_cq",
     "dual_cone",
     "dual_union",
-    "enumerate_branches",
     "evaluate",
     "linearize_anf",
     "linearize_mpcc",

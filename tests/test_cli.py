@@ -12,7 +12,7 @@ from absnormal import stationarity
 from absnormal.anf import evaluate
 from absnormal.cli import _ser_program, main, recheck_report
 from absnormal.cones import BranchLinearization, linearize_anf, linearize_mpcc
-from absnormal.cq import MPCC_I, anchor_point
+from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_I, anchor_point
 from absnormal.ratmath import KIND_FARKAS, zero_vec
 from absnormal.problemfile import (
     ProblemFileError,
@@ -21,6 +21,7 @@ from absnormal.problemfile import (
     parse_problem_data,
 )
 
+from branch_oracles import anf_branches, mpcc_branches
 from conftest import bench_kinks, fallback_kinks_problem, random_affine_program
 
 
@@ -707,18 +708,7 @@ def rebind(monkeypatch, original, replacement) -> None:
                 monkeypatch.setattr(module, attr, replacement)
 
 
-def forbid_branch_problems(monkeypatch):
-    """Make building a branch problem raise, wherever the builders are bound."""
-    import absnormal.transforms
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("a branch problem was built")
-
-    for name in ("build_anf_branch", "build_mpcc_branch"):
-        rebind(monkeypatch, getattr(absnormal.transforms, name), no_build)
-
-
-def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
+def test_b_fails_recheck_builds_only_the_failing_branch(capsys):
     pf = load_corpus_problem("E1")
     code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b", "--recheck")
     assert code == 1
@@ -727,8 +717,6 @@ def test_b_fails_recheck_builds_only_the_failing_branch(capsys, monkeypatch):
     stat = report["points"][0]["stationarity"]
     assert (stat["b-anf"]["failing_branch"], stat["b-mpcc"]["failing_branch"]) == ("σ=+", "P={}")
 
-    # the failing branch's cone comes from the point's linearization
-    forbid_branch_problems(monkeypatch)
     assert recheck_report(pf, report) == []
     for kind, label in (("b-anf", "P={}"), ("b-anf", "σ=-"), ("b-anf", "σ=++"), ("b-mpcc", "σ=+"), ("b-mpcc", None)):
         tampered = copy.deepcopy(report)
@@ -752,7 +740,75 @@ def test_b_fails_descent_missing_or_misshapen_is_a_named_recheck_error(capsys):
             ]
 
 
-def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys, monkeypatch):
+def test_malformed_case_certificate_is_a_named_recheck_error(capsys):
+    # the Farkas ray of the one M case: its weights are checked against the
+    # case LP's rows before any product
+    pf = load_corpus_problem("E1")
+    _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--m", "--form", "anf")
+    report = json.loads(out)
+    for field, value, message in (
+        ("dual_eq", [], "dual_eq has 0 entries, expected 3"),
+        ("dual_ineq", ["1", "1"], "dual_ineq has 2 entries, expected 0"),
+    ):
+        tampered = copy.deepcopy(report)
+        tampered["points"][0]["stationarity"]["m-anf"]["failed_cases"][0]["certificate"][field] = value
+        assert recheck_report(pf, tampered) == [f"point shoulder m-anf case []: {message}"]
+
+
+def test_b_recheck_at_an_infeasible_point_is_a_named_error(capsys):
+    # a point entry whose t is not feasible has no branch linearization
+    pf = load_corpus_problem("E1")
+    _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
+    report = json.loads(out)
+    report["points"][0]["t"][1] = "7"
+    assert recheck_report(pf, report) == [
+        f"point shoulder {kind}: point is not feasible, so no branch rechecks" for kind in ("b-anf", "b-mpcc")
+    ]
+
+
+# wrong-type and wrong-length values, one of which replaces a report field
+WRONG_VALUES = (None, True, 0, "x", "1/0", [], ["1"], ["1"] * 7, [[]], {}, {"kind": "x"})
+
+
+def field_paths(node, path=()):
+    """The path of every dict field and list item below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def test_stationarity_mutations_are_recheck_errors_never_exceptions(tmp_path, capsys):
+    # each field of each stationarity entry of E1-E4, and of a B Holds by
+    # branch certificates, deleted or replaced by two seeded wrong values
+    rng = random.Random(20180)
+    problems = [(name, load_corpus_problem(name)) for name in ("E1", "E2", "E3", "E4")]
+    fallback = write_problem(tmp_path, fallback_kinks_problem(2))
+    problems.append((fallback, parse_problem(fallback)))
+    mutations = named = 0
+    for problem, pf in problems:
+        _, out, _ = run_cli(capsys, "check-stationarity", problem)
+        for entry in json.loads(out)["points"]:
+            for path in field_paths(entry["stationarity"]):
+                for value in (KeyError, *rng.sample(WRONG_VALUES, 2)):
+                    tampered = copy.deepcopy(entry)
+                    node = tampered["stationarity"]
+                    for key in path[:-1]:
+                        node = node[key]
+                    if value is KeyError:
+                        del node[path[-1]]
+                    else:
+                        node[path[-1]] = value
+                    errors = recheck_report(pf, {"points": [tampered]})
+                    assert isinstance(errors, list) and all(isinstance(e, str) for e in errors), (problem, path, value)
+                    mutations += 1
+                    named += bool(errors)
+    # some edits name nothing: a zero put for a zero, a deleted verdict, the
+    # case of an M Holds, an unknown kind or status
+    assert mutations == 1656 and named >= 1575
+
+
+def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys):
     pf = load_corpus_problem("E1")
     code, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--recheck")
     assert code == 0
@@ -767,16 +823,15 @@ def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys, monkeyp
     ]
     outputs = [run_cli(capsys, *argv) for argv in commands]
     assert {code for code, _, _ in outputs} == {0, 1}
-    forbid_branch_problems(monkeypatch)
     assert recheck_report(pf, report) == []
     for argv, expected in zip(commands, outputs):
         assert run_cli(capsys, *argv) == expected, argv
         assert json.loads(expected[1])["recheck"]["errors"] == []
 
 
-def test_qualification_commands_build_no_branch_problem(capsys, monkeypatch):
+def test_qualification_commands_build_no_branch_problem(capsys):
     # every qualification verdict works on branch specs and one linearization
-    # per formulation; only the branches report builds branch problems
+    # per formulation, the same bytes on every run
     commands = [
         (command, name, *extra)
         for name in ("E1", "E2", "E3", "E4")
@@ -784,11 +839,45 @@ def test_qualification_commands_build_no_branch_problem(capsys, monkeypatch):
     ] + [("corpus", "run")]
     outputs = [run_cli(capsys, *argv) for argv in commands]
     assert {code for code, _, _ in outputs} == {0, 1}
-    forbid_branch_problems(monkeypatch)
     for argv, expected in zip(commands, outputs):
         assert run_cli(capsys, *argv) == expected, argv
-    with pytest.raises(AssertionError, match="a branch problem was built"):
-        main(["branches", "E1"])
+
+
+def test_branches_rows_equal_the_oracle_branch_problems(tmp_path, capsys):
+    # each row of every --form is the built branch problem's label, sizes and
+    # anchor; the report states the anchor feasible, the oracle checks it
+    kinks = bench_kinks()
+    problems = [(name, load_corpus_problem(name)) for name in ("E1", "E2", "E3", "E4")]
+    for k in range(1, 5):
+        for inequalities in (False, True):
+            path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(k), k, 1, inequalities)))
+            problems.append((path, parse_problem(path)))
+    rows = 0
+    for problem, pf in problems:
+        anchored = [anchor_point(pf.program, point.t) for point in pf.points]
+        for key in FORMULATIONS:
+            code, out, err = run_cli(capsys, "branches", problem, "--form", key)
+            assert (code, err) == (0, "")
+            entries = json.loads(out)["points"]
+            assert len(entries) == len(anchored)
+            for entry, pa in zip(entries, anchored):
+                built = (anf_branches if key in (ABS_I, ABS_E) else mpcc_branches)(*pa.anchor(key))
+                assert all(b.anchor_feasible() for b in built), (problem, entry["label"], key)
+                assert entry["branches"] == {
+                    key: [
+                        {
+                            "branch": b.label,
+                            "variables": b.n_vars,
+                            "equalities": len(b.eqs),
+                            "inequalities": len(b.ineqs),
+                            "anchor": [str(x) for x in b.anchor],
+                            "anchor_feasible": True,
+                        }
+                        for b in built
+                    ]
+                }, (problem, entry["label"], key)
+                rows += len(built)
+    assert rows == 474
 
 
 def test_branches_enumerates_only_the_requested_formulation(capsys):

@@ -21,8 +21,6 @@ from absnormal.cones import (
 )
 from absnormal.ratmath import RatMatrix, primitive_integer, vec, zero_vec
 from absnormal.transforms import (
-    enumerate_branches,
-    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     phi_inv,
     split_direction_matrix,
@@ -32,6 +30,7 @@ from absnormal.transforms import (
 
 from branch_oracles import (
     UnionCone,
+    anf_branches,
     branch_is_affine,
     branch_union,
     compl_cone,
@@ -41,6 +40,7 @@ from branch_oracles import (
     lin_cone_abs_direct,
     lin_cone_branch,
     lin_cone_mpcc_direct,
+    mpcc_branches,
     union_from_branches,
 )
 from conftest import make_e2, make_e3, make_e4, random_affine_program
@@ -52,7 +52,7 @@ def cone(dim, eq=(), ineq=()):
 
 def test_lin_cone_e1_positive_branch(e1):
     e = evaluate(e1, [0, 0])
-    plus = enumerate_branches(e1, e)[0]
+    plus = anf_branches(e1, e)[0]
     c = lin_cone_branch(plus)
     # {dt2 - dz = 0, dt1 - dz = 0 (as dz - dt1 = 0 up to sign), dz >= 0}
     expected = cone(3, eq=[[0, 1, -1], [1, 0, -1]], ineq=[[0, 0, 1]])
@@ -66,14 +66,14 @@ def test_lin_cone_unconstrained_branch_is_full_space():
 
     p = AbsNormalProgram(n_t=2, s=0, m1=0, m2=0, f=affine(2, 0, [1, 0]), c_e=(), c_i=(), c_z=())
     e = evaluate(p, [1, 2])
-    (b,) = enumerate_branches(p, e)
+    (b,) = anf_branches(p, e)
     c = lin_cone_branch(b)
     assert cone_equal(c, PolyCone.full_space(2))
 
 
 def test_lin_cone_e3_quadratic_row_vanishes(e3):
     e = evaluate(e3, [0, 0])
-    for b in enumerate_branches(e3, e):
+    for b in anf_branches(e3, e):
         c = lin_cone_branch(b)
         sign = 1 if b.label == "σ=+" else -1
         expected = cone(3, eq=[[0, 0, 0], [1, 0, -1]], ineq=[[0, 0, sign]])
@@ -84,7 +84,7 @@ def test_lin_cone_abs_direct_matches_branch_union(e1, e2, e3, e4):
     for p, t in ((e1, [0, 0]), (e1, [2, 2]), (e2, [0, 0]), (e3, [0, 0]), (e4, [0, 0])):
         e = evaluate(p, t)
         direct = lin_cone_abs_direct(p, e)
-        via_branches = union_from_branches(enumerate_branches(p, e))
+        via_branches = union_from_branches(anf_branches(p, e))
         for (_, a), (_, b) in zip(direct.members, via_branches.members, strict=True):
             assert cone_equal(a, b)
         assert branch_union(linearize_anf(p, e)) == via_branches
@@ -96,7 +96,7 @@ def test_lin_cone_mpcc_direct_matches_branch_union(e1, e2, e3, e4):
         mp = to_mpcc(p)
         point = mpcc_point_from_eval(e)
         direct = lin_cone_mpcc_direct(mp, point)
-        via_branches = union_from_branches(enumerate_mpcc_branches(mp, point))
+        via_branches = union_from_branches(mpcc_branches(mp, point))
         for (_, a), (_, b) in zip(direct.members, via_branches.members, strict=True):
             assert cone_equal(a, b)
         assert branch_union(linearize_mpcc(mp, point)) == via_branches
@@ -122,7 +122,7 @@ def test_compl_cone_inactive_pair_single_piece():
 def test_tangent_affine_branches(e1):
     e = evaluate(e1, [0, 0])
     lin = linearize_anf(e1, e)
-    for b in enumerate_branches(e1, e):
+    for b in anf_branches(e1, e):
         c, cert = tangent_cone_branch(lin.cone(b.spec.signs), branch_is_affine(b))
         assert cert.status == TANGENT_AFFINE
         assert cone_equal(c, lin_cone_branch(b))
@@ -130,7 +130,7 @@ def test_tangent_affine_branches(e1):
 
 def test_tangent_unknown_for_degenerate_quadratic(e3):
     e = evaluate(e3, [0, 0])
-    for b in enumerate_branches(e3, e):
+    for b in anf_branches(e3, e):
         c, cert = tangent_cone_branch(lin_cone_branch(b), branch_is_affine(b))
         assert c is None
         assert cert.status == TANGENT_UNKNOWN
@@ -157,7 +157,7 @@ def test_tangent_licq_branch():
         c_z=(),
     )
     e = evaluate(p, [0, 0])
-    (b,) = enumerate_branches(p, e)
+    (b,) = anf_branches(p, e)
     c, cert = tangent_cone_branch(lin_cone_branch(b), branch_is_affine(b))
     assert cert.status == TANGENT_LICQ
     assert c is not None
@@ -189,7 +189,7 @@ def test_tangent_mfcq_branch():
         c_z=(),
     )
     e = evaluate(p, [0, 0])
-    (b,) = enumerate_branches(p, e)
+    (b,) = anf_branches(p, e)
     c, cert = tangent_cone_branch(lin_cone_branch(b), branch_is_affine(b))
     assert cert.status == TANGENT_MFCQ
     assert cert.strict_point is not None
@@ -253,7 +253,7 @@ def test_union_covers_orthant_by_l_shape_fails_with_witness():
 
 def test_union_covers_member_containment(e1):
     e = evaluate(e1, [0, 0])
-    union = union_from_branches(enumerate_branches(e1, e))
+    union = union_from_branches(anf_branches(e1, e))
     # the half-plane {dt2 = dt1 >= 0, dz = dt1} is the first member itself
     target = cone(3, eq=[[1, -1, 0], [1, 0, -1]], ineq=[[1, 0, 0]])
     ok, _ = union_covers(union.cones, target)
@@ -280,9 +280,7 @@ def test_cone_image_maps_branch_cone_between_forms(e1):
     e = evaluate(e1, [0, 0])
     mp = to_mpcc(e1)
     point = mpcc_point_from_eval(e)
-    anf_branches = enumerate_branches(e1, e)
-    mpcc_branches = enumerate_mpcc_branches(mp, point)
-    for ab, mb in zip(anf_branches, mpcc_branches):
+    for ab, mb in zip(anf_branches(e1, e), mpcc_branches(mp, point)):
         anf_cone = lin_cone_branch(ab)
         mpcc_cone = lin_cone_branch(mb)
         m = split_direction_matrix(mp.n_x, mp.s, mb.spec)
@@ -305,8 +303,8 @@ def linearizations(p, e):
     that ``transforms`` builds for it."""
     mp, point = to_mpcc(p), mpcc_point_from_eval(e)
     return [
-        (linearize_anf(p, e), enumerate_branches(p, e)),
-        (linearize_mpcc(mp, point), enumerate_mpcc_branches(mp, point)),
+        (linearize_anf(p, e), anf_branches(p, e)),
+        (linearize_mpcc(mp, point), mpcc_branches(mp, point)),
     ]
 
 
@@ -496,11 +494,11 @@ def test_linearization_rejects_an_infeasible_anchor_like_the_branch_cone(e1):
     with pytest.raises(ValueError) as from_lin:
         linearize_anf(e1, e)
     with pytest.raises(ValueError) as from_branch:
-        lin_cone_branch(enumerate_branches(e1, e)[0])
+        lin_cone_branch(anf_branches(e1, e)[0])
     assert str(from_lin.value) == str(from_branch.value) == "anchor is infeasible for branch σ=+"
     mp, point = to_mpcc(e1), mpcc_point_from_eval(e)
     with pytest.raises(ValueError) as from_lin:
         linearize_mpcc(mp, point)
     with pytest.raises(ValueError) as from_branch:
-        lin_cone_branch(enumerate_mpcc_branches(mp, point)[0])
+        lin_cone_branch(mpcc_branches(mp, point)[0])
     assert str(from_lin.value) == str(from_branch.value) == "anchor is infeasible for branch P={}"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -114,6 +115,35 @@ def test_strict_unbounded_margin():
     assert res.status == FEASIBLE
     assert res.certificate.point[0] > 0
     assert verify_certificate(p, res) == []
+
+
+def test_certificate_vectors_of_the_wrong_length_are_named():
+    # each vector is checked against the problem before any product; the
+    # vectors of a margin pair against the margin relaxation
+    problems = [
+        feasibility(1, ineq=[[1], [-1]], ineq_rhs=[0, 0]),
+        feasibility(1, ineq=[[1], [-1]], ineq_rhs=[1, 0]),
+        LpProblem(n_vars=2, objective=vec([1, 1]), eq_rows=(vec([1, 1]),), eq_rhs=vec([2]),
+                  ineq_rows=(vec([1, 0]), vec([0, 1])), ineq_rhs=vec([0, 0])),
+        LpProblem(n_vars=1, objective=vec([-1]), ineq_rows=(vec([1]),), ineq_rhs=vec([0])),
+        feasibility(1, ineq=[[1], [-1], [1]], ineq_rhs=[0, 0, 0], strict=[2]),
+    ]
+    checked = set()
+    for p in problems:
+        res = lp_solve(p)
+        cert = res.certificate
+        prefix = "margin relaxation: " if res.status == INFEASIBLE and cert.kind == "optimal-primal-dual-pair" else ""
+        for name in ("point", "ray", "dual_eq", "dual_ineq"):
+            good = getattr(cert, name)
+            if good is None:
+                continue
+            for bad in (good + (Fraction(1),), good[1:])[: 1 + bool(good)]:
+                tampered = dataclasses.replace(res, certificate=dataclasses.replace(cert, **{name: bad}))
+                assert verify_certificate(p, tampered) == [
+                    f"{prefix}{name} has {len(bad)} entries, expected {len(good)}"
+                ]
+            checked.add((res.status, name))
+    assert {name for _, name in checked} == {"point", "ray", "dual_eq", "dual_ineq"}
 
 
 def test_strict_with_objective_rejected():

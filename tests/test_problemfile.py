@@ -21,9 +21,9 @@ from absnormal.problemfile import (
     schema_errors,
     schema_violation,
 )
-from absnormal.transforms import enumerate_branches, mpcc_point_from_eval, to_mpcc
+from absnormal.transforms import mpcc_point_from_eval, to_mpcc
 
-from branch_oracles import branch_union, cone_equal, union_from_branches
+from branch_oracles import anf_branches, branch_union, cone_equal, union_from_branches
 
 
 def test_shipped_schema_file_is_a_valid_schema():
@@ -174,7 +174,7 @@ def test_lin_cone_union_constructors():
     pf = load_corpus_problem("E1")
     e = evaluate(pf.program, [0, 0])
     u = branch_union(linearize_anf(pf.program, e))
-    v = union_from_branches(enumerate_branches(pf.program, e))
+    v = union_from_branches(anf_branches(pf.program, e))
     assert [label for label, _ in u.members] == [label for label, _ in v.members]
     for (_, a), (_, b) in zip(u.members, v.members):
         assert cone_equal(a, b)

@@ -26,14 +26,18 @@ from absnormal.stationarity import (
 from absnormal.problemfile import load_corpus, parse_problem_data
 from absnormal.transforms import (
     MpccProgram,
-    enumerate_branches,
-    enumerate_mpcc_branches,
     mpcc_point_from_eval,
     to_mpcc,
     to_slack,
 )
 
-from branch_oracles import lin_cone_branch, strong_branch_certificates, verify_branch_dual_certificate
+from branch_oracles import (
+    anf_branches,
+    lin_cone_branch,
+    mpcc_branches,
+    strong_branch_certificates,
+    verify_branch_dual_certificate,
+)
 from conftest import affine, bench_kinks, fallback_kinks_problem, make_e1, random_affine_program
 
 
@@ -140,7 +144,7 @@ def test_b_stationary_e1_holds(e1):
     certificates = branch_certificates(v, e1, e)
     assert len(certificates) == 2
     # each certificate proves dual-cone membership of the gradient by substitution
-    branches = enumerate_branches(e1, e)
+    branches = anf_branches(e1, e)
     for cert, b in zip(certificates, branches):
         cone = lin_cone_branch(b)
         gradient = b.objective.gradient(b.anchor)
@@ -348,7 +352,7 @@ def b_over_every_branch(branches, kind):
 def assert_certificates_verify(verdict, program, point):
     """Every branch has its certificate, in order, each checked on the built
     branch problem."""
-    enumerate_ = enumerate_mpcc_branches if isinstance(program, MpccProgram) else enumerate_branches
+    enumerate_ = mpcc_branches if isinstance(program, MpccProgram) else anf_branches
     by_label = {b.label: b for b in enumerate_(program, point)}
     certificates = branch_certificates(verdict, program, point)
     assert [c.branch for c in certificates] == list(by_label)
@@ -371,7 +375,7 @@ def b_routes(p, e):
     strong = stationarity._strong_multipliers(multiplier_system(p, e), None) is not None
     # the route a Holds took shows in its certificate
     assert (with_m.multipliers is not None) == (without_m.multipliers is not None) == strong
-    return m_verdict, with_m, strong, b_over_every_branch(enumerate_branches(p, e), "b-anf")
+    return m_verdict, with_m, strong, b_over_every_branch(anf_branches(p, e), "b-anf")
 
 
 def test_strong_route_agrees_with_the_branch_lp_loop_on_random_programs():
@@ -437,7 +441,7 @@ def b_translation_matches_direct_check(p, e):
     translated = translate_b_verdict(b_anf, sys_anf, sys_mpcc, mp, point)
     m_mpcc = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
     direct = check_b_stationary(mp, point, m_verdict=m_mpcc)
-    reference = b_over_every_branch(enumerate_mpcc_branches(mp, point), "b-mpcc")
+    reference = b_over_every_branch(mpcc_branches(mp, point), "b-mpcc")
     assert translated.kind == direct.kind == "b-mpcc"
     assert translated.status == direct.status == reference.status
     if translated.status == HOLDS:
@@ -449,7 +453,7 @@ def b_translation_matches_direct_check(p, e):
             assert translated == direct  # the same multipliers on both sides
     else:
         assert translated.failing_branch == direct.failing_branch == reference.failing_branch
-        b = next(b for b in enumerate_mpcc_branches(mp, point) if b.label == translated.failing_branch)
+        b = next(b for b in mpcc_branches(mp, point) if b.label == translated.failing_branch)
         assert lin_cone_branch(b).contains_point(translated.descent)
         assert dot(b.objective.gradient(b.anchor), translated.descent) < 0
     return translated

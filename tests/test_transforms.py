@@ -9,7 +9,6 @@ from absnormal.ratmath import ZERO, RatMatrix, rat, unit_vec, vec, vec_neg
 from absnormal.transforms import (
     BranchLimitError,
     BranchSpec,
-    SmoothBranchProblem,
     branch_correspondence,
     branch_specs,
     enumerate_branches,
@@ -22,7 +21,15 @@ from absnormal.transforms import (
     to_slack,
 )
 
-from branch_oracles import merge_direction, mpcc_feasible, split_direction
+from branch_oracles import (
+    SmoothBranchProblem,
+    anf_branches,
+    flip_signs,
+    merge_direction,
+    mpcc_branches,
+    mpcc_feasible,
+    split_direction,
+)
 from conftest import make_e1, make_e2
 
 
@@ -117,7 +124,7 @@ def test_index_sets():
 
 def test_branch_count_at_kink(e1):
     e = evaluate(e1, [0, 0])
-    branches = enumerate_branches(e1, e)
+    branches = anf_branches(e1, e)
     assert len(branches) == 2
     assert [b.label for b in branches] == ["σ=+", "σ=-"]
     for b in branches:
@@ -126,7 +133,7 @@ def test_branch_count_at_kink(e1):
 
 def test_branch_count_definite_point(e1):
     e = evaluate(e1, [2, 2])
-    branches = enumerate_branches(e1, e)
+    branches = anf_branches(e1, e)
     assert len(branches) == 1
 
 
@@ -136,7 +143,7 @@ def test_branch_count_slack_mpcc_e2(e2):
     se = evaluate(sp.program, sp.lift_smooth_point(evaluate(e2, [0, 0])))
     mp = to_mpcc(sp)
     point = mpcc_point_from_eval(se)
-    branches = enumerate_mpcc_branches(mp, point)
+    branches = mpcc_branches(mp, point)
     assert len(branches) == 8
     for b in branches:
         assert b.anchor_feasible()
@@ -145,15 +152,14 @@ def test_branch_count_slack_mpcc_e2(e2):
 def test_branch_cap_refused(e2):
     sp = to_slack(e2)
     se = evaluate(sp.program, sp.lift_smooth_point(evaluate(e2, [0, 0])))
-    mp = to_mpcc(sp)
     point = mpcc_point_from_eval(se)
     with pytest.raises(BranchLimitError):
-        enumerate_mpcc_branches(mp, point, cap=4)
+        enumerate_mpcc_branches(point, cap=4)
 
 
 def test_branch_problem_rows_e1_plus(e1):
     e = evaluate(e1, [0, 0])
-    plus = enumerate_branches(e1, e)[0]
+    plus = anf_branches(e1, e)[0]
     # equalities: t2 - z = 0 and t1 - z = 0; inequality: z >= 0
     assert [f.linear for f in plus.eqs] == [vec([0, 1, -1]), vec([1, 0, -1])]
     assert [f.linear for f in plus.ineqs] == [vec([0, 0, 1])]
@@ -174,7 +180,7 @@ def test_branch_correspondence_labels():
 def test_mpcc_branch_fixings(e1):
     e = evaluate(e1, [0, 0])
     mp = to_mpcc(e1)
-    branches = enumerate_mpcc_branches(mp, mpcc_point_from_eval(e))
+    branches = mpcc_branches(mp, mpcc_point_from_eval(e))
     assert [b.label for b in branches] == ["P={}", "P={1}"]
     plus = branches[0]
     # P = {}: v fixed to zero, u kept nonnegative
@@ -253,7 +259,7 @@ def test_flip_signs_equals_composition_with_the_sign_matrix():
         p = AbsNormalProgram(n_t, s, 0, 0, QuadraticFunc.zero(n_t), (), (), ())
         func = random_quadratic(rng, p.block_dim)
         signs = tuple(rng.choice((1, -1)) for _ in range(s))
-        flipped = func.flip_signs((1,) * n_t + signs)
+        flipped = flip_signs(func, (1,) * n_t + signs)
         assert flipped == func.compose_linear(branch_signature_matrix(p, signs))
         nonzero_quadratic += not flipped.is_affine()
     assert nonzero_quadratic > 100
@@ -264,15 +270,15 @@ def test_anf_branches_equal_the_composed_reference():
     for pf in load_corpus():
         for pt in pf.points:
             e = evaluate(pf.program, pt.t)
-            for b in enumerate_branches(pf.program, e):
+            for b in anf_branches(pf.program, e):
                 assert b == composed_anf_branch(pf.program, e, b.spec)
 
 
 def test_enumerations_return_lists(e1):
     # callers take len() of the enumerations; only branch_specs is lazy
     e = evaluate(e1, [0, 0])
-    assert isinstance(enumerate_branches(e1, e), list)
-    assert isinstance(enumerate_mpcc_branches(to_mpcc(e1), mpcc_point_from_eval(e)), list)
+    assert isinstance(enumerate_branches(e), list)
+    assert isinstance(enumerate_mpcc_branches(mpcc_point_from_eval(e)), list)
 
 
 def test_branch_specs_check_the_cap_before_making_a_spec(e2):
@@ -280,7 +286,7 @@ def test_branch_specs_check_the_cap_before_making_a_spec(e2):
     with pytest.raises(BranchLimitError):
         branch_specs("signature", e.sigma, cap=1)
     with pytest.raises(BranchLimitError):
-        enumerate_branches(e2, e, cap=1)
+        enumerate_branches(e, cap=1)
 
 
 def test_branch_labels_parse_back_to_their_specs():
