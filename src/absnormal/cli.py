@@ -40,10 +40,8 @@ from .cq import (
     SLACK_FORMS,
     UNKNOWN,
     CQVerdict,
-    FormulationAnalysis,
     PointAnalysis,
     analyze_point,
-    anchor_point,
     check_branch_cq,
     decide_kink_cq,
     verify_relations,
@@ -268,7 +266,7 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
     for key in FORMULATIONS:
         if forms and key not in forms:
             continue
-        fa = pa.formulations[key]
+        fa = pa.formulation(key)
         branches = []
         lin_duals = []
         for ba in fa.branches:
@@ -297,8 +295,8 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
 def _branch_list_section(pa: PointAnalysis) -> dict:
     """Each formulation's branches and tangent sources; the cones are the ``cones`` report's."""
     return {
-        key: {"dim": fa.dim, "branches": [{"branch": b.label, "tangent_source": b.tangent_source} for b in fa.branches]}
-        for key, fa in pa.formulations.items()
+        fa.key: {"dim": fa.dim, "branches": [{"branch": b.label, "tangent_source": b.tangent_source} for b in fa.branches]}
+        for fa in map(pa.formulation, FORMULATIONS)
     }
 
 
@@ -309,10 +307,10 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
     out = {}
     for name, (key, condition) in KINK_VERDICTS.items():
         if name in which:
-            out[name] = _ser(decide_kink_cq(pa.formulations[key], condition))
+            out[name] = _ser(decide_kink_cq(pa.formulation(key), condition))
     if "slack" in which:
         for name, (key, condition) in KINK_VERDICTS.items():
-            out[f"{name}-slack"] = _ser(decide_kink_cq(pa.formulations[SLACK_FORMS[key]], condition))
+            out[f"{name}-slack"] = _ser(decide_kink_cq(pa.formulation(SLACK_FORMS[key]), condition))
     if include_branches:
         branch_out = {}
         for key in FORMULATIONS:
@@ -322,15 +320,13 @@ def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> d
                     "acq": _ser(check_branch_cq(ba, "acq")),
                     "gcq": _ser(check_branch_cq(ba, "gcq")),
                 }
-                for ba in pa.formulations[key].branches
+                for ba in pa.formulation(key).branches
             ]
         out["branches"] = branch_out
     return out
 
 
-def _stationarity_verdicts(
-    pa: PointAnalysis, which: set[str], forms: set[str], branch_cap: int
-) -> dict[str, StationarityVerdict]:
+def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) -> dict[str, StationarityVerdict]:
     """The verdicts ``which`` (``m``, ``b``) in the ``forms`` (``anf``,
     ``mpcc``), by name in report order: M on the abs-normal form, its
     translation to the counterpart (re-checked in the system read off the
@@ -351,7 +347,7 @@ def _stationarity_verdicts(
         if "mpcc" in forms:
             out["m-mpcc"] = translate_m_verdict(m_anf, system, counterpart_system, "m-mpcc")
     if "b" in which:
-        b_anf = check_b_stationary(p, e, branch_cap, m_anf, system)
+        b_anf = check_b_stationary(p, e, pa.branch_cap, m_anf, system)
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
@@ -365,7 +361,7 @@ def _relations_section(pa: PointAnalysis) -> dict:
     return {"consistent": report.consistent, "arrows": [_ser(a) for a in report.arrows], "kink_verdicts": kink_out}
 
 
-def _branches_section(pa: PointAnalysis, forms, cap: int) -> dict:
+def _branches_section(pa: PointAnalysis, forms) -> dict:
     """One row per branch of each requested formulation at the anchored
     point: its label, and the sizes and anchor of its smooth branch problem,
     which are the formulation's.  An abs-normal branch over ``(t, z)`` adds
@@ -377,18 +373,18 @@ def _branches_section(pa: PointAnalysis, forms, cap: int) -> dict:
             continue
         program, point = pa.anchor(key)
         if key in (ABS_I, ABS_E):
-            specs = enumerate_branches(point, cap)
+            specs = enumerate_branches(point, pa.branch_cap)
             sizes = {"variables": program.block_dim, "equalities": program.m1 + program.s}
             anchor = point.t + point.z
         else:
-            specs = enumerate_mpcc_branches(point, cap)
+            specs = enumerate_mpcc_branches(point, pa.branch_cap)
             sizes = {"variables": program.dim, "equalities": program.m1 + 2 * program.s}
             anchor = point.coords
         row = {
             **sizes,
             "inequalities": program.m2 + program.s,
             "anchor": _svec(anchor),
-            # anchor_point rejects an infeasible point, and every branch
+            # analyze_point rejects an infeasible point, and every branch
             # signature dominates the point's signature
             "anchor_feasible": True,
         }
@@ -435,10 +431,11 @@ def exit_code_for_report(report: dict) -> int:
 
 def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRANCH_CAP) -> list[str]:
     """Re-validate every certificate and witness in the report's verdict
-    entries by substitution, against cones rebuilt from the problem file: the
-    point is analyzed once, with its annotations and ``branch_cap``, when
-    some kink, branch or relation verdict carries a witness.  A part of a
-    point entry that no report writes is a named ``malformed entry`` error."""
+    entries by substitution, against cones rebuilt from the problem file: a
+    formulation is analyzed, once, with the file's annotations and
+    ``branch_cap``, when some kink, branch or relation witness names it.  A
+    part of a point entry that no report writes is a named ``malformed
+    entry`` error."""
     errors: list[str] = []
 
     def read(where: str, data, tp, default=None):
@@ -492,39 +489,49 @@ def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRAN
         entries += [(f"{prefix} {name}", StationarityVerdict, None, entry) for name, entry in stationarity.items()]
         verdicts = [(where, key, v) for where, cls, key, entry in entries if (v := read(where, entry, cls)) is not None]
         kink = [(where, key or v.formulation, v) for where, key, v in verdicts if type(v) is CQVerdict]
-        if not any(verdict.witness is not None for _, _, verdict in kink):
-            pa = PointAnalysis(pf.program, e)
-        elif e.is_feasible():
-            pa = analyze_point(pf.program, t, pf.annotations, branch_cap=branch_cap)
-        else:
+        if not e.is_feasible() and any(verdict.witness is not None for _, _, verdict in kink):
             errors.append(f"{prefix}: point is not feasible, so no witness rechecks")
-            pa, kink = PointAnalysis(pf.program, e), []
+            kink = []
+        pa = PointAnalysis(pf.program, e, annotations=pf.annotations, branch_cap=branch_cap)
         for where, key, verdict in kink:
-            errors.extend(_recheck_kink_verdict(where, verdict, key, pa.formulations.get(key)))
+            errors.extend(_recheck_kink_verdict(where, verdict, key, pa))
         systems = functools.cache(lambda form: multiplier_system(*pa.anchor(form)))
         for where, _, verdict in verdicts:
             if type(verdict) is StationarityVerdict:
-                errors.extend(_recheck_stationarity(pa, systems, where, verdict, branch_cap))
+                errors.extend(_recheck_stationarity(pa, systems, where, verdict))
     return errors
 
 
-def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, fa: FormulationAnalysis | None) -> list[str]:
-    """Recheck one Abadie/Guignard witness against the branch cones ``fa`` of its formulation ``key``."""
-    w = verdict.witness
+_ABADIE_KINDS = ("akq", "mpcc-acq", "branch-acq")
+_GUIGNARD_KINDS = ("gkq", "mpcc-gcq", "branch-gcq")
+
+
+def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, pa: PointAnalysis) -> list[str]:
+    """Recheck one Abadie/Guignard verdict: its kind and status, and a
+    witness against the branch cones of its formulation ``key``, a feasible
+    point's."""
+    kind, status, w = verdict.kind, verdict.status, verdict.witness
+    if kind not in _ABADIE_KINDS + _GUIGNARD_KINDS:
+        return [f"{prefix}: unknown kind {kind!r}"]
+    if status not in (HOLDS, FAILS, UNKNOWN):
+        return [f"{prefix}: unknown status {status!r}"]
     if w is None:
-        return [f"{prefix}: fails without a witness"] if verdict.status == FAILS else []
-    if fa is None:
+        return [f"{prefix}: fails without a witness"] if status == FAILS else []
+    if status != FAILS:
+        return [f"{prefix}: {status} with a witness"]
+    if key not in FORMULATIONS:
         return [f"{prefix}: no formulation {key!r} to recheck the witness in"]
+    fa = pa.formulation(key)
     if len(w) != fa.dim:
         return [f"{prefix}: witness has {len(w)} entries, expected {fa.dim}"]
     branches = fa.branches
-    if verdict.kind.startswith("branch-"):
+    if kind.startswith("branch-"):
         # a branch verdict speaks of its own linearized and tangent cones only
         branches = [ba for ba in branches if ba.label == verdict.branch]
         if not branches:
             return [f"{prefix}: no branch {verdict.branch!r} in formulation {key}"]
     errors: list[str] = []
-    if verdict.kind in ("akq", "mpcc-acq", "branch-acq"):
+    if kind in _ABADIE_KINDS:
         # a valid Abadie witness is linearized-feasible somewhere but escapes
         # the tangent upper bound of every branch
         for ba in branches:
@@ -532,7 +539,7 @@ def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, fa: Formula
                 errors.append(f"{prefix}: witness lies inside the tangent bound of branch {ba.label}")
         if not any(ba.lin.contains_point(w) for ba in branches):
             errors.append(f"{prefix}: witness is not linearized-feasible")
-    elif verdict.kind in ("gkq", "mpcc-gcq", "branch-gcq"):
+    else:
         # a valid Guignard witness pairs nonnegatively with the whole tangent
         # upper bound and strictly negatively with some linearized direction
         for ba in branches:
@@ -551,12 +558,17 @@ def _escapes_dual(w, cone: PolyCone) -> bool:
     return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
 
 
-def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: StationarityVerdict, cap: int) -> list[str]:
+def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: StationarityVerdict) -> list[str]:
     """Recheck one stationarity verdict; ``systems(form)`` is the point's
-    multiplier system of the formulation ``form``, built once, and ``cap``
-    the branch cap."""
-    errors: list[str] = []
+    multiplier system of the formulation ``form``, built once."""
     kind, status = verdict.kind, verdict.status
+    if kind not in ("m-anf", "m-mpcc", "b-anf", "b-mpcc"):
+        return [f"{prefix}: unknown kind {kind!r}"]
+    # every multiplier system, branch cone and certificate is checked at the
+    # point, which only a feasible point has
+    if not pa.point_eval.is_feasible():
+        return [f"{prefix}: point is not feasible, so no branch rechecks"]
+    errors: list[str] = []
     form = ABS_I if kind.endswith("-anf") else MPCC_I
     b_holds = kind.startswith("b-") and status == HOLDS
     if b_holds and (verdict.multipliers is None) == (not verdict.branch_certificates):
@@ -566,14 +578,13 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
         for msg in verify_multiplier_verdict(systems(form), verdict):
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
-    elif kind.startswith("b-"):
-        # every branch cone and certificate is checked on the point's one
-        # linearization, which only a feasible point has
-        if not pa.point_eval.is_feasible():
-            return [f"{prefix}: point is not feasible, so no branch rechecks"]
+    elif status not in (HOLDS, FAILS):
+        errors.append(f"{prefix}: a B-stationarity verdict holds or fails, not {status!r}")
+    else:
+        # every branch cone and certificate is checked on the point's one linearization
         lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
         if status == HOLDS:
-            by_label = {spec.label: spec for spec in lin.specs(cap)}
+            by_label = {spec.label: spec for spec in lin.specs(pa.branch_cap)}
             named = [cert.branch for cert in verdict.branch_certificates]
             for label in by_label:
                 if named.count(label) != 1:
@@ -586,7 +597,7 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
                     continue
                 for msg in verify_branch_certificate(lin, spec.signs, cert, memo):
                     errors.append(f"{prefix} branch {cert.branch}: {msg}")
-        elif status == FAILS:
+        else:
             label = verdict.failing_branch
             kind_of_label = "signature" if kind == "b-anf" else "partition"
             spec = parse_branch_label(label, kind_of_label, lin.base.entries)
@@ -647,7 +658,7 @@ def cmd_branches(pf: ProblemFile, args) -> dict:
         "branches",
         pf,
         args,
-        lambda p: {"branches": _branches_section(anchor_point(pf.program, p.t), forms, args.branch_cap)},
+        lambda p: {"branches": _branches_section(_analyze(pf, p, args.branch_cap), forms)},
     )
 
 
@@ -721,7 +732,7 @@ def cmd_check_stationarity(pf: ProblemFile, args) -> dict:
     forms = {args.form} if args.form else {"anf", "mpcc"}
 
     def sections(p: ProblemPoint) -> dict:
-        verdicts = _stationarity_verdicts(anchor_point(pf.program, p.t), which, forms, args.branch_cap)
+        verdicts = _stationarity_verdicts(_analyze(pf, p, args.branch_cap), which, forms)
         return {"stationarity": {name: _ser(v) for name, v in verdicts.items()}}
 
     return _point_report("check-stationarity", pf, args, sections)
@@ -746,7 +757,7 @@ def cmd_verify_relations(pf: ProblemFile, args) -> dict:
 def _observed_verdicts(pf: ProblemFile, point: ProblemPoint, cap: int) -> tuple[dict, bool, bool]:
     pa = _analyze(pf, point, cap)
     relations, kink, _ = verify_relations(pa)
-    stat = _stationarity_verdicts(pa, {"m", "b"}, {"anf", "mpcc"}, cap)
+    stat = _stationarity_verdicts(pa, {"m", "b"}, {"anf", "mpcc"})
     observed = {name: kink[(condition, key)].status for name, (key, condition) in KINK_VERDICTS.items()}
     observed["m-stationary"] = stat["m-anf"].status
     observed["b-stationary"] = stat["b-anf"].status

@@ -8,9 +8,9 @@ Everything reduces to exact cone comparisons over the branch decomposition:
   every linearized generator lies in the closed conic hull of the tangent
   pieces, decided by substitution or one exact LP per generator, with no
   H-representation of a dual,
-* the four formulations are analyzed with the same engine, with tangent
-  knowledge transported along the branch homeomorphisms where a branch cannot
-  certify its own tangent cone.
+* the four formulations are analyzed with the same engine, each when a
+  verdict first reads it, with tangent knowledge transported along the branch
+  homeomorphisms where a branch cannot certify its own tangent cone.
 
 A branch is its spec (``transforms.BranchSpec``) and its linearized cone from
 the linearization of its formulation at the point; no branch problem is
@@ -267,16 +267,20 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
 
 @dataclass(frozen=True)
 class PointAnalysis:
-    """All four formulations of one program anchored at one evaluation point.
+    """One program anchored at one evaluation point, in all four formulations.
 
-    Only the inequality form is evaluated up front; the slack form and the
-    counterparts, with their points, are built the first time they are read.
+    Only the inequality form is evaluated up front; the other anchors, and
+    each formulation's branch analyses (``formulation(key)``), are built the
+    first time they are read.  ``annotations`` maps inequality-form branch
+    labels to trusted tangent unions.
     """
 
     program: AbsNormalProgram
     point_eval: EvalResult
     w_signs: tuple[int, ...] | None = None
-    formulations: dict[str, FormulationAnalysis] = field(hash=False, default_factory=dict)
+    annotations: dict[str, tuple[PolyCone, ...]] = field(hash=False, default_factory=dict)
+    branch_cap: int = DEFAULT_BRANCH_CAP
+    _analyses: dict[str, FormulationAnalysis] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @functools.cached_property
     def slack(self) -> SlackProgram:
@@ -315,28 +319,47 @@ class PointAnalysis:
             MPCC_E: lambda: (self.slack_mpcc, self.slack_mpcc_point),
         }[key]()
 
-    def branch_pairs_i_to_e(self):
-        """Aligned (inequality-form branch, slack-form branch) analyses: the
-        slack branch restricted to the first switching block."""
-        by_label = {ba.label: ba for ba in self.formulations[ABS_I].branches}
-        s = self.program.s
-        return [
-            (by_label[SignatureVector(ba.spec.signs[:s]).label()], ba)
-            for ba in self.formulations[ABS_E].branches
-        ]
+    def formulation(self, key: str) -> FormulationAnalysis:
+        """The branches of formulation ``key``, analyzed on first read."""
+        if key not in self._analyses:
+            self._analyses[key] = self._analyze(key)
+        return self._analyses[key]
 
+    def _analyze(self, key: str) -> FormulationAnalysis:
+        """Abs-i from the annotations; abs-e from abs-i by the lift, and each
+        counterpart from its abs-normal form by the transport, wherever a
+        branch cannot certify its own tangent cone.  The source comes first,
+        so its annotations are checked before this formulation's cap."""
+        p = self.program
+        source = {ABS_E: ABS_I, MPCC_I: ABS_I, MPCC_E: ABS_E}.get(key)
+        source_branches = self.formulation(source).branches if source else ()
+        lin = (linearize_anf if key in (ABS_I, ABS_E) else linearize_mpcc)(*self.anchor(key))
+        specs = lin.specs(self.branch_cap)
+        if key == ABS_I:
+            branches = [analyze_branch(lin, spec, self.annotations.get(spec.label)) for spec in specs]
+        elif key == ABS_E:
+            by_label = {ba.label: ba for ba in source_branches}
+            # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
+            zeros = zero_vec(p.m2)
 
-def anchor_point(p: AbsNormalProgram, t, w_signs: tuple[int, ...] | None = None) -> PointAnalysis:
-    """The point, with no branch analyzed yet and the other formulations
-    anchored on first read.
+            def lift(row: Vec) -> Vec:
+                return row[: p.n_t] + zeros + row[p.n_t :] + zeros
 
-    Raises ``ValueError`` when the point is not feasible.  ``w_signs`` chooses
-    the slack representative (default nonnegative).
-    """
-    e = evaluate(p, t)
-    if not e.is_feasible():
-        raise ValueError("point is not feasible")
-    return PointAnalysis(p, e, w_signs)
+            branches = [
+                _carry(analyze_branch(lin, spec), by_label[SignatureVector(spec.signs[: p.s]).label()], "lift", lift)
+                for spec in specs
+            ]
+        else:
+            # the split (x, z) -> (x, u, v) has the left inverse (x, u, v) -> (x, u - v)
+            def transport(row: Vec) -> Vec:
+                return row + vec_neg(row[lin.n_x :])
+
+            branches = []
+            for anf_ba, spec in zip(source_branches, specs, strict=True):
+                if anf_ba.spec.signs != spec.signs:
+                    raise RuntimeError(f"branch {spec.label} does not align with its abs-normal branch")
+                branches.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", transport))
+        return FormulationAnalysis(key, lin.dim, tuple(branches))
 
 
 def analyze_point(
@@ -346,55 +369,17 @@ def analyze_point(
     w_signs: tuple[int, ...] | None = None,
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> PointAnalysis:
-    """Anchor the point in the four formulations and analyze their branches.
+    """The point, with each formulation analyzed on first read.
 
-    ``annotations`` maps inequality-form branch labels to trusted tangent
-    unions; they are transported to the other three formulations along the
-    branch homeomorphisms whenever a branch cannot certify its own tangent
-    cone.  ``w_signs`` chooses the slack representative (default nonnegative).
+    Raises ``ValueError`` when the point is not feasible.  ``annotations`` are
+    carried to the other three formulations along the branch homeomorphisms
+    whenever a branch cannot certify its own tangent cone.  ``w_signs``
+    chooses the slack representative (default nonnegative).
     """
-    pa = anchor_point(p, t, w_signs)
-    annotations = annotations or {}
-    lins = {
-        key: (linearize_anf if key in (ABS_I, ABS_E) else linearize_mpcc)(*pa.anchor(key))
-        for key in FORMULATIONS
-    }
-    abs_i = [
-        analyze_branch(lins[ABS_I], spec, annotations.get(spec.label))
-        for spec in lins[ABS_I].specs(branch_cap)
-    ]
-    abs_i_by_label = {ba.label: ba for ba in abs_i}
-    # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
-    zeros = zero_vec(p.m2)
-
-    def lift(row: Vec) -> Vec:
-        return row[: p.n_t] + zeros + row[p.n_t :] + zeros
-
-    abs_e = []
-    for spec in lins[ABS_E].specs(branch_cap):
-        base = abs_i_by_label[SignatureVector(spec.signs[: p.s]).label()]
-        abs_e.append(_carry(analyze_branch(lins[ABS_E], spec), base, "lift", lift))
-
-    def mpcc_side(key: str, anf_analyses: list[BranchAnalysis]) -> list[BranchAnalysis]:
-        lin = lins[key]
-
-        # the split (x, z) -> (x, u, v) has the left inverse (x, u, v) -> (x, u - v)
-        def transport(row: Vec) -> Vec:
-            return row + vec_neg(row[lin.n_x :])
-
-        out = []
-        for anf_ba, spec in zip(anf_analyses, lin.specs(branch_cap), strict=True):
-            if anf_ba.spec.signs != spec.signs:
-                raise RuntimeError(f"branch {spec.label} does not align with its abs-normal branch")
-            out.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", transport))
-        return out
-
-    analyses = {ABS_I: abs_i, ABS_E: abs_e, MPCC_I: mpcc_side(MPCC_I, abs_i), MPCC_E: mpcc_side(MPCC_E, abs_e)}
-    # filled in place, so the anchors built above stay cached on ``pa``
-    pa.formulations.update(
-        (key, FormulationAnalysis(key, lins[key].dim, tuple(analyses[key]))) for key in FORMULATIONS
-    )
-    return pa
+    e = evaluate(p, t)
+    if not e.is_feasible():
+        raise ValueError("point is not feasible")
+    return PointAnalysis(p, e, w_signs, annotations or {}, branch_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +449,12 @@ def verify_relations(
     proved implication; one-sided results are only tested in the proved
     direction, with the converse observation logged as data."""
     kink: dict[tuple[str, str], CQVerdict] = {
-        (which, key): decide_kink_cq(pa.formulations[key], which)
+        (which, key): decide_kink_cq(pa.formulation(key), which)
         for key in FORMULATIONS
         for which in ("abadie", "guignard")
     }
     branch_verdicts: dict[str, list[tuple[CQVerdict, CQVerdict]]] = {
-        key: [(check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in pa.formulations[key].branches]
+        key: [(check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in pa.formulation(key).branches]
         for key in FORMULATIONS
     }
     arrows: list[RelationArrow] = []
@@ -522,8 +507,9 @@ def verify_relations(
     for abs_key, mpcc_key in ((ABS_I, MPCC_I), (ABS_E, MPCC_E)):
         for a_pair, m_pair in zip(branch_verdicts[abs_key], branch_verdicts[mpcc_key], strict=True):
             branch_iffs(abs_key, a_pair, mpcc_key, m_pair)
-    # branch_pairs_i_to_e follows the abs-e branch order
+    # each abs-e branch against the abs-i branch of its first switching block
     i_by_label = {pair[0].branch: pair for pair in branch_verdicts[ABS_I]}
-    for (base_ba, _), e_pair in zip(pa.branch_pairs_i_to_e(), branch_verdicts[ABS_E], strict=True):
-        branch_iffs(ABS_I, i_by_label[base_ba.label], ABS_E, e_pair)
+    s = pa.program.s
+    for ba, e_pair in zip(pa.formulation(ABS_E).branches, branch_verdicts[ABS_E], strict=True):
+        branch_iffs(ABS_I, i_by_label[SignatureVector(ba.spec.signs[:s]).label()], ABS_E, e_pair)
     return RelationReport(tuple(arrows)), kink, branch_verdicts

@@ -278,7 +278,7 @@ def test_criterion_4_homeomorphism_suite():
             # both enumerations refine the same base signature in the same order
             anf_key, mpcc_key = (ABS_E, MPCC_E) if slack_form else (ABS_I, MPCC_I)
             for anf_ba, mpcc_ba in zip(
-                pa.formulations[anf_key].branches, pa.formulations[mpcc_key].branches, strict=True
+                pa.formulation(anf_key).branches, pa.formulation(mpcc_key).branches, strict=True
             ):
                 mp = pa.slack_mpcc if slack_form else pa.mpcc
                 split = split_direction_matrix(mp.n_x, mp.s, mpcc_ba.spec)
@@ -338,29 +338,29 @@ def test_criterion_6_counterexample_behavior():
     by_name = {pf.name: (pf, point, pa) for pf, point, pa in CASES if point.label == "origin"}
 
     pf, point, pa = by_name["E3"]
-    akq = decide_kink_cq(pa.formulations[ABS_I], "abadie")
-    gkq = decide_kink_cq(pa.formulations[ABS_I], "guignard")
+    akq = decide_kink_cq(pa.formulation(ABS_I), "abadie")
+    gkq = decide_kink_cq(pa.formulation(ABS_I), "guignard")
     assert akq.status == FAILS and akq.witness is not None
     assert gkq.status == FAILS and gkq.witness is not None
     # the witnesses are explicit and re-checkable: the Abadie witness is a
     # linearized direction outside every tangent piece, the Guignard witness a
     # dual vector of the tangent union violating the linearized dual
     w = akq.witness
-    fa = pa.formulations[ABS_I]
+    fa = pa.formulation(ABS_I)
     assert any(ba.lin.contains_point(w) for ba in fa.branches)
     for ba in fa.branches:
         for piece in ba.tangent_pieces:
             assert not piece.contains_point(w)
 
     pf, point, pa = by_name["E4"]
-    assert decide_kink_cq(pa.formulations[ABS_I], "abadie").status == FAILS
-    assert decide_kink_cq(pa.formulations[ABS_I], "guignard").status == HOLDS
+    assert decide_kink_cq(pa.formulation(ABS_I), "abadie").status == FAILS
+    assert decide_kink_cq(pa.formulation(ABS_I), "guignard").status == HOLDS
 
     for name in ("E1", "E2"):
         pf, point, pa = by_name[name]
         for key in (ABS_I, ABS_E, MPCC_I, MPCC_E):
-            assert decide_kink_cq(pa.formulations[key], "abadie").status == HOLDS
-            assert decide_kink_cq(pa.formulations[key], "guignard").status == HOLDS
+            assert decide_kink_cq(pa.formulation(key), "abadie").status == HOLDS
+            assert decide_kink_cq(pa.formulation(key), "guignard").status == HOLDS
     print(
         "\nACCEPTANCE 6 PASS: E3 fails Abadie+Guignard with explicit witnesses, "
         "E4 fails Abadie / holds Guignard, E1-E2 hold across the board"
@@ -393,7 +393,7 @@ def test_criterion_7_stationarity_equivalences():
         m_slack_mpcc = check_m_stationary_mpcc(pa.slack_mpcc, pa.slack_mpcc_point)
         assert m_slack.status == m_slack_mpcc.status
         if point.minimizer:
-            akq = decide_kink_cq(pa.formulations[ABS_I], "abadie")
+            akq = decide_kink_cq(pa.formulation(ABS_I), "abadie")
             if akq.status == HOLDS:
                 assert m_anf.status == HOLDS, f"{pf.name}: minimizer with AKQ not M-stationary"
                 minimizers += 1

@@ -4,6 +4,7 @@ import importlib.resources
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from absnormal import stationarity
 from absnormal.anf import evaluate
 from absnormal.cli import _ser_program, main, recheck_report
 from absnormal.cones import BranchLinearization, linearize_anf, linearize_mpcc
-from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_I, anchor_point
+from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, MPCC_I, PointAnalysis, analyze_point
 from absnormal.ratmath import KIND_FARKAS, zero_vec
 from absnormal.problemfile import (
     ProblemFileError,
@@ -467,18 +468,54 @@ def test_recheck_rebuilds_cones_from_the_problem_file(capsys):
         ]
 
 
-def test_recheck_analyzes_the_point_once_and_only_for_a_witness(tmp_path, capsys, monkeypatch):
-    import absnormal.cq
+def count_formulation_builds(monkeypatch) -> list:
+    """Record the key of every formulation a ``PointAnalysis`` analyzes, in
+    the order the analyses complete."""
+    built = []
+    analyze = PointAnalysis._analyze
 
+    def counted(pa, key):
+        fa = analyze(pa, key)
+        built.append(key)
+        return fa
+
+    monkeypatch.setattr(PointAnalysis, "_analyze", counted)
+    return built
+
+
+def test_recheck_analyzes_the_point_once_and_only_for_a_witness(tmp_path, capsys, monkeypatch):
     kinks = bench_kinks()
     kinks3 = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 3)))
-    calls = count_calls(monkeypatch, absnormal.cq, "analyze_point")
-    # seed-1 kinks3 has no witness: the command's own analysis only; E3 has witnesses
-    for problem, code, analyses in ((kinks3, 0, 1), ("E3", 1, 2)):
-        for command, *extra in (("check-cq", "--all"), ("verify-relations",)):
-            calls.clear()
-            out = run_cli(capsys, command, problem, "--point", "origin", *extra, "--recheck")[1]
-            assert (json.loads(out)["recheck"]["errors"], len(calls)) == ([], analyses), (problem, command)
+    built = count_formulation_builds(monkeypatch)
+    # the command reads every formulation once (the branch list); the recheck
+    # analyzes only the formulations its witnesses name: none on seed-1
+    # kinks3, all four on E3, and abs-i alone for the E3 gkq witness
+    for problem, argv, builds in (
+        (kinks3, ("check-cq", "--all"), 1),
+        (kinks3, ("verify-relations",), 1),
+        ("E3", ("check-cq", "--all"), 2),
+        ("E3", ("verify-relations",), 2),
+        ("E3", ("check-cq", "--gkq"), {ABS_I: 2, ABS_E: 1, MPCC_I: 1, MPCC_E: 1}),
+    ):
+        built.clear()
+        out = run_cli(capsys, argv[0], problem, "--point", "origin", *argv[1:], "--recheck")[1]
+        counts = {key: builds for key in FORMULATIONS} if isinstance(builds, int) else builds
+        assert (json.loads(out)["recheck"]["errors"], Counter(built)) == ([], counts), (problem, argv)
+
+
+def test_a_command_analyzes_only_the_formulations_it_prints(capsys, monkeypatch):
+    built = count_formulation_builds(monkeypatch)
+    for form, builds in ((ABS_I, [ABS_I]), (MPCC_E, [ABS_I, ABS_E, MPCC_E])):
+        built.clear()
+        code, out, err = run_cli(capsys, "cones", "E2", "--point", "origin", "--form", form)
+        assert (code, err, list(json.loads(out)["points"][0]["cones"])) == (0, "", [form])
+        assert built == builds, form
+    # E2's origin has 2 abs-i branches and 8 abs-e branches: the cap refuses
+    # only a formulation that the report reads
+    code, out, err = run_cli(capsys, "cones", "E2", "--point", "origin", "--form", ABS_I, "--branch-cap", "4")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "check-cq", "E2", "--point", "origin", "--akq", "--branch-cap", "4")
+    assert (code, out) == (3, "") and err.startswith("error: ")
 
 
 def test_check_cq_report_does_not_grow_with_the_cones(tmp_path, capsys):
@@ -526,6 +563,11 @@ MALFORMED = "malformed entry: "
         ),
         (("E3", "origin", "--gkq"), "gkq", "kind", None, MALFORMED + "field 'kind' missing"),
         (("E3", "origin", "--gkq"), "gkq", "witness", ["1", "0"], "witness has 2 entries, expected 3"),
+        (("E3", "origin", "--gkq"), "gkq", "kind", "x", "unknown kind 'x'"),
+        (("E3", "origin", "--gkq"), "gkq", "status", "x", "unknown status 'x'"),
+        (("E3", "origin", "--gkq"), "gkq", "status", "holds", "holds with a witness"),
+        (("E1", "shoulder", "--b"), "b-anf", "kind", "x", "unknown kind 'x'"),
+        (("E1", "shoulder", "--b"), "b-anf", "status", "x", "a B-stationarity verdict holds or fails, not 'x'"),
     ],
     ids=[
         "descent-int",
@@ -538,6 +580,11 @@ MALFORMED = "malformed entry: "
         "witness-float",
         "kind-missing",
         "witness-short",
+        "cq-kind-unknown",
+        "cq-status-unknown",
+        "cq-holds-with-witness",
+        "b-kind-unknown",
+        "b-status-unknown",
     ],
 )
 def test_malformed_verdict_entry_is_a_named_recheck_error(capsys, argv, name, field, value, message):
@@ -766,6 +813,19 @@ def test_b_recheck_at_an_infeasible_point_is_a_named_error(capsys):
     ]
 
 
+def test_m_recheck_at_an_infeasible_point_is_a_named_error(capsys):
+    # the multiplier systems are the point's too: an M verdict at a t that is
+    # not feasible is named as the B verdicts are
+    pf = load_corpus_problem("E1")
+    _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--m")
+    report = json.loads(out)
+    assert recheck_report(pf, report) == []
+    report["points"][0]["t"][1] = "7"
+    assert recheck_report(pf, report) == [
+        f"point shoulder {kind}: point is not feasible, so no branch rechecks" for kind in ("m-anf", "m-mpcc")
+    ]
+
+
 # wrong-type and wrong-length values, one of which replaces a report field
 WRONG_VALUES = (None, True, 0, "x", "1/0", [], ["1"], ["1"] * 7, [[]], {}, {"kind": "x"})
 
@@ -804,8 +864,8 @@ def test_stationarity_mutations_are_recheck_errors_never_exceptions(tmp_path, ca
                     mutations += 1
                     named += bool(errors)
     # some edits name nothing: a zero put for a zero, a deleted verdict, the
-    # case of an M Holds, an unknown kind or status
-    assert mutations == 1656 and named >= 1575
+    # case of an M Holds
+    assert mutations == 1656 and named >= 1590
 
 
 def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys):
@@ -854,7 +914,7 @@ def test_branches_rows_equal_the_oracle_branch_problems(tmp_path, capsys):
             problems.append((path, parse_problem(path)))
     rows = 0
     for problem, pf in problems:
-        anchored = [anchor_point(pf.program, point.t) for point in pf.points]
+        anchored = [analyze_point(pf.program, point.t) for point in pf.points]
         for key in FORMULATIONS:
             code, out, err = run_cli(capsys, "branches", problem, "--form", key)
             assert (code, err) == (0, "")
@@ -1028,7 +1088,7 @@ def test_descent_route_b_holds_end_to_end(tmp_path, capsys):
     path = write_problem(tmp_path, data)
     pf = parse_problem(path)
     report = b_report(capsys, path)
-    pa = anchor_point(pf.program, pf.points[0].t)
+    pa = analyze_point(pf.program, pf.points[0].t)
     lins = {"b-anf": linearize_anf(pf.program, pa.point_eval), "b-mpcc": linearize_mpcc(*pa.anchor(MPCC_I))}
     for kind, lin in lins.items():
         verdict = report["points"][0]["stationarity"][kind]

@@ -11,6 +11,7 @@ from absnormal.cq import (
     ABS_E,
     ABS_I,
     FAILS,
+    FORMULATIONS,
     HOLDS,
     MPCC_E,
     MPCC_I,
@@ -38,7 +39,7 @@ def branch_analyses(p, e, annotations=None):
 
 def kink_cq(p, e, which, annotations=None):
     """The kink-level verdict ``which`` on the inequality form at the point."""
-    return decide_kink_cq(analyze_point(p, e.t, annotations).formulations[ABS_I], which)
+    return decide_kink_cq(analyze_point(p, e.t, annotations).formulation(ABS_I), which)
 
 
 def kink_statuses(pa):
@@ -132,15 +133,15 @@ def test_mpcc_cq_matches_kink_cq(e1, e3, e4):
     # the full four-formulation analysis
     for p, annotations in ((e1, None), (e3, e3_annotations()), (e4, e4_annotations())):
         pa = analyze_point(p, [0, 0], annotations)
-        akq = decide_kink_cq(pa.formulations[ABS_I], "abadie")
-        macq = decide_kink_cq(pa.formulations[MPCC_I], "abadie")
+        akq = decide_kink_cq(pa.formulation(ABS_I), "abadie")
+        macq = decide_kink_cq(pa.formulation(MPCC_I), "abadie")
         assert akq.status == macq.status
 
 
 def test_mpcc_gcq_e4_holds_while_acq_fails(e4):
     pa = analyze_point(e4, [0, 0], e4_annotations())
-    assert decide_kink_cq(pa.formulations[MPCC_I], "abadie").status == FAILS
-    assert decide_kink_cq(pa.formulations[MPCC_I], "guignard").status == HOLDS
+    assert decide_kink_cq(pa.formulation(MPCC_I), "abadie").status == FAILS
+    assert decide_kink_cq(pa.formulation(MPCC_I), "guignard").status == HOLDS
 
 
 def test_check_mpcc_cq_standalone(e1):
@@ -148,7 +149,7 @@ def test_check_mpcc_cq_standalone(e1):
     pa = analyze_point(e1, e.t)
     # the counterpart formulation is the counterpart of the program at the point
     assert pa.anchor(MPCC_I) == (to_mpcc(e1), mpcc_point_from_eval(e))
-    fa = pa.formulations[MPCC_I]
+    fa = pa.formulation(MPCC_I)
     assert decide_kink_cq(fa, "abadie").status == HOLDS
     assert decide_kink_cq(fa, "guignard").status == HOLDS
 
@@ -229,7 +230,7 @@ def test_annotation_lift_through_slack_form():
     assert kink[("abadie", ABS_I)].status == FAILS
     assert kink[("abadie", ABS_E)].status == FAILS
     assert kink[("abadie", MPCC_E)].status == FAILS
-    for ba in pa.formulations[ABS_E].branches:
+    for ba in pa.formulation(ABS_E).branches:
         assert ba.tangent_known
         assert ba.tangent_source.startswith("lift:")
 
@@ -247,14 +248,15 @@ def test_tangent_pieces_are_carried_only_to_branches_that_cannot_certify(e2, e3,
         return out
 
     monkeypatch.setattr(absnormal.cq, "_carry", counted)
+    # each formulation is analyzed, and its pieces carried, when first read
     # E2: every branch is affine, so no piece is lifted or transported
-    pa = analyze_point(e2, [0, 0])
+    analyses = list(map(analyze_point(e2, [0, 0]).formulation, FORMULATIONS))
     assert carried == []
-    assert all(ba.tangent_source == "affine" for fa in pa.formulations.values() for ba in fa.branches)
+    assert all(ba.tangent_source == "affine" for fa in analyses for ba in fa.branches)
     # E3: no branch certifies itself, so each takes the annotation along its map
-    pa = analyze_point(e3, [0, 0], e3_annotations())
+    analyses = list(map(analyze_point(e3, [0, 0], e3_annotations()).formulation, FORMULATIONS))
     assert sorted(carried) == ["lift"] * 2 + ["transport"] * 4
-    sources = {key: {ba.tangent_source for ba in fa.branches} for key, fa in pa.formulations.items()}
+    sources = {fa.key: {ba.tangent_source for ba in fa.branches} for fa in analyses}
     assert sources == {
         ABS_I: {"annotation"},
         ABS_E: {"lift:annotation"},
@@ -269,8 +271,8 @@ def carried_against_references(p: AbsNormalProgram, pa) -> Counter:
     ``cone_image`` of the source piece under the branch's split map.  Returns
     the number of pieces checked per kind."""
     checked = Counter()
-    i_by_label = {ba.label: ba for ba in pa.formulations[ABS_I].branches}
-    for ba in pa.formulations[ABS_E].branches:
+    i_by_label = {ba.label: ba for ba in pa.formulation(ABS_I).branches}
+    for ba in pa.formulation(ABS_E).branches:
         if ba.tangent_source.startswith("lift:"):
             z_signs, w_signs = ba.spec.signs[: p.s], ba.spec.signs[p.s :]
             base = i_by_label[SignatureVector(z_signs).label()]
@@ -279,8 +281,8 @@ def carried_against_references(p: AbsNormalProgram, pa) -> Counter:
             assert all(map(cone_equal, ba.tangent_pieces, references)), ba.label
             checked["lift"] += len(references)
     for anf_key, mpcc_key in ((ABS_I, MPCC_I), (ABS_E, MPCC_E)):
-        fa = pa.formulations[mpcc_key]
-        for anf_ba, ba in zip(pa.formulations[anf_key].branches, fa.branches, strict=True):
+        fa = pa.formulation(mpcc_key)
+        for anf_ba, ba in zip(pa.formulation(anf_key).branches, fa.branches, strict=True):
             if ba.tangent_source.startswith("transport:"):
                 s = len(ba.spec.signs)
                 split = split_direction_matrix(fa.dim - 2 * s, s, ba.spec)
@@ -343,7 +345,7 @@ def test_carried_pieces_equal_their_references_on_random_programs():
         if not evaluate(p, zero_vec(p.n_t)).is_feasible():
             continue
         pa = analyze_point(p, zero_vec(p.n_t), random_annotations(p, rng))
-        assert not any(ba.certificate.certified for fa in pa.formulations.values() for ba in fa.branches)
+        assert not any(ba.certificate.certified for fa in map(pa.formulation, FORMULATIONS) for ba in fa.branches)
         total += carried_against_references(p, pa)
         programs += 1
     assert total["lift"] >= 100 and total["transport"] >= 200, total

@@ -9,6 +9,7 @@ and every Fails witness must pass the report recheck.
 import dataclasses
 import functools
 import random
+import types
 
 from absnormal.cli import _reader, _recheck_kink_verdict, _ser
 from absnormal.cones import PolyCone, cone_contains, dual_cone
@@ -60,25 +61,25 @@ def reference_branch_guignard(ba) -> str:
     return HOLDS if cone_contains(_dual(ba.lin), tangent_dual) else FAILS
 
 
-def recheck(key: str, verdict, fa) -> list[str]:
-    """The recheck errors of ``verdict`` on formulation ``key``, read back
-    from its report entry."""
+def recheck(key: str, verdict, pa) -> list[str]:
+    """The recheck errors of ``verdict`` on formulation ``key`` of ``pa``,
+    read back from its report entry."""
     entry = _reader(CQVerdict)(_ser(verdict))
     assert entry == verdict
-    return _recheck_kink_verdict(key, entry, key, fa)
+    return _recheck_kink_verdict(key, entry, key, pa)
 
 
 def assert_agrees(pa, seen: set) -> None:
     for key in FORMULATIONS:
-        fa = pa.formulations[key]
+        fa = pa.formulation(key)
         verdict = decide_kink_cq(fa, "guignard")
         assert verdict.status == reference_kink_guignard(fa), (key, verdict)
-        assert recheck(key, verdict, fa) == []
+        assert recheck(key, verdict, pa) == []
         seen.add(("kink", verdict.status))
         for ba in fa.branches:
             verdict = check_branch_cq(ba, "gcq")
             assert verdict.status == reference_branch_guignard(ba), (key, ba.label, verdict)
-            assert recheck(key, verdict, fa) == []
+            assert recheck(key, verdict, pa) == []
             seen.add(("branch", verdict.status))
 
 
@@ -88,9 +89,11 @@ def _small_row(rng: random.Random, dim: int):
 
 def with_trusted_knowledge(pa, rng: random.Random):
     """The same point with some branches uncertified and some annotated by
-    pieces of their linearized cone (cut by a hyperplane or a halfspace each)."""
+    pieces of their linearized cone (cut by a hyperplane or a halfspace each),
+    as a stand-in that reads only ``formulation(key)``."""
     formulations = {}
-    for key, fa in pa.formulations.items():
+    for key in FORMULATIONS:
+        fa = pa.formulation(key)
         branches = []
         for ba in fa.branches:
             roll = rng.random()
@@ -105,7 +108,7 @@ def with_trusted_knowledge(pa, rng: random.Random):
                 ba = dataclasses.replace(ba, tangent_pieces=tuple(pieces), tangent_source="annotation")
             branches.append(ba)
         formulations[key] = dataclasses.replace(fa, branches=tuple(branches))
-    return dataclasses.replace(pa, formulations=formulations)
+    return types.SimpleNamespace(formulation=formulations.__getitem__)
 
 
 def test_guignard_agrees_with_dual_reference_on_corpus():
