@@ -330,7 +330,6 @@ class PointAnalysis:
         counterpart from its abs-normal form by the transport, wherever a
         branch cannot certify its own tangent cone.  The source comes first,
         so its annotations are checked before this formulation's cap."""
-        p = self.program
         source = {ABS_E: ABS_I, MPCC_I: ABS_I, MPCC_E: ABS_E}.get(key)
         source_branches = self.formulation(source).branches if source else ()
         lin = (linearize_anf if key in (ABS_I, ABS_E) else linearize_mpcc)(*self.anchor(key))
@@ -340,7 +339,7 @@ class PointAnalysis:
         elif key == ABS_E:
             by_label = {ba.label: ba for ba in source_branches}
             # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
-            zeros = zero_vec(p.m2)
+            p, zeros = self.program, zero_vec(self.program.m2)
 
             def lift(row: Vec) -> Vec:
                 return row[: p.n_t] + zeros + row[p.n_t :] + zeros
