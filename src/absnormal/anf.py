@@ -72,31 +72,27 @@ class QuadraticFunc:
             g = vec_add(g, tuple(2 * y for y in self.quadratic.mat_vec(x)))
         return g
 
-    def embed(self, new_dim: int, positions: tuple[int, ...]) -> "QuadraticFunc":
-        """Same function over a larger block; old variable i sits at ``positions[i]``."""
+    def embed(self, new_dim: int, positions) -> "QuadraticFunc":
+        """Same function over a larger block; old variable i sits at
+        ``positions[i]``, a position or a tuple of positions.  A variable at
+        several positions is the sum of the variables there, so each of its
+        coefficients is placed at every one of them."""
         if len(positions) != self.dim:
             raise ProgramError("need one position per variable")
+        spots = [p if isinstance(p, tuple) else (p,) for p in positions]
         linear = [ZERO] * new_dim
-        for i, p in enumerate(positions):
-            linear[p] += self.linear[i]
+        for x, ps in zip(self.linear, spots):
+            for p in ps:
+                linear[p] += x
         quad = None
         if self.quadratic is not None and not self.quadratic.is_zero():
             rows = [[ZERO] * new_dim for _ in range(new_dim)]
-            for i, pi in enumerate(positions):
-                for j, pj in enumerate(positions):
-                    rows[pi][pj] += self.quadratic.entry(i, j)
-            quad = RatMatrix.from_rows(rows, new_dim)
+            for row, pis in zip(self.quadratic.rows, spots):
+                for x, pjs in zip(row, spots):
+                    for pi, pj in itertools.product(pis, pjs) if x else ():
+                        rows[pi][pj] += x
+            quad = RatMatrix(tuple(map(tuple, rows)), new_dim)
         return QuadraticFunc(new_dim, self.constant, tuple(linear), quad)
-
-    def compose_linear(self, m: RatMatrix) -> "QuadraticFunc":
-        """The function ``y -> f(m y)`` (m has ``dim`` rows)."""
-        if m.n_rows != self.dim:
-            raise ProgramError("substitution matrix must have one row per variable")
-        linear = m.transpose().mat_vec(self.linear)
-        quad = None
-        if self.quadratic is not None and not self.quadratic.is_zero():
-            quad = m.transpose().mat_mul(self.quadratic).mat_mul(m)
-        return QuadraticFunc(m.cols, self.constant, linear, quad)
 
     def add_linear(self, extra: Vec, constant=ZERO) -> "QuadraticFunc":
         return QuadraticFunc(self.dim, self.constant + constant, vec_add(self.linear, extra), self.quadratic)

@@ -168,13 +168,9 @@ def _generators_cached(
     dim: int, eq: tuple[IntVec, ...], ineq: tuple[IntVec, ...]
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """The generators of the cone with primitive integer rows ``eq`` and
-    ``ineq``: keyed by the rows, equal cones share one double description."""
-    rays, lin = cone_generators(dim, eq, ineq)
-    # both are primitive integer vectors: keep the numerators only
-    return (
-        tuple(tuple(x.numerator for x in r) for r in rays),
-        tuple(tuple(x.numerator for x in l) for l in lin),
-    )
+    ``ineq``: keyed by the rows, equal cones share one double description.
+    ``cone_generators`` is read at each call, so a rebinding sees every miss."""
+    return cone_generators(dim, eq, ineq)
 
 
 def dual_cone(cone: PolyCone) -> PolyCone:
@@ -183,8 +179,8 @@ def dual_cone(cone: PolyCone) -> PolyCone:
 
     Only report output (``cones --dual``) builds duals; the Guignard deciders
     test conic-hull membership with ``hull_escape`` instead."""
-    eq, ineq = generators_to_hrep(cone.dim, cone.ineq_rows, cone.eq_rows)
-    return PolyCone(cone.dim, tuple(eq), tuple(ineq))
+    eq, ineq = cone.integer_rows()
+    return PolyCone.from_rows(cone.dim, *generators_to_hrep(cone.dim, ineq, eq))
 
 
 def dual_union(cones: list[PolyCone], dim: int) -> PolyCone:

@@ -135,22 +135,16 @@ def to_mpcc(p: AbsNormalProgram | SlackProgram) -> MpccProgram:
     require_valid(p)
     n_x, s = p.n_t, p.s
     dim = n_x + 2 * s
-    # block substitution (x, u, v) -> (x, u + v)
-    rows = [unit_vec(dim, i) for i in range(n_x)]
-    for i in range(s):
-        row = [ZERO] * dim
-        row[n_x + i] = ONE
-        row[n_x + s + i] = ONE
-        rows.append(tuple(row))
-    subs = RatMatrix.from_rows(rows, dim)
-    ce = tuple(func.compose_linear(subs) for func in p.c_e)
-    ci = tuple(func.compose_linear(subs) for func in p.c_i)
+    # block substitution (x, u, v) -> (x, u + v): zeta_i sits at u_i and at v_i
+    positions = tuple(range(n_x)) + tuple((n_x + i, n_x + s + i) for i in range(s))
+    ce = tuple(func.embed(dim, positions) for func in p.c_e)
+    ci = tuple(func.embed(dim, positions) for func in p.c_i)
     cz = []
     for i, func in enumerate(p.c_z):
         extra = [ZERO] * dim
         extra[n_x + i] = -ONE
         extra[n_x + s + i] = ONE
-        cz.append(func.compose_linear(subs).add_linear(tuple(extra)))
+        cz.append(func.embed(dim, positions).add_linear(tuple(extra)))
     return MpccProgram(
         base=p,
         n_x=n_x,

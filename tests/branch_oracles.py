@@ -14,6 +14,11 @@ the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
 certificate against a built cone, one column dot per coordinate.
 ``cone_equal`` is set equality of two cones, by containment both ways.
+``on_rational_rows`` runs an integer kernel of ``ratmath.dd`` on rational
+rows and reads its output back as ``Fraction`` vectors, the form the kernel
+took and gave before it worked on integers at its boundary.
+``compose_linear`` substitutes a dense matrix into a quadratic function: the
+reference for the position substitution ``transforms.to_mpcc`` makes.
 ``cone_image`` (by double description on the polar) and ``lift_tangent_piece``
 (from the constraint Jacobians) carry a tangent piece along the branch maps
 the slow, independent ways: the references for the pieces ``cq._carry`` makes
@@ -53,6 +58,7 @@ from absnormal.ratmath import (
     Vec,
     dot,
     generators_to_hrep,
+    primitive_integer,
     unit_vec,
     vec,
     vec_add,
@@ -83,6 +89,17 @@ class SmoothBranchProblem:
         return all(func.value(self.anchor) == 0 for func in self.eqs) and all(
             func.value(self.anchor) >= 0 for func in self.ineqs
         )
+
+
+def compose_linear(func: QuadraticFunc, m: RatMatrix) -> QuadraticFunc:
+    """The function ``y -> func(m y)`` (m has ``func.dim`` rows)."""
+    if m.n_rows != func.dim:
+        raise ProgramError("substitution matrix must have one row per variable")
+    linear = m.transpose().mat_vec(func.linear)
+    quad = None
+    if func.quadratic is not None and not func.quadratic.is_zero():
+        quad = m.transpose().mat_mul(func.quadratic).mat_mul(m)
+    return QuadraticFunc(m.cols, func.constant, linear, quad)
 
 
 def flip_signs(func: QuadraticFunc, signs: tuple[int, ...]) -> QuadraticFunc:
@@ -242,8 +259,17 @@ def cone_image(cone: PolyCone, m: RatMatrix) -> PolyCone:
     if m.cols != cone.dim:
         raise ValueError("matrix width must match cone dimension")
     rays, lin = cone.generators()
-    eq, ineq = generators_to_hrep(m.n_rows, [vec(m.mat_vec(r)) for r in rays], [vec(m.mat_vec(l)) for l in lin])
+    eq, ineq = on_rational_rows(generators_to_hrep, m.n_rows, map(m.mat_vec, rays), map(m.mat_vec, lin))
     return PolyCone(m.n_rows, tuple(eq), tuple(ineq))
+
+
+def on_rational_rows(kernel, dim: int, first, second) -> tuple[list[Vec], list[Vec]]:
+    """``kernel(dim, first, second)``, for ``cone_generators`` or
+    ``generators_to_hrep`` of ``ratmath.dd``, on rational rows: each input
+    row scaled to its primitive integer row, and the two outputs as lists of
+    ``Fraction`` vectors."""
+    out = kernel(dim, [primitive_integer(r) for r in first], [primitive_integer(r) for r in second])
+    return tuple([vec(v) for v in part] for part in out)
 
 
 def lift_tangent_piece(

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from absnormal import cones as cones_module
 from absnormal.anf import QuadraticFunc, evaluate
 from absnormal.cones import (
     PolyCone,
@@ -285,6 +286,28 @@ def test_cone_image_maps_branch_cone_between_forms(e1):
         mpcc_cone = lin_cone_branch(mb)
         m = split_direction_matrix(mp.n_x, mp.s, mb.spec)
         assert cone_equal(cone_image(anf_cone, m), mpcc_cone)
+
+
+def test_generators_call_the_module_kernel_once_per_distinct_cone(monkeypatch):
+    # the benchmark tracer counts double descriptions by rebinding the module
+    # attribute cones.cone_generators, so the generator cache must call that
+    # attribute on every miss and nothing on a hit
+    calls = []
+    kernel = cones_module.cone_generators
+
+    def counting(dim, eq, ineq):
+        calls.append(dim)
+        return kernel(dim, eq, ineq)
+
+    monkeypatch.setattr(cones_module, "cone_generators", counting)
+    cones_module._generators_cached.cache_clear()
+    first = cone(3, eq=[[1, 1, 0]], ineq=[[1, 0, 0], [0, "1/2", 1]])
+    generators = first.generators()
+    assert calls == [3]
+    second = cone(3, eq=[[1, 1, 0]], ineq=[[1, 0, 0], [0, "1/2", 1]])
+    assert second is not first and second == first
+    assert second.generators() == generators
+    assert calls == [3]
 
 
 def test_zero_cone_is_covered_by_anything():

@@ -26,7 +26,7 @@ from absnormal.cq import (
 from absnormal.ratmath import RatMatrix, generators_to_hrep, vec, zero_vec
 from absnormal.transforms import mpcc_point_from_eval, split_direction_matrix, to_mpcc
 
-from branch_oracles import cone_equal, cone_image, lift_tangent_piece
+from branch_oracles import cone_equal, cone_image, lift_tangent_piece, on_rational_rows
 from conftest import e3_annotations, e4_annotations, random_affine_program
 
 
@@ -327,7 +327,7 @@ def random_annotations(p: AbsNormalProgram, rng: random.Random) -> dict[str, tup
             rays, lineality = cone.generators()
             if rng.random() < 0.5 and rays:
                 kept = [vec(r) for r in rays if rng.random() < 0.7]
-                eq, ineq = generators_to_hrep(cone.dim, kept, [vec(l) for l in lineality])
+                eq, ineq = on_rational_rows(generators_to_hrep, cone.dim, kept, lineality)
                 pieces.append(PolyCone(cone.dim, tuple(eq), tuple(ineq)))
             else:
                 row = [rng.randint(-1, 1) for _ in range(cone.dim)]

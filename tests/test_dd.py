@@ -1,4 +1,12 @@
+"""The double description on small cones whose generators are known by hand.
+
+The kernel takes and gives integer vectors; ``on_rational_rows`` gives it the
+rational rows of these cases and reads its output back as ``Fraction``
+vectors.  The kernel's own contract is tested in ``test_dd_reference``."""
+
 import random
+
+from branch_oracles import on_rational_rows
 
 from absnormal.ratmath import (
     cone_generators,
@@ -10,7 +18,11 @@ from absnormal.ratmath import (
 
 
 def gens(dim, eq=(), ineq=()):
-    return cone_generators(dim, [vec(r) for r in eq], [vec(r) for r in ineq])
+    return on_rational_rows(cone_generators, dim, [vec(r) for r in eq], [vec(r) for r in ineq])
+
+
+def hrep(dim, rays, lineality):
+    return on_rational_rows(generators_to_hrep, dim, rays, lineality)
 
 
 def test_nonnegative_orthant_rays():
@@ -40,20 +52,20 @@ def test_full_space_and_zero_cone():
 
 
 def test_vrep_roundtrip_orthant():
-    eq, ineq = generators_to_hrep(2, [vec([1, 0]), vec([0, 1])], [])
+    eq, ineq = hrep(2, [vec([1, 0]), vec([0, 1])], [])
     assert eq == []
     assert sorted(ineq) == [vec([0, 1]), vec([1, 0])]
 
 
 def test_vrep_of_line():
     # span{(1,1)} has H-representation d1 - d2 = 0
-    eq, ineq = generators_to_hrep(2, [], [vec([1, 1])])
+    eq, ineq = hrep(2, [], [vec([1, 1])])
     assert ineq == []
     assert eq == [vec([1, -1])]
 
 
 def test_vrep_of_no_generators_is_zero_cone():
-    eq, ineq = generators_to_hrep(2, [], [])
+    eq, ineq = hrep(2, [], [])
     assert ineq == []
     assert sorted(eq) == [vec([0, 1]), vec([1, 0])]
 
@@ -72,18 +84,18 @@ def test_hrep_vrep_roundtrip_random_cones():
         n_ineq = rng.randint(0, 8)
         eq = [vec([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(n_eq)]
         ineq = [vec([rng.randint(-2, 2) for _ in range(dim)]) for _ in range(n_ineq)]
-        rays, lin = cone_generators(dim, eq, ineq)
+        rays, lin = gens(dim, eq, ineq)
         for r in rays:
             assert _contains(dim, eq, ineq, r)
             assert not is_zero_vec(r)
         for l in lin:
             assert _contains(dim, eq, ineq, l)
             assert _contains(dim, eq, ineq, tuple(-x for x in l))
-        eq2, ineq2 = generators_to_hrep(dim, rays, lin)
+        eq2, ineq2 = hrep(dim, rays, lin)
         # every original generator satisfies the reconstructed rows
         for g in rays + lin:
             assert _contains(dim, eq2, ineq2, g)
-        rays2, lin2 = cone_generators(dim, eq2, ineq2)
+        rays2, lin2 = gens(dim, eq2, ineq2)
         # and the reconstructed generators satisfy the original rows
         for g in rays2 + lin2:
             assert _contains(dim, eq, ineq, g)

@@ -2,17 +2,24 @@
 
 ``rational_cone_generators`` is the ``Fraction`` kernel that ``ratmath.dd``
 used before its rays and lineality vectors became integer vectors, kept here
-unchanged but for its name as the reference.  Equal ``repr`` of the returned
-``(rays, lineality)`` lists means the integer kernel took the same pivots and
-picked the same ray representatives, down to the types of the entries.  The
+unchanged but for its name as the reference.  The kernel now takes integer
+rows and gives primitive integer vectors: run on rational rows through
+``on_rational_rows``, equal ``repr`` of the returned ``(rays, lineality)``
+lists means the integer kernel took the same pivots and picked the same ray
+representatives, down to the types of the entries; run on integer rows, its
+output is the reference's numerators, every entry an ``int``, whatever
+positive integer scales the rows.  The
 integer membership tests of ``cones`` and ``cli`` are checked against the
 rational ``PolyCone.contains_point`` the same way, and the row test that
 ``cone_contains`` tries first against containment of the reference
 generators.
 """
 
+import functools
 import random
 from fractions import Fraction
+
+from branch_oracles import on_rational_rows
 
 from absnormal.cli import _escapes_dual
 from absnormal.cones import PolyCone, _rows_contain, cone_contains
@@ -172,13 +179,22 @@ def _signed(rays, lineality):
         yield tuple(-x for x in l)
 
 
-def test_integer_kernel_matches_rational_reference():
+@functools.cache
+def seeded_cones() -> list[tuple[int, list[Vec], list[Vec], tuple[list[Vec], list[Vec]]]]:
+    """2,400 seeded random cones ``(dim, eq, ineq)``, each with its reference generators."""
     rng = random.Random(20261018)
-    shapes = {"pointed": 0, "lineality only": 0, "rays and lineality": 0}
-    for trial in range(2400):
+    cones = []
+    for _ in range(2400):
         dim, eq, ineq = random_cone_rows(rng)
-        result = cone_generators(dim, eq, ineq)
-        assert repr(result) == repr(rational_cone_generators(dim, eq, ineq)), (trial, dim, eq, ineq)
+        cones.append((dim, eq, ineq, rational_cone_generators(dim, eq, ineq)))
+    return cones
+
+
+def test_integer_kernel_matches_rational_reference():
+    shapes = {"pointed": 0, "lineality only": 0, "rays and lineality": 0}
+    for trial, (dim, eq, ineq, reference) in enumerate(seeded_cones()):
+        result = on_rational_rows(cone_generators, dim, eq, ineq)
+        assert repr(result) == repr(reference), (trial, dim, eq, ineq)
         rays, lineality = result
         if not lineality:
             shapes["pointed"] += 1
@@ -194,7 +210,46 @@ def test_integer_kernel_matches_on_integer_rows():
     for _ in range(300):
         dim, eq, ineq = random_cone_rows(rng)
         as_ints = ([primitive_integer(r) for r in eq], [primitive_integer(r) for r in ineq])
-        assert repr(cone_generators(dim, *as_ints)) == repr(rational_cone_generators(dim, eq, ineq))
+        assert repr(on_rational_rows(cone_generators, dim, *as_ints)) == repr(rational_cone_generators(dim, eq, ineq))
+
+
+def _numerators(vectors: list[Vec]) -> tuple[tuple[int, ...], ...]:
+    assert all(x.denominator == 1 for v in vectors for x in v)
+    return tuple(tuple(x.numerator for x in v) for v in vectors)
+
+
+def _scaled(rng: random.Random, rows) -> list[tuple[int, ...]]:
+    """Each integer row times its own random positive integer."""
+    out = []
+    for r in rows:
+        c = rng.randint(1, 12)
+        out.append(tuple(c * x for x in r))
+    return out
+
+
+def _all_int(result) -> bool:
+    return all(type(x) is int for part in result for v in part for x in v)
+
+
+def test_integer_kernel_contract():
+    # integer rows in, tuples of primitive integer tuples out: the reference's
+    # numerators, unchanged by a positive factor on any input row
+    rng = random.Random(2026)
+    scaled_rows = 0
+    for trial, (dim, eq, ineq, (rays, lineality)) in enumerate(seeded_cones()):
+        eq_ints, ineq_ints = [primitive_integer(r) for r in eq], [primitive_integer(r) for r in ineq]
+        result = cone_generators(dim, eq_ints, ineq_ints)
+        assert type(result) is tuple and all(type(part) is tuple for part in result)
+        assert all(type(v) is tuple for part in result for v in part)
+        assert _all_int(result), (trial, result)
+        assert result == (_numerators(rays), _numerators(lineality)), (trial, dim, eq, ineq)
+        eq_scaled, ineq_scaled = _scaled(rng, eq_ints), _scaled(rng, ineq_ints)
+        scaled_rows += (eq_scaled != eq_ints) + (ineq_scaled != ineq_ints)
+        assert cone_generators(dim, eq_scaled, ineq_scaled) == result, (trial, dim, eq_scaled, ineq_scaled)
+        # the polar conversion has the same contract
+        hrep = generators_to_hrep(dim, ineq_ints, eq_ints)
+        assert _all_int(hrep) and hrep == generators_to_hrep(dim, ineq_scaled, eq_scaled), (trial, dim, eq, ineq)
+    assert scaled_rows >= 2000, scaled_rows
 
 
 def test_generators_to_hrep_matches_rational_reference():
@@ -204,7 +259,7 @@ def test_generators_to_hrep_matches_rational_reference():
         rays = random_rows(rng, dim, rng.randint(0, min(dim + 2, 8)))
         lineality = random_rows(rng, dim, rng.choice((0, 0, 1, 2)))
         polar_rays, polar_lin = rational_cone_generators(dim, eq_rows=lineality, ineq_rows=rays)
-        result = generators_to_hrep(dim, rays, lineality)
+        result = on_rational_rows(generators_to_hrep, dim, rays, lineality)
         assert repr(result) == repr((polar_lin, polar_rays)), (trial, dim, rays, lineality)
 
 

@@ -12,6 +12,9 @@ under ``src/absnormal`` either.  Naming ``float`` to reject it, as
 No module imports a name it never uses; an ``__init__`` re-exports what it
 imports, so it is exempt.  ``UNUSED_IMPORTS_ALLOWED`` lists the exceptions,
 each with its reason.
+
+The double description kernel ``ratmath/dd.py`` takes and gives integer
+vectors, so it imports nothing that makes a ``Fraction``.
 """
 
 import ast
@@ -87,6 +90,33 @@ def test_package_source_has_no_floats():
 def test_package_source_imports_only_what_it_uses():
     sites = [site for path in _modules() if path.name != "__init__.py" for site in _unused_import_sites(path)]
     assert sites == []
+
+
+# what the integer double description kernel must not import
+RATIONAL_IMPORTS = {"fractions", "rat", "vec", "primitive"}
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every module and name the file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_double_description_kernel_imports_no_rationals():
+    path = Path(absnormal.__file__).parent / "ratmath" / "dd.py"
+    assert _imported_names(path) & RATIONAL_IMPORTS == set()
+
+
+def test_imported_names_are_found(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import fractions\nfrom .matrix import vec, integer_rank as rank\nfrom fractions import Fraction\n")
+    assert _imported_names(probe) & RATIONAL_IMPORTS == {"fractions", "vec"}
 
 
 def test_assertion_sites_are_found(tmp_path):

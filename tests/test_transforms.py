@@ -9,6 +9,7 @@ from absnormal.ratmath import ZERO, RatMatrix, rat, unit_vec, vec, vec_neg
 from absnormal.transforms import (
     BranchLimitError,
     BranchSpec,
+    MpccProgram,
     branch_correspondence,
     branch_specs,
     enumerate_branches,
@@ -24,6 +25,7 @@ from absnormal.transforms import (
 from branch_oracles import (
     SmoothBranchProblem,
     anf_branches,
+    compose_linear,
     flip_signs,
     merge_direction,
     mpcc_branches,
@@ -219,10 +221,10 @@ def composed_anf_branch(p: AbsNormalProgram, e, spec: BranchSpec) -> SmoothBranc
     """Reference: the branch problem by dense composition with the signature matrix."""
     dim = p.block_dim
     subs = branch_signature_matrix(p, spec.signs)
-    eqs = [func.compose_linear(subs) for func in p.c_e]
+    eqs = [compose_linear(func, subs) for func in p.c_e]
     for i, func in enumerate(p.c_z):
-        eqs.append(func.compose_linear(subs).add_linear(vec_neg(unit_vec(dim, p.n_t + i))))
-    ineqs = [func.compose_linear(subs) for func in p.c_i]
+        eqs.append(compose_linear(func, subs).add_linear(vec_neg(unit_vec(dim, p.n_t + i))))
+    ineqs = [compose_linear(func, subs) for func in p.c_i]
     for i in range(p.s):
         row = tuple(Fraction(spec.signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
         ineqs.append(QuadraticFunc.affine(dim, 0, row))
@@ -260,9 +262,66 @@ def test_flip_signs_equals_composition_with_the_sign_matrix():
         func = random_quadratic(rng, p.block_dim)
         signs = tuple(rng.choice((1, -1)) for _ in range(s))
         flipped = flip_signs(func, (1,) * n_t + signs)
-        assert flipped == func.compose_linear(branch_signature_matrix(p, signs))
+        assert flipped == compose_linear(func, branch_signature_matrix(p, signs))
         nonzero_quadratic += not flipped.is_affine()
     assert nonzero_quadratic > 100
+
+
+def composed_mpcc(p: AbsNormalProgram) -> MpccProgram:
+    """Reference: the counterpart by dense composition with the block map
+    (x, u, v) -> (x, u + v)."""
+    n_x, s = p.n_t, p.s
+    dim = n_x + 2 * s
+    rows = [unit_vec(dim, i) for i in range(n_x)]
+    rows += [tuple(Fraction(j in (n_x + i, n_x + s + i)) for j in range(dim)) for i in range(s)]
+    subs = RatMatrix.from_rows(rows, dim)
+    cz = []
+    for i, func in enumerate(p.c_z):
+        extra = [ZERO] * dim
+        extra[n_x + i], extra[n_x + s + i] = Fraction(-1), Fraction(1)
+        cz.append(compose_linear(func, subs).add_linear(tuple(extra)))
+    return MpccProgram(
+        base=p,
+        n_x=n_x,
+        s=s,
+        m1=p.m1,
+        m2=p.m2,
+        objective=p.f.embed(dim, tuple(range(n_x))),
+        ce_funcs=tuple(compose_linear(func, subs) for func in p.c_e),
+        ci_funcs=tuple(compose_linear(func, subs) for func in p.c_i),
+        cz_funcs=tuple(cz),
+    )
+
+
+def random_quadratic_program(rng: random.Random) -> AbsNormalProgram:
+    """A random valid program with quadratic rows: each switching row ``c_z[i]``
+    reads only ``t`` and ``zeta_0 .. zeta_{i-1}``."""
+    n_t, s, m1, m2 = rng.randint(0, 3), rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+    block = n_t + s
+    c_z = tuple(random_quadratic(rng, n_t + i).embed(block, tuple(range(n_t + i))) for i in range(s))
+    return AbsNormalProgram(
+        n_t=n_t,
+        s=s,
+        m1=m1,
+        m2=m2,
+        f=random_quadratic(rng, n_t),
+        c_e=tuple(random_quadratic(rng, block) for _ in range(m1)),
+        c_i=tuple(random_quadratic(rng, block) for _ in range(m2)),
+        c_z=c_z,
+    )
+
+
+def test_to_mpcc_equals_the_dense_composition():
+    # zeta_i's coefficients placed at u_i and v_i, against y -> f(M y) with
+    # the dense substitution matrix M, on each program and its slack form
+    rng = random.Random(2020)
+    nonzero_quadratic = 0
+    for _ in range(250):
+        p = random_quadratic_program(rng)
+        for program in (p, to_slack(p).program):
+            assert to_mpcc(program) == composed_mpcc(program)
+        nonzero_quadratic += any(not func.is_affine() for func in p.c_e + p.c_i + p.c_z)
+    assert nonzero_quadratic >= 200, nonzero_quadratic
 
 
 def test_anf_branches_equal_the_composed_reference():
