@@ -183,6 +183,24 @@ def bench_kinks():
     return kinks
 
 
+def qkinks_problem(k: int, inequalities: bool) -> dict:
+    """The seed-1 ``kinks{k}`` problem of ``bench_kinks()``, or its inequality
+    variant, with ``t_{k+1}²`` added to its equality, as problem data.
+
+    The gradient at the origin is unchanged, so the branches, verdicts and
+    multipliers are those of ``kinks{k}``.  But no formulation is affine, so
+    every branch certifies its own tangent cone: by a rank test
+    (``branch-licq``) without the inequalities, by a strict LP
+    (``branch-mfcq``) with them.
+    """
+    kinks = bench_kinks()
+    data = kinks.problem_data(kinks.draw(random.Random(1), k, 1, inequalities))
+    dim = 2 * k + 1
+    data["name"] = "q" + data["name"]
+    data["equalities"][0]["quadratic"] = [["1" if i == j == k else "0" for j in range(dim)] for i in range(dim)]
+    return data
+
+
 @pytest.fixture
 def e1():
     return make_e1()

@@ -40,7 +40,7 @@ from absnormal.problemfile import parse_problem_data
 from absnormal.ratmath import zero_vec
 from absnormal.stationarity import StationarityVerdict, check_b_stationary, check_m_stationary_anf
 
-from conftest import bench_kinks, fallback_kinks_problem, random_affine_program
+from conftest import bench_kinks, fallback_kinks_problem, qkinks_problem, random_affine_program
 
 SPECIAL = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "σ", " ", "\ud800", "\udfff", "/", "é", "😀"]
 strings = st.lists(st.one_of(st.text(max_size=6), st.sampled_from(SPECIAL)), max_size=4).map("".join)
@@ -160,14 +160,20 @@ def oracle_exit_code(report: dict) -> int:
     return EXIT_UNKNOWN if UNKNOWN in statuses else EXIT_OK
 
 
-def kinks_commands(directory: Path, k: int, inequalities: bool, sign: int, commands) -> list[tuple[str, list[str]]]:
+def kinks_commands(
+    directory: Path, k: int, inequalities: bool, sign: int, commands, quadratic: bool = False
+) -> list[tuple[str, list[str]]]:
     """The digest key and argv of each of ``commands`` on the benchmark's
-    seed-1 ``kinks{k}`` instance, written as a problem file to ``directory``."""
-    kinks = bench_kinks()
-    inst = kinks.draw(random.Random(1), k, sign, inequalities)
-    path = directory / f"{inst.name}.json"
-    path.write_text(json.dumps(kinks.problem_data(inst)), encoding="utf-8")
-    tag = f"kinks{k}-{'ineq' if inequalities else 'eq'}{'' if sign > 0 else '-max'}"
+    seed-1 ``kinks{k}`` instance, or with ``quadratic`` its ``qkinks{k}``
+    twin (``sign`` 1), written as a problem file to ``directory``."""
+    if quadratic:
+        data = qkinks_problem(k, inequalities)
+    else:
+        kinks = bench_kinks()
+        data = kinks.problem_data(kinks.draw(random.Random(1), k, sign, inequalities))
+    path = directory / f"{data['name']}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    tag = f"{'q' if quadratic else ''}kinks{k}-{'ineq' if inequalities else 'eq'}{'' if sign > 0 else '-max'}"
     return [(f"{tag} {' '.join(argv)}", [argv[0], str(path), "--point", "origin", *argv[1:]]) for argv in commands]
 
 
@@ -229,6 +235,9 @@ def test_corpus_run_report_text(recheck):
 
 QUALIFICATION_ARGV = (["check-cq", "--all", "--recheck"], ["verify-relations", "--recheck"])
 STATIONARITY_ARGV = (["check-stationarity", "--recheck"],)
+# no formulation of qkinks is affine: its branches are certified branch-licq
+# (eq) or branch-mfcq (ineq), which the cones report names
+CERTIFIED_ARGV = QUALIFICATION_ARGV + (["cones", "--dual"],)
 
 
 KINKS_CASES = {
@@ -237,6 +246,8 @@ KINKS_CASES = {
     "kinks3-eq": (3, False, 1, QUALIFICATION_ARGV),
     "kinks4-eq+t_5": (4, False, 1, STATIONARITY_ARGV),
     "kinks4-eq-t_5": (4, False, -1, STATIONARITY_ARGV),
+    "qkinks2-eq": (2, False, 1, CERTIFIED_ARGV, True),
+    "qkinks2-ineq": (2, True, 1, CERTIFIED_ARGV, True),
 }
 
 
@@ -414,6 +425,12 @@ KINKS_DIGESTS = {
     "kinks3-eq verify-relations --recheck": "3c578fbe9450ca7bc9f43a2c04c163401e3232a3993f8f49fe22bdf6df6c1b23",
     "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
     "kinks4-eq-max check-stationarity --recheck": "ee6ab35337f1e999f7e8552797a5c73e23f6615cc4d2439158bd96a2731b74cd",
+    "qkinks2-eq check-cq --all --recheck": "6b36f5dc546b7aa4aeb59cf24c1d5860ca884b665e2065c5d7145bd3404be60d",
+    "qkinks2-eq verify-relations --recheck": "53b363244d50880fb94de126a5801f50e6abc622d6ee39062dc678e49758273b",
+    "qkinks2-eq cones --dual": "d9016ea0a34200f573afe221a9c79a19bf7dd1bea73dd70c012a32b9fc021d49",
+    "qkinks2-ineq check-cq --all --recheck": "5be0ea2f9d1c2b71155d8b12dd8e4ef3f3ea3ca92612b969a89d952e13bc6147",
+    "qkinks2-ineq verify-relations --recheck": "d154c0e4b4efcd7a430fc67219bccb6585a5f70bb56b8447c565901d702f27f9",
+    "qkinks2-ineq cones --dual": "36dd820dd3f7871910609679012323badd44bed01e03cb369f41197a838c4986",
 }
 
 
