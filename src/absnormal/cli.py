@@ -178,14 +178,19 @@ def _ser_func(func) -> dict:
     return out
 
 
+def _ser_rows(eq, ineq) -> dict:
+    return {"eq": [_svec(r) for r in eq], "ineq": [_svec(r) for r in ineq]}
+
+
 def _ser_cone(cone: PolyCone) -> dict:
-    return {"eq": [_svec(r) for r in cone.eq_rows], "ineq": [_svec(r) for r in cone.ineq_rows]}
+    return _ser_rows(cone.eq_rows, cone.ineq_rows)
 
 
-def _ser_hv(cone: PolyCone) -> dict:
-    """The cone's rows and its generators."""
+def _ser_hv(cone: PolyCone, rows=None) -> dict:
+    """The cone's rows, or the exact ``(eq, ineq)`` rows it was made from, and its generators."""
     rays, lineality = cone.generators()
-    return {**_ser_cone(cone), "rays": [_svec(r) for r in rays], "lineality": [_svec(l) for l in lineality]}
+    head = _ser_cone(cone) if rows is None else _ser_rows(*rows)
+    return {**head, "rays": [_svec(r) for r in rays], "lineality": [_svec(l) for l in lineality]}
 
 
 def _checked(data, tp):
@@ -270,7 +275,8 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
         branches = []
         lin_duals = []
         for ba in fa.branches:
-            lin = _ser_hv(ba.lin)
+            # the branch's linearized cone printed with its exact rows, as the descent LP reads them
+            lin = _ser_hv(ba.lin, fa.lin.rows(ba.spec.signs))
             # a certified tangent piece is the linearized cone object itself: serialize it once
             tangent = [lin if p is ba.lin else _ser_hv(p) for p in ba.tangent_pieces] if ba.tangent_known else None
             entry = {"branch": ba.label, "lin": lin, "tangent": tangent, "tangent_source": ba.tangent_source}
@@ -281,12 +287,12 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
                 if ba.tangent_pieces == (ba.lin,):
                     entry["tangent_dual"] = entry["lin_dual"]
                 elif ba.tangent_known:
-                    entry["tangent_dual"] = _ser_cone(dual_union(list(ba.tangent_pieces), fa.dim))
+                    entry["tangent_dual"] = _ser_cone(dual_union(list(ba.tangent_pieces), fa.lin.dim))
             branches.append(entry)
-        section = {"dim": fa.dim, "branches": branches}
+        section = {"dim": fa.lin.dim, "branches": branches}
         if include_dual:
             # the dual of the union is the intersection of the member duals (cones.dual_union)
-            union_dual = functools.reduce(PolyCone.intersect, lin_duals, PolyCone.full_space(fa.dim))
+            union_dual = functools.reduce(PolyCone.intersect, lin_duals, PolyCone.full_space(fa.lin.dim))
             section["lin_union_dual"] = _ser_cone(union_dual)
         out[key] = section
     return out
@@ -295,7 +301,7 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
 def _branch_list_section(pa: PointAnalysis) -> dict:
     """Each formulation's branches and tangent sources; the cones are the ``cones`` report's."""
     return {
-        fa.key: {"dim": fa.dim, "branches": [{"branch": b.label, "tangent_source": b.tangent_source} for b in fa.branches]}
+        fa.key: {"dim": fa.lin.dim, "branches": [{"branch": b.label, "tangent_source": b.tangent_source} for b in fa.branches]}
         for fa in map(pa.formulation, FORMULATIONS)
     }
 
@@ -522,8 +528,8 @@ def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, pa: PointAn
     if key not in FORMULATIONS:
         return [f"{prefix}: no formulation {key!r} to recheck the witness in"]
     fa = pa.formulation(key)
-    if len(w) != fa.dim:
-        return [f"{prefix}: witness has {len(w)} entries, expected {fa.dim}"]
+    if len(w) != fa.lin.dim:
+        return [f"{prefix}: witness has {len(w)} entries, expected {fa.lin.dim}"]
     branches = fa.branches
     if kind.startswith("branch-"):
         # a branch verdict speaks of its own linearized and tangent cones only
@@ -535,9 +541,9 @@ def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, pa: PointAn
         # a valid Abadie witness is linearized-feasible somewhere but escapes
         # the tangent upper bound of every branch
         for ba in branches:
-            if any(piece.contains_point(w) for piece in ba.upper_pieces):
+            if any(piece.contains(w) for piece in ba.upper_pieces):
                 errors.append(f"{prefix}: witness lies inside the tangent bound of branch {ba.label}")
-        if not any(ba.lin.contains_point(w) for ba in branches):
+        if not any(ba.lin.contains(w) for ba in branches):
             errors.append(f"{prefix}: witness is not linearized-feasible")
     else:
         # a valid Guignard witness pairs nonnegatively with the whole tangent
@@ -608,7 +614,7 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
                 return [f"{prefix}: descent missing"]
             if len(descent) != len(lin.gradient):
                 return [f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}"]
-            if not lin.cone(spec.signs).contains_point(descent):
+            if not lin.cone(spec.signs).contains(descent):
                 errors.append(f"{prefix}: descent direction is not linearized-feasible")
             if dot(lin.gradient, descent) >= 0:
                 errors.append(f"{prefix}: descent direction does not descend")

@@ -1,12 +1,14 @@
 """Exact polyhedral cones: linearized, tangent (certified), dual, unions.
 
 All cones are closed convex polyhedra in H-representation
-``{d : eq_rows . d = 0, ineq_rows . d >= 0}``; the nonconvex objects of the
-theory (abs-normal-linearized and complementarity-linearized cones) are kept
-as lists of such pieces, one per branch, which the branch decomposition makes
-canonical.  Every branch linearized cone comes from one linearization of its
-formulation at the point (``linearize_anf``, ``linearize_mpcc``), which
-evaluates each constraint gradient once for all branches.
+``{d : eq_rows . d = 0, ineq_rows . d >= 0}``, each row held as a primitive
+integer row; the nonconvex objects of the theory (abs-normal-linearized and
+complementarity-linearized cones) are kept as lists of such pieces, one per
+branch, which the branch decomposition makes canonical.  Every branch
+linearized cone comes from one linearization of its formulation at the point
+(``linearize_anf``, ``linearize_mpcc``), which evaluates each constraint
+gradient once for all branches and also gives each branch's exact, unscaled
+rows (``BranchLinearization.rows``) to the descent LP and to printing.
 
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
@@ -35,13 +37,11 @@ from .ratmath import (
     lp_solve,
     primitive,
     primitive_integer,
-    rank_rows,
-    unit_vec,
     vec,
     vec_neg,
     zero_vec,
 )
-from .ratmath.matrix import coprime_integer
+from .ratmath.matrix import coprime_integer, integer_rank
 from .transforms import DEFAULT_BRANCH_CAP, BranchSpec, MpccPoint, MpccProgram, branch_specs
 
 DEFAULT_SPLIT_DEPTH = 32
@@ -61,43 +61,44 @@ class SubdivisionDepthExceeded(RuntimeError):
 class PolyCone:
     """The cone ``{d : eq_rows . d = 0, ineq_rows . d >= 0}`` in ``dim`` variables.
 
-    The rows are given, or made when first read (``on_first_read``).  Two
-    cones are equal when their dimensions and their rows, in order, are; a
-    cone is not changed once made.
+    A cone's H-representation is fixed only up to a positive scale of each
+    row, so a cone holds each row in one canonical form: the primitive integer
+    row, a tuple of ints with coprime entries, that is a positive multiple of
+    the exact row it was given.  The rows are given, or made when first read
+    (``on_first_read``).  Two cones are equal when their dimensions and their
+    rows, in order, are; a cone is not changed once made.
     """
 
-    __slots__ = ("dim", "_rows", "_integer_rows")
+    __slots__ = ("dim", "_rows")
 
     def __init__(self, dim: int, eq_rows=(), ineq_rows=()) -> None:
-        rows = (tuple(eq_rows), tuple(ineq_rows))
+        rows = (tuple(map(primitive_integer, eq_rows)), tuple(map(primitive_integer, ineq_rows)))
         for r in itertools.chain(*rows):
             if len(r) != dim:
                 raise ValueError("cone row length does not match dimension")
         self.dim = dim
         self._rows = rows
-        self._integer_rows = None
 
     @staticmethod
-    def on_first_read(dim: int, rows, integer_rows) -> "PolyCone":
-        """The cone whose rational ``(eq_rows, ineq_rows)`` are ``rows()`` and
-        whose ``integer_rows()`` are ``integer_rows()``: each is called at most
-        once, when first read, and the two must make the same rows."""
+    def on_first_read(dim: int, rows) -> "PolyCone":
+        """The cone whose primitive integer ``(eq_rows, ineq_rows)`` are
+        ``rows()``, called at most once, when first read."""
         cone = object.__new__(PolyCone)
-        cone.dim, cone._rows, cone._integer_rows = dim, rows, integer_rows
+        cone.dim, cone._rows = dim, rows
         return cone
 
-    def _read_rows(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    def _read_rows(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         rows = self._rows
         if callable(rows):
             rows = self._rows = rows()
         return rows
 
     @property
-    def eq_rows(self) -> tuple[Vec, ...]:
+    def eq_rows(self) -> tuple[IntVec, ...]:
         return self._read_rows()[0]
 
     @property
-    def ineq_rows(self) -> tuple[Vec, ...]:
+    def ineq_rows(self) -> tuple[IntVec, ...]:
         return self._read_rows()[1]
 
     def __eq__(self, other) -> bool:
@@ -111,21 +112,13 @@ class PolyCone:
         return f"PolyCone(dim={self.dim}, eq_rows={self.eq_rows!r}, ineq_rows={self.ineq_rows!r})"
 
     @staticmethod
-    def from_rows(dim: int, eq=(), ineq=()) -> "PolyCone":
-        return PolyCone(dim, tuple(vec(r) for r in eq), tuple(vec(r) for r in ineq))
-
-    @staticmethod
     def full_space(dim: int) -> "PolyCone":
         return PolyCone(dim)
 
-    @staticmethod
-    def zero(dim: int) -> "PolyCone":
-        return PolyCone(dim, tuple(unit_vec(dim, i) for i in range(dim)), ())
-
-    def contains_point(self, d: Vec) -> bool:
-        return all(dot(r, d) == 0 for r in self.eq_rows) and all(
-            dot(r, d) >= 0 for r in self.ineq_rows
-        )
+    def contains(self, d) -> bool:
+        """Whether the exact vector ``d`` (of ints or rationals) lies in the cone."""
+        eq, ineq = self._read_rows()
+        return all(integer_dot(r, d) == 0 for r in eq) and all(integer_dot(r, d) >= 0 for r in ineq)
 
     def intersect(self, other: "PolyCone") -> "PolyCone":
         if other.dim != self.dim:
@@ -133,34 +126,12 @@ class PolyCone:
         return PolyCone(self.dim, self.eq_rows + other.eq_rows, self.ineq_rows + other.ineq_rows)
 
     def with_rows(self, eq=(), ineq=()) -> "PolyCone":
-        return PolyCone(
-            self.dim,
-            self.eq_rows + tuple(vec(r) for r in eq),
-            self.ineq_rows + tuple(vec(r) for r in ineq),
-        )
-
-    def integer_rows(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-        """The (eq, ineq) rows scaled to primitive integer rows, made once.
-
-        A positive scale keeps every sign, so these rows test a vector for
-        membership exactly as the rational rows do."""
-        rows = self._integer_rows
-        if rows is None:
-            eq, ineq = self._read_rows()
-            rows = self._integer_rows = (tuple(map(primitive_integer, eq)), tuple(map(primitive_integer, ineq)))
-        elif callable(rows):
-            rows = self._integer_rows = rows()
-        return rows
-
-    def contains_integer(self, g: IntVec) -> bool:
-        """``contains_point`` for an integer vector, in integer arithmetic."""
-        eq, ineq = self.integer_rows()
-        return all(integer_dot(r, g) == 0 for r in eq) and all(integer_dot(r, g) >= 0 for r in ineq)
+        return PolyCone(self.dim, self.eq_rows + tuple(eq), self.ineq_rows + tuple(ineq))
 
     def generators(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         """(rays, lineality basis) whose conic hull is the cone, as primitive
         integer vectors."""
-        return _generators_cached(self.dim, *self.integer_rows())
+        return _generators_cached(self.dim, *self._read_rows())
 
 
 @functools.lru_cache(maxsize=4096)
@@ -179,8 +150,7 @@ def dual_cone(cone: PolyCone) -> PolyCone:
 
     Only report output (``cones --dual``) builds duals; the Guignard deciders
     test conic-hull membership with ``hull_escape`` instead."""
-    eq, ineq = cone.integer_rows()
-    return PolyCone.from_rows(cone.dim, *generators_to_hrep(cone.dim, ineq, eq))
+    return PolyCone(cone.dim, *generators_to_hrep(cone.dim, cone.ineq_rows, cone.eq_rows))
 
 
 def dual_union(cones: list[PolyCone], dim: int) -> PolyCone:
@@ -215,24 +185,23 @@ def cone_contains(outer: PolyCone, inner: PolyCone) -> bool:
         raise ValueError("dimension mismatch")
     if outer is inner or _rows_contain(outer, inner):
         return True
-    return all(outer.contains_integer(g) for g in _signed_generators(inner))
+    return all(outer.contains(g) for g in _signed_generators(inner))
 
 
 def _rows_contain(outer: PolyCone, inner: PolyCone) -> bool:
     """Whether every row of ``outer`` is a row of ``inner`` (the sufficient row test of ``cone_contains``)."""
-    outer_eq, outer_ineq = outer.integer_rows()
-    inner_eq, inner_ineq = inner.integer_rows()
+    outer_eq, outer_ineq = outer.eq_rows, outer.ineq_rows
+    inner_eq, inner_ineq = inner.eq_rows, inner.ineq_rows
     eq = set(inner_eq).union(map(vec_neg, inner_eq))
     return all(r in eq for r in outer_eq) and all(r in eq or r in inner_ineq for r in outer_ineq)
 
 
 def _signed_rows(cone: PolyCone):
-    """(row, its primitive integer row): each equality both ways, then the inequalities."""
-    eq, ineq = cone.integer_rows()
-    for r, ri in zip(cone.eq_rows, eq):
-        yield r, ri
-        yield vec_neg(r), vec_neg(ri)
-    yield from zip(cone.ineq_rows, ineq)
+    """The rows of the cone: each equality both ways, then the inequalities."""
+    for r in cone.eq_rows:
+        yield r
+        yield vec_neg(r)
+    yield from cone.ineq_rows
 
 
 def union_covers(members: list[PolyCone], target: PolyCone) -> tuple[bool, Vec | None]:
@@ -257,8 +226,8 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
     if depth <= 0:
         raise SubdivisionDepthExceeded("hyperplane subdivision exceeded the depth cap")
     for m in members:
-        for h, hi in _signed_rows(m):
-            vals = [integer_dot(hi, g) for g in gens]
+        for h in _signed_rows(m):
+            vals = [integer_dot(h, g) for g in gens]
             if any(v > 0 for v in vals) and any(v < 0 for v in vals):
                 ok, witness = _covers(members, target.with_rows(ineq=[h]), depth - 1)
                 if not ok:
@@ -268,7 +237,7 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
     # generators violates, for every member, some row on which no generator is
     # positive; it is therefore a single ray escaping the whole union.
     witness = primitive_integer([sum(column) for column in zip(*gens)])
-    if not any(witness) or any(m.contains_integer(witness) for m in members):
+    if not any(witness) or any(m.contains(witness) for m in members):
         raise RuntimeError("subdivision invariant violated")
     return False, vec(witness)
 
@@ -285,7 +254,7 @@ def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
     """
     rows = None
     for g in _signed_generators(target):
-        if any(m.contains_integer(g) for m in itertools.chain(first, members)):
+        if any(m.contains(g) for m in itertools.chain(first, members)):
             continue
         if rows is None:
             eq, ineq = {}, {}
@@ -394,16 +363,11 @@ class BranchLinearization:
         """The linearized cone of the branch with definite signature ``signs``,
         whose rows are made when first read.
 
-        ``integer_rows()`` come from the gradient rows scaled to integers once
-        per linearization: the branch's column flips and unit terms act on
-        integers, and one gcd per row makes it primitive.  The rational rows,
-        which printing, LP rows and rank tests read, are made only for them.
+        The rows come from the gradient rows scaled to integers once per
+        linearization: the branch's column flips and unit terms act on
+        integers, and one gcd per row makes it primitive.
         """
-        return PolyCone.on_first_read(
-            self.dim,
-            functools.partial(self._rational_rows, signs),
-            functools.partial(self._integer_rows, signs),
-        )
+        return PolyCone.on_first_read(self.dim, functools.partial(self._integer_rows, signs))
 
     @functools.cached_property
     def _integer_grads(self) -> tuple[list[tuple[IntVec, int]], list[tuple[IntVec, int]]]:
@@ -435,7 +399,9 @@ class BranchLinearization:
         eq_units, ineq_units = self._units(signs)
         return rows(eq_grads, eq_units, self.n_eq), rows(ineq_grads, ineq_units, self.n_ineq)
 
-    def _rational_rows(self, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    def rows(self, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        """The exact (eq, ineq) rows of the branch ``signs``, unscaled: the rows
+        that ``combination`` weights, for the descent LP and for printing."""
         eq, ineq = self._branch_rows(
             signs, [(g, 1) for g in self.eq_grads], [(g, 1) for g in self.ineq_grads], ZERO
         )
@@ -550,28 +516,27 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
     """
     if affine:
         return lin, TangentCertificate(TANGENT_AFFINE)
-    active_rows = list(lin.eq_rows) + list(lin.ineq_rows)
-    r = rank_rows(active_rows, lin.dim)
-    if r == len(active_rows):
-        return lin, TangentCertificate(TANGENT_LICQ, active_rank=r, active_rows=len(active_rows))
-    eq_rank = rank_rows(list(lin.eq_rows), lin.dim)
-    if eq_rank == len(lin.eq_rows) and lin.ineq_rows:
-        n_ineq = len(lin.ineq_rows)
+    eq, ineq = lin.eq_rows, lin.ineq_rows
+    n_rows = len(eq) + len(ineq)
+    r = integer_rank(list(map(list, eq + ineq)), lin.dim)
+    if r == n_rows:
+        return lin, TangentCertificate(TANGENT_LICQ, active_rank=r, active_rows=n_rows)
+    if ineq and integer_rank(list(map(list, eq)), lin.dim) == len(eq):
         problem = LpProblem(
             n_vars=lin.dim,
-            eq_rows=lin.eq_rows,
-            eq_rhs=zero_vec(len(lin.eq_rows)),
-            ineq_rows=lin.ineq_rows,
-            ineq_rhs=zero_vec(n_ineq),
-            strict=frozenset(range(n_ineq)),
+            eq_rows=eq,
+            eq_rhs=zero_vec(len(eq)),
+            ineq_rows=ineq,
+            ineq_rhs=zero_vec(len(ineq)),
+            strict=frozenset(range(len(ineq))),
         )
         res = lp_solve(problem)
         if res.status == "feasible":
             return lin, TangentCertificate(
                 TANGENT_MFCQ,
                 active_rank=r,
-                active_rows=len(active_rows),
+                active_rows=n_rows,
                 strict_point=res.certificate.point,
                 lp_certificate=res.certificate,
             )
-    return None, TangentCertificate(TANGENT_UNKNOWN, active_rank=r, active_rows=len(active_rows))
+    return None, TangentCertificate(TANGENT_UNKNOWN, active_rank=r, active_rows=n_rows)

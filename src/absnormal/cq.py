@@ -40,7 +40,7 @@ from .cones import (
     tangent_cone_branch,
     union_covers,
 )
-from .ratmath import Vec, vec_neg, zero_vec
+from .ratmath import Vec, vec_neg
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
@@ -124,7 +124,7 @@ class BranchAnalysis:
 @dataclass(frozen=True)
 class FormulationAnalysis:
     key: str
-    dim: int
+    lin: BranchLinearization  # the formulation linearized at the point
     branches: tuple[BranchAnalysis, ...]
 
     def upper_members(self) -> list[PolyCone]:
@@ -339,9 +339,9 @@ class PointAnalysis:
         elif key == ABS_E:
             by_label = {ba.label: ba for ba in source_branches}
             # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
-            p, zeros = self.program, zero_vec(self.program.m2)
+            p, zeros = self.program, (0,) * self.program.m2
 
-            def lift(row: Vec) -> Vec:
+            def lift(row):
                 return row[: p.n_t] + zeros + row[p.n_t :] + zeros
 
             branches = [
@@ -350,7 +350,7 @@ class PointAnalysis:
             ]
         else:
             # the split (x, z) -> (x, u, v) has the left inverse (x, u, v) -> (x, u - v)
-            def transport(row: Vec) -> Vec:
+            def transport(row):
                 return row + vec_neg(row[lin.n_x :])
 
             branches = []
@@ -358,7 +358,7 @@ class PointAnalysis:
                 if anf_ba.spec.signs != spec.signs:
                     raise RuntimeError(f"branch {spec.label} does not align with its abs-normal branch")
                 branches.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", transport))
-        return FormulationAnalysis(key, lin.dim, tuple(branches))
+        return FormulationAnalysis(key, lin, tuple(branches))
 
 
 def analyze_point(

@@ -192,8 +192,9 @@ def coprime_integer(row) -> tuple[int, ...]:
     return tuple(row)
 
 
-def integer_dot(a, b) -> int:
-    """Inner product of two integer vectors."""
+def integer_dot(a, b):
+    """Inner product of two exact vectors, without the sparse skip of ``dot``:
+    an ``int`` for integer vectors, exact for ``Fraction`` entries too."""
     if len(a) != len(b):
         raise ValueError(f"dot of vectors with lengths {len(a)} and {len(b)}")
     return sum(map(mul, a, b))

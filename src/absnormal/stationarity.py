@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
-from .cones import BranchLinearization, PolyCone, linearize_anf, linearize_mpcc
+from .cones import BranchLinearization, linearize_anf, linearize_mpcc
 from .cq import FAILS, HOLDS
 from .ratmath import (
     FEASIBLE,
@@ -516,15 +516,19 @@ def _strong_multipliers(
     return _multipliers_from_lam(system, res.certificate.point)
 
 
-def _branch_descent_lp(gradient: Vec, cone: PolyCone) -> LpProblem:
+def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpProblem:
+    """Minimize the gradient over the linearized cone of the branch ``signs``,
+    posed on the exact rows that ``BranchLinearization.combination`` weights,
+    so that the LP's dual is the branch's certificate."""
+    eq, ineq = lin.rows(signs)
     return LpProblem(
-        n_vars=cone.dim,
-        objective=gradient,
+        n_vars=lin.dim,
+        objective=lin.gradient,
         sense="min",
-        eq_rows=cone.eq_rows,
-        eq_rhs=zero_vec(len(cone.eq_rows)),
-        ineq_rows=cone.ineq_rows,
-        ineq_rhs=zero_vec(len(cone.ineq_rows)),
+        eq_rows=eq,
+        eq_rhs=zero_vec(len(eq)),
+        ineq_rows=ineq,
+        ineq_rhs=zero_vec(len(ineq)),
     )
 
 
@@ -534,7 +538,7 @@ def _check_b_over_branches(lin: BranchLinearization, specs, kind: str) -> Statio
     certificates = []
     gradient = lin.gradient
     for spec in specs:
-        res = lp_solve(_branch_descent_lp(gradient, lin.cone(spec.signs)))
+        res = lp_solve(_branch_descent_lp(lin, spec.signs))
         if res.status == "unbounded":
             descent = res.certificate.ray
             if dot(gradient, descent) >= 0:
@@ -626,7 +630,7 @@ def translate_b_verdict(
     if verdict.status == FAILS:
         spec = counterpart_spec(verdict.failing_branch)
         descent = split_direction_matrix(mp.n_x, mp.s, spec).mat_vec(verdict.descent)
-        if not lin.cone(spec.signs).contains_point(descent) or dot(lin.gradient, descent) >= 0:
+        if not lin.cone(spec.signs).contains(descent) or dot(lin.gradient, descent) >= 0:
             raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
         return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)
     m1 = system_to.m1

@@ -8,11 +8,12 @@ smooth quadratic NLP built by ``build_anf_branch`` (substituting
 ``zeta = Sigma z`` with ``flip_signs``) and ``build_mpcc_branch``, one per
 branch spec (``anf_branches``, ``mpcc_branches``).  From them the same cones
 come the slow, independent ways: from a built branch problem's own functions
-(``lin_cone_branch``, with ``branch_is_affine`` for the affine certificate),
+(``lin_cone_branch`` from the rows ``lin_rows_branch``, with
+``branch_is_affine`` for the affine certificate),
 or from the defining rows of
 the nonconvex linearized cones (``lin_cone_abs_direct``,
 ``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
-certificate against a built cone, one column dot per coordinate.
+certificate against a built branch's rows, one column dot per coordinate.
 ``cone_equal`` is set equality of two cones, by containment both ways.
 ``on_rational_rows`` runs an integer kernel of ``ratmath.dd`` on rational
 rows and reads its output back as ``Fraction`` vectors, the form the kernel
@@ -26,8 +27,9 @@ from the target branch's own rows.
 ``strong_branch_certificates`` is the S => B oracle: it maps strong-stationary
 multipliers onto the dual certificate of every branch, the construction a B
 Holds by strong stationarity stands for without listing it.
-``eager_branch_cone`` is the branch cone built eagerly in ``Fraction`` rows,
-the reference for the rows a branch cone makes on first read.
+``eager_branch_rows`` are the branch cone's rows built eagerly in ``Fraction``
+rows, the reference for ``BranchLinearization.rows`` and, scaled to
+primitive integer rows, for the rows a branch cone makes on first read.
 ``UnionCone`` labels the pieces of a nonconvex cone by branch;
 ``branch_union`` gives the package's own union from one linearization, to be
 compared with the oracle unions.
@@ -200,7 +202,7 @@ class UnionCone:
         return tuple(cone for _, cone in self.members)
 
     def contains_point(self, d: Vec) -> bool:
-        return any(cone.contains_point(d) for cone in self.cones)
+        return any(cone.contains(d) for cone in self.cones)
 
 
 def branch_union(lin: BranchLinearization) -> UnionCone:
@@ -209,11 +211,12 @@ def branch_union(lin: BranchLinearization) -> UnionCone:
     return UnionCone(tuple((spec.label, lin.cone(spec.signs)) for spec in lin.specs()))
 
 
-def eager_branch_cone(lin: BranchLinearization, signs: tuple[int, ...]) -> PolyCone:
-    """The branch linearized cone of ``lin`` as ``BranchLinearization.cone``
-    built it before its rows were made on first read: dense ``Fraction`` rows,
-    the gradient rows with the negated columns flipped, padded with zero rows,
-    and each unit term added in place."""
+def eager_branch_rows(lin: BranchLinearization, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """The (eq, ineq) rows of the branch linearized cone of ``lin`` as
+    ``BranchLinearization.cone`` built them before its rows were made on
+    first read: dense ``Fraction`` rows, the gradient rows with the negated
+    columns flipped, padded with zero rows, and each unit term added in
+    place."""
     negated = lin._negated(signs)
     eq_units, ineq_units = lin._units(signs)
 
@@ -226,10 +229,10 @@ def eager_branch_cone(lin: BranchLinearization, signs: tuple[int, ...]) -> PolyC
             out[r][c] += coeff
         return tuple(tuple(row) for row in out)
 
-    return PolyCone(lin.dim, rows(lin.eq_grads, eq_units, lin.n_eq), rows(lin.ineq_grads, ineq_units, lin.n_ineq))
+    return rows(lin.eq_grads, eq_units, lin.n_eq), rows(lin.ineq_grads, ineq_units, lin.n_ineq)
 
 
-def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
+def lin_rows_branch(b: SmoothBranchProblem) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """Gradients of equalities as equations, of anchor-active inequalities as
     inequalities; each constraint is evaluated once at the anchor."""
     anchor = b.anchor
@@ -238,7 +241,12 @@ def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
         raise ValueError(f"anchor is infeasible for branch {b.label}")
     eq = tuple(func.gradient(anchor) for func in b.eqs)
     ineq = tuple(func.gradient(anchor) for func, v in zip(b.ineqs, values) if v == 0)
-    return PolyCone(b.n_vars, eq, ineq)
+    return eq, ineq
+
+
+def lin_cone_branch(b: SmoothBranchProblem) -> PolyCone:
+    """The linearized cone of the built branch problem, with the rows of ``lin_rows_branch``."""
+    return PolyCone(b.n_vars, *lin_rows_branch(b))
 
 
 def branch_is_affine(b: SmoothBranchProblem) -> bool:
@@ -403,24 +411,26 @@ def compl_cone(point: MpccPoint) -> UnionCone:
 
 
 def verify_branch_dual_certificate(
-    cert: BranchDualCertificate, cone: PolyCone, gradient: Vec
+    cert: BranchDualCertificate, rows: tuple[tuple[Vec, ...], tuple[Vec, ...]], gradient: Vec
 ) -> list[str]:
-    """Substitution check: gradient = E^T y + I^T lam with lam >= 0, one
-    column dot per coordinate over the rows of nonzero weight."""
-    if len(cert.dual_eq) != len(cone.eq_rows) or len(cert.dual_ineq) != len(cone.ineq_rows):
+    """Substitution check over the exact (eq, ineq) rows ``rows`` (E, I):
+    gradient = E^T y + I^T lam with lam >= 0, one column dot per coordinate
+    over the rows of nonzero weight."""
+    eq, ineq = rows
+    if len(cert.dual_eq) != len(eq) or len(cert.dual_ineq) != len(ineq):
         return [
             f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
-            f"{len(cone.eq_rows)} + {len(cone.ineq_rows)} cone rows"
+            f"{len(eq)} + {len(ineq)} cone rows"
         ]
     errors = []
     if any(x < 0 for x in cert.dual_ineq):
         errors.append("negative inequality weight")
-    terms = [(w, row) for w, row in zip(cert.dual_eq + cert.dual_ineq, cone.eq_rows + cone.ineq_rows) if w]
+    terms = [(w, row) for w, row in zip(cert.dual_eq + cert.dual_ineq, eq + ineq) if w]
     if terms:
-        weights, rows = zip(*terms)
-        combo = tuple(dot(weights, column) for column in zip(*rows))
+        weights, weighted = zip(*terms)
+        combo = tuple(dot(weights, column) for column in zip(*weighted))
     else:
-        combo = zero_vec(cone.dim)
+        combo = zero_vec(len(gradient))
     if combo != tuple(gradient):
         errors.append("dual combination does not reproduce the gradient")
     return errors

@@ -82,16 +82,16 @@ def make_e4() -> AbsNormalProgram:
 def e3_annotations():
     # hand tangent cone of both branches at the origin: the line
     # {dt1 = 0, dz = 0} in (dt1, dt2, dz) coordinates
-    line = PolyCone.from_rows(3, eq=[[1, 0, 0], [0, 0, 1]])
+    line = PolyCone(3, [[1, 0, 0], [0, 0, 1]])
     return {"σ=+": (line,), "σ=-": (line,)}
 
 
 def e4_annotations():
     # per branch, the tangent set is the union of the line {dt1 = dz = 0}
     # and the half-line {dt2 = 0, dt1 = dz, sign(dt1) = branch sign}
-    line = PolyCone.from_rows(3, eq=[[1, 0, 0], [0, 0, 1]])
-    plus_ray = PolyCone.from_rows(3, eq=[[0, 1, 0], [1, 0, -1]], ineq=[[1, 0, 0]])
-    minus_ray = PolyCone.from_rows(3, eq=[[0, 1, 0], [1, 0, -1]], ineq=[[-1, 0, 0]])
+    line = PolyCone(3, [[1, 0, 0], [0, 0, 1]])
+    plus_ray = PolyCone(3, [[0, 1, 0], [1, 0, -1]], [[1, 0, 0]])
+    minus_ray = PolyCone(3, [[0, 1, 0], [1, 0, -1]], [[-1, 0, 0]])
     return {"σ=+": (line, plus_ray), "σ=-": (line, minus_ray)}
 
 

@@ -347,10 +347,10 @@ def test_criterion_6_counterexample_behavior():
     # dual vector of the tangent union violating the linearized dual
     w = akq.witness
     fa = pa.formulation(ABS_I)
-    assert any(ba.lin.contains_point(w) for ba in fa.branches)
+    assert any(ba.lin.contains(w) for ba in fa.branches)
     for ba in fa.branches:
         for piece in ba.tangent_pieces:
-            assert not piece.contains_point(w)
+            assert not piece.contains(w)
 
     pf, point, pa = by_name["E4"]
     assert decide_kink_cq(pa.formulation(ABS_I), "abadie").status == FAILS

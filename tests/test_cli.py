@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import importlib.resources
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 from absnormal import stationarity
 from absnormal.anf import evaluate
 from absnormal.cli import _ser_program, main, recheck_report
-from absnormal.cones import BranchLinearization, linearize_anf, linearize_mpcc
+from absnormal.cones import BranchLinearization, PolyCone, linearize_anf, linearize_mpcc
 from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, MPCC_I, PointAnalysis, analyze_point
 from absnormal.ratmath import KIND_FARKAS, zero_vec
 from absnormal.problemfile import (
@@ -23,7 +24,7 @@ from absnormal.problemfile import (
 )
 
 from branch_oracles import anf_branches, mpcc_branches
-from conftest import bench_kinks, fallback_kinks_problem, random_affine_program
+from conftest import bench_kinks, fallback_kinks_problem, qkinks_problem, random_affine_program
 
 
 def run_cli(capsys, *argv):
@@ -1123,20 +1124,21 @@ def test_descent_route_b_holds_end_to_end(tmp_path, capsys):
 def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkeypatch):
     kinks = bench_kinks()
     verified = count_calls(monkeypatch, stationarity, "verify_branch_certificate")
-    cones = []
-    real_cone = BranchLinearization.cone
+    rows = []
+    real_rows = BranchLinearization.rows
 
-    def counted_cone(lin, signs):
-        cones.append(signs)
-        return real_cone(lin, signs)
+    def counted_rows(lin, signs):
+        rows.append(signs)
+        return real_rows(lin, signs)
 
-    monkeypatch.setattr(BranchLinearization, "cone", counted_cone)
-    # the counters see the descent-LP route: one cone per abs-normal branch
-    # LP, and one check per branch for the translation and for each recheck
+    monkeypatch.setattr(BranchLinearization, "rows", counted_rows)
+    # the counters see the descent-LP route: one row set per abs-normal
+    # branch LP, and one check per branch for the translation and for each
+    # recheck
     b_report(capsys, write_problem(tmp_path, fallback_kinks_problem(3)))
-    assert (len(verified), len(cones)) == (3 * 8, 8)
+    assert (len(verified), len(rows)) == (3 * 8, 8)
     verified.clear()
-    cones.clear()
+    rows.clear()
     path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 10)))
     report_path = tmp_path / "kinks10-b.json"
     code, out, err = run_cli(capsys, "check-stationarity", path, "--b", "--recheck", "--out", str(report_path))
@@ -1145,7 +1147,7 @@ def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkey
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["recheck"] == {"errors": []}
     assert [v["status"] for v in report["points"][0]["stationarity"].values()] == ["holds", "holds"]
-    assert (len(verified), len(cones)) == (0, 0)
+    assert (len(verified), len(rows)) == (0, 0)
 
 
 def test_check_stationarity_builds_each_multiplier_system_once_per_pass(tmp_path, capsys, monkeypatch):
@@ -1217,26 +1219,63 @@ def test_cones_dual_builds_each_branch_dual_once(capsys, monkeypatch):
 
 
 def test_affine_qualification_commands_make_no_rational_branch_rows(tmp_path, capsys, monkeypatch):
-    # on affine programs each branch cone is its own tangent piece: the
-    # own-piece containments are decided by identity and the generators come
-    # from the integer rows, so no verdict or recheck reads a rational row
+    # a branch cone holds primitive integer rows only: its generators, the
+    # own-piece containments, the rank tests and strict LPs of qkinks2 and
+    # every recheck read those, so no qualification verdict or recheck makes
+    # the exact rows of ``BranchLinearization.rows``
     made = []
-    rational_rows = BranchLinearization._rational_rows
+    rows = BranchLinearization.rows
 
     def counted(lin, signs):
         made.append(signs)
-        return rational_rows(lin, signs)
+        return rows(lin, signs)
 
-    monkeypatch.setattr(BranchLinearization, "_rational_rows", counted)
+    monkeypatch.setattr(BranchLinearization, "rows", counted)
     kinks = bench_kinks()
-    for k, inequalities, argv in (
-        (3, False, ("check-cq", "--all", "--recheck")),
-        (2, True, ("verify-relations", "--recheck")),
-    ):
-        path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), k, 1, inequalities)))
-        code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
-        assert (code, err, json.loads(out)["recheck"]) == (0, "", {"errors": []}), argv
-        assert made == [], argv
-    # the cones report prints the rows, so it makes them
+    problems = [
+        (kinks.problem_data(kinks.draw(random.Random(1), 3)), [("check-cq", "--all", "--recheck")]),
+        (kinks.problem_data(kinks.draw(random.Random(1), 2, 1, True)), [("verify-relations", "--recheck")]),
+    ]
+    # no qkinks2 formulation is affine: its 16 (eq) or 40 (ineq) branch cones
+    # are certified branch-licq or branch-mfcq in every command
+    both = [("check-cq", "--all", "--recheck"), ("verify-relations", "--recheck")]
+    problems += [(qkinks_problem(2, inequalities), both) for inequalities in (False, True)]
+    for data, commands in problems:
+        path = write_problem(tmp_path, data)
+        for argv in commands:
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+            assert (code, err, json.loads(out)["recheck"]) == (0, "", {"errors": []}), (data["name"], argv)
+            assert made == [], (data["name"], argv)
+    # the cones report prints the exact rows of each branch cone, so it makes them
     code, _, _ = run_cli(capsys, "cones", "E2", "--point", "origin", "--form", "abs-i")
     assert code == 0 and made == [(1,), (-1,)]
+
+
+def test_every_cone_row_read_is_a_primitive_integer_row(tmp_path, capsys, monkeypatch):
+    # a cone holds one row set: every row that any command reads from a cone
+    # on the corpus and on qkinks2 (branch cones, tangent pieces, carried
+    # pieces, annotations, duals) is a tuple of ints with coprime entries
+    read_rows = PolyCone._read_rows
+    rows = []
+
+    def recorded(cone):
+        eq, ineq = read_rows(cone)
+        rows.extend(eq + ineq)
+        return eq, ineq
+
+    monkeypatch.setattr(PolyCone, "_read_rows", recorded)
+    commands = [
+        ("cones", "--dual"),
+        ("check-cq", "--all", "--recheck"),
+        ("verify-relations", "--recheck"),
+        ("check-stationarity", "--recheck"),
+    ]
+    qkinks2 = [write_problem(tmp_path, qkinks_problem(2, inequalities)) for inequalities in (False, True)]
+    for problem in ["E1", "E2", "E3", "E4"] + qkinks2:
+        for argv in commands:
+            code, out, err = run_cli(capsys, argv[0], problem, *argv[1:])
+            assert err == "" and json.loads(out).get("recheck", {}).get("errors", []) == [], (problem, argv)
+    assert len(rows) > 10_000
+    assert {type(row) for row in rows} == {tuple}
+    assert {type(x) for row in rows for x in row} == {int}
+    assert {math.gcd(*row) for row in rows} <= {0, 1}

@@ -37,7 +37,7 @@ from branch_oracles import (
     compl_cone,
     cone_equal,
     cone_image,
-    eager_branch_cone,
+    eager_branch_rows,
     lin_cone_abs_direct,
     lin_cone_branch,
     lin_cone_mpcc_direct,
@@ -48,7 +48,11 @@ from conftest import make_e2, make_e3, make_e4, random_affine_program
 
 
 def cone(dim, eq=(), ineq=()):
-    return PolyCone.from_rows(dim, eq, ineq)
+    return PolyCone(dim, map(vec, eq), map(vec, ineq))
+
+
+def zero_cone(dim):
+    return PolyCone(dim, [[int(i == j) for j in range(dim)] for i in range(dim)])
 
 
 def test_lin_cone_e1_positive_branch(e1):
@@ -198,7 +202,7 @@ def test_tangent_mfcq_branch():
 
 
 def test_dual_of_full_space_is_zero():
-    assert cone_equal(dual_cone(PolyCone.full_space(3)), PolyCone.zero(3))
+    assert cone_equal(dual_cone(PolyCone.full_space(3)), zero_cone(3))
 
 
 def test_dual_of_orthant_is_orthant():
@@ -248,8 +252,8 @@ def test_union_covers_orthant_by_l_shape_fails_with_witness():
     ok, witness = union_covers([leg_a, leg_b], orthant)
     assert not ok
     # witness must be in the orthant and outside both legs; (1,1) works
-    assert orthant.contains_point(witness)
-    assert not leg_a.contains_point(witness) and not leg_b.contains_point(witness)
+    assert orthant.contains(witness)
+    assert not leg_a.contains(witness) and not leg_b.contains(witness)
 
 
 def test_union_covers_member_containment(e1):
@@ -270,9 +274,9 @@ def test_union_covers_whole_lin_cone_by_tangent_lines_fails(e4):
     target = cone(3, eq=[[1, 0, -1]], ineq=[[1, 0, 0]])
     ok, witness = union_covers(pieces, target)
     assert not ok
-    assert target.contains_point(witness)
+    assert target.contains(witness)
     for piece in pieces:
-        assert not piece.contains_point(witness)
+        assert not piece.contains(witness)
 
 
 def test_cone_image_maps_branch_cone_between_forms(e1):
@@ -311,7 +315,7 @@ def test_generators_call_the_module_kernel_once_per_distinct_cone(monkeypatch):
 
 
 def test_zero_cone_is_covered_by_anything():
-    z = PolyCone.zero(3)
+    z = zero_cone(3)
     c = cone(3, ineq=[[1, 1, 1]])
     ok, witness = union_covers([c], z)
     assert ok and witness is None
@@ -407,23 +411,21 @@ def test_linearization_rows_equal_built_branches_on_random_programs():
 
 def assert_rows_made_on_first_read(p, e) -> int:
     """Every branch cone of both forms' linearizations at the point, against
-    the eager builder: its integer rows, made before any rational row, are the
-    primitive rows of the eager rows, and its rational rows, read after them,
-    are the eager rows, types included.  A second cone of the same branch is
-    read the other way round.  Returns the number of rows with a fraction."""
+    the eager builder: its rows, made on first read, are the primitive
+    integer rows of the eager rows, plain ints, and equal those of a cone
+    built from the eager rows; ``BranchLinearization.rows`` are the eager
+    rows, types included.  Returns the number of rows with a fraction."""
     fractional = 0
     for lin, _ in linearizations(p, e):
         for spec in lin.specs():
-            ref = eager_branch_cone(lin, spec.signs)
-            primitive = tuple(tuple(map(primitive_integer, rows)) for rows in (ref.eq_rows, ref.ineq_rows))
-            cone, again = lin.cone(spec.signs), lin.cone(spec.signs)
-            assert cone.integer_rows() == primitive, spec.label
+            ref = eager_branch_rows(lin, spec.signs)
+            primitive = tuple(tuple(map(primitive_integer, rows)) for rows in ref)
+            cone = lin.cone(spec.signs)
+            assert (cone.eq_rows, cone.ineq_rows) == primitive, spec.label
             assert all(type(x) is int for rows in primitive for row in rows for x in row)
-            assert repr((cone.eq_rows, cone.ineq_rows)) == repr((ref.eq_rows, ref.ineq_rows)), spec.label
-            assert repr((again.eq_rows, again.ineq_rows)) == repr((ref.eq_rows, ref.ineq_rows)), spec.label
-            assert again.integer_rows() == primitive, spec.label
-            assert cone == ref == again
-            fractional += sum(any(x.denominator > 1 for x in row) for row in ref.eq_rows + ref.ineq_rows)
+            assert repr(lin.rows(spec.signs)) == repr(ref), spec.label
+            assert cone == PolyCone(lin.dim, *ref)
+            fractional += sum(any(x.denominator > 1 for x in row) for row in ref[0] + ref[1])
     return fractional
 
 
@@ -450,9 +452,10 @@ def test_rows_made_on_first_read_equal_the_eager_rows_at_fractional_gradients():
     assert fractional >= 1000, fractional
 
 
-def naive_combination(cone, dual_eq, dual_ineq):
-    out = [Fraction(0)] * cone.dim
-    for w, row in zip(dual_eq + dual_ineq, cone.eq_rows + cone.ineq_rows):
+def naive_combination(lin, signs, dual_eq, dual_ineq):
+    eq, ineq = eager_branch_rows(lin, signs)
+    out = [Fraction(0)] * lin.dim
+    for w, row in zip(dual_eq + dual_ineq, eq + ineq):
         for j, x in enumerate(row):
             out[j] += w * x
     return tuple(out)
@@ -477,7 +480,6 @@ def test_combination_equals_the_naive_sum_for_shared_and_per_branch_weights():
                 shared = random_weights(rng, n_shared_eq), random_weights(rng, n_shared_ineq)
                 memo = {}
                 for spec in lin.specs():
-                    cone = lin.cone(spec.signs)
                     # shared row weights with per-branch unit weights, then
                     # wholly per-branch weights, through the same memo
                     for eq_w, ineq_w in (
@@ -486,7 +488,7 @@ def test_combination_equals_the_naive_sum_for_shared_and_per_branch_weights():
                         (random_weights(rng, lin.n_eq), random_weights(rng, lin.n_ineq)),
                     ):
                         got = lin.combination(spec.signs, eq_w, ineq_w, memo)
-                        assert got == naive_combination(cone, eq_w, ineq_w)
+                        assert got == naive_combination(lin, spec.signs, eq_w, ineq_w)
                         compared += 1
     assert compared >= 500
 
@@ -496,18 +498,17 @@ def test_combination_memo_never_masks_a_different_weight():
     e = evaluate(e2, [0, 0])
     lin = linearize_anf(e2, e)
     spec = next(iter(lin.specs()))
-    cone = lin.cone(spec.signs)
     memo = {}
     eq_w, ineq_w = (Fraction(1),) * lin.n_eq, (Fraction(2),) * lin.n_ineq
     first = lin.combination(spec.signs, eq_w, ineq_w, memo)
-    assert first == naive_combination(cone, eq_w, ineq_w)
+    assert first == naive_combination(lin, spec.signs, eq_w, ineq_w)
     # change one shared-row weight, then one per-branch weight only
     for changed in (
         (eq_w[:0] + (Fraction(5),) + eq_w[1:], ineq_w),
         (eq_w, ineq_w[:-1] + (Fraction(7),)),
     ):
         got = lin.combination(spec.signs, *changed, memo)
-        assert got == naive_combination(cone, *changed) != first
+        assert got == naive_combination(lin, spec.signs, *changed) != first
     with pytest.raises(ValueError, match="cone rows"):
         lin.combination(spec.signs, eq_w[1:], ineq_w, memo)
 

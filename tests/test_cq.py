@@ -93,7 +93,7 @@ def test_branch_gcq_holds_on_e4_branches(e4):
 
 def test_annotation_must_sit_inside_lin_cone(e3):
     e = evaluate(e3, [0, 0])
-    bogus = (PolyCone.from_rows(3, eq=[[0, 1, 0]]),)  # contains (1,0,0), not in lin cone
+    bogus = (PolyCone(3, [[0, 1, 0]]),)  # contains (1,0,0), not in lin cone
     with pytest.raises(AnnotationError):
         branch_analyses(e3, e, {"σ=+": bogus})
 
@@ -212,7 +212,7 @@ def lift_program() -> AbsNormalProgram:
 
 def lift_annotations() -> dict[str, tuple[PolyCone, ...]]:
     """The tangent cone of both branches at the origin: ``{dt1 = 0, dz = 0, dt2 >= 0}``."""
-    piece = PolyCone.from_rows(3, eq=[[1, 0, 0], [0, 0, 1]], ineq=[[0, 1, 0]])
+    piece = PolyCone(3, [[1, 0, 0], [0, 0, 1]], [[0, 1, 0]])
     return {"σ=+": (piece,), "σ=-": (piece,)}
 
 
@@ -285,7 +285,7 @@ def carried_against_references(p: AbsNormalProgram, pa) -> Counter:
         for anf_ba, ba in zip(pa.formulation(anf_key).branches, fa.branches, strict=True):
             if ba.tangent_source.startswith("transport:"):
                 s = len(ba.spec.signs)
-                split = split_direction_matrix(fa.dim - 2 * s, s, ba.spec)
+                split = split_direction_matrix(fa.lin.dim - 2 * s, s, ba.spec)
                 references = [cone_image(piece, split) for piece in anf_ba.tangent_pieces]
                 assert len(ba.tangent_pieces) == len(references)
                 assert all(map(cone_equal, ba.tangent_pieces, references)), (mpcc_key, ba.label)

@@ -8,11 +8,10 @@ rows and gives primitive integer vectors: run on rational rows through
 lists means the integer kernel took the same pivots and picked the same ray
 representatives, down to the types of the entries; run on integer rows, its
 output is the reference's numerators, every entry an ``int``, whatever
-positive integer scales the rows.  The
-integer membership tests of ``cones`` and ``cli`` are checked against the
-rational ``PolyCone.contains_point`` the same way, and the row test that
-``cone_contains`` tries first against containment of the reference
-generators.
+positive integer scales the rows.  The membership tests of ``cones`` and
+``cli``, on a cone's primitive integer rows, are checked against the
+rational rows the cone was given, and the row test that ``cone_contains``
+tries first against containment of the reference generators.
 """
 
 import functools
@@ -290,8 +289,11 @@ def test_integer_membership_matches_rational():
         rays, lineality = rational_cone_generators(dim, eq, ineq)
         gens = list(_signed(rays, lineality))
         for v in _probe_vectors(rng, dim, gens):
-            inside = cone.contains_point(v)
-            assert cone.contains_integer(primitive_integer(v)) is inside, (cone, v)
+            # membership by the given rational rows, against the cone's
+            # primitive integer rows on v and on its primitive integer multiple
+            inside = all(dot(r, v) == 0 for r in eq) and all(dot(r, v) >= 0 for r in ineq)
+            assert cone.contains(v) is inside, (cone, v)
+            assert cone.contains(primitive_integer(v)) is inside, (cone, v)
             seen[inside] += 1
             # the recheck's dual test: some generator pairs negatively with v
             escaped = _escapes_dual(v, cone)
@@ -306,7 +308,7 @@ def test_integer_membership_matches_rational():
             other = PolyCone(dim, tuple(extra[:1]), tuple(random_rows(rng, dim, rng.randint(0, dim))))
         other_gens = _signed(*rational_cone_generators(dim, other.eq_rows, other.ineq_rows))
         inside = cone_contains(cone, other)
-        assert inside == all(cone.contains_point(g) for g in other_gens), (cone, other)
+        assert inside == all(cone.contains(g) for g in other_gens), (cone, other)
         contained[inside] += 1
     assert min(seen.values()) >= 500 and min(escapes.values()) >= 500, (seen, escapes)
     assert min(contained.values()) >= 100, contained
@@ -352,7 +354,7 @@ def test_row_containment_agrees_with_the_generators():
         outer = PolyCone(dim, eq, ineq)
         inner, ways = _inner_from_rows(rng, dim, eq, ineq)
         gens = _signed(*rational_cone_generators(dim, inner.eq_rows, inner.ineq_rows))
-        inside = all(outer.contains_point(g) for g in gens)
+        inside = all(outer.contains(g) for g in gens)
         by_rows = _rows_contain(outer, inner)
         assert inside or not by_rows, (outer, inner)
         assert cone_contains(outer, inner) == inside, (outer, inner)

@@ -46,10 +46,10 @@ def dual_union(cones, dim: int) -> PolyCone:
 
 
 def reference_kink_guignard(fa) -> str:
-    lin_dual = dual_union([ba.lin for ba in fa.branches], fa.dim)
-    if cone_contains(lin_dual, dual_union(fa.lower_members(), fa.dim)):
+    lin_dual = dual_union([ba.lin for ba in fa.branches], fa.lin.dim)
+    if cone_contains(lin_dual, dual_union(fa.lower_members(), fa.lin.dim)):
         return HOLDS
-    if not cone_contains(lin_dual, dual_union(fa.upper_members(), fa.dim)):
+    if not cone_contains(lin_dual, dual_union(fa.upper_members(), fa.lin.dim)):
         return FAILS
     return UNKNOWN
 
@@ -102,7 +102,7 @@ def with_trusted_knowledge(pa, rng: random.Random):
             elif roll < 0.6:
                 pieces = []
                 for _ in range(rng.randint(1, 2)):
-                    row = _small_row(rng, fa.dim)
+                    row = _small_row(rng, fa.lin.dim)
                     cut = {"eq": [row]} if rng.random() < 0.5 else {"ineq": [row]}
                     pieces.append(ba.lin.with_rows(**cut))
                 ba = dataclasses.replace(ba, tangent_pieces=tuple(pieces), tangent_source="annotation")

@@ -82,5 +82,5 @@ def test_slack_sign_choice_never_changes_verdicts():
 )
 def test_biduality_property(rows, n_eq):
     n_eq = min(n_eq, len(rows))
-    cone = PolyCone.from_rows(3, rows[:n_eq], rows[n_eq:])
+    cone = PolyCone(3, rows[:n_eq], rows[n_eq:])
     assert cone_equal(dual_cone(dual_cone(cone)), cone)

@@ -8,7 +8,7 @@ from absnormal import stationarity
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import linearize_anf, linearize_mpcc
 from absnormal.cq import FAILS, HOLDS
-from absnormal.ratmath import LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
+from absnormal.ratmath import LpProblem, LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
     CASES,
     BranchDualCertificate,
@@ -34,6 +34,7 @@ from absnormal.transforms import (
 from branch_oracles import (
     anf_branches,
     lin_cone_branch,
+    lin_rows_branch,
     mpcc_branches,
     strong_branch_certificates,
     verify_branch_dual_certificate,
@@ -146,9 +147,8 @@ def test_b_stationary_e1_holds(e1):
     # each certificate proves dual-cone membership of the gradient by substitution
     branches = anf_branches(e1, e)
     for cert, b in zip(certificates, branches):
-        cone = lin_cone_branch(b)
         gradient = b.objective.gradient(b.anchor)
-        assert verify_branch_dual_certificate(cert, cone, gradient) == []
+        assert verify_branch_dual_certificate(cert, lin_rows_branch(b), gradient) == []
 
 
 def test_b_stationary_zero_gradient_trivial(e1):
@@ -339,9 +339,19 @@ def b_over_every_branch(branches, kind):
     solved eagerly branch by branch; Fails at the first unbounded branch."""
     certificates = []
     for b in branches:
-        cone = lin_cone_branch(b)
+        eq, ineq = lin_rows_branch(b)
         gradient = b.objective.gradient(b.anchor)
-        res = lp_solve(stationarity._branch_descent_lp(gradient, cone))
+        res = lp_solve(
+            LpProblem(
+                n_vars=b.n_vars,
+                objective=gradient,
+                sense="min",
+                eq_rows=eq,
+                eq_rhs=zero_vec(len(eq)),
+                ineq_rows=ineq,
+                ineq_rhs=zero_vec(len(ineq)),
+            )
+        )
         if res.status == "unbounded":
             return StationarityVerdict(kind, FAILS, failing_branch=b.label, descent=res.certificate.ray)
         assert res.status == "optimal" and res.value == 0
@@ -359,7 +369,7 @@ def assert_certificates_verify(verdict, program, point):
     for cert in certificates:
         b = by_label[cert.branch]
         gradient = b.objective.gradient(b.anchor)
-        assert verify_branch_dual_certificate(cert, lin_cone_branch(b), gradient) == []
+        assert verify_branch_dual_certificate(cert, lin_rows_branch(b), gradient) == []
 
 
 def b_routes(p, e):
@@ -454,7 +464,7 @@ def b_translation_matches_direct_check(p, e):
     else:
         assert translated.failing_branch == direct.failing_branch == reference.failing_branch
         b = next(b for b in mpcc_branches(mp, point) if b.label == translated.failing_branch)
-        assert lin_cone_branch(b).contains_point(translated.descent)
+        assert lin_cone_branch(b).contains(translated.descent)
         assert dot(b.objective.gradient(b.anchor), translated.descent) < 0
     return translated
 
