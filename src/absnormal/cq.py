@@ -40,7 +40,7 @@ from .cones import (
     tangent_cone_branch,
     union_covers,
 )
-from .ratmath import Vec, vec_neg
+from .ratmath import Vec, primitive_integer, vec_neg
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
@@ -168,6 +168,11 @@ def analyze_branch(lin: BranchLinearization, spec: BranchSpec, annotation_pieces
     return BranchAnalysis(spec, cone, None, None, cert)
 
 
+def _distinct(rows) -> tuple:
+    """The nonzero primitive integer rows of ``rows``, each once, in the order they first occur."""
+    return tuple(r for r in dict.fromkeys(map(primitive_integer, rows)) if any(r))
+
+
 def _carry(ba: BranchAnalysis, source: BranchAnalysis, how: str, compose) -> BranchAnalysis:
     """``ba`` with the tangent pieces of ``source`` carried to it along the
     branch map (``how`` is ``lift`` or ``transport``), when ``ba`` cannot
@@ -178,11 +183,17 @@ def _carry(ba: BranchAnalysis, source: BranchAnalysis, how: str, compose) -> Bra
     piece through its left inverse.  A carried piece is ``ba.lin`` plus those
     rows: the pin and graph rows of ``ba.lin`` fix the range of the map, and
     its other rows hold on the image because each source piece lies in its
-    own branch's linearized cone.  No generator is built."""
+    own branch's linearized cone.  Each piece keeps the first of its equal
+    rows and none of its zero rows.  No generator is built."""
     if ba.tangent_known or not source.tangent_known:
         return ba
+    lin = ba.lin
     pieces = tuple(
-        ba.lin.with_rows(eq=map(compose, piece.eq_rows), ineq=map(compose, piece.ineq_rows))
+        PolyCone(
+            lin.dim,
+            _distinct(lin.eq_rows + tuple(map(compose, piece.eq_rows))),
+            _distinct(lin.ineq_rows + tuple(map(compose, piece.ineq_rows))),
+        )
         for piece in source.tangent_pieces
     )
     pieces = _validated_pieces(pieces, ba.lin, ba.label)

@@ -370,12 +370,12 @@ CORPUS_DIGESTS = {
     "branches E3 --form abs-e --recheck": "b9377c04e7c8d5ec14f1fdb3ce8f550a40f74d94687e676b8e2bfe357445c87d",
     "reformulate E3 --slack --mpcc --slack-mpcc": "2ad6dbf2c92a9417a6de2ea1a88ed6249cfaca8b676a1d4cd385802f72711134",
     "reformulate E3 --slack --mpcc --slack-mpcc --recheck": "3897512485a23fc8d99c9d084af67f2ad637a4f82e4b629a47aebe2bdf2c7888",
-    "cones E3": "03b4abc32b4ab9b31eebd9100a17f3583b1bb5aa8499c8e9be8626b2ca85b245",
-    "cones E3 --recheck": "f276896490526370aa1ddb2a524eb170f01cdb47738bbb958e2f164ee661e231",
-    "cones E3 --dual": "cf8488a6d3d1bdfca25b7c1dbb0d748757f190ac227aa11792d71e753b40926c",
-    "cones E3 --dual --recheck": "3c0bdf37cb36ca9bc9231f93213c5b7800fbfe0d5837df7029cb0c2bf577376e",
-    "cones E3 --form mpcc-i": "fc2814a145c0b464b15c5efdf4bdb5eed00f1e0dc46b95b84140cbd22f49f82f",
-    "cones E3 --form mpcc-i --recheck": "2da38fb5e419a3ab7e6b9447a7475f5bd8ebe5513d478a0e5a4b7e249c1b4a92",
+    "cones E3": "7507ed21067fdd734ce932dc5ce3a6c65a5735092333c801b1bcdc04d7cc91af",
+    "cones E3 --recheck": "76ccfe02ea8779281e4c168300bebdfab1958c8a229dd2001d617e3d7ccb0ab5",
+    "cones E3 --dual": "e0b83a419caa5f3654e3e104d9109a0289391e0ee6e4e81fc815796842b9e803",
+    "cones E3 --dual --recheck": "efa5d7ac7a74818218cf79ade718b9605d9affb4af1af48eaa1343456efd281b",
+    "cones E3 --form mpcc-i": "51c9765a9a506a2237b4c301e8c9bae846c0e09827eff85de288c23a86bb0ab3",
+    "cones E3 --form mpcc-i --recheck": "0abdc01cb7dc44ff8ff3b10068c21f1dda28fdc4bac1fcb6a70ff20ca3c8f7aa",
     "check-cq E3": "026e4ac4ac9adfcef5c3e0da9bffda8e85d3363445b54e911c0fa2fdc5024ad6",
     "check-cq E3 --recheck": "c63904056bebf17157293ff24e0c33e578662a227b264bef4d0d2831440c80b0",
     "check-cq E3 --all": "a6acf0d56312c496a303188e566587799dc0b6b4a0e2d57b8bfacc4e32ff53cb",
@@ -396,12 +396,12 @@ CORPUS_DIGESTS = {
     "branches E4 --form abs-e --recheck": "621abcc12e8f6a2629b088d82de06a974bb6da83088ea1fdf889e49f2ac4bd68",
     "reformulate E4 --slack --mpcc --slack-mpcc": "b228bcdf4e98704c8718498a97414b8169980e36130e452e2bc93fb104f5fec4",
     "reformulate E4 --slack --mpcc --slack-mpcc --recheck": "b3a477f393d94f3a429813ba9fbf0926d7e754eef0bbe1fe4ccaf565e8d33868",
-    "cones E4": "49dd7f7ef66f0ec975e6cc216d806eea5dae30c1163e6d5415fc1f820721f992",
-    "cones E4 --recheck": "2b14f86a644764a6fb42d1ad949a0303bd558a544476e4658896af7fee1c55ff",
-    "cones E4 --dual": "ed11919c235be8d0d27e3549afc92454c2d2423249a68091f3308be2c634ea42",
-    "cones E4 --dual --recheck": "e5abf3f1027686cdb675ff1a4b6d55662c342152e61ecb3daf886ba486a5d8b5",
-    "cones E4 --form mpcc-i": "121e39ef1b7b8a765b130910472be1eed5bff75d7ef358f85b4aceb597efd910",
-    "cones E4 --form mpcc-i --recheck": "398a5fcd8d04fd64ff06c2a6192b61471667c1aecd2b43f405b7fab0095f1337",
+    "cones E4": "84398796c1a26594213a835e6bc4a0dcdecafaf11b9559f8dbbfccf7f0b0a9d8",
+    "cones E4 --recheck": "ab1a93231609930e582c857b4d018bf460d2aa726e0717a8a99344a0c5fd969b",
+    "cones E4 --dual": "caff899364ac3bd357ab77889d01b9e2499852bfef79b846b9819fb3167b6c5c",
+    "cones E4 --dual --recheck": "ed2a34906e18c27f8e93457650b4612850d7886eeb60bda53e0a07f093374d27",
+    "cones E4 --form mpcc-i": "49c0c5e40b451e03aae52fecd305b082b101bd2850a1cd93c291eb5d4eeada62",
+    "cones E4 --form mpcc-i --recheck": "78649604c47f3ab0b3c3300c63273a0c583ebb11f679cb46851668c91c9da315",
     "check-cq E4": "f77159529ca0e87a3fa38ef733765fadd62a89836129bd83dcf0687dd6bb5240",
     "check-cq E4 --recheck": "92712326d5038182ca2c15b93a1c153f228f84ce39f993500f7f7d61a328334c",
     "check-cq E4 --all": "241b42b167843adce84442401df1e69a6fc24fae2d046774770ae92859933fd7",
