@@ -108,10 +108,6 @@ class SignatureVector:
         if any(e not in (-1, 0, 1) for e in self.entries):
             raise ProgramError("signature entries must be -1, 0, or 1")
 
-    @property
-    def definite(self) -> bool:
-        return all(e != 0 for e in self.entries)
-
     def dominates(self, other: "SignatureVector") -> bool:
         """Whether this signature fixes every nonzero entry of ``other`` (entrywise s*o >= o*o)."""
         return all(s * o >= o * o for s, o in zip(self.entries, other.entries, strict=True))

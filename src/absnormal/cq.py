@@ -421,9 +421,6 @@ class RelationReport:
     def consistent(self) -> bool:
         return all(a.consistent for a in self.arrows)
 
-    def inconsistencies(self) -> list[RelationArrow]:
-        return [a for a in self.arrows if not a.consistent]
-
 
 def _implies_consistent(lhs: str, rhs: str) -> bool:
     return not (lhs == HOLDS and rhs == FAILS)

@@ -136,24 +136,8 @@ class RatMatrix:
     def row(self, i: int) -> Vec:
         return self.rows[i]
 
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(self.col(j) for j in range(self.cols)), len(self.rows))
-
     def mat_vec(self, v: Vec) -> Vec:
         return tuple(dot(r, v) for r in self.rows)
-
-    def vec_mat(self, v: Vec) -> Vec:
-        if len(v) != len(self.rows):
-            raise ValueError("vector length does not match row count")
-        return tuple(dot(v, self.col(j)) for j in range(self.cols))
-
-    def mat_mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.n_rows:
-            raise ValueError("inner dimensions do not match")
-        return RatMatrix(tuple(other.vec_mat(r) for r in self.rows), other.cols)
 
     def is_symmetric(self) -> bool:
         if self.n_rows != self.cols:
@@ -227,42 +211,3 @@ def integer_rank(work: list[list[int]], cols: int) -> int:
         if r == n_rows:
             break
     return r
-
-
-def rank_rows(rows, cols: int) -> int:
-    """Exact rank via fraction-free (Bareiss) elimination on integer-scaled rows."""
-    work: list[list[int]] = []
-    for r in rows:
-        r = vec(r)
-        if len(r) != cols:
-            raise ValueError("inconsistent row length")
-        work.append(integer_row(r))
-    return integer_rank(work, cols)
-
-
-def rank(m: RatMatrix) -> int:
-    return rank_rows(m.rows, m.cols)
-
-
-def rref(rows, cols: int) -> list[Vec]:
-    """Reduced row echelon form; returns the nonzero rows (a canonical basis of the row space)."""
-    work = [list(vec(r)) for r in rows]
-    n_rows = len(work)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        work[r] = [x / p for x in work[r]]
-        for i in range(n_rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return [tuple(row) for row in work[:r]]

@@ -18,8 +18,9 @@ certificate against a built branch's rows, one column dot per coordinate.
 ``on_rational_rows`` runs an integer kernel of ``ratmath.dd`` on rational
 rows and reads its output back as ``Fraction`` vectors, the form the kernel
 took and gave before it worked on integers at its boundary.
-``compose_linear`` substitutes a dense matrix into a quadratic function: the
-reference for the position substitution ``transforms.to_mpcc`` makes.
+``compose_linear`` substitutes a dense matrix into a quadratic function, by
+the dense products ``transpose``, ``vec_mat`` and ``mat_mul``: the reference
+for the position substitution ``transforms.to_mpcc`` makes.
 ``cone_image`` (by double description on the polar) and ``lift_tangent_piece``
 (from the constraint Jacobians) carry a tangent piece along the branch maps
 the slow, independent ways: the references for the pieces ``cq._carry`` makes
@@ -93,14 +94,32 @@ class SmoothBranchProblem:
         )
 
 
+def transpose(m: RatMatrix) -> RatMatrix:
+    return RatMatrix(tuple(tuple(r[j] for r in m.rows) for j in range(m.cols)), m.n_rows)
+
+
+def vec_mat(v: Vec, m: RatMatrix) -> Vec:
+    """The row vector ``v`` times ``m``."""
+    if len(v) != m.n_rows:
+        raise ValueError("vector length does not match row count")
+    return transpose(m).mat_vec(v)
+
+
+def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if a.cols != b.n_rows:
+        raise ValueError("inner dimensions do not match")
+    return RatMatrix(tuple(vec_mat(r, b) for r in a.rows), b.cols)
+
+
 def compose_linear(func: QuadraticFunc, m: RatMatrix) -> QuadraticFunc:
     """The function ``y -> func(m y)`` (m has ``func.dim`` rows)."""
     if m.n_rows != func.dim:
         raise ProgramError("substitution matrix must have one row per variable")
-    linear = m.transpose().mat_vec(func.linear)
+    mt = transpose(m)
+    linear = mt.mat_vec(func.linear)
     quad = None
     if func.quadratic is not None and not func.quadratic.is_zero():
-        quad = m.transpose().mat_mul(func.quadratic).mat_mul(m)
+        quad = mat_mul(mat_mul(mt, func.quadratic), m)
     return QuadraticFunc(m.cols, func.constant, linear, quad)
 
 
@@ -544,7 +563,7 @@ def jacobian_z(p: AbsNormalProgram, e: EvalResult, signs: SignatureVector) -> Ra
     The inverse exists because ``d2 Sigma`` is strictly lower triangular, so the
     system solves row by row.
     """
-    if not signs.definite or not signs.dominates(e.sigma):
+    if 0 in signs.entries or not signs.dominates(e.sigma):
         raise ProgramError("signature must be definite and dominate the signature at the point")
     jac = constraint_jacobians(p, e)
     rows: list[Vec] = []

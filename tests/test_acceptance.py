@@ -306,7 +306,7 @@ def test_criterion_5_theorem_cross_checks():
     arrows_checked = 0
     for pf, point, pa in CASES:
         report, kink, branch_verdicts = verify_relations(pa)
-        bad = report.inconsistencies()
+        bad = [a for a in report.arrows if not a.consistent]
         assert not bad, f"{pf.name}/{point.label}: inconsistent arrows {bad}"
         arrows_checked += len(report.arrows)
         # the named equivalences, asserted directly

@@ -59,10 +59,7 @@ RATMATH_API = [
     "margin_relaxation",
     "primitive",
     "primitive_integer",
-    "rank",
-    "rank_rows",
     "rat",
-    "rref",
     "unit_vec",
     "vec",
     "vec_add",

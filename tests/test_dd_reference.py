@@ -28,14 +28,13 @@ from absnormal.ratmath import (
     dot,
     generators_to_hrep,
     primitive_integer,
-    rank_rows,
 )
 from absnormal.ratmath.matrix import (
     Vec,
     is_zero_vec,
     primitive,
-    rref,
     unit_vec,
+    vec,
 )
 
 
@@ -47,6 +46,38 @@ def vec_scale(c: Fraction, a: Vec) -> Vec:
     if not c:
         return (ZERO,) * len(a)
     return tuple(c * x if x else ZERO for x in a)
+
+
+def rref(rows, cols: int) -> list[Vec]:
+    """Reduced row echelon form; returns the nonzero rows (a canonical basis of the row space)."""
+    work = [list(vec(r)) for r in rows]
+    n_rows = len(work)
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, n_rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        p = work[r][c]
+        work[r] = [x / p for x in work[r]]
+        for i in range(n_rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        r += 1
+        if r == n_rows:
+            break
+    return [tuple(row) for row in work[:r]]
+
+
+def rank_rows(rows, cols: int) -> int:
+    """Exact rank by rational elimination: the number of rows of ``rref``."""
+    return len(rref(rows, cols))
+
+
+def test_rref_canonical_basis():
+    rows = rref([vec([2, 2, 0]), vec([0, 0, 3]), vec([2, 2, 3])], 3)
+    assert rows == [vec([1, 1, 0]), vec([0, 0, 1])]
 
 
 class _Ray:

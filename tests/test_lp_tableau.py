@@ -283,21 +283,21 @@ def test_sparse_products_equal_the_naive_ones():
         assert value == naive and type(value) is Fraction
         got = vec_add(a, b)
         assert got == tuple(x + y for x, y in zip(a, b)) and all(type(x) is Fraction for x in got)
-        m = RatMatrix(tuple(_sparse(rng, 3) for _ in range(n)), 3)
-        cols = m.vec_mat(a)
-        assert cols == tuple(sum((a[i] * m.rows[i][j] for i in range(n)), ZERO) for j in range(3))
-        assert all(type(x) is Fraction for x in cols)
+        m = RatMatrix(tuple(_sparse(rng, n) for _ in range(3)), n)
+        rows = m.mat_vec(a)
+        assert rows == tuple(sum((m.rows[i][j] * a[j] for j in range(n)), ZERO) for i in range(3))
+        assert all(type(x) is Fraction for x in rows)
 
 
 def test_all_zero_products_are_fraction_zero():
     assert repr(dot((ZERO, ONE), (ONE, ZERO))) == "Fraction(0, 1)"
     assert repr(dot((), ())) == "Fraction(0, 1)"
     m = RatMatrix(((ZERO, ONE), (ZERO, ZERO)), 2)
-    assert repr(m.vec_mat((ONE, ZERO))) == "(Fraction(0, 1), Fraction(1, 1))"
+    assert repr(m.mat_vec((ZERO, ONE))) == "(Fraction(1, 1), Fraction(0, 1))"
 
 
 def test_products_still_check_lengths():
     with pytest.raises(ValueError):
         dot((ONE,), (ONE, ZERO))
     with pytest.raises(ValueError):
-        RatMatrix(((ONE,),), 1).vec_mat((ONE, ONE))
+        RatMatrix(((ONE,),), 1).mat_vec((ONE, ONE))

@@ -36,7 +36,7 @@ def test_relations_and_stationarity_on_random_affine_programs():
             continue
         pa = analyze_point(p, t0)
         report, kink, branch_verdicts = verify_relations(pa)
-        assert report.consistent, report.inconsistencies()
+        assert report.consistent, [a for a in report.arrows if not a.consistent]
         for verdicts in kink.values():
             assert verdicts.status != UNKNOWN  # affine: always decisive
         mp = pa.mpcc

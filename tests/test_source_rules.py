@@ -15,9 +15,16 @@ each with its reason.
 
 The double description kernel ``ratmath/dd.py`` takes and gives integer
 vectors, so it imports nothing that makes a ``Fraction``.
+
+Every function, method and class defined under ``src/absnormal`` is named in
+the package beyond its own definition, or listed in an ``__all__``: code
+that nothing reads leaves, or moves to the tests that read it.
+``UNREFERENCED_ALLOWED`` lists the exceptions, each with its reader outside
+the package and the reason.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import absnormal
@@ -117,6 +124,86 @@ def test_imported_names_are_found(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import fractions\nfrom .matrix import vec, integer_rank as rank\nfrom fractions import Fraction\n")
     assert _imported_names(probe) & RATIONAL_IMPORTS == {"fractions", "vec"}
+
+
+# (module file, defined name) -> (its reader outside the package, why it stays)
+UNREFERENCED_ALLOWED = {
+    ("cones.py", "certified"): (
+        "bench/tracer.py",
+        "TangentCertificate.certified: the tracer counts certified tangent cones for cones.tangent_certified_ratio",
+    ),
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    """Each name the node reads, bare or as an attribute, with its count."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _exported(tree: ast.AST) -> set[str]:
+    return {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def _unreferenced_definition_sites(paths: list[Path], allowed=UNREFERENCED_ALLOWED) -> list[str]:
+    """The functions, methods and classes of ``paths`` that no file of
+    ``paths`` names outside their own definition, no ``__all__`` lists and
+    ``allowed`` does not name; dunder methods are called by Python itself
+    and are skipped."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    named, exported = Counter(), set()
+    for tree in trees.values():
+        named.update(_names(tree))
+        exported |= _exported(tree)
+    return [
+        f"{path.name}:{node.lineno}: {node.name} is named nowhere else"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and named[node.name] == _names(node)[node.name]
+        and (path.name, node.name) not in allowed
+    ]
+
+
+def test_package_source_defines_only_what_it_names():
+    assert _unreferenced_definition_sites(_modules()) == []
+
+
+def test_each_unreferenced_allowance_is_needed_and_read():
+    # without the allowances exactly their names are flagged, and each
+    # reader outside the package names its entry
+    flagged = _unreferenced_definition_sites(_modules(), allowed={})
+    assert [site.split(": ", 1)[1] for site in flagged] == [f"{name} is named nowhere else" for _, name in UNREFERENCED_ALLOWED]
+    repo = Path(absnormal.__file__).resolve().parents[2]
+    for (_, name), (reader, _) in UNREFERENCED_ALLOWED.items():
+        assert _names(ast.parse((repo / reader).read_text(encoding="utf-8")))[name] > 0, (reader, name)
+
+
+def test_unreferenced_definition_sites_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def used(): return helper()\n"
+        "def helper(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Box:\n"
+        "    def __init__(self): self.size = 0\n"
+        "    def read(self): return self.size\n"
+        "    def unread(self): return self.read()\n"
+    )
+    (tmp_path / "b.py").write_text("from a import Box, used\nused(Box())\n")
+    assert _unreferenced_definition_sites([tmp_path / "a.py", tmp_path / "b.py"]) == [
+        "a.py:5: recursive is named nowhere else",
+        "a.py:9: unread is named nowhere else",
+    ]
 
 
 def test_assertion_sites_are_found(tmp_path):
