@@ -540,10 +540,11 @@ def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, pa: PointAn
     if kind in _ABADIE_KINDS:
         # a valid Abadie witness is linearized-feasible somewhere but escapes
         # the tangent upper bound of every branch
+        g = primitive_integer(w)
         for ba in branches:
-            if any(piece.contains(w) for piece in ba.upper_pieces):
+            if any(piece.contains(g) for piece in ba.upper_pieces):
                 errors.append(f"{prefix}: witness lies inside the tangent bound of branch {ba.label}")
-        if not any(ba.lin.contains(w) for ba in branches):
+        if not any(ba.lin.contains(g) for ba in branches):
             errors.append(f"{prefix}: witness is not linearized-feasible")
     else:
         # a valid Guignard witness pairs nonnegatively with the whole tangent
@@ -614,7 +615,7 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
                 return [f"{prefix}: descent missing"]
             if len(descent) != len(lin.gradient):
                 return [f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}"]
-            if not lin.cone(spec.signs).contains(descent):
+            if not lin.cone(spec.signs).contains(primitive_integer(descent)):
                 errors.append(f"{prefix}: descent direction is not linearized-feasible")
             if dot(lin.gradient, descent) >= 0:
                 errors.append(f"{prefix}: descent direction does not descend")

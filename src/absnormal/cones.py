@@ -116,7 +116,9 @@ class PolyCone:
         return PolyCone(dim)
 
     def contains(self, d) -> bool:
-        """Whether the exact vector ``d`` (of ints or rationals) lies in the cone."""
+        """Whether the exact vector ``d`` lies in the cone.  Exact for ints and
+        rationals alike; a rational ``d`` is tested faster through its
+        ``primitive_integer`` multiple, which pairs with each row in the same sign."""
         eq, ineq = self._read_rows()
         return all(integer_dot(r, d) == 0 for r in eq) and all(integer_dot(r, d) >= 0 for r in ineq)
 

@@ -49,6 +49,7 @@ from .ratmath import (
     Vec,
     dot,
     lp_solve,
+    primitive_integer,
     vec_neg,
     verify_certificate,
     zero_vec,
@@ -630,7 +631,7 @@ def translate_b_verdict(
     if verdict.status == FAILS:
         spec = counterpart_spec(verdict.failing_branch)
         descent = split_direction_matrix(mp.n_x, mp.s, spec).mat_vec(verdict.descent)
-        if not lin.cone(spec.signs).contains(descent) or dot(lin.gradient, descent) >= 0:
+        if not lin.cone(spec.signs).contains(primitive_integer(descent)) or dot(lin.gradient, descent) >= 0:
             raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
         return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)
     m1 = system_to.m1
