@@ -2,8 +2,9 @@
 
 ``rational_cone_generators`` is the ``Fraction`` kernel that ``ratmath.dd``
 used before its rays and lineality vectors became integer vectors, kept here
-unchanged but for its name as the reference.  The kernel now takes integer
-rows and gives primitive integer vectors: run on rational rows through
+unchanged but for its name as the reference, with its own echelon form and
+rank by rational elimination (``rref``, ``rank_rows``).  The kernel now takes
+integer rows and gives primitive integer vectors: run on rational rows through
 ``on_rational_rows``, equal ``repr`` of the returned ``(rays, lineality)``
 lists means the integer kernel took the same pivots and picked the same ray
 representatives, down to the types of the entries; run on integer rows, its
