@@ -9,7 +9,7 @@ points, emitting machine-checkable certificates.
 
 __version__ = "0.1.0"
 
-from .anf import AbsNormalProgram, EvalResult, QuadraticFunc, SignatureVector, evaluate, validate
+from .anf import AbsNormalProgram, EvalResult, QuadraticFunc, evaluate, validate
 from .cones import PolyCone, dual_cone, dual_union, linearize_anf, linearize_mpcc
 from .cq import analyze_point, check_branch_cq, decide_kink_cq, verify_relations
 from .problemfile import ProblemFile, load_corpus, load_corpus_problem, parse_problem
@@ -22,7 +22,6 @@ __all__ = [
     "PolyCone",
     "ProblemFile",
     "QuadraticFunc",
-    "SignatureVector",
     "__version__",
     "analyze_point",
     "check_b_stationary",

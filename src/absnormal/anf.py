@@ -99,33 +99,6 @@ class QuadraticFunc:
 
 
 @dataclass(frozen=True)
-class SignatureVector:
-    """Component-wise signs of the switching vector, with the dominance order."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e not in (-1, 0, 1) for e in self.entries):
-            raise ProgramError("signature entries must be -1, 0, or 1")
-
-    def dominates(self, other: "SignatureVector") -> bool:
-        """Whether this signature fixes every nonzero entry of ``other`` (entrywise s*o >= o*o)."""
-        return all(s * o >= o * o for s, o in zip(self.entries, other.entries, strict=True))
-
-    def refinements(self):
-        """All definite signatures dominating this one, zeros resolved in +/- order."""
-        free = [i for i, e in enumerate(self.entries) if e == 0]
-        for choice in itertools.product((1, -1), repeat=len(free)):
-            entries = list(self.entries)
-            for i, c in zip(free, choice):
-                entries[i] = c
-            yield SignatureVector(tuple(entries))
-
-    def label(self) -> str:
-        return "σ=" + "".join("+" if e > 0 else "-" if e < 0 else "0" for e in self.entries)
-
-
-@dataclass(frozen=True)
 class AbsNormalProgram:
     """min f(t) over (t, z) with c_e(t,|z|) = 0, c_i(t,|z|) >= 0, c_z(t,|z|) = z."""
 
@@ -151,7 +124,7 @@ class AbsNormalProgram:
 class EvalResult:
     t: Vec
     z: Vec
-    sigma: SignatureVector
+    sigma: tuple[int, ...]  # the sign of each switching variable
     alpha: tuple[int, ...]
     active_i: tuple[int, ...]
     residual_e: Vec
@@ -230,7 +203,7 @@ def evaluate(p: AbsNormalProgram, t) -> EvalResult:
         z.append(zi)
         zeta[i] = abs(zi)
     block = t + tuple(zeta)
-    signs = SignatureVector(tuple(0 if x == 0 else (1 if x > 0 else -1) for x in z))
+    signs = tuple(0 if x == 0 else (1 if x > 0 else -1) for x in z)
     alpha = tuple(i for i, x in enumerate(z) if x == 0)
     residual_e = tuple(func.value(block) for func in p.c_e)
     value_i = tuple(func.value(block) for func in p.c_i)

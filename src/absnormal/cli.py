@@ -22,6 +22,7 @@ import functools
 import sys
 import types
 import typing
+from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -86,12 +87,10 @@ EXIT_USAGE = 3
 # serialization helpers
 
 
-def _s(x) -> str:
-    return str(x) if type(x) is Fraction else str(Fraction(x))
-
-
 def _svec(v) -> list[str]:
-    return [_s(x) for x in v]
+    """An exact vector as canonical strings: ``str`` of an ``int`` is the
+    same text as of the equal ``Fraction``."""
+    return list(map(str, v))
 
 
 @functools.cache
@@ -172,7 +171,7 @@ def report_text(report: dict) -> str:
 
 
 def _ser_func(func) -> dict:
-    out = {"constant": _s(func.constant), "linear": _svec(func.linear)}
+    out = {"constant": str(func.constant), "linear": _svec(func.linear)}
     if func.quadratic is not None and not func.quadratic.is_zero():
         out["quadratic"] = [_svec(r) for r in func.quadratic.rows]
     return out
@@ -255,7 +254,7 @@ def _eval_section(label: str, e: EvalResult) -> dict:
         "label": label,
         "t": _svec(e.t),
         "z": _svec(e.z),
-        "signature": list(e.sigma.entries),
+        "signature": list(e.sigma),
         "active_switches": [i + 1 for i in e.alpha],
         "active_inequalities": [k + 1 for k in e.active_i],
         "equality_residuals": _svec(e.residual_e),
@@ -472,7 +471,7 @@ def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRAN
             if z is not None and z != e.z:
                 errors.append(f"{prefix}: reported switching solution does not re-solve")
             signature = read(f"{prefix} eval signature", ev.get("signature"), tuple[int, ...])
-            if signature is not None and signature != e.sigma.entries:
+            if signature is not None and signature != e.sigma:
                 errors.append(f"{prefix}: reported signature mismatch")
         cq = read(f"{prefix} cq", point_entry.get("cq", {}), dict, {})
         branches = read(f"{prefix} branches", cq.get("branches", {}), dict[str, tuple[dict, ...]], {})
@@ -592,10 +591,10 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
         lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
         if status == HOLDS:
             by_label = {spec.label: spec for spec in lin.specs(pa.branch_cap)}
-            named = [cert.branch for cert in verdict.branch_certificates]
+            named = Counter(cert.branch for cert in verdict.branch_certificates)
             for label in by_label:
-                if named.count(label) != 1:
-                    errors.append(f"{prefix}: branch {label} has {named.count(label)} certificates, expected 1")
+                if named[label] != 1:
+                    errors.append(f"{prefix}: branch {label} has {named[label]} certificates, expected 1")
             memo: dict = {}
             for cert in verdict.branch_certificates:
                 spec = by_label.get(cert.branch)
@@ -607,7 +606,7 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
         else:
             label = verdict.failing_branch
             kind_of_label = "signature" if kind == "b-anf" else "partition"
-            spec = parse_branch_label(label, kind_of_label, lin.base.entries)
+            spec = parse_branch_label(label, kind_of_label, lin.base)
             if spec is None:
                 return [f"{prefix}: unknown failing branch {label!r}"]
             descent = verdict.descent

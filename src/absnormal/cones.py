@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .anf import AbsNormalProgram, EvalResult, SignatureVector
+from .anf import AbsNormalProgram, EvalResult
 from .ratmath import (
     FEASIBLE,
     ZERO,
@@ -313,7 +313,7 @@ class BranchLinearization:
 
     form: str  # "anf" | "mpcc"
     n_x: int  # columns before the switching block
-    base: SignatureVector
+    base: tuple[int, ...]  # the anchor signature
     gradient: Vec  # of the objective, at the anchor
     eq_grads: tuple[Vec, ...]
     ineq_grads: tuple[Vec, ...]
@@ -326,7 +326,7 @@ class BranchLinearization:
 
     @property
     def n_eq(self) -> int:
-        pins = len(self.base.entries) if self.form == "mpcc" else 0
+        pins = len(self.base) if self.form == "mpcc" else 0
         return len(self.eq_grads) + pins
 
     @property
@@ -447,9 +447,9 @@ class BranchLinearization:
         return tuple(out)
 
 
-def _infeasible_anchor(kind: str, base: SignatureVector) -> ValueError:
+def _infeasible_anchor(kind: str, base: tuple[int, ...]) -> ValueError:
     # every branch has the anchor's constraint values, so the first one names it
-    first = BranchSpec(kind, next(base.refinements()).entries, base.entries)
+    first = BranchSpec(kind, tuple(sg or 1 for sg in base), base)
     return ValueError(f"anchor is infeasible for branch {first.label}")
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 
-from .anf import AbsNormalProgram, EvalResult, SignatureVector, evaluate
+from .anf import AbsNormalProgram, EvalResult, evaluate
 from .cones import (
     BranchLinearization,
     PolyCone,
@@ -348,7 +348,7 @@ class PointAnalysis:
         if key == ABS_I:
             branches = [analyze_branch(lin, spec, self.annotations.get(spec.label)) for spec in specs]
         elif key == ABS_E:
-            by_label = {ba.label: ba for ba in source_branches}
+            by_signs = {ba.spec.signs: ba for ba in source_branches}
             # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
             p, zeros = self.program, (0,) * self.program.m2
 
@@ -356,7 +356,7 @@ class PointAnalysis:
                 return row[: p.n_t] + zeros + row[p.n_t :] + zeros
 
             branches = [
-                _carry(analyze_branch(lin, spec), by_label[SignatureVector(spec.signs[: p.s]).label()], "lift", lift)
+                _carry(analyze_branch(lin, spec), by_signs[spec.signs[: p.s]], "lift", lift)
                 for spec in specs
             ]
         else:
@@ -515,8 +515,9 @@ def verify_relations(
         for a_pair, m_pair in zip(branch_verdicts[abs_key], branch_verdicts[mpcc_key], strict=True):
             branch_iffs(abs_key, a_pair, mpcc_key, m_pair)
     # each abs-e branch against the abs-i branch of its first switching block
-    i_by_label = {pair[0].branch: pair for pair in branch_verdicts[ABS_I]}
+    i_branches = pa.formulation(ABS_I).branches
+    i_by_signs = {ba.spec.signs: pair for ba, pair in zip(i_branches, branch_verdicts[ABS_I], strict=True)}
     s = pa.program.s
     for ba, e_pair in zip(pa.formulation(ABS_E).branches, branch_verdicts[ABS_E], strict=True):
-        branch_iffs(ABS_I, i_by_label[SignatureVector(ba.spec.signs[:s]).label()], ABS_E, e_pair)
+        branch_iffs(ABS_I, i_by_signs[ba.spec.signs[:s]], ABS_E, e_pair)
     return RelationReport(tuple(arrows)), kink, branch_verdicts

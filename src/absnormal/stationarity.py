@@ -59,9 +59,8 @@ from .transforms import (
     BranchSpec,
     MpccPoint,
     MpccProgram,
-    branch_correspondence,
     parse_branch_label,
-    split_direction_matrix,
+    split_direction,
 )
 
 DEFAULT_CASE_CAP = 3**10
@@ -225,8 +224,8 @@ def _anf_system(p: AbsNormalProgram, e: EvalResult) -> _MultiplierSystem:
         pair_u.append((tuple(col_u), ZERO))
         pair_v.append((tuple(col_v), ZERO))
     inactive = tuple(k for k, v in enumerate(e.value_i) if v != 0)
-    u_plus = tuple(i for i, sg in enumerate(e.sigma.entries) if sg > 0)
-    v_plus = tuple(i for i, sg in enumerate(e.sigma.entries) if sg < 0)
+    u_plus = tuple(i for i, sg in enumerate(e.sigma) if sg > 0)
+    v_plus = tuple(i for i, sg in enumerate(e.sigma) if sg < 0)
     return _MultiplierSystem(
         m1=m1,
         m2=m2,
@@ -612,7 +611,7 @@ def translate_b_verdict(
     keeps its weights of the constraint rows, which give (lam_e, lam_i,
     lam_z); the pair multipliers re-derived from them in ``system_to`` weight
     the pair rows of the corresponding counterpart branch.  Fails: the descent
-    direction is mapped by ``split_direction_matrix`` of the failing branch.
+    direction is split (``split_direction``) on the failing branch.
     A source that is not valid or names no branch is a ValueError; a
     translation that fails its check means the two forms disagree, a
     RuntimeError.
@@ -620,17 +619,17 @@ def translate_b_verdict(
     if verdict.multipliers is not None:
         return translate_m_verdict(verdict, system_from, system_to, "b-mpcc")
     lin = linearize_mpcc(mp, point)
-    base = point.base_signature.entries
+    base = point.base_signature
 
     def counterpart_spec(label: str) -> BranchSpec:
         spec = parse_branch_label(label, "signature", base)
         if spec is None:
             raise ValueError(f"source verdict names no abs-normal branch: {label!r}")
-        return branch_correspondence(spec)
+        return replace(spec, kind="partition")
 
     if verdict.status == FAILS:
         spec = counterpart_spec(verdict.failing_branch)
-        descent = split_direction_matrix(mp.n_x, mp.s, spec).mat_vec(verdict.descent)
+        descent = split_direction(mp.n_x, spec.signs, verdict.descent)
         if not lin.cone(spec.signs).contains(primitive_integer(descent)) or dot(lin.gradient, descent) >= 0:
             raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
         return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)

@@ -14,6 +14,7 @@ linearization per formulation and point (``cones.linearize_anf``/
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +23,9 @@ from .anf import (
     EvalResult,
     ProgramError,
     QuadraticFunc,
-    SignatureVector,
     require_valid,
 )
-from .ratmath import ONE, ZERO, RatMatrix, Vec, unit_vec, vec, vec_neg, zero_vec
+from .ratmath import ONE, ZERO, Vec, unit_vec, vec, vec_neg
 
 DEFAULT_BRANCH_CAP = 65536  # branches, 2^16: the default of every --branch-cap
 
@@ -185,10 +185,8 @@ class MpccPoint:
         return tuple(i for i, (a, b) in enumerate(zip(self.u, self.v)) if a == 0 and b == 0)
 
     @property
-    def base_signature(self) -> SignatureVector:
-        return SignatureVector(
-            tuple(1 if a > 0 else (-1 if b > 0 else 0) for a, b in zip(self.u, self.v))
-        )
+    def base_signature(self) -> tuple[int, ...]:
+        return tuple(1 if a > 0 else (-1 if b > 0 else 0) for a, b in zip(self.u, self.v))
 
     @property
     def coords(self) -> Vec:
@@ -219,8 +217,10 @@ def mpcc_point_from_eval(e: EvalResult) -> MpccPoint:
 class BranchSpec:
     """One branch: a definite signature, or equivalently a resolution of degenerate pairs.
 
-    ``signs`` is the definite signature; ``base_signs`` the (possibly
-    indefinite) signature at the anchor.  The partition view collects the
+    ``signs`` is the definite signature, dominating ``base_signs``, the
+    (possibly indefinite) signature at the anchor.  Specs are trusted data:
+    only ``branch_specs`` and ``parse_branch_label`` make them, and the
+    latter checks a label from outside.  The partition view collects the
     degenerate indices resolved to the negative side.
     """
 
@@ -228,36 +228,12 @@ class BranchSpec:
     signs: tuple[int, ...]
     base_signs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("signature", "partition"):
-            raise ProgramError(f"unknown branch kind {self.kind!r}")
-        if len(self.signs) != len(self.base_signs):
-            raise ProgramError("signature lengths differ")
-        if any(sg == 0 for sg in self.signs):
-            raise ProgramError("branch signature must be definite")
-        if not SignatureVector(self.signs).dominates(SignatureVector(self.base_signs)):
-            raise ProgramError("branch signature must dominate the anchor signature")
-
-    @property
-    def degenerate(self) -> tuple[int, ...]:
-        return tuple(i for i, sg in enumerate(self.base_signs) if sg == 0)
-
-    @property
-    def partition(self) -> frozenset[int]:
-        return frozenset(i for i in self.degenerate if self.signs[i] == -1)
-
     @functools.cached_property
     def label(self) -> str:
         if self.kind == "signature":
-            return SignatureVector(self.signs).label()
-        members = ",".join(str(i + 1) for i in sorted(self.partition))
-        return "P={" + members + "}"
-
-
-def branch_correspondence(spec: BranchSpec) -> BranchSpec:
-    """The same branch seen from the other formulation (signature <-> partition)."""
-    other = "partition" if spec.kind == "signature" else "signature"
-    return BranchSpec(other, spec.signs, spec.base_signs)
+            return "σ=" + "".join("+" if sg > 0 else "-" for sg in self.signs)
+        negative = (i + 1 for i, (sg, b) in enumerate(zip(self.signs, self.base_signs)) if b == 0 and sg < 0)
+        return "P={" + ",".join(map(str, negative)) + "}"
 
 
 def _check_cap(n_degenerate: int, cap: int) -> None:
@@ -269,7 +245,7 @@ def _check_cap(n_degenerate: int, cap: int) -> None:
         )
 
 
-def branch_specs(kind: str, base: SignatureVector, cap: int = DEFAULT_BRANCH_CAP):
+def branch_specs(kind: str, base: tuple[int, ...], cap: int = DEFAULT_BRANCH_CAP):
     """The branches of ``kind`` at a point of anchor signature ``base``, one
     spec per definite signature dominating it, made as they are consumed.  The
     cap is checked at the call, before any spec is made.
@@ -277,8 +253,9 @@ def branch_specs(kind: str, base: SignatureVector, cap: int = DEFAULT_BRANCH_CAP
     Order is deterministic: degenerate entries are resolved + before -, first
     index varying slowest.
     """
-    _check_cap(base.entries.count(0), cap)
-    return (BranchSpec(kind, refined.entries, base.entries) for refined in base.refinements())
+    _check_cap(base.count(0), cap)
+    choices = [(sg,) if sg else (1, -1) for sg in base]
+    return (BranchSpec(kind, signs, base) for signs in itertools.product(*choices))
 
 
 def enumerate_branches(e: EvalResult, cap: int = DEFAULT_BRANCH_CAP) -> list[BranchSpec]:
@@ -293,7 +270,14 @@ def enumerate_mpcc_branches(point: MpccPoint, cap: int = DEFAULT_BRANCH_CAP) -> 
 
 def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchSpec | None:
     """The branch of ``kind`` at a point of anchor signature ``base_signs``
-    whose label is ``label``, or None when no such branch has it."""
+    whose label is ``label``, or None when no such branch has it.
+
+    Labels from outside (problem-file annotations, reports being rechecked)
+    come in here, the one place a spec is checked: the signature must have
+    the anchor's length and dominate it, and the label must be the spec's
+    own, which makes the signature definite and the partition members
+    sorted, distinct and degenerate.
+    """
     if not isinstance(label, str):
         return None
     if kind == "signature" and label.startswith("σ="):
@@ -306,10 +290,9 @@ def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchS
         signs = tuple(-1 if i in negative else sg or 1 for i, sg in enumerate(base_signs))
     else:
         return None
-    try:
-        spec = BranchSpec(kind, signs, tuple(base_signs))
-    except ProgramError:
+    if len(signs) != len(base_signs) or any(b and sg != b for sg, b in zip(signs, base_signs)):
         return None
+    spec = BranchSpec(kind, signs, base_signs)
     return spec if spec.label == label else None
 
 
@@ -317,18 +300,11 @@ def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchS
 # direction homeomorphisms
 
 
-def split_direction_matrix(n_x: int, s: int, spec: BranchSpec) -> RatMatrix:
-    """(dx, dz) -> (dx, du, dv) restricted to one branch, where it is linear.
-
-    On the branch with signature ``signs``, positive indices carry the whole
-    direction in the u-part and negative indices in the v-part.
-    """
-    dim_in = n_x + s
-    rows = [unit_vec(dim_in, i) for i in range(n_x)]
-    for i in range(s):
-        rows.append(unit_vec(dim_in, n_x + i) if spec.signs[i] > 0 else zero_vec(dim_in))
-    for i in range(s):
-        rows.append(
-            vec_neg(unit_vec(dim_in, n_x + i)) if spec.signs[i] < 0 else zero_vec(dim_in)
-        )
-    return RatMatrix.from_rows(rows, dim_in)
+def split_direction(n_x: int, signs: tuple[int, ...], d: Vec) -> Vec:
+    """(dx, dz) -> (dx, du, dv) on the branch of definite signature ``signs``,
+    where the split is linear: positive indices carry the whole direction in
+    the u-part, negative indices (negated) in the v-part."""
+    dz = d[n_x:]
+    du = tuple(x if sg > 0 else ZERO for sg, x in zip(signs, dz))
+    dv = tuple(ZERO if sg > 0 else -x for sg, x in zip(signs, dz))
+    return d[:n_x] + du + dv

@@ -38,8 +38,8 @@ compared with the oracle unions.
 The rest are maps the package no longer needs: the feasibility test of a
 counterpart point (``mpcc_feasible``), the direction maps between the
 abs-normal and the counterpart coordinates (``merge_direction``,
-``merge_direction_matrix``, ``split_direction``) and the Jacobian of the
-fixed-signature switching solve (``jacobian_z``).
+``merge_direction_matrix``, ``split_direction_matrix``, ``split_direction``)
+and the Jacobian of the fixed-signature switching solve (``jacobian_z``).
 """
 
 from dataclasses import dataclass
@@ -50,7 +50,6 @@ from absnormal.anf import (
     EvalResult,
     ProgramError,
     QuadraticFunc,
-    SignatureVector,
     constraint_jacobians,
 )
 from absnormal.cones import BranchLinearization, PolyCone, cone_contains
@@ -357,8 +356,8 @@ def lin_cone_abs_direct(p: AbsNormalProgram, e: EvalResult) -> UnionCone:
     jac = constraint_jacobians(p, e)
     dim = p.n_t + p.s
     pieces = []
-    for refined in e.sigma.refinements():
-        signs = refined.entries
+    for spec in branch_specs("signature", e.sigma):
+        signs = spec.signs
         eq = []
         ineq = []
 
@@ -377,7 +376,7 @@ def lin_cone_abs_direct(p: AbsNormalProgram, e: EvalResult) -> UnionCone:
             ineq.append(
                 tuple(Fraction(signs[i]) if j == p.n_t + i else ZERO for j in range(dim))
             )
-        pieces.append((refined.label(), PolyCone(dim, tuple(eq), tuple(ineq))))
+        pieces.append((spec.label, PolyCone(dim, tuple(eq), tuple(ineq))))
     return UnionCone(tuple(pieces))
 
 
@@ -408,22 +407,22 @@ def compl_cone(point: MpccPoint) -> UnionCone:
     dim = 2 * s
     base = point.base_signature
     pieces = []
-    for refined in base.refinements():
+    for spec in branch_specs("partition", base):
         eq = []
         ineq = []
-        for i, sg in enumerate(refined.entries):
+        for i, sg in enumerate(spec.signs):
             u_row = unit_vec(dim, i)
             v_row = unit_vec(dim, s + i)
             if sg > 0:
                 eq.append(v_row)
-                if base.entries[i] == 0:
+                if base[i] == 0:
                     ineq.append(u_row)
             else:
                 eq.append(u_row)
-                if base.entries[i] == 0:
+                if base[i] == 0:
                     ineq.append(v_row)
         spec_label = "P={" + ",".join(
-            str(i + 1) for i in point.degenerate if refined.entries[i] == -1
+            str(i + 1) for i in point.degenerate if spec.signs[i] == -1
         ) + "}"
         pieces.append((spec_label, PolyCone(dim, tuple(eq), tuple(ineq))))
     return UnionCone(tuple(pieces))
@@ -523,6 +522,22 @@ def merge_direction_matrix(n_x: int, s: int) -> RatMatrix:
     return RatMatrix.from_rows(rows, dim)
 
 
+def split_direction_matrix(n_x: int, s: int, spec: BranchSpec) -> RatMatrix:
+    """(dx, dz) -> (dx, du, dv) restricted to one branch, where it is linear:
+    the matrix of ``transforms.split_direction``, for ``cone_image``.
+
+    On the branch with signature ``signs``, positive indices carry the whole
+    direction in the u-part and negative indices in the v-part.
+    """
+    dim_in = n_x + s
+    rows = [unit_vec(dim_in, i) for i in range(n_x)]
+    for i in range(s):
+        rows.append(unit_vec(dim_in, n_x + i) if spec.signs[i] > 0 else zero_vec(dim_in))
+    for i in range(s):
+        rows.append(vec_neg(unit_vec(dim_in, n_x + i)) if spec.signs[i] < 0 else zero_vec(dim_in))
+    return RatMatrix.from_rows(rows, dim_in)
+
+
 def split_direction(
     direction_x: Vec, direction_z: Vec, base_signs: tuple[int, ...]
 ) -> tuple[Vec, Vec, Vec]:
@@ -557,20 +572,20 @@ def merge_direction(direction: Vec, n_x: int, s: int) -> Vec:
     return dx + tuple(a - b for a, b in zip(du, dv))
 
 
-def jacobian_z(p: AbsNormalProgram, e: EvalResult, signs: SignatureVector) -> RatMatrix:
+def jacobian_z(p: AbsNormalProgram, e: EvalResult, signs: tuple[int, ...]) -> RatMatrix:
     """Jacobian of the fixed-signature switching solve: (I - d2 Sigma)^(-1) d1.
 
     The inverse exists because ``d2 Sigma`` is strictly lower triangular, so the
     system solves row by row.
     """
-    if 0 in signs.entries or not signs.dominates(e.sigma):
+    if 0 in signs or any(b and sg != b for sg, b in zip(signs, e.sigma, strict=True)):
         raise ProgramError("signature must be definite and dominate the signature at the point")
     jac = constraint_jacobians(p, e)
     rows: list[Vec] = []
     for i in range(p.s):
         row = jac.d1_cz.row(i)
         for j in range(i):
-            coeff = jac.d2_cz.entry(i, j) * signs.entries[j]
+            coeff = jac.d2_cz.entry(i, j) * signs[j]
             if coeff:
                 row = vec_add(row, tuple(coeff * x for x in rows[j]))
         rows.append(row)

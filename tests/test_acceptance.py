@@ -51,7 +51,6 @@ from absnormal.stationarity import (
 from absnormal.transforms import (
     mpcc_point_from_eval,
     phi,
-    split_direction_matrix,
     to_mpcc,
     to_slack,
 )
@@ -66,6 +65,7 @@ from branch_oracles import (
     merge_direction_matrix,
     mpcc_branches,
     mpcc_feasible,
+    split_direction_matrix,
     union_from_branches,
 )
 

@@ -6,12 +6,12 @@ from absnormal.anf import (
     AbsNormalProgram,
     ProgramError,
     QuadraticFunc,
-    SignatureVector,
     constraint_jacobians,
     evaluate,
     validate,
 )
 from absnormal.ratmath import RatMatrix, rat, vec
+from absnormal.transforms import branch_specs, parse_branch_label
 
 from branch_oracles import jacobian_z
 from conftest import affine, make_e1, make_e2, make_e3
@@ -55,7 +55,7 @@ def test_validate_flags_asymmetric_quadratic():
 def test_eval_e1_origin(e1):
     e = evaluate(e1, [0, 0])
     assert e.z == vec([0])
-    assert e.sigma.entries == (0,)
+    assert e.sigma == (0,)
     assert e.alpha == (0,)
     assert e.is_feasible()
 
@@ -63,7 +63,7 @@ def test_eval_e1_origin(e1):
 def test_eval_e1_definite_point(e1):
     e = evaluate(e1, [2, 2])
     assert e.z == vec([2])
-    assert e.sigma.entries == (1,)
+    assert e.sigma == (1,)
     assert e.alpha == ()
     assert e.residual_e == vec([0])  # t2 - |z| = 2 - 2
 
@@ -102,23 +102,23 @@ def test_chained_switching_forward_substitution():
     )
     e = evaluate(p, [3])
     assert e.z == vec([3, 3])
-    jac = jacobian_z(p, e, SignatureVector((1, 1)))
+    jac = jacobian_z(p, e, (1, 1))
     assert jac.rows[1] == jac.rows[0]  # second row repeats the first
 
 
 def test_jacobian_z_e1(e1):
     e = evaluate(e1, [0, 0])
-    jac = jacobian_z(e1, e, SignatureVector((1,)))
+    jac = jacobian_z(e1, e, (1,))
     assert jac.rows == (vec([1, 0]),)
 
 
 def test_jacobian_z_requires_dominating_definite_signature(e1):
     e = evaluate(e1, [2, 2])  # sigma = (+1)
     with pytest.raises(ProgramError):
-        jacobian_z(e1, e, SignatureVector((-1,)))
+        jacobian_z(e1, e, (-1,))
     e0 = evaluate(e1, [0, 0])
     with pytest.raises(ProgramError):
-        jacobian_z(e1, e0, SignatureVector((0,)))
+        jacobian_z(e1, e0, (0,))
 
 
 def test_constraint_jacobians_e1_origin(e1):
@@ -160,22 +160,21 @@ def test_signature_constant_on_box_around_definite_point(e1):
     for dx in (-eps, 0, eps):
         for dy in (-eps, 0, eps):
             shifted = evaluate(e1, (e.t[0] + dx, e.t[1] + dy))
-            assert shifted.sigma.entries == e.sigma.entries
+            assert shifted.sigma == e.sigma
 
 
 def test_abs_z_equals_signed_z_for_dominating_signature(e1):
     for t in ([2, 2], ["-3/2", "3/2"], [0, 0]):
         e = evaluate(e1, t)
-        for refined in e.sigma.refinements():
+        for spec in branch_specs("signature", e.sigma):
             assert all(
                 Fraction(sg) * z == abs_z
-                for sg, z, abs_z in zip(refined.entries, e.z, e.abs_z)
+                for sg, z, abs_z in zip(spec.signs, e.z, e.abs_z)
             )
 
 
 def test_signature_partial_order():
-    base = SignatureVector((0, 1, -1))
-    assert SignatureVector((1, 1, -1)).dominates(base)
-    assert SignatureVector((-1, 1, -1)).dominates(base)
-    assert not SignatureVector((1, -1, -1)).dominates(base)
-    assert len(list(base.refinements())) == 2
+    # the branches at an anchor are the definite signatures dominating it
+    base = (0, 1, -1)
+    assert [spec.signs for spec in branch_specs("signature", base)] == [(1, 1, -1), (-1, 1, -1)]
+    assert parse_branch_label("σ=+--", "signature", base) is None

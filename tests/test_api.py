@@ -9,7 +9,6 @@ PACKAGE_API = [
     "PolyCone",
     "ProblemFile",
     "QuadraticFunc",
-    "SignatureVector",
     "__version__",
     "analyze_point",
     "check_b_stationary",

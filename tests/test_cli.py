@@ -1103,6 +1103,10 @@ def test_descent_route_b_holds_end_to_end(tmp_path, capsys):
 
         mutations = {
             "dropped": (lambda certs: certs.pop(0), [f"branch {first} has 0 certificates, expected 1"]),
+            "duplicated": (
+                lambda certs: certs.append(copy.deepcopy(certs[0])),
+                [f"branch {first} has 2 certificates, expected 1"],
+            ),
             "renamed": (
                 lambda certs: certs[0].update(branch="?"),
                 [f"branch {first} has 0 certificates, expected 1", "certificate for unknown branch '?'"],

@@ -24,7 +24,7 @@ from absnormal.ratmath import RatMatrix, primitive_integer, vec, zero_vec
 from absnormal.transforms import (
     mpcc_point_from_eval,
     phi_inv,
-    split_direction_matrix,
+    split_direction,
     to_mpcc,
     to_slack,
 )
@@ -42,6 +42,7 @@ from branch_oracles import (
     lin_cone_branch,
     lin_cone_mpcc_direct,
     mpcc_branches,
+    split_direction_matrix,
     union_from_branches,
 )
 from conftest import make_e2, make_e3, make_e4, random_affine_program
@@ -290,6 +291,8 @@ def test_cone_image_maps_branch_cone_between_forms(e1):
         mpcc_cone = lin_cone_branch(mb)
         m = split_direction_matrix(mp.n_x, mp.s, mb.spec)
         assert cone_equal(cone_image(anf_cone, m), mpcc_cone)
+        for d in (vec([1, 2, -3]), vec(["1/2", 0, "5/3"])):
+            assert split_direction(mp.n_x, mb.spec.signs, d) == m.mat_vec(d)
 
 
 def test_generators_call_the_module_kernel_once_per_distinct_cone(monkeypatch):

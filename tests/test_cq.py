@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from absnormal.anf import AbsNormalProgram, QuadraticFunc, SignatureVector, evaluate
+from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import PolyCone, linearize_anf
 from absnormal.cq import (
     ABS_E,
@@ -24,9 +24,9 @@ from absnormal.cq import (
     verify_relations,
 )
 from absnormal.ratmath import RatMatrix, generators_to_hrep, vec, zero_vec
-from absnormal.transforms import mpcc_point_from_eval, split_direction_matrix, to_mpcc
+from absnormal.transforms import mpcc_point_from_eval, to_mpcc
 
-from branch_oracles import cone_equal, cone_image, lift_tangent_piece, on_rational_rows
+from branch_oracles import cone_equal, cone_image, lift_tangent_piece, on_rational_rows, split_direction_matrix
 from conftest import e3_annotations, e4_annotations, random_affine_program
 
 
@@ -271,11 +271,11 @@ def carried_against_references(p: AbsNormalProgram, pa) -> Counter:
     ``cone_image`` of the source piece under the branch's split map.  Returns
     the number of pieces checked per kind."""
     checked = Counter()
-    i_by_label = {ba.label: ba for ba in pa.formulation(ABS_I).branches}
+    i_by_signs = {ba.spec.signs: ba for ba in pa.formulation(ABS_I).branches}
     for ba in pa.formulation(ABS_E).branches:
         if ba.tangent_source.startswith("lift:"):
             z_signs, w_signs = ba.spec.signs[: p.s], ba.spec.signs[p.s :]
-            base = i_by_label[SignatureVector(z_signs).label()]
+            base = i_by_signs[z_signs]
             references = [lift_tangent_piece(p, pa.point_eval, piece, z_signs, w_signs) for piece in base.tangent_pieces]
             assert len(ba.tangent_pieces) == len(references)
             assert all(map(cone_equal, ba.tangent_pieces, references)), ba.label

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from absnormal.transforms import (
     BranchLimitError,
     BranchSpec,
     MpccProgram,
-    branch_correspondence,
     branch_specs,
     enumerate_branches,
     enumerate_mpcc_branches,
@@ -121,7 +121,7 @@ def test_index_sets():
     assert pt.u_plus == (0,)
     assert pt.v_plus == (1,)
     assert pt.degenerate == (2,)
-    assert pt.base_signature.entries == (1, -1, 0)
+    assert pt.base_signature == (1, -1, 0)
 
 
 def test_branch_count_at_kink(e1):
@@ -168,15 +168,19 @@ def test_branch_problem_rows_e1_plus(e1):
 
 
 def test_branch_correspondence_labels():
+    # the counterpart branch is the same spec of the other kind
     spec = BranchSpec("signature", (1,), (0,))
     assert spec.label == "σ=+"
-    assert branch_correspondence(spec).label == "P={}"
+    assert replace(spec, kind="partition").label == "P={}"
     spec = BranchSpec("signature", (-1, -1), (0, 0))
-    assert branch_correspondence(spec).label == "P={1,2}"
-    # first switch fixed negative by the anchor, second resolved negative
+    assert replace(spec, kind="partition").label == "P={1,2}"
+    # first switch fixed positive by the anchor, second resolved negative
     spec = BranchSpec("signature", (1, -1), (1, 0))
-    assert branch_correspondence(spec).label == "P={2}"
-    assert branch_correspondence(branch_correspondence(spec)) == spec
+    assert replace(spec, kind="partition").label == "P={2}"
+    # a switch fixed negative by the anchor is no member of the partition
+    spec = BranchSpec("signature", (-1, -1), (-1, 0))
+    assert replace(spec, kind="partition").label == "P={2}"
+    assert replace(replace(spec, kind="partition"), kind="signature") == spec
 
 
 def test_mpcc_branch_fixings(e1):
@@ -353,7 +357,7 @@ def test_branch_labels_parse_back_to_their_specs():
     for signs in ((1, 1, 1), (1, 1, -1), (-1, 1, 1), (-1, 1, -1)):
         spec = BranchSpec("signature", signs, base)
         assert parse_branch_label(spec.label, "signature", base) == spec
-        other = branch_correspondence(spec)
+        other = replace(spec, kind="partition")
         assert parse_branch_label(other.label, "partition", base) == other
     for label, kind in (
         ("σ=+++", "partition"),  # right label, wrong form
@@ -369,3 +373,32 @@ def test_branch_labels_parse_back_to_their_specs():
         (None, "signature"),
     ):
         assert parse_branch_label(label, kind, base) is None, label
+
+
+def test_parse_branch_label_accepts_exactly_the_enumerated_labels():
+    # the one check of a label from outside: it parses iff branch_specs
+    # enumerates a spec of that kind and label, and then to that spec
+    rng = random.Random(23)
+    kinds = ("signature", "partition")
+    parsed = rejected = 0
+    for _ in range(400):
+        base = tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randint(0, 6)))
+        s = len(base)
+        enumerated = {(spec.kind, spec.label): spec for kind in kinds for spec in branch_specs(kind, base)}
+        candidates = {label for _, label in enumerated}
+        for _ in range(12):
+            # wrong lengths, 0 entries and signs that leave the anchor
+            length = rng.choice((s, s, max(s - 1, 0), s + 1))
+            candidates.add("σ=" + "".join(rng.choice("+-+-0") for _ in range(length)))
+            # members unsorted, duplicated, out of range (0 and s + 1) or not degenerate
+            members = [rng.randint(0, s + 1) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                members.sort()
+            candidates.add("P={" + ",".join(map(str, members)) + "}")
+        for label in candidates:
+            for kind in kinds:
+                spec = parse_branch_label(label, kind, base)
+                assert spec == enumerated.get((kind, label)), (base, kind, label)
+                parsed += spec is not None
+                rejected += spec is None
+    assert parsed > 2000 and rejected > 10000, (parsed, rejected)
