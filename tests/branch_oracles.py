@@ -526,8 +526,8 @@ def split_direction_matrix(n_x: int, s: int, spec: BranchSpec) -> RatMatrix:
     """(dx, dz) -> (dx, du, dv) restricted to one branch, where it is linear:
     the matrix of ``transforms.split_direction``, for ``cone_image``.
 
-    On the branch with signature ``signs``, positive indices carry the whole
-    direction in the u-part and negative indices in the v-part.
+    On the branch with signature ``spec.signs``, positive indices carry the
+    whole direction in the u-part and negative indices in the v-part.
     """
     dim_in = n_x + s
     rows = [unit_vec(dim_in, i) for i in range(n_x)]
