@@ -27,7 +27,6 @@ from .anf import AbsNormalProgram, EvalResult
 from .ratmath import (
     FEASIBLE,
     ZERO,
-    LpCertificate,
     LpProblem,
     Vec,
     cone_generators,
@@ -501,7 +500,6 @@ class TangentCertificate:
     active_rank: int | None = None
     active_rows: int | None = None
     strict_point: Vec | None = None
-    lp_certificate: LpCertificate | None = None
 
     @property
     def certified(self) -> bool:
@@ -539,6 +537,5 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
                 active_rank=r,
                 active_rows=n_rows,
                 strict_point=res.certificate.point,
-                lp_certificate=res.certificate,
             )
     return None, TangentCertificate(TANGENT_UNKNOWN, active_rank=r, active_rows=n_rows)

@@ -3,19 +3,25 @@
 M-stationarity asks for multipliers making the Lagrangian gradient vanish
 while the pair multipliers of each degenerate switch satisfy the disjunction
 "both strictly positive, or product zero".  The disjunction splits into three
-convex cases per degenerate index, and the 3^k case assignments form a tree
-searched depth first in ``CASES`` order.  Each node is a prefix: it fixes the
-cases of the first degenerate indices and leaves the later pairs free in sign,
-so its strict-margin feasibility LP relaxes every assignment below it.  An
-infeasible prefix closes its whole subtree with one Farkas or margin
-certificate; the first feasible full assignment is the Holds case, the same
-one a flat enumeration in ``itertools.product`` order would find.  A Fails
-verdict lists the closed prefixes, and a recheck verifies each certificate and
-that the prefixes cover all 3^k assignments (``uncovered_case``).  The case cap
-bounds the LPs the search solves, at most (3^(k+1) - 3)/2.
+convex cases per degenerate index.  When the stationarity equations fix the
+multipliers (their rows have full column rank, which MPCC-LICQ implies;
+Scheel & Scholtes 2000), one LP finds the only candidate and each degenerate
+index takes the first case in ``CASES`` that it satisfies: a Holds from one
+LP.  Otherwise, or when that candidate breaks the disjunction, the 3^k case
+assignments form a tree searched depth first in ``CASES`` order.  Each node is
+a prefix: it fixes the cases of the first degenerate indices and leaves the
+later pairs free in sign, so its strict-margin feasibility LP relaxes every
+assignment below it.  An infeasible prefix closes its whole subtree with one
+Farkas or margin certificate; the first feasible full assignment is the Holds
+case, the same one a flat enumeration in ``itertools.product`` order would
+find, and the same one the single LP reads off when the multipliers are
+unique.  Only the search makes a Fails verdict: it lists the closed prefixes,
+and a recheck verifies each certificate and that the prefixes cover all 3^k
+assignments (``uncovered_case``).  The case cap bounds the LPs solved, the
+single LP included: at most 1 + (3^(k+1) - 3)/2.
 
 Both problem forms give the same system, derived separately from each form's
-data (``_anf_system``, ``_mpcc_system``).  The search runs once;
+data (``_anf_system``, ``_mpcc_system``).  The M check runs once;
 ``translate_m_verdict`` re-checks its certificate by substitution in the other
 form's system, so a disagreement is a RuntimeError, never a verdict.
 
@@ -54,6 +60,7 @@ from .ratmath import (
     verify_certificate,
     zero_vec,
 )
+from .ratmath.matrix import integer_rank
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
@@ -293,18 +300,74 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
 
 
 def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
+    """The M verdict of ``system``, at most ``DEFAULT_CASE_CAP`` case LPs.
+
+    When the root equations fix the multipliers (full column rank), one LP
+    finds the only candidate ``lam``, and each degenerate index takes the
+    first case in ``CASES`` that ``lam`` satisfies.  Every prefix LP's
+    feasible set is then ``{lam}`` or empty, so this is the case search's own
+    Holds, found without it.  Any other outcome is left to ``_case_search``.
+    """
+    if not system.degenerate:
+        return _case_search(system, kind)  # its only LP is the root
+    root = build_case_problem(system, ())
+    if not _fixes_unknowns(root.eq_rows, system.n_unknowns):
+        return _case_search(system, kind)
+    _check_case_cap(0, system)
+    res = lp_solve(root)
+    if res.status == FEASIBLE:
+        lam = res.certificate.point
+        assignment = tuple(_first_case(system, i, lam) for i in system.degenerate)
+        if None not in assignment:
+            return _holds(system, kind, assignment, lam)
+    return _case_search(system, kind, solved=1)
+
+
+def _fixes_unknowns(rows: tuple[Vec, ...], n: int) -> bool:
+    """Whether the equality ``rows`` have full column rank ``n``."""
+    return len(rows) >= n and integer_rank([list(primitive_integer(r)) for r in rows], n) == n
+
+
+def _first_case(system: _MultiplierSystem, i: int, lam: Vec) -> str | None:
+    """The first case in ``CASES`` that ``lam`` satisfies at degenerate index
+    ``i``, or None when its pair violates the disjunction."""
+    u = system.pair_value(system.pair_u[i], lam)
+    if u == 0:
+        return CASE_U_ZERO
+    v = system.pair_value(system.pair_v[i], lam)
+    if v == 0:
+        return CASE_V_ZERO
+    if u > 0 and v > 0:
+        return CASE_BOTH_POSITIVE
+    return None
+
+
+def _check_case_cap(solved: int, system: _MultiplierSystem) -> None:
+    if solved >= DEFAULT_CASE_CAP:
+        raise CaseLimitError(
+            f"the multiplier case search over {len(system.degenerate)} degenerate switches needs "
+            f"more than the cap of {DEFAULT_CASE_CAP} case LPs"
+        )
+
+
+def _holds(system: _MultiplierSystem, kind: str, assignment: tuple[str, ...], lam: Vec) -> StationarityVerdict:
+    ms = _multipliers_from_lam(system, lam)
+    errors = verify_multipliers(system, ms)
+    if errors:
+        raise RuntimeError(f"holds certificate failed self-check: {errors}")
+    return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
+
+
+def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> StationarityVerdict:
+    """The depth-first case search; ``solved`` case LPs count against the cap
+    already."""
     k = len(system.degenerate)
     failed: list[CaseOutcome] = []
-    solved = 0
 
     def first_feasible(prefix: tuple[str, ...]) -> tuple[tuple[str, ...], Vec] | None:
         """Solve ``prefix``; return the first feasible full assignment below it."""
         nonlocal solved
-        if solved >= DEFAULT_CASE_CAP:
-            raise CaseLimitError(
-                f"the multiplier case search over {k} degenerate switches needs "
-                f"more than the cap of {DEFAULT_CASE_CAP} case LPs"
-            )
+        _check_case_cap(solved, system)
         solved += 1
         res = lp_solve(build_case_problem(system, prefix))
         if res.status != "feasible":
@@ -325,12 +388,7 @@ def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
     found = first_feasible(()) if k == 0 else first_feasible_child(())
     if found is None:
         return StationarityVerdict(kind, FAILS, failed_cases=tuple(failed))
-    assignment, lam = found
-    ms = _multipliers_from_lam(system, lam)
-    errors = verify_multipliers(system, ms)
-    if errors:
-        raise RuntimeError(f"holds certificate failed self-check: {errors}")
-    return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
+    return _holds(system, kind, *found)
 
 
 def uncovered_case(prefixes, k: int) -> tuple[str, ...] | None:

@@ -363,17 +363,24 @@ def test_maximizer_fails_with_three_top_prefixes_and_mutations_are_caught(tmp_pa
 
 
 def test_case_cap_bounds_solved_lps_not_case_count(tmp_path, capsys, monkeypatch):
-    # 11 degenerate switches: 3^11 assignments exceed the default cap, but the
-    # depth-first search solves only 3 case LPs per switch
-    path = write_problem(tmp_path, kinks_problem(11, 1))
+    # seed-1 kinks11 with its two inequalities: 3^11 assignments exceed the
+    # default cap.  Its 14 multipliers against 12 stationary rows are not
+    # unique, so the depth-first search decides; lam_i = (1, 0) with every
+    # other multiplier 0 makes every pair vanish, so each prefix of u=0 cases
+    # is feasible and the search solves one case LP per switch, 11 in all
+    kinks = bench_kinks()
+    path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 11, 1, True)))
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 11)
     code, out, _ = run_cli(capsys, "check-stationarity", path, "--m", "--form", "anf")
     assert code == 0
     verdict = json.loads(out)["points"][0]["stationarity"]["m-anf"]
-    assert verdict["case"] == ["pair-both>0"] * 11
-    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 2)
+    assert verdict["case"] == ["pair-u=0"] * 11
+    assert verdict["multipliers"]["lam_i"] == ["1", "0"]
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 10)
     code, out, err = run_cli(capsys, "check-stationarity", path, "--m", "--form", "anf")
     assert code == 3
-    assert err.startswith("error:") and "cap of 2 case LPs" in err
+    assert err.startswith("error:") and "cap of 10 case LPs" in err
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 2)
     code, out, err = run_cli(capsys, "corpus", "run")
     assert code == 3
     assert err.startswith("error:")

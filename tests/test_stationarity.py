@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from absnormal.cones import linearize_anf, linearize_mpcc
 from absnormal.cq import FAILS, HOLDS
 from absnormal.ratmath import LpProblem, LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
+    CASE_BOTH_POSITIVE,
     CASES,
     BranchDualCertificate,
     StationarityVerdict,
@@ -276,14 +278,128 @@ def test_uncovered_case_names_the_first_hole():
     assert uncovered_case([], 0) == ()
 
 
-def test_case_cap_counts_solved_case_lps(e1, monkeypatch):
-    # k = 1: the minimizer solves u=0, v=0 (both infeasible), then both>0
-    e = evaluate(e1, [0, 0])
+def test_case_cap_counts_solved_case_lps(e2, monkeypatch):
+    # E2 at the origin, minimizing -t1 - t2: four unknowns (lam_e, both
+    # lam_i, lam_z) against two stationary rows, so the multipliers are not
+    # unique and the case search decides.  k = 1 and M fails, so it solves
+    # and closes u=0, v=0 and both>0: three case LPs.
+    p = with_objective(e2, [-1, -1])
+    e = evaluate(p, [0, 0])
     monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 3)
-    assert check_m_stationary_anf(e1, e).status == HOLDS
+    assert len(check_m_stationary_anf(p, e).failed_cases) == 3
     monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 2)
     with pytest.raises(stationarity.CaseLimitError, match="cap of 2 case LPs"):
+        check_m_stationary_anf(p, e)
+
+
+def test_unique_route_lp_counts_against_the_case_cap(e1, monkeypatch):
+    # E1 fixes its two multipliers by its two stationary rows.  At the origin
+    # the root LP alone decides; minimizing -t2, the one lam it finds has
+    # mu_u = mu_v = -1, so the search then closes the three cases: 1 + 3 LPs.
+    e = evaluate(e1, [0, 0])
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 1)
+    assert check_m_stationary_anf(e1, e).case == ("pair-both>0",)
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 0)
+    with pytest.raises(stationarity.CaseLimitError, match="cap of 0 case LPs"):
         check_m_stationary_anf(e1, e)
+    p = with_objective(e1, [0, -1])
+    e = evaluate(p, [0, 0])
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 4)
+    assert len(check_m_stationary_anf(p, e).failed_cases) == 3
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 3)
+    with pytest.raises(stationarity.CaseLimitError, match="cap of 3 case LPs"):
+        check_m_stationary_anf(p, e)
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_unique_multipliers_decide_m_with_one_lp_on_kinks(k, monkeypatch):
+    # kinks{k} fixes lam_e = sign/c and lam_z = 0 (bench/kinks.py); the
+    # minimizer's pairs sign*b_i/c are positive, the maximizer's negative,
+    # so the maximizer's search closes the three cases of its first switch
+    kinks = bench_kinks()
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(stationarity, "lp_solve", counted)
+    for sign, lps in ((1, 1), (-1, 1 + 3)):
+        inst = kinks.draw(random.Random(k), k, sign)
+        p = parse_problem_data(kinks.problem_data(inst)).program
+        calls.clear()
+        verdict = check_m_stationary_anf(p, evaluate(p, zero_vec(p.n_t)))
+        assert len(calls) == lps
+        assert verdict.status == kinks.stationarity_status(inst)
+        if sign > 0:
+            assert verdict.case == (CASE_BOTH_POSITIVE,) * k
+            expected = kinks.expected_multipliers(inst)
+            assert [str(x) for x in verdict.multipliers.mu_u] == expected["mu_u"]
+        else:
+            assert [c.assignment for c in verdict.failed_cases] == [(case,) for case in CASES]
+
+
+def kinks_like_program(rng: random.Random, k: int) -> AbsNormalProgram:
+    """``c t_{k+1} = sum_i b_i |a_i t_i|`` with objective ``sign t_{k+1} +
+    sum_i o_i t_i``; its multipliers are unique at the origin: lam_e = sign/c,
+    lam_z_i = -o_i/a_i, and the pairs are b_i lam_e -/+ lam_z_i.  Each o_i
+    zeroes the u pair, zeroes the v pair, or is drawn at random, so every
+    case comes up and so do pairs that break the disjunction."""
+    a = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
+    b = [rng.randint(-3, 3) for _ in range(k)]
+    c = rng.randint(1, 3)
+    sign = rng.choice((-1, 1))
+    objective = []
+    for i in range(k):
+        kind = rng.randrange(3)
+        pair = Fraction(a[i] * b[i] * sign, c)
+        objective.append(-pair if kind == 0 else pair if kind == 1 else Fraction(rng.randint(-2, 2)))
+    block = 2 * k + 1
+    return AbsNormalProgram(
+        n_t=k + 1,
+        s=k,
+        m1=1,
+        m2=0,
+        f=affine(k + 1, 0, objective + [sign]),
+        c_e=(affine(block, 0, [0] * k + [-c] + b),),
+        c_i=(),
+        c_z=tuple(affine(block, 0, [a[i] if j == i else 0 for j in range(block)]) for i in range(k)),
+    )
+
+
+def unique_route_equals_case_search(p, e, seen):
+    """Compare ``_solve_system`` with ``_case_search`` in both forms, and
+    record in ``seen`` what the unique route found where it applies."""
+    mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+    for system, kind in ((multiplier_system(p, e), "m-anf"), (multiplier_system(mp, point), "m-mpcc")):
+        verdict = stationarity._solve_system(system, kind)
+        assert verdict == stationarity._case_search(system, kind)
+        root = build_case_problem(system, ())
+        if system.degenerate and stationarity._fixes_unknowns(root.eq_rows, system.n_unknowns):
+            seen.add((kind, verdict.status, verdict.case))
+
+
+def test_unique_route_equals_case_search_on_kinks_like_programs():
+    rng = random.Random(2468)
+    seen = set()
+    for _ in range(120):
+        p = kinks_like_program(rng, rng.randint(1, 6))
+        unique_route_equals_case_search(p, evaluate(p, zero_vec(p.n_t)), seen)
+    for kind in ("m-anf", "m-mpcc"):
+        cases = {case for seen_kind, status, case in seen if seen_kind == kind and status == HOLDS}
+        assert {c for case in cases for c in case} == set(CASES)
+        assert (kind, FAILS, None) in seen  # a unique lam broke the disjunction
+
+
+def test_unique_route_equals_case_search_on_random_programs():
+    seen = set()
+    for seed in range(300):
+        p = random_affine_program(random.Random(seed), max_s=3)
+        e = evaluate(p, zero_vec(p.n_t))
+        if e.is_feasible():
+            unique_route_equals_case_search(p, e, seen)
+    statuses = {(kind, status) for kind, status, _ in seen}
+    assert statuses == {(kind, status) for kind in ("m-anf", "m-mpcc") for status in (HOLDS, FAILS)}
 
 
 def test_holds_self_check_raises_instead_of_asserting(e1, monkeypatch):
