@@ -672,12 +672,12 @@ def cmd_reformulate(pf: ProblemFile, args) -> dict:
     report = _report_skeleton("reformulate", pf)
     p = pf.program
     if args.slack or args.slack_mpcc:
-        lifted = to_slack(p).program
-        report["slack"] = _ser_program(lifted)
+        slack = to_slack(p)
+        report["slack"] = _ser_program(slack)
     if args.mpcc:
         report["mpcc"] = _ser_mpcc(to_mpcc(p))
     if args.slack_mpcc:
-        report["slack-mpcc"] = _ser_mpcc(to_mpcc(to_slack(p)))
+        report["slack-mpcc"] = _ser_mpcc(to_mpcc(slack))
     return report
 
 

@@ -497,8 +497,6 @@ class TangentCertificate:
     full-rank active Jacobian, or a strictly feasible linearized direction."""
 
     status: str
-    active_rank: int | None = None
-    active_rows: int | None = None
     strict_point: Vec | None = None
 
     @property
@@ -517,10 +515,8 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
     if affine:
         return lin, TangentCertificate(TANGENT_AFFINE)
     eq, ineq = lin.eq_rows, lin.ineq_rows
-    n_rows = len(eq) + len(ineq)
-    r = integer_rank(list(map(list, eq + ineq)), lin.dim)
-    if r == n_rows:
-        return lin, TangentCertificate(TANGENT_LICQ, active_rank=r, active_rows=n_rows)
+    if integer_rank(list(map(list, eq + ineq)), lin.dim) == len(eq) + len(ineq):
+        return lin, TangentCertificate(TANGENT_LICQ)
     if ineq and integer_rank(list(map(list, eq)), lin.dim) == len(eq):
         problem = LpProblem(
             n_vars=lin.dim,
@@ -532,10 +528,5 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
         )
         res = lp_solve(problem)
         if res.status == "feasible":
-            return lin, TangentCertificate(
-                TANGENT_MFCQ,
-                active_rank=r,
-                active_rows=n_rows,
-                strict_point=res.certificate.point,
-            )
-    return None, TangentCertificate(TANGENT_UNKNOWN, active_rank=r, active_rows=n_rows)
+            return lin, TangentCertificate(TANGENT_MFCQ, strict_point=res.certificate.point)
+    return None, TangentCertificate(TANGENT_UNKNOWN)

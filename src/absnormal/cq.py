@@ -44,10 +44,8 @@ from .ratmath import Vec, primitive_integer, vec_neg
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
-    MpccPoint,
-    MpccProgram,
-    SlackProgram,
     mpcc_point_from_eval,
+    slack_point,
     to_mpcc,
     to_slack,
 )
@@ -62,6 +60,14 @@ MPCC_I = "mpcc-i"
 MPCC_E = "mpcc-e"
 
 FORMULATIONS = (ABS_I, ABS_E, MPCC_I, MPCC_E)
+
+# each derived formulation: its source formulation and the branch map from
+# the source, in the order of the relation arrows; abs-i is the given program
+_SOURCES = {
+    MPCC_I: (ABS_I, "transport"),
+    MPCC_E: (ABS_E, "transport"),
+    ABS_E: (ABS_I, "lift"),
+}
 
 # the report name of each kink-level verdict: (formulation, condition); the
 # same condition on a formulation's slack form carries the same name
@@ -138,6 +144,14 @@ class FormulationAnalysis:
     def blocking(self) -> tuple[str, ...]:
         return tuple(ba.label for ba in self.branches if not ba.tangent_known)
 
+    @functools.cached_property
+    def _positions(self) -> dict[tuple[int, ...], int]:
+        return {ba.spec.signs: i for i, ba in enumerate(self.branches)}
+
+    def source_position(self, signs: tuple[int, ...]) -> int:
+        """The position of the branch whose signature leads ``signs``."""
+        return self._positions[signs[: len(self.lin.base)]]
+
 
 # ---------------------------------------------------------------------------
 # tangent resolution (certificates first, then transported annotations)
@@ -171,6 +185,16 @@ def analyze_branch(lin: BranchLinearization, spec: BranchSpec, annotation_pieces
 def _distinct(rows) -> tuple:
     """The nonzero primitive integer rows of ``rows``, each once, in the order they first occur."""
     return tuple(r for r in dict.fromkeys(map(primitive_integer, rows)) if any(r))
+
+
+def _left_inverse(how: str, source: BranchLinearization, lin: BranchLinearization):
+    """A source row composed with the left inverse of the branch map ``how``:
+    (t, w, z, z_w) -> (t, z) for the lift, (x, u, v) -> (x, u - v) for the split."""
+    n = source.n_x
+    if how == "lift":
+        zeros = (0,) * (lin.n_x - n)
+        return lambda row: row[:n] + zeros + row[n:] + zeros
+    return lambda row: row + vec_neg(row[n:])
 
 
 def _carry(ba: BranchAnalysis, source: BranchAnalysis, how: str, compose) -> BranchAnalysis:
@@ -292,43 +316,26 @@ class PointAnalysis:
     annotations: dict[str, tuple[PolyCone, ...]] = field(hash=False, default_factory=dict)
     branch_cap: int = DEFAULT_BRANCH_CAP
     _analyses: dict[str, FormulationAnalysis] = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    @functools.cached_property
-    def slack(self) -> SlackProgram:
-        return to_slack(self.program)
-
-    @functools.cached_property
-    def slack_eval(self) -> EvalResult:
-        se = evaluate(self.slack.program, self.slack.lift_smooth_point(self.point_eval, self.w_signs))
-        if not se.is_feasible():
-            raise RuntimeError("slack lifting must preserve feasibility")
-        return se
-
-    @functools.cached_property
-    def mpcc(self) -> MpccProgram:
-        return to_mpcc(self.program)
-
-    @functools.cached_property
-    def mpcc_point(self) -> MpccPoint:
-        return mpcc_point_from_eval(self.point_eval)
-
-    @functools.cached_property
-    def slack_mpcc(self) -> MpccProgram:
-        return to_mpcc(self.slack.program)
-
-    @functools.cached_property
-    def slack_mpcc_point(self) -> MpccPoint:
-        return mpcc_point_from_eval(self.slack_eval)
+    _anchors: dict[str, tuple] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def anchor(self, key: str):
         """Formulation ``key`` at the point: an abs-normal program with its
-        evaluation, or a counterpart with its point."""
-        return {
-            ABS_I: lambda: (self.program, self.point_eval),
-            ABS_E: lambda: (self.slack.program, self.slack_eval),
-            MPCC_I: lambda: (self.mpcc, self.mpcc_point),
-            MPCC_E: lambda: (self.slack_mpcc, self.slack_mpcc_point),
-        }[key]()
+        evaluation, or a counterpart with its point.  A derived formulation is
+        built from the anchor of its source on first read."""
+        if key == ABS_I:
+            return self.program, self.point_eval
+        if key not in self._anchors:
+            source, how = _SOURCES[key]
+            p, e = self.anchor(source)
+            if how == "transport":
+                self._anchors[key] = to_mpcc(p), mpcc_point_from_eval(e)
+            else:
+                slack = to_slack(p)
+                se = evaluate(slack, slack_point(e, self.w_signs))
+                if not se.is_feasible():
+                    raise RuntimeError("slack lifting must preserve feasibility")
+                self._anchors[key] = slack, se
+        return self._anchors[key]
 
     def formulation(self, key: str) -> FormulationAnalysis:
         """The branches of formulation ``key``, analyzed on first read."""
@@ -337,38 +344,22 @@ class PointAnalysis:
         return self._analyses[key]
 
     def _analyze(self, key: str) -> FormulationAnalysis:
-        """Abs-i from the annotations; abs-e from abs-i by the lift, and each
-        counterpart from its abs-normal form by the transport, wherever a
-        branch cannot certify its own tangent cone.  The source comes first,
-        so its annotations are checked before this formulation's cap."""
-        source = {ABS_E: ABS_I, MPCC_I: ABS_I, MPCC_E: ABS_E}.get(key)
-        source_branches = self.formulation(source).branches if source else ()
-        lin = (linearize_anf if key in (ABS_I, ABS_E) else linearize_mpcc)(*self.anchor(key))
+        """Abs-i from the annotations; any other formulation from its source in
+        ``_SOURCES``, whose branches carry their tangent pieces to each branch
+        that cannot certify its own.  The source comes first, so its
+        annotations are checked before this formulation's cap."""
+        source_key, how = _SOURCES.get(key, (None, None))
+        source = self.formulation(source_key) if source_key else None
+        lin = (linearize_mpcc if how == "transport" else linearize_anf)(*self.anchor(key))
         specs = lin.specs(self.branch_cap)
-        if key == ABS_I:
-            branches = [analyze_branch(lin, spec, self.annotations.get(spec.label)) for spec in specs]
-        elif key == ABS_E:
-            by_signs = {ba.spec.signs: ba for ba in source_branches}
-            # the lift (t, z) -> (t, w, z, z_w) has the left inverse (t, w, z, z_w) -> (t, z)
-            p, zeros = self.program, (0,) * self.program.m2
-
-            def lift(row):
-                return row[: p.n_t] + zeros + row[p.n_t :] + zeros
-
-            branches = [
-                _carry(analyze_branch(lin, spec), by_signs[spec.signs[: p.s]], "lift", lift)
-                for spec in specs
-            ]
+        if source is None:
+            branches = (analyze_branch(lin, spec, self.annotations.get(spec.label)) for spec in specs)
         else:
-            # the split (x, z) -> (x, u, v) has the left inverse (x, u, v) -> (x, u - v)
-            def transport(row):
-                return row + vec_neg(row[lin.n_x :])
-
-            branches = []
-            for anf_ba, spec in zip(source_branches, specs, strict=True):
-                if anf_ba.spec.signs != spec.signs:
-                    raise RuntimeError(f"branch {spec.label} does not align with its abs-normal branch")
-                branches.append(_carry(analyze_branch(lin, spec), anf_ba, "transport", transport))
+            compose = _left_inverse(how, source.lin, lin)
+            branches = (
+                _carry(analyze_branch(lin, spec), source.branches[source.source_position(spec.signs)], how, compose)
+                for spec in specs
+            )
         return FormulationAnalysis(key, lin, tuple(branches))
 
 
@@ -486,12 +477,9 @@ def verify_relations(
                 ),
                 kink_side(which, key),
             )
-    for lhs, rhs, note in (
-        (ABS_I, MPCC_I, ""),
-        (ABS_E, MPCC_E, ""),
-        (ABS_I, ABS_E, ""),
-        (MPCC_I, MPCC_E, "implied by the other Abadie equivalences"),
-    ):
+    # Abadie holds in a formulation iff it holds in its source
+    pairs = [(source, key, "") for key, (source, _) in _SOURCES.items()]
+    for lhs, rhs, note in pairs + [(MPCC_I, MPCC_E, "implied by the other Abadie equivalences")]:
         add("iff", f"abadie[{lhs}]<=>abadie[{rhs}]", kink_side("abadie", lhs), kink_side("abadie", rhs), note=note)
     for lhs, rhs in ((ABS_E, ABS_I), (MPCC_E, MPCC_I), (MPCC_I, ABS_I), (MPCC_E, ABS_E)):
         add(
@@ -502,22 +490,16 @@ def verify_relations(
             one_sided=True,
         )
 
-    def branch_iffs(lhs_key, lhs_pair, rhs_key, rhs_pair):
-        for tag, lhs, rhs in zip(("acq", "gcq"), lhs_pair, rhs_pair):
-            add(
-                "iff",
-                f"branch-{tag}[{lhs_key}:{lhs.branch}]<=>branch-{tag}[{rhs_key}:{rhs.branch}]",
-                RelationSide(f"{tag.upper()} {lhs_key} {lhs.branch}", lhs.status),
-                RelationSide(f"{tag.upper()} {rhs_key} {rhs.branch}", rhs.status),
-            )
-
-    for abs_key, mpcc_key in ((ABS_I, MPCC_I), (ABS_E, MPCC_E)):
-        for a_pair, m_pair in zip(branch_verdicts[abs_key], branch_verdicts[mpcc_key], strict=True):
-            branch_iffs(abs_key, a_pair, mpcc_key, m_pair)
-    # each abs-e branch against the abs-i branch of its first switching block
-    i_branches = pa.formulation(ABS_I).branches
-    i_by_signs = {ba.spec.signs: pair for ba, pair in zip(i_branches, branch_verdicts[ABS_I], strict=True)}
-    s = pa.program.s
-    for ba, e_pair in zip(pa.formulation(ABS_E).branches, branch_verdicts[ABS_E], strict=True):
-        branch_iffs(ABS_I, i_by_signs[ba.spec.signs[:s]], ABS_E, e_pair)
+    # each branch of a derived formulation against the branch it comes from
+    for key, (source_key, _) in _SOURCES.items():
+        source = pa.formulation(source_key)
+        for ba, rhs_pair in zip(pa.formulation(key).branches, branch_verdicts[key], strict=True):
+            lhs_pair = branch_verdicts[source_key][source.source_position(ba.spec.signs)]
+            for tag, lhs, rhs in zip(("acq", "gcq"), lhs_pair, rhs_pair):
+                add(
+                    "iff",
+                    f"branch-{tag}[{source_key}:{lhs.branch}]<=>branch-{tag}[{key}:{rhs.branch}]",
+                    RelationSide(f"{tag.upper()} {source_key} {lhs.branch}", lhs.status),
+                    RelationSide(f"{tag.upper()} {key} {rhs.branch}", rhs.status),
+                )
     return RelationReport(tuple(arrows)), kink, branch_verdicts

@@ -125,8 +125,7 @@ def lp_solve(p: LpProblem) -> LpResult:
 
 
 def _solve_strict(p: LpProblem) -> LpResult:
-    aux = margin_relaxation(p)
-    res = lp_solve(aux)
+    res = _solve_plain(margin_relaxation(p))
     if res.status == INFEASIBLE:
         # The Farkas ray forces zero weight on strict rows (margin column), so
         # it certifies infeasibility of the weak system, hence of the strict one.

@@ -1,8 +1,9 @@
 """Derived formulations: slack lifting, complementarity counterparts, branches.
 
-Four formulations share two generic shapes.  The slack-lifted program is again
-a program in abs-normal form (over ``(t, w)`` with switching block
-``(z, z_w)``), and the complementarity counterpart of either one substitutes
+Four formulations share two generic shapes.  The slack-lifted program
+(``to_slack``) is again a program in abs-normal form, over ``(t, w)`` with
+switching block ``(z, z_w)``, and ``slack_point`` lifts a point into it; the
+complementarity counterpart of either one (``to_mpcc``) substitutes
 ``zeta -> u + v`` and ``z -> u - v`` with one complementarity pair per
 switching variable.  A branch fixes a definite signature (respectively a
 resolution of the degenerate pairs) and is made here only as its spec; every
@@ -38,32 +39,12 @@ class BranchLimitError(RuntimeError):
 # slack reformulation
 
 
-@dataclass(frozen=True)
-class SlackProgram:
+def to_slack(p: AbsNormalProgram) -> AbsNormalProgram:
     """Equality-only lifting: inequalities become ``c_i(t,|z|) - |z_w| = 0`` with ``w = z_w``.
 
-    ``program`` is itself a valid abs-normal program; the slack switching block
+    The result is itself a valid abs-normal program; the slack switching block
     is ordered after the original one, which preserves triangularity.
     """
-
-    base: AbsNormalProgram
-    program: AbsNormalProgram
-
-    def lift_smooth_point(self, e: EvalResult, signs: tuple[int, ...] | None = None) -> Vec:
-        """The lifted smooth variables (t, w); ``signs`` picks the slack representative.
-
-        By default w takes the nonnegative representative ``w_k = c_i_k``; any
-        sign vector gives another element of the slack fiber.
-        """
-        if signs is None:
-            signs = (1,) * self.base.m2
-        if len(signs) != self.base.m2:
-            raise ProgramError("need one sign per inequality")
-        w = tuple(Fraction(sg) * val for sg, val in zip(signs, e.value_i))
-        return e.t + w
-
-
-def to_slack(p: AbsNormalProgram) -> SlackProgram:
     require_valid(p)
     n_t, s, m1, m2 = p.n_t, p.s, p.m1, p.m2
     new_n_t = n_t + m2
@@ -89,7 +70,17 @@ def to_slack(p: AbsNormalProgram) -> SlackProgram:
         c_z=tuple(c_z),
     )
     require_valid(lifted)
-    return SlackProgram(base=p, program=lifted)
+    return lifted
+
+
+def slack_point(e: EvalResult, signs: tuple[int, ...] | None = None) -> Vec:
+    """The smooth variables (t, w) of ``to_slack`` at the point ``e``, with the
+    slack representative ``w_k = signs_k * c_i_k`` (by default every sign +1)."""
+    if signs is None:
+        signs = (1,) * len(e.value_i)
+    if len(signs) != len(e.value_i):
+        raise ProgramError("need one sign per inequality")
+    return e.t + tuple(Fraction(sg) * val for sg, val in zip(signs, e.value_i))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +95,6 @@ class MpccProgram:
     already include the ``-(u_i - v_i)`` term.
     """
 
-    base: AbsNormalProgram
     n_x: int
     s: int
     m1: int
@@ -129,9 +119,7 @@ class MpccProgram:
         return self.ce_funcs + self.cz_funcs
 
 
-def to_mpcc(p: AbsNormalProgram | SlackProgram) -> MpccProgram:
-    if isinstance(p, SlackProgram):
-        p = p.program
+def to_mpcc(p: AbsNormalProgram) -> MpccProgram:
     require_valid(p)
     n_x, s = p.n_t, p.s
     dim = n_x + 2 * s
@@ -146,7 +134,6 @@ def to_mpcc(p: AbsNormalProgram | SlackProgram) -> MpccProgram:
         extra[n_x + s + i] = ONE
         cz.append(func.embed(dim, positions).add_linear(tuple(extra)))
     return MpccProgram(
-        base=p,
         n_x=n_x,
         s=s,
         m1=p.m1,

@@ -51,6 +51,7 @@ from absnormal.stationarity import (
 from absnormal.transforms import (
     mpcc_point_from_eval,
     phi,
+    slack_point,
     to_mpcc,
     to_slack,
 )
@@ -224,8 +225,7 @@ def test_criterion_3_decomposition_into_branches():
         assert _unions_equal_as_sets(direct, built), f"{pf.name}/{point.label}: abs-form"
         # the package's one linearization gives the built branches' cones, row for row
         assert branch_union(linearize_anf(pf.program, e)) == built, f"{pf.name}/{point.label}: abs-form"
-        mp = pa.mpcc
-        mpoint = pa.mpcc_point
+        mp, mpoint = pa.anchor(MPCC_I)
         direct_m = lin_cone_mpcc_direct(mp, mpoint)
         built_m = union_from_branches(mpcc_branches(mp, mpoint))
         assert _unions_equal_as_sets(direct_m, built_m), f"{pf.name}/{point.label}: counterpart"
@@ -265,7 +265,7 @@ def test_criterion_4_homeomorphism_suite():
             point = mpcc_point_from_eval(e)
             assert mpcc_feasible(mp, point)
             assert phi(point) == e.point  # phi(phi_inv(x)) = x exactly
-            se = evaluate(slack.program, slack.lift_smooth_point(e))
+            se = evaluate(slack, slack_point(e))
             assert se.is_feasible()
             e_point = mpcc_point_from_eval(se)
             assert mpcc_feasible(mp_e, e_point)
@@ -280,7 +280,7 @@ def test_criterion_4_homeomorphism_suite():
             for anf_ba, mpcc_ba in zip(
                 pa.formulation(anf_key).branches, pa.formulation(mpcc_key).branches, strict=True
             ):
-                mp = pa.slack_mpcc if slack_form else pa.mpcc
+                mp = pa.anchor(mpcc_key)[0]
                 split = split_direction_matrix(mp.n_x, mp.s, mpcc_ba.spec)
                 merge = merge_direction_matrix(mp.n_x, mp.s)
                 assert cone_equal(cone_image(anf_ba.lin, split), mpcc_ba.lin)
@@ -374,7 +374,7 @@ def test_criterion_7_stationarity_equivalences():
     minimizers = 0
     for pf, point, pa in CASES:
         e = pa.point_eval
-        mp, mpoint = pa.mpcc, pa.mpcc_point
+        mp, mpoint = pa.anchor(MPCC_I)
         m_anf = check_m_stationary_anf(pf.program, e)
         m_mpcc = check_m_stationary_mpcc(mp, mpoint)
         assert m_anf.status == m_mpcc.status, f"{pf.name}/{point.label}: M-verdicts differ"
@@ -388,9 +388,8 @@ def test_criterion_7_stationarity_equivalences():
         b_mpcc = check_b_stationary(mp, mpoint)
         assert b_anf.status == b_mpcc.status, f"{pf.name}/{point.label}: B-verdicts differ"
         # slack forms, as instances of the same machinery
-        se = pa.slack_eval
-        m_slack = check_m_stationary_anf(pa.slack.program, se)
-        m_slack_mpcc = check_m_stationary_mpcc(pa.slack_mpcc, pa.slack_mpcc_point)
+        m_slack = check_m_stationary_anf(*pa.anchor(ABS_E))
+        m_slack_mpcc = check_m_stationary_mpcc(*pa.anchor(MPCC_E))
         assert m_slack.status == m_slack_mpcc.status
         if point.minimizer:
             akq = decide_kink_cq(pa.formulation(ABS_I), "abadie")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
+from absnormal.anf import AbsNormalProgram, ProgramError, QuadraticFunc, evaluate
 from absnormal.cones import PolyCone, linearize_anf
 from absnormal.cq import (
     ABS_E,
@@ -24,7 +24,7 @@ from absnormal.cq import (
     verify_relations,
 )
 from absnormal.ratmath import RatMatrix, generators_to_hrep, vec, zero_vec
-from absnormal.transforms import mpcc_point_from_eval, to_mpcc
+from absnormal.transforms import mpcc_point_from_eval, slack_point, to_mpcc, to_slack
 
 from branch_oracles import cone_equal, cone_image, lift_tangent_piece, on_rational_rows, split_direction_matrix
 from conftest import e3_annotations, e4_annotations, random_affine_program
@@ -152,6 +152,44 @@ def test_check_mpcc_cq_standalone(e1):
     fa = pa.formulation(MPCC_I)
     assert decide_kink_cq(fa, "abadie").status == HOLDS
     assert decide_kink_cq(fa, "guignard").status == HOLDS
+
+
+def test_anchors_are_built_once_each_from_its_source(e2, monkeypatch):
+    import absnormal.cq
+
+    built = []
+
+    def counted(name, real):
+        def build(p):
+            built.append((name, p))
+            return real(p)
+
+        return build
+
+    for name in ("to_slack", "to_mpcc"):
+        monkeypatch.setattr(absnormal.cq, name, counted(name, getattr(absnormal.cq, name)))
+    pa = analyze_point(e2, [0, 0])
+    for _ in range(2):
+        for key in FORMULATIONS:
+            pa.anchor(key)
+            pa.formulation(key)
+    assert built == [("to_slack", e2), ("to_mpcc", e2), ("to_mpcc", pa.anchor(ABS_E)[0])]
+    # the slack counterpart first: its source, the slack form, is anchored on the way
+    built.clear()
+    pa = analyze_point(e2, [0, 0])
+    mp, point = pa.anchor(MPCC_E)
+    slack, se = pa.anchor(ABS_E)
+    assert built == [("to_slack", e2), ("to_mpcc", slack)]
+    assert (slack, mp) == (to_slack(e2), to_mpcc(to_slack(e2)))
+    assert point == mpcc_point_from_eval(se)
+
+
+def test_slack_point_needs_one_sign_per_inequality(e2):
+    e = evaluate(e2, [0, 0])
+    with pytest.raises(ProgramError, match="need one sign per inequality"):
+        slack_point(e, (1,))
+    with pytest.raises(ProgramError, match="need one sign per inequality"):
+        analyze_point(e2, [0, 0], w_signs=(1,)).anchor(ABS_E)
 
 
 def test_verify_relations_consistent_everywhere(e1, e2, e3, e4):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from absnormal.anf import evaluate
 from absnormal.cones import PolyCone, dual_cone
-from absnormal.cq import UNKNOWN, analyze_point, verify_relations
+from absnormal.cq import MPCC_I, UNKNOWN, analyze_point, verify_relations
 from absnormal.ratmath import vec, zero_vec
 from absnormal.stationarity import (
     check_b_stationary,
@@ -39,12 +39,12 @@ def test_relations_and_stationarity_on_random_affine_programs():
         assert report.consistent, [a for a in report.arrows if not a.consistent]
         for verdicts in kink.values():
             assert verdicts.status != UNKNOWN  # affine: always decisive
-        mp = pa.mpcc
+        mp, mpcc_point = pa.anchor(MPCC_I)
         m_anf = check_m_stationary_anf(p, e)
-        m_mpcc = check_m_stationary_mpcc(mp, pa.mpcc_point)
+        m_mpcc = check_m_stationary_mpcc(mp, mpcc_point)
         assert m_anf.status == m_mpcc.status
         b_anf = check_b_stationary(p, e)
-        b_mpcc = check_b_stationary(mp, pa.mpcc_point)
+        b_mpcc = check_b_stationary(mp, mpcc_point)
         assert b_anf.status == b_mpcc.status
         checked += 1
 

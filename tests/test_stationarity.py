@@ -29,6 +29,7 @@ from absnormal.problemfile import load_corpus, parse_problem_data
 from absnormal.transforms import (
     MpccProgram,
     mpcc_point_from_eval,
+    slack_point,
     to_mpcc,
     to_slack,
 )
@@ -411,7 +412,7 @@ def test_holds_self_check_raises_instead_of_asserting(e1, monkeypatch):
 def base_and_slack_forms(p, e):
     """The program at a feasible point, then its slack form at the lifted point."""
     slack = to_slack(p)
-    return [(p, e), (slack.program, evaluate(slack.program, slack.lift_smooth_point(e)))]
+    return [(p, e), (slack, evaluate(slack, slack_point(e)))]
 
 
 def translated_equals_direct_search(p, e):

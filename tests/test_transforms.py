@@ -18,6 +18,7 @@ from absnormal.transforms import (
     mpcc_point_from_eval,
     phi,
     phi_inv,
+    slack_point,
     to_mpcc,
     to_slack,
 )
@@ -37,21 +38,20 @@ from conftest import make_e1, make_e2
 
 def test_slack_of_program_without_inequalities_is_identity_shaped(e1):
     sp = to_slack(e1)
-    assert sp.program.n_t == e1.n_t
-    assert sp.program.s == e1.s
-    assert sp.program.m1 == e1.m1
-    assert sp.program.m2 == 0
+    assert sp.n_t == e1.n_t
+    assert sp.s == e1.s
+    assert sp.m1 == e1.m1
+    assert sp.m2 == 0
 
 
 def test_slack_of_e2_structure(e2):
-    sp = to_slack(e2)
-    lifted = sp.program
+    lifted = to_slack(e2)
     assert lifted.s == 3  # one original switch plus two slack switches
     assert lifted.m1 == 3 and lifted.m2 == 0
     assert validate(lifted) == []
     # the new equality rows read c_i_k(t, |z|) - zeta_w_k
     e = evaluate(e2, ["1/2", 0])
-    point = sp.lift_smooth_point(e)
+    point = slack_point(e)
     se = evaluate(lifted, point)
     assert se.is_feasible()
     assert se.z == vec(["1/2", "1/2", 0])  # (z, w1, w2) with w = c_i values
@@ -61,7 +61,7 @@ def test_slack_lift_any_sign_choice_is_feasible(e2):
     e = evaluate(e2, [2, 0])
     sp = to_slack(e2)
     for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
-        se = evaluate(sp.program, sp.lift_smooth_point(e, signs))
+        se = evaluate(sp, slack_point(e, signs))
         assert se.is_feasible()
         assert tuple(abs(w) for w in se.z[1:]) == e.value_i
 
@@ -142,7 +142,7 @@ def test_branch_count_definite_point(e1):
 def test_branch_count_slack_mpcc_e2(e2):
     # |alpha| = 1 and both inequalities active: 2^3 = 8 branches in the slack counterpart
     sp = to_slack(e2)
-    se = evaluate(sp.program, sp.lift_smooth_point(evaluate(e2, [0, 0])))
+    se = evaluate(sp, slack_point(evaluate(e2, [0, 0])))
     mp = to_mpcc(sp)
     point = mpcc_point_from_eval(se)
     branches = mpcc_branches(mp, point)
@@ -153,7 +153,7 @@ def test_branch_count_slack_mpcc_e2(e2):
 
 def test_branch_cap_refused(e2):
     sp = to_slack(e2)
-    se = evaluate(sp.program, sp.lift_smooth_point(evaluate(e2, [0, 0])))
+    se = evaluate(sp, slack_point(evaluate(e2, [0, 0])))
     point = mpcc_point_from_eval(se)
     with pytest.raises(BranchLimitError):
         enumerate_mpcc_branches(point, cap=4)
@@ -285,7 +285,6 @@ def composed_mpcc(p: AbsNormalProgram) -> MpccProgram:
         extra[n_x + i], extra[n_x + s + i] = Fraction(-1), Fraction(1)
         cz.append(compose_linear(func, subs).add_linear(tuple(extra)))
     return MpccProgram(
-        base=p,
         n_x=n_x,
         s=s,
         m1=p.m1,
@@ -322,7 +321,7 @@ def test_to_mpcc_equals_the_dense_composition():
     nonzero_quadratic = 0
     for _ in range(250):
         p = random_quadratic_program(rng)
-        for program in (p, to_slack(p).program):
+        for program in (p, to_slack(p)):
             assert to_mpcc(program) == composed_mpcc(program)
         nonzero_quadratic += any(not func.is_affine() for func in p.c_e + p.c_i + p.c_z)
     assert nonzero_quadratic >= 200, nonzero_quadratic
