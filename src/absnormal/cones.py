@@ -12,7 +12,8 @@ rows (``BranchLinearization.rows``) to the descent LP and to printing.
 
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
-strict-feasibility argument.  Anything else stays Unknown here; trusted
+strictly feasible direction, found by one plain LP.  Anything else stays
+Unknown here; trusted
 annotations are layered on top by the qualification checker.
 """
 
@@ -26,6 +27,7 @@ from math import lcm
 from .anf import AbsNormalProgram, EvalResult
 from .ratmath import (
     FEASIBLE,
+    ONE,
     ZERO,
     LpProblem,
     Vec,
@@ -251,7 +253,8 @@ def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
     By biduality, None means that the dual of the union of the members lies in
     the dual of ``target``; no H-representation of either dual is built.  A
     generator inside a single member (those in ``first`` are tried first) is
-    accepted by substitution; any other costs one exact LP in ``w``.
+    accepted by substitution; any other costs one exact LP in ``w``.  The
+    system is homogeneous, so ``w . g < 0`` is posed as ``-w . g >= 1``.
     """
     rows = None
     for g in _signed_generators(target):
@@ -271,8 +274,7 @@ def hull_escape(members, target: PolyCone, first=()) -> Vec | None:
                 eq_rows=eq_rows,
                 eq_rhs=zero_vec(len(eq_rows)),
                 ineq_rows=ineq_rows + (vec_neg(g),),
-                ineq_rhs=zero_vec(len(ineq_rows) + 1),
-                strict=frozenset([len(ineq_rows)]),
+                ineq_rhs=zero_vec(len(ineq_rows)) + (ONE,),
             )
         )
         if res.status == FEASIBLE:
@@ -511,6 +513,8 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
     independence of active gradients, or a strictly feasible direction for
     the linearized system each certify that the tangent cone equals the
     linearized cone ``lin`` of the branch, which is then returned itself.
+    The direction system is homogeneous, so ``E d = 0, I d > 0`` is posed as
+    ``E d = 0, I d >= 1``.
     """
     if affine:
         return lin, TangentCertificate(TANGENT_AFFINE)
@@ -523,8 +527,7 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
             eq_rows=eq,
             eq_rhs=zero_vec(len(eq)),
             ineq_rows=ineq,
-            ineq_rhs=zero_vec(len(ineq)),
-            strict=frozenset(range(len(ineq))),
+            ineq_rhs=(ONE,) * len(ineq),
         )
         res = lp_solve(problem)
         if res.status == "feasible":

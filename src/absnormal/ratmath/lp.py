@@ -6,22 +6,22 @@ needs no perturbation).  The tableau is fraction-free (Edmonds 1967, Bareiss
 the problem and in the returned results.  Every verdict carries a certificate
 that re-validates by pure substitution:
 
-* feasible      -- a point satisfying all rows (strict rows strictly),
-* infeasible    -- a Farkas ray, or an optimal pair of the margin relaxation
-                   proving the strict-feasibility supremum is nonpositive,
+* feasible      -- a point satisfying all rows,
+* infeasible    -- a Farkas ray,
 * optimal       -- a primal point and dual multipliers with equal objective
                    values (duals are stated for the canonical minimization),
 * unbounded     -- a feasible point plus an improving recession ray.
 
-Strict inequality rows are handled by maximizing a margin variable ``m`` with
-``row - m >= rhs`` on the strict rows; the system is strictly feasible exactly
-when the margin optimum is positive or unbounded.
+There are no strict rows.  A homogeneous system with a strict row is feasible
+exactly when the same system with that row written ``>= 1`` is, since any
+solution can be scaled (Gordan, Motzkin; Schrijver 1986, ch. 7), so callers
+pose it that way.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -44,11 +44,8 @@ class LpError(ValueError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """``min/max objective . x`` subject to ``eq_rows . x = eq_rhs`` and ``ineq_rows . x >= ineq_rhs``.
-
-    ``strict`` lists inequality row indices that must hold strictly; those are
-    only supported for pure feasibility queries (no objective).
-    """
+    """``min/max objective . x`` subject to ``eq_rows . x = eq_rhs`` and
+    ``ineq_rows . x >= ineq_rhs``; without an objective, a feasibility query."""
 
     n_vars: int
     objective: Vec | None = None
@@ -57,7 +54,6 @@ class LpProblem:
     eq_rhs: Vec = ()
     ineq_rows: tuple[Vec, ...] = ()
     ineq_rhs: Vec = ()
-    strict: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
@@ -69,8 +65,6 @@ class LpProblem:
         for r in itertools.chain(self.eq_rows, self.ineq_rows):
             if len(r) != self.n_vars:
                 raise LpError("constraint row length does not match variable count")
-        if any(i < 0 or i >= len(self.ineq_rows) for i in self.strict):
-            raise LpError("strict index out of range")
 
     def min_objective(self) -> Vec:
         """Objective of the canonical minimization (negated when sense is max)."""
@@ -88,7 +82,6 @@ class LpCertificate:
     ray: Vec | None = None
     dual_eq: Vec | None = None
     dual_ineq: Vec | None = None
-    margin: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -98,63 +91,7 @@ class LpResult:
     certificate: LpCertificate
 
 
-def margin_relaxation(p: LpProblem) -> LpProblem:
-    """Auxiliary LP: maximize the margin m with ``row . x - m >= rhs`` on strict rows."""
-    n = p.n_vars
-    rows = []
-    for i, row in enumerate(p.ineq_rows):
-        extra = -ONE if i in p.strict else ZERO
-        rows.append(row + (extra,))
-    return LpProblem(
-        n_vars=n + 1,
-        objective=zero_vec(n) + (ONE,),
-        sense="max",
-        eq_rows=tuple(r + (ZERO,) for r in p.eq_rows),
-        eq_rhs=p.eq_rhs,
-        ineq_rows=tuple(rows),
-        ineq_rhs=p.ineq_rhs,
-    )
-
-
 def lp_solve(p: LpProblem) -> LpResult:
-    if p.strict:
-        if p.objective is not None:
-            raise LpError("strict rows are only supported for feasibility queries")
-        return _solve_strict(p)
-    return _solve_plain(p)
-
-
-def _solve_strict(p: LpProblem) -> LpResult:
-    res = _solve_plain(margin_relaxation(p))
-    if res.status == INFEASIBLE:
-        # The Farkas ray forces zero weight on strict rows (margin column), so
-        # it certifies infeasibility of the weak system, hence of the strict one.
-        return LpResult(INFEASIBLE, None, res.certificate)
-    if res.status == UNBOUNDED:
-        cert = res.certificate
-        point, ray = cert.point, cert.ray
-        m0, mr = point[-1], ray[-1]
-        theta = ZERO if m0 >= 1 else (1 - m0) / mr
-        lifted = tuple(x + theta * r for x, r in zip(point, ray))
-        return LpResult(
-            FEASIBLE, None, LpCertificate(KIND_POINT, point=lifted[:-1], margin=lifted[-1])
-        )
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"margin relaxation ended {res.status}, not optimal")
-    if res.value > 0:
-        point = res.certificate.point
-        return LpResult(FEASIBLE, None, LpCertificate(KIND_POINT, point=point[:-1], margin=res.value))
-    cert = LpCertificate(
-        KIND_PAIR,
-        point=res.certificate.point,
-        dual_eq=res.certificate.dual_eq,
-        dual_ineq=res.certificate.dual_ineq,
-        margin=res.value,
-    )
-    return LpResult(INFEASIBLE, None, cert)
-
-
-def _solve_plain(p: LpProblem) -> LpResult:
     tab = _Tableau(p)
     farkas = tab.phase_one()
     if farkas is not None:
@@ -373,60 +310,38 @@ class _Tableau:
 # -- certificate validation -------------------------------------------------
 
 
-def _point_feasible(p: LpProblem, x: Vec, strictly: bool) -> bool:
-    if len(x) != p.n_vars:
-        return False
-    for row, b in zip(p.eq_rows, p.eq_rhs):
-        if dot(row, x) != b:
-            return False
-    for i, (row, b) in enumerate(zip(p.ineq_rows, p.ineq_rhs)):
-        v = dot(row, x)
-        if strictly and i in p.strict:
-            if v <= b:
-                return False
-        elif v < b:
-            return False
-    return True
+def _point_feasible(p: LpProblem, x: Vec) -> bool:
+    return all(dot(row, x) == b for row, b in zip(p.eq_rows, p.eq_rhs)) and all(
+        dot(row, x) >= b for row, b in zip(p.ineq_rows, p.ineq_rhs)
+    )
 
 
 def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
     """Re-check a verdict by substitution only; returns a list of violations (empty = valid).
 
     Every certificate vector must fit the problem before any product is
-    taken; a margin certificate's vectors fit the margin relaxation instead,
-    and are checked there."""
+    taken."""
     cert = result.certificate
-    if not (result.status == INFEASIBLE and cert.kind == KIND_PAIR):
-        sizes = {"point": p.n_vars, "ray": p.n_vars, "dual_eq": len(p.eq_rows), "dual_ineq": len(p.ineq_rows)}
-        errors = [
-            f"{name} has {len(v)} entries, expected {n}"
-            for name, n in sizes.items()
-            if (v := getattr(cert, name)) is not None and len(v) != n
-        ]
-        if errors:
-            return errors
-    errors = []
+    sizes = {"point": p.n_vars, "ray": p.n_vars, "dual_eq": len(p.eq_rows), "dual_ineq": len(p.ineq_rows)}
+    errors = [
+        f"{name} has {len(v)} entries, expected {n}"
+        for name, n in sizes.items()
+        if (v := getattr(cert, name)) is not None and len(v) != n
+    ]
+    if errors:
+        return errors
     if result.status == FEASIBLE:
         if cert.kind != KIND_POINT or cert.point is None:
             return ["feasible verdict without a point certificate"]
-        if not _point_feasible(p, cert.point, strictly=True):
-            errors.append("claimed feasible point violates a constraint")
-        return errors
+        return [] if _point_feasible(p, cert.point) else ["claimed feasible point violates a constraint"]
     if result.status == INFEASIBLE:
-        if cert.kind == KIND_FARKAS:
-            return _check_farkas(p, cert)
-        if cert.kind == KIND_PAIR:
-            aux = margin_relaxation(p)
-            if cert.margin is None or cert.margin > 0:
-                return ["margin certificate must prove a nonpositive optimum"]
-            sub = LpResult(OPTIMAL, cert.margin, LpCertificate(KIND_PAIR, cert.point, None, cert.dual_eq, cert.dual_ineq))
-            errs = verify_certificate(aux, sub)
-            return [f"margin relaxation: {e}" for e in errs]
-        return [f"unexpected certificate kind {cert.kind!r} for infeasible"]
+        if cert.kind != KIND_FARKAS:
+            return [f"unexpected certificate kind {cert.kind!r} for infeasible"]
+        return _check_farkas(p, cert)
     if result.status == OPTIMAL:
         if cert.kind != KIND_PAIR or cert.point is None or cert.dual_eq is None or cert.dual_ineq is None:
             return ["optimal verdict needs a primal-dual pair"]
-        if not _point_feasible(p, cert.point, strictly=False):
+        if not _point_feasible(p, cert.point):
             errors.append("optimal point infeasible")
         if p.objective is not None and dot(p.objective, cert.point) != result.value:
             errors.append("objective value mismatch at the optimal point")
@@ -447,7 +362,7 @@ def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
     if result.status == UNBOUNDED:
         if cert.kind != KIND_RAY or cert.point is None or cert.ray is None:
             return ["unbounded verdict needs a point and a ray"]
-        if not _point_feasible(p, cert.point, strictly=False):
+        if not _point_feasible(p, cert.point):
             errors.append("ray base point infeasible")
         for row in p.eq_rows:
             if dot(row, cert.ray) != 0:

@@ -3,20 +3,23 @@
 M-stationarity asks for multipliers making the Lagrangian gradient vanish
 while the pair multipliers of each degenerate switch satisfy the disjunction
 "both strictly positive, or product zero".  The disjunction splits into three
-convex cases per degenerate index.  When the stationarity equations fix the
-multipliers (their rows have full column rank, which MPCC-LICQ implies;
-Scheel & Scholtes 2000), one LP finds the only candidate and each degenerate
-index takes the first case in ``CASES`` that it satisfies: a Holds from one
-LP.  Otherwise, or when that candidate breaks the disjunction, the 3^k case
-assignments form a tree searched depth first in ``CASES`` order.  Each node is
-a prefix: it fixes the cases of the first degenerate indices and leaves the
-later pairs free in sign, so its strict-margin feasibility LP relaxes every
-assignment below it.  An infeasible prefix closes its whole subtree with one
-Farkas or margin certificate; the first feasible full assignment is the Holds
-case, the same one a flat enumeration in ``itertools.product`` order would
-find, and the same one the single LP reads off when the multipliers are
-unique.  Only the search makes a Fails verdict: it lists the closed prefixes,
-and a recheck verifies each certificate and that the prefixes cover all 3^k
+convex cases per degenerate index: ``mu_u = 0``, ``mu_v = 0``, and both
+``>= 0``, which with the other two covers the same union, so no case LP has a
+strict row.  When the stationarity equations fix the multipliers (their rows
+have full column rank, which MPCC-LICQ implies; Scheel & Scholtes 2000), one
+LP decides: infeasible, its Farkas ray closes all 3^k assignments at once;
+feasible, it finds the only candidate and each degenerate index takes the
+first case in ``CASES`` that it satisfies.  Otherwise, or when that candidate
+breaks the disjunction, the 3^k case assignments form a tree searched depth
+first in ``CASES`` order.  Each node is a prefix: it fixes the cases of the
+first degenerate indices and leaves the later pairs free in sign, so its
+feasibility LP relaxes every assignment below it.  An infeasible prefix
+closes its whole subtree with one Farkas certificate; the first feasible full
+assignment is the Holds case, the same one a flat enumeration with strict
+both-positive cases in ``itertools.product`` order would find
+(``build_case_problem``), and the same one the single LP reads off when the
+multipliers are unique.  A Fails verdict lists the closed prefixes, and a
+recheck verifies each certificate and that the prefixes cover all 3^k
 assignments (``uncovered_case``).  The case cap bounds the LPs solved, the
 single LP included: at most 1 + (3^(k+1) - 3)/2.
 
@@ -28,8 +31,9 @@ form's system, so a disagreement is a RuntimeError, never a verdict.
 B-stationarity (the linearized variant) asks that no branch linearized cone
 contains a first-order descent direction.  Strong stationarity implies it
 (Scheel & Scholtes 2000), so strong-stationary multipliers -- the M
-certificate itself when its degenerate pair multipliers are nonnegative, else
-one LP -- are a Holds certificate on their own, checked once by substitution
+certificate itself when its degenerate pair multipliers are nonnegative, none
+when it is the only candidate and they are not, else one LP -- are a Holds
+certificate on their own, checked once by substitution
 and by those signs (``verify_multiplier_verdict``); no branch is enumerated.
 Only without them does the check solve one descent LP per branch, stopping at
 the first descent, and a Holds then carries one dual-cone membership
@@ -39,6 +43,7 @@ abs-normal one translated and re-checked there (``translate_b_verdict``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -160,6 +165,18 @@ class _MultiplierSystem:
         coeffs, offset = expr
         return dot(coeffs, lam) + offset
 
+    @functools.cached_property
+    def root(self) -> LpProblem:
+        """The case LP of the empty prefix, which relaxes every assignment."""
+        return build_case_problem(self, ())
+
+    @functools.cached_property
+    def fixes_multipliers(self) -> bool:
+        """Whether the root's equality rows have full column rank, so that at
+        most one multiplier vector solves the system."""
+        rows, n = self.root.eq_rows, self.n_unknowns
+        return len(rows) >= n and integer_rank([list(primitive_integer(r)) for r in rows], n) == n
+
 
 def _mpcc_system(mp: MpccProgram, point: MpccPoint) -> _MultiplierSystem:
     """Stationarity of f + lam_e.c_e - lam_i.c_i + lam_z.(switching rows) minus
@@ -254,7 +271,18 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
     indices; the pairs of the later ones stay free in sign, so the LP relaxes
     every full assignment extending the prefix.  Every row is an affine
     expression (coeffs, offset); as a constraint it reads coeffs . lam =
-    -offset (resp. >= -offset, strictly for the both-positive case).
+    -offset (resp. >= -offset).
+
+    The both-positive case is posed closed, as ``pair_u >= 0`` and
+    ``pair_v >= 0``; with the two zero cases it covers the same union, so the
+    verdict is that of the strict case.  So is the Holds case: the search
+    returns the first feasible full assignment A* in ``CASES`` order.  If a
+    point of A*'s LP had ``mu_u = 0`` (or ``mu_v = 0``) at an index where A*
+    takes both-positive, the same assignment with ``pair-u=0`` (or
+    ``pair-v=0``) there would be feasible too, and it comes earlier.  So every
+    point of A*'s LP has both pair multipliers strictly positive there, and A*
+    is also the first assignment feasible with the strict case.  ``_holds``
+    checks the disjunction of the point found all the same.
     """
     if len(assignment) > len(system.degenerate):
         raise ValueError(
@@ -276,17 +304,13 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
         row = [ZERO] * n
         row[system.m1 + k] = ONE
         ineq.append((tuple(row), ZERO))
-    strict: set[int] = set()
     for i, case in zip(system.degenerate, assignment):
         if case == CASE_U_ZERO:
             eq.append(system.pair_u[i])
         elif case == CASE_V_ZERO:
             eq.append(system.pair_v[i])
         elif case == CASE_BOTH_POSITIVE:
-            strict.add(len(ineq))
-            ineq.append(system.pair_u[i])
-            strict.add(len(ineq))
-            ineq.append(system.pair_v[i])
+            ineq += (system.pair_u[i], system.pair_v[i])
         else:
             raise ValueError(f"unknown case {case!r}")
     return LpProblem(
@@ -295,7 +319,6 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
         eq_rhs=tuple(-b for _, b in eq),
         ineq_rows=tuple(r for r, _ in ineq),
         ineq_rhs=tuple(-b for _, b in ineq),
-        strict=frozenset(strict),
     )
 
 
@@ -303,29 +326,24 @@ def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
     """The M verdict of ``system``, at most ``DEFAULT_CASE_CAP`` case LPs.
 
     When the root equations fix the multipliers (full column rank), one LP
-    finds the only candidate ``lam``, and each degenerate index takes the
-    first case in ``CASES`` that ``lam`` satisfies.  Every prefix LP's
-    feasible set is then ``{lam}`` or empty, so this is the case search's own
-    Holds, found without it.  Any other outcome is left to ``_case_search``.
+    decides.  If it is infeasible, its Farkas ray closes the root prefix,
+    which covers all 3^k assignments.  If not, it finds the only candidate
+    ``lam``, and each degenerate index takes the first case in ``CASES``
+    that ``lam`` satisfies.  Every prefix LP's feasible set is then ``{lam}``
+    or empty, so this is the case search's own Holds, found without it.  A
+    ``lam`` that breaks the disjunction is left to ``_case_search``.
     """
-    if not system.degenerate:
-        return _case_search(system, kind)  # its only LP is the root
-    root = build_case_problem(system, ())
-    if not _fixes_unknowns(root.eq_rows, system.n_unknowns):
-        return _case_search(system, kind)
+    if not system.degenerate or not system.fixes_multipliers:
+        return _case_search(system, kind)  # with k == 0 its only LP is the root
     _check_case_cap(0, system)
-    res = lp_solve(root)
-    if res.status == FEASIBLE:
-        lam = res.certificate.point
-        assignment = tuple(_first_case(system, i, lam) for i in system.degenerate)
-        if None not in assignment:
-            return _holds(system, kind, assignment, lam)
+    res = lp_solve(system.root)
+    if res.status != FEASIBLE:
+        return StationarityVerdict(kind, FAILS, failed_cases=(CaseOutcome((), res.certificate),))
+    lam = res.certificate.point
+    assignment = tuple(_first_case(system, i, lam) for i in system.degenerate)
+    if None not in assignment:
+        return _holds(system, kind, assignment, lam)
     return _case_search(system, kind, solved=1)
-
-
-def _fixes_unknowns(rows: tuple[Vec, ...], n: int) -> bool:
-    """Whether the equality ``rows`` have full column rank ``n``."""
-    return len(rows) >= n and integer_rank([list(primitive_integer(r)) for r in rows], n) == n
 
 
 def _first_case(system: _MultiplierSystem, i: int, lam: Vec) -> str | None:
@@ -541,26 +559,17 @@ def translate_m_verdict(
 # B-stationarity on the branch linearized cones
 
 
-def _strong_problem(system: _MultiplierSystem) -> LpProblem:
-    """Strong stationarity: the M system with both pair multipliers of every
-    degenerate switch nonnegative (Scheel & Scholtes 2000)."""
-    base = build_case_problem(system, ())
-    pairs = [expr for i in system.degenerate for expr in (system.pair_u[i], system.pair_v[i])]
-    return replace(
-        base,
-        ineq_rows=base.ineq_rows + tuple(r for r, _ in pairs),
-        ineq_rhs=base.ineq_rhs + tuple(-b for _, b in pairs),
-    )
-
-
 def _strong_multipliers(
     system: _MultiplierSystem, m_verdict: StationarityVerdict | None
 ) -> MultiplierSet | None:
     """Strong-stationary multipliers, or None when there are none.
 
     An M certificate whose degenerate pair multipliers are all >= 0 is one and
-    costs no LP; a failed M verdict rules them out, since S implies M.
-    Otherwise one LP decides.
+    costs no LP; a failed M verdict rules them out, since S implies M, and so
+    does any other M certificate when the system fixes the multipliers, since
+    it is then the only candidate.  Otherwise one LP decides: strong
+    stationarity (Scheel & Scholtes 2000) is the case with both pair
+    multipliers of every degenerate switch nonnegative.
     """
     if m_verdict is not None:
         if m_verdict.status != HOLDS:
@@ -568,7 +577,9 @@ def _strong_multipliers(
         ms = m_verdict.multipliers
         if all(ms.mu_u[i] >= 0 and ms.mu_v[i] >= 0 for i in system.degenerate):
             return ms
-    res = lp_solve(_strong_problem(system))
+        if system.fixes_multipliers:
+            return None
+    res = lp_solve(build_case_problem(system, (CASE_BOTH_POSITIVE,) * len(system.degenerate)))
     if res.status != FEASIBLE:
         return None
     return _multipliers_from_lam(system, res.certificate.point)

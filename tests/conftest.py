@@ -12,6 +12,10 @@ from pathlib import Path
 
 import pytest
 
+# the oracles' own asserts are checks too: rewritten like a test module's,
+# they still run under ``python -O``
+pytest.register_assert_rewrite("branch_oracles")
+
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import PolyCone
 from absnormal.ratmath import RatMatrix, zero_vec
@@ -144,6 +148,34 @@ def random_affine_program(rng: random.Random, max_s: int = 2, rational: bool = F
     f = QuadraticFunc(n_t, Fraction(0), tuple(coeff() for _ in range(n_t)))
     return AbsNormalProgram(
         n_t=n_t, s=s, m1=m1, m2=m2, f=f, c_e=tuple(c_e), c_i=tuple(c_i), c_z=tuple(c_z)
+    )
+
+
+def kinks_like_program(rng: random.Random, k: int) -> AbsNormalProgram:
+    """``c t_{k+1} = sum_i b_i |a_i t_i|`` with objective ``sign t_{k+1} +
+    sum_i o_i t_i``; its multipliers are unique at the origin: lam_e = sign/c,
+    lam_z_i = -o_i/a_i, and the pairs are b_i lam_e -/+ lam_z_i.  Each o_i
+    zeroes the u pair, zeroes the v pair, or is drawn at random, so every
+    case comes up and so do pairs that break the disjunction."""
+    a = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
+    b = [rng.randint(-3, 3) for _ in range(k)]
+    c = rng.randint(1, 3)
+    sign = rng.choice((-1, 1))
+    objective = []
+    for i in range(k):
+        kind = rng.randrange(3)
+        pair = Fraction(a[i] * b[i] * sign, c)
+        objective.append(-pair if kind == 0 else pair if kind == 1 else Fraction(rng.randint(-2, 2)))
+    block = 2 * k + 1
+    return AbsNormalProgram(
+        n_t=k + 1,
+        s=k,
+        m1=1,
+        m2=0,
+        f=affine(k + 1, 0, objective + [sign]),
+        c_e=(affine(block, 0, [0] * k + [-c] + b),),
+        c_i=(),
+        c_z=tuple(affine(block, 0, [a[i] if j == i else 0 for j in range(block)]) for i in range(k)),
     )
 
 

@@ -55,7 +55,6 @@ RATMATH_API = [
     "integer_dot",
     "is_zero_vec",
     "lp_solve",
-    "margin_relaxation",
     "primitive",
     "primitive_integer",
     "rat",

@@ -2,14 +2,11 @@ import dataclasses
 import random
 from fractions import Fraction
 
-import pytest
-
 from absnormal.ratmath import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    LpError,
     LpProblem,
     lp_solve,
     vec,
@@ -17,14 +14,13 @@ from absnormal.ratmath import (
 )
 
 
-def feasibility(n, eq=(), eq_rhs=(), ineq=(), ineq_rhs=(), strict=()):
+def feasibility(n, eq=(), eq_rhs=(), ineq=(), ineq_rhs=()):
     return LpProblem(
         n_vars=n,
         eq_rows=tuple(vec(r) for r in eq),
         eq_rhs=vec(eq_rhs),
         ineq_rows=tuple(vec(r) for r in ineq),
         ineq_rhs=vec(ineq_rhs),
-        strict=frozenset(strict),
     )
 
 
@@ -46,6 +42,16 @@ def test_infeasible_with_farkas_ray():
     assert verify_certificate(p, res) == []
     y = res.certificate.dual_ineq
     assert y[0] * 1 + y[1] * (-1) == 0 and y[0] * 1 + y[1] * 0 > 0
+
+
+def test_infeasible_verdict_rests_on_a_farkas_ray_alone():
+    # an optimal primal-dual pair proves no infeasibility, whatever it holds
+    p = feasibility(1, ineq=[[1], [-1]], ineq_rhs=[1, 0])
+    res = lp_solve(p)
+    pair = dataclasses.replace(res.certificate, kind="optimal-primal-dual-pair", point=vec([0]))
+    assert verify_certificate(p, dataclasses.replace(res, certificate=pair)) == [
+        "unexpected certificate kind 'optimal-primal-dual-pair' for infeasible"
+    ]
 
 
 def test_bounded_maximization():
@@ -87,52 +93,19 @@ def test_unbounded_with_ray():
     assert res.certificate.ray[0] > 0
 
 
-def test_strict_feasibility_positive_margin():
-    # x > 0 together with 1 - x > 0: strictly feasible, e.g. x = 1/2
-    p = feasibility(1, ineq=[[1], [-1]], ineq_rhs=[0, -1], strict=[0, 1])
-    res = lp_solve(p)
-    assert res.status == FEASIBLE
-    assert res.certificate.margin > 0
-    x = res.certificate.point[0]
-    assert 0 < x < 1
-    assert verify_certificate(p, res) == []
-
-
-def test_strict_infeasible_boundary():
-    # x >= 0, -x >= 0, and strictly x > 0 -- only x = 0 survives the weak rows
-    p = feasibility(1, ineq=[[1], [-1], [1]], ineq_rhs=[0, 0, 0], strict=[2])
-    res = lp_solve(p)
-    assert res.status == INFEASIBLE
-    assert res.certificate.kind == "optimal-primal-dual-pair"
-    assert res.certificate.margin <= 0
-    assert verify_certificate(p, res) == []
-
-
-def test_strict_unbounded_margin():
-    # x > 0 alone: margin unbounded, still strictly feasible
-    p = feasibility(1, ineq=[[1]], ineq_rhs=[0], strict=[0])
-    res = lp_solve(p)
-    assert res.status == FEASIBLE
-    assert res.certificate.point[0] > 0
-    assert verify_certificate(p, res) == []
-
-
 def test_certificate_vectors_of_the_wrong_length_are_named():
-    # each vector is checked against the problem before any product; the
-    # vectors of a margin pair against the margin relaxation
+    # each vector is checked against the problem before any product
     problems = [
         feasibility(1, ineq=[[1], [-1]], ineq_rhs=[0, 0]),
         feasibility(1, ineq=[[1], [-1]], ineq_rhs=[1, 0]),
         LpProblem(n_vars=2, objective=vec([1, 1]), eq_rows=(vec([1, 1]),), eq_rhs=vec([2]),
                   ineq_rows=(vec([1, 0]), vec([0, 1])), ineq_rhs=vec([0, 0])),
         LpProblem(n_vars=1, objective=vec([-1]), ineq_rows=(vec([1]),), ineq_rhs=vec([0])),
-        feasibility(1, ineq=[[1], [-1], [1]], ineq_rhs=[0, 0, 0], strict=[2]),
     ]
     checked = set()
     for p in problems:
         res = lp_solve(p)
         cert = res.certificate
-        prefix = "margin relaxation: " if res.status == INFEASIBLE and cert.kind == "optimal-primal-dual-pair" else ""
         for name in ("point", "ray", "dual_eq", "dual_ineq"):
             good = getattr(cert, name)
             if good is None:
@@ -140,23 +113,10 @@ def test_certificate_vectors_of_the_wrong_length_are_named():
             for bad in (good + (Fraction(1),), good[1:])[: 1 + bool(good)]:
                 tampered = dataclasses.replace(res, certificate=dataclasses.replace(cert, **{name: bad}))
                 assert verify_certificate(p, tampered) == [
-                    f"{prefix}{name} has {len(bad)} entries, expected {len(good)}"
+                    f"{name} has {len(bad)} entries, expected {len(good)}"
                 ]
             checked.add((res.status, name))
     assert {name for _, name in checked} == {"point", "ray", "dual_eq", "dual_ineq"}
-
-
-def test_strict_with_objective_rejected():
-    with pytest.raises(LpError):
-        lp_solve(
-            LpProblem(
-                n_vars=1,
-                objective=vec([1]),
-                ineq_rows=(vec([1]),),
-                ineq_rhs=vec([0]),
-                strict=frozenset([0]),
-            )
-        )
 
 
 def test_degenerate_redundant_equalities():

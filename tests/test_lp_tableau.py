@@ -2,9 +2,9 @@
 
 ``RationalTableau`` is the ``Fraction`` tableau that ``ratmath.lp`` used
 before its rows became integer lists, kept here unchanged but for its name as the reference.
-Both are driven through the same ``_solve_plain``/``_solve_strict`` logic by
-swapping ``lp._Tableau``, so equal ``repr(LpResult)`` means the same pivots
-led to the same verdicts and certificates.
+Both are driven through the same ``lp_solve`` by swapping ``lp._Tableau``, so
+equal ``repr(LpResult)`` means the same pivots led to the same verdicts and
+certificates.
 """
 
 import itertools
@@ -194,7 +194,7 @@ def _coefficient(rng: random.Random) -> Fraction:
 
 
 def random_lp(rng: random.Random) -> LpProblem:
-    """Equality and inequality rows, some strict, min/max, homogeneous or not."""
+    """Equality and inequality rows, min/max or feasibility, homogeneous or not."""
     n = rng.randint(0, 4)
     homogeneous = rng.random() < 0.2
     n_eq = rng.randint(0, 3)
@@ -214,12 +214,9 @@ def random_lp(rng: random.Random) -> LpProblem:
     eq_rhs = rhs(n_eq)
     if len(eq_rows) > n_eq:
         eq_rhs += (2 * eq_rhs[k],)
-    strict = frozenset()
     objective = None
     sense = "min"
-    if n_ineq and rng.random() < 0.3:
-        strict = frozenset(i for i in range(n_ineq) if rng.random() < 0.5) or frozenset({0})
-    elif rng.random() < 0.7:
+    if rng.random() < 0.6:
         objective = tuple(_coefficient(rng) for _ in range(n))
         sense = rng.choice(("min", "max"))
     return LpProblem(
@@ -230,7 +227,6 @@ def random_lp(rng: random.Random) -> LpProblem:
         eq_rhs=eq_rhs,
         ineq_rows=ineq_rows,
         ineq_rhs=rhs(n_ineq),
-        strict=strict,
     )
 
 

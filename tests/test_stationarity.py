@@ -1,7 +1,6 @@
 import itertools
 import random
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -23,6 +22,7 @@ from absnormal.stationarity import (
     translate_b_verdict,
     translate_m_verdict,
     uncovered_case,
+    verify_multiplier_verdict,
     verify_multipliers,
 )
 from absnormal.problemfile import load_corpus, parse_problem_data
@@ -42,7 +42,14 @@ from branch_oracles import (
     strong_branch_certificates,
     verify_branch_dual_certificate,
 )
-from conftest import affine, bench_kinks, fallback_kinks_problem, make_e1, random_affine_program
+from conftest import (
+    affine,
+    bench_kinks,
+    fallback_kinks_problem,
+    kinks_like_program,
+    make_e1,
+    random_affine_program,
+)
 
 
 def with_objective(p: AbsNormalProgram, linear) -> AbsNormalProgram:
@@ -340,44 +347,26 @@ def test_unique_multipliers_decide_m_with_one_lp_on_kinks(k, monkeypatch):
             assert [c.assignment for c in verdict.failed_cases] == [(case,) for case in CASES]
 
 
-def kinks_like_program(rng: random.Random, k: int) -> AbsNormalProgram:
-    """``c t_{k+1} = sum_i b_i |a_i t_i|`` with objective ``sign t_{k+1} +
-    sum_i o_i t_i``; its multipliers are unique at the origin: lam_e = sign/c,
-    lam_z_i = -o_i/a_i, and the pairs are b_i lam_e -/+ lam_z_i.  Each o_i
-    zeroes the u pair, zeroes the v pair, or is drawn at random, so every
-    case comes up and so do pairs that break the disjunction."""
-    a = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(k)]
-    b = [rng.randint(-3, 3) for _ in range(k)]
-    c = rng.randint(1, 3)
-    sign = rng.choice((-1, 1))
-    objective = []
-    for i in range(k):
-        kind = rng.randrange(3)
-        pair = Fraction(a[i] * b[i] * sign, c)
-        objective.append(-pair if kind == 0 else pair if kind == 1 else Fraction(rng.randint(-2, 2)))
-    block = 2 * k + 1
-    return AbsNormalProgram(
-        n_t=k + 1,
-        s=k,
-        m1=1,
-        m2=0,
-        f=affine(k + 1, 0, objective + [sign]),
-        c_e=(affine(block, 0, [0] * k + [-c] + b),),
-        c_i=(),
-        c_z=tuple(affine(block, 0, [a[i] if j == i else 0 for j in range(block)]) for i in range(k)),
-    )
-
-
 def unique_route_equals_case_search(p, e, seen):
-    """Compare ``_solve_system`` with ``_case_search`` in both forms, and
-    record in ``seen`` what the unique route found where it applies."""
+    """Compare ``_solve_system`` with ``_case_search`` in both forms: the same
+    status and case, and the same closed prefixes unless the unique route's
+    root LP is infeasible, when the root prefix alone closes every case and
+    rechecks clean.  Record in ``seen`` what the unique route found where it
+    applies, and whether its root closed every case."""
     mp, point = to_mpcc(p), mpcc_point_from_eval(e)
     for system, kind in ((multiplier_system(p, e), "m-anf"), (multiplier_system(mp, point), "m-mpcc")):
         verdict = stationarity._solve_system(system, kind)
-        assert verdict == stationarity._case_search(system, kind)
-        root = build_case_problem(system, ())
-        if system.degenerate and stationarity._fixes_unknowns(root.eq_rows, system.n_unknowns):
-            seen.add((kind, verdict.status, verdict.case))
+        searched = stationarity._case_search(system, kind)
+        assert (verdict.status, verdict.case) == (searched.status, searched.case)
+        unique = bool(system.degenerate) and system.fixes_multipliers
+        closed_by_root = unique and lp_solve(system.root).status != "feasible"
+        if closed_by_root:
+            assert [outcome.assignment for outcome in verdict.failed_cases] == [()]
+            assert verify_multiplier_verdict(system, verdict) == []
+        else:
+            assert verdict == searched
+        if unique:
+            seen.add((kind, verdict.status, verdict.case, closed_by_root))
 
 
 def test_unique_route_equals_case_search_on_kinks_like_programs():
@@ -387,9 +376,9 @@ def test_unique_route_equals_case_search_on_kinks_like_programs():
         p = kinks_like_program(rng, rng.randint(1, 6))
         unique_route_equals_case_search(p, evaluate(p, zero_vec(p.n_t)), seen)
     for kind in ("m-anf", "m-mpcc"):
-        cases = {case for seen_kind, status, case in seen if seen_kind == kind and status == HOLDS}
+        cases = {case for seen_kind, status, case, _ in seen if seen_kind == kind and status == HOLDS}
         assert {c for case in cases for c in case} == set(CASES)
-        assert (kind, FAILS, None) in seen  # a unique lam broke the disjunction
+        assert (kind, FAILS, None, False) in seen  # a unique lam broke the disjunction
 
 
 def test_unique_route_equals_case_search_on_random_programs():
@@ -399,8 +388,9 @@ def test_unique_route_equals_case_search_on_random_programs():
         e = evaluate(p, zero_vec(p.n_t))
         if e.is_feasible():
             unique_route_equals_case_search(p, e, seen)
-    statuses = {(kind, status) for kind, status, _ in seen}
+    statuses = {(kind, status) for kind, status, _, _ in seen}
     assert statuses == {(kind, status) for kind in ("m-anf", "m-mpcc") for status in (HOLDS, FAILS)}
+    assert {kind for kind, _, _, closed_by_root in seen if closed_by_root} == {"m-anf", "m-mpcc"}
 
 
 def test_holds_self_check_raises_instead_of_asserting(e1, monkeypatch):
@@ -556,6 +546,28 @@ def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, monkeypatc
     e = evaluate(p, [0, 0])
     m_fails = check_m_stationary_anf(p, e)
     assert check_b_stationary(p, e, m_verdict=m_fails).status == FAILS
+
+
+def test_unique_m_multipliers_with_a_negative_pair_rule_out_strong_ones(monkeypatch):
+    # this kinks-like program fixes its multipliers, and the one M
+    # certificate has mu_u[2] = -4/3, so no strong multipliers exist: the
+    # B check skips the strong LP and solves only the first branch's descent LP
+    p = kinks_like_program(random.Random(5), 3)
+    e = evaluate(p, zero_vec(p.n_t))
+    m_verdict = check_m_stationary_anf(p, e)
+    assert m_verdict.status == HOLDS and m_verdict.multipliers.mu_u[2] < 0
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(stationarity, "lp_solve", counted)
+    verdict = check_b_stationary(p, e, m_verdict=m_verdict)
+    assert verdict.status == FAILS and len(calls) == 1
+    # without the M verdict the strong LP is solved, infeasible, to the same end
+    calls.clear()
+    assert check_b_stationary(p, e) == verdict and len(calls) == 2
 
 
 def b_translation_matches_direct_check(p, e):
