@@ -384,8 +384,8 @@ CORPUS_DIGESTS = {
     "check-cq E3 --all --branches --recheck": "a4b3d32160579671c732f781fb6c136a6af3709099c87cb437f75bcd8ea4f5d0",
     "check-cq E3 --branches": "5cf603cefdb8baf3c5b4c1ec12c461bd5a50785e8005b162ec252585c38b9456",
     "check-cq E3 --branches --recheck": "bcd1ecd9e4fd4a208d4eda194966a3a6838d23f63c12384ef15c9bc7e9bf0880",
-    "check-stationarity E3": "34f32b3287f9b397f1684b3eb195b7dbf10cde587d599d820c66237157922176",
-    "check-stationarity E3 --recheck": "3191b636a28fb73928af52cf2e19bc8815fee9f7bf422a291cb8ccf4dec50922",
+    "check-stationarity E3": "980baa49c1a848420e087b27d4d1b43c36b8e6dffff76b81c82255056b07d120",
+    "check-stationarity E3 --recheck": "1df944d41b699f099f8cdfbfb57bf6ec911ce740e76cb1d0dcf7740c60ccd374",
     "verify-relations E3": "49c5702ff3fff8966081230cfe0e3410504179868bad7d4d6199f9bed5977a19",
     "verify-relations E3 --recheck": "65c6c39c8b42e927112b918e57b9a5429279b0d663f5fe6b6cf262d1dec60f73",
     "eval E4": "43a609b29c7f016fb26717f46c4389115a4f82d92b53572129cd36cdd02e9429",
@@ -410,8 +410,8 @@ CORPUS_DIGESTS = {
     "check-cq E4 --all --branches --recheck": "f1c95d2d167f65fb1e28d3fd1324f6183c64862762c0b9028ddd3d7c7d1ff9a8",
     "check-cq E4 --branches": "ee0363af46f99c8765f1cf406d82a961d781eb5fe5b6c96f53791be3f04a8ddb",
     "check-cq E4 --branches --recheck": "1633674f1c3c98c7324165b10dcef8ee4a3195f4b53b9ab13d9a94487762be21",
-    "check-stationarity E4": "dbe6253bcfc8af662aaa565410587f8fc3526ee1dc8985d3bc492fff10bbc5ec",
-    "check-stationarity E4 --recheck": "4945043f21f7b3789fa4431317af259eecdf2357b1a5d15a5f67c3f018cacec9",
+    "check-stationarity E4": "4f9c0738bad03b072d98bf76a4fb42689b253627a481e6c51f41259ee61daa50",
+    "check-stationarity E4 --recheck": "e5d18ed84a471e9ab58a3214136271ef686bf824d6e854fdcc82326a5dbfadcc",
     "verify-relations E4": "1b730997d932954e9ae2c2dfaaa87d4522bd2ef9163d05c3e82afe024a33bd2c",
     "verify-relations E4 --recheck": "21dc2c2a2598651d41577980badfe2c609bf54164068d810ccffc30a7e155342",
 }
@@ -424,7 +424,7 @@ KINKS_DIGESTS = {
     "kinks3-eq check-cq --all --recheck": "9291f7a59342778944f4025e897e149e010f2f2a5be56767e6a65ca0b2fc2f42",
     "kinks3-eq verify-relations --recheck": "3c578fbe9450ca7bc9f43a2c04c163401e3232a3993f8f49fe22bdf6df6c1b23",
     "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
-    "kinks4-eq-max check-stationarity --recheck": "ee6ab35337f1e999f7e8552797a5c73e23f6615cc4d2439158bd96a2731b74cd",
+    "kinks4-eq-max check-stationarity --recheck": "51dcfa74ed0a297685f7b422e9ff887c911699dcc1728c02b5ad553933e337f4",
     "qkinks2-eq check-cq --all --recheck": "6b36f5dc546b7aa4aeb59cf24c1d5860ca884b665e2065c5d7145bd3404be60d",
     "qkinks2-eq verify-relations --recheck": "53b363244d50880fb94de126a5801f50e6abc622d6ee39062dc678e49758273b",
     "qkinks2-eq cones --dual": "d9016ea0a34200f573afe221a9c79a19bf7dd1bea73dd70c012a32b9fc021d49",
