@@ -13,8 +13,8 @@ rows (``BranchLinearization.rows``) to the descent LP and to printing.
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
 strictly feasible direction, found by one plain LP.  Anything else stays
-Unknown here; trusted
-annotations are layered on top by the qualification checker.
+Unknown here; trusted annotations are layered on top by the qualification
+checker.
 """
 
 from __future__ import annotations
