@@ -82,7 +82,7 @@ class QuadraticFunc:
         spots = [p if isinstance(p, tuple) else (p,) for p in positions]
         linear = [ZERO] * new_dim
         for x, ps in zip(self.linear, spots):
-            for p in ps:
+            for p in ps if x else ():
                 linear[p] += x
         quad = None
         if self.quadratic is not None and not self.quadratic.is_zero():

@@ -349,10 +349,9 @@ def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
         min_value = result.value if p.sense == "min" else -result.value
         if any(lam < 0 for lam in cert.dual_ineq):
             errors.append("negative inequality multiplier")
-        for j in range(p.n_vars):
-            lhs = sum((cert.dual_eq[k] * p.eq_rows[k][j] for k in range(len(p.eq_rows))), ZERO)
-            lhs += sum((cert.dual_ineq[i] * p.ineq_rows[i][j] for i in range(len(p.ineq_rows))), ZERO)
-            if lhs != c_min[j]:
+        weights = cert.dual_eq + cert.dual_ineq
+        for j, column in enumerate(_columns(p)):
+            if dot(weights, column) != c_min[j]:
                 errors.append(f"dual feasibility fails at column {j}")
                 break
         dual_value = dot(cert.dual_eq, p.eq_rhs) + dot(cert.dual_ineq, p.ineq_rhs)
@@ -378,6 +377,13 @@ def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
     return [f"unknown status {result.status!r}"]
 
 
+def _columns(p: LpProblem):
+    """The columns of the constraint matrix, equality rows first: ``y . column
+    j`` is entry ``j`` of the row combination with weights ``y``."""
+    rows = p.eq_rows + p.ineq_rows
+    return zip(*rows) if rows else itertools.repeat((), p.n_vars)
+
+
 def _check_farkas(p: LpProblem, cert: LpCertificate) -> list[str]:
     errors: list[str] = []
     y_eq, y_in = cert.dual_eq, cert.dual_ineq
@@ -385,10 +391,9 @@ def _check_farkas(p: LpProblem, cert: LpCertificate) -> list[str]:
         return ["farkas certificate incomplete"]
     if any(lam < 0 for lam in y_in):
         errors.append("negative inequality weight in Farkas ray")
-    for j in range(p.n_vars):
-        combo = sum((y_eq[k] * p.eq_rows[k][j] for k in range(len(p.eq_rows))), ZERO)
-        combo += sum((y_in[i] * p.ineq_rows[i][j] for i in range(len(p.ineq_rows))), ZERO)
-        if combo != 0:
+    weights = y_eq + y_in
+    for j, column in enumerate(_columns(p)):
+        if dot(weights, column):
             errors.append(f"Farkas combination is nonzero at column {j}")
             break
     if dot(y_eq, p.eq_rhs) + dot(y_in, p.ineq_rhs) <= 0:

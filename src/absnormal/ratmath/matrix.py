@@ -1,12 +1,21 @@
 """Exact rational vectors and dense matrices.
 
-Everything here is built on ``fractions.Fraction``: arithmetic never rounds,
-so downstream verdicts that hinge on exact zero tests are decidable.  Floats
-are rejected at the boundary instead of being converted.
+Values are ``fractions.Fraction`` or ``int``: arithmetic never rounds, so
+downstream verdicts that hinge on exact zero tests are decidable.  Floats are
+rejected at the boundary instead of being converted.  ``rat`` reads a string
+in one grammar on every Python version, that of ``Fraction`` on 3.10.
+
+The checks make no ``Fraction`` per term.  ``dot`` keeps one running
+denominator, and the LP certificate checks take one ``dot`` per column of the
+constraint matrix.  ``integer_row`` scales a row by the lcm of its
+denominators: ranks (``integer_rank``) are taken on such rows, and the
+multiplier checks in ``stationarity`` substitute multipliers brought to one
+denominator into them, comparing pair values by cross-multiplication.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,20 +26,36 @@ Vec = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# what Fraction accepts from Python 3.11 (``_`` between digits) and 3.12
+# (whitespace around ``/``) but not on 3.10; ``\s`` is ``str.isspace``
+_REFUSED = re.compile(r"[\s_]")
+
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or string ("3", "-2/7", "0.25")."""
+    """Parse an exact rational from an int, Fraction, or string ("3", "-2/7", "0.25").
+
+    A string is read in the grammar of ``Fraction`` on Python 3.10, on every
+    version: whitespace around an optional sign and an integer, a ratio of two
+    integers, or a decimal with an optional exponent.  The ``_`` between digits
+    that 3.11 accepts and the whitespace around ``/`` that 3.12 accepts are
+    refused, with 3.10's message."""
+    if isinstance(value, str):
+        text = value.strip()
+        digits = text[1:] if text[:1] in "+-" else text
+        if digits.isdigit() and digits.isascii():
+            return Fraction(int(text))  # an integer literal, without Fraction's regex
+        if _REFUSED.search(text):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"refusing inexact value {value!r}; use int, Fraction, or a string like '2/3'")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
@@ -152,20 +177,20 @@ class RatMatrix:
         return all(is_zero_vec(r) for r in self.rows)
 
 
-def integer_row(a) -> list[int]:
-    """The row times the lcm of its denominators: the integer row that is its
-    least positive multiple.  Every sign is kept."""
+def integer_row(a) -> tuple[list[int], int]:
+    """The row times the lcm ``den`` of its denominators, the integer row that
+    is its least positive multiple, and ``den``.  Every sign is kept."""
     dens = [x.denominator for x in a]
     den = lcm(*dens)
     if den == 1:
-        return [x.numerator for x in a]
-    return [x.numerator * (den // d) for x, d in zip(a, dens)]
+        return [x.numerator for x in a], 1
+    return [x.numerator * (den // d) for x, d in zip(a, dens)], den
 
 
 def primitive_integer(a) -> tuple[int, ...]:
     """The integer vector with coprime entries that is a positive multiple of
     ``a``, as plain ints; the zero vector stays zero."""
-    return coprime_integer(integer_row(a))
+    return coprime_integer(integer_row(a)[0])
 
 
 def coprime_integer(row) -> tuple[int, ...]:

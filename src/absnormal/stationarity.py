@@ -59,13 +59,14 @@ from .ratmath import (
     LpResult,
     Vec,
     dot,
+    integer_dot,
     lp_solve,
     primitive_integer,
     vec_neg,
     verify_certificate,
     zero_vec,
 )
-from .ratmath.matrix import integer_rank
+from .ratmath.matrix import integer_rank, integer_row
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
@@ -140,7 +141,8 @@ class _MultiplierSystem:
     All rows are affine expressions ``(coeffs, offset)`` with value
     ``coeffs . lam + offset``: ``stationary_rows`` must vanish, while
     ``pair_u``/``pair_v`` evaluate to the pair multipliers of each switching
-    index.
+    index.  Substitution runs on integers: each row scaled by the lcm of its
+    denominators (``integer_rows``) against ``lam`` over one denominator.
     """
 
     m1: int
@@ -161,9 +163,25 @@ class _MultiplierSystem:
     def lam_slice(self, lam: Vec) -> tuple[Vec, Vec, Vec]:
         return lam[: self.m1], lam[self.m1 : self.m1 + self.m2], lam[self.m1 + self.m2 :]
 
-    def pair_value(self, expr: tuple[Vec, Fraction], lam: Vec) -> Fraction:
-        coeffs, offset = expr
-        return dot(coeffs, lam) + offset
+    @functools.cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[list[int], int], ...], ...]:
+        """``stationary_rows``, ``pair_u`` and ``pair_v``, each row ``(coeffs,
+        offset)`` as ``integer_row(coeffs + (offset,))``: the integers ``d *
+        (coeffs, offset)`` and their scale ``d``.  With ``h, den =
+        integer_row(lam + (ONE,))``, the row's value at ``lam`` is
+        ``integer_dot(row, h) / (d * den)``."""
+        return tuple(
+            tuple(integer_row(coeffs + (offset,)) for coeffs, offset in rows)
+            for rows in (self.stationary_rows, self.pair_u, self.pair_v)
+        )
+
+    def pair_values(self, lam: Vec) -> tuple[Vec, Vec]:
+        """The pair multipliers ``(mu_u, mu_v)`` at ``lam``, one ``Fraction`` each."""
+        h, den = integer_row(lam + (ONE,))
+        _, pair_u, pair_v = self.integer_rows
+        return tuple(
+            tuple(Fraction(integer_dot(row, h), d * den) for row, d in rows) for rows in (pair_u, pair_v)
+        )
 
     @functools.cached_property
     def root(self) -> LpProblem:
@@ -339,20 +357,19 @@ def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
     res = lp_solve(system.root)
     if res.status != FEASIBLE:
         return StationarityVerdict(kind, FAILS, failed_cases=(CaseOutcome((), res.certificate),))
-    lam = res.certificate.point
-    assignment = tuple(_first_case(system, i, lam) for i in system.degenerate)
+    ms = _multipliers_from_lam(system, res.certificate.point)
+    assignment = tuple(_first_case(ms.mu_u[i], ms.mu_v[i]) for i in system.degenerate)
     if None not in assignment:
-        return _holds(system, kind, assignment, lam)
+        return _holds(system, kind, assignment, ms)
     return _case_search(system, kind, solved=1)
 
 
-def _first_case(system: _MultiplierSystem, i: int, lam: Vec) -> str | None:
-    """The first case in ``CASES`` that ``lam`` satisfies at degenerate index
-    ``i``, or None when its pair violates the disjunction."""
-    u = system.pair_value(system.pair_u[i], lam)
+def _first_case(u: Fraction, v: Fraction) -> str | None:
+    """The first case in ``CASES`` that a degenerate index with pair
+    multipliers ``u`` and ``v`` satisfies, or None when they violate the
+    disjunction."""
     if u == 0:
         return CASE_U_ZERO
-    v = system.pair_value(system.pair_v[i], lam)
     if v == 0:
         return CASE_V_ZERO
     if u > 0 and v > 0:
@@ -368,8 +385,9 @@ def _check_case_cap(solved: int, system: _MultiplierSystem) -> None:
         )
 
 
-def _holds(system: _MultiplierSystem, kind: str, assignment: tuple[str, ...], lam: Vec) -> StationarityVerdict:
-    ms = _multipliers_from_lam(system, lam)
+def _holds(
+    system: _MultiplierSystem, kind: str, assignment: tuple[str, ...], ms: MultiplierSet
+) -> StationarityVerdict:
     errors = verify_multipliers(system, ms)
     if errors:
         raise RuntimeError(f"holds certificate failed self-check: {errors}")
@@ -406,7 +424,8 @@ def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> Stati
     found = first_feasible(()) if k == 0 else first_feasible_child(())
     if found is None:
         return StationarityVerdict(kind, FAILS, failed_cases=tuple(failed))
-    return _holds(system, kind, *found)
+    assignment, lam = found
+    return _holds(system, kind, assignment, _multipliers_from_lam(system, lam))
 
 
 def uncovered_case(prefixes, k: int) -> tuple[str, ...] | None:
@@ -429,13 +448,7 @@ def uncovered_case(prefixes, k: int) -> tuple[str, ...] | None:
 
 
 def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
-    lam_e, lam_i, lam_z = system.lam_slice(lam)
-    mu_u = []
-    mu_v = []
-    for i in range(system.s):
-        mu_u.append(system.pair_value(system.pair_u[i], lam))
-        mu_v.append(system.pair_value(system.pair_v[i], lam))
-    return MultiplierSet(lam_e, lam_i, lam_z, tuple(mu_u), tuple(mu_v))
+    return MultiplierSet(*system.lam_slice(lam), *system.pair_values(lam))
 
 
 def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
@@ -443,16 +456,16 @@ def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str
     lengths = [len(ms.lam_e), len(ms.lam_i), len(ms.lam_z), len(ms.mu_u), len(ms.mu_v)]
     if lengths != [system.m1, system.m2, system.s, system.s, system.s]:
         return [f"multiplier lengths {lengths} do not fit the system's {system.m1}, {system.m2} and {system.s}"]
-    lam = ms.lam_e + ms.lam_i + ms.lam_z
+    h, den = integer_row(ms.lam_e + ms.lam_i + ms.lam_z + (ONE,))
+    stationary, pair_u, pair_v = system.integer_rows
     errors = []
-    for row, offset in system.stationary_rows:
-        if dot(row, lam) + offset != 0:
-            errors.append("Lagrangian gradient row does not vanish")
-            break
-    for i in range(system.s):
-        if system.pair_value(system.pair_u[i], lam) != ms.mu_u[i]:
+    if any(integer_dot(row, h) for row, _ in stationary):
+        errors.append("Lagrangian gradient row does not vanish")
+    for i, ((row_u, d_u), (row_v, d_v), mu_u, mu_v) in enumerate(zip(pair_u, pair_v, ms.mu_u, ms.mu_v)):
+        # row . h / (d * den) == mu, cross-multiplied
+        if integer_dot(row_u, h) * mu_u.denominator != mu_u.numerator * d_u * den:
             errors.append(f"pair multiplier u[{i}] mismatch")
-        if system.pair_value(system.pair_v[i], lam) != ms.mu_v[i]:
+        if integer_dot(row_v, h) * mu_v.denominator != mu_v.numerator * d_v * den:
             errors.append(f"pair multiplier v[{i}] mismatch")
     for i in system.fixed_pair_u_zero:
         if ms.mu_u[i] != 0:

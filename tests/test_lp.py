@@ -1,13 +1,17 @@
 import dataclasses
 import random
 from fractions import Fraction
+from operator import mul
 
 from absnormal.ratmath import (
     FEASIBLE,
     INFEASIBLE,
+    KIND_FARKAS,
     OPTIMAL,
     UNBOUNDED,
+    LpCertificate,
     LpProblem,
+    LpResult,
     lp_solve,
     vec,
     verify_certificate,
@@ -164,3 +168,143 @@ def test_zero_variable_problem():
     res = lp_solve(p_bad)
     assert res.status == INFEASIBLE
     assert verify_certificate(p_bad, res) == []
+
+
+# -- the per-term certificate checks, kept as references ---------------------
+
+
+def reference_check_farkas(p, cert):
+    """Farkas check with one Fraction per matrix entry, column by column."""
+    errors = []
+    y_eq, y_in = cert.dual_eq, cert.dual_ineq
+    if y_eq is None or y_in is None:
+        return ["farkas certificate incomplete"]
+    if any(lam < 0 for lam in y_in):
+        errors.append("negative inequality weight in Farkas ray")
+    for j in range(p.n_vars):
+        combo = sum((y_eq[k] * p.eq_rows[k][j] for k in range(len(p.eq_rows))), Fraction(0))
+        combo += sum((y_in[i] * p.ineq_rows[i][j] for i in range(len(p.ineq_rows))), Fraction(0))
+        if combo != 0:
+            errors.append(f"Farkas combination is nonzero at column {j}")
+            break
+    if sum(map(mul, y_eq, p.eq_rhs), Fraction(0)) + sum(map(mul, y_in, p.ineq_rhs), Fraction(0)) <= 0:
+        errors.append("Farkas ray does not witness a positive right-hand side")
+    return errors
+
+
+def reference_check_pair(p, result):
+    """Optimal primal-dual pair check with one Fraction per matrix entry."""
+    cert = result.certificate
+    errors = []
+    for row, b in zip(p.eq_rows, p.eq_rhs):
+        if sum(map(mul, row, cert.point), Fraction(0)) != b:
+            errors.append("optimal point infeasible")
+            break
+    else:
+        if any(sum(map(mul, row, cert.point), Fraction(0)) < b for row, b in zip(p.ineq_rows, p.ineq_rhs)):
+            errors.append("optimal point infeasible")
+    if sum(map(mul, p.objective, cert.point), Fraction(0)) != result.value:
+        errors.append("objective value mismatch at the optimal point")
+    c_min = p.min_objective()
+    min_value = result.value if p.sense == "min" else -result.value
+    if any(lam < 0 for lam in cert.dual_ineq):
+        errors.append("negative inequality multiplier")
+    for j in range(p.n_vars):
+        lhs = sum((cert.dual_eq[k] * p.eq_rows[k][j] for k in range(len(p.eq_rows))), Fraction(0))
+        lhs += sum((cert.dual_ineq[i] * p.ineq_rows[i][j] for i in range(len(p.ineq_rows))), Fraction(0))
+        if lhs != c_min[j]:
+            errors.append(f"dual feasibility fails at column {j}")
+            break
+    dual_value = sum(map(mul, cert.dual_eq, p.eq_rhs), Fraction(0)) + sum(map(mul, cert.dual_ineq, p.ineq_rhs), Fraction(0))
+    if dual_value != min_value:
+        errors.append("strong duality gap")
+    return errors
+
+
+def random_fraction(rng):
+    """Zero about a third of the time, so rows are sparse and a combination
+    can first fail at a later column."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else Fraction(0)
+
+
+def random_fractional_lp(rng):
+    """A small LP with fractional rows; some have no equality rows, some no
+    rows at all, and most an objective."""
+    n = rng.randint(1, 3)
+    n_eq = rng.choice((0, 0, 1, 2))
+    n_in = rng.choice((0, 1, 2, 3, 4)) if n_eq else rng.choice((0, 0, 1, 2, 3, 4))
+
+    def rows(m):
+        return tuple(tuple(random_fraction(rng) for _ in range(n)) for _ in range(m))
+
+    objective = tuple(random_fraction(rng) for _ in range(n)) if rng.random() < 0.7 else None
+    return LpProblem(
+        n_vars=n,
+        objective=objective,
+        sense=rng.choice(("min", "max")),
+        eq_rows=rows(n_eq),
+        eq_rhs=tuple(random_fraction(rng) for _ in range(n_eq)),
+        ineq_rows=rows(n_in),
+        ineq_rhs=tuple(random_fraction(rng) for _ in range(n_in)),
+    )
+
+
+def corrupted(rng, vector):
+    """``vector`` with one entry changed."""
+    i = rng.randrange(len(vector))
+    return vector[:i] + (vector[i] + rng.choice((1, -1)) * Fraction(1, rng.randint(1, 4)),) + vector[i + 1 :]
+
+
+def test_certificate_checks_by_columns_equal_the_per_term_checks():
+    rng = random.Random(2718)
+    seen = set()
+    failing_columns = set()
+    for _ in range(1500):
+        p = random_fractional_lp(rng)
+        res = lp_solve(p)
+        cert = res.certificate
+        if res.status == INFEASIBLE:
+            candidates = [cert]
+        else:
+            # weights that need not be a ray, as a recheck may be handed
+            m_eq, m_in = len(p.eq_rows), len(p.ineq_rows)
+            candidates = [
+                LpCertificate(
+                    KIND_FARKAS,
+                    dual_eq=tuple(random_fraction(rng) for _ in range(m_eq)),
+                    dual_ineq=tuple(abs(random_fraction(rng)) for _ in range(m_in)),
+                )
+            ]
+        for name in ("dual_eq", "dual_ineq"):
+            if getattr(candidates[0], name):
+                candidates.append(dataclasses.replace(candidates[0], **{name: corrupted(rng, getattr(candidates[0], name))}))
+        for farkas in candidates:
+            want = reference_check_farkas(p, farkas)
+            assert verify_certificate(p, LpResult(INFEASIBLE, None, farkas)) == want
+            seen.add(("farkas", bool(p.eq_rows), bool(p.ineq_rows), bool(want)))
+            failing_columns.update(msg for msg in want if "at column" in msg)
+        if res.status == OPTIMAL:
+            pairs = [res, dataclasses.replace(res, value=res.value + 1)] + [
+                dataclasses.replace(res, certificate=dataclasses.replace(cert, **{name: corrupted(rng, getattr(cert, name))}))
+                for name in ("point", "dual_eq", "dual_ineq")
+                if getattr(cert, name)
+            ]
+            for pair in pairs:
+                want = reference_check_pair(p, pair)
+                assert verify_certificate(p, pair) == want
+                seen.add(("pair", bool(p.eq_rows), bool(p.ineq_rows), bool(want)))
+                failing_columns.update(msg for msg in want if "at column" in msg)
+    # each kind with and without equality rows and with no rows at all, valid
+    # and not, except a valid Farkas ray of no rows, which witnesses nothing
+    kinds = {
+        (kind, has_eq, has_in, bad)
+        for kind in ("farkas", "pair")
+        for has_eq, has_in in ((True, True), (False, True), (False, False))
+        for bad in (False, True)
+    }
+    assert kinds - seen == {("farkas", False, False, False)}
+    assert failing_columns == {
+        f"{what} at column {j}"
+        for what in ("Farkas combination is nonzero", "dual feasibility fails")
+        for j in range(3)
+    }

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,64 @@ def test_rat_rejects_floats():
 def test_rat_zero_denominator_is_a_value_error_naming_the_string():
     with pytest.raises(ValueError, match="'-3/0'"):
         rat("-3/0")
+
+
+def random_literal(rng: random.Random) -> str:
+    """A string near the grammar of a rational literal: built from the parts
+    of one (ASCII and non-ASCII digits, sign, ``/``, decimal point, exponent,
+    outer whitespace) with stray characters, underscores and inner whitespace
+    mixed in, or drawn character by character."""
+    digits = "0123456789" * 3 + "\u0663\u096b\uff10"  # ARABIC-INDIC THREE, DEVANAGARI FIVE, FULLWIDTH ZERO
+    spaces = " \t\u2003"
+
+    def number() -> str:
+        return "".join(rng.choice(digits) for _ in range(rng.randint(0, 3)))
+
+    if rng.random() < 0.3:
+        return "".join(rng.choice(digits[-6:] + "+-/._eE" + spaces) for _ in range(rng.randint(0, 6)))
+    parts = [rng.choice(("", "", "+", "-")), number()]
+    tail = rng.randrange(4)
+    if tail == 1:
+        parts += ["/", number()]
+    elif tail >= 2:
+        parts += [".", number()] if rng.random() < 0.7 else []
+        parts += [rng.choice("eE"), rng.choice(("", "+", "-")), number()[:2]] if tail == 3 else []
+    text = "".join(parts)
+    if text and rng.random() < 0.3:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(("_", " ", "\t", "\u2003")) + text[at:]
+    return rng.choice(("", " ", "\t\u2003")) + text + rng.choice(("", " ", "\n"))
+
+
+def test_rat_reads_the_python_310_grammar_on_every_version():
+    # Without ``_`` or inner whitespace, rat agrees with Fraction (a zero
+    # denominator is rat's ValueError); with either, it refuses as 3.10 does.
+    rng = random.Random(31)
+    texts = ["", " ", "1/0", "-3/0", "1_000", "1_0/3", "3 /4", "3/ 4", "1 2", "1.0_0", "1e1_0", " +12 ",
+             "-0", "\u0663/\u096b", "\uff10.5", "1.", ".5", "1e-3", "2E+2", "--1", "+-1", "1/2/3"]
+    texts += [random_literal(rng) for _ in range(4000)]
+    outcomes = set()
+    for text in texts:
+        inner = text.strip()
+        if "_" in inner or any(c.isspace() for c in inner):
+            with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {inner!r}")):
+                rat(text)
+            outcomes.add("refused")
+            continue
+        try:
+            want = Fraction(inner)
+        except ZeroDivisionError:
+            want = ValueError
+        except ValueError:
+            want = ValueError
+        try:
+            got = rat(text)
+        except ValueError:
+            got = ValueError
+        assert got == want and type(got) is type(want), text
+        outcomes.add("value" if isinstance(want, Fraction) else "invalid")
+    assert outcomes == {"refused", "value", "invalid"}
+    assert rat(" -12 ") == -12 and rat("\u0663") == 3
 
 
 def test_rank_identity():

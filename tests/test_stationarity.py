@@ -1,6 +1,8 @@
 import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -13,6 +15,7 @@ from absnormal.stationarity import (
     CASE_BOTH_POSITIVE,
     CASES,
     BranchDualCertificate,
+    MultiplierSet,
     StationarityVerdict,
     build_case_problem,
     check_b_stationary,
@@ -679,3 +682,96 @@ def test_strong_certificates_map_onto_every_branch_on_kinks(k):
         assert len(branch_certificates(b_anf, p, e)) == len(branch_certificates(b_mpcc, mp, point)) == 2**k
         assert_certificates_verify(b_anf, p, e)
         assert_certificates_verify(b_mpcc, mp, point)
+
+
+def reference_pair_value(expr, lam):
+    """An affine row's value with one Fraction per term."""
+    coeffs, offset = expr
+    return sum(map(mul, coeffs, lam), Fraction(0)) + offset
+
+
+def reference_multipliers_from_lam(system, lam):
+    return MultiplierSet(
+        *system.lam_slice(lam),
+        tuple(reference_pair_value(system.pair_u[i], lam) for i in range(system.s)),
+        tuple(reference_pair_value(system.pair_v[i], lam) for i in range(system.s)),
+    )
+
+
+def reference_verify_multipliers(system, ms):
+    """``verify_multipliers`` with one Fraction per term."""
+    lengths = [len(ms.lam_e), len(ms.lam_i), len(ms.lam_z), len(ms.mu_u), len(ms.mu_v)]
+    if lengths != [system.m1, system.m2, system.s, system.s, system.s]:
+        return [f"multiplier lengths {lengths} do not fit the system's {system.m1}, {system.m2} and {system.s}"]
+    lam = ms.lam_e + ms.lam_i + ms.lam_z
+    errors = []
+    if any(reference_pair_value(row, lam) != 0 for row in system.stationary_rows):
+        errors.append("Lagrangian gradient row does not vanish")
+    for i in range(system.s):
+        if reference_pair_value(system.pair_u[i], lam) != ms.mu_u[i]:
+            errors.append(f"pair multiplier u[{i}] mismatch")
+        if reference_pair_value(system.pair_v[i], lam) != ms.mu_v[i]:
+            errors.append(f"pair multiplier v[{i}] mismatch")
+    for i in system.fixed_pair_u_zero:
+        if ms.mu_u[i] != 0:
+            errors.append(f"pair multiplier u[{i}] must vanish (strictly positive side)")
+    for i in system.fixed_pair_v_zero:
+        if ms.mu_v[i] != 0:
+            errors.append(f"pair multiplier v[{i}] must vanish (strictly negative side)")
+    for i in system.degenerate:
+        a, b = ms.mu_u[i], ms.mu_v[i]
+        if not ((a > 0 and b > 0) or a * b == 0):
+            errors.append(f"degenerate pair {i} violates the sign disjunction")
+    if any(x < 0 for x in ms.lam_i):
+        errors.append("negative inequality multiplier")
+    for k in system.inactive_i:
+        if ms.lam_i[k] != 0:
+            errors.append(f"inactive inequality {k} has a nonzero multiplier")
+    return errors
+
+
+def nudged(rng, vector):
+    """``vector`` with one entry moved by a small fraction."""
+    i = rng.randrange(len(vector))
+    return vector[:i] + (vector[i] + Fraction(rng.choice((1, -1)), rng.randint(2, 5)),) + vector[i + 1 :]
+
+
+def test_integer_multiplier_checks_equal_plain_fraction_ones():
+    # rational coefficients give rows with several denominators; exact and
+    # nudged lam, and nudged pair multipliers, must read the same lists in
+    # the same order as the per-term reference
+    rng = random.Random(1618)
+    messages = set()
+    denominators = set()
+    checked = 0
+    while checked < 80:
+        p = random_affine_program(rng, max_s=3, rational=True)
+        e = evaluate(p, zero_vec(p.n_t))
+        if not e.is_feasible():
+            continue
+        checked += 1
+        mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+        for verdict, system in (
+            (check_m_stationary_anf(p, e), multiplier_system(p, e)),
+            (check_m_stationary_mpcc(mp, point), multiplier_system(mp, point)),
+        ):
+            denominators.update(x.denominator for row, _ in system.stationary_rows for x in row)
+            if verdict.status == HOLDS:
+                ms = verdict.multipliers
+                lam = ms.lam_e + ms.lam_i + ms.lam_z
+            else:
+                lam = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(system.n_unknowns))
+            lams = [lam, nudged(rng, lam)] if lam else [lam]
+            for x in lams:
+                ms = stationarity._multipliers_from_lam(system, x)
+                assert ms == reference_multipliers_from_lam(system, x)
+                candidates = [ms]
+                if system.s:
+                    candidates += [replace(ms, mu_u=nudged(rng, ms.mu_u)), replace(ms, mu_v=nudged(rng, ms.mu_v))]
+                for candidate in candidates:
+                    want = reference_verify_multipliers(system, candidate)
+                    assert verify_multipliers(system, candidate) == want
+                    messages.update(want or ["clean"])
+    assert max(denominators) > 1
+    for start in ("clean", "Lagrangian gradient", "pair multiplier u[", "pair multiplier v[", "degenerate pair"):
+        assert any(msg.startswith(start) for msg in messages), start
