@@ -173,6 +173,10 @@ def test_zero_variable_problem():
 # -- the per-term certificate checks, kept as references ---------------------
 
 
+def term_dot(a, b):
+    return sum(map(mul, a, b), Fraction(0))
+
+
 def reference_check_farkas(p, cert):
     """Farkas check with one Fraction per matrix entry, column by column."""
     errors = []
@@ -187,7 +191,7 @@ def reference_check_farkas(p, cert):
         if combo != 0:
             errors.append(f"Farkas combination is nonzero at column {j}")
             break
-    if sum(map(mul, y_eq, p.eq_rhs), Fraction(0)) + sum(map(mul, y_in, p.ineq_rhs), Fraction(0)) <= 0:
+    if term_dot(y_eq, p.eq_rhs) + term_dot(y_in, p.ineq_rhs) <= 0:
         errors.append("Farkas ray does not witness a positive right-hand side")
     return errors
 
@@ -196,14 +200,12 @@ def reference_check_pair(p, result):
     """Optimal primal-dual pair check with one Fraction per matrix entry."""
     cert = result.certificate
     errors = []
-    for row, b in zip(p.eq_rows, p.eq_rhs):
-        if sum(map(mul, row, cert.point), Fraction(0)) != b:
-            errors.append("optimal point infeasible")
-            break
-    else:
-        if any(sum(map(mul, row, cert.point), Fraction(0)) < b for row, b in zip(p.ineq_rows, p.ineq_rhs)):
-            errors.append("optimal point infeasible")
-    if sum(map(mul, p.objective, cert.point), Fraction(0)) != result.value:
+    if not (
+        all(term_dot(row, cert.point) == b for row, b in zip(p.eq_rows, p.eq_rhs))
+        and all(term_dot(row, cert.point) >= b for row, b in zip(p.ineq_rows, p.ineq_rhs))
+    ):
+        errors.append("optimal point infeasible")
+    if term_dot(p.objective, cert.point) != result.value:
         errors.append("objective value mismatch at the optimal point")
     c_min = p.min_objective()
     min_value = result.value if p.sense == "min" else -result.value
@@ -215,8 +217,7 @@ def reference_check_pair(p, result):
         if lhs != c_min[j]:
             errors.append(f"dual feasibility fails at column {j}")
             break
-    dual_value = sum(map(mul, cert.dual_eq, p.eq_rhs), Fraction(0)) + sum(map(mul, cert.dual_ineq, p.ineq_rhs), Fraction(0))
-    if dual_value != min_value:
+    if term_dot(cert.dual_eq, p.eq_rhs) + term_dot(cert.dual_ineq, p.ineq_rhs) != min_value:
         errors.append("strong duality gap")
     return errors
 
@@ -249,10 +250,12 @@ def random_fractional_lp(rng):
     )
 
 
-def corrupted(rng, vector):
-    """``vector`` with one entry changed."""
+def corrupted(rng, cert, name):
+    """``cert`` with one entry of its vector ``name`` changed."""
+    vector = getattr(cert, name)
     i = rng.randrange(len(vector))
-    return vector[:i] + (vector[i] + rng.choice((1, -1)) * Fraction(1, rng.randint(1, 4)),) + vector[i + 1 :]
+    changed = vector[i] + rng.choice((1, -1)) * Fraction(1, rng.randint(1, 4))
+    return dataclasses.replace(cert, **{name: vector[:i] + (changed,) + vector[i + 1 :]})
 
 
 def test_certificate_checks_by_columns_equal_the_per_term_checks():
@@ -275,9 +278,9 @@ def test_certificate_checks_by_columns_equal_the_per_term_checks():
                     dual_ineq=tuple(abs(random_fraction(rng)) for _ in range(m_in)),
                 )
             ]
-        for name in ("dual_eq", "dual_ineq"):
-            if getattr(candidates[0], name):
-                candidates.append(dataclasses.replace(candidates[0], **{name: corrupted(rng, getattr(candidates[0], name))}))
+        candidates += [
+            corrupted(rng, candidates[0], name) for name in ("dual_eq", "dual_ineq") if getattr(candidates[0], name)
+        ]
         for farkas in candidates:
             want = reference_check_farkas(p, farkas)
             assert verify_certificate(p, LpResult(INFEASIBLE, None, farkas)) == want
@@ -285,7 +288,7 @@ def test_certificate_checks_by_columns_equal_the_per_term_checks():
             failing_columns.update(msg for msg in want if "at column" in msg)
         if res.status == OPTIMAL:
             pairs = [res, dataclasses.replace(res, value=res.value + 1)] + [
-                dataclasses.replace(res, certificate=dataclasses.replace(cert, **{name: corrupted(rng, getattr(cert, name))}))
+                dataclasses.replace(res, certificate=corrupted(rng, cert, name))
                 for name in ("point", "dual_eq", "dual_ineq")
                 if getattr(cert, name)
             ]
