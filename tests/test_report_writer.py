@@ -215,6 +215,7 @@ def assert_contract(argv, digest: str | None):
     assert out == dumps(report) + "\n"
     assert code == oracle_exit_code(report), argv
     assert output_digest(code, out, err) == digest, argv
+    return report
 
 
 def output_digest(code: int, out: str, err: str) -> str:
@@ -255,6 +256,21 @@ KINKS_CASES = {
 def test_kinks_report_contract(tmp_path_factory, case):
     for key, argv in kinks_commands(tmp_path_factory.mktemp("kinks"), *case):
         assert_contract(argv, KINKS_DIGESTS.get(key))
+
+
+# no multipliers of this program are strongly stationary, so its B Holds
+# carries one certificate per branch, in both forms
+B_BRANCHES = Path(__file__).resolve().parent / "problems" / "b-branches.json"
+PROBLEM_COMMANDS = [
+    ("b-branches check-stationarity --b --recheck", ["check-stationarity", str(B_BRANCHES), "--b", "--recheck"])
+]
+
+
+@pytest.mark.parametrize("key, argv", PROBLEM_COMMANDS, ids=[key for key, _ in PROBLEM_COMMANDS])
+def test_problem_report_contract(key, argv):
+    report = assert_contract(argv, PROBLEM_DIGESTS.get(key))
+    for verdict in report["points"][0]["stationarity"].values():
+        assert verdict["status"] == "holds" and len(verdict["branch_certificates"]) == 2
 
 
 def point_report(**sections) -> dict:
@@ -432,14 +448,19 @@ KINKS_DIGESTS = {
     "qkinks2-ineq verify-relations --recheck": "d154c0e4b4efcd7a430fc67219bccb6585a5f70bb56b8447c565901d702f27f9",
     "qkinks2-ineq cones --dual": "36dd820dd3f7871910609679012323badd44bed01e03cb369f41197a838c4986",
 }
+PROBLEM_DIGESTS = {
+    "b-branches check-stationarity --b --recheck": "c30aa9463b9e4125b75760858e2d311838b17fdafdabab9c7fc44cddd626b21f",
+}
 
 
 def print_digests() -> None:
-    """Print ``CORPUS_DIGESTS`` and ``KINKS_DIGESTS`` as the current code writes them."""
+    """Print ``CORPUS_DIGESTS``, ``KINKS_DIGESTS`` and ``PROBLEM_DIGESTS`` as
+    the current code writes them."""
     with tempfile.TemporaryDirectory() as directory:
         tables = {
             "CORPUS_DIGESTS": [(" ".join(argv), argv) for argv in CORPUS_COMMANDS],
             "KINKS_DIGESTS": [pair for case in KINKS_CASES.values() for pair in kinks_commands(Path(directory), *case)],
+            "PROBLEM_DIGESTS": PROBLEM_COMMANDS,
         }
         for name, commands in tables.items():
             sys.stdout.write(f"{name} = {{\n")
