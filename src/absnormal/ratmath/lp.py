@@ -1,21 +1,19 @@
-"""Exact linear programming with re-checkable certificates.
+"""Exact linear feasibility with re-checkable certificates.
 
-Two-phase tableau simplex with Bland's rule (anti-cycling, so termination
-needs no perturbation).  The tableau is fraction-free (Edmonds 1967, Bareiss
-1968): its rows are primitive integer lists, and ``Fraction`` appears only in
-the problem and in the returned results.  Every verdict carries a certificate
-that re-validates by pure substitution:
+Phase one of the tableau simplex with Bland's rule (anti-cycling, so
+termination needs no perturbation) decides whether a system of equality and
+``>=`` rows has a solution.  The tableau is fraction-free (Edmonds 1967,
+Bareiss 1968): its rows are primitive integer lists, and ``Fraction`` appears
+only in the problem and in the returned results.  Each verdict carries a
+certificate that re-validates by pure substitution: a feasible system a point
+satisfying all rows, an infeasible one a Farkas ray.
 
-* feasible      -- a point satisfying all rows,
-* infeasible    -- a Farkas ray,
-* optimal       -- a primal point and dual multipliers with equal objective
-                   values (duals are stated for the canonical minimization),
-* unbounded     -- a feasible point plus an improving recession ray.
-
-There are no strict rows.  A homogeneous system with a strict row is feasible
-exactly when the same system with that row written ``>= 1`` is, since any
-solution can be scaled (Gordan, Motzkin; Schrijver 1986, ch. 7), so callers
-pose it that way.
+No LP has an objective.  An optimization question is posed as the
+feasibility of its improving directions, whose Farkas ray is the dual
+certificate (Farkas; Schrijver 1986, ch. 7).  Nor are there strict rows: a
+homogeneous system with a strict row is feasible exactly when the same system
+with that row written ``>= 1`` is, since any solution can be scaled (Gordan,
+Motzkin), so callers pose it that way.
 """
 
 from __future__ import annotations
@@ -25,17 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .matrix import ONE, ZERO, Vec, dot, zero_vec
+from .matrix import ZERO, Vec, dot
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
 
 KIND_POINT = "feasible-point"
 KIND_FARKAS = "farkas-infeasibility-ray"
-KIND_PAIR = "optimal-primal-dual-pair"
-KIND_RAY = "unbounded-ray"
 
 
 class LpError(ValueError):
@@ -44,42 +38,26 @@ class LpError(ValueError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """``min/max objective . x`` subject to ``eq_rows . x = eq_rhs`` and
-    ``ineq_rows . x >= ineq_rhs``; without an objective, a feasibility query."""
+    """Is there an ``x`` with ``eq_rows . x = eq_rhs`` and ``ineq_rows . x >= ineq_rhs``?"""
 
     n_vars: int
-    objective: Vec | None = None
-    sense: str = "min"
     eq_rows: tuple[Vec, ...] = ()
     eq_rhs: Vec = ()
     ineq_rows: tuple[Vec, ...] = ()
     ineq_rhs: Vec = ()
 
     def __post_init__(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise LpError(f"unknown sense {self.sense!r}")
-        if self.objective is not None and len(self.objective) != self.n_vars:
-            raise LpError("objective length does not match variable count")
         if len(self.eq_rows) != len(self.eq_rhs) or len(self.ineq_rows) != len(self.ineq_rhs):
             raise LpError("row/rhs counts do not match")
         for r in itertools.chain(self.eq_rows, self.ineq_rows):
             if len(r) != self.n_vars:
                 raise LpError("constraint row length does not match variable count")
 
-    def min_objective(self) -> Vec:
-        """Objective of the canonical minimization (negated when sense is max)."""
-        if self.objective is None:
-            return zero_vec(self.n_vars)
-        if self.sense == "min":
-            return self.objective
-        return tuple(-c for c in self.objective)
-
 
 @dataclass(frozen=True)
 class LpCertificate:
     kind: str
     point: Vec | None = None
-    ray: Vec | None = None
     dual_eq: Vec | None = None
     dual_ineq: Vec | None = None
 
@@ -87,27 +65,16 @@ class LpCertificate:
 @dataclass(frozen=True)
 class LpResult:
     status: str
-    value: Fraction | None
     certificate: LpCertificate
 
 
 def lp_solve(p: LpProblem) -> LpResult:
+    """Phase one: a feasible point, or a Farkas ray proving there is none."""
     tab = _Tableau(p)
     farkas = tab.phase_one()
     if farkas is not None:
-        return LpResult(INFEASIBLE, None, LpCertificate(KIND_FARKAS, dual_eq=farkas[0], dual_ineq=farkas[1]))
-    if p.objective is None:
-        return LpResult(FEASIBLE, None, LpCertificate(KIND_POINT, point=tab.primal_point()))
-    outcome = tab.phase_two(p.min_objective())
-    if outcome == OPTIMAL:
-        point = tab.primal_point()
-        dual_eq, dual_ineq = tab.dual_solution()
-        value = dot(p.objective, point)
-        return LpResult(
-            OPTIMAL, value, LpCertificate(KIND_PAIR, point=point, dual_eq=dual_eq, dual_ineq=dual_ineq)
-        )
-    point, ray = tab.unbounded_ray()
-    return LpResult(UNBOUNDED, None, LpCertificate(KIND_RAY, point=point, ray=ray))
+        return LpResult(INFEASIBLE, LpCertificate(KIND_FARKAS, dual_eq=farkas[0], dual_ineq=farkas[1]))
+    return LpResult(FEASIBLE, LpCertificate(KIND_POINT, point=tab.primal_point()))
 
 
 class _Tableau:
@@ -119,7 +86,7 @@ class _Tableau:
     positive integer ``obj_den``.  Positive scales preserve every sign, and a
     ratio of two rows compares by cross-multiplication, so Bland's rule takes
     exactly the pivots of the rational simplex.  Fractions are formed only when
-    a point, ray or multiplier vector is read out.
+    a point or a Farkas ray is read out.
     """
 
     def __init__(self, p: LpProblem) -> None:
@@ -134,6 +101,7 @@ class _Tableau:
         self.total = self.n_struct + self.m_orig
         rows: list[list[int]] = []
         flips: list[int] = []
+        scales: list[int] = []
         for k, (row, b) in enumerate(
             zip(itertools.chain(p.eq_rows, p.ineq_rows), itertools.chain(p.eq_rhs, p.ineq_rhs))
         ):
@@ -149,28 +117,19 @@ class _Tableau:
             out[self.n_struct + k] = d
             rows.append(out)
             flips.append(flip)
+            scales.append(d)
         self.flips = flips
         self.rows = rows
         self.basis = [self.n_struct + k for k in range(self.m_orig)]
-        self.obj: list[int] = []
-        self.obj_den = 1
+        # Phase one costs 1 on each artificial, all of them basic: obj /
+        # obj_den is that cost minus the sum of the rational rows, row / d.
+        den = lcm(*scales)
+        obj = [0] * self.n_struct + [den] * self.m_orig + [0]
+        for row, d in zip(rows, scales):
+            obj = [a - (den // d) * x for a, x in zip(obj, row)]
+        self._set_obj(obj, den)
 
     # -- pivoting ---------------------------------------------------------
-
-    def _recompute_obj(self, cost: list[Fraction]) -> None:
-        # obj / obj_den = cost - sum of cost[basis[i]] times rational row i.
-        den = lcm(*(c.denominator for c in cost))
-        obj = [c.numerator * (den // c.denominator) for c in cost] + [0]
-        for i, row in enumerate(self.rows):
-            cb = cost[self.basis[i]]
-            if cb:
-                scale = row[self.basis[i]]
-                new_den = lcm(den, cb.denominator * scale)
-                up = new_den // den
-                f = cb.numerator * (new_den // (cb.denominator * scale))
-                obj = [up * a - f * b for a, b in zip(obj, row)]
-                den = new_den
-        self._set_obj(obj, den)
 
     def _set_obj(self, obj: list[int], den: int) -> None:
         g = gcd(den, *obj)
@@ -194,21 +153,23 @@ class _Tableau:
                 if g > 1:
                     new = [a // g for a in new]
                 self.rows[i] = new
-        if self.obj and self.obj[c]:
+        if self.obj[c]:
             f = self.obj[c]
             self._set_obj([piv * a - f * b for a, b in zip(self.obj, row)], piv * self.obj_den)
         self.basis[r] = c
 
-    def _iterate(self, allowed: range | list[int]) -> int | None:
-        """Bland pivoting until optimal (returns None) or unbounded (returns entering col)."""
+    def _iterate(self) -> None:
+        """Bland pivoting until no column has a negative reduced cost.  The
+        phase-one objective is bounded below by zero, so some row always
+        leaves."""
         while True:
             enter = None
-            for j in allowed:
+            for j in range(self.total):
                 if self.obj[j] < 0:
                     enter = j
                     break
             if enter is None:
-                return None
+                return
             leave = None
             for i, row in enumerate(self.rows):
                 a = row[enter]
@@ -222,21 +183,18 @@ class _Tableau:
                     rhs = best[-1] * a
                     if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leave]):
                         leave = i
-            if leave is None:
-                return enter
             self._pivot(leave, enter)
 
-    # -- phases -----------------------------------------------------------
+    # -- phase one --------------------------------------------------------
 
     def phase_one(self) -> tuple[Vec, Vec] | None:
         """Drive artificials to zero; on infeasibility return the Farkas ray (dual_eq, dual_ineq)."""
-        cost = [ZERO] * self.n_struct + [ONE] * self.m_orig
-        self._recompute_obj(cost)
-        self._iterate(range(self.total))
+        self._iterate()
         if self.obj[-1] < 0:
             den = self.obj_den
-            y = [Fraction(den - self.obj[self.n_struct + k], den) for k in range(self.m_orig)]
-            return self._unflip_duals(y)
+            y = [Fraction(flip * (den - self.obj[self.n_struct + k]), den) for k, flip in enumerate(self.flips)]
+            n_eq = len(self.p.eq_rows)
+            return tuple(y[:n_eq]), tuple(y[n_eq:])
         self._evict_artificials()
         return None
 
@@ -255,20 +213,6 @@ class _Tableau:
             del self.rows[i]
             del self.basis[i]
 
-    def phase_two(self, c_min: Vec) -> str:
-        cost = (
-            list(c_min)
-            + [-x for x in c_min]
-            + [ZERO] * self.n_ineq
-            + [ZERO] * self.m_orig
-        )
-        self._recompute_obj(cost)
-        entering = self._iterate(range(self.n_struct))
-        if entering is None:
-            return OPTIMAL
-        self._unbounded_col = entering
-        return UNBOUNDED
-
     # -- extraction --------------------------------------------------------
 
     def primal_point(self) -> Vec:
@@ -279,32 +223,6 @@ class _Tableau:
                 x_std[b] = Fraction(row[-1], row[b])
         n = self.p.n_vars
         return tuple(x_std[j] - x_std[n + j] for j in range(n))
-
-    def dual_solution(self) -> tuple[Vec, Vec]:
-        # The artificial block stays in the tableau, so -obj[artificial k] is
-        # the simplex multiplier of original row k even after redundant rows
-        # were dropped (their artificial columns keep the row-operation record).
-        den = self.obj_den
-        y = [Fraction(-self.obj[self.n_struct + k], den) for k in range(self.m_orig)]
-        return self._unflip_duals(y)
-
-    def _unflip_duals(self, y: list[Fraction]) -> tuple[Vec, Vec]:
-        unflipped = [self.flips[k] * y[k] for k in range(self.m_orig)]
-        n_eq = len(self.p.eq_rows)
-        return tuple(unflipped[:n_eq]), tuple(unflipped[n_eq:])
-
-    def unbounded_ray(self) -> tuple[Vec, Vec]:
-        c = self._unbounded_col
-        r_std = [ZERO] * self.n_struct
-        r_std[c] = ONE
-        for i, b in enumerate(self.basis):
-            if b >= self.n_struct:
-                raise RuntimeError("artificial variable basic after cleanup")
-            row = self.rows[i]
-            r_std[b] = Fraction(-row[c], row[b])
-        n = self.p.n_vars
-        ray = tuple(r_std[j] - r_std[n + j] for j in range(n))
-        return self.primal_point(), ray
 
 
 # -- certificate validation -------------------------------------------------
@@ -322,7 +240,7 @@ def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
     Every certificate vector must fit the problem before any product is
     taken."""
     cert = result.certificate
-    sizes = {"point": p.n_vars, "ray": p.n_vars, "dual_eq": len(p.eq_rows), "dual_ineq": len(p.ineq_rows)}
+    sizes = {"point": p.n_vars, "dual_eq": len(p.eq_rows), "dual_ineq": len(p.ineq_rows)}
     errors = [
         f"{name} has {len(v)} entries, expected {n}"
         for name, n in sizes.items()
@@ -338,42 +256,6 @@ def verify_certificate(p: LpProblem, result: LpResult) -> list[str]:
         if cert.kind != KIND_FARKAS:
             return [f"unexpected certificate kind {cert.kind!r} for infeasible"]
         return _check_farkas(p, cert)
-    if result.status == OPTIMAL:
-        if cert.kind != KIND_PAIR or cert.point is None or cert.dual_eq is None or cert.dual_ineq is None:
-            return ["optimal verdict needs a primal-dual pair"]
-        if not _point_feasible(p, cert.point):
-            errors.append("optimal point infeasible")
-        if p.objective is not None and dot(p.objective, cert.point) != result.value:
-            errors.append("objective value mismatch at the optimal point")
-        c_min = p.min_objective()
-        min_value = result.value if p.sense == "min" else -result.value
-        if any(lam < 0 for lam in cert.dual_ineq):
-            errors.append("negative inequality multiplier")
-        weights = cert.dual_eq + cert.dual_ineq
-        for j, column in enumerate(_columns(p)):
-            if dot(weights, column) != c_min[j]:
-                errors.append(f"dual feasibility fails at column {j}")
-                break
-        dual_value = dot(cert.dual_eq, p.eq_rhs) + dot(cert.dual_ineq, p.ineq_rhs)
-        if dual_value != min_value:
-            errors.append("strong duality gap")
-        return errors
-    if result.status == UNBOUNDED:
-        if cert.kind != KIND_RAY or cert.point is None or cert.ray is None:
-            return ["unbounded verdict needs a point and a ray"]
-        if not _point_feasible(p, cert.point):
-            errors.append("ray base point infeasible")
-        for row in p.eq_rows:
-            if dot(row, cert.ray) != 0:
-                errors.append("ray leaves an equality")
-                break
-        for row in p.ineq_rows:
-            if dot(row, cert.ray) < 0:
-                errors.append("ray leaves an inequality")
-                break
-        if p.objective is None or dot(p.min_objective(), cert.ray) >= 0:
-            errors.append("ray does not improve the objective")
-        return errors
     return [f"unknown status {result.status!r}"]
 
 

@@ -35,9 +35,10 @@ certificate itself when its degenerate pair multipliers are nonnegative, none
 when it is the only candidate and they are not, else one LP -- are a Holds
 certificate on their own, checked once by substitution
 and by those signs (``verify_multiplier_verdict``); no branch is enumerated.
-Only without them does the check solve one descent LP per branch, stopping at
-the first descent, and a Holds then carries one dual-cone membership
-certificate per branch.  As for M, the counterpart's verdict is the
+Only without them does the check solve one descent LP per branch, the
+feasibility of ``E d = 0, I d >= 0, -gradient . d >= 1``, stopping at the
+first feasible one, whose point is the descent.  A Holds then carries one
+dual-cone membership certificate per branch, read off each Farkas ray.  As for M, the counterpart's verdict is the
 abs-normal one translated and re-checked there (``translate_b_verdict``).
 """
 
@@ -536,7 +537,7 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
             errors.append(f"{where}: {exc}")
             continue
         closed.append(outcome.assignment)
-        result = LpResult("infeasible", None, outcome.certificate)
+        result = LpResult("infeasible", outcome.certificate)
         errors.extend(f"{where}: {msg}" for msg in verify_certificate(problem, result))
     hole = uncovered_case(closed, len(system.degenerate))
     if hole is not None:
@@ -599,18 +600,21 @@ def _strong_multipliers(
 
 
 def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpProblem:
-    """Minimize the gradient over the linearized cone of the branch ``signs``,
-    posed on the exact rows that ``BranchLinearization.combination`` weights,
-    so that the LP's dual is the branch's certificate."""
+    """The descent directions of the branch ``signs``: ``E d = 0, I d >= 0,
+    -gradient . d >= 1`` on the exact rows that
+    ``BranchLinearization.combination`` weights.
+
+    By Farkas' lemma (Schrijver 1986, ch. 7) this system is infeasible
+    exactly when ``gradient = E^T y + I^T lam`` for some ``lam >= 0``: its
+    Farkas ray ``(y, (lam, mu))`` has ``mu > 0``, and ``(y / mu, lam / mu)``
+    is the branch's certificate."""
     eq, ineq = lin.rows(signs)
     return LpProblem(
         n_vars=lin.dim,
-        objective=lin.gradient,
-        sense="min",
         eq_rows=eq,
         eq_rhs=zero_vec(len(eq)),
-        ineq_rows=ineq,
-        ineq_rhs=zero_vec(len(ineq)),
+        ineq_rows=ineq + (vec_neg(lin.gradient),),
+        ineq_rhs=zero_vec(len(ineq)) + (ONE,),
     )
 
 
@@ -618,23 +622,18 @@ def _check_b_over_branches(lin: BranchLinearization, specs, kind: str) -> Statio
     """One descent LP per branch, in order; stops at the first descent, so
     ``specs`` may be a generator that makes each branch on demand."""
     certificates = []
-    gradient = lin.gradient
     for spec in specs:
         res = lp_solve(_branch_descent_lp(lin, spec.signs))
-        if res.status == "unbounded":
-            descent = res.certificate.ray
-            if dot(gradient, descent) >= 0:
-                raise RuntimeError(f"branch {spec.label}: the unbounded ray does not descend")
-            return StationarityVerdict(
-                kind, FAILS, failing_branch=spec.label, descent=descent
-            )
-        if res.status != "optimal" or res.value != 0:
-            raise RuntimeError(
-                f"branch {spec.label}: descent LP ended {res.status} with value {res.value}, "
-                "expected optimal with value 0"
-            )
+        cert = res.certificate
+        if res.status == FEASIBLE:
+            if dot(lin.gradient, cert.point) >= 0:
+                raise RuntimeError(f"branch {spec.label}: the descent LP's point does not descend")
+            return StationarityVerdict(kind, FAILS, failing_branch=spec.label, descent=cert.point)
+        *lam, mu = cert.dual_ineq
+        if mu <= 0:
+            raise RuntimeError(f"branch {spec.label}: the Farkas ray's descent-row weight {mu} is not positive")
         certificates.append(
-            BranchDualCertificate(spec.label, res.certificate.dual_eq, res.certificate.dual_ineq)
+            BranchDualCertificate(spec.label, tuple(y / mu for y in cert.dual_eq), tuple(x / mu for x in lam))
         )
     return StationarityVerdict(kind, HOLDS, branch_certificates=tuple(certificates))
 
@@ -655,10 +654,11 @@ def check_b_stationary(
 
     A Holds carries strong-stationary multipliers when there are any, checked
     by ``verify_multiplier_verdict`` with no branch built.  Only when none
-    exist does the check solve one descent LP per branch, making the branches
-    lazily and stopping at the first descent: a Holds then carries one
-    dual-cone membership certificate per branch, a Fails the violating branch
-    and an explicit descent direction.  Every branch cone comes from one
+    exist does the check solve one descent LP per branch
+    (``_branch_descent_lp``), making the branches lazily and stopping at the
+    first descent: a Holds then carries one dual-cone membership certificate
+    per branch, a Fails the violating branch and an explicit descent
+    direction.  Every branch cone comes from one
     linearization; the branch cap applies on either route.
     """
     linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf

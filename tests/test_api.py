@@ -36,12 +36,8 @@ RATMATH_API = [
     "FEASIBLE",
     "INFEASIBLE",
     "KIND_FARKAS",
-    "KIND_PAIR",
     "KIND_POINT",
-    "KIND_RAY",
     "ONE",
-    "OPTIMAL",
-    "UNBOUNDED",
     "LpCertificate",
     "LpError",
     "LpProblem",

@@ -15,7 +15,15 @@ from absnormal.anf import evaluate
 from absnormal.cli import _ser_program, main, recheck_report
 from absnormal.cones import BranchLinearization, PolyCone, linearize_anf, linearize_mpcc
 from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, MPCC_I, PointAnalysis, analyze_point
-from absnormal.ratmath import KIND_FARKAS, zero_vec
+from absnormal.ratmath import (
+    FEASIBLE,
+    INFEASIBLE,
+    KIND_FARKAS,
+    KIND_POINT,
+    LpCertificate,
+    LpResult,
+    zero_vec,
+)
 from absnormal.problemfile import (
     ProblemFileError,
     load_corpus_problem,
@@ -689,6 +697,35 @@ def test_failed_self_check_exits_three_not_as_a_verdict(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: internal: ") and "self-check" in err
+
+
+def forged_point(problem):
+    return LpResult(FEASIBLE, LpCertificate(KIND_POINT, point=zero_vec(problem.n_vars)))
+
+
+def forged_ray(problem):
+    weights = LpCertificate(
+        KIND_FARKAS, dual_eq=zero_vec(len(problem.eq_rows)), dual_ineq=zero_vec(len(problem.ineq_rows))
+    )
+    return LpResult(INFEASIBLE, weights)
+
+
+@pytest.mark.parametrize(
+    "forged, message",
+    [
+        (forged_point, "the descent LP's point does not descend"),
+        (forged_ray, "the Farkas ray's descent-row weight 0 is not positive"),
+    ],
+    ids=["point-does-not-descend", "ray-without-descent-row"],
+)
+def test_branch_self_checks_exit_three_not_as_a_verdict(capsys, monkeypatch, forged, message):
+    # without strong multipliers every LP of a B check is a branch's descent
+    # LP; a result its own system contradicts is the tool's fault
+    monkeypatch.setattr(stationarity, "_strong_multipliers", lambda system, m_verdict: None)
+    monkeypatch.setattr(stationarity, "lp_solve", forged)
+    code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b")
+    assert (code, out) == (3, "")
+    assert err == f"error: internal: branch σ=+: {message}\n"
 
 
 def test_mpcc_system_disagreement_exits_three_not_as_a_verdict(capsys, monkeypatch):

@@ -7,8 +7,6 @@ from absnormal.ratmath import (
     FEASIBLE,
     INFEASIBLE,
     KIND_FARKAS,
-    OPTIMAL,
-    UNBOUNDED,
     LpCertificate,
     LpProblem,
     LpResult,
@@ -49,52 +47,13 @@ def test_infeasible_with_farkas_ray():
 
 
 def test_infeasible_verdict_rests_on_a_farkas_ray_alone():
-    # an optimal primal-dual pair proves no infeasibility, whatever it holds
+    # a point proves no infeasibility, whatever it holds
     p = feasibility(1, ineq=[[1], [-1]], ineq_rhs=[1, 0])
     res = lp_solve(p)
-    pair = dataclasses.replace(res.certificate, kind="optimal-primal-dual-pair", point=vec([0]))
-    assert verify_certificate(p, dataclasses.replace(res, certificate=pair)) == [
-        "unexpected certificate kind 'optimal-primal-dual-pair' for infeasible"
+    point = dataclasses.replace(res.certificate, kind="feasible-point", point=vec([0]))
+    assert verify_certificate(p, dataclasses.replace(res, certificate=point)) == [
+        "unexpected certificate kind 'feasible-point' for infeasible"
     ]
-
-
-def test_bounded_maximization():
-    # max x s.t. x <= 3 (written -x >= -3), x >= 0
-    p = LpProblem(
-        n_vars=1,
-        objective=vec([1]),
-        sense="max",
-        ineq_rows=(vec([-1]), vec([1])),
-        ineq_rhs=vec([-3, 0]),
-    )
-    res = lp_solve(p)
-    assert res.status == OPTIMAL
-    assert res.value == 3
-    assert verify_certificate(p, res) == []
-
-
-def test_minimization_with_equalities():
-    # min x1 + x2 s.t. x1 + x2 = 2, x1 >= 0, x2 >= 0
-    p = LpProblem(
-        n_vars=2,
-        objective=vec([1, 1]),
-        eq_rows=(vec([1, 1]),),
-        eq_rhs=vec([2]),
-        ineq_rows=(vec([1, 0]), vec([0, 1])),
-        ineq_rhs=vec([0, 0]),
-    )
-    res = lp_solve(p)
-    assert res.status == OPTIMAL and res.value == 2
-    assert verify_certificate(p, res) == []
-
-
-def test_unbounded_with_ray():
-    # min -x s.t. x >= 0
-    p = LpProblem(n_vars=1, objective=vec([-1]), ineq_rows=(vec([1]),), ineq_rhs=vec([0]))
-    res = lp_solve(p)
-    assert res.status == UNBOUNDED
-    assert verify_certificate(p, res) == []
-    assert res.certificate.ray[0] > 0
 
 
 def test_certificate_vectors_of_the_wrong_length_are_named():
@@ -102,15 +61,14 @@ def test_certificate_vectors_of_the_wrong_length_are_named():
     problems = [
         feasibility(1, ineq=[[1], [-1]], ineq_rhs=[0, 0]),
         feasibility(1, ineq=[[1], [-1]], ineq_rhs=[1, 0]),
-        LpProblem(n_vars=2, objective=vec([1, 1]), eq_rows=(vec([1, 1]),), eq_rhs=vec([2]),
-                  ineq_rows=(vec([1, 0]), vec([0, 1])), ineq_rhs=vec([0, 0])),
-        LpProblem(n_vars=1, objective=vec([-1]), ineq_rows=(vec([1]),), ineq_rhs=vec([0])),
+        feasibility(2, eq=[[1, 1]], eq_rhs=[2], ineq=[[1, 0], [0, 1]], ineq_rhs=[0, 0]),
+        feasibility(2, eq=[[1, 1]], eq_rhs=[2], ineq=[[-1, 0], [0, -1]], ineq_rhs=[0, 0]),
     ]
     checked = set()
     for p in problems:
         res = lp_solve(p)
         cert = res.certificate
-        for name in ("point", "ray", "dual_eq", "dual_ineq"):
+        for name in ("point", "dual_eq", "dual_ineq"):
             good = getattr(cert, name)
             if good is None:
                 continue
@@ -119,23 +77,23 @@ def test_certificate_vectors_of_the_wrong_length_are_named():
                 assert verify_certificate(p, tampered) == [
                     f"{name} has {len(bad)} entries, expected {len(good)}"
                 ]
-            checked.add((res.status, name))
-    assert {name for _, name in checked} == {"point", "ray", "dual_eq", "dual_ineq"}
+            checked.add((res.status, name, bool(good)))
+    assert {(status, name) for status, name, nonempty in checked if nonempty} == {
+        (FEASIBLE, "point"),
+        (INFEASIBLE, "dual_eq"),
+        (INFEASIBLE, "dual_ineq"),
+    }
 
 
 def test_degenerate_redundant_equalities():
-    # Duplicated equality rows must not confuse the dual extraction.
-    p = LpProblem(
-        n_vars=2,
-        objective=vec([1, 0]),
-        eq_rows=(vec([1, 1]), vec([1, 1]), vec([2, 2])),
-        eq_rhs=vec([1, 1, 2]),
-        ineq_rows=(vec([1, 0]), vec([0, 1])),
-        ineq_rhs=vec([0, 0]),
-    )
-    res = lp_solve(p)
-    assert res.status == OPTIMAL and res.value == 0
-    assert verify_certificate(p, res) == []
+    # Duplicated equality rows must not confuse the eviction of artificials
+    # (consistent copies) or the Farkas ray (an inconsistent copy).
+    eq = [[1, 1], [1, 1], [2, 2]]
+    for eq_rhs, status in (([1, 1, 2], FEASIBLE), ([1, 1, 3], INFEASIBLE)):
+        p = feasibility(2, eq=eq, eq_rhs=eq_rhs, ineq=[[1, 0], [0, 1]], ineq_rhs=[0, 0])
+        res = lp_solve(p)
+        assert res.status == status
+        assert verify_certificate(p, res) == []
 
 
 def test_farkas_never_coexists_with_feasible_point():
@@ -196,30 +154,12 @@ def reference_check_farkas(p, cert):
     return errors
 
 
-def reference_check_pair(p, result):
-    """Optimal primal-dual pair check with one Fraction per matrix entry."""
-    cert = result.certificate
-    errors = []
-    if not (
-        all(term_dot(row, cert.point) == b for row, b in zip(p.eq_rows, p.eq_rhs))
-        and all(term_dot(row, cert.point) >= b for row, b in zip(p.ineq_rows, p.ineq_rhs))
-    ):
-        errors.append("optimal point infeasible")
-    if term_dot(p.objective, cert.point) != result.value:
-        errors.append("objective value mismatch at the optimal point")
-    c_min = p.min_objective()
-    min_value = result.value if p.sense == "min" else -result.value
-    if any(lam < 0 for lam in cert.dual_ineq):
-        errors.append("negative inequality multiplier")
-    for j in range(p.n_vars):
-        lhs = sum((cert.dual_eq[k] * p.eq_rows[k][j] for k in range(len(p.eq_rows))), Fraction(0))
-        lhs += sum((cert.dual_ineq[i] * p.ineq_rows[i][j] for i in range(len(p.ineq_rows))), Fraction(0))
-        if lhs != c_min[j]:
-            errors.append(f"dual feasibility fails at column {j}")
-            break
-    if term_dot(cert.dual_eq, p.eq_rhs) + term_dot(cert.dual_ineq, p.ineq_rhs) != min_value:
-        errors.append("strong duality gap")
-    return errors
+def reference_check_point(p, cert):
+    """Feasible point check with one Fraction per matrix entry."""
+    feasible = all(term_dot(row, cert.point) == b for row, b in zip(p.eq_rows, p.eq_rhs)) and all(
+        term_dot(row, cert.point) >= b for row, b in zip(p.ineq_rows, p.ineq_rhs)
+    )
+    return [] if feasible else ["claimed feasible point violates a constraint"]
 
 
 def random_fraction(rng):
@@ -230,7 +170,7 @@ def random_fraction(rng):
 
 def random_fractional_lp(rng):
     """A small LP with fractional rows; some have no equality rows, some no
-    rows at all, and most an objective."""
+    rows at all."""
     n = rng.randint(1, 3)
     n_eq = rng.choice((0, 0, 1, 2))
     n_in = rng.choice((0, 1, 2, 3, 4)) if n_eq else rng.choice((0, 0, 1, 2, 3, 4))
@@ -238,11 +178,8 @@ def random_fractional_lp(rng):
     def rows(m):
         return tuple(tuple(random_fraction(rng) for _ in range(n)) for _ in range(m))
 
-    objective = tuple(random_fraction(rng) for _ in range(n)) if rng.random() < 0.7 else None
     return LpProblem(
         n_vars=n,
-        objective=objective,
-        sense=rng.choice(("min", "max")),
         eq_rows=rows(n_eq),
         eq_rhs=tuple(random_fraction(rng) for _ in range(n_eq)),
         ineq_rows=rows(n_in),
@@ -283,31 +220,22 @@ def test_certificate_checks_by_columns_equal_the_per_term_checks():
         ]
         for farkas in candidates:
             want = reference_check_farkas(p, farkas)
-            assert verify_certificate(p, LpResult(INFEASIBLE, None, farkas)) == want
+            assert verify_certificate(p, LpResult(INFEASIBLE, farkas)) == want
             seen.add(("farkas", bool(p.eq_rows), bool(p.ineq_rows), bool(want)))
             failing_columns.update(msg for msg in want if "at column" in msg)
-        if res.status == OPTIMAL:
-            pairs = [res, dataclasses.replace(res, value=res.value + 1)] + [
-                dataclasses.replace(res, certificate=corrupted(rng, cert, name))
-                for name in ("point", "dual_eq", "dual_ineq")
-                if getattr(cert, name)
-            ]
-            for pair in pairs:
-                want = reference_check_pair(p, pair)
-                assert verify_certificate(p, pair) == want
-                seen.add(("pair", bool(p.eq_rows), bool(p.ineq_rows), bool(want)))
-                failing_columns.update(msg for msg in want if "at column" in msg)
+        if res.status == FEASIBLE:
+            for point in (cert, corrupted(rng, cert, "point")):
+                want = reference_check_point(p, point)
+                assert verify_certificate(p, LpResult(FEASIBLE, point)) == want
+                seen.add(("point", bool(p.eq_rows), bool(p.ineq_rows), bool(want)))
     # each kind with and without equality rows and with no rows at all, valid
-    # and not, except a valid Farkas ray of no rows, which witnesses nothing
+    # and not, except a valid Farkas ray of no rows, which witnesses nothing,
+    # and a point that violates no rows
     kinds = {
         (kind, has_eq, has_in, bad)
-        for kind in ("farkas", "pair")
+        for kind in ("farkas", "point")
         for has_eq, has_in in ((True, True), (False, True), (False, False))
         for bad in (False, True)
     }
-    assert kinds - seen == {("farkas", False, False, False)}
-    assert failing_columns == {
-        f"{what} at column {j}"
-        for what in ("Farkas combination is nonzero", "dual feasibility fails")
-        for j in range(3)
-    }
+    assert kinds - seen == {("farkas", False, False, False), ("point", False, False, True)}
+    assert failing_columns == {f"Farkas combination is nonzero at column {j}" for j in range(3)}

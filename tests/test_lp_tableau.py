@@ -1,7 +1,8 @@
 """The fraction-free simplex tableau against the rational one it replaced.
 
 ``RationalTableau`` is the ``Fraction`` tableau that ``ratmath.lp`` used
-before its rows became integer lists, kept here unchanged but for its name as the reference.
+before its rows became integer lists, kept here as the reference, unchanged
+but for its name and without the phase two that ``ratmath.lp`` dropped later.
 Both are driven through the same ``lp_solve`` by swapping ``lp._Tableau``, so
 equal ``repr(LpResult)`` means the same pivots led to the same verdicts and
 certificates.
@@ -23,7 +24,6 @@ from absnormal.ratmath import (
     verify_certificate,
 )
 from absnormal.ratmath import lp
-from absnormal.ratmath.lp import OPTIMAL, UNBOUNDED
 from absnormal.ratmath.matrix import ONE, ZERO, Vec
 
 
@@ -136,20 +136,6 @@ class RationalTableau:
             del self.rows[i]
             del self.basis[i]
 
-    def phase_two(self, c_min: Vec) -> str:
-        cost = (
-            list(c_min)
-            + [-x for x in c_min]
-            + [ZERO] * self.n_ineq
-            + [ZERO] * self.m_orig
-        )
-        self._recompute_obj(cost)
-        entering = self._iterate(range(self.n_struct))
-        if entering is None:
-            return OPTIMAL
-        self._unbounded_col = entering
-        return UNBOUNDED
-
     # -- extraction --------------------------------------------------------
 
     def primal_point(self) -> Vec:
@@ -160,29 +146,10 @@ class RationalTableau:
         n = self.p.n_vars
         return tuple(x_std[j] - x_std[n + j] for j in range(n))
 
-    def dual_solution(self) -> tuple[Vec, Vec]:
-        # The artificial block stays in the tableau, so -obj[artificial k] is
-        # the simplex multiplier of original row k even after redundant rows
-        # were dropped (their artificial columns keep the row-operation record).
-        y = [-self.obj[self.n_struct + k] for k in range(self.m_orig)]
-        return self._unflip_duals(y)
-
     def _unflip_duals(self, y: list[Fraction]) -> tuple[Vec, Vec]:
         unflipped = [self.flips[k] * y[k] for k in range(self.m_orig)]
         n_eq = len(self.p.eq_rows)
         return tuple(unflipped[:n_eq]), tuple(unflipped[n_eq:])
-
-    def unbounded_ray(self) -> tuple[Vec, Vec]:
-        c = self._unbounded_col
-        r_std = [ZERO] * self.n_struct
-        r_std[c] = ONE
-        for i, b in enumerate(self.basis):
-            if b >= self.n_struct:
-                raise RuntimeError("artificial variable basic after cleanup")
-            r_std[b] = -self.rows[i][c]
-        n = self.p.n_vars
-        ray = tuple(r_std[j] - r_std[n + j] for j in range(n))
-        return self.primal_point(), ray
 
 
 def _coefficient(rng: random.Random) -> Fraction:
@@ -194,7 +161,7 @@ def _coefficient(rng: random.Random) -> Fraction:
 
 
 def random_lp(rng: random.Random) -> LpProblem:
-    """Equality and inequality rows, min/max or feasibility, homogeneous or not."""
+    """Equality and inequality rows, homogeneous or not."""
     n = rng.randint(0, 4)
     homogeneous = rng.random() < 0.2
     n_eq = rng.randint(0, 3)
@@ -214,15 +181,8 @@ def random_lp(rng: random.Random) -> LpProblem:
     eq_rhs = rhs(n_eq)
     if len(eq_rows) > n_eq:
         eq_rhs += (2 * eq_rhs[k],)
-    objective = None
-    sense = "min"
-    if rng.random() < 0.6:
-        objective = tuple(_coefficient(rng) for _ in range(n))
-        sense = rng.choice(("min", "max"))
     return LpProblem(
         n_vars=n,
-        objective=objective,
-        sense=sense,
         eq_rows=eq_rows,
         eq_rhs=eq_rhs,
         ineq_rows=ineq_rows,
@@ -262,7 +222,7 @@ def test_integer_tableau_matches_rational_reference(monkeypatch):
             assert all(row[b] > 0 and gcd(*row) == 1 for row, b in zip(tab.rows, tab.basis))
         statuses[result.status] = statuses.get(result.status, 0) + 1
     # every verdict kind occurs often enough to matter
-    assert len(statuses) == 4 and min(statuses.values()) >= 100, statuses
+    assert len(statuses) == 2 and min(statuses.values()) >= 100, statuses
 
 
 def _sparse(rng: random.Random, n: int) -> tuple:
