@@ -440,7 +440,7 @@ KINKS_DIGESTS = {
     "kinks3-eq check-cq --all --recheck": "9291f7a59342778944f4025e897e149e010f2f2a5be56767e6a65ca0b2fc2f42",
     "kinks3-eq verify-relations --recheck": "3c578fbe9450ca7bc9f43a2c04c163401e3232a3993f8f49fe22bdf6df6c1b23",
     "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
-    "kinks4-eq-max check-stationarity --recheck": "51dcfa74ed0a297685f7b422e9ff887c911699dcc1728c02b5ad553933e337f4",
+    "kinks4-eq-max check-stationarity --recheck": "287cdf2097452704dd12c2d9383ce121dcba53b67adbacd2b53500d0632f3eee",
     "qkinks2-eq check-cq --all --recheck": "6b36f5dc546b7aa4aeb59cf24c1d5860ca884b665e2065c5d7145bd3404be60d",
     "qkinks2-eq verify-relations --recheck": "53b363244d50880fb94de126a5801f50e6abc622d6ee39062dc678e49758273b",
     "qkinks2-eq cones --dual": "d9016ea0a34200f573afe221a9c79a19bf7dd1bea73dd70c012a32b9fc021d49",
@@ -449,7 +449,7 @@ KINKS_DIGESTS = {
     "qkinks2-ineq cones --dual": "36dd820dd3f7871910609679012323badd44bed01e03cb369f41197a838c4986",
 }
 PROBLEM_DIGESTS = {
-    "b-branches check-stationarity --b --recheck": "c30aa9463b9e4125b75760858e2d311838b17fdafdabab9c7fc44cddd626b21f",
+    "b-branches check-stationarity --b --recheck": "a16673d15b1c85b54ea00fe0629eb9c0701dd02c05a1d04782361b7abbda90da",
 }
 
 
