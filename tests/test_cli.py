@@ -7,6 +7,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1167,6 +1168,40 @@ def test_descent_route_b_holds_end_to_end(tmp_path, capsys):
                 for msg in messages
             ]
             assert recheck_report(pf, tampered) == expected, what
+
+
+def test_b_branches_certificate_tampers_keep_their_messages(capsys):
+    path = str(Path(__file__).resolve().parent / "problems" / "b-branches.json")
+    pf = parse_problem(path)
+    report = b_report(capsys, path)
+
+    def negate(certs):
+        weights = certs[1]["dual_ineq"]
+        (j,) = [j for j, x in enumerate(weights) if Fraction(x) > 0]
+        weights[j] = "-1"
+
+    # (first branch, second branch, equality rows) of each form
+    forms = {"b-anf": ("σ=++", "σ=-+", 3), "b-mpcc": ("P={}", "P={1}", 5)}
+    for kind, (first, second, n_eq) in forms.items():
+        certs = report["points"][0]["stationarity"][kind]["branch_certificates"]
+        assert [entry["branch"] for entry in certs] == [first, second]
+        mutations = {
+            "negated": (
+                negate,
+                [
+                    f"branch {second}: negative inequality weight",
+                    f"branch {second}: dual combination does not reproduce the gradient",
+                ],
+            ),
+            "truncated": (
+                lambda certs: certs[0]["dual_ineq"].pop(),
+                [f"branch {first}: {n_eq} + 0 weights for {n_eq} + 1 cone rows"],
+            ),
+        }
+        for what, (mutate, messages) in mutations.items():
+            tampered = copy.deepcopy(report)
+            mutate(tampered["points"][0]["stationarity"][kind]["branch_certificates"])
+            assert recheck_report(pf, tampered) == [f"point origin {kind} {msg}" for msg in messages], what
 
 
 def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkeypatch):
