@@ -595,13 +595,12 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
             for label in by_label:
                 if named[label] != 1:
                     errors.append(f"{prefix}: branch {label} has {named[label]} certificates, expected 1")
-            memo: dict = {}
             for cert in verdict.branch_certificates:
                 spec = by_label.get(cert.branch)
                 if spec is None:
                     errors.append(f"{prefix}: certificate for unknown branch {cert.branch!r}")
                     continue
-                for msg in verify_branch_certificate(lin, spec.signs, cert, memo):
+                for msg in verify_branch_certificate(lin, spec.signs, cert):
                     errors.append(f"{prefix} branch {cert.branch}: {msg}")
         else:
             label = verdict.failing_branch

@@ -32,7 +32,6 @@ from .ratmath import (
     LpProblem,
     Vec,
     cone_generators,
-    dot,
     generators_to_hrep,
     integer_dot,
     lp_solve,
@@ -223,9 +222,6 @@ def _covers(members: list[PolyCone], target: PolyCone, depth: int) -> tuple[bool
         if cone_contains(m, target):
             return True, None
     gens = list(_signed_generators(target))
-    if not gens:
-        # the zero cone lies in every member
-        return True, None
     if depth <= 0:
         raise SubdivisionDepthExceeded("hyperplane subdivision exceeded the depth cap")
     for m in members:
@@ -403,8 +399,8 @@ class BranchLinearization:
         return rows(eq_grads, eq_units, self.n_eq), rows(ineq_grads, ineq_units, self.n_ineq)
 
     def rows(self, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """The exact (eq, ineq) rows of the branch ``signs``, unscaled: the rows
-        that ``combination`` weights, for the descent LP and for printing."""
+        """The exact (eq, ineq) rows of the branch ``signs``, unscaled, for the
+        B descent LP, whose Farkas rays weight them, and for printing."""
         eq, ineq = self._branch_rows(
             signs, [(g, 1) for g in self.eq_grads], [(g, 1) for g in self.ineq_grads], ZERO
         )
@@ -413,39 +409,6 @@ class BranchLinearization:
     def _integer_rows(self, signs: tuple[int, ...]) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         eq, ineq = self._branch_rows(signs, *self._integer_grads, 0)
         return tuple(map(coprime_integer, eq)), tuple(map(coprime_integer, ineq))
-
-    def combination(self, signs: tuple[int, ...], dual_eq: Vec, dual_ineq: Vec, memo: dict) -> Vec:
-        """``E^T dual_eq + I^T dual_ineq`` over the rows of the branch ``signs``.
-
-        The sum over the gradient rows does not depend on the branch, only on
-        their weights: ``memo``, a dict the caller keeps for this
-        linearization, holds it keyed by those weights.  The branch's column
-        flip and unit terms are then applied in O(s).
-        """
-        if len(dual_eq) != self.n_eq or len(dual_ineq) != self.n_ineq:
-            raise ValueError(
-                f"{len(dual_eq)} + {len(dual_ineq)} weights for {self.n_eq} + {self.n_ineq} cone rows"
-            )
-        key = tuple(dual_eq[: len(self.eq_grads)]) + tuple(dual_ineq[: len(self.ineq_grads)])
-        shared = memo.get(key)
-        if shared is None:
-            terms = [(w, g) for w, g in zip(key, self.eq_grads + self.ineq_grads) if w]
-            if terms:
-                weights, grads = zip(*terms)
-                shared = tuple(dot(weights, column) for column in zip(*grads))
-            else:
-                shared = zero_vec(self.dim)
-            memo[key] = shared
-        out = list(shared)
-        for c in self._negated(signs):
-            out[c] = -out[c]
-        eq_units, ineq_units = self._units(signs)
-        for weights, units in ((dual_eq, eq_units), (dual_ineq, ineq_units)):
-            for r, c, coeff in units:
-                w = weights[r]
-                if w:
-                    out[c] += w if coeff > 0 else -w
-        return tuple(out)
 
 
 def _infeasible_anchor(kind: str, base: tuple[int, ...]) -> ValueError:

@@ -140,11 +140,10 @@ class _Tableau:
         self.obj_den = den
 
     def _pivot(self, r: int, c: int) -> None:
+        """Pivot on the positive entry ``rows[r][c]``, so every row keeps a
+        positive scale."""
         row = self.rows[r]
         piv = row[c]
-        if piv < 0:
-            piv = -piv
-            self.rows[r] = row = [-x for x in row]
         for i, other in enumerate(self.rows):
             f = other[c]
             if i != r and f:
@@ -188,30 +187,17 @@ class _Tableau:
     # -- phase one --------------------------------------------------------
 
     def phase_one(self) -> tuple[Vec, Vec] | None:
-        """Drive artificials to zero; on infeasibility return the Farkas ray (dual_eq, dual_ineq)."""
+        """Drive artificials to zero; on infeasibility return the Farkas ray (dual_eq, dual_ineq).
+
+        On feasibility, every artificial still basic has value 0, so the
+        basic structural values are a point as they stand."""
         self._iterate()
         if self.obj[-1] < 0:
             den = self.obj_den
             y = [Fraction(flip * (den - self.obj[self.n_struct + k]), den) for k, flip in enumerate(self.flips)]
             n_eq = len(self.p.eq_rows)
             return tuple(y[:n_eq]), tuple(y[n_eq:])
-        self._evict_artificials()
         return None
-
-    def _evict_artificials(self) -> None:
-        # Pivot basic artificials (necessarily at value 0) onto structural
-        # columns; rows that admit none are redundant and get dropped.
-        drop: list[int] = []
-        for i in range(len(self.rows)):
-            if self.basis[i] >= self.n_struct:
-                c = next((j for j in range(self.n_struct) if self.rows[i][j] != 0), None)
-                if c is None:
-                    drop.append(i)
-                else:
-                    self._pivot(i, c)
-        for i in reversed(drop):
-            del self.rows[i]
-            del self.basis[i]
 
     # -- extraction --------------------------------------------------------
 

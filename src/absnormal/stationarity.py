@@ -53,6 +53,8 @@ from .cones import BranchLinearization, linearize_anf, linearize_mpcc
 from .cq import FAILS, HOLDS
 from .ratmath import (
     FEASIBLE,
+    INFEASIBLE,
+    KIND_FARKAS,
     ONE,
     ZERO,
     LpCertificate,
@@ -537,7 +539,7 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
             errors.append(f"{where}: {exc}")
             continue
         closed.append(outcome.assignment)
-        result = LpResult("infeasible", outcome.certificate)
+        result = LpResult(INFEASIBLE, outcome.certificate)
         errors.extend(f"{where}: {msg}" for msg in verify_certificate(problem, result))
     hole = uncovered_case(closed, len(system.degenerate))
     if hole is not None:
@@ -601,8 +603,8 @@ def _strong_multipliers(
 
 def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpProblem:
     """The descent directions of the branch ``signs``: ``E d = 0, I d >= 0,
-    -gradient . d >= 1`` on the exact rows that
-    ``BranchLinearization.combination`` weights.
+    -gradient . d >= 1`` on the branch's exact rows
+    (``BranchLinearization.rows``).
 
     By Farkas' lemma (Schrijver 1986, ch. 7) this system is infeasible
     exactly when ``gradient = E^T y + I^T lam`` for some ``lam >= 0``: its
@@ -718,7 +720,6 @@ def translate_b_verdict(
     m1 = system_to.m1
     active = [k for k in range(system_to.m2) if k not in system_to.inactive_i]
     certificates = []
-    memo: dict = {}
     for cert in verdict.branch_certificates:
         if len(cert.dual_eq) != m1 + system_to.s or len(cert.dual_ineq) != len(active) + len(lin.degenerate):
             raise ValueError(f"source certificate of branch {cert.branch} has the wrong length")
@@ -732,7 +733,7 @@ def translate_b_verdict(
             cert.dual_eq + tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs)),
             cert.dual_ineq[: len(active)] + tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate),
         )
-        errors = verify_branch_certificate(lin, signs, mapped, memo)
+        errors = verify_branch_certificate(lin, signs, mapped)
         if errors:
             raise RuntimeError(f"translated B certificate failed the counterpart: branch {spec.label}: {errors}")
         certificates.append(mapped)
@@ -740,20 +741,18 @@ def translate_b_verdict(
 
 
 def verify_branch_certificate(
-    lin: BranchLinearization, signs: tuple[int, ...], cert: BranchDualCertificate, memo: dict
+    lin: BranchLinearization, signs: tuple[int, ...], cert: BranchDualCertificate
 ) -> list[str]:
     """Substitution check of the dual certificate of the branch ``signs`` of
-    ``lin``: gradient = E^T y + I^T lam with lam >= 0 over that branch's rows.
-    ``memo`` is the caller's ``BranchLinearization.combination`` memo, kept
-    across the branches of ``lin``."""
+    ``lin``: gradient = E^T y + I^T lam with lam >= 0 over that branch's rows,
+    that is ``(y, (lam, 1))`` is a Farkas ray of ``_branch_descent_lp``."""
     if len(cert.dual_eq) != lin.n_eq or len(cert.dual_ineq) != lin.n_ineq:
         return [
             f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
             f"{lin.n_eq} + {lin.n_ineq} cone rows"
         ]
-    errors = []
-    if any(x < 0 for x in cert.dual_ineq):
-        errors.append("negative inequality weight")
-    if lin.combination(signs, cert.dual_eq, cert.dual_ineq, memo) != lin.gradient:
-        errors.append("dual combination does not reproduce the gradient")
-    return errors
+    ray = LpCertificate(KIND_FARKAS, dual_eq=cert.dual_eq, dual_ineq=cert.dual_ineq + (ONE,))
+    findings = verify_certificate(_branch_descent_lp(lin, signs), LpResult(INFEASIBLE, ray))
+    # the ray's right-hand side is its descent-row weight 1, so a finding is a negative weight or a nonzero column
+    negative = "negative inequality weight"
+    return [negative if msg.startswith(negative) else "dual combination does not reproduce the gradient" for msg in findings]

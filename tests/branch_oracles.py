@@ -488,11 +488,11 @@ def strong_branch_certificates(lin: BranchLinearization, system, ms: MultiplierS
     multipliers ``ms`` of ``system`` (the same form and point).  Every branch
     shares the constraint-row weights, so they are computed once; each
     certificate must pass ``verify_branch_certificate``."""
-    weights, memo = row_weights(ms, system), {}
+    weights = row_weights(ms, system)
     out = []
     for spec in lin.specs():
         cert = branch_certificate(lin, spec, ms, weights)
-        errors = verify_branch_certificate(lin, spec.signs, cert, memo)
+        errors = verify_branch_certificate(lin, spec.signs, cert)
         assert errors == [], f"branch {spec.label}: certificate from the strong multipliers: {errors}"
         out.append(cert)
     return tuple(out)

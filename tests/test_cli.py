@@ -139,6 +139,22 @@ def test_cli_unknown_verdict_exit_two(tmp_path, capsys):
     report = json.loads(out)
     assert report["points"][0]["cq"]["akq"]["status"] == "unknown"
     assert report["points"][0]["cq"]["akq"]["blocking"]
+    # every kink verdict is Unknown, so the relations are consistent but no
+    # converse is observed, and both commands recheck clean and exit 2
+    code, out, _ = run_cli(capsys, "verify-relations", str(path), "--recheck")
+    assert code == 2
+    report = json.loads(out)
+    assert report["recheck"]["errors"] == []
+    relations = report["points"][0]["relations"]
+    assert relations["consistent"] is True
+    assert {v["status"] for v in relations["kink_verdicts"].values()} == {"unknown"}
+    assert "untestable" in {arrow.get("converse_observation") for arrow in relations["arrows"]}
+    code, out, _ = run_cli(capsys, "check-cq", str(path), "--all", "--recheck")
+    assert code == 2
+    report = json.loads(out)
+    assert report["recheck"]["errors"] == []
+    cq = report["points"][0]["cq"]
+    assert {cq[kind]["status"] for kind in ("akq", "gkq", "mpcc-acq", "mpcc-gcq")} == {"unknown"}
 
 
 def _corpus_path(name):
@@ -289,10 +305,21 @@ def test_recheck_detects_tampered_witness(capsys):
     report = json.loads(capsys.readouterr().out)
     verdict = report["points"][0]["cq"]["akq"]
     assert verdict["status"] == "fails"
-    verdict["witness"] = ["0", "1", "0"]  # not linearized-feasible
     pf = load_corpus_problem("E3")
-    errors = recheck_report(pf, report)
-    assert errors
+    assert recheck_report(pf, report) == []
+    verdict["witness"] = ["0", "1", "0"]  # tangent to both branches
+    assert recheck_report(pf, report) == [
+        f"point origin akq: witness lies inside the tangent bound of branch {label}" for label in ("σ=+", "σ=-")
+    ]
+    verdict["witness"] = ["1", "0", "0"]  # in no branch linearized cone
+    assert recheck_report(pf, report) == ["point origin akq: witness is not linearized-feasible"]
+    code = main(["check-cq", "E3", "--point", "origin", "--branches"])
+    report = json.loads(capsys.readouterr().out)
+    assert recheck_report(pf, report) == []
+    entry = report["points"][0]["cq"]["branches"]["abs-i"][0]
+    assert (entry["branch"], entry["acq"]["status"]) == ("σ=+", "fails")
+    entry["acq"]["branch"] = "σ=?"
+    assert recheck_report(pf, report) == ["point origin abs-i σ=+ acq: no branch 'σ=?' in formulation abs-i"]
 
 
 def test_recheck_detects_tampered_dual_witness(capsys):
@@ -1215,11 +1242,11 @@ def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkey
         return real_rows(lin, signs)
 
     monkeypatch.setattr(BranchLinearization, "rows", counted_rows)
-    # the counters see the descent-LP route: one row set per abs-normal
-    # branch LP, and one check per branch for the translation and for each
-    # recheck
+    # the counters see the descent-LP route: one check per branch for the
+    # translation and for each recheck, and one row set per abs-normal
+    # branch LP and per check, whose descent LP it builds
     b_report(capsys, write_problem(tmp_path, fallback_kinks_problem(3)))
-    assert (len(verified), len(rows)) == (3 * 8, 8)
+    assert (len(verified), len(rows)) == (3 * 8, 8 + 3 * 8)
     verified.clear()
     rows.clear()
     path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 10)))

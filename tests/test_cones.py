@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from absnormal import cones as cones_module
-from absnormal.anf import QuadraticFunc, evaluate
+from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import (
     PolyCone,
     TANGENT_AFFINE,
@@ -21,6 +21,7 @@ from absnormal.cones import (
     union_covers,
 )
 from absnormal.ratmath import RatMatrix, primitive_integer, vec, zero_vec
+from absnormal.stationarity import BranchDualCertificate, verify_branch_certificate
 from absnormal.transforms import (
     mpcc_point_from_eval,
     phi_inv,
@@ -46,7 +47,7 @@ from branch_oracles import (
     split_direction_matrix,
     union_from_branches,
 )
-from conftest import make_e2, make_e3, make_e4, random_affine_program
+from conftest import affine, make_e2, make_e3, make_e4, random_affine_program
 
 
 def cone(dim, eq=(), ineq=()):
@@ -255,6 +256,19 @@ def test_union_covers_orthant_by_l_shape_fails_with_witness():
     # witness must be in the orthant and outside both legs; (1,1) works
     assert orthant.contains(witness)
     assert not leg_a.contains(witness) and not leg_b.contains(witness)
+
+
+def test_union_covers_by_deciding_both_halves_of_a_split():
+    # no member holds the target, and the first half of a split is covered,
+    # so the second half decides
+    halves = [cone(2, ineq=[[1, 0]]), cone(2, ineq=[[-1, 0]])]
+    assert union_covers(halves, cone(2)) == (True, None)
+    sectors = [
+        cone(2, ineq=[[0, 1], [1, -1]]),
+        cone(2, ineq=[[-1, 1], [1, 1]]),
+        cone(2, ineq=[[0, 1], [-1, -1]]),
+    ]
+    assert union_covers(sectors, cone(2, ineq=[[0, 1]])) == (True, None)
 
 
 def test_union_covers_member_containment(e1):
@@ -468,52 +482,52 @@ def random_weights(rng, n):
     return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
 
 
-def test_combination_equals_the_naive_sum_for_shared_and_per_branch_weights():
+def test_branch_certificate_check_agrees_with_the_naive_combination():
+    # each branch's gradient is set to the naive combination of random
+    # weights, which the check must accept, and must reject once one weight
+    # of a nonzero row changes
     rng = random.Random(1618)
     programs = [make_e2(), make_e4()]
     while len(programs) < 20:
         p = random_affine_program(rng, max_s=3)
         if evaluate(p, zero_vec(p.n_t)).is_feasible():
             programs.append(with_random_quadratics(rng, p) if len(programs) % 2 else p)
-    compared = 0
+    accepted = rejected = 0
     for p in programs:
         for q, qe in with_slack_form(p, evaluate(p, zero_vec(p.n_t))):
             for lin, _ in linearizations(q, qe):
-                n_shared_eq, n_shared_ineq = len(lin.eq_grads), len(lin.ineq_grads)
-                shared = random_weights(rng, n_shared_eq), random_weights(rng, n_shared_ineq)
-                memo = {}
                 for spec in lin.specs():
-                    # shared row weights with per-branch unit weights, then
-                    # wholly per-branch weights, through the same memo
-                    for eq_w, ineq_w in (
-                        (shared[0] + random_weights(rng, lin.n_eq - n_shared_eq),
-                         shared[1] + random_weights(rng, lin.n_ineq - n_shared_ineq)),
-                        (random_weights(rng, lin.n_eq), random_weights(rng, lin.n_ineq)),
-                    ):
-                        got = lin.combination(spec.signs, eq_w, ineq_w, memo)
-                        assert got == naive_combination(lin, spec.signs, eq_w, ineq_w)
-                        compared += 1
-    assert compared >= 500
+                    eq_w = random_weights(rng, lin.n_eq)
+                    ineq_w = tuple(abs(x) for x in random_weights(rng, lin.n_ineq))
+                    at = dataclasses.replace(lin, gradient=naive_combination(lin, spec.signs, eq_w, ineq_w))
+                    cert = BranchDualCertificate(spec.label, eq_w, ineq_w)
+                    assert verify_branch_certificate(at, spec.signs, cert) == [], spec.label
+                    accepted += 1
+                    eq, ineq = eager_branch_rows(lin, spec.signs)
+                    nonzero = [j for j, row in enumerate(eq + ineq) if any(row)]
+                    if nonzero:
+                        j = rng.choice(nonzero)
+                        weights = list(eq_w + ineq_w)
+                        weights[j] += 1
+                        bumped = BranchDualCertificate(spec.label, tuple(weights[: len(eq)]), tuple(weights[len(eq) :]))
+                        assert verify_branch_certificate(at, spec.signs, bumped) == [
+                            "dual combination does not reproduce the gradient"
+                        ], spec.label
+                        rejected += 1
+    assert min(accepted, rejected) >= 300, (accepted, rejected)
 
 
-def test_combination_memo_never_masks_a_different_weight():
-    e2 = make_e2()
-    e = evaluate(e2, [0, 0])
-    lin = linearize_anf(e2, e)
-    spec = next(iter(lin.specs()))
-    memo = {}
-    eq_w, ineq_w = (Fraction(1),) * lin.n_eq, (Fraction(2),) * lin.n_ineq
-    first = lin.combination(spec.signs, eq_w, ineq_w, memo)
-    assert first == naive_combination(lin, spec.signs, eq_w, ineq_w)
-    # change one shared-row weight, then one per-branch weight only
-    for changed in (
-        (eq_w[:0] + (Fraction(5),) + eq_w[1:], ineq_w),
-        (eq_w, ineq_w[:-1] + (Fraction(7),)),
-    ):
-        got = lin.combination(spec.signs, *changed, memo)
-        assert got == naive_combination(lin, spec.signs, *changed) != first
-    with pytest.raises(ValueError, match="cone rows"):
-        lin.combination(spec.signs, eq_w[1:], ineq_w, memo)
+@pytest.mark.parametrize("gradient", [[0, 0], [0, 1]])
+def test_branch_certificate_check_with_no_rows(gradient):
+    # no switch and no constraint: the one branch has no row, so only a zero
+    # gradient is the empty combination
+    p = AbsNormalProgram(n_t=2, s=0, m1=0, m2=0, f=affine(2, 0, gradient), c_e=(), c_i=(), c_z=())
+    expected = [] if gradient == [0, 0] else ["dual combination does not reproduce the gradient"]
+    for lin, _ in linearizations(p, evaluate(p, zero_vec(2))):
+        (spec,) = lin.specs()
+        assert (lin.n_eq, lin.n_ineq) == (0, 0)
+        cert = BranchDualCertificate(spec.label, (), ())
+        assert verify_branch_certificate(lin, spec.signs, cert) == expected
 
 
 def test_linearization_rejects_an_infeasible_anchor_like_the_branch_cone(e1):

@@ -3,6 +3,8 @@
 ``RationalTableau`` is the ``Fraction`` tableau that ``ratmath.lp`` used
 before its rows became integer lists, kept here as the reference, unchanged
 but for its name and without the phase two that ``ratmath.lp`` dropped later.
+It still pivots the basic artificials out after a feasible phase one, which
+``ratmath.lp`` no longer does: those pivots are degenerate, so the points agree.
 Both are driven through the same ``lp_solve`` by swapping ``lp._Tableau``, so
 equal ``repr(LpResult)`` means the same pivots led to the same verdicts and
 certificates.
