@@ -22,7 +22,6 @@ import functools
 import sys
 import types
 import typing
-from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring
@@ -64,7 +63,6 @@ from .stationarity import (
     multiplier_system,
     translate_b_verdict,
     translate_m_verdict,
-    verify_branch_certificate,
     verify_multiplier_verdict,
 )
 from .transforms import (
@@ -356,7 +354,11 @@ def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) 
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
-            out["b-mpcc"] = translate_b_verdict(b_anf, system, counterpart_system, *counterpart)
+            out["b-mpcc"] = (
+                translate_m_verdict(b_anf, system, counterpart_system, "b-mpcc")
+                if b_anf.status == HOLDS
+                else translate_b_verdict(b_anf, *counterpart)
+            )
     return out
 
 
@@ -576,47 +578,30 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
         return [f"{prefix}: point is not feasible, so no branch rechecks"]
     errors: list[str] = []
     form = ABS_I if kind.endswith("-anf") else MPCC_I
-    b_holds = kind.startswith("b-") and status == HOLDS
-    if b_holds and (verdict.multipliers is None) == (not verdict.branch_certificates):
-        errors.append(f"{prefix}: a B Holds carries either multipliers or branch certificates, not both or neither")
-    elif kind.startswith("m-") or (b_holds and verdict.multipliers is not None):
-        # an M verdict, or a B Holds by strong multipliers: substitution and signs, no branch
+    if kind.startswith("m-") or status == HOLDS:
+        # an M verdict or a B Holds: substitution in the multiplier system, no branch
         for msg in verify_multiplier_verdict(systems(form), verdict):
             # a message about one case prefix follows the verdict name directly
             errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
-    elif status not in (HOLDS, FAILS):
+    elif status != FAILS:
         errors.append(f"{prefix}: a B-stationarity verdict holds or fails, not {status!r}")
     else:
-        # every branch cone and certificate is checked on the point's one linearization
+        # only a B Fails reads the linearization: its failing branch's cone
         lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
-        if status == HOLDS:
-            by_label = {spec.label: spec for spec in lin.specs(pa.branch_cap)}
-            named = Counter(cert.branch for cert in verdict.branch_certificates)
-            for label in by_label:
-                if named[label] != 1:
-                    errors.append(f"{prefix}: branch {label} has {named[label]} certificates, expected 1")
-            for cert in verdict.branch_certificates:
-                spec = by_label.get(cert.branch)
-                if spec is None:
-                    errors.append(f"{prefix}: certificate for unknown branch {cert.branch!r}")
-                    continue
-                for msg in verify_branch_certificate(lin, spec.signs, cert):
-                    errors.append(f"{prefix} branch {cert.branch}: {msg}")
-        else:
-            label = verdict.failing_branch
-            kind_of_label = "signature" if kind == "b-anf" else "partition"
-            spec = parse_branch_label(label, kind_of_label, lin.base)
-            if spec is None:
-                return [f"{prefix}: unknown failing branch {label!r}"]
-            descent = verdict.descent
-            if descent is None:
-                return [f"{prefix}: descent missing"]
-            if len(descent) != len(lin.gradient):
-                return [f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}"]
-            if not lin.cone(spec.signs).contains(primitive_integer(descent)):
-                errors.append(f"{prefix}: descent direction is not linearized-feasible")
-            if dot(lin.gradient, descent) >= 0:
-                errors.append(f"{prefix}: descent direction does not descend")
+        label = verdict.failing_branch
+        kind_of_label = "signature" if kind == "b-anf" else "partition"
+        spec = parse_branch_label(label, kind_of_label, lin.base)
+        if spec is None:
+            return [f"{prefix}: unknown failing branch {label!r}"]
+        descent = verdict.descent
+        if descent is None:
+            return [f"{prefix}: descent missing"]
+        if len(descent) != len(lin.gradient):
+            return [f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}"]
+        if not lin.cone(spec.signs).contains(primitive_integer(descent)):
+            errors.append(f"{prefix}: descent direction is not linearized-feasible")
+        if dot(lin.gradient, descent) >= 0:
+            errors.append(f"{prefix}: descent direction does not descend")
     return errors
 
 

@@ -8,7 +8,8 @@ branch, which the branch decomposition makes canonical.  Every branch
 linearized cone comes from one linearization of its formulation at the point
 (``linearize_anf``, ``linearize_mpcc``), which evaluates each constraint
 gradient once for all branches and also gives each branch's exact, unscaled
-rows (``BranchLinearization.rows``) to the descent LP and to printing.
+rows (``BranchLinearization.rows``) to the descent LP of a branch that fails
+B-stationarity and to printing.
 
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
@@ -400,7 +401,8 @@ class BranchLinearization:
 
     def rows(self, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """The exact (eq, ineq) rows of the branch ``signs``, unscaled, for the
-        B descent LP, whose Farkas rays weight them, and for printing."""
+        descent LP of a branch that fails B-stationarity, whose point is
+        reported, and for printing."""
         eq, ineq = self._branch_rows(
             signs, [(g, 1) for g in self.eq_grads], [(g, 1) for g in self.ineq_grads], ZERO
         )
@@ -493,6 +495,6 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
             ineq_rhs=(ONE,) * len(ineq),
         )
         res = lp_solve(problem)
-        if res.status == "feasible":
+        if res.status == FEASIBLE:
             return lin, TangentCertificate(TANGENT_MFCQ, strict_point=res.certificate.point)
     return None, TangentCertificate(TANGENT_UNKNOWN)

@@ -29,22 +29,27 @@ data (``_anf_system``, ``_mpcc_system``).  The M check runs once;
 form's system, so a disagreement is a RuntimeError, never a verdict.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
-contains a first-order descent direction.  Strong stationarity implies it
-(Scheel & Scholtes 2000), so strong-stationary multipliers -- the M
-certificate itself when its degenerate pair multipliers are nonnegative, none
-when it is the only candidate and they are not, else one LP -- are a Holds
-certificate on their own, checked once by substitution
-and by those signs (``verify_multiplier_verdict``); no branch is enumerated.
-Only without them does the check solve one descent LP per branch, the
-feasibility of ``E d = 0, I d >= 0, -gradient . d >= 1``, stopping at the
-first feasible one, whose point is the descent.  A Holds then carries one
-dual-cone membership certificate per branch, read off each Farkas ray.  As for M, the counterpart's verdict is the
-abs-normal one translated and re-checked there (``translate_b_verdict``).
+contains a first-order descent direction.  By Farkas' lemma a branch has
+none exactly when the same system has multipliers whose pair multiplier is
+nonnegative on the side the branch resolves each degenerate pair to (the
+cases ``pair-u>=0`` and ``pair-v>=0``); strong stationarity, both pair
+multipliers nonnegative (Scheel & Scholtes 2000), closes every branch at
+once.  So B is one depth-first search over prefixes of the degenerate pairs,
+the pair-by-pair branching of LPCC branch-and-bound (Hu, Mitchell, Pang,
+Bennett & Kunapuli 2008): a prefix fixes the sides of its pairs and keeps
+both pair multipliers of the later ones nonnegative, and a feasible prefix
+closes its whole subtree.  Known multipliers are tried by their signs before
+any LP (``check_b_stationary``).  A Holds lists the closed prefixes, each
+with its point, rechecked and translated as an M verdict is
+(``verify_multiplier_verdict``, ``translate_m_verdict``).  The first branch
+that no prefix closes fails, and its descent LP's point is the descent
+direction, split into the counterpart's coordinates (``translate_b_verdict``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -54,7 +59,7 @@ from .cq import FAILS, HOLDS
 from .ratmath import (
     FEASIBLE,
     INFEASIBLE,
-    KIND_FARKAS,
+    KIND_POINT,
     ONE,
     ZERO,
     LpCertificate,
@@ -72,7 +77,6 @@ from .ratmath import (
 from .ratmath.matrix import integer_rank, integer_row
 from .transforms import (
     DEFAULT_BRANCH_CAP,
-    BranchSpec,
     MpccPoint,
     MpccProgram,
     parse_branch_label,
@@ -85,6 +89,10 @@ CASE_U_ZERO = "pair-u=0"
 CASE_V_ZERO = "pair-v=0"
 CASE_BOTH_POSITIVE = "pair-both>0"
 CASES = (CASE_U_ZERO, CASE_V_ZERO, CASE_BOTH_POSITIVE)
+# the sides of a B branch, + then -: that pair multiplier >= 0, the other free
+CASE_U_NONNEGATIVE = "pair-u>=0"
+CASE_V_NONNEGATIVE = "pair-v>=0"
+SIDES = (CASE_U_NONNEGATIVE, CASE_V_NONNEGATIVE)
 
 
 class CaseLimitError(RuntimeError):
@@ -114,13 +122,6 @@ class CaseOutcome:
 
 
 @dataclass(frozen=True)
-class BranchDualCertificate:
-    branch: str
-    dual_eq: Vec
-    dual_ineq: Vec
-
-
-@dataclass(frozen=True)
 class StationarityVerdict:
     # the report writes the fields by name, in this order
     kind: str  # "m-anf" | "m-mpcc" | "b-anf" | "b-mpcc"
@@ -129,8 +130,7 @@ class StationarityVerdict:
     case: tuple[str, ...] | None = None
     failing_branch: str | None = None
     descent: Vec | None = None
-    branch_certificates: tuple[BranchDualCertificate, ...] = ()
-    failed_cases: tuple[CaseOutcome, ...] = ()
+    closed_cases: tuple[CaseOutcome, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +190,11 @@ class _MultiplierSystem:
     def root(self) -> LpProblem:
         """The case LP of the empty prefix, which relaxes every assignment."""
         return build_case_problem(self, ())
+
+    @functools.cached_property
+    def root_result(self) -> LpResult:
+        """The root LP's result, solved once for the M and the B check."""
+        return lp_solve(self.root)
 
     @functools.cached_property
     def fixes_multipliers(self) -> bool:
@@ -332,6 +337,10 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
             eq.append(system.pair_v[i])
         elif case == CASE_BOTH_POSITIVE:
             ineq += (system.pair_u[i], system.pair_v[i])
+        elif case == CASE_U_NONNEGATIVE:
+            ineq.append(system.pair_u[i])
+        elif case == CASE_V_NONNEGATIVE:
+            ineq.append(system.pair_v[i])
         else:
             raise ValueError(f"unknown case {case!r}")
     return LpProblem(
@@ -357,9 +366,9 @@ def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
     if not system.degenerate or not system.fixes_multipliers:
         return _case_search(system, kind)  # with k == 0 its only LP is the root
     _check_case_cap(0, system)
-    res = lp_solve(system.root)
+    res = system.root_result
     if res.status != FEASIBLE:
-        return StationarityVerdict(kind, FAILS, failed_cases=(CaseOutcome((), res.certificate),))
+        return StationarityVerdict(kind, FAILS, closed_cases=(CaseOutcome((), res.certificate),))
     ms = _multipliers_from_lam(system, res.certificate.point)
     assignment = tuple(_first_case(ms.mu_u[i], ms.mu_v[i]) for i in system.degenerate)
     if None not in assignment:
@@ -391,7 +400,7 @@ def _check_case_cap(solved: int, system: _MultiplierSystem) -> None:
 def _holds(
     system: _MultiplierSystem, kind: str, assignment: tuple[str, ...], ms: MultiplierSet
 ) -> StationarityVerdict:
-    errors = verify_multipliers(system, ms)
+    errors = _verify_m_multipliers(system, ms)
     if errors:
         raise RuntimeError(f"holds certificate failed self-check: {errors}")
     return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
@@ -408,8 +417,8 @@ def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> Stati
         nonlocal solved
         _check_case_cap(solved, system)
         solved += 1
-        res = lp_solve(build_case_problem(system, prefix))
-        if res.status != "feasible":
+        res = lp_solve(build_case_problem(system, prefix)) if prefix else system.root_result
+        if res.status != FEASIBLE:
             failed.append(CaseOutcome(prefix, res.certificate))
             return None
         if len(prefix) == k:
@@ -426,14 +435,14 @@ def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> Stati
     # the root LP relaxes every case, so it decides nothing unless k == 0
     found = first_feasible(()) if k == 0 else first_feasible_child(())
     if found is None:
-        return StationarityVerdict(kind, FAILS, failed_cases=tuple(failed))
+        return StationarityVerdict(kind, FAILS, closed_cases=tuple(failed))
     assignment, lam = found
     return _holds(system, kind, assignment, _multipliers_from_lam(system, lam))
 
 
-def uncovered_case(prefixes, k: int) -> tuple[str, ...] | None:
-    """The first full case assignment over ``k`` degenerate indices that no
-    prefix in ``prefixes`` covers, or None when they cover all 3^k."""
+def uncovered_case(prefixes, k: int, cases: tuple[str, ...]) -> tuple[str, ...] | None:
+    """The first full assignment of ``cases`` over ``k`` degenerate indices
+    that no prefix in ``prefixes`` covers, or None when they cover them all."""
     closed = set(prefixes)
 
     def hole(prefix: tuple[str, ...]) -> tuple[str, ...] | None:
@@ -441,7 +450,7 @@ def uncovered_case(prefixes, k: int) -> tuple[str, ...] | None:
             return None
         if len(prefix) == k:
             return prefix
-        for case in CASES:
+        for case in cases:
             found = hole(prefix + (case,))
             if found is not None:
                 return found
@@ -455,7 +464,9 @@ def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
 
 
 def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
-    """Re-check an M-stationarity certificate by substitution."""
+    """Re-check multipliers by substitution in the rows that every case of
+    the system shares; an M certificate adds the sign disjunction
+    (``_verify_m_multipliers``), a B case its sides (``_sign_violations``)."""
     lengths = [len(ms.lam_e), len(ms.lam_i), len(ms.lam_z), len(ms.mu_u), len(ms.mu_v)]
     if lengths != [system.m1, system.m2, system.s, system.s, system.s]:
         return [f"multiplier lengths {lengths} do not fit the system's {system.m1}, {system.m2} and {system.s}"]
@@ -476,16 +487,23 @@ def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str
     for i in system.fixed_pair_v_zero:
         if ms.mu_v[i] != 0:
             errors.append(f"pair multiplier v[{i}] must vanish (strictly negative side)")
-    for i in system.degenerate:
-        a, b = ms.mu_u[i], ms.mu_v[i]
-        if not ((a > 0 and b > 0) or a * b == 0):
-            errors.append(f"degenerate pair {i} violates the sign disjunction")
     if any(x < 0 for x in ms.lam_i):
         errors.append("negative inequality multiplier")
     for k in system.inactive_i:
         if ms.lam_i[k] != 0:
             errors.append(f"inactive inequality {k} has a nonzero multiplier")
     return errors
+
+
+def _verify_m_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
+    """An M certificate's check: ``verify_multipliers``, and the sign
+    disjunction of each degenerate pair when the pair multipliers fit."""
+    fits = len(ms.mu_u) == len(ms.mu_v) == system.s
+    return verify_multipliers(system, ms) + [
+        f"degenerate pair {i} violates the sign disjunction"
+        for i in system.degenerate
+        if fits and _first_case(ms.mu_u[i], ms.mu_v[i]) is None
+    ]
 
 
 def check_m_stationary_mpcc(mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
@@ -511,39 +529,48 @@ def multiplier_system(program, point) -> _MultiplierSystem:
 
 def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
     """Re-check a verdict that rests on the multiplier system, in ``system``
-    by substitution: the multipliers of an M Holds, and of a B Holds by strong
-    stationarity, whose degenerate pair multipliers must also be
-    nonnegative; for an M Fails each prefix's LP certificate (messages start
-    ``case [...]``) and that the prefixes cover all 3^k assignments."""
-    if verdict.status == HOLDS:
+    by substitution: the multipliers of an M Holds; the closed case prefixes
+    of an M Fails, each with the Farkas ray of its case LP, and of a B Holds,
+    each with a point of its case LP, checked on the integer rows with the
+    signs of its sides (messages start ``case [...]``); and that the
+    prefixes cover every full assignment of their cases."""
+    b_holds = verdict.kind.startswith("b-") and verdict.status == HOLDS
+    if verdict.status == HOLDS and not b_holds:
         ms = verdict.multipliers
-        if ms is None:
-            return ["holds without multipliers"]
-        errors = verify_multipliers(system, ms)
-        if verdict.kind.startswith("b-") and not errors:
-            errors = [
-                f"degenerate pair {i} has a negative multiplier, so it is not strongly stationary"
-                for i in system.degenerate
-                if ms.mu_u[i] < 0 or ms.mu_v[i] < 0
-            ]
-        return errors
-    if verdict.status != FAILS:
+        return ["holds without multipliers"] if ms is None else _verify_m_multipliers(system, ms)
+    if verdict.status != FAILS and not b_holds:
         return [f"an M-stationarity verdict holds or fails, not {verdict.status!r}"]
+    cases, noun = (SIDES, "closed") if b_holds else (CASES, "failed")
+    k = len(system.degenerate)
     errors = []
     closed = []
-    for outcome in verdict.failed_cases:
-        where = f"case {list(outcome.assignment)}"
-        try:
-            problem = build_case_problem(system, outcome.assignment)
-        except ValueError as exc:
-            errors.append(f"{where}: {exc}")
-            continue
-        closed.append(outcome.assignment)
-        result = LpResult(INFEASIBLE, outcome.certificate)
-        errors.extend(f"{where}: {msg}" for msg in verify_certificate(problem, result))
-    hole = uncovered_case(closed, len(system.degenerate))
+    for outcome in verdict.closed_cases:
+        assignment, cert = outcome.assignment, outcome.certificate
+        where = f"case {list(assignment)}"
+        unknown = next((case for case in assignment if case not in cases), None)
+        if len(assignment) > k:
+            errors.append(f"{where}: case assignment of length {len(assignment)} exceeds the {k} degenerate indices")
+        elif unknown is not None:
+            errors.append(f"{where}: unknown case {unknown!r}")
+        elif not b_holds:
+            result = LpResult(INFEASIBLE, cert)
+            errors.extend(f"{where}: {msg}" for msg in verify_certificate(build_case_problem(system, assignment), result))
+        elif cert.kind != KIND_POINT or cert.point is None:
+            errors.append(f"{where}: feasible verdict without a point certificate")
+        elif len(cert.point) != system.n_unknowns:
+            errors.append(f"{where}: point has {len(cert.point)} entries, expected {system.n_unknowns}")
+        else:
+            ms = _multipliers_from_lam(system, cert.point)
+            errors.extend(f"{where}: {msg}" for msg in verify_multipliers(system, ms))
+            errors.extend(
+                f"{where}: pair multiplier {name} must be nonnegative"
+                for name in _sign_violations(system, assignment, ms.mu_u, ms.mu_v)
+            )
+        if len(assignment) <= k and unknown is None:
+            closed.append(assignment)
+    hole = uncovered_case(closed, k, cases)
     if hole is not None:
-        errors.append(f"no failed case covers the case assignment {list(hole)}")
+        errors.append(f"no {noun} case covers the case assignment {list(hole)}")
     return errors
 
 
@@ -554,16 +581,17 @@ def translate_m_verdict(
     kind: str,
 ) -> StationarityVerdict:
     """The other form's verdict from this form's multiplier certificate (an M
-    verdict, or a B Holds by strong stationarity): Holds keeps lam and
-    re-derives the pair multipliers in ``system_to``, Fails keeps its
-    prefixes.  Invalid in ``system_from`` is a ValueError; invalid in
-    ``system_to`` means the two derivations disagree, a RuntimeError."""
+    verdict or a B Holds): an M Holds keeps lam and re-derives the pair
+    multipliers in ``system_to``, the closed prefixes stay as they are, lam
+    being the same unknowns in both systems.  Invalid in ``system_from`` is a
+    ValueError; invalid in ``system_to`` means the two derivations disagree,
+    a RuntimeError."""
     errors = verify_multiplier_verdict(system_from, verdict)
     if errors:
         raise ValueError("source certificate is not valid: " + "; ".join(errors))
     out = replace(verdict, kind=kind)
-    if verdict.status == HOLDS:
-        ms = verdict.multipliers
+    ms = verdict.multipliers
+    if ms is not None:
         out = replace(out, multipliers=_multipliers_from_lam(system_to, ms.lam_e + ms.lam_i + ms.lam_z))
     errors = verify_multiplier_verdict(system_to, out)
     if errors:
@@ -575,30 +603,16 @@ def translate_m_verdict(
 # B-stationarity on the branch linearized cones
 
 
-def _strong_multipliers(
-    system: _MultiplierSystem, m_verdict: StationarityVerdict | None
-) -> MultiplierSet | None:
-    """Strong-stationary multipliers, or None when there are none.
-
-    An M certificate whose degenerate pair multipliers are all >= 0 is one and
-    costs no LP; a failed M verdict rules them out, since S implies M, and so
-    does any other M certificate when the system fixes the multipliers, since
-    it is then the only candidate.  Otherwise one LP decides: strong
-    stationarity (Scheel & Scholtes 2000) is the case with both pair
-    multipliers of every degenerate switch nonnegative.
-    """
-    if m_verdict is not None:
-        if m_verdict.status != HOLDS:
-            return None
-        ms = m_verdict.multipliers
-        if all(ms.mu_u[i] >= 0 and ms.mu_v[i] >= 0 for i in system.degenerate):
-            return ms
-        if system.fixes_multipliers:
-            return None
-    res = lp_solve(build_case_problem(system, (CASE_BOTH_POSITIVE,) * len(system.degenerate)))
-    if res.status != FEASIBLE:
-        return None
-    return _multipliers_from_lam(system, res.certificate.point)
+def _sign_violations(system: _MultiplierSystem, assignment: tuple[str, ...], mu_u: Vec, mu_v: Vec):
+    """The pair multipliers, as ``u[i]``/``v[i]``, that a point of the B case
+    prefix ``assignment`` keeps nonnegative but that are negative: the side
+    each fixed pair resolves to, and both sides of every later pair."""
+    for j, i in enumerate(system.degenerate):
+        side = assignment[j] if j < len(assignment) else None
+        if side != CASE_V_NONNEGATIVE and mu_u[i] < 0:
+            yield f"u[{i}]"
+        if side != CASE_U_NONNEGATIVE and mu_v[i] < 0:
+            yield f"v[{i}]"
 
 
 def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpProblem:
@@ -607,9 +621,10 @@ def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpPr
     (``BranchLinearization.rows``).
 
     By Farkas' lemma (Schrijver 1986, ch. 7) this system is infeasible
-    exactly when ``gradient = E^T y + I^T lam`` for some ``lam >= 0``: its
-    Farkas ray ``(y, (lam, mu))`` has ``mu > 0``, and ``(y / mu, lam / mu)``
-    is the branch's certificate."""
+    exactly when ``gradient = E^T y + I^T lam`` for some ``lam >= 0``, that is
+    when the branch's case LP in the multiplier system is feasible.  So it is
+    solved only for a branch whose case LP is not, and its point is the
+    descent."""
     eq, ineq = lin.rows(signs)
     return LpProblem(
         n_vars=lin.dim,
@@ -618,26 +633,6 @@ def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpPr
         ineq_rows=ineq + (vec_neg(lin.gradient),),
         ineq_rhs=zero_vec(len(ineq)) + (ONE,),
     )
-
-
-def _check_b_over_branches(lin: BranchLinearization, specs, kind: str) -> StationarityVerdict:
-    """One descent LP per branch, in order; stops at the first descent, so
-    ``specs`` may be a generator that makes each branch on demand."""
-    certificates = []
-    for spec in specs:
-        res = lp_solve(_branch_descent_lp(lin, spec.signs))
-        cert = res.certificate
-        if res.status == FEASIBLE:
-            if dot(lin.gradient, cert.point) >= 0:
-                raise RuntimeError(f"branch {spec.label}: the descent LP's point does not descend")
-            return StationarityVerdict(kind, FAILS, failing_branch=spec.label, descent=cert.point)
-        *lam, mu = cert.dual_ineq
-        if mu <= 0:
-            raise RuntimeError(f"branch {spec.label}: the Farkas ray's descent-row weight {mu} is not positive")
-        certificates.append(
-            BranchDualCertificate(spec.label, tuple(y / mu for y in cert.dual_eq), tuple(x / mu for x in lam))
-        )
-    return StationarityVerdict(kind, HOLDS, branch_certificates=tuple(certificates))
 
 
 def check_b_stationary(
@@ -654,14 +649,18 @@ def check_b_stationary(
     is the point's M-stationarity verdict in the same form, when already
     known, and ``system`` its ``multiplier_system``, when already built.
 
-    A Holds carries strong-stationary multipliers when there are any, checked
-    by ``verify_multiplier_verdict`` with no branch built.  Only when none
-    exist does the check solve one descent LP per branch
-    (``_branch_descent_lp``), making the branches lazily and stopping at the
-    first descent: a Holds then carries one dual-cone membership certificate
-    per branch, a Fails the violating branch and an explicit descent
-    direction.  Every branch cone comes from one
-    linearization; the branch cap applies on either route.
+    The search runs depth first over prefixes of the degenerate pairs, +
+    before - and the first pair slowest, which is branch order.  A prefix's
+    case LP fixes the side of its pairs and keeps both pair multipliers of
+    the later ones nonnegative, so a feasible prefix closes every branch
+    below it.  Before any LP a prefix tries the known candidates, which
+    solve the root's rows, by the signs of their pair multipliers: the M
+    certificate, or the root LP's point when the system fixes the
+    multipliers, which then decides every prefix with no further LP.  A
+    failed M verdict closes no root, since S implies M.  The first branch
+    that no prefix closes fails, with the point of its descent LP
+    (``_branch_descent_lp``); a Holds lists the closed prefixes, each with
+    its point.  The branch cap is checked at the call.
     """
     linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
     lin = linearize(program, point)
@@ -669,90 +668,70 @@ def check_b_stationary(
     kind = "b-" + lin.form
     if system is None:
         system = multiplier_system(program, point)
-    ms = _strong_multipliers(system, m_verdict)
-    if ms is None:
-        return _check_b_over_branches(lin, specs, kind)
-    verdict = StationarityVerdict(kind, HOLDS, multipliers=ms)
-    errors = verify_multiplier_verdict(system, verdict)
-    if errors:
-        raise RuntimeError(f"strong-stationarity certificate failed self-check: {errors}")
-    return verdict
+    k = len(system.degenerate)
+    if m_verdict is not None and m_verdict.status == HOLDS:
+        ms = m_verdict.multipliers
+        candidates = [ms.lam_e + ms.lam_i + ms.lam_z]
+    elif system.fixes_multipliers and system.root_result.status == FEASIBLE:
+        candidates = [system.root_result.certificate.point]
+    else:
+        candidates = []
+    candidates = [(lam, system.pair_values(lam)) for lam in candidates]
+    closed: list[CaseOutcome] = []
 
+    def close(prefix: tuple[str, ...]) -> bool:
+        """Whether ``prefix``'s case LP is feasible, its point recorded if so."""
+        for lam, pairs in candidates:
+            if next(_sign_violations(system, prefix, *pairs), None) is None:
+                closed.append(CaseOutcome(prefix, LpCertificate(KIND_POINT, point=lam)))
+                return True
+        if system.fixes_multipliers or (not prefix and m_verdict is not None and m_verdict.status != HOLDS):
+            return False
+        res = lp_solve(build_case_problem(system, prefix + (CASE_BOTH_POSITIVE,) * (k - len(prefix)))) if k else system.root_result
+        if res.status == FEASIBLE:
+            closed.append(CaseOutcome(prefix, res.certificate))
+        return res.status == FEASIBLE
 
-def translate_b_verdict(
-    verdict: StationarityVerdict,
-    system_from: _MultiplierSystem,
-    system_to: _MultiplierSystem,
-    mp: MpccProgram,
-    point: MpccPoint,
-) -> StationarityVerdict:
-    """The counterpart's B verdict from the abs-normal one, re-checked by
-    substitution in the counterpart.
+    def first_open(prefix: tuple[str, ...]) -> tuple[str, ...] | None:
+        """The first branch below ``prefix`` that no feasible prefix closes."""
+        if close(prefix):
+            return None
+        if len(prefix) == k:
+            return prefix
+        return next(filter(None, (first_open(prefix + (side,)) for side in SIDES)), None)
 
-    ``system_from`` and ``system_to`` are the multiplier systems of the
-    abs-normal form and of ``mp`` at ``point``.  Strong multipliers translate
-    as an M certificate does (``translate_m_verdict``).  A branch certificate
-    keeps its weights of the constraint rows, which give (lam_e, lam_i,
-    lam_z); the pair multipliers re-derived from them in ``system_to`` weight
-    the pair rows of the corresponding counterpart branch.  Fails: the descent
-    direction is split (``split_direction``) on the failing branch.
-    A source that is not valid or names no branch is a ValueError; a
-    translation that fails its check means the two forms disagree, a
-    RuntimeError.
-    """
-    if verdict.multipliers is not None:
-        return translate_m_verdict(verdict, system_from, system_to, "b-mpcc")
-    lin = linearize_mpcc(mp, point)
-    base = point.base_signature
-
-    def counterpart_spec(label: str) -> BranchSpec:
-        spec = parse_branch_label(label, "signature", base)
-        if spec is None:
-            raise ValueError(f"source verdict names no abs-normal branch: {label!r}")
-        return replace(spec, kind="partition")
-
-    if verdict.status == FAILS:
-        spec = counterpart_spec(verdict.failing_branch)
-        descent = split_direction(mp.n_x, spec.signs, verdict.descent)
-        if not lin.cone(spec.signs).contains(primitive_integer(descent)) or dot(lin.gradient, descent) >= 0:
-            raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
-        return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)
-    m1 = system_to.m1
-    active = [k for k in range(system_to.m2) if k not in system_to.inactive_i]
-    certificates = []
-    for cert in verdict.branch_certificates:
-        if len(cert.dual_eq) != m1 + system_to.s or len(cert.dual_ineq) != len(active) + len(lin.degenerate):
-            raise ValueError(f"source certificate of branch {cert.branch} has the wrong length")
-        spec = counterpart_spec(cert.branch)
-        active_weights = dict(zip(active, cert.dual_ineq))
-        lam_i = tuple(active_weights.get(k, ZERO) for k in range(system_to.m2))
-        ms = _multipliers_from_lam(system_to, vec_neg(cert.dual_eq[:m1]) + lam_i + vec_neg(cert.dual_eq[m1:]))
-        signs = spec.signs
-        mapped = BranchDualCertificate(
-            spec.label,
-            cert.dual_eq + tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs)),
-            cert.dual_ineq[: len(active)] + tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate),
-        )
-        errors = verify_branch_certificate(lin, signs, mapped)
+    branch = first_open(())
+    if branch is None:
+        verdict = StationarityVerdict(kind, HOLDS, closed_cases=tuple(closed))
+        errors = verify_multiplier_verdict(system, verdict)
         if errors:
-            raise RuntimeError(f"translated B certificate failed the counterpart: branch {spec.label}: {errors}")
-        certificates.append(mapped)
-    return replace(verdict, kind="b-mpcc", branch_certificates=tuple(certificates))
+            raise RuntimeError(f"B-stationarity certificate failed self-check: {errors}")
+        return verdict
+    # the branch's place in branch order, its pairs read as binary digits
+    index = sum(2 ** (k - 1 - j) for j, side in enumerate(branch) if side == CASE_V_NONNEGATIVE)
+    spec = next(itertools.islice(specs, index, None))
+    res = lp_solve(_branch_descent_lp(lin, spec.signs))
+    if res.status != FEASIBLE:
+        raise RuntimeError(f"branch {spec.label}: no multipliers close it, yet its descent LP is infeasible")
+    if dot(lin.gradient, res.certificate.point) >= 0:
+        raise RuntimeError(f"branch {spec.label}: the descent LP's point does not descend")
+    return StationarityVerdict(kind, FAILS, failing_branch=spec.label, descent=res.certificate.point)
 
 
-def verify_branch_certificate(
-    lin: BranchLinearization, signs: tuple[int, ...], cert: BranchDualCertificate
-) -> list[str]:
-    """Substitution check of the dual certificate of the branch ``signs`` of
-    ``lin``: gradient = E^T y + I^T lam with lam >= 0 over that branch's rows,
-    that is ``(y, (lam, 1))`` is a Farkas ray of ``_branch_descent_lp``."""
-    if len(cert.dual_eq) != lin.n_eq or len(cert.dual_ineq) != lin.n_ineq:
-        return [
-            f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
-            f"{lin.n_eq} + {lin.n_ineq} cone rows"
-        ]
-    ray = LpCertificate(KIND_FARKAS, dual_eq=cert.dual_eq, dual_ineq=cert.dual_ineq + (ONE,))
-    findings = verify_certificate(_branch_descent_lp(lin, signs), LpResult(INFEASIBLE, ray))
-    # the ray's right-hand side is its descent-row weight 1, so a finding is a negative weight or a nonzero column
-    negative = "negative inequality weight"
-    return [negative if msg.startswith(negative) else "dual combination does not reproduce the gradient" for msg in findings]
+def translate_b_verdict(verdict: StationarityVerdict, mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
+    """The counterpart's B Fails from the abs-normal one: the descent direction
+    is split (``split_direction``) on the failing branch and re-checked there
+    by substitution.  A B Holds translates as an M verdict does
+    (``translate_m_verdict``).  A source that names no branch is a
+    ValueError; a translation that fails its check means the two forms
+    disagree, a RuntimeError.
+    """
+    spec = parse_branch_label(verdict.failing_branch, "signature", point.base_signature)
+    if spec is None:
+        raise ValueError(f"source verdict names no abs-normal branch: {verdict.failing_branch!r}")
+    spec = replace(spec, kind="partition")
+    lin = linearize_mpcc(mp, point)
+    descent = split_direction(mp.n_x, spec.signs, verdict.descent)
+    if not lin.cone(spec.signs).contains(primitive_integer(descent)) or dot(lin.gradient, descent) >= 0:
+        raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
+    return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)

@@ -12,8 +12,7 @@ come the slow, independent ways: from a built branch problem's own functions
 ``branch_is_affine`` for the affine certificate),
 or from the defining rows of
 the nonconvex linearized cones (``lin_cone_abs_direct``,
-``lin_cone_mpcc_direct``).  ``verify_branch_dual_certificate`` checks a B
-certificate against a built branch's rows, one column dot per coordinate.
+``lin_cone_mpcc_direct``).
 ``cone_equal`` is set equality of two cones, by containment both ways.
 ``on_rational_rows`` runs an integer kernel of ``ratmath.dd`` on rational
 rows and reads its output back as ``Fraction`` vectors, the form the kernel
@@ -25,9 +24,6 @@ for the position substitution ``transforms.to_mpcc`` makes.
 (from the constraint Jacobians) carry a tangent piece along the branch maps
 the slow, independent ways: the references for the pieces ``cq._carry`` makes
 from the target branch's own rows.
-``strong_branch_certificates`` is the S => B oracle: it maps strong-stationary
-multipliers onto the dual certificate of every branch, the construction a B
-Holds by strong stationarity stands for without listing it.
 ``eager_branch_rows`` are the branch cone's rows built eagerly in ``Fraction``
 rows, the reference for ``BranchLinearization.rows`` and, scaled to
 primitive integer rows, for the rows a branch cone makes on first read.
@@ -58,7 +54,6 @@ from absnormal.ratmath import (
     ZERO,
     RatMatrix,
     Vec,
-    dot,
     generators_to_hrep,
     primitive_integer,
     unit_vec,
@@ -67,7 +62,6 @@ from absnormal.ratmath import (
     vec_neg,
     zero_vec,
 )
-from absnormal.stationarity import BranchDualCertificate, MultiplierSet, verify_branch_certificate
 from absnormal.transforms import DEFAULT_BRANCH_CAP, BranchSpec, MpccPoint, MpccProgram, branch_specs
 
 
@@ -426,76 +420,6 @@ def compl_cone(point: MpccPoint) -> UnionCone:
         ) + "}"
         pieces.append((spec_label, PolyCone(dim, tuple(eq), tuple(ineq))))
     return UnionCone(tuple(pieces))
-
-
-def verify_branch_dual_certificate(
-    cert: BranchDualCertificate, rows: tuple[tuple[Vec, ...], tuple[Vec, ...]], gradient: Vec
-) -> list[str]:
-    """Substitution check over the exact (eq, ineq) rows ``rows`` (E, I):
-    gradient = E^T y + I^T lam with lam >= 0, one column dot per coordinate
-    over the rows of nonzero weight."""
-    eq, ineq = rows
-    if len(cert.dual_eq) != len(eq) or len(cert.dual_ineq) != len(ineq):
-        return [
-            f"{len(cert.dual_eq)} + {len(cert.dual_ineq)} weights for "
-            f"{len(eq)} + {len(ineq)} cone rows"
-        ]
-    errors = []
-    if any(x < 0 for x in cert.dual_ineq):
-        errors.append("negative inequality weight")
-    terms = [(w, row) for w, row in zip(cert.dual_eq + cert.dual_ineq, eq + ineq) if w]
-    if terms:
-        weights, weighted = zip(*terms)
-        combo = tuple(dot(weights, column) for column in zip(*weighted))
-    else:
-        combo = zero_vec(len(gradient))
-    if combo != tuple(gradient):
-        errors.append("dual combination does not reproduce the gradient")
-    return errors
-
-
-def row_weights(ms: MultiplierSet, system) -> tuple[Vec, Vec]:
-    """The weights that every branch certificate read off ``ms`` gives the
-    constraint rows of ``system``'s form: -lam_e and -lam_z, and lam_i on the
-    active inequalities."""
-    return (
-        tuple(-x for x in ms.lam_e + ms.lam_z),
-        tuple(x for k, x in enumerate(ms.lam_i) if k not in system.inactive_i),
-    )
-
-
-def branch_certificate(
-    lin: BranchLinearization, spec, ms: MultiplierSet, weights: tuple[Vec, Vec]
-) -> BranchDualCertificate:
-    """The dual certificate of branch ``spec`` of ``lin`` read off the multipliers.
-
-    The constraint rows take ``weights`` (``row_weights``), and the sign row of
-    each degenerate switch the pair multiplier of the side the branch resolves
-    it to.  On an mpcc branch, the row pinning the other side of each pair to
-    zero takes that side's pair multiplier.
-    """
-    signs = spec.signs
-    dual_eq, dual_ineq = weights
-    if lin.form == "mpcc":
-        dual_eq += tuple(ms.mu_v[i] if sg > 0 else ms.mu_u[i] for i, sg in enumerate(signs))
-    dual_ineq += tuple(ms.mu_u[i] if signs[i] > 0 else ms.mu_v[i] for i in lin.degenerate)
-    return BranchDualCertificate(spec.label, dual_eq, dual_ineq)
-
-
-def strong_branch_certificates(lin: BranchLinearization, system, ms: MultiplierSet) -> tuple[BranchDualCertificate, ...]:
-    """S => B (Scheel & Scholtes 2000): the certificate of every branch of
-    ``lin``, in ``lin.specs()`` order, read off the strong-stationary
-    multipliers ``ms`` of ``system`` (the same form and point).  Every branch
-    shares the constraint-row weights, so they are computed once; each
-    certificate must pass ``verify_branch_certificate``."""
-    weights = row_weights(ms, system)
-    out = []
-    for spec in lin.specs():
-        cert = branch_certificate(lin, spec, ms, weights)
-        errors = verify_branch_certificate(lin, spec.signs, cert)
-        assert errors == [], f"branch {spec.label}: certificate from the strong multipliers: {errors}"
-        out.append(cert)
-    return tuple(out)
 
 
 def mpcc_residuals(mp: MpccProgram, point: MpccPoint) -> tuple[Vec, Vec]:

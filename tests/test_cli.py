@@ -381,18 +381,18 @@ def test_maximizer_fails_with_three_top_prefixes_and_mutations_are_caught(tmp_pa
     pf = parse_problem(path)
     stat = report["points"][0]["stationarity"]
     for kind in ("m-anf", "m-mpcc"):
-        cases = stat[kind]["failed_cases"]
+        cases = stat[kind]["closed_cases"]
         assert [len(c["assignment"]) for c in cases] == [1, 1, 1]
         for i in range(len(cases)):
             dropped = copy.deepcopy(report)
-            del dropped["points"][0]["stationarity"][kind]["failed_cases"][i]
+            del dropped["points"][0]["stationarity"][kind]["closed_cases"][i]
             assert any("covers" in msg for msg in recheck_report(pf, dropped))
         farkas = [
             i for i, c in enumerate(cases) if c["certificate"]["kind"] == KIND_FARKAS
         ]
         assert farkas
         negated = copy.deepcopy(report)
-        cert = negated["points"][0]["stationarity"][kind]["failed_cases"][farkas[0]]["certificate"]
+        cert = negated["points"][0]["stationarity"][kind]["closed_cases"][farkas[0]]["certificate"]
         j = next(j for j, y in enumerate(cert["dual_eq"]) if y != "0")
         cert["dual_eq"][j] = str(-Fraction(cert["dual_eq"][j]))
         assert recheck_report(pf, negated)
@@ -699,24 +699,21 @@ def test_point_entry_with_an_unknown_label_is_a_named_recheck_error():
 
 
 def test_b_stationarity_recheck_needs_every_branch_once(tmp_path, capsys):
-    # a Holds with no strong multipliers lists one certificate per branch
+    # a Holds with no strong multipliers closes each branch by its own prefix;
+    # each one dropped leaves its branch uncovered
     path = write_problem(tmp_path, fallback_kinks_problem(1))
     pf = parse_problem(path)
     code, out, _ = run_cli(capsys, "check-stationarity", path, "--point", "origin", "--b", "--recheck")
     report = json.loads(out)
     assert report.pop("recheck")["errors"] == []
-    certificates = report["points"][0]["stationarity"]["b-anf"]["branch_certificates"]
-    assert len(certificates) == 2
-    dropped = copy.deepcopy(report)
-    del dropped["points"][0]["stationarity"]["b-anf"]["branch_certificates"][0]
-    assert recheck_report(pf, dropped) == [
-        f"point origin b-anf: branch {certificates[0]['branch']} has 0 certificates, expected 1"
-    ]
-    renamed = copy.deepcopy(report)
-    renamed["points"][0]["stationarity"]["b-anf"]["branch_certificates"][1]["branch"] = "σ=?"
-    errors = recheck_report(pf, renamed)
-    assert any("unknown branch 'σ=?'" in msg for msg in errors)
-    assert any(f"branch {certificates[1]['branch']} has 0 certificates" in msg for msg in errors)
+    cases = report["points"][0]["stationarity"]["b-anf"]["closed_cases"]
+    assert [case["assignment"] for case in cases] == [["pair-u>=0"], ["pair-v>=0"]]
+    for i, case in enumerate(cases):
+        dropped = copy.deepcopy(report)
+        del dropped["points"][0]["stationarity"]["b-anf"]["closed_cases"][i]
+        assert recheck_report(pf, dropped) == [
+            f"point origin b-anf: no closed case covers the case assignment {case['assignment']}"
+        ]
 
 
 def test_failed_self_check_exits_three_not_as_a_verdict(capsys, monkeypatch):
@@ -742,16 +739,24 @@ def forged_ray(problem):
     "forged, message",
     [
         (forged_point, "the descent LP's point does not descend"),
-        (forged_ray, "the Farkas ray's descent-row weight 0 is not positive"),
+        (forged_ray, "no multipliers close it, yet its descent LP is infeasible"),
     ],
     ids=["point-does-not-descend", "ray-without-descent-row"],
 )
 def test_branch_self_checks_exit_three_not_as_a_verdict(capsys, monkeypatch, forged, message):
-    # without strong multipliers every LP of a B check is a branch's descent
-    # LP; a result its own system contradicts is the tool's fault
-    monkeypatch.setattr(stationarity, "_strong_multipliers", lambda system, m_verdict: None)
-    monkeypatch.setattr(stationarity, "lp_solve", forged)
-    code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b")
+    # E1's shoulder fails B on its first branch, whose descent LP alone is
+    # forged; a result that the multiplier search contradicts is the tool's
+    # fault
+    descent_lps = []
+    real_descent_lp, real_lp_solve = stationarity._branch_descent_lp, stationarity.lp_solve
+
+    def recorded(lin, signs):
+        descent_lps.append(real_descent_lp(lin, signs))
+        return descent_lps[-1]
+
+    monkeypatch.setattr(stationarity, "_branch_descent_lp", recorded)
+    monkeypatch.setattr(stationarity, "lp_solve", lambda p: forged(p) if p in descent_lps else real_lp_solve(p))
+    code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
     assert (code, out) == (3, "")
     assert err == f"error: internal: branch σ=+: {message}\n"
 
@@ -802,21 +807,20 @@ def test_qualifications_decide_without_polar_double_description(tmp_path, capsys
 
 
 def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
-    # the strong-stationary multipliers of a B Holds are checked once by
-    # substitution; one wrong entry is the tool's own fault
-    real = stationarity._strong_multipliers
+    # the closed prefixes of a B Holds are checked once by substitution; one
+    # wrong pair multiplier derived from a point is the tool's own fault
+    real = stationarity._multipliers_from_lam
 
-    def corrupt_mu_v(system, m_verdict):
-        ms = real(system, m_verdict)
-        return ms and dataclasses.replace(ms, mu_v=(ms.mu_v[0] + 1,) + ms.mu_v[1:])
+    def corrupt_mu_v(system, lam):
+        ms = real(system, lam)
+        return dataclasses.replace(ms, mu_v=(ms.mu_v[0] + 1,) + ms.mu_v[1:])
 
-    monkeypatch.setattr(stationarity, "_strong_multipliers", corrupt_mu_v)
-    for argv in (("check-stationarity", "E1", "--point", "origin", "--b"), ("corpus", "run")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: internal: strong-stationarity certificate failed self-check")
-        assert "pair multiplier v[0] mismatch" in err
+    monkeypatch.setattr(stationarity, "_multipliers_from_lam", corrupt_mu_v)
+    for form in ("anf", "mpcc"):
+        code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--form", form)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: internal: B-stationarity certificate failed self-check")
+        assert "case []: pair multiplier v[0] mismatch" in err
 
 
 def rebind(monkeypatch, original, replacement) -> None:
@@ -871,7 +875,7 @@ def test_malformed_case_certificate_is_a_named_recheck_error(capsys):
         ("dual_ineq", ["1", "1"], "dual_ineq has 2 entries, expected 0"),
     ):
         tampered = copy.deepcopy(report)
-        tampered["points"][0]["stationarity"]["m-anf"]["failed_cases"][0]["certificate"][field] = value
+        tampered["points"][0]["stationarity"]["m-anf"]["closed_cases"][0]["certificate"][field] = value
         assert recheck_report(pf, tampered) == [f"point shoulder m-anf case []: {message}"]
 
 
@@ -912,8 +916,8 @@ def field_paths(node, path=()):
 
 
 def test_stationarity_mutations_are_recheck_errors_never_exceptions(tmp_path, capsys):
-    # each field of each stationarity entry of E1-E4, and of a B Holds by
-    # branch certificates, deleted or replaced by two seeded wrong values
+    # each field of each stationarity entry of E1-E4, and of a B Holds closed
+    # below the root, deleted or replaced by two seeded wrong values
     rng = random.Random(20180)
     problems = [(name, load_corpus_problem(name)) for name in ("E1", "E2", "E3", "E4")]
     fallback = write_problem(tmp_path, fallback_kinks_problem(2))
@@ -938,7 +942,7 @@ def test_stationarity_mutations_are_recheck_errors_never_exceptions(tmp_path, ca
                     named += bool(errors)
     # some edits name nothing: a zero put for a zero, a deleted verdict, the
     # case of an M Holds
-    assert mutations == 1626 and named >= 1553
+    assert mutations == 1602 and named >= 1535
 
 
 def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys):
@@ -1036,36 +1040,38 @@ def test_branches_does_not_check_annotations_but_check_cq_does(tmp_path, capsys)
 
 @pytest.mark.parametrize("kind", ["b-anf", "b-mpcc"])
 def test_one_branch_certificate_mutation_names_exactly_that_branch(tmp_path, capsys, kind):
-    # no strong multipliers: the descent LPs give each branch its own
-    # certificate, and those that resolve switch 1 differently differ
+    # no strong multipliers: each of the 8 branches is closed by its own
+    # prefix, with its own point, and those that resolve switch 1
+    # differently differ
     path = write_problem(tmp_path, fallback_kinks_problem(3))
     code, out, _ = run_cli(capsys, "check-stationarity", path, "--b", "--recheck")
     assert code == 0
     report = json.loads(out)
     assert report.pop("recheck")["errors"] == []
     pf = parse_problem(path)
-    certificates = report["points"][0]["stationarity"][kind]["branch_certificates"]
-    assert len(certificates) == 8
+    cases = report["points"][0]["stationarity"][kind]["closed_cases"]
+    assert len(cases) == 8 and all(len(case["assignment"]) == 3 for case in cases)
     victim, donor = 5, 1  # resolve switch 1 to different sides, share switches 2 and 3
-    label = certificates[victim]["branch"]
-    assert certificates[victim]["dual_ineq"] != certificates[donor]["dual_ineq"]
+    where = f"point origin {kind} case {cases[victim]['assignment']}"
+    assert cases[victim]["certificate"]["point"] != cases[donor]["certificate"]["point"]
 
-    def bump(values, j):
-        values[j] = str(Fraction(values[j]) + 1)
+    def bump(point):
+        point[0] = str(Fraction(point[0]) + 1)
 
     mutations = {
-        "shared-row weight": lambda c: bump(c["dual_eq"], 0),
-        "degenerate sign-row weight": lambda c: bump(c["dual_ineq"], len(c["dual_ineq"]) - 3),
-        "another branch's certificate": lambda c: c.update(
-            {key: list(certificates[donor][key]) for key in ("dual_eq", "dual_ineq")}
+        "shared-row multiplier": (bump, "Lagrangian gradient row does not vanish"),
+        "another branch's point": (
+            lambda point: point.__setitem__(slice(None), cases[donor]["certificate"]["point"]),
+            "pair multiplier v[0] must be nonnegative",
         ),
     }
-    for what, mutate in mutations.items():
+    for what, (mutate, message) in mutations.items():
         tampered = copy.deepcopy(report)
-        mutate(tampered["points"][0]["stationarity"][kind]["branch_certificates"][victim])
-        assert recheck_report(pf, tampered) == [
-            f"point origin {kind} branch {label}: dual combination does not reproduce the gradient"
-        ], what
+        mutate(tampered["points"][0]["stationarity"][kind]["closed_cases"][victim]["certificate"]["point"])
+        assert recheck_report(pf, tampered) == [f"{where}: {message}"], what
+
+
+B_BRANCHES = Path(__file__).resolve().parent / "problems" / "b-branches.json"
 
 
 def b_report(capsys, problem: str, *argv) -> dict:
@@ -1080,32 +1086,30 @@ def b_report(capsys, problem: str, *argv) -> dict:
 
 @pytest.mark.parametrize("kind", ["b-anf", "b-mpcc"])
 def test_strong_b_certificate_mutation_is_a_named_recheck_error(capsys, kind):
-    # E2's origin: B holds by strong multipliers, with two active inequalities
+    # E2's origin: B holds by strong multipliers, with two active
+    # inequalities: the root prefix closes every branch with one point
     pf = load_corpus_problem("E2")
     report = b_report(capsys, "E2")
-    assert set(report["points"][0]["stationarity"][kind]) == {"kind", "status", "multipliers"}
+    verdict = report["points"][0]["stationarity"][kind]
+    assert set(verdict) == {"kind", "status", "closed_cases"}
+    (root,) = verdict["closed_cases"]
+    assert root["assignment"] == []
     row = "Lagrangian gradient row does not vanish"
-    pair_u, pair_v = "pair multiplier u[0] mismatch", "pair multiplier v[0] mismatch"
-    expected = {
-        "lam_e": [row, pair_u, pair_v],
-        "lam_i": [row],
-        "lam_z": [row, pair_u, pair_v],
-        "mu_u": [pair_u],
-        "mu_v": [pair_v],
-    }
-    for field, messages in expected.items():
+    pair_u, pair_v = "pair multiplier u[0] must be nonnegative", "pair multiplier v[0] must be nonnegative"
+    # the point is (lam_e, lam_i, lam_z)
+    expected = [[row, pair_u, pair_v], [row], [row], [row, pair_u]]
+    for j, messages in enumerate(expected):
         tampered = copy.deepcopy(report)
-        values = tampered["points"][0]["stationarity"][kind]["multipliers"][field]
-        values[0] = str(Fraction(values[0]) + 1)
-        assert recheck_report(pf, tampered) == [f"point origin {kind}: {msg}" for msg in messages], field
-        del values[0]
-        (error,) = recheck_report(pf, tampered)
-        assert error.startswith(f"point origin {kind}: multiplier lengths "), field
+        point = tampered["points"][0]["stationarity"][kind]["closed_cases"][0]["certificate"]["point"]
+        point[j] = str(Fraction(point[j]) + 1)
+        assert recheck_report(pf, tampered) == [f"point origin {kind} case []: {msg}" for msg in messages], j
+        del point[j]
+        assert recheck_report(pf, tampered) == [f"point origin {kind} case []: point has 3 entries, expected 4"], j
 
 
 def test_m_certificate_is_not_a_strong_b_certificate(tmp_path, capsys):
     # M holds with the pair multiplier mu_v = -2: valid for M, but put in
-    # place of strong multipliers it must not pass for B
+    # place of the root's point it must not pass for B
     path = write_problem(tmp_path, fallback_kinks_problem(1))
     pf = parse_problem(path)
     code, out, _ = run_cli(capsys, "check-stationarity", path, "--recheck")
@@ -1114,36 +1118,26 @@ def test_m_certificate_is_not_a_strong_b_certificate(tmp_path, capsys):
     assert report.pop("recheck")["errors"] == []
     stat = report["points"][0]["stationarity"]
     for form in ("anf", "mpcc"):
-        assert stat[f"m-{form}"]["multipliers"]["mu_v"] == ["-2"]
+        ms = stat[f"m-{form}"]["multipliers"]
+        assert ms["mu_v"] == ["-2"]
         forged = copy.deepcopy(report)
         forged["points"][0]["stationarity"][f"b-{form}"] = {
             "kind": f"b-{form}",
             "status": "holds",
-            "multipliers": stat[f"m-{form}"]["multipliers"],
+            "closed_cases": [
+                {
+                    "assignment": [],
+                    "certificate": {"kind": "feasible-point", "point": ms["lam_e"] + ms["lam_i"] + ms["lam_z"]},
+                }
+            ],
         }
-        assert recheck_report(pf, forged) == [
-            f"point origin b-{form}: degenerate pair 0 has a negative multiplier, so it is not strongly stationary"
-        ]
-
-
-def test_b_holds_with_both_or_neither_certificate_is_a_recheck_error(tmp_path, capsys):
-    pf = load_corpus_problem("E1")
-    report = b_report(capsys, "E1", "--form", "anf")
-    fallback = b_report(capsys, write_problem(tmp_path, fallback_kinks_problem(1)), "--form", "anf")
-    both = copy.deepcopy(report)
-    verdict = both["points"][0]["stationarity"]["b-anf"]
-    verdict["branch_certificates"] = fallback["points"][0]["stationarity"]["b-anf"]["branch_certificates"]
-    neither = copy.deepcopy(report)
-    del neither["points"][0]["stationarity"]["b-anf"]["multipliers"]
-    for tampered in (both, neither):
-        assert recheck_report(pf, tampered) == [
-            "point origin b-anf: a B Holds carries either multipliers or branch certificates, not both or neither"
-        ]
+        assert recheck_report(pf, forged) == [f"point origin b-{form} case []: pair multiplier v[0] must be nonnegative"]
 
 
 def descent_route_random_program():
     """The first random program whose origin has a degenerate switch and is
-    B-stationary with no strong multipliers (the descent-LP route)."""
+    B-stationary with no strong multipliers, so the search closes its
+    branches below the root."""
     rng = random.Random(31337)
     while True:
         p = random_affine_program(rng, max_s=3)
@@ -1151,7 +1145,7 @@ def descent_route_random_program():
         if not e.is_feasible() or not e.alpha:
             continue
         verdict = stationarity.check_b_stationary(p, e)
-        if verdict.status == "holds" and verdict.multipliers is None:
+        if verdict.status == "holds" and all(outcome.assignment for outcome in verdict.closed_cases):
             return p
 
 
@@ -1161,79 +1155,114 @@ def test_descent_route_b_holds_end_to_end(tmp_path, capsys):
     path = write_problem(tmp_path, data)
     pf = parse_problem(path)
     report = b_report(capsys, path)
-    pa = analyze_point(pf.program, pf.points[0].t)
-    lins = {"b-anf": linearize_anf(pf.program, pa.point_eval), "b-mpcc": linearize_mpcc(*pa.anchor(MPCC_I))}
-    for kind, lin in lins.items():
+    for kind in ("b-anf", "b-mpcc"):
         verdict = report["points"][0]["stationarity"][kind]
         assert "multipliers" not in verdict
-        labels = [entry["branch"] for entry in verdict["branch_certificates"]]
-        assert labels == [spec.label for spec in lin.specs()] and len(labels) > 1
-        first = labels[0]
+        first = verdict["closed_cases"][0]["assignment"]
+        assert first and len(verdict["closed_cases"]) > 1
+        # the first branch, below the first closed prefix
+        hole = first + ["pair-u>=0"] * (len(evaluate(program, zero_vec(program.n_t)).alpha) - len(first))
 
-        def bump(entry):
-            entry["dual_eq"][0] = str(Fraction(entry["dual_eq"][0]) + 1)
+        def bump(cases):
+            point = cases[0]["certificate"]["point"]
+            point[0] = str(Fraction(point[0]) + 1)
 
         mutations = {
-            "dropped": (lambda certs: certs.pop(0), [f"branch {first} has 0 certificates, expected 1"]),
-            "duplicated": (
-                lambda certs: certs.append(copy.deepcopy(certs[0])),
-                [f"branch {first} has 2 certificates, expected 1"],
-            ),
+            "dropped": (lambda cases: cases.pop(0), [f"no closed case covers the case assignment {hole}"]),
             "renamed": (
-                lambda certs: certs[0].update(branch="?"),
-                [f"branch {first} has 0 certificates, expected 1", "certificate for unknown branch '?'"],
+                lambda cases: cases[0].update(assignment=["?"]),
+                ["case ['?']: unknown case '?'", f"no closed case covers the case assignment {hole}"],
             ),
-            "corrupted": (lambda certs: bump(certs[0]), [None]),
+            "corrupted": (bump, None),
         }
         for what, (mutate, messages) in mutations.items():
             tampered = copy.deepcopy(report)
-            mutate(tampered["points"][0]["stationarity"][kind]["branch_certificates"])
-            expected = [
-                f"point origin {kind} branch {first}: dual combination does not reproduce the gradient"
-                if msg is None
-                else f"point origin {kind}: {msg}"
-                for msg in messages
-            ]
-            assert recheck_report(pf, tampered) == expected, what
+            mutate(tampered["points"][0]["stationarity"][kind]["closed_cases"])
+            errors = recheck_report(pf, tampered)
+            if messages is None:
+                assert errors and all(msg.startswith(f"point origin {kind} case {first}: ") for msg in errors), what
+            else:
+                assert errors == [
+                    f"point origin {kind} {msg}" if msg.startswith("case [") else f"point origin {kind}: {msg}"
+                    for msg in messages
+                ], what
 
 
 def test_b_branches_certificate_tampers_keep_their_messages(capsys):
-    path = str(Path(__file__).resolve().parent / "problems" / "b-branches.json")
-    pf = parse_problem(path)
-    report = b_report(capsys, path)
+    # z1 is the one degenerate switch: each side of it is closed by its own
+    # prefix, in both forms
+    pf = parse_problem(str(B_BRANCHES))
+    report = b_report(capsys, str(B_BRANCHES))
+    plus, minus = ["pair-u>=0"], ["pair-v>=0"]
 
-    def negate(certs):
-        weights = certs[1]["dual_ineq"]
-        (j,) = [j for j, x in enumerate(weights) if Fraction(x) > 0]
-        weights[j] = "-1"
+    def perturb(cases):
+        point = cases[1]["certificate"]["point"]
+        point[0] = str(Fraction(point[0]) + 1)
 
-    # (first branch, second branch, equality rows) of each form
-    forms = {"b-anf": ("σ=++", "σ=-+", 3), "b-mpcc": ("P={}", "P={1}", 5)}
-    for kind, (first, second, n_eq) in forms.items():
-        certs = report["points"][0]["stationarity"][kind]["branch_certificates"]
-        assert [entry["branch"] for entry in certs] == [first, second]
-        mutations = {
-            "negated": (
-                negate,
-                [
-                    f"branch {second}: negative inequality weight",
-                    f"branch {second}: dual combination does not reproduce the gradient",
-                ],
-            ),
-            "truncated": (
-                lambda certs: certs[0]["dual_ineq"].pop(),
-                [f"branch {first}: {n_eq} + 0 weights for {n_eq} + 1 cone rows"],
-            ),
-        }
+    ray = {"kind": "farkas-infeasibility-ray", "dual_eq": ["1"], "dual_ineq": []}
+    mutations = {
+        "perturbed point": (
+            perturb,
+            [f"case {minus}: Lagrangian gradient row does not vanish", f"case {minus}: pair multiplier v[0] must be nonnegative"],
+        ),
+        "dropped case": (lambda cases: cases.pop(0), [f": no closed case covers the case assignment {plus}"]),
+        "M case name": (
+            lambda cases: cases[0].update(assignment=["pair-u=0"]),
+            ["case ['pair-u=0']: unknown case 'pair-u=0'", f": no closed case covers the case assignment {plus}"],
+        ),
+        "prefix longer than k": (
+            lambda cases: cases[0].update(assignment=plus + plus),
+            [
+                f"case {plus + plus}: case assignment of length 2 exceeds the 1 degenerate indices",
+                f": no closed case covers the case assignment {plus}",
+            ],
+        ),
+        "Farkas-kind certificate": (
+            lambda cases: cases[1].update(certificate=ray),
+            [f"case {minus}: feasible verdict without a point certificate"],
+        ),
+    }
+    for kind in ("b-anf", "b-mpcc"):
+        cases = report["points"][0]["stationarity"][kind]["closed_cases"]
+        assert [case["assignment"] for case in cases] == [plus, minus]
         for what, (mutate, messages) in mutations.items():
             tampered = copy.deepcopy(report)
-            mutate(tampered["points"][0]["stationarity"][kind]["branch_certificates"])
-            assert recheck_report(pf, tampered) == [f"point origin {kind} {msg}" for msg in messages], what
+            mutate(tampered["points"][0]["stationarity"][kind]["closed_cases"])
+            expected = [f"point origin {kind}{'' if msg.startswith(':') else ' '}{msg}" for msg in messages]
+            assert recheck_report(pf, tampered) == expected, (kind, what)
+
+
+@pytest.mark.parametrize("mutation", ["drop", "perturb"])
+def test_mutated_b_decider_is_caught_by_the_recheck(capsys, monkeypatch, mutation):
+    # the B decider patched for the whole run to lose, or to spoil, its last
+    # closed case: the recheck reads the closed cases from the report alone
+    # and names the error
+    real = stationarity.check_b_stationary
+
+    def mutated(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        *kept, last = verdict.closed_cases
+        if mutation == "perturb":
+            point = last.certificate.point
+            spoiled = dataclasses.replace(last.certificate, point=(point[0] + 1,) + point[1:])
+            kept.append(dataclasses.replace(last, certificate=spoiled))
+        return dataclasses.replace(verdict, closed_cases=tuple(kept))
+
+    rebind(monkeypatch, real, mutated)
+    code, out, err = run_cli(capsys, "check-stationarity", str(B_BRANCHES), "--b", "--form", "anf", "--recheck")
+    assert (code, err) == (3, "")
+    expected = {
+        "perturb": [
+            "point origin b-anf case ['pair-v>=0']: Lagrangian gradient row does not vanish",
+            "point origin b-anf case ['pair-v>=0']: pair multiplier v[0] must be nonnegative",
+        ],
+        "drop": ["point origin b-anf: no closed case covers the case assignment ['pair-v>=0']"],
+    }
+    assert json.loads(out)["recheck"]["errors"] == expected[mutation]
 
 
 def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkeypatch):
     kinks = bench_kinks()
-    verified = count_calls(monkeypatch, stationarity, "verify_branch_certificate")
     rows = []
     real_rows = BranchLinearization.rows
 
@@ -1242,13 +1271,10 @@ def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkey
         return real_rows(lin, signs)
 
     monkeypatch.setattr(BranchLinearization, "rows", counted_rows)
-    # the counters see the descent-LP route: one check per branch for the
-    # translation and for each recheck, and one row set per abs-normal
-    # branch LP and per check, whose descent LP it builds
+    # a B Holds builds no branch's rows, in the check, the translation or
+    # the recheck, even when every branch needs its own prefix
     b_report(capsys, write_problem(tmp_path, fallback_kinks_problem(3)))
-    assert (len(verified), len(rows)) == (3 * 8, 8 + 3 * 8)
-    verified.clear()
-    rows.clear()
+    assert rows == []
     path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 10)))
     report_path = tmp_path / "kinks10-b.json"
     code, out, err = run_cli(capsys, "check-stationarity", path, "--b", "--recheck", "--out", str(report_path))
@@ -1257,7 +1283,7 @@ def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkey
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["recheck"] == {"errors": []}
     assert [v["status"] for v in report["points"][0]["stationarity"].values()] == ["holds", "holds"]
-    assert (len(verified), len(rows)) == (0, 0)
+    assert rows == []
 
 
 def test_check_stationarity_builds_each_multiplier_system_once_per_pass(tmp_path, capsys, monkeypatch):

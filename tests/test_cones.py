@@ -21,7 +21,6 @@ from absnormal.cones import (
     union_covers,
 )
 from absnormal.ratmath import RatMatrix, primitive_integer, vec, zero_vec
-from absnormal.stationarity import BranchDualCertificate, verify_branch_certificate
 from absnormal.transforms import (
     mpcc_point_from_eval,
     phi_inv,
@@ -467,67 +466,6 @@ def test_rows_made_on_first_read_equal_the_eager_rows_at_fractional_gradients():
             fractional += assert_rows_made_on_first_read(q, qe)
         checked += 1
     assert fractional >= 1000, fractional
-
-
-def naive_combination(lin, signs, dual_eq, dual_ineq):
-    eq, ineq = eager_branch_rows(lin, signs)
-    out = [Fraction(0)] * lin.dim
-    for w, row in zip(dual_eq + dual_ineq, eq + ineq):
-        for j, x in enumerate(row):
-            out[j] += w * x
-    return tuple(out)
-
-
-def random_weights(rng, n):
-    return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
-
-
-def test_branch_certificate_check_agrees_with_the_naive_combination():
-    # each branch's gradient is set to the naive combination of random
-    # weights, which the check must accept, and must reject once one weight
-    # of a nonzero row changes
-    rng = random.Random(1618)
-    programs = [make_e2(), make_e4()]
-    while len(programs) < 20:
-        p = random_affine_program(rng, max_s=3)
-        if evaluate(p, zero_vec(p.n_t)).is_feasible():
-            programs.append(with_random_quadratics(rng, p) if len(programs) % 2 else p)
-    accepted = rejected = 0
-    for p in programs:
-        for q, qe in with_slack_form(p, evaluate(p, zero_vec(p.n_t))):
-            for lin, _ in linearizations(q, qe):
-                for spec in lin.specs():
-                    eq_w = random_weights(rng, lin.n_eq)
-                    ineq_w = tuple(abs(x) for x in random_weights(rng, lin.n_ineq))
-                    at = dataclasses.replace(lin, gradient=naive_combination(lin, spec.signs, eq_w, ineq_w))
-                    cert = BranchDualCertificate(spec.label, eq_w, ineq_w)
-                    assert verify_branch_certificate(at, spec.signs, cert) == [], spec.label
-                    accepted += 1
-                    eq, ineq = eager_branch_rows(lin, spec.signs)
-                    nonzero = [j for j, row in enumerate(eq + ineq) if any(row)]
-                    if nonzero:
-                        j = rng.choice(nonzero)
-                        weights = list(eq_w + ineq_w)
-                        weights[j] += 1
-                        bumped = BranchDualCertificate(spec.label, tuple(weights[: len(eq)]), tuple(weights[len(eq) :]))
-                        assert verify_branch_certificate(at, spec.signs, bumped) == [
-                            "dual combination does not reproduce the gradient"
-                        ], spec.label
-                        rejected += 1
-    assert min(accepted, rejected) >= 300, (accepted, rejected)
-
-
-@pytest.mark.parametrize("gradient", [[0, 0], [0, 1]])
-def test_branch_certificate_check_with_no_rows(gradient):
-    # no switch and no constraint: the one branch has no row, so only a zero
-    # gradient is the empty combination
-    p = AbsNormalProgram(n_t=2, s=0, m1=0, m2=0, f=affine(2, 0, gradient), c_e=(), c_i=(), c_z=())
-    expected = [] if gradient == [0, 0] else ["dual combination does not reproduce the gradient"]
-    for lin, _ in linearizations(p, evaluate(p, zero_vec(2))):
-        (spec,) = lin.specs()
-        assert (lin.n_eq, lin.n_ineq) == (0, 0)
-        cert = BranchDualCertificate(spec.label, (), ())
-        assert verify_branch_certificate(lin, spec.signs, cert) == expected
 
 
 def test_linearization_rejects_an_infeasible_anchor_like_the_branch_cone(e1):

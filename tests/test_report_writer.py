@@ -103,8 +103,9 @@ def test_writer_refuses_what_is_not_report_data(x):
 
 def test_m_verdicts_round_trip_through_their_entries():
     # a verdict entry is written from the dataclass fields; reading it back
-    # gives the verdict itself: M and B, Holds and Fails, and a B Holds by
-    # strong multipliers and by per-branch certificates
+    # gives the verdict itself: M and B, Holds and Fails, closed prefixes
+    # with Farkas rays and with points, and an M Fails and a B Holds closed
+    # at the root and below it
     rng = random.Random(909090)
     fallback = parse_problem_data(fallback_kinks_problem(2)).program
     seen = set()
@@ -119,14 +120,16 @@ def test_m_verdicts_round_trip_through_their_entries():
             entry = _ser(verdict)
             assert report_text(entry) == dumps(entry)
             assert _reader(StationarityVerdict)(json.loads(dumps(entry))) == verdict
-            seen.add((verdict.kind, verdict.status, verdict.multipliers is not None))
+            below_root = any(outcome.assignment for outcome in verdict.closed_cases)
+            seen.add((verdict.kind, verdict.status, verdict.multipliers is not None, below_root))
         checked += 1
     assert seen == {
-        ("m-anf", HOLDS, True),
-        ("m-anf", FAILS, False),
-        ("b-anf", HOLDS, True),
-        ("b-anf", HOLDS, False),
-        ("b-anf", FAILS, False),
+        ("m-anf", HOLDS, True, False),
+        ("m-anf", FAILS, False, False),
+        ("m-anf", FAILS, False, True),
+        ("b-anf", HOLDS, False, False),
+        ("b-anf", HOLDS, False, True),
+        ("b-anf", FAILS, False, False),
     }
 
 
@@ -259,7 +262,7 @@ def test_kinks_report_contract(tmp_path_factory, case):
 
 
 # no multipliers of this program are strongly stationary, so its B Holds
-# carries one certificate per branch, in both forms
+# closes each of its two branches by its own prefix, in both forms
 B_BRANCHES = Path(__file__).resolve().parent / "problems" / "b-branches.json"
 PROBLEM_COMMANDS = [
     ("b-branches check-stationarity --b --recheck", ["check-stationarity", str(B_BRANCHES), "--b", "--recheck"])
@@ -270,7 +273,7 @@ PROBLEM_COMMANDS = [
 def test_problem_report_contract(key, argv):
     report = assert_contract(argv, PROBLEM_DIGESTS.get(key))
     for verdict in report["points"][0]["stationarity"].values():
-        assert verdict["status"] == "holds" and len(verdict["branch_certificates"]) == 2
+        assert verdict["status"] == "holds" and len(verdict["closed_cases"]) == 2
 
 
 def point_report(**sections) -> dict:

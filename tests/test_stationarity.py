@@ -10,10 +10,12 @@ from absnormal import stationarity
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
 from absnormal.cones import linearize_anf, linearize_mpcc
 from absnormal.cq import FAILS, HOLDS
-from absnormal.ratmath import LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
+from absnormal.ratmath import KIND_POINT, LpCertificate, LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
     CASE_BOTH_POSITIVE,
     CASES,
+    SIDES,
+    CaseOutcome,
     MultiplierSet,
     build_case_problem,
     check_b_stationary,
@@ -26,7 +28,7 @@ from absnormal.stationarity import (
     verify_multiplier_verdict,
     verify_multipliers,
 )
-from absnormal.problemfile import load_corpus, parse_problem_data
+from absnormal.problemfile import load_corpus, load_corpus_problem, parse_problem_data
 from absnormal.transforms import (
     MpccProgram,
     mpcc_point_from_eval,
@@ -38,10 +40,7 @@ from absnormal.transforms import (
 from branch_oracles import (
     anf_branches,
     lin_cone_branch,
-    lin_rows_branch,
     mpcc_branches,
-    strong_branch_certificates,
-    verify_branch_dual_certificate,
 )
 from conftest import (
     affine,
@@ -95,8 +94,8 @@ def test_m_stationary_fails_for_reversed_objective(e1):
     assert v_mpcc.status == FAILS
     assert v_anf.status == FAILS
     # every multiplier case carries its own refutation certificate
-    assert len(v_mpcc.failed_cases) == 3
-    for outcome in v_mpcc.failed_cases:
+    assert len(v_mpcc.closed_cases) == 3
+    for outcome in v_mpcc.closed_cases:
         assert outcome.certificate is not None
 
 
@@ -135,31 +134,15 @@ def test_m_stationary_smooth_point_reduces_to_kkt(e1):
     assert check_m_stationary_anf(p2, evaluate(p2, [2, 2])).status == HOLDS
 
 
-def branch_certificates(verdict, program, point):
-    """The per-branch certificates of a B Holds: its own on the descent-LP
-    route, else those the S => B oracle reads off its strong multipliers."""
-    if verdict.multipliers is None:
-        return verdict.branch_certificates
-    assert verdict.branch_certificates == ()
-    linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
-    return strong_branch_certificates(
-        linearize(program, point), multiplier_system(program, point), verdict.multipliers
-    )
-
-
 def test_b_stationary_e1_holds(e1):
     e = evaluate(e1, [0, 0])
     v = check_b_stationary(e1, e)
     assert v.status == HOLDS
-    # strong stationarity decides it: one multiplier vector, no branch listed
-    assert v.multipliers is not None and v.branch_certificates == ()
-    certificates = branch_certificates(v, e1, e)
-    assert len(certificates) == 2
-    # each certificate proves dual-cone membership of the gradient by substitution
-    branches = anf_branches(e1, e)
-    for cert, b in zip(certificates, branches):
-        gradient = b.objective.gradient(b.anchor)
-        assert verify_branch_dual_certificate(cert, lin_rows_branch(b), gradient) == []
+    # strong stationarity decides it: the root prefix closes both branches,
+    # with no multipliers listed and no branch built
+    assert v.multipliers is None and [outcome.assignment for outcome in v.closed_cases] == [()]
+    assert verify_multiplier_verdict(multiplier_system(e1, e), v) == []
+    assert b_by_generators(anf_branches(e1, e)) == (HOLDS, None)
 
 
 def test_b_stationary_zero_gradient_trivial(e1):
@@ -266,9 +249,9 @@ def test_case_tree_agrees_with_flat_enumeration_on_random_programs():
                 assert ms.lam_e + ms.lam_i + ms.lam_z == lam
                 assert verify_multipliers(system, ms) == []
             else:
-                prefixes = [outcome.assignment for outcome in verdict.failed_cases]
-                assert uncovered_case(prefixes, k) is None
-                for outcome in verdict.failed_cases:
+                prefixes = [outcome.assignment for outcome in verdict.closed_cases]
+                assert uncovered_case(prefixes, k, CASES) is None
+                for outcome in verdict.closed_cases:
                     problem = build_case_problem(system, outcome.assignment)
                     result = LpResult("infeasible", outcome.certificate)
                     assert verify_certificate(problem, result) == []
@@ -280,11 +263,16 @@ def test_case_tree_agrees_with_flat_enumeration_on_random_programs():
 
 def test_uncovered_case_names_the_first_hole():
     u, v, both = CASES
-    assert uncovered_case([(u,), (v,), (both,)], 2) is None
-    assert uncovered_case([(u,), (v,), (both, u), (both, both)], 2) == (both, v)
-    assert uncovered_case([(u,), (v,), (both, u), (both, v), (both, both)], 2) is None
-    assert uncovered_case([()], 3) is None
-    assert uncovered_case([], 0) == ()
+    assert uncovered_case([(u,), (v,), (both,)], 2, CASES) is None
+    assert uncovered_case([(u,), (v,), (both, u), (both, both)], 2, CASES) == (both, v)
+    assert uncovered_case([(u,), (v,), (both, u), (both, v), (both, both)], 2, CASES) is None
+    assert uncovered_case([()], 3, CASES) is None
+    assert uncovered_case([], 0, CASES) == ()
+    # the two sides of a B branch
+    plus, minus = SIDES
+    assert uncovered_case([(plus,), (minus, plus)], 2, SIDES) == (minus, minus)
+    assert uncovered_case([(plus,), (minus, plus), (minus, minus)], 2, SIDES) is None
+    assert uncovered_case([(u,), (v,)], 1, SIDES) == (plus,)
 
 
 def test_case_cap_counts_solved_case_lps(e2, monkeypatch):
@@ -295,7 +283,7 @@ def test_case_cap_counts_solved_case_lps(e2, monkeypatch):
     p = with_objective(e2, [-1, -1])
     e = evaluate(p, [0, 0])
     monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 3)
-    assert len(check_m_stationary_anf(p, e).failed_cases) == 3
+    assert len(check_m_stationary_anf(p, e).closed_cases) == 3
     monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 2)
     with pytest.raises(stationarity.CaseLimitError, match="cap of 2 case LPs"):
         check_m_stationary_anf(p, e)
@@ -314,7 +302,7 @@ def test_unique_route_lp_counts_against_the_case_cap(e1, monkeypatch):
     p = with_objective(e1, [0, -1])
     e = evaluate(p, [0, 0])
     monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 4)
-    assert len(check_m_stationary_anf(p, e).failed_cases) == 3
+    assert len(check_m_stationary_anf(p, e).closed_cases) == 3
     monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 3)
     with pytest.raises(stationarity.CaseLimitError, match="cap of 3 case LPs"):
         check_m_stationary_anf(p, e)
@@ -345,7 +333,7 @@ def test_unique_multipliers_decide_m_with_one_lp_on_kinks(k, monkeypatch):
             expected = kinks.expected_multipliers(inst)
             assert [str(x) for x in verdict.multipliers.mu_u] == expected["mu_u"]
         else:
-            assert [c.assignment for c in verdict.failed_cases] == [(case,) for case in CASES]
+            assert [c.assignment for c in verdict.closed_cases] == [(case,) for case in CASES]
 
 
 def unique_route_equals_case_search(p, e, seen):
@@ -362,7 +350,7 @@ def unique_route_equals_case_search(p, e, seen):
         unique = bool(system.degenerate) and system.fixes_multipliers
         closed_by_root = unique and lp_solve(system.root).status != "feasible"
         if closed_by_root:
-            assert [outcome.assignment for outcome in verdict.failed_cases] == [()]
+            assert [outcome.assignment for outcome in verdict.closed_cases] == [()]
             assert verify_multiplier_verdict(system, verdict) == []
         else:
             assert verdict == searched
@@ -464,36 +452,44 @@ def assert_descends(verdict, branches):
     assert dot(b.objective.gradient(b.anchor), verdict.descent) < 0
 
 
-def assert_certificates_verify(verdict, program, point):
-    """Every branch has its certificate, in order, each checked on the built
-    branch problem."""
-    enumerate_ = mpcc_branches if isinstance(program, MpccProgram) else anf_branches
-    by_label = {b.label: b for b in enumerate_(program, point)}
-    certificates = branch_certificates(verdict, program, point)
-    assert [c.branch for c in certificates] == list(by_label)
-    for cert in certificates:
-        b = by_label[cert.branch]
-        gradient = b.objective.gradient(b.anchor)
-        assert verify_branch_dual_certificate(cert, lin_rows_branch(b), gradient) == []
+def counted_lps(monkeypatch) -> list:
+    """The LPs the stationarity checks solve from now on, one entry each."""
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return lp_solve(problem)
+
+    monkeypatch.setattr(stationarity, "lp_solve", counted)
+    return calls
 
 
-def b_routes(p, e):
-    """The B verdict with and without the M verdict, its route, and the reference."""
-    m_verdict = check_m_stationary_anf(p, e)
-    with_m = check_b_stationary(p, e, m_verdict=m_verdict)
-    without_m = check_b_stationary(p, e)
-    assert without_m.status == with_m.status
-    if with_m.status == FAILS:
-        assert without_m == with_m
+def m_verdict_of(program, point, system):
+    """The point's M verdict in the form of ``program``, from ``system``."""
+    return stationarity._solve_system(system, "m-mpcc" if isinstance(program, MpccProgram) else "m-anf")
+
+
+def assert_b_matches_reference(verdict, program, point, system):
+    """B status and failing branch are the generator reference's.  A Holds
+    rechecks clean in ``system``; a Fails descends on its failing branch."""
+    branches = (mpcc_branches if isinstance(program, MpccProgram) else anf_branches)(program, point)
+    assert (verdict.status, verdict.failing_branch) == b_by_generators(branches)
+    if verdict.status == HOLDS:
+        assert verify_multiplier_verdict(system, verdict) == []
     else:
-        assert_certificates_verify(without_m, p, e)
-    strong = stationarity._strong_multipliers(multiplier_system(p, e), None) is not None
-    # the route a Holds took shows in its certificate
-    assert (with_m.multipliers is not None) == (without_m.multipliers is not None) == strong
-    return m_verdict, with_m, strong, b_by_generators(anf_branches(p, e))
+        assert_descends(verdict, branches)
 
 
-def test_strong_route_agrees_with_the_branch_lp_loop_on_random_programs():
+def assert_descent_is_the_branch_lp_point(verdict, program, point):
+    """The descent of a B Fails found in its own form is the point of its
+    failing branch's descent LP, the one the per-branch loop found first."""
+    if verdict.status == FAILS:
+        lin = (linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf)(program, point)
+        (spec,) = [spec for spec in lin.specs() if spec.label == verdict.failing_branch]
+        assert verdict.descent == lp_solve(stationarity._branch_descent_lp(lin, spec.signs)).certificate.point
+
+
+def test_b_prefix_search_agrees_with_the_generator_reference_on_random_programs():
     rng = random.Random(31337)
     seen = set()
     checked = 0
@@ -503,95 +499,108 @@ def test_strong_route_agrees_with_the_branch_lp_loop_on_random_programs():
         if not e.is_feasible():
             continue
         for q, qe in base_and_slack_forms(p, e):
-            m_verdict, verdict, strong, reference = b_routes(q, qe)
-            assert (verdict.status, verdict.failing_branch) == reference
-            if verdict.status == HOLDS:
-                assert_certificates_verify(verdict, q, qe)
-                # the counterpart's own check takes the same route, and its
-                # certificate maps onto every counterpart branch
-                mp, point = to_mpcc(q), mpcc_point_from_eval(qe)
-                counterpart = check_b_stationary(mp, point)
-                assert counterpart.status == HOLDS
-                assert (counterpart.multipliers is not None) == strong
-                assert_certificates_verify(counterpart, mp, point)
-            else:
-                # the lazy loop stops at the first branch that has a descent
-                assert not strong
-                assert_descends(verdict, anf_branches(q, qe))
-            # S implies B, and linearized B implies M
-            assert not strong or verdict.status == HOLDS
-            assert verdict.status == FAILS or m_verdict.status == HOLDS
-            seen.add((verdict.status, strong, len(qe.alpha) > 0))
+            for program, point in ((q, qe), (to_mpcc(q), mpcc_point_from_eval(qe))):
+                system = multiplier_system(program, point)
+                m_verdict = m_verdict_of(program, point, system)
+                verdict = check_b_stationary(program, point, m_verdict=m_verdict, system=system)
+                alone = check_b_stationary(program, point)
+                assert (alone.status, alone.failing_branch, alone.descent) == (
+                    verdict.status,
+                    verdict.failing_branch,
+                    verdict.descent,
+                )
+                assert_b_matches_reference(verdict, program, point, system)
+                assert_b_matches_reference(alone, program, point, multiplier_system(program, point))
+                assert_descent_is_the_branch_lp_point(verdict, program, point)
+                # linearized B implies M
+                assert verdict.status == FAILS or m_verdict.status == HOLDS
+                depth = max((len(outcome.assignment) for outcome in verdict.closed_cases), default=None)
+                seen.add((verdict.status, depth, len(qe.alpha) > 0))
         checked += 1
-    assert {(HOLDS, True, True), (HOLDS, False, True), (FAILS, False, True)} <= seen
+    # strong multipliers (the root closes every branch), a Holds closed
+    # below the root, and a Fails at a degenerate point
+    assert {(HOLDS, 0, True), (FAILS, None, True)} <= seen
+    assert any(status == HOLDS and depth for status, depth, _ in seen)
 
 
-def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, monkeypatch):
+def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, e2, monkeypatch):
     e = evaluate(e1, [0, 0])
     m_verdict = check_m_stationary_anf(e1, e)
-    assert m_verdict.multipliers.mu_u[0] > 0 and m_verdict.multipliers.mu_v[0] > 0
+    ms = m_verdict.multipliers
+    assert ms.mu_u[0] > 0 and ms.mu_v[0] > 0
 
     def no_lp(problem):
         raise AssertionError("no LP expected")
 
     monkeypatch.setattr(stationarity, "lp_solve", no_lp)
     verdict = check_b_stationary(e1, e, m_verdict=m_verdict)
-    assert verdict.status == HOLDS and verdict.multipliers == m_verdict.multipliers
-    assert len(branch_certificates(verdict, e1, e)) == 2
-    # a failed M verdict rules out strong multipliers; the loop solves the LPs
+    # the M certificate closes the root prefix, so every branch
+    root = CaseOutcome((), LpCertificate(KIND_POINT, point=ms.lam_e + ms.lam_i + ms.lam_z))
+    assert verdict.status == HOLDS and verdict.closed_cases == (root,)
     monkeypatch.undo()
-    p = with_objective(e1, [0, -1])
+    # a failed M verdict rules out the root with no LP, since S implies M:
+    # E2 minimizing -t1 - t2 does not fix its multipliers, and B solves the
+    # LP of its first branch, which is infeasible, and that branch's descent
+    # LP: one LP fewer than without the M verdict
+    p = with_objective(e2, [-1, -1])
     e = evaluate(p, [0, 0])
     m_fails = check_m_stationary_anf(p, e)
-    assert check_b_stationary(p, e, m_verdict=m_fails).status == FAILS
+    assert m_fails.status == FAILS and not multiplier_system(p, e).fixes_multipliers
+    calls = counted_lps(monkeypatch)
+    fails = check_b_stationary(p, e, m_verdict=m_fails)
+    assert fails.status == FAILS and len(calls) == 2
+    calls.clear()
+    assert check_b_stationary(p, e) == fails and len(calls) == 3
 
 
 def test_unique_m_multipliers_with_a_negative_pair_rule_out_strong_ones(monkeypatch):
     # this kinks-like program fixes its multipliers, and the one M
-    # certificate has mu_u[2] = -4/3, so no strong multipliers exist: the
-    # B check skips the strong LP and solves only the first branch's descent LP
+    # certificate has mu_u[2] = -4/3, so its signs decide every prefix with
+    # no multiplier LP: the B check solves only the first open branch's
+    # descent LP
     p = kinks_like_program(random.Random(5), 3)
     e = evaluate(p, zero_vec(p.n_t))
     m_verdict = check_m_stationary_anf(p, e)
     assert m_verdict.status == HOLDS and m_verdict.multipliers.mu_u[2] < 0
-    calls = []
-
-    def counted(problem):
-        calls.append(problem)
-        return lp_solve(problem)
-
-    monkeypatch.setattr(stationarity, "lp_solve", counted)
+    calls = counted_lps(monkeypatch)
     verdict = check_b_stationary(p, e, m_verdict=m_verdict)
     assert verdict.status == FAILS and len(calls) == 1
-    # without the M verdict the strong LP is solved, infeasible, to the same end
+    # without the M verdict the root LP finds the same candidate, to the same end
     calls.clear()
     assert check_b_stationary(p, e) == verdict and len(calls) == 2
 
 
+def translate_b(verdict, sys_anf, sys_mpcc, mp, point):
+    """The counterpart's B verdict, as the report makes it: a Holds as an M
+    verdict translates, a Fails by its descent direction."""
+    if verdict.status == HOLDS:
+        return translate_m_verdict(verdict, sys_anf, sys_mpcc, "b-mpcc")
+    return translate_b_verdict(verdict, mp, point)
+
+
 def b_translation_matches_direct_check(p, e):
     """Translate b-anf to the counterpart and compare it with the counterpart's
-    own check and with the reference loop over the counterpart branches."""
+    own check and with the reference over the counterpart branches."""
     mp, point = to_mpcc(p), mpcc_point_from_eval(e)
-    m_anf = check_m_stationary_anf(p, e)
-    b_anf = check_b_stationary(p, e, m_verdict=m_anf)
     sys_anf, sys_mpcc = multiplier_system(p, e), multiplier_system(mp, point)
-    translated = translate_b_verdict(b_anf, sys_anf, sys_mpcc, mp, point)
+    m_anf = check_m_stationary_anf(p, e, system=sys_anf)
+    b_anf = check_b_stationary(p, e, m_verdict=m_anf, system=sys_anf)
+    translated = translate_b(b_anf, sys_anf, sys_mpcc, mp, point)
     m_mpcc = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
-    direct = check_b_stationary(mp, point, m_verdict=m_mpcc)
-    branches = mpcc_branches(mp, point)
-    reference = b_by_generators(branches)
+    direct = check_b_stationary(mp, point, m_verdict=m_mpcc, system=sys_mpcc)
     assert translated.kind == direct.kind == "b-mpcc"
-    assert (translated.status, translated.failing_branch) == (direct.status, direct.failing_branch) == reference
+    assert (translated.status, translated.failing_branch) == (direct.status, direct.failing_branch)
+    assert_b_matches_reference(translated, mp, point, sys_mpcc)
+    assert_b_matches_reference(direct, mp, point, sys_mpcc)
+    assert_descent_is_the_branch_lp_point(b_anf, p, e)
+    assert_descent_is_the_branch_lp_point(direct, mp, point)
     if translated.status == HOLDS:
-        assert_certificates_verify(b_anf, p, e)
-        assert_certificates_verify(translated, mp, point)
+        # the same closed prefixes and points, lam being the same unknowns
+        assert translated == replace(b_anf, kind="b-mpcc")
         if m_anf.status == HOLDS and all(
             m_anf.multipliers.mu_u[i] >= 0 and m_anf.multipliers.mu_v[i] >= 0 for i in e.alpha
         ):
-            assert translated == direct  # the same multipliers on both sides
-    else:
-        assert_descends(translated, branches)
-        assert_descends(direct, branches)
+            assert translated == direct  # the M certificate closes the root on both sides
     return translated
 
 
@@ -628,54 +637,86 @@ def forms_at_origin(p):
 
 
 def test_b_translation_rejects_a_disagreeing_counterpart(e1):
-    # per-branch certificates, from the descent-LP route
+    # a Holds closed below the root: a forged point is an invalid source, and
+    # a counterpart system that disagrees fails the target
     p = parse_problem_data(fallback_kinks_problem(1)).program
     e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
     verdict = check_b_stationary(p, e)
-    assert verdict.multipliers is None
-    first = verdict.branch_certificates[0]
-    forged = replace(first, dual_eq=tuple(x + 1 for x in first.dual_eq))
-    with pytest.raises(RuntimeError, match="counterpart"):
-        translate_b_verdict(replace(verdict, branch_certificates=(forged,)), sys_anf, sys_mpcc, mp, point)
-    with pytest.raises(ValueError, match="names no abs-normal branch"):
-        translate_b_verdict(
-            replace(verdict, branch_certificates=(replace(first, branch="P={}"),)), sys_anf, sys_mpcc, mp, point
-        )
-    # strong multipliers: an invalid source, or a counterpart system that disagrees
-    e, mp, point, sys_anf, sys_mpcc = forms_at_origin(e1)
-    strong = check_b_stationary(e1, e)
-    bogus = replace(strong, multipliers=replace(strong.multipliers, lam_e=vec([5])))
+    first = verdict.closed_cases[0]
+    assert first.assignment == (SIDES[0],)
+    forged = replace(first, certificate=replace(first.certificate, point=tuple(x + 1 for x in first.certificate.point)))
     with pytest.raises(ValueError, match="source certificate is not valid"):
-        translate_b_verdict(bogus, sys_anf, sys_mpcc, mp, point)
-    coeffs, offset = sys_mpcc.pair_u[0]
-    flipped = replace(sys_mpcc, pair_u=((tuple(-x for x in coeffs), -offset),))
+        translate_b(replace(verdict, closed_cases=(forged,) + verdict.closed_cases[1:]), sys_anf, sys_mpcc, mp, point)
+    coeffs, offset = sys_mpcc.pair_v[0]
+    shifted = replace(sys_mpcc, pair_v=((coeffs, offset - 1),))
     with pytest.raises(RuntimeError, match="target system"):
-        translate_b_verdict(strong, sys_anf, flipped, mp, point)
+        translate_b(verdict, sys_anf, shifted, mp, point)
+    # a Fails: a branch label of the other form, or a direction that does not descend
     p = with_objective(e1, [1, 0])
     e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
     fails = check_b_stationary(p, e)
+    with pytest.raises(ValueError, match="names no abs-normal branch"):
+        translate_b_verdict(replace(fails, failing_branch="P={}"), mp, point)
     with pytest.raises(RuntimeError, match="descent"):
-        translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), sys_anf, sys_mpcc, mp, point)
+        translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), mp, point)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_strong_certificates_map_onto_every_branch_on_kinks(k):
+def test_strong_certificates_map_onto_every_branch_on_kinks(k, monkeypatch):
     # seed-1 kinks{k}: the minimizer of +t_{k+1} is strongly stationary in
-    # both forms; the maximizer of -t_{k+1} has no strong multipliers
+    # both forms, by its M certificate; the maximizer of -t_{k+1} fixes its
+    # multipliers, whose pairs are negative.  With the shared system neither
+    # solves a multiplier LP in B: the minimizer none at all, the maximizer
+    # its first branch's descent LP
     kinks = bench_kinks()
+    calls = counted_lps(monkeypatch)
     for sign in (1, -1):
         inst = kinks.draw(random.Random(1), k, sign)
         p = parse_problem_data(kinks.problem_data(inst)).program
         e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
-        b_anf = check_b_stationary(p, e, m_verdict=check_m_stationary_anf(p, e))
-        b_mpcc = translate_b_verdict(b_anf, sys_anf, sys_mpcc, mp, point)
+        m_anf = check_m_stationary_anf(p, e, system=sys_anf)
+        calls.clear()
+        b_anf = check_b_stationary(p, e, m_verdict=m_anf, system=sys_anf)
+        assert len(calls) == (0 if sign > 0 else 1)
+        b_mpcc = translate_b(b_anf, sys_anf, sys_mpcc, mp, point)
         assert b_anf.status == b_mpcc.status == kinks.stationarity_status(inst)
-        if sign < 0:
-            assert stationarity._strong_multipliers(sys_anf, None) is None
-            continue
-        assert len(branch_certificates(b_anf, p, e)) == len(branch_certificates(b_mpcc, mp, point)) == 2**k
-        assert_certificates_verify(b_anf, p, e)
-        assert_certificates_verify(b_mpcc, mp, point)
+        assert_b_matches_reference(b_mpcc, mp, point, sys_mpcc)
+        if sign > 0:
+            # the root prefix, closed by the M certificate, is the whole certificate in both forms
+            assert [outcome.assignment for outcome in b_mpcc.closed_cases] == [()]
+            assert b_mpcc.closed_cases == b_anf.closed_cases
+
+
+def test_m_and_b_solve_the_root_lp_once(monkeypatch):
+    # E1's shoulder: the root LP decides M, and B solves only the descent LP;
+    # kinks4-eq-max: the root LP and three case LPs for M, the descent for B
+    kinks = bench_kinks()
+    e1 = load_corpus_problem("E1")
+    maximizer = parse_problem_data(kinks.problem_data(kinks.draw(random.Random(1), 4, -1))).program
+    calls = counted_lps(monkeypatch)
+    for p, t, lps in ((e1.program, e1.point("shoulder").t, 2), (maximizer, zero_vec(maximizer.n_t), 5)):
+        e = evaluate(p, t)
+        system = multiplier_system(p, e)
+        calls.clear()
+        m_verdict = check_m_stationary_anf(p, e, system=system)
+        assert check_b_stationary(p, e, m_verdict=m_verdict, system=system).status == FAILS
+        assert len(calls) == lps
+
+
+def test_b_holds_below_the_root_takes_one_lp_per_open_prefix(monkeypatch):
+    # fallbackK needs every pair fixed: its root and inner prefixes are
+    # infeasible and each of its 2^K branches feasible, and the M certificate
+    # closes one branch with no LP, so 2^(K+1) - 2 LPs; its slack form's
+    # slack switches are closed with their first side
+    calls = counted_lps(monkeypatch)
+    for k in range(1, 5):
+        p = parse_problem_data(fallback_kinks_problem(k)).program
+        for q, qe in base_and_slack_forms(p, evaluate(p, zero_vec(p.n_t))):
+            system = multiplier_system(q, qe)
+            m_verdict = check_m_stationary_anf(q, qe, system=system)
+            calls.clear()
+            verdict = check_b_stationary(q, qe, m_verdict=m_verdict, system=system)
+            assert verdict.status == HOLDS and len(calls) == 2 ** (k + 1) - 2, (k, len(qe.alpha))
 
 
 def reference_pair_value(expr, lam):
@@ -712,15 +753,22 @@ def reference_verify_multipliers(system, ms):
     for i in system.fixed_pair_v_zero:
         if ms.mu_v[i] != 0:
             errors.append(f"pair multiplier v[{i}] must vanish (strictly negative side)")
-    for i in system.degenerate:
-        a, b = ms.mu_u[i], ms.mu_v[i]
-        if not ((a > 0 and b > 0) or a * b == 0):
-            errors.append(f"degenerate pair {i} violates the sign disjunction")
     if any(x < 0 for x in ms.lam_i):
         errors.append("negative inequality multiplier")
     for k in system.inactive_i:
         if ms.lam_i[k] != 0:
             errors.append(f"inactive inequality {k} has a nonzero multiplier")
+    return errors
+
+
+def reference_verify_m_multipliers(system, ms):
+    """``stationarity._verify_m_multipliers`` with one Fraction per term: the
+    shared rows, then the sign disjunction of each degenerate pair."""
+    errors = reference_verify_multipliers(system, ms)
+    for i in system.degenerate:
+        a, b = ms.mu_u[i], ms.mu_v[i]
+        if not ((a > 0 and b > 0) or a * b == 0):
+            errors.append(f"degenerate pair {i} violates the sign disjunction")
     return errors
 
 
@@ -763,8 +811,9 @@ def test_integer_multiplier_checks_equal_plain_fraction_ones():
                 if system.s:
                     candidates += [replace(ms, mu_u=nudged(rng, ms.mu_u)), replace(ms, mu_v=nudged(rng, ms.mu_v))]
                 for candidate in candidates:
-                    want = reference_verify_multipliers(system, candidate)
-                    assert verify_multipliers(system, candidate) == want
+                    assert verify_multipliers(system, candidate) == reference_verify_multipliers(system, candidate)
+                    want = reference_verify_m_multipliers(system, candidate)
+                    assert stationarity._verify_m_multipliers(system, candidate) == want
                     messages.update(want or ["clean"])
     assert max(denominators) > 1
     for start in ("clean", "Lagrangian gradient", "pair multiplier u[", "pair multiplier v[", "degenerate pair"):
