@@ -351,8 +351,8 @@ CORPUS_DIGESTS = {
     "check-cq E1 --all --branches --recheck": "fae409215ec08ec5ef3181874f7d0336467aff6a999c0ac49a242a93d9f3739d",
     "check-cq E1 --branches": "fbb5926a1c04f347876bb421793701f139b83b852e049ea0dcdbf2d88f24ae0b",
     "check-cq E1 --branches --recheck": "d651bb9296d7c92fee01bf0c8c556d36ed8c8fcb066ee82e5695c4ce80ba7183",
-    "check-stationarity E1": "bcb7edaf35e4993d9ff98a36077192144e44950e917565c69a1f1d0e7d2ad632",
-    "check-stationarity E1 --recheck": "4c21d992584a7c7a457d483bb6c69748e45da47214d2353ffd8c4899ec0f5afb",
+    "check-stationarity E1": "90306519541183d4bd7b56bfc123422cf3559c5ec19b78e710414f421f0980b3",
+    "check-stationarity E1 --recheck": "28c617da0240507ddb6689bff03b4bebaf1a9f039475474515a4cbbf77be4087",
     "verify-relations E1": "6ab742787330896416a6ad471209c1dd4f06599765be3c22a7146e1dd607149c",
     "verify-relations E1 --recheck": "4fc1d03245aa22e9450a0b7cc2e659f6feb2e7d68d14727d7c8be481bcdd3108",
     "eval E2": "5a5da98a1180b555225f02bf33c07c795df565cfef79dc78f43c99d4c7393a37",
@@ -377,8 +377,8 @@ CORPUS_DIGESTS = {
     "check-cq E2 --all --branches --recheck": "0c4a8d22b1bab4e54e60e8971e4c65aa815076d97895c6e6bf0d5c9043675bc5",
     "check-cq E2 --branches": "992218b93e9d73aee062b29bdbcddccc2dc9dd0e07b5b982b7a5221c1b118638",
     "check-cq E2 --branches --recheck": "61a7a17e713ab1fbf454893d755068e0e102c6d326955b275c608c726ee96075",
-    "check-stationarity E2": "ca12bc13525673448ac0d3809a09d0dc78c00f359aea09a1b3e499b949a26463",
-    "check-stationarity E2 --recheck": "430a32360c6b72b85d269c5f07c1aa664e775cb741062f7db5527120b707604c",
+    "check-stationarity E2": "6b3721c7a3f62b04ff9005afc27b8911f3f487d3075529f370353905fdb371cc",
+    "check-stationarity E2 --recheck": "da23cbd873f42d85ec03a23241537f5c360ad1cb920e4cee83a42ffc95f493cd",
     "verify-relations E2": "d8f709ca4394b5d5dd1971594a1a62626741f6a495a9a64565c66273fdb174de",
     "verify-relations E2 --recheck": "7148554a7f60a174e778803be9d45d3168a1b1386ea5b4f0f74c131633bb88fd",
     "eval E3": "a08ad7ee0145cbf02aa272044b35147753e16ae936d1525f0e46268e557be4ca",
@@ -403,8 +403,8 @@ CORPUS_DIGESTS = {
     "check-cq E3 --all --branches --recheck": "a4b3d32160579671c732f781fb6c136a6af3709099c87cb437f75bcd8ea4f5d0",
     "check-cq E3 --branches": "5cf603cefdb8baf3c5b4c1ec12c461bd5a50785e8005b162ec252585c38b9456",
     "check-cq E3 --branches --recheck": "bcd1ecd9e4fd4a208d4eda194966a3a6838d23f63c12384ef15c9bc7e9bf0880",
-    "check-stationarity E3": "980baa49c1a848420e087b27d4d1b43c36b8e6dffff76b81c82255056b07d120",
-    "check-stationarity E3 --recheck": "1df944d41b699f099f8cdfbfb57bf6ec911ce740e76cb1d0dcf7740c60ccd374",
+    "check-stationarity E3": "e67b0f7b19b3a4557daaa0287bfd07e487a122ee992fd5b1713ef70687ef9043",
+    "check-stationarity E3 --recheck": "e12f23bd62ac6a631058f60b719c28ee6a61f135a06188704c2aa57987efaab8",
     "verify-relations E3": "49c5702ff3fff8966081230cfe0e3410504179868bad7d4d6199f9bed5977a19",
     "verify-relations E3 --recheck": "65c6c39c8b42e927112b918e57b9a5429279b0d663f5fe6b6cf262d1dec60f73",
     "eval E4": "43a609b29c7f016fb26717f46c4389115a4f82d92b53572129cd36cdd02e9429",
@@ -429,8 +429,8 @@ CORPUS_DIGESTS = {
     "check-cq E4 --all --branches --recheck": "f1c95d2d167f65fb1e28d3fd1324f6183c64862762c0b9028ddd3d7c7d1ff9a8",
     "check-cq E4 --branches": "ee0363af46f99c8765f1cf406d82a961d781eb5fe5b6c96f53791be3f04a8ddb",
     "check-cq E4 --branches --recheck": "1633674f1c3c98c7324165b10dcef8ee4a3195f4b53b9ab13d9a94487762be21",
-    "check-stationarity E4": "4f9c0738bad03b072d98bf76a4fb42689b253627a481e6c51f41259ee61daa50",
-    "check-stationarity E4 --recheck": "e5d18ed84a471e9ab58a3214136271ef686bf824d6e854fdcc82326a5dbfadcc",
+    "check-stationarity E4": "45bf5d8dc75e592486523136f4efe25942a7d5a9e4572923f8d0096187daa657",
+    "check-stationarity E4 --recheck": "6bbff06851a131e8c5035cd3ab0cd628f9cef24fbb82cbb77618ef7d978ad6d3",
     "verify-relations E4": "1b730997d932954e9ae2c2dfaaa87d4522bd2ef9163d05c3e82afe024a33bd2c",
     "verify-relations E4 --recheck": "21dc2c2a2598651d41577980badfe2c609bf54164068d810ccffc30a7e155342",
 }
@@ -442,8 +442,8 @@ KINKS_DIGESTS = {
     "kinks2-ineq verify-relations --recheck": "a3f9a1dd5deddf2f57110d45bc7dc02c6a4c2fad90629ab63cc719538c42e860",
     "kinks3-eq check-cq --all --recheck": "9291f7a59342778944f4025e897e149e010f2f2a5be56767e6a65ca0b2fc2f42",
     "kinks3-eq verify-relations --recheck": "3c578fbe9450ca7bc9f43a2c04c163401e3232a3993f8f49fe22bdf6df6c1b23",
-    "kinks4-eq check-stationarity --recheck": "4f48b0881443f7e9ba223741e89bbfffb1dfa6255ab55ed77f1a56b053846811",
-    "kinks4-eq-max check-stationarity --recheck": "287cdf2097452704dd12c2d9383ce121dcba53b67adbacd2b53500d0632f3eee",
+    "kinks4-eq check-stationarity --recheck": "837155c33dd7b3b430f2a972effd522c6b3ee2c59542a0b2384a4a2f9c5bc81d",
+    "kinks4-eq-max check-stationarity --recheck": "6ba0083ac2e6ed6f7ef41e80c3d80cac8ea23a28f3c731289400384f01516470",
     "qkinks2-eq check-cq --all --recheck": "6b36f5dc546b7aa4aeb59cf24c1d5860ca884b665e2065c5d7145bd3404be60d",
     "qkinks2-eq verify-relations --recheck": "53b363244d50880fb94de126a5801f50e6abc622d6ee39062dc678e49758273b",
     "qkinks2-eq cones --dual": "d9016ea0a34200f573afe221a9c79a19bf7dd1bea73dd70c012a32b9fc021d49",
@@ -452,7 +452,7 @@ KINKS_DIGESTS = {
     "qkinks2-ineq cones --dual": "36dd820dd3f7871910609679012323badd44bed01e03cb369f41197a838c4986",
 }
 PROBLEM_DIGESTS = {
-    "b-branches check-stationarity --b --recheck": "a16673d15b1c85b54ea00fe0629eb9c0701dd02c05a1d04782361b7abbda90da",
+    "b-branches check-stationarity --b --recheck": "95ae3d70feb6db5ccc5827fd719e08ad9902b4f3b58afb3861da8c768546290f",
 }
 
 
