@@ -653,8 +653,8 @@ def check_b_stationary(
     before - and the first pair slowest, which is branch order.  A prefix's
     case LP fixes the side of its pairs and keeps both pair multipliers of
     the later ones nonnegative, so a feasible prefix closes every branch
-    below it.  Before any LP a prefix tries the known candidates, which
-    solve the root's rows, by the signs of their pair multipliers: the M
+    below it.  Before any LP a prefix tries the known candidate, which
+    solves the root's rows, by the signs of its pair multipliers: the M
     certificate, or the root LP's point when the system fixes the
     multipliers, which then decides every prefix with no further LP.  A
     failed M verdict closes no root, since S implies M.  The first branch
@@ -669,25 +669,26 @@ def check_b_stationary(
     if system is None:
         system = multiplier_system(program, point)
     k = len(system.degenerate)
-    if m_verdict is not None and m_verdict.status == HOLDS:
+    m_failed = m_verdict is not None and m_verdict.status != HOLDS
+    known = None  # the candidate, which solves the root's rows
+    if m_verdict is not None and not m_failed:
         ms = m_verdict.multipliers
-        candidates = [ms.lam_e + ms.lam_i + ms.lam_z]
+        known = LpCertificate(KIND_POINT, point=ms.lam_e + ms.lam_i + ms.lam_z)
     elif system.fixes_multipliers and system.root_result.status == FEASIBLE:
-        candidates = [system.root_result.certificate.point]
-    else:
-        candidates = []
-    candidates = [(lam, system.pair_values(lam)) for lam in candidates]
+        known = system.root_result.certificate
+    pairs = known and system.pair_values(known.point)
     closed: list[CaseOutcome] = []
 
     def close(prefix: tuple[str, ...]) -> bool:
         """Whether ``prefix``'s case LP is feasible, its point recorded if so."""
-        for lam, pairs in candidates:
-            if next(_sign_violations(system, prefix, *pairs), None) is None:
-                closed.append(CaseOutcome(prefix, LpCertificate(KIND_POINT, point=lam)))
-                return True
-        if system.fixes_multipliers or (not prefix and m_verdict is not None and m_verdict.status != HOLDS):
+        if known and next(_sign_violations(system, prefix, *pairs), None) is None:
+            res = LpResult(FEASIBLE, known)
+        elif system.fixes_multipliers or (m_failed and not prefix):
             return False
-        res = lp_solve(build_case_problem(system, prefix + (CASE_BOTH_POSITIVE,) * (k - len(prefix)))) if k else system.root_result
+        elif k:
+            res = lp_solve(build_case_problem(system, prefix + (CASE_BOTH_POSITIVE,) * (k - len(prefix))))
+        else:
+            res = system.root_result
         if res.status == FEASIBLE:
             closed.append(CaseOutcome(prefix, res.certificate))
         return res.status == FEASIBLE

@@ -186,7 +186,7 @@ def fallback_kinks_problem(k: int) -> dict:
     The objective vanishes on the feasible set, so the origin is B-stationary
     in every one of its 2^k branches.  M holds only with the pair multiplier
     ``mu_v = -2i`` of switch ``i``, so there are no strong multipliers and a
-    B Holds comes from the descent-LP route, one certificate per branch.
+    B Holds fixes every pair: each branch is closed by its own case prefix.
     """
     n_t = 2 * k
 

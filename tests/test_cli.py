@@ -14,8 +14,8 @@ import pytest
 from absnormal import stationarity
 from absnormal.anf import evaluate
 from absnormal.cli import _ser_program, main, recheck_report
-from absnormal.cones import BranchLinearization, PolyCone, linearize_anf, linearize_mpcc
-from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, MPCC_I, PointAnalysis, analyze_point
+from absnormal.cones import BranchLinearization, PolyCone
+from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, PointAnalysis, analyze_point
 from absnormal.ratmath import (
     FEASIBLE,
     INFEASIBLE,
