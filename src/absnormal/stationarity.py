@@ -186,6 +186,13 @@ class _MultiplierSystem:
             tuple(Fraction(integer_dot(row, h), d * den) for row, d in rows) for rows in (pair_u, pair_v)
         )
 
+    def pair_multiples(self, h: list[int]) -> tuple[list[int], list[int]]:
+        """The pair multipliers at the ``lam`` of ``h, den = integer_row(lam +
+        (ONE,))``, each as its positive multiple ``row . h``, which has its
+        sign: enough for a sign test, with no ``Fraction`` made."""
+        _, pair_u, pair_v = self.integer_rows
+        return tuple([integer_dot(row, h) for row, _ in rows] for rows in (pair_u, pair_v))
+
     @functools.cached_property
     def root(self) -> LpProblem:
         """The case LP of the empty prefix, which relaxes every assignment."""
@@ -464,9 +471,10 @@ def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
 
 
 def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
-    """Re-check multipliers by substitution in the rows that every case of
-    the system shares; an M certificate adds the sign disjunction
-    (``_verify_m_multipliers``), a B case its sides (``_sign_violations``)."""
+    """Re-check multipliers by substitution on the integer rows: the
+    Lagrangian gradient vanishes, the pair multipliers are those of lam, and
+    the rows every case shares hold (``_shared_errors``).  An M certificate
+    adds the sign disjunction (``_verify_m_multipliers``)."""
     lengths = [len(ms.lam_e), len(ms.lam_i), len(ms.lam_z), len(ms.mu_u), len(ms.mu_v)]
     if lengths != [system.m1, system.m2, system.s, system.s, system.s]:
         return [f"multiplier lengths {lengths} do not fit the system's {system.m1}, {system.m2} and {system.s}"]
@@ -481,18 +489,31 @@ def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str
             errors.append(f"pair multiplier u[{i}] mismatch")
         if integer_dot(row_v, h) * mu_v.denominator != mu_v.numerator * d_v * den:
             errors.append(f"pair multiplier v[{i}] mismatch")
-    for i in system.fixed_pair_u_zero:
-        if ms.mu_u[i] != 0:
-            errors.append(f"pair multiplier u[{i}] must vanish (strictly positive side)")
-    for i in system.fixed_pair_v_zero:
-        if ms.mu_v[i] != 0:
-            errors.append(f"pair multiplier v[{i}] must vanish (strictly negative side)")
-    if any(x < 0 for x in ms.lam_i):
+    return errors + _shared_errors(system, ms.mu_u, ms.mu_v, ms.lam_i)
+
+
+def _shared_errors(system: _MultiplierSystem, mu_u, mu_v, lam_i: Vec) -> list[str]:
+    """The sign rows that every case of the system shares: the fixed pairs
+    vanish and ``lam_i`` is an inequality multiplier.  ``mu_u`` and ``mu_v``
+    are the pair multipliers or any positive multiples of them."""
+    errors = [f"pair multiplier u[{i}] must vanish (strictly positive side)" for i in system.fixed_pair_u_zero if mu_u[i]]
+    errors += [f"pair multiplier v[{i}] must vanish (strictly negative side)" for i in system.fixed_pair_v_zero if mu_v[i]]
+    if any(x < 0 for x in lam_i):
         errors.append("negative inequality multiplier")
-    for k in system.inactive_i:
-        if ms.lam_i[k] != 0:
-            errors.append(f"inactive inequality {k} has a nonzero multiplier")
-    return errors
+    return errors + [f"inactive inequality {k} has a nonzero multiplier" for k in system.inactive_i if lam_i[k]]
+
+
+def _verify_case_point(system: _MultiplierSystem, assignment: tuple[str, ...], lam: Vec) -> list[str]:
+    """A point of the B case prefix ``assignment``, on the integer rows: the
+    Lagrangian gradient vanishes, the shared rows hold, and every pair
+    multiplier that the prefix keeps nonnegative is (``_sign_violations``).
+    Each pair multiplier is read as its positive multiple ``row . h``."""
+    h, _ = integer_row(lam + (ONE,))
+    mu_u, mu_v = system.pair_multiples(h)
+    stationary = system.integer_rows[0]
+    errors = ["Lagrangian gradient row does not vanish"] if any(integer_dot(row, h) for row, _ in stationary) else []
+    errors += _shared_errors(system, mu_u, mu_v, system.lam_slice(lam)[1])
+    return errors + [f"pair multiplier {name} must be nonnegative" for name in _sign_violations(system, assignment, mu_u, mu_v)]
 
 
 def _verify_m_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
@@ -560,12 +581,7 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
         elif len(cert.point) != system.n_unknowns:
             errors.append(f"{where}: point has {len(cert.point)} entries, expected {system.n_unknowns}")
         else:
-            ms = _multipliers_from_lam(system, cert.point)
-            errors.extend(f"{where}: {msg}" for msg in verify_multipliers(system, ms))
-            errors.extend(
-                f"{where}: pair multiplier {name} must be nonnegative"
-                for name in _sign_violations(system, assignment, ms.mu_u, ms.mu_v)
-            )
+            errors.extend(f"{where}: {msg}" for msg in _verify_case_point(system, assignment, cert.point))
         if len(assignment) <= k and unknown is None:
             closed.append(assignment)
     hole = uncovered_case(closed, k, cases)
@@ -676,7 +692,7 @@ def check_b_stationary(
         known = LpCertificate(KIND_POINT, point=ms.lam_e + ms.lam_i + ms.lam_z)
     elif system.fixes_multipliers and system.root_result.status == FEASIBLE:
         known = system.root_result.certificate
-    pairs = known and system.pair_values(known.point)
+    pairs = known and system.pair_multiples(integer_row(known.point + (ONE,))[0])
     closed: list[CaseOutcome] = []
 
     def close(prefix: tuple[str, ...]) -> bool:

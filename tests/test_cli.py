@@ -807,20 +807,24 @@ def test_qualifications_decide_without_polar_double_description(tmp_path, capsys
 
 
 def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
-    # the closed prefixes of a B Holds are checked once by substitution; one
-    # wrong pair multiplier derived from a point is the tool's own fault
-    real = stationarity._multipliers_from_lam
+    # the closed prefixes of a B Holds are checked once by substitution: a
+    # root LP point that does not solve the Lagrangian rows, yet has
+    # nonnegative pair multipliers, closes the root and is the tool's own fault
+    real = stationarity.lp_solve
 
-    def corrupt_mu_v(system, lam):
-        ms = real(system, lam)
-        return dataclasses.replace(ms, mu_v=(ms.mu_v[0] + 1,) + ms.mu_v[1:])
+    def corrupt_point(problem):
+        res = real(problem)
+        if res.status != FEASIBLE:
+            return res
+        point = res.certificate.point
+        return LpResult(FEASIBLE, LpCertificate(KIND_POINT, point=point[:-1] + (point[-1] + Fraction(1, 2),)))
 
-    monkeypatch.setattr(stationarity, "_multipliers_from_lam", corrupt_mu_v)
+    monkeypatch.setattr(stationarity, "lp_solve", corrupt_point)
     for form in ("anf", "mpcc"):
         code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--form", form)
         assert (code, out) == (3, "")
         assert err.startswith("error: internal: B-stationarity certificate failed self-check")
-        assert "case []: pair multiplier v[0] mismatch" in err
+        assert "case []: Lagrangian gradient row does not vanish" in err
 
 
 def rebind(monkeypatch, original, replacement) -> None:

@@ -772,6 +772,22 @@ def reference_verify_m_multipliers(system, ms):
     return errors
 
 
+def reference_verify_case_point(system, assignment, lam):
+    """``stationarity._verify_case_point`` with one Fraction per term: the
+    rows of ``reference_verify_multipliers`` at the pair multipliers of lam,
+    then each one the B case prefix keeps nonnegative."""
+    ms = reference_multipliers_from_lam(system, lam)
+    errors = reference_verify_multipliers(system, ms)
+    plus, minus = SIDES
+    for j, i in enumerate(system.degenerate):
+        side = assignment[j] if j < len(assignment) else None
+        if side != minus and ms.mu_u[i] < 0:
+            errors.append(f"pair multiplier u[{i}] must be nonnegative")
+        if side != plus and ms.mu_v[i] < 0:
+            errors.append(f"pair multiplier v[{i}] must be nonnegative")
+    return errors
+
+
 def nudged(rng, vector):
     """``vector`` with one entry moved by a small fraction."""
     i = rng.randrange(len(vector))
@@ -781,8 +797,10 @@ def nudged(rng, vector):
 def test_integer_multiplier_checks_equal_plain_fraction_ones():
     # rational coefficients give rows with several denominators; exact and
     # nudged lam, and nudged pair multipliers, must read the same lists in
-    # the same order as the per-term reference
+    # the same order as the per-term reference, as must lam read as the
+    # point of a random B case prefix
     rng = random.Random(1618)
+    prefixes = random.Random(2718)
     messages = set()
     denominators = set()
     checked = 0
@@ -807,6 +825,11 @@ def test_integer_multiplier_checks_equal_plain_fraction_ones():
             for x in lams:
                 ms = stationarity._multipliers_from_lam(system, x)
                 assert ms == reference_multipliers_from_lam(system, x)
+                k = len(system.degenerate)
+                prefix = tuple(prefixes.choice(SIDES) for _ in range(prefixes.randint(0, k)))
+                want = reference_verify_case_point(system, prefix, x)
+                assert stationarity._verify_case_point(system, prefix, x) == want
+                messages.update(want)
                 candidates = [ms]
                 if system.s:
                     candidates += [replace(ms, mu_u=nudged(rng, ms.mu_u)), replace(ms, mu_v=nudged(rng, ms.mu_v))]
@@ -818,3 +841,4 @@ def test_integer_multiplier_checks_equal_plain_fraction_ones():
     assert max(denominators) > 1
     for start in ("clean", "Lagrangian gradient", "pair multiplier u[", "pair multiplier v[", "degenerate pair"):
         assert any(msg.startswith(start) for msg in messages), start
+    assert any(msg.endswith("must be nonnegative") for msg in messages)
