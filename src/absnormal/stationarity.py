@@ -29,21 +29,18 @@ data (``_anf_system``, ``_mpcc_system``).  The M check runs once;
 form's system, so a disagreement is a RuntimeError, never a verdict.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
-contains a first-order descent direction.  By Farkas' lemma a branch has
-none exactly when the same system has multipliers whose pair multiplier is
-nonnegative on the side the branch resolves each degenerate pair to (the
-cases ``pair-u>=0`` and ``pair-v>=0``); strong stationarity, both pair
-multipliers nonnegative (Scheel & Scholtes 2000), closes every branch at
-once.  So B is one depth-first search over prefixes of the degenerate pairs,
-the pair-by-pair branching of LPCC branch-and-bound (Hu, Mitchell, Pang,
-Bennett & Kunapuli 2008): a prefix fixes the sides of its pairs and keeps
-both pair multipliers of the later ones nonnegative, and a feasible prefix
-closes its whole subtree.  Known multipliers are tried by their signs before
-any LP (``check_b_stationary``).  A Holds lists the closed prefixes, each
-with its point, rechecked and translated as an M verdict is
-(``verify_multiplier_verdict``, ``translate_m_verdict``).  The first branch
-that no prefix closes fails, and its descent LP's point is the descent
-direction, split into the counterpart's coordinates (``translate_b_verdict``).
+contains a first-order descent direction.  By Farkas' lemma a branch has none
+exactly when the system has multipliers whose pair multiplier is nonnegative
+on the side the branch resolves each degenerate pair to (``pair-u>=0``,
+``pair-v>=0``); strong stationarity (Scheel & Scholtes 2000) has both
+nonnegative and so covers every branch.  B is one depth-first search over
+prefixes of the degenerate pairs, the branching of LPCC branch-and-bound (Hu,
+Mitchell, Pang, Bennett & Kunapuli 2008): a prefix fixes the sides of its
+pairs and keeps both pair multipliers of the later ones nonnegative, so a
+feasible prefix closes its subtree.  A Holds lists the closed prefixes with
+their points, rechecked and translated as an M Fails's prefixes are
+(``verify_multiplier_verdict``, ``translate_m_verdict``); the first open
+branch fails with its descent LP's point (``translate_b_verdict`` splits it).
 """
 
 from __future__ import annotations
@@ -187,9 +184,8 @@ class _MultiplierSystem:
         )
 
     def pair_multiples(self, h: list[int]) -> tuple[list[int], list[int]]:
-        """The pair multipliers at the ``lam`` of ``h, den = integer_row(lam +
-        (ONE,))``, each as its positive multiple ``row . h``, which has its
-        sign: enough for a sign test, with no ``Fraction`` made."""
+        """The pair multipliers at the ``lam`` of ``h, _ = integer_row(lam +
+        (ONE,))``, each as its positive multiple ``row . h``: their signs."""
         _, pair_u, pair_v = self.integer_rows
         return tuple([integer_dot(row, h) for row, _ in rows] for rows in (pair_u, pair_v))
 
@@ -505,9 +501,8 @@ def _shared_errors(system: _MultiplierSystem, mu_u, mu_v, lam_i: Vec) -> list[st
 
 def _verify_case_point(system: _MultiplierSystem, assignment: tuple[str, ...], lam: Vec) -> list[str]:
     """A point of the B case prefix ``assignment``, on the integer rows: the
-    Lagrangian gradient vanishes, the shared rows hold, and every pair
-    multiplier that the prefix keeps nonnegative is (``_sign_violations``).
-    Each pair multiplier is read as its positive multiple ``row . h``."""
+    Lagrangian gradient vanishes, the shared rows hold, and the pair
+    multipliers the prefix keeps nonnegative are (``_sign_violations``)."""
     h, _ = integer_row(lam + (ONE,))
     mu_u, mu_v = system.pair_multiples(h)
     stationary = system.integer_rows[0]
@@ -551,10 +546,9 @@ def multiplier_system(program, point) -> _MultiplierSystem:
 def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
     """Re-check a verdict that rests on the multiplier system, in ``system``
     by substitution: the multipliers of an M Holds; the closed case prefixes
-    of an M Fails, each with the Farkas ray of its case LP, and of a B Holds,
-    each with a point of its case LP, checked on the integer rows with the
-    signs of its sides (messages start ``case [...]``); and that the
-    prefixes cover every full assignment of their cases."""
+    of an M Fails, each with its case LP's Farkas ray, or of a B Holds, each
+    with a point (``_verify_case_point``; messages start ``case [...]``),
+    and that they cover every full assignment of their cases."""
     b_holds = verdict.kind.startswith("b-") and verdict.status == HOLDS
     if verdict.status == HOLDS and not b_holds:
         ms = verdict.multipliers
@@ -564,7 +558,6 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
     cases, noun = (SIDES, "closed") if b_holds else (CASES, "failed")
     k = len(system.degenerate)
     errors = []
-    closed = []
     for outcome in verdict.closed_cases:
         assignment, cert = outcome.assignment, outcome.certificate
         where = f"case {list(assignment)}"
@@ -582,9 +575,8 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
             errors.append(f"{where}: point has {len(cert.point)} entries, expected {system.n_unknowns}")
         else:
             errors.extend(f"{where}: {msg}" for msg in _verify_case_point(system, assignment, cert.point))
-        if len(assignment) <= k and unknown is None:
-            closed.append(assignment)
-    hole = uncovered_case(closed, k, cases)
+    # a prefix that is too long or names another case covers no assignment
+    hole = uncovered_case([outcome.assignment for outcome in verdict.closed_cases], k, cases)
     if hole is not None:
         errors.append(f"no {noun} case covers the case assignment {list(hole)}")
     return errors
@@ -665,18 +657,14 @@ def check_b_stationary(
     is the point's M-stationarity verdict in the same form, when already
     known, and ``system`` its ``multiplier_system``, when already built.
 
-    The search runs depth first over prefixes of the degenerate pairs, +
-    before - and the first pair slowest, which is branch order.  A prefix's
-    case LP fixes the side of its pairs and keeps both pair multipliers of
-    the later ones nonnegative, so a feasible prefix closes every branch
-    below it.  Before any LP a prefix tries the known candidate, which
-    solves the root's rows, by the signs of its pair multipliers: the M
+    The prefix search of the module docstring takes + before - and the
+    first pair slowest, which is branch order.  Each prefix first tries the
+    known candidate, which solves the root's rows, by its signs: the M
     certificate, or the root LP's point when the system fixes the
-    multipliers, which then decides every prefix with no further LP.  A
-    failed M verdict closes no root, since S implies M.  The first branch
-    that no prefix closes fails, with the point of its descent LP
-    (``_branch_descent_lp``); a Holds lists the closed prefixes, each with
-    its point.  The branch cap is checked at the call.
+    multipliers, which then decides every prefix with no LP.  A failed M
+    verdict closes no root, as S implies M.  The first open branch fails
+    with its descent LP's point (``_branch_descent_lp``).  The branch cap is
+    checked at the call.
     """
     linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
     lin = linearize(program, point)
@@ -736,13 +724,10 @@ def check_b_stationary(
 
 
 def translate_b_verdict(verdict: StationarityVerdict, mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
-    """The counterpart's B Fails from the abs-normal one: the descent direction
-    is split (``split_direction``) on the failing branch and re-checked there
-    by substitution.  A B Holds translates as an M verdict does
-    (``translate_m_verdict``).  A source that names no branch is a
-    ValueError; a translation that fails its check means the two forms
-    disagree, a RuntimeError.
-    """
+    """The counterpart's B Fails from the abs-normal one (a B Holds translates
+    by ``translate_m_verdict``): the descent is split (``split_direction``)
+    onto the failing branch and re-checked there by substitution.  A source
+    naming no branch is a ValueError, a failed check a RuntimeError."""
     spec = parse_branch_label(verdict.failing_branch, "signature", point.base_signature)
     if spec is None:
         raise ValueError(f"source verdict names no abs-normal branch: {verdict.failing_branch!r}")
