@@ -403,7 +403,7 @@ def _check_case_cap(solved: int, system: _MultiplierSystem) -> None:
 def _holds(
     system: _MultiplierSystem, kind: str, assignment: tuple[str, ...], ms: MultiplierSet
 ) -> StationarityVerdict:
-    errors = _verify_m_multipliers(system, ms)
+    errors = verify_multipliers(system, ms)
     if errors:
         raise RuntimeError(f"holds certificate failed self-check: {errors}")
     return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
@@ -467,10 +467,10 @@ def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
 
 
 def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
-    """Re-check multipliers by substitution on the integer rows: the
-    Lagrangian gradient vanishes, the pair multipliers are those of lam, and
-    the rows every case shares hold (``_shared_errors``).  An M certificate
-    adds the sign disjunction (``_verify_m_multipliers``)."""
+    """Re-check an M-stationarity certificate by substitution on the integer
+    rows: the Lagrangian gradient vanishes, the pair multipliers are those of
+    lam, the fixed pairs vanish, each degenerate pair meets the sign
+    disjunction and lam_i is an inequality multiplier."""
     lengths = [len(ms.lam_e), len(ms.lam_i), len(ms.lam_z), len(ms.mu_u), len(ms.mu_v)]
     if lengths != [system.m1, system.m2, system.s, system.s, system.s]:
         return [f"multiplier lengths {lengths} do not fit the system's {system.m1}, {system.m2} and {system.s}"]
@@ -485,41 +485,38 @@ def verify_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str
             errors.append(f"pair multiplier u[{i}] mismatch")
         if integer_dot(row_v, h) * mu_v.denominator != mu_v.numerator * d_v * den:
             errors.append(f"pair multiplier v[{i}] mismatch")
-    return errors + _shared_errors(system, ms.mu_u, ms.mu_v, ms.lam_i)
+    errors += _fixed_pair_errors(system, ms.mu_u, ms.mu_v)
+    for i in system.degenerate:
+        a, b = ms.mu_u[i], ms.mu_v[i]
+        if not ((a > 0 and b > 0) or a * b == 0):
+            errors.append(f"degenerate pair {i} violates the sign disjunction")
+    return errors + _inequality_errors(system, ms.lam_i)
 
 
-def _shared_errors(system: _MultiplierSystem, mu_u, mu_v, lam_i: Vec) -> list[str]:
-    """The sign rows that every case of the system shares: the fixed pairs
-    vanish and ``lam_i`` is an inequality multiplier.  ``mu_u`` and ``mu_v``
-    are the pair multipliers or any positive multiples of them."""
+def _fixed_pair_errors(system: _MultiplierSystem, mu_u, mu_v) -> list[str]:
+    """The pair multipliers that a strictly signed switch fixes to zero and
+    that are not; ``mu_u`` and ``mu_v`` may be positive multiples of them."""
     errors = [f"pair multiplier u[{i}] must vanish (strictly positive side)" for i in system.fixed_pair_u_zero if mu_u[i]]
-    errors += [f"pair multiplier v[{i}] must vanish (strictly negative side)" for i in system.fixed_pair_v_zero if mu_v[i]]
-    if any(x < 0 for x in lam_i):
-        errors.append("negative inequality multiplier")
+    return errors + [f"pair multiplier v[{i}] must vanish (strictly negative side)" for i in system.fixed_pair_v_zero if mu_v[i]]
+
+
+def _inequality_errors(system: _MultiplierSystem, lam_i: Vec) -> list[str]:
+    """Whether ``lam_i`` fails to be an inequality multiplier: nonnegative,
+    and zero on each inactive inequality."""
+    errors = ["negative inequality multiplier"] if any(x < 0 for x in lam_i) else []
     return errors + [f"inactive inequality {k} has a nonzero multiplier" for k in system.inactive_i if lam_i[k]]
 
 
 def _verify_case_point(system: _MultiplierSystem, assignment: tuple[str, ...], lam: Vec) -> list[str]:
     """A point of the B case prefix ``assignment``, on the integer rows: the
-    Lagrangian gradient vanishes, the shared rows hold, and the pair
-    multipliers the prefix keeps nonnegative are (``_sign_violations``)."""
+    rows of ``verify_multipliers`` that every case shares, and the pair
+    multipliers the prefix keeps nonnegative (``_sign_violations``)."""
     h, _ = integer_row(lam + (ONE,))
     mu_u, mu_v = system.pair_multiples(h)
     stationary = system.integer_rows[0]
     errors = ["Lagrangian gradient row does not vanish"] if any(integer_dot(row, h) for row, _ in stationary) else []
-    errors += _shared_errors(system, mu_u, mu_v, system.lam_slice(lam)[1])
+    errors += _fixed_pair_errors(system, mu_u, mu_v) + _inequality_errors(system, system.lam_slice(lam)[1])
     return errors + [f"pair multiplier {name} must be nonnegative" for name in _sign_violations(system, assignment, mu_u, mu_v)]
-
-
-def _verify_m_multipliers(system: _MultiplierSystem, ms: MultiplierSet) -> list[str]:
-    """An M certificate's check: ``verify_multipliers``, and the sign
-    disjunction of each degenerate pair when the pair multipliers fit."""
-    fits = len(ms.mu_u) == len(ms.mu_v) == system.s
-    return verify_multipliers(system, ms) + [
-        f"degenerate pair {i} violates the sign disjunction"
-        for i in system.degenerate
-        if fits and _first_case(ms.mu_u[i], ms.mu_v[i]) is None
-    ]
 
 
 def check_m_stationary_mpcc(mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
@@ -552,7 +549,7 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
     b_holds = verdict.kind.startswith("b-") and verdict.status == HOLDS
     if verdict.status == HOLDS and not b_holds:
         ms = verdict.multipliers
-        return ["holds without multipliers"] if ms is None else _verify_m_multipliers(system, ms)
+        return ["holds without multipliers"] if ms is None else verify_multipliers(system, ms)
     if verdict.status != FAILS and not b_holds:
         return [f"an M-stationarity verdict holds or fails, not {verdict.status!r}"]
     cases, noun = (SIDES, "closed") if b_holds else (CASES, "failed")
