@@ -54,7 +54,7 @@ from .problemfile import (
     load_corpus_problem,
     parse_problem,
 )
-from .ratmath import dot, integer_dot, primitive_integer, rat
+from .ratmath import integer_dot, primitive_integer, rat
 from .stationarity import (
     CaseLimitError,
     StationarityVerdict,
@@ -63,14 +63,13 @@ from .stationarity import (
     multiplier_system,
     translate_b_verdict,
     translate_m_verdict,
-    verify_multiplier_verdict,
+    verify_stationarity_verdict,
 )
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchLimitError,
     enumerate_branches,
     enumerate_mpcc_branches,
-    parse_branch_label,
     to_mpcc,
     to_slack,
 )
@@ -348,14 +347,14 @@ def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) 
         if "anf" in forms:
             out["m-anf"] = m_anf
         if "mpcc" in forms:
-            out["m-mpcc"] = translate_m_verdict(m_anf, system, counterpart_system, "m-mpcc")
+            out["m-mpcc"] = translate_m_verdict(m_anf, counterpart_system, "m-mpcc")
     if "b" in which:
         b_anf = check_b_stationary(p, e, pa.branch_cap, m_anf, system)
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
             out["b-mpcc"] = (
-                translate_m_verdict(b_anf, system, counterpart_system, "b-mpcc")
+                translate_m_verdict(b_anf, counterpart_system, "b-mpcc")
                 if b_anf.status == HOLDS
                 else translate_b_verdict(b_anf, *counterpart)
             )
@@ -567,42 +566,24 @@ def _escapes_dual(w, cone: PolyCone) -> bool:
 
 
 def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: StationarityVerdict) -> list[str]:
-    """Recheck one stationarity verdict; ``systems(form)`` is the point's
-    multiplier system of the formulation ``form``, built once."""
-    kind, status = verdict.kind, verdict.status
+    """Recheck one stationarity verdict by ``verify_stationarity_verdict``;
+    ``systems(form)`` is the point's multiplier system of the formulation
+    ``form``, built once."""
+    kind = verdict.kind
     if kind not in ("m-anf", "m-mpcc", "b-anf", "b-mpcc"):
         return [f"{prefix}: unknown kind {kind!r}"]
     # every multiplier system, branch cone and certificate is checked at the
     # point, which only a feasible point has
     if not pa.point_eval.is_feasible():
         return [f"{prefix}: point is not feasible, so no branch rechecks"]
-    errors: list[str] = []
     form = ABS_I if kind.endswith("-anf") else MPCC_I
-    if kind.startswith("m-") or status == HOLDS:
-        # an M verdict or a B Holds: substitution in the multiplier system, no branch
-        for msg in verify_multiplier_verdict(systems(form), verdict):
-            # a message about one case prefix follows the verdict name directly
-            errors.append(f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}")
-    elif status != FAILS:
-        errors.append(f"{prefix}: a B-stationarity verdict holds or fails, not {status!r}")
-    else:
-        # only a B Fails reads the linearization: its failing branch's cone
-        lin = (linearize_anf if form == ABS_I else linearize_mpcc)(*pa.anchor(form))
-        label = verdict.failing_branch
-        kind_of_label = "signature" if kind == "b-anf" else "partition"
-        spec = parse_branch_label(label, kind_of_label, lin.base)
-        if spec is None:
-            return [f"{prefix}: unknown failing branch {label!r}"]
-        descent = verdict.descent
-        if descent is None:
-            return [f"{prefix}: descent missing"]
-        if len(descent) != len(lin.gradient):
-            return [f"{prefix}: descent has {len(descent)} entries, expected {len(lin.gradient)}"]
-        if not lin.cone(spec.signs).contains(primitive_integer(descent)):
-            errors.append(f"{prefix}: descent direction is not linearized-feasible")
-        if dot(lin.gradient, descent) >= 0:
-            errors.append(f"{prefix}: descent direction does not descend")
-    return errors
+    # only a B Fails reads the linearization: its failing branch's cone
+    linearization = functools.partial(linearize_anf if form == ABS_I else linearize_mpcc, *pa.anchor(form))
+    # a message about one case prefix follows the verdict name directly
+    return [
+        f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}"
+        for msg in verify_stationarity_verdict(systems(form), verdict, linearization)
+    ]
 
 
 # ---------------------------------------------------------------------------

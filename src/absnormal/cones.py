@@ -484,7 +484,9 @@ def tangent_cone_branch(lin: PolyCone, affine: bool) -> tuple[PolyCone | None, T
     if affine:
         return lin, TangentCertificate(TANGENT_AFFINE)
     eq, ineq = lin.eq_rows, lin.ineq_rows
-    if integer_rank(list(map(list, eq + ineq)), lin.dim) == len(eq) + len(ineq):
+    rows = len(eq) + len(ineq)
+    # more rows than columns cannot have full row rank
+    if rows <= lin.dim and integer_rank(list(map(list, eq + ineq)), lin.dim) == rows:
         return lin, TangentCertificate(TANGENT_LICQ)
     if ineq and integer_rank(list(map(list, eq)), lin.dim) == len(eq):
         problem = LpProblem(

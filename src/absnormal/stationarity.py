@@ -24,9 +24,13 @@ assignments (``uncovered_case``).  The case cap bounds the LPs solved, the
 single LP included: at most 1 + (3^(k+1) - 3)/2.
 
 Both problem forms give the same system, derived separately from each form's
-data (``_anf_system``, ``_mpcc_system``).  The M check runs once;
-``translate_m_verdict`` re-checks its certificate by substitution in the other
-form's system, so a disagreement is a RuntimeError, never a verdict.
+data (``_anf_system``, ``_mpcc_system``).  The M check runs once, and
+``translate_m_verdict`` carries its certificate to the other form's system.
+One function decides whether a verdict is valid, by substitution:
+``verify_stationarity_verdict``.  Each decider self-checks what it returns
+through it, each translation checks its result in the target system, and
+``--recheck`` re-validates a report entry; a failed self-check is a
+RuntimeError, never a verdict.
 
 B-stationarity (the linearized variant) asks that no branch linearized cone
 contains a first-order descent direction.  By Farkas' lemma a branch has none
@@ -39,7 +43,7 @@ Mitchell, Pang, Bennett & Kunapuli 2008): a prefix fixes the sides of its
 pairs and keeps both pair multipliers of the later ones nonnegative, so a
 feasible prefix closes its subtree.  A Holds lists the closed prefixes with
 their points, rechecked and translated as an M Fails's prefixes are
-(``verify_multiplier_verdict``, ``translate_m_verdict``); the first open
+(``verify_stationarity_verdict``, ``translate_m_verdict``); the first open
 branch fails with its descent LP's point (``translate_b_verdict`` splits it).
 """
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
@@ -310,8 +314,9 @@ def build_case_problem(system: _MultiplierSystem, assignment: tuple[str, ...]) -
     takes both-positive, the same assignment with ``pair-u=0`` (or
     ``pair-v=0``) there would be feasible too, and it comes earlier.  So every
     point of A*'s LP has both pair multipliers strictly positive there, and A*
-    is also the first assignment feasible with the strict case.  ``_holds``
-    checks the disjunction of the point found all the same.
+    is also the first assignment feasible with the strict case.  The
+    self-check (``_checked``) checks the disjunction of the point found and
+    its case all the same.
     """
     if len(assignment) > len(system.degenerate):
         raise ValueError(
@@ -375,7 +380,7 @@ def _solve_system(system: _MultiplierSystem, kind: str) -> StationarityVerdict:
     ms = _multipliers_from_lam(system, res.certificate.point)
     assignment = tuple(_first_case(ms.mu_u[i], ms.mu_v[i]) for i in system.degenerate)
     if None not in assignment:
-        return _holds(system, kind, assignment, ms)
+        return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
     return _case_search(system, kind, solved=1)
 
 
@@ -398,15 +403,6 @@ def _check_case_cap(solved: int, system: _MultiplierSystem) -> None:
             f"the multiplier case search over {len(system.degenerate)} degenerate switches needs "
             f"more than the cap of {DEFAULT_CASE_CAP} case LPs"
         )
-
-
-def _holds(
-    system: _MultiplierSystem, kind: str, assignment: tuple[str, ...], ms: MultiplierSet
-) -> StationarityVerdict:
-    errors = verify_multipliers(system, ms)
-    if errors:
-        raise RuntimeError(f"holds certificate failed self-check: {errors}")
-    return StationarityVerdict(kind, HOLDS, multipliers=ms, case=assignment)
 
 
 def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> StationarityVerdict:
@@ -440,7 +436,7 @@ def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> Stati
     if found is None:
         return StationarityVerdict(kind, FAILS, closed_cases=tuple(failed))
     assignment, lam = found
-    return _holds(system, kind, assignment, _multipliers_from_lam(system, lam))
+    return StationarityVerdict(kind, HOLDS, multipliers=_multipliers_from_lam(system, lam), case=assignment)
 
 
 def uncovered_case(prefixes, k: int, cases: tuple[str, ...]) -> tuple[str, ...] | None:
@@ -521,7 +517,8 @@ def _verify_case_point(system: _MultiplierSystem, assignment: tuple[str, ...], l
 
 def check_m_stationary_mpcc(mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
     """M-stationarity of the counterpart, within ``DEFAULT_CASE_CAP`` case LPs."""
-    return _solve_system(_mpcc_system(mp, point), "m-mpcc")
+    system = _mpcc_system(mp, point)
+    return _checked(system, _solve_system(system, "m-mpcc"), None, "self-check")
 
 
 def check_m_stationary_anf(
@@ -529,7 +526,9 @@ def check_m_stationary_anf(
 ) -> StationarityVerdict:
     """M-stationarity of the abs-normal form, with the case cap as above.
     ``system`` is ``multiplier_system(p, e)`` when the caller already has it."""
-    return _solve_system(_anf_system(p, e) if system is None else system, "m-anf")
+    if system is None:
+        system = _anf_system(p, e)
+    return _checked(system, _solve_system(system, "m-anf"), None, "self-check")
 
 
 def multiplier_system(program, point) -> _MultiplierSystem:
@@ -540,21 +539,60 @@ def multiplier_system(program, point) -> _MultiplierSystem:
     return _anf_system(program, point)
 
 
-def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
-    """Re-check a verdict that rests on the multiplier system, in ``system``
-    by substitution: the multipliers of an M Holds; the closed case prefixes
-    of an M Fails, each with its case LP's Farkas ray, or of a B Holds, each
-    with a point (``_verify_case_point``; messages start ``case [...]``),
-    and that they cover every full assignment of their cases."""
-    b_holds = verdict.kind.startswith("b-") and verdict.status == HOLDS
-    if verdict.status == HOLDS and not b_holds:
+# the fields that a verdict writes besides its kind and status, by whether it
+# is an M verdict and by its status
+_WRITTEN = {
+    (True, HOLDS): ("multipliers", "case"),
+    (True, FAILS): ("closed_cases",),
+    (False, HOLDS): ("closed_cases",),
+    (False, FAILS): ("failing_branch", "descent"),
+}
+
+
+def verify_stationarity_verdict(system: _MultiplierSystem | None, verdict: StationarityVerdict, linearization) -> list[str]:
+    """Re-check a stationarity verdict by substitution, the one check of its
+    validity: its status, and that it sets no field its kind and status never
+    write.  An M Holds: its multipliers, in ``system``, and the case of each
+    degenerate pair (``_holds_case_errors``).  An M Fails or a B Holds: its
+    closed case prefixes in ``system``, each with its case LP's Farkas ray or
+    with a point (``_verify_case_point``; messages start ``case [...]``), and
+    that they cover every full assignment of their cases.  A B Fails reads
+    no ``system`` but ``linearization()``, the point's
+    ``BranchLinearization``: the failing branch, and that the descent lies in
+    its linearized cone and descends."""
+    m_kind = verdict.kind.startswith("m-")
+    what = "an M-stationarity verdict" if m_kind else "a B-stationarity verdict"
+    if verdict.status not in (HOLDS, FAILS):
+        return [f"{what} holds or fails, not {verdict.status!r}"]
+    written = _WRITTEN[m_kind, verdict.status]
+    errors = [
+        f"{what} that {verdict.status} writes no {field.name}"
+        for field in fields(StationarityVerdict)[2:]  # the fields after kind and status
+        if field.name not in written and getattr(verdict, field.name) != field.default
+    ]
+    if m_kind and verdict.status == HOLDS:
         ms = verdict.multipliers
-        return ["holds without multipliers"] if ms is None else verify_multipliers(system, ms)
-    if verdict.status != FAILS and not b_holds:
-        return [f"an M-stationarity verdict holds or fails, not {verdict.status!r}"]
-    cases, noun = (SIDES, "closed") if b_holds else (CASES, "failed")
+        if ms is None or verdict.case is None:
+            return errors + ["holds without multipliers" if ms is None else "holds without a case"]
+        return errors + (verify_multipliers(system, ms) or _holds_case_errors(system, verdict.case, ms))
+    if not m_kind and verdict.status == FAILS:
+        lin = linearization()
+        label = verdict.failing_branch
+        spec = parse_branch_label(label, "signature" if verdict.kind == "b-anf" else "partition", lin.base)
+        if spec is None:
+            return errors + [f"unknown failing branch {label!r}"]
+        descent = verdict.descent
+        if descent is None:
+            return errors + ["descent missing"]
+        if len(descent) != lin.dim:
+            return errors + [f"descent has {len(descent)} entries, expected {lin.dim}"]
+        if not lin.cone(spec.signs).contains(primitive_integer(descent)):
+            errors.append("descent direction is not linearized-feasible")
+        if dot(lin.gradient, descent) >= 0:
+            errors.append("descent direction does not descend")
+        return errors
+    cases, noun = (CASES, "failed") if m_kind else (SIDES, "closed")
     k = len(system.degenerate)
-    errors = []
     for outcome in verdict.closed_cases:
         assignment, cert = outcome.assignment, outcome.certificate
         where = f"case {list(assignment)}"
@@ -563,7 +601,7 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
             errors.append(f"{where}: case assignment of length {len(assignment)} exceeds the {k} degenerate indices")
         elif unknown is not None:
             errors.append(f"{where}: unknown case {unknown!r}")
-        elif not b_holds:
+        elif m_kind:
             result = LpResult(INFEASIBLE, cert)
             errors.extend(f"{where}: {msg}" for msg in verify_certificate(build_case_problem(system, assignment), result))
         elif cert.kind != KIND_POINT or cert.point is None:
@@ -579,29 +617,45 @@ def verify_multiplier_verdict(system: _MultiplierSystem, verdict: StationarityVe
     return errors
 
 
-def translate_m_verdict(
-    verdict: StationarityVerdict,
-    system_from: _MultiplierSystem,
-    system_to: _MultiplierSystem,
-    kind: str,
-) -> StationarityVerdict:
+def _holds_case_errors(system: _MultiplierSystem, case: tuple[str, ...], ms: MultiplierSet) -> list[str]:
+    """The degenerate pairs of an M Holds whose multipliers, of the right
+    lengths, miss the case that ``case`` names for them: ``pair-u=0`` has
+    mu_u = 0, ``pair-v=0`` mu_v = 0 and ``pair-both>0`` both positive."""
+    k = len(system.degenerate)
+    if len(case) != k:
+        return [f"holds case has {len(case)} entries, expected {k}"]
+    errors = []
+    for i, name in zip(system.degenerate, case):
+        u, v = ms.mu_u[i], ms.mu_v[i]
+        met = {CASE_U_ZERO: u == 0, CASE_V_ZERO: v == 0, CASE_BOTH_POSITIVE: u > 0 and v > 0}.get(name)
+        if met is None:
+            errors.append(f"holds case names the unknown case {name!r}")
+        elif not met:
+            errors.append(f"degenerate pair {i} is not in its holds case {name!r}")
+    return errors
+
+
+def _checked(system: _MultiplierSystem | None, verdict: StationarityVerdict, linearization, check: str):
+    """``verdict``, once ``verify_stationarity_verdict`` finds it valid; an
+    invalid one is the tool's own fault, a RuntimeError naming ``check``."""
+    errors = verify_stationarity_verdict(system, verdict, linearization)
+    if errors:
+        raise RuntimeError(f"{verdict.kind} certificate failed {check}: {errors}")
+    return verdict
+
+
+def translate_m_verdict(verdict: StationarityVerdict, system_to: _MultiplierSystem, kind: str) -> StationarityVerdict:
     """The other form's verdict from this form's multiplier certificate (an M
     verdict or a B Holds): an M Holds keeps lam and re-derives the pair
     multipliers in ``system_to``, the closed prefixes stay as they are, lam
-    being the same unknowns in both systems.  Invalid in ``system_from`` is a
-    ValueError; invalid in ``system_to`` means the two derivations disagree,
-    a RuntimeError."""
-    errors = verify_multiplier_verdict(system_from, verdict)
-    if errors:
-        raise ValueError("source certificate is not valid: " + "; ".join(errors))
+    being the same unknowns in both systems.  The result is checked in
+    ``system_to`` alone: invalid there, the source is wrong or the two
+    derivations disagree, a RuntimeError."""
     out = replace(verdict, kind=kind)
     ms = verdict.multipliers
     if ms is not None:
         out = replace(out, multipliers=_multipliers_from_lam(system_to, ms.lam_e + ms.lam_i + ms.lam_z))
-    errors = verify_multiplier_verdict(system_to, out)
-    if errors:
-        raise RuntimeError("translated certificate failed the target system: " + "; ".join(errors))
-    return out
+    return _checked(system_to, out, None, "self-check in the target system")
 
 
 # ---------------------------------------------------------------------------
@@ -704,33 +758,26 @@ def check_b_stationary(
 
     branch = first_open(())
     if branch is None:
-        verdict = StationarityVerdict(kind, HOLDS, closed_cases=tuple(closed))
-        errors = verify_multiplier_verdict(system, verdict)
-        if errors:
-            raise RuntimeError(f"B-stationarity certificate failed self-check: {errors}")
-        return verdict
+        return _checked(system, StationarityVerdict(kind, HOLDS, closed_cases=tuple(closed)), lambda: lin, "self-check")
     # the branch's place in branch order, its pairs read as binary digits
     index = sum(2 ** (k - 1 - j) for j, side in enumerate(branch) if side == CASE_V_NONNEGATIVE)
     spec = next(itertools.islice(specs, index, None))
     res = lp_solve(_branch_descent_lp(lin, spec.signs))
     if res.status != FEASIBLE:
         raise RuntimeError(f"branch {spec.label}: no multipliers close it, yet its descent LP is infeasible")
-    if dot(lin.gradient, res.certificate.point) >= 0:
-        raise RuntimeError(f"branch {spec.label}: the descent LP's point does not descend")
-    return StationarityVerdict(kind, FAILS, failing_branch=spec.label, descent=res.certificate.point)
+    verdict = StationarityVerdict(kind, FAILS, failing_branch=spec.label, descent=res.certificate.point)
+    return _checked(system, verdict, lambda: lin, "self-check")
 
 
 def translate_b_verdict(verdict: StationarityVerdict, mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
     """The counterpart's B Fails from the abs-normal one (a B Holds translates
     by ``translate_m_verdict``): the descent is split (``split_direction``)
-    onto the failing branch and re-checked there by substitution.  A source
-    naming no branch is a ValueError, a failed check a RuntimeError."""
+    onto the failing branch and checked there, on the counterpart's
+    linearization, by ``verify_stationarity_verdict``.  A source naming no
+    branch is a ValueError, a failed check a RuntimeError."""
     spec = parse_branch_label(verdict.failing_branch, "signature", point.base_signature)
     if spec is None:
         raise ValueError(f"source verdict names no abs-normal branch: {verdict.failing_branch!r}")
-    spec = replace(spec, kind="partition")
-    lin = linearize_mpcc(mp, point)
-    descent = split_direction(mp.n_x, spec.signs, verdict.descent)
-    if not lin.cone(spec.signs).contains(primitive_integer(descent)) or dot(lin.gradient, descent) >= 0:
-        raise RuntimeError(f"translated descent direction fails on branch {spec.label}")
-    return replace(verdict, kind="b-mpcc", failing_branch=spec.label, descent=descent)
+    label = replace(spec, kind="partition").label
+    out = replace(verdict, kind="b-mpcc", failing_branch=label, descent=split_direction(mp.n_x, spec.signs, verdict.descent))
+    return _checked(None, out, lambda: linearize_mpcc(mp, point), "self-check in the target system")

@@ -378,8 +378,8 @@ def test_criterion_7_stationarity_equivalences():
         if m_anf.status == HOLDS:
             sys_anf = multiplier_system(pf.program, e)
             sys_mpcc = multiplier_system(mp, mpoint)
-            there = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
-            back = translate_m_verdict(there, sys_mpcc, sys_anf, "m-anf")
+            there = translate_m_verdict(m_anf, sys_mpcc, "m-mpcc")
+            back = translate_m_verdict(there, sys_anf, "m-anf")
             assert back.multipliers == m_anf.multipliers  # certificate round trip
         b_anf = check_b_stationary(pf.program, e)
         b_mpcc = check_b_stationary(mp, mpoint)

@@ -735,11 +735,29 @@ def forged_ray(problem):
     return LpResult(INFEASIBLE, weights)
 
 
+def test_forged_m_fails_exits_three_not_as_a_verdict(capsys, monkeypatch):
+    # every infeasible case LP answers with zero Farkas weights: the M
+    # decider's self-check rejects the Fails it would make, on one form as on
+    # both, before any translation or report
+    real = stationarity.lp_solve
+
+    def forged_if_infeasible(problem):
+        res = real(problem)
+        return forged_ray(problem) if res.status == INFEASIBLE else res
+
+    monkeypatch.setattr(stationarity, "lp_solve", forged_if_infeasible)
+    for form in (("--form", "anf"), ()):
+        code, out, err = run_cli(capsys, "check-stationarity", "E3", "--point", "origin", "--m", *form)
+        assert (code, out) == (3, ""), form
+        assert err.startswith("error: internal: m-anf certificate failed self-check: "), form
+        assert "['pair-u=0']: Farkas ray does not witness a positive right-hand side" in err, form
+
+
 @pytest.mark.parametrize(
     "forged, message",
     [
-        (forged_point, "the descent LP's point does not descend"),
-        (forged_ray, "no multipliers close it, yet its descent LP is infeasible"),
+        (forged_point, "b-anf certificate failed self-check: ['descent direction does not descend']"),
+        (forged_ray, "branch σ=+: no multipliers close it, yet its descent LP is infeasible"),
     ],
     ids=["point-does-not-descend", "ray-without-descent-row"],
 )
@@ -758,7 +776,7 @@ def test_branch_self_checks_exit_three_not_as_a_verdict(capsys, monkeypatch, for
     monkeypatch.setattr(stationarity, "lp_solve", lambda p: forged(p) if p in descent_lps else real_lp_solve(p))
     code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
     assert (code, out) == (3, "")
-    assert err == f"error: internal: branch σ=+: {message}\n"
+    assert err == f"error: internal: {message}\n"
 
 
 def test_mpcc_system_disagreement_exits_three_not_as_a_verdict(capsys, monkeypatch):
@@ -823,7 +841,7 @@ def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
     for form in ("anf", "mpcc"):
         code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "origin", "--b", "--form", form)
         assert (code, out) == (3, "")
-        assert err.startswith("error: internal: B-stationarity certificate failed self-check")
+        assert err.startswith("error: internal: b-anf certificate failed self-check")
         assert "case []: Lagrangian gradient row does not vanish" in err
 
 
@@ -944,9 +962,111 @@ def test_stationarity_mutations_are_recheck_errors_never_exceptions(tmp_path, ca
                     assert isinstance(errors, list) and all(isinstance(e, str) for e in errors), (problem, path, value)
                     mutations += 1
                     named += bool(errors)
-    # some edits name nothing: a zero put for a zero, a deleted verdict, the
-    # case of an M Holds
-    assert mutations == 1602 and named >= 1535
+    # some edits name nothing: a zero put for a zero, a deleted verdict
+    assert mutations == 1602 and named >= 1559
+
+
+# a value of each field that some stationarity verdict writes, put on the
+# verdicts that never write it
+FOREIGN_FIELDS = {
+    "multipliers": {"lam_e": ["-1"], "lam_i": [], "lam_z": ["0"], "mu_u": ["1"], "mu_v": ["1"]},
+    "case": ["pair-both>0"],
+    "failing_branch": "σ=+",
+    "descent": ["-1", "-1", "-1"],
+    "closed_cases": [{"assignment": [], "certificate": {"kind": "feasible-point", "point": ["-1", "0"]}}],
+}
+
+
+def test_fields_a_verdict_never_writes_are_named_recheck_errors(capsys):
+    # an M Holds writes multipliers and its case, an M Fails and a B Holds
+    # their closed prefixes, a B Fails its failing branch and descent
+    reports = [
+        ("E1", load_corpus_problem("E1"), "origin"),
+        ("E1", load_corpus_problem("E1"), "shoulder"),
+        (str(B_BRANCHES), parse_problem(str(B_BRANCHES)), "origin"),
+    ]
+    seen = set()
+    for problem, pf, label in reports:
+        _, out, _ = run_cli(capsys, "check-stationarity", problem, "--point", label, "--recheck")
+        report = json.loads(out)
+        assert report.pop("recheck")["errors"] == []
+        for name, entry in report["points"][0]["stationarity"].items():
+            verdict = "an M-stationarity verdict" if name.startswith("m-") else "a B-stationarity verdict"
+            for field, value in FOREIGN_FIELDS.items():
+                if field in entry:
+                    continue
+                tampered = copy.deepcopy(report)
+                tampered["points"][0]["stationarity"][name][field] = value
+                assert recheck_report(pf, tampered) == [
+                    f"point {label} {name}: {verdict} that {entry['status']} writes no {field}"
+                ], (problem, label, name, field)
+                seen.add((name[0], entry["status"], field))
+    assert seen == {
+        ("m", "holds", "failing_branch"),
+        ("m", "holds", "descent"),
+        ("m", "holds", "closed_cases"),
+        ("m", "fails", "multipliers"),
+        ("m", "fails", "case"),
+        ("m", "fails", "failing_branch"),
+        ("m", "fails", "descent"),
+        ("b", "holds", "multipliers"),
+        ("b", "holds", "case"),
+        ("b", "holds", "failing_branch"),
+        ("b", "holds", "descent"),
+        ("b", "fails", "multipliers"),
+        ("b", "fails", "case"),
+        ("b", "fails", "closed_cases"),
+    }
+    # the entries of the parent's FOUND line: a B Holds with multipliers, a
+    # case and a failing branch, and an M Holds with a closed case
+    pf = load_corpus_problem("E1")
+    _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "origin")
+    report = json.loads(out)
+    stationarity = report["points"][0]["stationarity"]
+    stationarity["b-anf"].update({field: FOREIGN_FIELDS[field] for field in ("multipliers", "case", "failing_branch")})
+    stationarity["m-anf"]["closed_cases"] = [{"assignment": ["x"], "certificate": {"kind": "feasible-point"}}]
+    assert recheck_report(pf, report) == [
+        "point origin m-anf: an M-stationarity verdict that holds writes no closed_cases",
+        "point origin b-anf: a B-stationarity verdict that holds writes no multipliers",
+        "point origin b-anf: a B-stationarity verdict that holds writes no case",
+        "point origin b-anf: a B-stationarity verdict that holds writes no failing_branch",
+    ]
+
+
+@pytest.mark.parametrize("problem, case", [("E1", "pair-both>0"), ("b-branches", "pair-u=0")])
+def test_m_holds_case_edits_are_named_recheck_errors(capsys, problem, case):
+    # each degenerate pair of an M Holds lies in its named case: pair-u=0 has
+    # mu_u = 0, pair-v=0 mu_v = 0, pair-both>0 both positive
+    if problem == "E1":
+        pf = load_corpus_problem(problem)
+    else:
+        problem = str(B_BRANCHES)
+        pf = parse_problem(problem)
+    _, out, _ = run_cli(capsys, "check-stationarity", problem, "--point", "origin", "--m", "--recheck")
+    report = json.loads(out)
+    assert report.pop("recheck")["errors"] == []
+    edits = {
+        "pair-u=0": "degenerate pair 0 is not in its holds case 'pair-u=0'",
+        "pair-v=0": "degenerate pair 0 is not in its holds case 'pair-v=0'",
+        "pair-both>0": "degenerate pair 0 is not in its holds case 'pair-both>0'",
+        "pair-u>=0": "holds case names the unknown case 'pair-u>=0'",
+        "x": "holds case names the unknown case 'x'",
+    }
+    for name in ("m-anf", "m-mpcc"):
+        entry = report["points"][0]["stationarity"][name]
+        assert entry["case"] == [case]
+        for value, message in [
+            *[([edit], message) for edit, message in edits.items() if edit != case],
+            ([], "holds case has 0 entries, expected 1"),
+            ([case, case], "holds case has 2 entries, expected 1"),
+            (KeyError, "holds without a case"),
+        ]:
+            tampered = copy.deepcopy(report)
+            if value is KeyError:
+                del tampered["points"][0]["stationarity"][name]["case"]
+            else:
+                tampered["points"][0]["stationarity"][name]["case"] = value
+            assert recheck_report(pf, tampered) == [f"point origin {name}: {message}"], (name, value)
 
 
 def test_b_holds_builds_and_rechecks_no_branch_problem(tmp_path, capsys):

@@ -20,6 +20,8 @@ from absnormal.cones import (
     tangent_cone_branch,
     union_covers,
 )
+from absnormal.cq import FORMULATIONS, analyze_point
+from absnormal.problemfile import parse_problem_data
 from absnormal.ratmath import RatMatrix, primitive_integer, vec, zero_vec
 from absnormal.transforms import (
     mpcc_point_from_eval,
@@ -46,7 +48,7 @@ from branch_oracles import (
     split_direction_matrix,
     union_from_branches,
 )
-from conftest import affine, make_e2, make_e3, make_e4, random_affine_program
+from conftest import affine, make_e2, make_e3, make_e4, qkinks_problem, random_affine_program
 
 
 def cone(dim, eq=(), ineq=()):
@@ -200,6 +202,34 @@ def test_tangent_mfcq_branch():
     assert cert.status == TANGENT_MFCQ
     assert cert.strict_point is not None
     assert c is not None
+
+
+def test_tangent_cone_branch_skips_the_rank_test_of_a_tall_branch(monkeypatch):
+    # a branch with more rows than columns cannot have full row rank, so no
+    # rank test runs on all its rows; the strict LP certifies it all the same
+    real = cones_module.integer_rank
+    ranked = []
+
+    def recorded(work, cols):
+        ranked.append(len(work))
+        return real(work, cols)
+
+    monkeypatch.setattr(cones_module, "integer_rank", recorded)
+    pf = parse_problem_data(qkinks_problem(2, True))
+    pa = analyze_point(pf.program, pf.points[0].t)
+    tall = 0
+    for key in FORMULATIONS:
+        lin = pa.formulation(key).lin
+        for spec in lin.specs():
+            branch = lin.cone(spec.signs)
+            rows = len(branch.eq_rows) + len(branch.ineq_rows)
+            ranked.clear()
+            _, cert = tangent_cone_branch(branch, lin.affine)
+            assert cert.status == TANGENT_MFCQ, (key, spec.label)
+            if rows > branch.dim:
+                tall += 1
+                assert ranked == [len(branch.eq_rows)], (key, spec.label)
+    assert tall
 
 
 def test_dual_of_full_space_is_zero():

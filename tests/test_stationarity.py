@@ -25,7 +25,7 @@ from absnormal.stationarity import (
     translate_b_verdict,
     translate_m_verdict,
     uncovered_case,
-    verify_multiplier_verdict,
+    verify_stationarity_verdict,
     verify_multipliers,
 )
 from absnormal.problemfile import load_corpus, load_corpus_problem, parse_problem_data
@@ -106,9 +106,9 @@ def test_m_stationary_anf_e1_holds_and_translates(e1):
     v = check_m_stationary_anf(e1, e)
     assert v.status == HOLDS
     sys_anf, sys_mpcc = multiplier_system(e1, e), multiplier_system(mp, point)
-    translated = translate_m_verdict(v, sys_anf, sys_mpcc, "m-mpcc")
+    translated = translate_m_verdict(v, sys_mpcc, "m-mpcc")
     assert verify_multipliers(sys_mpcc, translated.multipliers) == []
-    back = translate_m_verdict(translated, sys_mpcc, sys_anf, "m-anf")
+    back = translate_m_verdict(translated, sys_anf, "m-anf")
     assert back.multipliers == v.multipliers  # round trip is the identity
 
 
@@ -141,7 +141,7 @@ def test_b_stationary_e1_holds(e1):
     # strong stationarity decides it: the root prefix closes both branches,
     # with no multipliers listed and no branch built
     assert v.multipliers is None and [outcome.assignment for outcome in v.closed_cases] == [()]
-    assert verify_multiplier_verdict(multiplier_system(e1, e), v) == []
+    assert verify_stationarity_verdict(multiplier_system(e1, e), v, None) == []
     assert b_by_generators(anf_branches(e1, e)) == (HOLDS, None)
 
 
@@ -210,8 +210,8 @@ def test_translate_rejects_invalid_multipliers(e1):
     point = mpcc_point_from_eval(e)
     bogus = MultiplierSet(vec([5]), vec([]), vec([0]), vec([0]), vec([0]))
     verdict = StationarityVerdict("m-anf", HOLDS, multipliers=bogus)
-    with pytest.raises(ValueError):
-        translate_m_verdict(verdict, multiplier_system(e1, e), multiplier_system(mp, point), "m-mpcc")
+    with pytest.raises(RuntimeError, match="target system"):
+        translate_m_verdict(verdict, multiplier_system(mp, point), "m-mpcc")
 
 
 def flat_case_enumeration(system):
@@ -351,7 +351,7 @@ def unique_route_equals_case_search(p, e, seen):
         closed_by_root = unique and lp_solve(system.root).status != "feasible"
         if closed_by_root:
             assert [outcome.assignment for outcome in verdict.closed_cases] == [()]
-            assert verify_multiplier_verdict(system, verdict) == []
+            assert verify_stationarity_verdict(system, verdict, None) == []
         else:
             assert verdict == searched
         if unique:
@@ -398,9 +398,7 @@ def translated_equals_direct_search(p, e):
     """Translate the abs-normal verdict to the counterpart, compare it with the
     counterpart's own case search as a whole verdict, and return it."""
     mp, point = to_mpcc(p), mpcc_point_from_eval(e)
-    translated = translate_m_verdict(
-        check_m_stationary_anf(p, e), multiplier_system(p, e), multiplier_system(mp, point), "m-mpcc"
-    )
+    translated = translate_m_verdict(check_m_stationary_anf(p, e), multiplier_system(mp, point), "m-mpcc")
     assert translated == check_m_stationary_mpcc(mp, point)
     return translated
 
@@ -475,7 +473,7 @@ def assert_b_matches_reference(verdict, program, point, system):
     branches = (mpcc_branches if isinstance(program, MpccProgram) else anf_branches)(program, point)
     assert (verdict.status, verdict.failing_branch) == b_by_generators(branches)
     if verdict.status == HOLDS:
-        assert verify_multiplier_verdict(system, verdict) == []
+        assert verify_stationarity_verdict(system, verdict, None) == []
     else:
         assert_descends(verdict, branches)
 
@@ -570,11 +568,11 @@ def test_unique_m_multipliers_with_a_negative_pair_rule_out_strong_ones(monkeypa
     assert check_b_stationary(p, e) == verdict and len(calls) == 2
 
 
-def translate_b(verdict, sys_anf, sys_mpcc, mp, point):
+def translate_b(verdict, sys_mpcc, mp, point):
     """The counterpart's B verdict, as the report makes it: a Holds as an M
     verdict translates, a Fails by its descent direction."""
     if verdict.status == HOLDS:
-        return translate_m_verdict(verdict, sys_anf, sys_mpcc, "b-mpcc")
+        return translate_m_verdict(verdict, sys_mpcc, "b-mpcc")
     return translate_b_verdict(verdict, mp, point)
 
 
@@ -585,8 +583,8 @@ def b_translation_matches_direct_check(p, e):
     sys_anf, sys_mpcc = multiplier_system(p, e), multiplier_system(mp, point)
     m_anf = check_m_stationary_anf(p, e, system=sys_anf)
     b_anf = check_b_stationary(p, e, m_verdict=m_anf, system=sys_anf)
-    translated = translate_b(b_anf, sys_anf, sys_mpcc, mp, point)
-    m_mpcc = translate_m_verdict(m_anf, sys_anf, sys_mpcc, "m-mpcc")
+    translated = translate_b(b_anf, sys_mpcc, mp, point)
+    m_mpcc = translate_m_verdict(m_anf, sys_mpcc, "m-mpcc")
     direct = check_b_stationary(mp, point, m_verdict=m_mpcc, system=sys_mpcc)
     assert translated.kind == direct.kind == "b-mpcc"
     assert (translated.status, translated.failing_branch) == (direct.status, direct.failing_branch)
@@ -637,27 +635,27 @@ def forms_at_origin(p):
 
 
 def test_b_translation_rejects_a_disagreeing_counterpart(e1):
-    # a Holds closed below the root: a forged point is an invalid source, and
-    # a counterpart system that disagrees fails the target
+    # a Holds closed below the root: a forged point, or a counterpart system
+    # that disagrees, fails the check in the target system
     p = parse_problem_data(fallback_kinks_problem(1)).program
     e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
     verdict = check_b_stationary(p, e)
     first = verdict.closed_cases[0]
     assert first.assignment == (SIDES[0],)
     forged = replace(first, certificate=replace(first.certificate, point=tuple(x + 1 for x in first.certificate.point)))
-    with pytest.raises(ValueError, match="source certificate is not valid"):
-        translate_b(replace(verdict, closed_cases=(forged,) + verdict.closed_cases[1:]), sys_anf, sys_mpcc, mp, point)
+    with pytest.raises(RuntimeError, match="target system"):
+        translate_b(replace(verdict, closed_cases=(forged,) + verdict.closed_cases[1:]), sys_mpcc, mp, point)
     coeffs, offset = sys_mpcc.pair_v[0]
     shifted = replace(sys_mpcc, pair_v=((coeffs, offset - 1),))
     with pytest.raises(RuntimeError, match="target system"):
-        translate_b(verdict, sys_anf, shifted, mp, point)
+        translate_b(verdict, shifted, mp, point)
     # a Fails: a branch label of the other form, or a direction that does not descend
     p = with_objective(e1, [1, 0])
     e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
     fails = check_b_stationary(p, e)
     with pytest.raises(ValueError, match="names no abs-normal branch"):
         translate_b_verdict(replace(fails, failing_branch="P={}"), mp, point)
-    with pytest.raises(RuntimeError, match="descent"):
+    with pytest.raises(RuntimeError, match="target system: .*'descent direction does not descend'"):
         translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), mp, point)
 
 
@@ -678,7 +676,7 @@ def test_strong_certificates_map_onto_every_branch_on_kinks(k, monkeypatch):
         calls.clear()
         b_anf = check_b_stationary(p, e, m_verdict=m_anf, system=sys_anf)
         assert len(calls) == (0 if sign > 0 else 1)
-        b_mpcc = translate_b(b_anf, sys_anf, sys_mpcc, mp, point)
+        b_mpcc = translate_b(b_anf, sys_mpcc, mp, point)
         assert b_anf.status == b_mpcc.status == kinks.stationarity_status(inst)
         assert_b_matches_reference(b_mpcc, mp, point, sys_mpcc)
         if sign > 0:
