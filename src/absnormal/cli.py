@@ -42,7 +42,7 @@ from .cq import (
     CQVerdict,
     PointAnalysis,
     analyze_point,
-    check_branch_cq,
+    branch_verdicts,
     decide_kink_cq,
     verify_relations,
 )
@@ -305,26 +305,29 @@ def _branch_list_section(pa: PointAnalysis) -> dict:
 def _cq_section(pa: PointAnalysis, which: set[str], include_branches: bool) -> dict:
     """The kink verdicts named in ``which`` (``KINK_VERDICTS`` names), each one
     on the slack form too when ``which`` holds ``slack``, and the branch
-    verdicts of every formulation when ``include_branches``."""
+    verdicts of every formulation when ``include_branches``.  The branch
+    verdicts come first, so that kink Guignard reads them."""
+    branches = branch_verdicts(pa) if include_branches else None
+
+    def kink(key: str, condition: str) -> dict:
+        gcq = None if branches is None else [v for _, v in branches[key]]
+        return _ser(decide_kink_cq(pa.formulation(key), condition, gcq))
+
     out = {}
     for name, (key, condition) in KINK_VERDICTS.items():
         if name in which:
-            out[name] = _ser(decide_kink_cq(pa.formulation(key), condition))
+            out[name] = kink(key, condition)
     if "slack" in which:
         for name, (key, condition) in KINK_VERDICTS.items():
-            out[f"{name}-slack"] = _ser(decide_kink_cq(pa.formulation(SLACK_FORMS[key]), condition))
+            out[f"{name}-slack"] = kink(SLACK_FORMS[key], condition)
     if include_branches:
-        branch_out = {}
-        for key in FORMULATIONS:
-            branch_out[key] = [
-                {
-                    "branch": ba.label,
-                    "acq": _ser(check_branch_cq(ba, "acq")),
-                    "gcq": _ser(check_branch_cq(ba, "gcq")),
-                }
-                for ba in pa.formulation(key).branches
+        out["branches"] = {
+            key: [
+                {"branch": ba.label, "acq": _ser(acq), "gcq": _ser(gcq)}
+                for ba, (acq, gcq) in zip(pa.formulation(key).branches, branches[key])
             ]
-        out["branches"] = branch_out
+            for key in FORMULATIONS
+        }
     return out
 
 
@@ -362,7 +365,7 @@ def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) 
 
 
 def _relations_section(pa: PointAnalysis) -> dict:
-    report, kink, branch_verdicts = verify_relations(pa)
+    report, kink, _ = verify_relations(pa)
     kink_out = {f"{which}[{key}]": _ser(verdict) for (which, key), verdict in sorted(kink.items())}
     return {"consistent": report.consistent, "arrows": [_ser(a) for a in report.arrows], "kink_verdicts": kink_out}
 
@@ -582,7 +585,7 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
     # a message about one case prefix follows the verdict name directly
     return [
         f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}"
-        for msg in verify_stationarity_verdict(systems(form), verdict, linearization)
+        for msg in verify_stationarity_verdict(functools.partial(systems, form), verdict, linearization)
     ]
 
 

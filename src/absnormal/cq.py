@@ -250,21 +250,28 @@ def check_branch_cq(ba: BranchAnalysis, which: str) -> CQVerdict:
     return CQVerdict(kind, ba.form, FAILS, branch=ba.label, witness=witness)
 
 
-def _guignard_escape(fa: FormulationAnalysis, members: list[PolyCone], own) -> Vec | None:
-    """A dual vector of the members escaping the dual of some branch
-    linearized cone; ``own(ba)`` are the members tried first for branch ``ba``."""
-    for ba in fa.branches:
+def _guignard_escape(branches, members: list[PolyCone], own) -> Vec | None:
+    """A dual vector of the members escaping the dual of the linearized cone
+    of one of ``branches``; ``own(ba)`` are the members tried first for
+    branch ``ba``."""
+    for ba in branches:
         witness = hull_escape(members, ba.lin, own(ba))
         if witness is not None:
             return witness
     return None
 
 
-def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
+def decide_kink_cq(fa: FormulationAnalysis, which: str, branch_gcq=None) -> CQVerdict:
     """Equality of the tangent union with the linearized union ("abadie"), or of
     their duals ("guignard"), with sound bounds when some branches are uncertified:
     the tangent union lies between the certified pieces (lower members) and
-    the certified pieces plus the uncertified linearized cones (upper members)."""
+    the certified pieces plus the uncertified linearized cones (upper members).
+
+    ``branch_gcq``, when given, are the ``branch-gcq`` verdicts of the
+    branches of ``fa``, in order.  Guignard skips a branch whose verdict
+    holds: its linearized cone lies in the conic hull of its own tangent
+    pieces, which are lower members, so no member set lets it escape.  The
+    verdict and its witness are those without ``branch_gcq``."""
     kind = _KINK_NAMES[(fa.key, which)]
     upper = fa.upper_members()
     all_known = not fa.blocking()
@@ -286,11 +293,14 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str) -> CQVerdict:
         return CQVerdict(kind, fa.key, UNKNOWN, blocking=fa.blocking())
     # Guignard: the linearized union lies in the conic hull of the lower
     # members (Holds) or escapes that of the upper members (Fails)
-    witness = _guignard_escape(fa, fa.lower_members(), lambda ba: ba.tangent_pieces or ())
+    branches = fa.branches
+    if branch_gcq is not None:
+        branches = [ba for ba, v in zip(branches, branch_gcq, strict=True) if v.status != HOLDS]
+    witness = _guignard_escape(branches, fa.lower_members(), lambda ba: ba.tangent_pieces or ())
     if witness is None:
         return CQVerdict(kind, fa.key, HOLDS)
     if not all_known:  # with every branch certified the upper members are the lower ones
-        witness = _guignard_escape(fa, upper, lambda ba: ba.upper_pieces)
+        witness = _guignard_escape(branches, upper, lambda ba: ba.upper_pieces)
     if witness is not None:
         return CQVerdict(kind, fa.key, FAILS, witness=witness)
     return CQVerdict(kind, fa.key, UNKNOWN, blocking=fa.blocking())
@@ -440,20 +450,26 @@ def _converse(lhs: str, rhs: str) -> str:
     return "agrees" if lhs == rhs else "disagrees"
 
 
+def branch_verdicts(pa: PointAnalysis) -> dict[str, list[tuple[CQVerdict, CQVerdict]]]:
+    """The ``branch-acq`` and ``branch-gcq`` verdicts of each branch, by
+    formulation, in branch order."""
+    return {
+        key: [(check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in pa.formulation(key).branches]
+        for key in FORMULATIONS
+    }
+
+
 def verify_relations(
     pa: PointAnalysis,
 ) -> tuple[RelationReport, dict[tuple[str, str], CQVerdict], dict[str, list[tuple[CQVerdict, CQVerdict]]]]:
     """Evaluate every qualification in all four formulations and check each
     proved implication; one-sided results are only tested in the proved
     direction, with the converse observation logged as data."""
+    branches = branch_verdicts(pa)
     kink: dict[tuple[str, str], CQVerdict] = {
-        (which, key): decide_kink_cq(pa.formulation(key), which)
+        (which, key): decide_kink_cq(pa.formulation(key), which, [gcq for _, gcq in branches[key]])
         for key in FORMULATIONS
         for which in ("abadie", "guignard")
-    }
-    branch_verdicts: dict[str, list[tuple[CQVerdict, CQVerdict]]] = {
-        key: [(check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in pa.formulation(key).branches]
-        for key in FORMULATIONS
     }
     arrows: list[RelationArrow] = []
 
@@ -473,7 +489,7 @@ def verify_relations(
                 f"branch-{tag}-all=>{which}[{key}]",
                 RelationSide(
                     f"{tag.upper()} for all branches ({key})",
-                    _aggregate(pair[pos].status for pair in branch_verdicts[key]),
+                    _aggregate(pair[pos].status for pair in branches[key]),
                 ),
                 kink_side(which, key),
             )
@@ -493,8 +509,8 @@ def verify_relations(
     # each branch of a derived formulation against the branch it comes from
     for key, (source_key, _) in _SOURCES.items():
         source = pa.formulation(source_key)
-        for ba, rhs_pair in zip(pa.formulation(key).branches, branch_verdicts[key], strict=True):
-            lhs_pair = branch_verdicts[source_key][source.source_position(ba.spec.signs)]
+        for ba, rhs_pair in zip(pa.formulation(key).branches, branches[key], strict=True):
+            lhs_pair = branches[source_key][source.source_position(ba.spec.signs)]
             for tag, lhs, rhs in zip(("acq", "gcq"), lhs_pair, rhs_pair):
                 add(
                     "iff",
@@ -502,4 +518,4 @@ def verify_relations(
                     RelationSide(f"{tag.upper()} {source_key} {lhs.branch}", lhs.status),
                     RelationSide(f"{tag.upper()} {key} {rhs.branch}", rhs.status),
                 )
-    return RelationReport(tuple(arrows)), kink, branch_verdicts
+    return RelationReport(tuple(arrows)), kink, branches

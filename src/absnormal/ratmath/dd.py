@@ -1,11 +1,17 @@
 """Double description: exact conversion between cone representations.
 
 A polyhedral cone ``{d : E d = 0, I d >= 0}`` is converted to generators
-(extreme rays plus a lineality basis) by processing one constraint at a time,
-starting from all of space.  Adjacency of rays is decided by the algebraic
-rank test on the common tight set, which stays correct in the presence of a
-lineality space.  The reverse conversion runs the same algorithm on the polar
-cone.
+(extreme rays plus a lineality basis) in two phases.  The equality rows are
+reduced in one fraction-free Gauss-Jordan pass, and the kernel of ``E`` is
+read off the reduced form: for each free column, in column order, the
+primitive vector that is nonzero there and zero on the other free columns.
+That is, up to the sign of each vector, the basis that extracting the
+lineality one equality at a time from the unit vectors ends in.  The
+inequality rows are then processed one at a time from that lineality basis,
+with no ray, and no step of theirs reads the sign of a lineality vector.
+Adjacency of rays is decided by the algebraic rank test on the common tight
+set, which stays correct in the presence of a lineality space.  The reverse
+conversion runs the same algorithm on the polar cone (Fukuda & Prodon 1996).
 
 The kernel works on integers in and out.  It takes integer rows of any
 positive scale as they are, since a positive factor changes no sign a row
@@ -25,6 +31,7 @@ processing order of the rows picks, which is why the kernel keeps that order.
 
 from __future__ import annotations
 
+from math import lcm
 from operator import mul
 
 from .matrix import coprime_integer, integer_rank
@@ -43,23 +50,23 @@ class _Ray:
 def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """Return (rays, lineality) generating ``{d : eq_rows . d = 0, ineq_rows . d >= 0}``,
     integer rows, as tuples of primitive integer vectors."""
-    lineality: list[IntVec] = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
+    eq_basis = _reduced_basis(eq_rows, dim)
+    lineality = _kernel_basis(eq_basis, dim)
     rays: list[_Ray] = []
-    eq_seen: list[IntVec] = []
     ineq_seen: list[IntVec] = []
 
     def adjacent(r1: _Ray, r2: _Ray) -> bool:
         common = r1.tight & r2.tight
         need = dim - len(lineality) - 2  # the rank of the common tight rows
-        if len(eq_seen) + len(common) < need:
+        if len(eq_basis) + len(common) < need:
             return False
-        rows = [list(a) for a in eq_seen] + [list(ineq_seen[i]) for i in common]
+        rows = [list(a) for a in eq_basis] + [list(ineq_seen[i]) for i in common]
         return integer_rank(rows, dim) == need
 
-    def split_rays(a, keep_positive_side: bool, new_index: int | None) -> None:
+    def split_rays(a, new_index: int) -> None:
         vals = [(sum(map(mul, a, r.v)), r) for r in rays]
         pos = [(x, r) for x, r in vals if x > 0]
-        zero = [r for x, r in vals if x == 0]
+        zero = [_Ray(r.v, r.tight | {new_index}) for x, r in vals if x == 0]
         neg = [(x, r) for x, r in vals if x < 0]
         combos: list[_Ray] = []
         for ap, rp in pos:
@@ -67,18 +74,14 @@ def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[tuple[IntVec, ...], t
                 if not adjacent(rp, rn):
                     continue
                 v = [ap * y - an * x for x, y in zip(rp.v, rn.v)]
-                tight = rp.tight & rn.tight
-                if new_index is not None:
-                    tight = tight | {new_index}
-                combos.append(_Ray(coprime_integer(v), tight))
-        if new_index is not None:
-            zero = [_Ray(r.v, r.tight | {new_index}) for r in zero]
-        rays[:] = ([r for _, r in pos] if keep_positive_side else []) + zero + combos
+                combos.append(_Ray(coprime_integer(v), (rp.tight & rn.tight) | {new_index}))
+        rays[:] = [r for _, r in pos] + zero + combos
 
-    def extract_lineality(a, vals: list[int], keep_pivot_as_ray: bool, new_index: int | None) -> None:
+    def extract_lineality(a, vals: list[int], new_index: int) -> None:
         # the first lineality vector p off the hyperplane is the pivot, s = a.p:
         # l <- s l - (a.l) p keeps a lineality vector (up to a nonzero factor)
-        # in a's kernel, r <- |s| r - sign(s) (a.r) p a ray (up to a positive one)
+        # in a's kernel, r <- |s| r - sign(s) (a.r) p a ray (up to a positive one),
+        # and p, signed to a.p > 0, is a new ray
         k = next(i for i, x in enumerate(vals) if x)
         p, s = lineality[k], vals[k]
         lineality[:] = [
@@ -91,21 +94,8 @@ def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[tuple[IntVec, ...], t
             x = sum(map(mul, a, r.v))
             if x:
                 r.v = coprime_integer([abs_s * y - x * q for y, q in zip(r.v, p_signed)])
-            if new_index is not None:
-                r.tight = r.tight | {new_index}
-        if keep_pivot_as_ray:
-            tight = frozenset(range(len(ineq_seen)))
-            rays.append(_Ray(p_signed, tight))
-
-    for a in eq_rows:
-        if not any(a):
-            continue
-        vals = [sum(map(mul, a, l)) for l in lineality]
-        if any(vals):
-            extract_lineality(a, vals, keep_pivot_as_ray=False, new_index=None)
-        else:
-            split_rays(a, keep_positive_side=False, new_index=None)
-        eq_seen.append(a)
+            r.tight = r.tight | {new_index}
+        rays.append(_Ray(p_signed, frozenset(range(len(ineq_seen)))))
 
     for a in ineq_rows:
         idx = len(ineq_seen)
@@ -116,30 +106,67 @@ def cone_generators(dim: int, eq_rows, ineq_rows) -> tuple[tuple[IntVec, ...], t
             continue
         vals = [sum(map(mul, a, l)) for l in lineality]
         if any(vals):
-            extract_lineality(a, vals, keep_pivot_as_ray=True, new_index=idx)
+            extract_lineality(a, vals, idx)
         else:
-            split_rays(a, keep_positive_side=True, new_index=idx)
+            split_rays(a, idx)
         ineq_seen.append(a)
 
     return tuple(sorted({r.v for r in rays if any(r.v)})), _reduced_basis(lineality, dim)
 
 
+def _kernel_basis(rows: tuple[IntVec, ...], dim: int) -> list[IntVec]:
+    """A basis of the kernel of rows in reduced row echelon form
+    (``_reduced_basis``): for each free column j, in column order, the
+    primitive vector positive at j and zero on the other free columns."""
+    pivots = {row.index(next(filter(None, row))): row for row in rows}  # each row by its first nonzero column
+    basis = []
+    for j in range(dim):
+        if j in pivots:
+            continue
+        hits = [(c, row) for c, row in pivots.items() if row[j]]
+        if not hits:  # no equality reads column j
+            basis.append((0,) * j + (1,) + (0,) * (dim - 1 - j))
+            continue
+        scale = lcm(*(row[c] for c, row in hits))
+        v = [0] * dim
+        v[j] = scale
+        for c, row in hits:
+            v[c] = -row[j] * (scale // row[c])
+        basis.append(coprime_integer(v))
+    return basis
+
+
 def _reduced_basis(rows: list[IntVec], dim: int) -> tuple[IntVec, ...]:
-    """The primitive rows of the reduced row echelon form of the span of
-    primitive integer rows, by fraction-free Gauss-Jordan: each pivot row is
-    made positive at its pivot, and every other row loses that column by an
-    integer combination that keeps its own pivot positive."""
-    work, done = list(rows), 0
+    """The rows of the reduced row echelon form of the span of integer rows,
+    primitive when the given rows are, by fraction-free Gauss-Jordan: each
+    pivot row is made positive at its pivot, and every other row loses that
+    column by an integer combination that keeps its own pivot positive and
+    is divided by the gcd of its entries; a row that becomes zero is
+    dropped."""
+    work, done = [row for row in rows if any(row)], 0
     for c in range(dim):
-        k = next((i for i in range(done, len(work)) if work[i][c]), None)
-        if k is None:
+        n = len(work)
+        if done == n:
+            break  # every row is a pivot row: no later column has a pivot
+        k = done
+        while k < n and not work[k][c]:
+            k += 1
+        if k == n:
             continue
         top = work.pop(k)
         if top[c] < 0:
             top = tuple(-x for x in top)
         p = top[c]
-        work = [coprime_integer([p * x - row[c] * y for x, y in zip(row, top)]) if row[c] else row for row in work]
-        work.insert(done, top)
+        out = []
+        for i, row in enumerate(work):
+            x = row[c]
+            if x:
+                row = coprime_integer([p * y - x * q for y, q in zip(row, top)])
+                if i >= done and not any(row):
+                    continue  # a row in the span of the pivot rows
+            out.append(row)
+        out.insert(done, top)
+        work = out
         done += 1
     return tuple(work[:done])
 

@@ -549,15 +549,16 @@ _WRITTEN = {
 }
 
 
-def verify_stationarity_verdict(system: _MultiplierSystem | None, verdict: StationarityVerdict, linearization) -> list[str]:
+def verify_stationarity_verdict(system, verdict: StationarityVerdict, linearization) -> list[str]:
     """Re-check a stationarity verdict by substitution, the one check of its
     validity: its status, and that it sets no field its kind and status never
-    write.  An M Holds: its multipliers, in ``system``, and the case of each
-    degenerate pair (``_holds_case_errors``).  An M Fails or a B Holds: its
-    closed case prefixes in ``system``, each with its case LP's Farkas ray or
-    with a point (``_verify_case_point``; messages start ``case [...]``), and
-    that they cover every full assignment of their cases.  A B Fails reads
-    no ``system`` but ``linearization()``, the point's
+    write.  An M Holds: its multipliers, in the point's multiplier system
+    ``system()``, and the case of each degenerate pair
+    (``_holds_case_errors``).  An M Fails or a B Holds: its closed case
+    prefixes in ``system()``, each with its case LP's Farkas ray or with a
+    point (``_verify_case_point``; messages start ``case [...]``), and that
+    they cover every full assignment of their cases.  A B Fails reads no
+    ``system()`` but ``linearization()``, the point's
     ``BranchLinearization``: the failing branch, and that the descent lies in
     its linearized cone and descends."""
     m_kind = verdict.kind.startswith("m-")
@@ -570,11 +571,6 @@ def verify_stationarity_verdict(system: _MultiplierSystem | None, verdict: Stati
         for field in fields(StationarityVerdict)[2:]  # the fields after kind and status
         if field.name not in written and getattr(verdict, field.name) != field.default
     ]
-    if m_kind and verdict.status == HOLDS:
-        ms = verdict.multipliers
-        if ms is None or verdict.case is None:
-            return errors + ["holds without multipliers" if ms is None else "holds without a case"]
-        return errors + (verify_multipliers(system, ms) or _holds_case_errors(system, verdict.case, ms))
     if not m_kind and verdict.status == FAILS:
         lin = linearization()
         label = verdict.failing_branch
@@ -591,6 +587,12 @@ def verify_stationarity_verdict(system: _MultiplierSystem | None, verdict: Stati
         if dot(lin.gradient, descent) >= 0:
             errors.append("descent direction does not descend")
         return errors
+    system = system()
+    if m_kind and verdict.status == HOLDS:
+        ms = verdict.multipliers
+        if ms is None or verdict.case is None:
+            return errors + ["holds without multipliers" if ms is None else "holds without a case"]
+        return errors + (verify_multipliers(system, ms) or _holds_case_errors(system, verdict.case, ms))
     cases, noun = (CASES, "failed") if m_kind else (SIDES, "closed")
     k = len(system.degenerate)
     for outcome in verdict.closed_cases:
@@ -638,7 +640,7 @@ def _holds_case_errors(system: _MultiplierSystem, case: tuple[str, ...], ms: Mul
 def _checked(system: _MultiplierSystem | None, verdict: StationarityVerdict, linearization, check: str):
     """``verdict``, once ``verify_stationarity_verdict`` finds it valid; an
     invalid one is the tool's own fault, a RuntimeError naming ``check``."""
-    errors = verify_stationarity_verdict(system, verdict, linearization)
+    errors = verify_stationarity_verdict(lambda: system, verdict, linearization)
     if errors:
         raise RuntimeError(f"{verdict.kind} certificate failed {check}: {errors}")
     return verdict

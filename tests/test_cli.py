@@ -824,6 +824,28 @@ def test_qualifications_decide_without_polar_double_description(tmp_path, capsys
     assert json.loads(out)["points"]
 
 
+def test_each_branch_makes_one_guignard_pass(capsys, monkeypatch):
+    # check-cq --all and verify-relations decide each branch's Guignard
+    # first, and the kink Guignard skips a branch whose own holds; a
+    # kink-only call makes every pass, and no skip costs an LP
+    import absnormal.cones
+    import absnormal.ratmath.lp
+
+    passes = count_calls(monkeypatch, absnormal.cones, "hull_escape")
+    lps = count_calls(monkeypatch, absnormal.ratmath.lp, "lp_solve")
+    expected = {"E1": (0, 12, 0), "E2": (0, 26, 0), "E3": (1, 12, 12), "E4": (1, 8, 0)}
+    for problem, (exit_code, passes_made, lps_solved) in expected.items():
+        for argv in (("check-cq", problem, "--all"), ("verify-relations", problem)):
+            passes.clear()
+            lps.clear()
+            assert run_cli(capsys, *argv)[::2] == (exit_code, ""), argv
+            assert (len(passes), len(lps)) == (passes_made, lps_solved), argv
+    passes.clear()
+    lps.clear()
+    assert run_cli(capsys, "check-cq", "E3", "--gkq", "--mpcc-gcq", "--recheck")[::2] == (1, "")
+    assert (len(passes), len(lps)) == (2, 2)
+
+
 def test_corrupted_mapped_b_certificate_exits_three(capsys, monkeypatch):
     # the closed prefixes of a B Holds are checked once by substitution: a
     # root LP point that does not solve the Lagrangian rows, yet has
@@ -1412,15 +1434,20 @@ def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkey
 
 def test_check_stationarity_builds_each_multiplier_system_once_per_pass(tmp_path, capsys, monkeypatch):
     # the M search, B and both translations share one system per form; the
-    # recheck rebuilds each from the problem file, once
+    # recheck rebuilds each from the problem file, once, and only for a
+    # verdict that reads it: a B Fails reads the linearization alone
     kinks = bench_kinks()
     builds = {name: count_calls(monkeypatch, stationarity, name) for name in ("_anf_system", "_mpcc_system")}
-    for sign, code in ((1, 0), (-1, 1)):
-        path = write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 4, sign)))
+    runs = [
+        ((write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 4, sign))),), code, 2)
+        for sign, code in ((1, 0), (-1, 1))
+    ]
+    runs += [(("E1", "--point", "shoulder", "--b"), 1, 1), (("E1", "--point", "shoulder"), 1, 2)]
+    for args, code, count in runs:
         for calls in builds.values():
             calls.clear()
-        assert run_cli(capsys, "check-stationarity", path, "--recheck")[::2] == (code, "")
-        assert {name: len(calls) for name, calls in builds.items()} == {"_anf_system": 2, "_mpcc_system": 2}
+        assert run_cli(capsys, "check-stationarity", *args, "--recheck")[::2] == (code, ""), args
+        assert {name: len(calls) for name, calls in builds.items()} == {"_anf_system": count, "_mpcc_system": count}, args
 
 
 def test_back_to_back_main_calls_share_the_parser_but_no_state(capsys):

@@ -283,6 +283,54 @@ def test_integer_kernel_contract():
     assert scaled_rows >= 2000, scaled_rows
 
 
+def equality_heavy_cone_rows(rng: random.Random) -> tuple[int, list[Vec], list[Vec]]:
+    """A cone with more equality rows than half its dimension: random rows
+    and unit pin rows, scaled in either sign, then zero, repeated and
+    dependent rows (a combination of two earlier rows) inserted at random
+    places; and a few inequality rows."""
+    dim = rng.randint(2, 9)
+    eq = []
+    for _ in range(rng.randint(1, dim - 1)):
+        if rng.random() < 0.35:
+            eq.append(vec_scale(rng.choice((1, -1)) * _factor(rng), unit_vec(dim, rng.randrange(dim))))
+        else:
+            eq.append(tuple(_entry(rng) for _ in range(dim)))
+    while len(eq) <= dim // 2 or rng.random() < 0.5:
+        kind = rng.choice(("zero", "copy", "dependent"))
+        if kind == "zero":
+            new = (ZERO,) * dim
+        elif kind == "copy":
+            new = vec_scale(rng.choice((1, -1)) * _factor(rng), rng.choice(eq))
+        else:
+            a, b = rng.choice(eq), rng.choice(eq)
+            new = tuple(_factor(rng) * x - _factor(rng) * y for x, y in zip(a, b))
+        eq.insert(rng.randint(0, len(eq)), new)
+    ineq = random_rows(rng, dim, rng.randint(0, 4))
+    return dim, eq, ineq
+
+
+def test_equality_pass_matches_rational_reference():
+    # the equalities are reduced in one pass to the kernel basis that the
+    # reference reaches one equality at a time: the same output, also on
+    # integer rows scaled by any positive factors
+    rng = random.Random(20261019)
+    shapes = {"zero cone": 0, "pointed": 0, "lineality only": 0, "rays and lineality": 0}
+    for trial in range(1500):
+        dim, eq, ineq = equality_heavy_cone_rows(rng)
+        assert 2 * len(eq) > dim
+        result = on_rational_rows(cone_generators, dim, eq, ineq)
+        assert repr(result) == repr(rational_cone_generators(dim, eq, ineq)), (trial, dim, eq, ineq)
+        eq_ints, ineq_ints = [primitive_integer(r) for r in eq], [primitive_integer(r) for r in ineq]
+        expected = cone_generators(dim, eq_ints, ineq_ints)
+        assert cone_generators(dim, _scaled(rng, eq_ints), ineq_ints) == expected, (trial, dim, eq, ineq)
+        rays, lineality = result
+        if lineality:
+            shapes["rays and lineality" if rays else "lineality only"] += 1
+        else:
+            shapes["pointed" if rays else "zero cone"] += 1
+    assert min(shapes.values()) >= 100, shapes
+
+
 def test_generators_to_hrep_matches_rational_reference():
     rng = random.Random(31)
     for trial in range(600):

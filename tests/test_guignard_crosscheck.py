@@ -24,10 +24,10 @@ from absnormal.cq import (
     decide_kink_cq,
 )
 from absnormal.anf import evaluate
-from absnormal.problemfile import load_corpus
+from absnormal.problemfile import load_corpus, parse_problem_data
 from absnormal.ratmath import zero_vec
 
-from conftest import random_affine_program
+from conftest import qkinks_problem, random_affine_program
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,11 +76,14 @@ def assert_agrees(pa, seen: set) -> None:
         assert verdict.status == reference_kink_guignard(fa), (key, verdict)
         assert recheck(key, verdict, pa) == []
         seen.add(("kink", verdict.status))
-        for ba in fa.branches:
-            verdict = check_branch_cq(ba, "gcq")
-            assert verdict.status == reference_branch_guignard(ba), (key, ba.label, verdict)
-            assert recheck(key, verdict, pa) == []
-            seen.add(("branch", verdict.status))
+        branch_verdicts = [check_branch_cq(ba, "gcq") for ba in fa.branches]
+        for ba, branch_verdict in zip(fa.branches, branch_verdicts):
+            assert branch_verdict.status == reference_branch_guignard(ba), (key, ba.label, branch_verdict)
+            assert recheck(key, branch_verdict, pa) == []
+            seen.add(("branch", branch_verdict.status))
+        # given the branch verdicts, the kink decider skips each branch that
+        # holds, with the same verdict and witness
+        assert decide_kink_cq(fa, "guignard", branch_verdicts) == verdict, key
 
 
 def _small_row(rng: random.Random, dim: int):
@@ -134,3 +137,12 @@ def test_guignard_agrees_with_dual_reference_on_random_affine_programs():
         checked += 1
     for level in ("kink", "branch"):
         assert {(level, HOLDS), (level, FAILS), (level, UNKNOWN)} <= seen
+
+
+def test_guignard_agrees_with_dual_reference_on_qkinks():
+    # no formulation is affine, so every branch certifies its own tangent cone
+    seen: set = set()
+    for inequalities in (False, True):
+        pf = parse_problem_data(qkinks_problem(2, inequalities))
+        assert_agrees(analyze_point(pf.program, pf.points[0].t), seen)
+    assert seen == {("kink", HOLDS), ("branch", HOLDS)}

@@ -141,7 +141,7 @@ def test_b_stationary_e1_holds(e1):
     # strong stationarity decides it: the root prefix closes both branches,
     # with no multipliers listed and no branch built
     assert v.multipliers is None and [outcome.assignment for outcome in v.closed_cases] == [()]
-    assert verify_stationarity_verdict(multiplier_system(e1, e), v, None) == []
+    assert verify_stationarity_verdict(lambda: multiplier_system(e1, e), v, None) == []
     assert b_by_generators(anf_branches(e1, e)) == (HOLDS, None)
 
 
@@ -351,7 +351,7 @@ def unique_route_equals_case_search(p, e, seen):
         closed_by_root = unique and lp_solve(system.root).status != "feasible"
         if closed_by_root:
             assert [outcome.assignment for outcome in verdict.closed_cases] == [()]
-            assert verify_stationarity_verdict(system, verdict, None) == []
+            assert verify_stationarity_verdict(lambda: system, verdict, None) == []
         else:
             assert verdict == searched
         if unique:
@@ -473,7 +473,7 @@ def assert_b_matches_reference(verdict, program, point, system):
     branches = (mpcc_branches if isinstance(program, MpccProgram) else anf_branches)(program, point)
     assert (verdict.status, verdict.failing_branch) == b_by_generators(branches)
     if verdict.status == HOLDS:
-        assert verify_stationarity_verdict(system, verdict, None) == []
+        assert verify_stationarity_verdict(lambda: system, verdict, None) == []
     else:
         assert_descends(verdict, branches)
 
