@@ -28,7 +28,7 @@ from json.encoder import encode_basestring
 
 from . import __version__
 from .anf import AbsNormalProgram, EvalResult, evaluate
-from .cones import PolyCone, dual_cone, dual_union, linearize_anf, linearize_mpcc
+from .cones import PolyCone, dual_cone, dual_union
 from .cq import (
     ABS_E,
     ABS_I,
@@ -61,7 +61,6 @@ from .stationarity import (
     check_b_stationary,
     check_m_stationary_anf,
     multiplier_system,
-    translate_b_verdict,
     translate_m_verdict,
     verify_stationarity_verdict,
 )
@@ -271,7 +270,7 @@ def _cones_section(pa: PointAnalysis, include_dual: bool, forms) -> dict:
         branches = []
         lin_duals = []
         for ba in fa.branches:
-            # the branch's linearized cone printed with its exact rows, as the descent LP reads them
+            # the branch's linearized cone printed with its exact rows
             lin = _ser_hv(ba.lin, fa.lin.rows(ba.spec.signs))
             # a certified tangent piece is the linearized cone object itself: serialize it once
             tangent = [lin if p is ba.lin else _ser_hv(p) for p in ba.tangent_pieces] if ba.tangent_known else None
@@ -336,14 +335,13 @@ def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) 
     ``mpcc``), by name in report order: M on the abs-normal form, its
     translation to the counterpart (re-checked in the system read off the
     MPCC data, with no second case search), B given the M verdict, and B's
-    translation.  Each form's multiplier system is built once and shared; the
+    translation, made the same way.  Each form's multiplier system is built once and shared; the
     counterpart is anchored only when ``forms`` holds ``mpcc``."""
     out = {}
     p, e = pa.anchor(ABS_I)
     system = multiplier_system(p, e)
     if "mpcc" in forms:
-        counterpart = pa.anchor(MPCC_I)
-        counterpart_system = multiplier_system(*counterpart)
+        counterpart_system = multiplier_system(*pa.anchor(MPCC_I))
     m_anf = None
     if "m" in which:
         m_anf = check_m_stationary_anf(p, e, system=system)
@@ -356,11 +354,7 @@ def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) 
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
-            out["b-mpcc"] = (
-                translate_m_verdict(b_anf, counterpart_system, "b-mpcc")
-                if b_anf.status == HOLDS
-                else translate_b_verdict(b_anf, *counterpart)
-            )
+            out["b-mpcc"] = translate_m_verdict(b_anf, counterpart_system, "b-mpcc")
     return out
 
 
@@ -575,17 +569,14 @@ def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: Stat
     kind = verdict.kind
     if kind not in ("m-anf", "m-mpcc", "b-anf", "b-mpcc"):
         return [f"{prefix}: unknown kind {kind!r}"]
-    # every multiplier system, branch cone and certificate is checked at the
-    # point, which only a feasible point has
+    # every multiplier system and certificate is checked at the point, which
+    # only a feasible point has
     if not pa.point_eval.is_feasible():
         return [f"{prefix}: point is not feasible, so no branch rechecks"]
-    form = ABS_I if kind.endswith("-anf") else MPCC_I
-    # only a B Fails reads the linearization: its failing branch's cone
-    linearization = functools.partial(linearize_anf if form == ABS_I else linearize_mpcc, *pa.anchor(form))
     # a message about one case prefix follows the verdict name directly
     return [
         f"{prefix} {msg}" if msg.startswith("case [") else f"{prefix}: {msg}"
-        for msg in verify_stationarity_verdict(functools.partial(systems, form), verdict, linearization)
+        for msg in verify_stationarity_verdict(systems(ABS_I if kind.endswith("-anf") else MPCC_I), verdict)
     ]
 
 

@@ -8,8 +8,7 @@ branch, which the branch decomposition makes canonical.  Every branch
 linearized cone comes from one linearization of its formulation at the point
 (``linearize_anf``, ``linearize_mpcc``), which evaluates each constraint
 gradient once for all branches and also gives each branch's exact, unscaled
-rows (``BranchLinearization.rows``) to the descent LP of a branch that fails
-B-stationarity and to printing.
+rows (``BranchLinearization.rows``) for printing.
 
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
@@ -400,9 +399,8 @@ class BranchLinearization:
         return rows(eq_grads, eq_units, self.n_eq), rows(ineq_grads, ineq_units, self.n_ineq)
 
     def rows(self, signs: tuple[int, ...]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """The exact (eq, ineq) rows of the branch ``signs``, unscaled, for the
-        descent LP of a branch that fails B-stationarity, whose point is
-        reported, and for printing."""
+        """The exact (eq, ineq) rows of the branch ``signs``, unscaled, for
+        printing."""
         eq, ineq = self._branch_rows(
             signs, [(g, 1) for g in self.eq_grads], [(g, 1) for g in self.ineq_grads], ZERO
         )

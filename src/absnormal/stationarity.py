@@ -42,20 +42,20 @@ prefixes of the degenerate pairs, the branching of LPCC branch-and-bound (Hu,
 Mitchell, Pang, Bennett & Kunapuli 2008): a prefix fixes the sides of its
 pairs and keeps both pair multipliers of the later ones nonnegative, so a
 feasible prefix closes its subtree.  A Holds lists the closed prefixes with
-their points, rechecked and translated as an M Fails's prefixes are
-(``verify_stationarity_verdict``, ``translate_m_verdict``); the first open
-branch fails with its descent LP's point (``translate_b_verdict`` splits it).
+their points; the first open branch fails with the Farkas ray of its case
+LP.  Both are rechecked and translated as an M Fails's prefixes are
+(``verify_stationarity_verdict``, ``translate_m_verdict``): every verdict
+lives in the multiplier system, and the three walks over case prefixes (the
+M search, the B search and the coverage check) are one, ``first_open``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
-from .cones import BranchLinearization, linearize_anf, linearize_mpcc
 from .cq import FAILS, HOLDS
 from .ratmath import (
     FEASIBLE,
@@ -67,21 +67,19 @@ from .ratmath import (
     LpProblem,
     LpResult,
     Vec,
-    dot,
     integer_dot,
     lp_solve,
     primitive_integer,
-    vec_neg,
     verify_certificate,
-    zero_vec,
 )
 from .ratmath.matrix import integer_rank, integer_row
 from .transforms import (
     DEFAULT_BRANCH_CAP,
+    BranchSpec,
     MpccPoint,
     MpccProgram,
+    branch_specs,
     parse_branch_label,
-    split_direction,
 )
 
 DEFAULT_CASE_CAP = 3**10
@@ -130,7 +128,7 @@ class StationarityVerdict:
     multipliers: MultiplierSet | None = None
     case: tuple[str, ...] | None = None
     failing_branch: str | None = None
-    descent: Vec | None = None
+    ray: LpCertificate | None = None
     closed_cases: tuple[CaseOutcome, ...] = ()
 
 
@@ -192,6 +190,14 @@ class _MultiplierSystem:
         (ONE,))``, each as its positive multiple ``row . h``: their signs."""
         _, pair_u, pair_v = self.integer_rows
         return tuple([integer_dot(row, h) for row, _ in rows] for rows in (pair_u, pair_v))
+
+    @functools.cached_property
+    def base_signature(self) -> tuple[int, ...]:
+        """The anchor signature, which branch labels are read against: + where
+        the pair multiplier u is fixed to zero, - where v is, 0 at a
+        degenerate pair."""
+        u, v = set(self.fixed_pair_u_zero), set(self.fixed_pair_v_zero)
+        return tuple(1 if i in u else -1 if i in v else 0 for i in range(self.s))
 
     @functools.cached_property
     def root(self) -> LpProblem:
@@ -410,52 +416,51 @@ def _case_search(system: _MultiplierSystem, kind: str, solved: int = 0) -> Stati
     already."""
     k = len(system.degenerate)
     failed: list[CaseOutcome] = []
+    lam = None  # the point of the last feasible prefix, which is the found leaf's
 
-    def first_feasible(prefix: tuple[str, ...]) -> tuple[tuple[str, ...], Vec] | None:
-        """Solve ``prefix``; return the first feasible full assignment below it."""
-        nonlocal solved
+    def closes(prefix: tuple[str, ...]) -> bool:
+        """Whether ``prefix``'s case LP is infeasible, its Farkas ray recorded
+        if so.  The root LP relaxes every case, so it decides nothing unless
+        k == 0."""
+        nonlocal solved, lam
+        if not prefix and k:
+            return False
         _check_case_cap(solved, system)
         solved += 1
         res = lp_solve(build_case_problem(system, prefix)) if prefix else system.root_result
         if res.status != FEASIBLE:
             failed.append(CaseOutcome(prefix, res.certificate))
+            return True
+        lam = res.certificate.point
+        return False
+
+    assignment = first_open(k, CASES, closes)
+    if assignment is None:
+        return StationarityVerdict(kind, FAILS, closed_cases=tuple(failed))
+    return StationarityVerdict(kind, HOLDS, multipliers=_multipliers_from_lam(system, lam), case=assignment)
+
+
+def first_open(k: int, cases: tuple[str, ...], closes) -> tuple[str, ...] | None:
+    """The first full assignment of ``cases`` over ``k`` degenerate indices,
+    depth first in ``cases`` order, that no prefix closes, or None.  The
+    walk asks ``closes(prefix)`` of each prefix it reaches, in that order,
+    and enters no prefix that closes."""
+
+    def walk(prefix: tuple[str, ...]) -> tuple[str, ...] | None:
+        if closes(prefix):
             return None
         if len(prefix) == k:
-            return prefix, res.certificate.point
-        return first_feasible_child(prefix)
+            return prefix
+        # a child prefix is never empty, so never falsy
+        return next(filter(None, (walk(prefix + (case,)) for case in cases)), None)
 
-    def first_feasible_child(prefix: tuple[str, ...]) -> tuple[tuple[str, ...], Vec] | None:
-        for case in CASES:
-            found = first_feasible(prefix + (case,))
-            if found is not None:
-                return found
-        return None
-
-    # the root LP relaxes every case, so it decides nothing unless k == 0
-    found = first_feasible(()) if k == 0 else first_feasible_child(())
-    if found is None:
-        return StationarityVerdict(kind, FAILS, closed_cases=tuple(failed))
-    assignment, lam = found
-    return StationarityVerdict(kind, HOLDS, multipliers=_multipliers_from_lam(system, lam), case=assignment)
+    return walk(())
 
 
 def uncovered_case(prefixes, k: int, cases: tuple[str, ...]) -> tuple[str, ...] | None:
     """The first full assignment of ``cases`` over ``k`` degenerate indices
     that no prefix in ``prefixes`` covers, or None when they cover them all."""
-    closed = set(prefixes)
-
-    def hole(prefix: tuple[str, ...]) -> tuple[str, ...] | None:
-        if prefix in closed:
-            return None
-        if len(prefix) == k:
-            return prefix
-        for case in cases:
-            found = hole(prefix + (case,))
-            if found is not None:
-                return found
-        return None
-
-    return hole(())
+    return first_open(k, cases, set(prefixes).__contains__)
 
 
 def _multipliers_from_lam(system: _MultiplierSystem, lam: Vec) -> MultiplierSet:
@@ -518,7 +523,7 @@ def _verify_case_point(system: _MultiplierSystem, assignment: tuple[str, ...], l
 def check_m_stationary_mpcc(mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
     """M-stationarity of the counterpart, within ``DEFAULT_CASE_CAP`` case LPs."""
     system = _mpcc_system(mp, point)
-    return _checked(system, _solve_system(system, "m-mpcc"), None, "self-check")
+    return _checked(system, _solve_system(system, "m-mpcc"), "self-check")
 
 
 def check_m_stationary_anf(
@@ -528,7 +533,7 @@ def check_m_stationary_anf(
     ``system`` is ``multiplier_system(p, e)`` when the caller already has it."""
     if system is None:
         system = _anf_system(p, e)
-    return _checked(system, _solve_system(system, "m-anf"), None, "self-check")
+    return _checked(system, _solve_system(system, "m-anf"), "self-check")
 
 
 def multiplier_system(program, point) -> _MultiplierSystem:
@@ -545,22 +550,21 @@ _WRITTEN = {
     (True, HOLDS): ("multipliers", "case"),
     (True, FAILS): ("closed_cases",),
     (False, HOLDS): ("closed_cases",),
-    (False, FAILS): ("failing_branch", "descent"),
+    (False, FAILS): ("failing_branch", "ray"),
 }
 
 
-def verify_stationarity_verdict(system, verdict: StationarityVerdict, linearization) -> list[str]:
-    """Re-check a stationarity verdict by substitution, the one check of its
-    validity: its status, and that it sets no field its kind and status never
-    write.  An M Holds: its multipliers, in the point's multiplier system
-    ``system()``, and the case of each degenerate pair
-    (``_holds_case_errors``).  An M Fails or a B Holds: its closed case
-    prefixes in ``system()``, each with its case LP's Farkas ray or with a
-    point (``_verify_case_point``; messages start ``case [...]``), and that
-    they cover every full assignment of their cases.  A B Fails reads no
-    ``system()`` but ``linearization()``, the point's
-    ``BranchLinearization``: the failing branch, and that the descent lies in
-    its linearized cone and descends."""
+def verify_stationarity_verdict(system: _MultiplierSystem, verdict: StationarityVerdict) -> list[str]:
+    """Re-check a stationarity verdict by substitution in the point's
+    multiplier system, the one check of its validity: its status, and that it
+    sets no field its kind and status never write.  An M Holds: its
+    multipliers and the case of each degenerate pair (``_holds_case_errors``).
+    An M Fails or a B Holds: its closed case prefixes, each with its case
+    LP's Farkas ray or with a point (``_verify_case_point``), and that they
+    cover every full assignment of their cases.  A B Fails: its failing
+    branch, a label of its form at the system's anchor, and the Farkas ray of
+    the case LP of that branch's sides.  A message about one case names it
+    first (``case [...]: ...``)."""
     m_kind = verdict.kind.startswith("m-")
     what = "an M-stationarity verdict" if m_kind else "a B-stationarity verdict"
     if verdict.status not in (HOLDS, FAILS):
@@ -571,28 +575,20 @@ def verify_stationarity_verdict(system, verdict: StationarityVerdict, linearizat
         for field in fields(StationarityVerdict)[2:]  # the fields after kind and status
         if field.name not in written and getattr(verdict, field.name) != field.default
     ]
-    if not m_kind and verdict.status == FAILS:
-        lin = linearization()
-        label = verdict.failing_branch
-        spec = parse_branch_label(label, "signature" if verdict.kind == "b-anf" else "partition", lin.base)
-        if spec is None:
-            return errors + [f"unknown failing branch {label!r}"]
-        descent = verdict.descent
-        if descent is None:
-            return errors + ["descent missing"]
-        if len(descent) != lin.dim:
-            return errors + [f"descent has {len(descent)} entries, expected {lin.dim}"]
-        if not lin.cone(spec.signs).contains(primitive_integer(descent)):
-            errors.append("descent direction is not linearized-feasible")
-        if dot(lin.gradient, descent) >= 0:
-            errors.append("descent direction does not descend")
-        return errors
-    system = system()
     if m_kind and verdict.status == HOLDS:
         ms = verdict.multipliers
         if ms is None or verdict.case is None:
             return errors + ["holds without multipliers" if ms is None else "holds without a case"]
         return errors + (verify_multipliers(system, ms) or _holds_case_errors(system, verdict.case, ms))
+    if not m_kind and verdict.status == FAILS:
+        label = verdict.failing_branch
+        spec = parse_branch_label(label, "signature" if verdict.kind == "b-anf" else "partition", system.base_signature)
+        if spec is None:
+            return errors + [f"unknown failing branch {label!r}"]
+        if verdict.ray is None:
+            return errors + ["fails without a ray"]
+        sides = tuple(CASE_U_NONNEGATIVE if spec.signs[i] > 0 else CASE_V_NONNEGATIVE for i in system.degenerate)
+        return errors + _farkas_errors(system, sides, verdict.ray)
     cases, noun = (CASES, "failed") if m_kind else (SIDES, "closed")
     k = len(system.degenerate)
     for outcome in verdict.closed_cases:
@@ -604,8 +600,7 @@ def verify_stationarity_verdict(system, verdict: StationarityVerdict, linearizat
         elif unknown is not None:
             errors.append(f"{where}: unknown case {unknown!r}")
         elif m_kind:
-            result = LpResult(INFEASIBLE, cert)
-            errors.extend(f"{where}: {msg}" for msg in verify_certificate(build_case_problem(system, assignment), result))
+            errors += _farkas_errors(system, assignment, cert)
         elif cert.kind != KIND_POINT or cert.point is None:
             errors.append(f"{where}: feasible verdict without a point certificate")
         elif len(cert.point) != system.n_unknowns:
@@ -617,6 +612,13 @@ def verify_stationarity_verdict(system, verdict: StationarityVerdict, linearizat
     if hole is not None:
         errors.append(f"no {noun} case covers the case assignment {list(hole)}")
     return errors
+
+
+def _farkas_errors(system: _MultiplierSystem, assignment: tuple[str, ...], cert: LpCertificate) -> list[str]:
+    """Why ``cert`` is not a Farkas ray of the case LP of ``assignment``, each
+    message naming the case."""
+    result = LpResult(INFEASIBLE, cert)
+    return [f"case {list(assignment)}: {msg}" for msg in verify_certificate(build_case_problem(system, assignment), result)]
 
 
 def _holds_case_errors(system: _MultiplierSystem, case: tuple[str, ...], ms: MultiplierSet) -> list[str]:
@@ -637,27 +639,34 @@ def _holds_case_errors(system: _MultiplierSystem, case: tuple[str, ...], ms: Mul
     return errors
 
 
-def _checked(system: _MultiplierSystem | None, verdict: StationarityVerdict, linearization, check: str):
+def _checked(system: _MultiplierSystem, verdict: StationarityVerdict, check: str):
     """``verdict``, once ``verify_stationarity_verdict`` finds it valid; an
     invalid one is the tool's own fault, a RuntimeError naming ``check``."""
-    errors = verify_stationarity_verdict(lambda: system, verdict, linearization)
+    errors = verify_stationarity_verdict(system, verdict)
     if errors:
         raise RuntimeError(f"{verdict.kind} certificate failed {check}: {errors}")
     return verdict
 
 
 def translate_m_verdict(verdict: StationarityVerdict, system_to: _MultiplierSystem, kind: str) -> StationarityVerdict:
-    """The other form's verdict from this form's multiplier certificate (an M
-    verdict or a B Holds): an M Holds keeps lam and re-derives the pair
-    multipliers in ``system_to``, the closed prefixes stay as they are, lam
-    being the same unknowns in both systems.  The result is checked in
+    """The other form's verdict from this form's multiplier certificate: an M
+    Holds keeps lam and re-derives the pair multipliers in ``system_to``, the
+    closed prefixes and a B Fails's ray stay as they are, lam being the same
+    unknowns in both systems.  A B Fails goes from the abs-normal form to the
+    counterpart, its branch ``σ=...`` relabeled ``P={...}``; a label that
+    names no abs-normal branch is a ValueError.  The result is checked in
     ``system_to`` alone: invalid there, the source is wrong or the two
     derivations disagree, a RuntimeError."""
     out = replace(verdict, kind=kind)
     ms = verdict.multipliers
     if ms is not None:
         out = replace(out, multipliers=_multipliers_from_lam(system_to, ms.lam_e + ms.lam_i + ms.lam_z))
-    return _checked(system_to, out, None, "self-check in the target system")
+    if verdict.failing_branch is not None:
+        spec = parse_branch_label(verdict.failing_branch, "signature", system_to.base_signature)
+        if spec is None:
+            raise ValueError(f"source verdict names no abs-normal branch: {verdict.failing_branch!r}")
+        out = replace(out, failing_branch=replace(spec, kind="partition").label)
+    return _checked(system_to, out, "self-check in the target system")
 
 
 # ---------------------------------------------------------------------------
@@ -674,26 +683,6 @@ def _sign_violations(system: _MultiplierSystem, assignment: tuple[str, ...], mu_
             yield f"u[{i}]"
         if side != CASE_U_NONNEGATIVE and mu_v[i] < 0:
             yield f"v[{i}]"
-
-
-def _branch_descent_lp(lin: BranchLinearization, signs: tuple[int, ...]) -> LpProblem:
-    """The descent directions of the branch ``signs``: ``E d = 0, I d >= 0,
-    -gradient . d >= 1`` on the branch's exact rows
-    (``BranchLinearization.rows``).
-
-    By Farkas' lemma (Schrijver 1986, ch. 7) this system is infeasible
-    exactly when ``gradient = E^T y + I^T lam`` for some ``lam >= 0``, that is
-    when the branch's case LP in the multiplier system is feasible.  So it is
-    solved only for a branch whose case LP is not, and its point is the
-    descent."""
-    eq, ineq = lin.rows(signs)
-    return LpProblem(
-        n_vars=lin.dim,
-        eq_rows=eq,
-        eq_rhs=zero_vec(len(eq)),
-        ineq_rows=ineq + (vec_neg(lin.gradient),),
-        ineq_rhs=zero_vec(len(ineq)) + (ONE,),
-    )
 
 
 def check_b_stationary(
@@ -716,15 +705,15 @@ def check_b_stationary(
     certificate, or the root LP's point when the system fixes the
     multipliers, which then decides every prefix with no LP.  A failed M
     verdict closes no root, as S implies M.  The first open branch fails
-    with its descent LP's point (``_branch_descent_lp``).  The branch cap is
-    checked at the call.
+    with the Farkas ray of its case LP: the search's own LP of that leaf,
+    the root's when k == 0, else solved once.  The branch cap is checked at
+    the call.
     """
-    linearize = linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf
-    lin = linearize(program, point)
-    specs = lin.specs(branch_cap)
-    kind = "b-" + lin.form
+    kind, label_kind = ("b-mpcc", "partition") if isinstance(program, MpccProgram) else ("b-anf", "signature")
     if system is None:
         system = multiplier_system(program, point)
+    base = system.base_signature
+    branch_specs(label_kind, base, branch_cap)  # checks the cap; no spec is made
     k = len(system.degenerate)
     m_failed = m_verdict is not None and m_verdict.status != HOLDS
     known = None  # the candidate, which solves the root's rows
@@ -736,50 +725,33 @@ def check_b_stationary(
     pairs = known and system.pair_multiples(integer_row(known.point + (ONE,))[0])
     closed: list[CaseOutcome] = []
 
-    def close(prefix: tuple[str, ...]) -> bool:
+    @functools.cache
+    def relaxed(prefix: tuple[str, ...]) -> LpResult:
+        """The result of ``prefix``'s case LP, both pair multipliers of each
+        later pair kept nonnegative: a leaf's is its branch's own."""
+        if not k:
+            return system.root_result
+        return lp_solve(build_case_problem(system, prefix + (CASE_BOTH_POSITIVE,) * (k - len(prefix))))
+
+    def closes(prefix: tuple[str, ...]) -> bool:
         """Whether ``prefix``'s case LP is feasible, its point recorded if so."""
         if known and next(_sign_violations(system, prefix, *pairs), None) is None:
             res = LpResult(FEASIBLE, known)
         elif system.fixes_multipliers or (m_failed and not prefix):
             return False
-        elif k:
-            res = lp_solve(build_case_problem(system, prefix + (CASE_BOTH_POSITIVE,) * (k - len(prefix))))
         else:
-            res = system.root_result
+            res = relaxed(prefix)
         if res.status == FEASIBLE:
             closed.append(CaseOutcome(prefix, res.certificate))
         return res.status == FEASIBLE
 
-    def first_open(prefix: tuple[str, ...]) -> tuple[str, ...] | None:
-        """The first branch below ``prefix`` that no feasible prefix closes."""
-        if close(prefix):
-            return None
-        if len(prefix) == k:
-            return prefix
-        return next(filter(None, (first_open(prefix + (side,)) for side in SIDES)), None)
-
-    branch = first_open(())
+    branch = first_open(k, SIDES, closes)
     if branch is None:
-        return _checked(system, StationarityVerdict(kind, HOLDS, closed_cases=tuple(closed)), lambda: lin, "self-check")
-    # the branch's place in branch order, its pairs read as binary digits
-    index = sum(2 ** (k - 1 - j) for j, side in enumerate(branch) if side == CASE_V_NONNEGATIVE)
-    spec = next(itertools.islice(specs, index, None))
-    res = lp_solve(_branch_descent_lp(lin, spec.signs))
-    if res.status != FEASIBLE:
-        raise RuntimeError(f"branch {spec.label}: no multipliers close it, yet its descent LP is infeasible")
-    verdict = StationarityVerdict(kind, FAILS, failing_branch=spec.label, descent=res.certificate.point)
-    return _checked(system, verdict, lambda: lin, "self-check")
-
-
-def translate_b_verdict(verdict: StationarityVerdict, mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
-    """The counterpart's B Fails from the abs-normal one (a B Holds translates
-    by ``translate_m_verdict``): the descent is split (``split_direction``)
-    onto the failing branch and checked there, on the counterpart's
-    linearization, by ``verify_stationarity_verdict``.  A source naming no
-    branch is a ValueError, a failed check a RuntimeError."""
-    spec = parse_branch_label(verdict.failing_branch, "signature", point.base_signature)
-    if spec is None:
-        raise ValueError(f"source verdict names no abs-normal branch: {verdict.failing_branch!r}")
-    label = replace(spec, kind="partition").label
-    out = replace(verdict, kind="b-mpcc", failing_branch=label, descent=split_direction(mp.n_x, spec.signs, verdict.descent))
-    return _checked(None, out, lambda: linearize_mpcc(mp, point), "self-check in the target system")
+        return _checked(system, StationarityVerdict(kind, HOLDS, closed_cases=tuple(closed)), "self-check")
+    sides = iter(branch)
+    spec = BranchSpec(label_kind, tuple(sg or (1 if next(sides) == CASE_U_NONNEGATIVE else -1) for sg in base), base)
+    res = relaxed(branch)
+    if res.status == FEASIBLE:
+        raise RuntimeError(f"branch {spec.label}: no prefix closes it, yet its case LP is feasible")
+    verdict = StationarityVerdict(kind, FAILS, failing_branch=spec.label, ray=res.certificate)
+    return _checked(system, verdict, "self-check")

@@ -7,9 +7,10 @@ complementarity counterpart of either one (``to_mpcc``) substitutes
 ``zeta -> u + v`` and ``z -> u - v`` with one complementarity pair per
 switching variable.  A branch fixes a definite signature (respectively a
 resolution of the degenerate pairs) and is made here only as its spec; every
-verdict and the ``branches`` report work on the branch specs and one
-linearization per formulation and point (``cones.linearize_anf``/
-``linearize_mpcc``).
+qualification verdict and the ``branches`` report work on the branch specs
+and one linearization per formulation and point (``cones.linearize_anf``/
+``linearize_mpcc``), and a B-stationarity Fails names its branch by the
+spec's label.
 """
 
 from __future__ import annotations
@@ -282,16 +283,3 @@ def parse_branch_label(label, kind: str, base_signs: tuple[int, ...]) -> BranchS
     spec = BranchSpec(kind, signs, base_signs)
     return spec if spec.label == label else None
 
-
-# ---------------------------------------------------------------------------
-# direction homeomorphisms
-
-
-def split_direction(n_x: int, signs: tuple[int, ...], d: Vec) -> Vec:
-    """(dx, dz) -> (dx, du, dv) on the branch of definite signature ``signs``,
-    where the split is linear: positive indices carry the whole direction in
-    the u-part, negative indices (negated) in the v-part."""
-    dz = d[n_x:]
-    du = tuple(x if sg > 0 else ZERO for sg, x in zip(signs, dz))
-    dv = tuple(ZERO if sg > 0 else -x for sg, x in zip(signs, dz))
-    return d[:n_x] + du + dv

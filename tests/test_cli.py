@@ -585,13 +585,13 @@ MALFORMED = "malformed entry: "
 @pytest.mark.parametrize(
     "argv, name, field, value, message",
     [
-        (("E1", "shoulder", "--b"), "b-anf", "descent", 5, MALFORMED + "descent: expected a list, not 5"),
+        (("E1", "shoulder", "--b"), "b-anf", "ray", 5, MALFORMED + "ray: expected a dict, not 5"),
         (
             ("E1", "shoulder", "--b"),
             "b-anf",
-            "descent",
-            ["x", "1", "1"],
-            MALFORMED + "descent: Invalid literal for Fraction: 'x'",
+            "ray",
+            {"kind": KIND_FARKAS, "dual_eq": ["x", "1", "1"], "dual_ineq": []},
+            MALFORMED + "ray: dual_eq: Invalid literal for Fraction: 'x'",
         ),
         (("E1", "origin", "--m"), "m-anf", "multipliers", 3, MALFORMED + "multipliers: expected a dict, not 3"),
         (("E1", "origin", "--m"), "m-anf", "multipliers", None, "holds without multipliers"),
@@ -614,8 +614,8 @@ MALFORMED = "malformed entry: "
         (("E1", "shoulder", "--b"), "b-anf", "status", "x", "a B-stationarity verdict holds or fails, not 'x'"),
     ],
     ids=[
-        "descent-int",
-        "descent-literal",
+        "ray-int",
+        "ray-literal",
         "multipliers-int",
         "multipliers-missing",
         "case-int",
@@ -756,26 +756,28 @@ def test_forged_m_fails_exits_three_not_as_a_verdict(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "forged, message",
     [
-        (forged_point, "b-anf certificate failed self-check: ['descent direction does not descend']"),
-        (forged_ray, "branch σ=+: no multipliers close it, yet its descent LP is infeasible"),
+        (forged_ray, "b-anf certificate failed self-check: [\"case ['pair-u>=0']: Farkas ray does not witness a positive right-hand side\"]"),
+        (forged_point, "branch σ=+: no prefix closes it, yet its case LP is feasible"),
     ],
-    ids=["point-does-not-descend", "ray-without-descent-row"],
+    ids=["forged-ray", "feasible-leaf"],
 )
-def test_branch_self_checks_exit_three_not_as_a_verdict(capsys, monkeypatch, forged, message):
-    # E1's shoulder fails B on its first branch, whose descent LP alone is
-    # forged; a result that the multiplier search contradicts is the tool's
-    # fault
-    descent_lps = []
-    real_descent_lp, real_lp_solve = stationarity._branch_descent_lp, stationarity.lp_solve
+def test_branch_self_checks_exit_three_not_as_a_verdict(tmp_path, capsys, monkeypatch, forged, message):
+    # kinks1 maximized fixes its multipliers, and their signs leave every
+    # prefix open with no LP but the root's, solved first; the failing
+    # branch's case LP, solved after the search for its Farkas ray, is
+    # forged: a ray that certifies nothing, or a feasible LP that the search
+    # contradicts, is the tool's fault
+    solved = []
+    real_lp_solve = stationarity.lp_solve
 
-    def recorded(lin, signs):
-        descent_lps.append(real_descent_lp(lin, signs))
-        return descent_lps[-1]
+    def forged_after_the_root(problem):
+        solved.append(problem)
+        return forged(problem) if len(solved) > 1 else real_lp_solve(problem)
 
-    monkeypatch.setattr(stationarity, "_branch_descent_lp", recorded)
-    monkeypatch.setattr(stationarity, "lp_solve", lambda p: forged(p) if p in descent_lps else real_lp_solve(p))
-    code, out, err = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
-    assert (code, out) == (3, "")
+    monkeypatch.setattr(stationarity, "lp_solve", forged_after_the_root)
+    path = write_problem(tmp_path, kinks_problem(1, -1))
+    code, out, err = run_cli(capsys, "check-stationarity", path, "--point", "origin", "--b")
+    assert (code, out, len(solved)) == (3, "", 2)
     assert err == f"error: internal: {message}\n"
 
 
@@ -892,20 +894,53 @@ def test_b_fails_recheck_builds_only_the_failing_branch(capsys):
         assert recheck_report(pf, tampered) == [f"point shoulder {kind}: unknown failing branch {label!r}"]
 
 
-def test_b_fails_descent_missing_or_misshapen_is_a_named_recheck_error(capsys):
-    pf = load_corpus_problem("E1")
-    _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
+def _flip_ray(entry):
+    for name in ("dual_eq", "dual_ineq"):
+        entry["ray"][name] = [str(-Fraction(y)) for y in entry["ray"][name]]
+
+
+def _truncate_ray(entry):
+    entry["ray"]["dual_eq"].pop()
+
+
+def _point_kind(entry):
+    entry["ray"]["kind"] = KIND_POINT
+
+
+def _other_branch(entry):
+    entry["failing_branch"] = "σ=-" if entry["kind"] == "b-anf" else "P={1}"
+
+
+@pytest.mark.parametrize(
+    "edit, messages",
+    [
+        (
+            _flip_ray,
+            [
+                " case ['pair-u>=0']: negative inequality weight in Farkas ray",
+                " case ['pair-u>=0']: Farkas ray does not witness a positive right-hand side",
+            ],
+        ),
+        (_truncate_ray, [" case ['pair-u>=0']: dual_eq has 1 entries, expected 2"]),
+        (_point_kind, [" case ['pair-u>=0']: unexpected certificate kind 'feasible-point' for infeasible"]),
+        (lambda entry: entry.pop("ray"), [": fails without a ray"]),
+        (_other_branch, [" case ['pair-v>=0']: Farkas combination is nonzero at column 1"]),
+    ],
+    ids=["flipped", "truncated", "point-kind", "missing", "other-branch"],
+)
+def test_b_fails_ray_tampers_are_named_recheck_errors(capsys, edit, messages):
+    # E4's origin fails B on its first branch, σ=+ or P={}, the case
+    # ['pair-u>=0'] in both forms; its ray is checked on that case LP, as an
+    # M Fails's rays are, and closes no other branch (a label that names no
+    # branch: test_b_fails_recheck_builds_only_the_failing_branch)
+    pf = load_corpus_problem("E4")
+    _, out, _ = run_cli(capsys, "check-stationarity", "E4", "--b")
     report = json.loads(out)
-    for kind, dim in (("b-anf", 3), ("b-mpcc", 4)):
-        missing = copy.deepcopy(report)
-        del missing["points"][0]["stationarity"][kind]["descent"]
-        assert recheck_report(pf, missing) == [f"point shoulder {kind}: descent missing"]
-        for descent in (["-1"], ["-1"] * (dim + 1)):
-            short = copy.deepcopy(report)
-            short["points"][0]["stationarity"][kind]["descent"] = descent
-            assert recheck_report(pf, short) == [
-                f"point shoulder {kind}: descent has {len(descent)} entries, expected {dim}"
-            ]
+    assert recheck_report(pf, report) == []
+    for kind in ("b-anf", "b-mpcc"):
+        tampered = copy.deepcopy(report)
+        edit(tampered["points"][0]["stationarity"][kind])
+        assert recheck_report(pf, tampered) == [f"point origin {kind}{message}" for message in messages], kind
 
 
 def test_malformed_case_certificate_is_a_named_recheck_error(capsys):
@@ -924,7 +959,7 @@ def test_malformed_case_certificate_is_a_named_recheck_error(capsys):
 
 
 def test_b_recheck_at_an_infeasible_point_is_a_named_error(capsys):
-    # a point entry whose t is not feasible has no branch linearization
+    # a point entry whose t is not feasible has no multiplier system
     pf = load_corpus_problem("E1")
     _, out, _ = run_cli(capsys, "check-stationarity", "E1", "--point", "shoulder", "--b")
     report = json.loads(out)
@@ -985,7 +1020,7 @@ def test_stationarity_mutations_are_recheck_errors_never_exceptions(tmp_path, ca
                     mutations += 1
                     named += bool(errors)
     # some edits name nothing: a zero put for a zero, a deleted verdict
-    assert mutations == 1602 and named >= 1559
+    assert mutations == 1680 and named >= 1640
 
 
 # a value of each field that some stationarity verdict writes, put on the
@@ -994,14 +1029,14 @@ FOREIGN_FIELDS = {
     "multipliers": {"lam_e": ["-1"], "lam_i": [], "lam_z": ["0"], "mu_u": ["1"], "mu_v": ["1"]},
     "case": ["pair-both>0"],
     "failing_branch": "σ=+",
-    "descent": ["-1", "-1", "-1"],
+    "ray": {"kind": KIND_FARKAS, "dual_eq": ["-1", "-1", "-1"], "dual_ineq": []},
     "closed_cases": [{"assignment": [], "certificate": {"kind": "feasible-point", "point": ["-1", "0"]}}],
 }
 
 
 def test_fields_a_verdict_never_writes_are_named_recheck_errors(capsys):
     # an M Holds writes multipliers and its case, an M Fails and a B Holds
-    # their closed prefixes, a B Fails its failing branch and descent
+    # their closed prefixes, a B Fails its failing branch and ray
     reports = [
         ("E1", load_corpus_problem("E1"), "origin"),
         ("E1", load_corpus_problem("E1"), "shoulder"),
@@ -1025,16 +1060,16 @@ def test_fields_a_verdict_never_writes_are_named_recheck_errors(capsys):
                 seen.add((name[0], entry["status"], field))
     assert seen == {
         ("m", "holds", "failing_branch"),
-        ("m", "holds", "descent"),
+        ("m", "holds", "ray"),
         ("m", "holds", "closed_cases"),
         ("m", "fails", "multipliers"),
         ("m", "fails", "case"),
         ("m", "fails", "failing_branch"),
-        ("m", "fails", "descent"),
+        ("m", "fails", "ray"),
         ("b", "holds", "multipliers"),
         ("b", "holds", "case"),
         ("b", "holds", "failing_branch"),
-        ("b", "holds", "descent"),
+        ("b", "holds", "ray"),
         ("b", "fails", "multipliers"),
         ("b", "fails", "case"),
         ("b", "fails", "closed_cases"),
@@ -1434,15 +1469,15 @@ def test_strong_b_holds_at_kinks10_enumerates_no_branch(tmp_path, capsys, monkey
 
 def test_check_stationarity_builds_each_multiplier_system_once_per_pass(tmp_path, capsys, monkeypatch):
     # the M search, B and both translations share one system per form; the
-    # recheck rebuilds each from the problem file, once, and only for a
-    # verdict that reads it: a B Fails reads the linearization alone
+    # recheck rebuilds each from the problem file, once, for the verdicts
+    # that read it, which every verdict does
     kinks = bench_kinks()
     builds = {name: count_calls(monkeypatch, stationarity, name) for name in ("_anf_system", "_mpcc_system")}
     runs = [
         ((write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 4, sign))),), code, 2)
         for sign, code in ((1, 0), (-1, 1))
     ]
-    runs += [(("E1", "--point", "shoulder", "--b"), 1, 1), (("E1", "--point", "shoulder"), 1, 2)]
+    runs += [(("E1", "--point", "shoulder", "--b"), 1, 2), (("E1", "--point", "shoulder"), 1, 2)]
     for args, code, count in runs:
         for calls in builds.values():
             calls.clear()

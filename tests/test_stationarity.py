@@ -8,9 +8,8 @@ import pytest
 
 from absnormal import stationarity
 from absnormal.anf import AbsNormalProgram, QuadraticFunc, evaluate
-from absnormal.cones import linearize_anf, linearize_mpcc
 from absnormal.cq import FAILS, HOLDS
-from absnormal.ratmath import KIND_POINT, LpCertificate, LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
+from absnormal.ratmath import ZERO, KIND_POINT, LpCertificate, LpResult, dot, lp_solve, vec, verify_certificate, zero_vec
 from absnormal.stationarity import (
     CASE_BOTH_POSITIVE,
     CASES,
@@ -22,7 +21,6 @@ from absnormal.stationarity import (
     check_m_stationary_anf,
     check_m_stationary_mpcc,
     multiplier_system,
-    translate_b_verdict,
     translate_m_verdict,
     uncovered_case,
     verify_stationarity_verdict,
@@ -32,6 +30,7 @@ from absnormal.problemfile import load_corpus, load_corpus_problem, parse_proble
 from absnormal.transforms import (
     MpccProgram,
     mpcc_point_from_eval,
+    parse_branch_label,
     slack_point,
     to_mpcc,
     to_slack,
@@ -141,7 +140,7 @@ def test_b_stationary_e1_holds(e1):
     # strong stationarity decides it: the root prefix closes both branches,
     # with no multipliers listed and no branch built
     assert v.multipliers is None and [outcome.assignment for outcome in v.closed_cases] == [()]
-    assert verify_stationarity_verdict(lambda: multiplier_system(e1, e), v, None) == []
+    assert verify_stationarity_verdict(multiplier_system(e1, e), v) == []
     assert b_by_generators(anf_branches(e1, e)) == (HOLDS, None)
 
 
@@ -152,14 +151,15 @@ def test_b_stationary_zero_gradient_trivial(e1):
 
 
 def test_b_stationary_fails_with_descent(e1):
-    # minimizing t1 at the kink: the negative branch admits d = (-1, 1, -1)
+    # minimizing t1 at the kink: the negative branch admits d = (-1, 1, -1),
+    # and its case LP's Farkas ray reads as a descent there
     p = with_objective(e1, [1, 0])
     e = evaluate(p, [0, 0])
     v = check_b_stationary(p, e)
     assert v.status == FAILS
     assert v.failing_branch == "σ=-"
     gradient = vec([1, 0, 0])
-    assert dot(gradient, v.descent) < 0
+    assert dot(gradient, descent_of(v, multiplier_system(p, e), p)) < 0
 
 
 def test_b_stationarity_agrees_across_forms(e1, e2, e3, e4):
@@ -351,7 +351,7 @@ def unique_route_equals_case_search(p, e, seen):
         closed_by_root = unique and lp_solve(system.root).status != "feasible"
         if closed_by_root:
             assert [outcome.assignment for outcome in verdict.closed_cases] == [()]
-            assert verify_stationarity_verdict(lambda: system, verdict, None) == []
+            assert verify_stationarity_verdict(system, verdict) == []
         else:
             assert verdict == searched
         if unique:
@@ -442,12 +442,47 @@ def b_by_generators(branches):
     return HOLDS, None
 
 
-def assert_descends(verdict, branches):
-    """The descent of a B Fails lies in its failing branch's linearized cone,
-    and the gradient decreases along it: checked by substitution."""
+def descent_of(verdict, system, program) -> tuple:
+    """The descent direction read off a B Fails ray, the primal side of its
+    Farkas certificate: the weights on the stationary rows, then for each
+    pair ``du_i`` and ``dv_i``, the weight on the row of ``pair_u[i]`` or
+    ``pair_v[i]`` where the failing branch's case LP has one, else 0; the
+    abs-normal form reads ``dz = du - dv``."""
+    kind = "partition" if isinstance(program, MpccProgram) else "signature"
+    spec = parse_branch_label(verdict.failing_branch, kind, system.base_signature)
+    sides = tuple(SIDES[0] if spec.signs[i] > 0 else SIDES[1] for i in system.degenerate)
+    problem = build_case_problem(system, sides)
+    ray = verdict.ray
+    n = len(system.stationary_rows)
+    du, dv = [ZERO] * system.s, [ZERO] * system.s
+    # the rows of build_case_problem: the stationary rows, each fixed pair's
+    # row and the inactive inequalities' as equalities, the m2 inequality
+    # multipliers, then one row per degenerate pair, of the side it takes
+    eq_rows = [(du, i, system.pair_u[i]) for i in system.fixed_pair_u_zero]
+    eq_rows += [(dv, i, system.pair_v[i]) for i in system.fixed_pair_v_zero]
+    ineq_rows = [
+        (du, i, system.pair_u[i]) if spec.signs[i] > 0 else (dv, i, system.pair_v[i]) for i in system.degenerate
+    ]
+    for rows, weights, problem_rows in (
+        (eq_rows, ray.dual_eq[n:], problem.eq_rows[n:]),
+        (ineq_rows, ray.dual_ineq[system.m2 :], problem.ineq_rows[system.m2 :]),
+    ):
+        for (target, i, (coeffs, _)), weight, row in zip(rows, weights, problem_rows):
+            assert row == coeffs
+            target[i] = weight
+    if isinstance(program, MpccProgram):
+        return ray.dual_eq[:n] + tuple(du) + tuple(dv)
+    return ray.dual_eq[:n] + tuple(a - b for a, b in zip(du, dv))
+
+
+def assert_descends(verdict, branches, system, program):
+    """The direction read off a B Fails ray (``descent_of``) lies in the
+    linearized cone of the oracle-built failing branch, and the gradient
+    decreases along it: checked by substitution."""
     b = next(b for b in branches if b.label == verdict.failing_branch)
-    assert lin_cone_branch(b).contains(verdict.descent)
-    assert dot(b.objective.gradient(b.anchor), verdict.descent) < 0
+    d = descent_of(verdict, system, program)
+    assert lin_cone_branch(b).contains(d)
+    assert dot(b.objective.gradient(b.anchor), d) < 0
 
 
 def counted_lps(monkeypatch) -> list:
@@ -468,23 +503,14 @@ def m_verdict_of(program, point, system):
 
 
 def assert_b_matches_reference(verdict, program, point, system):
-    """B status and failing branch are the generator reference's.  A Holds
-    rechecks clean in ``system``; a Fails descends on its failing branch."""
+    """B status and failing branch are the generator reference's, and the
+    verdict rechecks clean in ``system``; a Fails's ray reads as a descent on
+    its failing branch."""
     branches = (mpcc_branches if isinstance(program, MpccProgram) else anf_branches)(program, point)
     assert (verdict.status, verdict.failing_branch) == b_by_generators(branches)
-    if verdict.status == HOLDS:
-        assert verify_stationarity_verdict(lambda: system, verdict, None) == []
-    else:
-        assert_descends(verdict, branches)
-
-
-def assert_descent_is_the_branch_lp_point(verdict, program, point):
-    """The descent of a B Fails found in its own form is the point of its
-    failing branch's descent LP, the one the per-branch loop found first."""
+    assert verify_stationarity_verdict(system, verdict) == []
     if verdict.status == FAILS:
-        lin = (linearize_mpcc if isinstance(program, MpccProgram) else linearize_anf)(program, point)
-        (spec,) = [spec for spec in lin.specs() if spec.label == verdict.failing_branch]
-        assert verdict.descent == lp_solve(stationarity._branch_descent_lp(lin, spec.signs)).certificate.point
+        assert_descends(verdict, branches, system, program)
 
 
 def test_b_prefix_search_agrees_with_the_generator_reference_on_random_programs():
@@ -502,14 +528,13 @@ def test_b_prefix_search_agrees_with_the_generator_reference_on_random_programs(
                 m_verdict = m_verdict_of(program, point, system)
                 verdict = check_b_stationary(program, point, m_verdict=m_verdict, system=system)
                 alone = check_b_stationary(program, point)
-                assert (alone.status, alone.failing_branch, alone.descent) == (
+                assert (alone.status, alone.failing_branch, alone.ray) == (
                     verdict.status,
                     verdict.failing_branch,
-                    verdict.descent,
+                    verdict.ray,
                 )
                 assert_b_matches_reference(verdict, program, point, system)
                 assert_b_matches_reference(alone, program, point, multiplier_system(program, point))
-                assert_descent_is_the_branch_lp_point(verdict, program, point)
                 # linearized B implies M
                 assert verdict.status == FAILS or m_verdict.status == HOLDS
                 depth = max((len(outcome.assignment) for outcome in verdict.closed_cases), default=None)
@@ -538,24 +563,24 @@ def test_strong_multipliers_reuse_the_m_certificate_without_an_lp(e1, e2, monkey
     monkeypatch.undo()
     # a failed M verdict rules out the root with no LP, since S implies M:
     # E2 minimizing -t1 - t2 does not fix its multipliers, and B solves the
-    # LP of its first branch, which is infeasible, and that branch's descent
-    # LP: one LP fewer than without the M verdict
+    # LP of its first branch, which is infeasible, and whose Farkas ray is
+    # the certificate: one LP fewer than without the M verdict
     p = with_objective(e2, [-1, -1])
     e = evaluate(p, [0, 0])
     m_fails = check_m_stationary_anf(p, e)
     assert m_fails.status == FAILS and not multiplier_system(p, e).fixes_multipliers
     calls = counted_lps(monkeypatch)
     fails = check_b_stationary(p, e, m_verdict=m_fails)
-    assert fails.status == FAILS and len(calls) == 2
+    assert fails.status == FAILS and len(calls) == 1
     calls.clear()
-    assert check_b_stationary(p, e) == fails and len(calls) == 3
+    assert check_b_stationary(p, e) == fails and len(calls) == 2
 
 
 def test_unique_m_multipliers_with_a_negative_pair_rule_out_strong_ones(monkeypatch):
     # this kinks-like program fixes its multipliers, and the one M
     # certificate has mu_u[2] = -4/3, so its signs decide every prefix with
-    # no multiplier LP: the B check solves only the first open branch's
-    # descent LP
+    # no LP: the B check solves only the first open branch's case LP, for
+    # its Farkas ray
     p = kinks_like_program(random.Random(5), 3)
     e = evaluate(p, zero_vec(p.n_t))
     m_verdict = check_m_stationary_anf(p, e)
@@ -568,14 +593,6 @@ def test_unique_m_multipliers_with_a_negative_pair_rule_out_strong_ones(monkeypa
     assert check_b_stationary(p, e) == verdict and len(calls) == 2
 
 
-def translate_b(verdict, sys_mpcc, mp, point):
-    """The counterpart's B verdict, as the report makes it: a Holds as an M
-    verdict translates, a Fails by its descent direction."""
-    if verdict.status == HOLDS:
-        return translate_m_verdict(verdict, sys_mpcc, "b-mpcc")
-    return translate_b_verdict(verdict, mp, point)
-
-
 def b_translation_matches_direct_check(p, e):
     """Translate b-anf to the counterpart and compare it with the counterpart's
     own check and with the reference over the counterpart branches."""
@@ -583,15 +600,14 @@ def b_translation_matches_direct_check(p, e):
     sys_anf, sys_mpcc = multiplier_system(p, e), multiplier_system(mp, point)
     m_anf = check_m_stationary_anf(p, e, system=sys_anf)
     b_anf = check_b_stationary(p, e, m_verdict=m_anf, system=sys_anf)
-    translated = translate_b(b_anf, sys_mpcc, mp, point)
+    translated = translate_m_verdict(b_anf, sys_mpcc, "b-mpcc")
     m_mpcc = translate_m_verdict(m_anf, sys_mpcc, "m-mpcc")
     direct = check_b_stationary(mp, point, m_verdict=m_mpcc, system=sys_mpcc)
     assert translated.kind == direct.kind == "b-mpcc"
     assert (translated.status, translated.failing_branch) == (direct.status, direct.failing_branch)
     assert_b_matches_reference(translated, mp, point, sys_mpcc)
     assert_b_matches_reference(direct, mp, point, sys_mpcc)
-    assert_descent_is_the_branch_lp_point(b_anf, p, e)
-    assert_descent_is_the_branch_lp_point(direct, mp, point)
+    assert_b_matches_reference(b_anf, p, e, sys_anf)
     if translated.status == HOLDS:
         # the same closed prefixes and points, lam being the same unknowns
         assert translated == replace(b_anf, kind="b-mpcc")
@@ -626,6 +642,36 @@ def test_translated_b_verdict_matches_direct_check_on_random_programs():
     assert seen == {HOLDS, FAILS}
 
 
+def assert_ray_descends_in_both_forms(p, e) -> bool:
+    """An abs-normal B Fails ray verifies in both forms' systems, and the
+    direction read off it in each form lies in that form's oracle-built
+    failing branch and descends.  Returns whether B fails."""
+    mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+    sys_anf, sys_mpcc = multiplier_system(p, e), multiplier_system(mp, point)
+    b_anf = check_b_stationary(p, e, system=sys_anf)
+    if b_anf.status == HOLDS:
+        return False
+    b_mpcc = translate_m_verdict(b_anf, sys_mpcc, "b-mpcc")
+    assert b_mpcc.ray == b_anf.ray
+    assert_descends(b_anf, anf_branches(p, e), sys_anf, p)
+    assert_descends(b_mpcc, mpcc_branches(mp, point), sys_mpcc, mp)
+    return True
+
+
+def test_b_fails_rays_read_as_descents_in_both_forms():
+    # the corpus, seeded kinks-like programs and random programs with up to
+    # four switches, each at its feasible points
+    points = [(pf.program, evaluate(pf.program, pt.t)) for pf in load_corpus() for pt in pf.points]
+    rng = random.Random(4711)
+    points += [(p, evaluate(p, zero_vec(p.n_t))) for p in (kinks_like_program(rng, rng.randint(1, 4)) for _ in range(200))]
+    for seed in range(400):
+        p = random_affine_program(random.Random(seed), max_s=4)
+        points.append((p, evaluate(p, zero_vec(p.n_t))))
+    fails = [(p, e) for p, e in points if e.is_feasible() and assert_ray_descends_in_both_forms(p, e)]
+    assert len(fails) == 340
+    assert {len(e.alpha) for _, e in fails} == {0, 1, 2, 3, 4}
+
+
 def forms_at_origin(p):
     """The program's evaluation at the origin, its counterpart and point, and
     the multiplier systems of both forms."""
@@ -644,19 +690,26 @@ def test_b_translation_rejects_a_disagreeing_counterpart(e1):
     assert first.assignment == (SIDES[0],)
     forged = replace(first, certificate=replace(first.certificate, point=tuple(x + 1 for x in first.certificate.point)))
     with pytest.raises(RuntimeError, match="target system"):
-        translate_b(replace(verdict, closed_cases=(forged,) + verdict.closed_cases[1:]), sys_mpcc, mp, point)
+        translate_m_verdict(replace(verdict, closed_cases=(forged,) + verdict.closed_cases[1:]), sys_mpcc, "b-mpcc")
     coeffs, offset = sys_mpcc.pair_v[0]
     shifted = replace(sys_mpcc, pair_v=((coeffs, offset - 1),))
     with pytest.raises(RuntimeError, match="target system"):
-        translate_b(verdict, shifted, mp, point)
-    # a Fails: a branch label of the other form, or a direction that does not descend
+        translate_m_verdict(verdict, shifted, "b-mpcc")
+    # a Fails: a branch label of the other form, a ray with its sign
+    # flipped, or a counterpart system that disagrees
     p = with_objective(e1, [1, 0])
     e, mp, point, sys_anf, sys_mpcc = forms_at_origin(p)
     fails = check_b_stationary(p, e)
     with pytest.raises(ValueError, match="names no abs-normal branch"):
-        translate_b_verdict(replace(fails, failing_branch="P={}"), mp, point)
-    with pytest.raises(RuntimeError, match="target system: .*'descent direction does not descend'"):
-        translate_b_verdict(replace(fails, descent=tuple(-x for x in fails.descent)), mp, point)
+        translate_m_verdict(replace(fails, failing_branch="P={}"), sys_mpcc, "b-mpcc")
+    ray = fails.ray
+    flipped = replace(ray, dual_eq=tuple(-y for y in ray.dual_eq), dual_ineq=tuple(-y for y in ray.dual_ineq))
+    with pytest.raises(RuntimeError, match="target system: .*Farkas ray"):
+        translate_m_verdict(replace(fails, ray=flipped), sys_mpcc, "b-mpcc")
+    coeffs, offset = sys_mpcc.pair_v[0]
+    negated = replace(sys_mpcc, pair_v=((tuple(-x for x in coeffs), offset),))
+    with pytest.raises(RuntimeError, match="target system: .*Farkas combination is nonzero"):
+        translate_m_verdict(fails, negated, "b-mpcc")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -665,7 +718,7 @@ def test_strong_certificates_map_onto_every_branch_on_kinks(k, monkeypatch):
     # both forms, by its M certificate; the maximizer of -t_{k+1} fixes its
     # multipliers, whose pairs are negative.  With the shared system neither
     # solves a multiplier LP in B: the minimizer none at all, the maximizer
-    # its first branch's descent LP
+    # only its first branch's case LP, whose Farkas ray is the certificate
     kinks = bench_kinks()
     calls = counted_lps(monkeypatch)
     for sign in (1, -1):
@@ -676,7 +729,7 @@ def test_strong_certificates_map_onto_every_branch_on_kinks(k, monkeypatch):
         calls.clear()
         b_anf = check_b_stationary(p, e, m_verdict=m_anf, system=sys_anf)
         assert len(calls) == (0 if sign > 0 else 1)
-        b_mpcc = translate_b(b_anf, sys_mpcc, mp, point)
+        b_mpcc = translate_m_verdict(b_anf, sys_mpcc, "b-mpcc")
         assert b_anf.status == b_mpcc.status == kinks.stationarity_status(inst)
         assert_b_matches_reference(b_mpcc, mp, point, sys_mpcc)
         if sign > 0:
@@ -686,13 +739,14 @@ def test_strong_certificates_map_onto_every_branch_on_kinks(k, monkeypatch):
 
 
 def test_m_and_b_solve_the_root_lp_once(monkeypatch):
-    # E1's shoulder: the root LP decides M, and B solves only the descent LP;
-    # kinks4-eq-max: the root LP and three case LPs for M, the descent for B
+    # E1's shoulder: the root LP decides M, and with k = 0 its Farkas ray is
+    # B's certificate too, with no LP; kinks4-eq-max: the root LP and three
+    # case LPs for M, the failing branch's case LP for B
     kinks = bench_kinks()
     e1 = load_corpus_problem("E1")
     maximizer = parse_problem_data(kinks.problem_data(kinks.draw(random.Random(1), 4, -1))).program
     calls = counted_lps(monkeypatch)
-    for p, t, lps in ((e1.program, e1.point("shoulder").t, 2), (maximizer, zero_vec(maximizer.n_t), 5)):
+    for p, t, lps in ((e1.program, e1.point("shoulder").t, 1), (maximizer, zero_vec(maximizer.n_t), 5)):
         e = evaluate(p, t)
         system = multiplier_system(p, e)
         calls.clear()
