@@ -351,8 +351,8 @@ CORPUS_DIGESTS = {
     "check-cq E1 --all --branches --recheck": "fae409215ec08ec5ef3181874f7d0336467aff6a999c0ac49a242a93d9f3739d",
     "check-cq E1 --branches": "fbb5926a1c04f347876bb421793701f139b83b852e049ea0dcdbf2d88f24ae0b",
     "check-cq E1 --branches --recheck": "d651bb9296d7c92fee01bf0c8c556d36ed8c8fcb066ee82e5695c4ce80ba7183",
-    "check-stationarity E1": "90306519541183d4bd7b56bfc123422cf3559c5ec19b78e710414f421f0980b3",
-    "check-stationarity E1 --recheck": "28c617da0240507ddb6689bff03b4bebaf1a9f039475474515a4cbbf77be4087",
+    "check-stationarity E1": "aa3dd025af706462e467655601088a87097e22bdef05203c2685ae065ba75569",
+    "check-stationarity E1 --recheck": "e2f871b0c5f01d4c7d4aee82757f3d3266b5f6a21a3f7b656e7a701b9331eb6c",
     "verify-relations E1": "6ab742787330896416a6ad471209c1dd4f06599765be3c22a7146e1dd607149c",
     "verify-relations E1 --recheck": "4fc1d03245aa22e9450a0b7cc2e659f6feb2e7d68d14727d7c8be481bcdd3108",
     "eval E2": "5a5da98a1180b555225f02bf33c07c795df565cfef79dc78f43c99d4c7393a37",
@@ -377,8 +377,8 @@ CORPUS_DIGESTS = {
     "check-cq E2 --all --branches --recheck": "0c4a8d22b1bab4e54e60e8971e4c65aa815076d97895c6e6bf0d5c9043675bc5",
     "check-cq E2 --branches": "992218b93e9d73aee062b29bdbcddccc2dc9dd0e07b5b982b7a5221c1b118638",
     "check-cq E2 --branches --recheck": "61a7a17e713ab1fbf454893d755068e0e102c6d326955b275c608c726ee96075",
-    "check-stationarity E2": "6b3721c7a3f62b04ff9005afc27b8911f3f487d3075529f370353905fdb371cc",
-    "check-stationarity E2 --recheck": "da23cbd873f42d85ec03a23241537f5c360ad1cb920e4cee83a42ffc95f493cd",
+    "check-stationarity E2": "8d83135ac1af94102fb8e896c9b1369ff5fe4088eb87eaac78d0ea953996ffa0",
+    "check-stationarity E2 --recheck": "4ba53e91616d9160314748880b3895a0350c5d9a436d83fd39a0bb63d4c4bc5d",
     "verify-relations E2": "d8f709ca4394b5d5dd1971594a1a62626741f6a495a9a64565c66273fdb174de",
     "verify-relations E2 --recheck": "7148554a7f60a174e778803be9d45d3168a1b1386ea5b4f0f74c131633bb88fd",
     "eval E3": "a08ad7ee0145cbf02aa272044b35147753e16ae936d1525f0e46268e557be4ca",
@@ -403,8 +403,8 @@ CORPUS_DIGESTS = {
     "check-cq E3 --all --branches --recheck": "a4b3d32160579671c732f781fb6c136a6af3709099c87cb437f75bcd8ea4f5d0",
     "check-cq E3 --branches": "5cf603cefdb8baf3c5b4c1ec12c461bd5a50785e8005b162ec252585c38b9456",
     "check-cq E3 --branches --recheck": "bcd1ecd9e4fd4a208d4eda194966a3a6838d23f63c12384ef15c9bc7e9bf0880",
-    "check-stationarity E3": "e67b0f7b19b3a4557daaa0287bfd07e487a122ee992fd5b1713ef70687ef9043",
-    "check-stationarity E3 --recheck": "e12f23bd62ac6a631058f60b719c28ee6a61f135a06188704c2aa57987efaab8",
+    "check-stationarity E3": "da1980c0012a210c60fbea4c8095b5473b5f312c62627376a52b992d930850b3",
+    "check-stationarity E3 --recheck": "5e8a62a389cb2cce2fd04b23c2268cb204e2e92aaf09059f4e998999b0bf136d",
     "verify-relations E3": "49c5702ff3fff8966081230cfe0e3410504179868bad7d4d6199f9bed5977a19",
     "verify-relations E3 --recheck": "65c6c39c8b42e927112b918e57b9a5429279b0d663f5fe6b6cf262d1dec60f73",
     "eval E4": "43a609b29c7f016fb26717f46c4389115a4f82d92b53572129cd36cdd02e9429",
@@ -429,8 +429,8 @@ CORPUS_DIGESTS = {
     "check-cq E4 --all --branches --recheck": "f1c95d2d167f65fb1e28d3fd1324f6183c64862762c0b9028ddd3d7c7d1ff9a8",
     "check-cq E4 --branches": "ee0363af46f99c8765f1cf406d82a961d781eb5fe5b6c96f53791be3f04a8ddb",
     "check-cq E4 --branches --recheck": "1633674f1c3c98c7324165b10dcef8ee4a3195f4b53b9ab13d9a94487762be21",
-    "check-stationarity E4": "45bf5d8dc75e592486523136f4efe25942a7d5a9e4572923f8d0096187daa657",
-    "check-stationarity E4 --recheck": "6bbff06851a131e8c5035cd3ab0cd628f9cef24fbb82cbb77618ef7d978ad6d3",
+    "check-stationarity E4": "2c5fadd0916105720b7123e91df5376acb041670f6e1252fd7999ba8732cbe64",
+    "check-stationarity E4 --recheck": "e00fde6a49af23cd053cd06cc63e586a87e2d086179fe97d4ab696b2ae73ad8a",
     "verify-relations E4": "1b730997d932954e9ae2c2dfaaa87d4522bd2ef9163d05c3e82afe024a33bd2c",
     "verify-relations E4 --recheck": "21dc2c2a2598651d41577980badfe2c609bf54164068d810ccffc30a7e155342",
 }
@@ -443,7 +443,7 @@ KINKS_DIGESTS = {
     "kinks3-eq check-cq --all --recheck": "9291f7a59342778944f4025e897e149e010f2f2a5be56767e6a65ca0b2fc2f42",
     "kinks3-eq verify-relations --recheck": "3c578fbe9450ca7bc9f43a2c04c163401e3232a3993f8f49fe22bdf6df6c1b23",
     "kinks4-eq check-stationarity --recheck": "837155c33dd7b3b430f2a972effd522c6b3ee2c59542a0b2384a4a2f9c5bc81d",
-    "kinks4-eq-max check-stationarity --recheck": "6ba0083ac2e6ed6f7ef41e80c3d80cac8ea23a28f3c731289400384f01516470",
+    "kinks4-eq-max check-stationarity --recheck": "96a7b14405d959e44541f367e62f37df8634a1366c89b83b991eadbc23b1a5ec",
     "qkinks2-eq check-cq --all --recheck": "6b36f5dc546b7aa4aeb59cf24c1d5860ca884b665e2065c5d7145bd3404be60d",
     "qkinks2-eq verify-relations --recheck": "53b363244d50880fb94de126a5801f50e6abc622d6ee39062dc678e49758273b",
     "qkinks2-eq cones --dual": "d9016ea0a34200f573afe221a9c79a19bf7dd1bea73dd70c012a32b9fc021d49",
