@@ -44,6 +44,7 @@ from .cq import (
     analyze_point,
     branch_verdicts,
     decide_kink_cq,
+    verify_cq_verdict,
     verify_relations,
 )
 from .problemfile import (
@@ -54,7 +55,7 @@ from .problemfile import (
     load_corpus_problem,
     parse_problem,
 )
-from .ratmath import integer_dot, primitive_integer, rat
+from .ratmath import rat
 from .stationarity import (
     CaseLimitError,
     StationarityVerdict,
@@ -434,9 +435,11 @@ def exit_code_for_report(report: dict) -> int:
 
 def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRANCH_CAP) -> list[str]:
     """Re-validate every certificate and witness in the report's verdict
-    entries by substitution, against cones rebuilt from the problem file: a
-    formulation is analyzed, once, with the file's annotations and
-    ``branch_cap``, when some kink, branch or relation witness names it.  A
+    entries by substitution, each by its module's verifier
+    (``verify_cq_verdict``, ``verify_stationarity_verdict``), against cones
+    rebuilt from the problem file: a formulation is analyzed, once, with the
+    file's annotations and ``branch_cap``, when some kink, branch or relation
+    witness names it.  A
     part of a point entry that no report writes is a named ``malformed
     entry`` error."""
     errors: list[str] = []
@@ -497,69 +500,12 @@ def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRAN
             kink = []
         pa = PointAnalysis(pf.program, e, annotations=pf.annotations, branch_cap=branch_cap)
         for where, key, verdict in kink:
-            errors.extend(_recheck_kink_verdict(where, verdict, key, pa))
+            errors.extend(f"{where}: {msg}" for msg in verify_cq_verdict(verdict, key, pa.formulation))
         systems = functools.cache(lambda form: multiplier_system(*pa.anchor(form)))
         for where, _, verdict in verdicts:
             if type(verdict) is StationarityVerdict:
                 errors.extend(_recheck_stationarity(pa, systems, where, verdict))
     return errors
-
-
-_ABADIE_KINDS = ("akq", "mpcc-acq", "branch-acq")
-_GUIGNARD_KINDS = ("gkq", "mpcc-gcq", "branch-gcq")
-
-
-def _recheck_kink_verdict(prefix: str, verdict: CQVerdict, key: str, pa: PointAnalysis) -> list[str]:
-    """Recheck one Abadie/Guignard verdict: its kind and status, and a
-    witness against the branch cones of its formulation ``key``, a feasible
-    point's."""
-    kind, status, w = verdict.kind, verdict.status, verdict.witness
-    if kind not in _ABADIE_KINDS + _GUIGNARD_KINDS:
-        return [f"{prefix}: unknown kind {kind!r}"]
-    if status not in (HOLDS, FAILS, UNKNOWN):
-        return [f"{prefix}: unknown status {status!r}"]
-    if w is None:
-        return [f"{prefix}: fails without a witness"] if status == FAILS else []
-    if status != FAILS:
-        return [f"{prefix}: {status} with a witness"]
-    if key not in FORMULATIONS:
-        return [f"{prefix}: no formulation {key!r} to recheck the witness in"]
-    fa = pa.formulation(key)
-    if len(w) != fa.lin.dim:
-        return [f"{prefix}: witness has {len(w)} entries, expected {fa.lin.dim}"]
-    branches = fa.branches
-    if kind.startswith("branch-"):
-        # a branch verdict speaks of its own linearized and tangent cones only
-        branches = [ba for ba in branches if ba.label == verdict.branch]
-        if not branches:
-            return [f"{prefix}: no branch {verdict.branch!r} in formulation {key}"]
-    errors: list[str] = []
-    if kind in _ABADIE_KINDS:
-        # a valid Abadie witness is linearized-feasible somewhere but escapes
-        # the tangent upper bound of every branch
-        g = primitive_integer(w)
-        for ba in branches:
-            if any(piece.contains(g) for piece in ba.upper_pieces):
-                errors.append(f"{prefix}: witness lies inside the tangent bound of branch {ba.label}")
-        if not any(ba.lin.contains(g) for ba in branches):
-            errors.append(f"{prefix}: witness is not linearized-feasible")
-    else:
-        # a valid Guignard witness pairs nonnegatively with the whole tangent
-        # upper bound and strictly negatively with some linearized direction
-        for ba in branches:
-            for piece in ba.upper_pieces:
-                if _escapes_dual(w, piece):
-                    errors.append(f"{prefix}: witness is not in the dual of the tangent bound of branch {ba.label}")
-        if not any(_escapes_dual(w, ba.lin) for ba in branches):
-            errors.append(f"{prefix}: witness does not escape the linearized dual")
-    return errors
-
-
-def _escapes_dual(w, cone: PolyCone) -> bool:
-    """Whether some generator of the cone pairs negatively with w."""
-    rays, lineality = cone.generators()
-    w = primitive_integer(w)  # a positive multiple: the same signs against each generator
-    return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
 
 
 def _recheck_stationarity(pa: PointAnalysis, systems, prefix: str, verdict: StationarityVerdict) -> list[str]:

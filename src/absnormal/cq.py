@@ -15,8 +15,12 @@ Everything reduces to exact cone comparisons over the branch decomposition:
 A branch is its spec (``transforms.BranchSpec``) and its linearized cone from
 the linearization of its formulation at the point; no branch problem is
 built.  Verdicts are tri-state.  Fails always rests on re-checkable material
-(witness rays, dual vectors); Unknown names the blocking
-branches instead of guessing.  Problem files may supply trusted tangent-cone
+(witness rays, dual vectors); Unknown names the blocking branches instead of
+guessing.  One function decides whether a kink or branch verdict is valid,
+by substitution: ``verify_cq_verdict``.  The kink decider and the branch list
+(``branch_verdicts``) self-check what they return through it, and
+``--recheck`` re-validates each report entry; a failed self-check is a
+RuntimeError, never a verdict.  Problem files may supply trusted tangent-cone
 annotations for branches outside every certificate class; an annotation
 that a branch needs is sanity-checked against its linearized cone.
 """
@@ -40,7 +44,7 @@ from .cones import (
     tangent_cone_branch,
     union_covers,
 )
-from .ratmath import Vec, primitive_integer, vec_neg
+from .ratmath import Vec, integer_dot, primitive_integer, vec_neg
 from .transforms import (
     DEFAULT_BRANCH_CAP,
     BranchSpec,
@@ -262,6 +266,11 @@ def _guignard_escape(branches, members: list[PolyCone], own) -> Vec | None:
 
 
 def decide_kink_cq(fa: FormulationAnalysis, which: str, branch_gcq=None) -> CQVerdict:
+    """``_decide_kink_cq``'s verdict, once ``verify_cq_verdict`` finds it valid in ``fa``."""
+    return _checked(_decide_kink_cq(fa, which, branch_gcq), fa.key, lambda _: fa)
+
+
+def _decide_kink_cq(fa: FormulationAnalysis, which: str, branch_gcq=None) -> CQVerdict:
     """Equality of the tangent union with the linearized union ("abadie"), or of
     their duals ("guignard"), with sound bounds when some branches are uncertified:
     the tangent union lies between the certified pieces (lower members) and
@@ -304,6 +313,78 @@ def decide_kink_cq(fa: FormulationAnalysis, which: str, branch_gcq=None) -> CQVe
     if witness is not None:
         return CQVerdict(kind, fa.key, FAILS, witness=witness)
     return CQVerdict(kind, fa.key, UNKNOWN, blocking=fa.blocking())
+
+
+# ---------------------------------------------------------------------------
+# the one check of a verdict's validity
+
+# the condition that each verdict kind decides
+_CONDITIONS = {name: condition for name, (_, condition) in KINK_VERDICTS.items()}
+_CONDITIONS.update({"branch-acq": "abadie", "branch-gcq": "guignard"})
+
+
+def verify_cq_verdict(verdict: CQVerdict, key: str, formulation) -> list[str]:
+    """Why ``verdict`` is not a valid Abadie/Guignard verdict of formulation
+    ``key`` at a feasible point, by substitution: its kind and status, and a
+    Fails witness against the branch cones of ``formulation(key)``, read only
+    for a witness; a branch verdict's against its own branch alone.  The one
+    check of a verdict's validity, for the deciders' self-checks
+    (``_checked``) and ``--recheck``."""
+    kind, status, w = verdict.kind, verdict.status, verdict.witness
+    if kind not in _CONDITIONS:
+        return [f"unknown kind {kind!r}"]
+    if status not in (HOLDS, FAILS, UNKNOWN):
+        return [f"unknown status {status!r}"]
+    if w is None:
+        return ["fails without a witness"] if status == FAILS else []
+    if status != FAILS:
+        return [f"{status} with a witness"]
+    if key not in FORMULATIONS:
+        return [f"no formulation {key!r} to recheck the witness in"]
+    fa = formulation(key)
+    if len(w) != fa.lin.dim:
+        return [f"witness has {len(w)} entries, expected {fa.lin.dim}"]
+    branches = fa.branches
+    if kind.startswith("branch-"):
+        branches = [ba for ba in branches if ba.label == verdict.branch]
+        if not branches:
+            return [f"no branch {verdict.branch!r} in formulation {key}"]
+    errors: list[str] = []
+    if _CONDITIONS[kind] == "abadie":
+        # a valid Abadie witness is linearized-feasible somewhere but escapes
+        # the tangent upper bound of every branch
+        g = primitive_integer(w)
+        for ba in branches:
+            if any(piece.contains(g) for piece in ba.upper_pieces):
+                errors.append(f"witness lies inside the tangent bound of branch {ba.label}")
+        if not any(ba.lin.contains(g) for ba in branches):
+            errors.append("witness is not linearized-feasible")
+    else:
+        # a valid Guignard witness pairs nonnegatively with the whole tangent
+        # upper bound and strictly negatively with some linearized direction
+        for ba in branches:
+            for piece in ba.upper_pieces:
+                if _escapes_dual(w, piece):
+                    errors.append(f"witness is not in the dual of the tangent bound of branch {ba.label}")
+        if not any(_escapes_dual(w, ba.lin) for ba in branches):
+            errors.append("witness does not escape the linearized dual")
+    return errors
+
+
+def _escapes_dual(w, cone: PolyCone) -> bool:
+    """Whether some generator of the cone pairs negatively with w."""
+    rays, lineality = cone.generators()
+    w = primitive_integer(w)  # a positive multiple: the same signs against each generator
+    return any(integer_dot(w, g) < 0 for g in rays) or any(integer_dot(w, l) != 0 for l in lineality)
+
+
+def _checked(verdict: CQVerdict, key: str, formulation) -> CQVerdict:
+    """``verdict``, once ``verify_cq_verdict`` finds it valid; an invalid one
+    is the tool's own fault, a RuntimeError."""
+    errors = verify_cq_verdict(verdict, key, formulation)
+    if errors:
+        raise RuntimeError(f"{verdict.kind} certificate failed self-check: {errors}")
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +533,12 @@ def _converse(lhs: str, rhs: str) -> str:
 
 def branch_verdicts(pa: PointAnalysis) -> dict[str, list[tuple[CQVerdict, CQVerdict]]]:
     """The ``branch-acq`` and ``branch-gcq`` verdicts of each branch, by
-    formulation, in branch order."""
+    formulation, in branch order, each checked by ``verify_cq_verdict``."""
     return {
-        key: [(check_branch_cq(ba, "acq"), check_branch_cq(ba, "gcq")) for ba in pa.formulation(key).branches]
+        key: [
+            tuple(_checked(check_branch_cq(ba, which), key, pa.formulation) for which in ("acq", "gcq"))
+            for ba in pa.formulation(key).branches
+        ]
         for key in FORMULATIONS
     }
 

@@ -219,8 +219,12 @@ class _MultiplierSystem:
 
 def _mpcc_system(mp: MpccProgram, point: MpccPoint) -> _MultiplierSystem:
     """Stationarity of f + lam_e.c_e - lam_i.c_i + lam_z.(switching rows) minus
-    the pair terms, over the full (x, u, v) gradient."""
+    the pair terms, over the full (x, u, v) gradient.  Raises ``ValueError``
+    when the point is not feasible."""
     coords = point.coords
+    values_i = tuple(func.value(coords) for func in mp.ci_funcs)
+    if any(func.value(coords) for func in mp.eq_funcs) or any(v < 0 for v in values_i):
+        raise ValueError("point is not feasible")
     n_x, s, m1, m2 = mp.n_x, mp.s, mp.m1, mp.m2
     grad_f = mp.objective.gradient(coords)
     grads_e = [func.gradient(coords) for func in mp.ce_funcs]
@@ -237,7 +241,6 @@ def _mpcc_system(mp: MpccProgram, point: MpccPoint) -> _MultiplierSystem:
     stationary = tuple((column(c), grad_f[c]) for c in range(n_x))
     pair_u = tuple((column(mp.u_index(i)), grad_f[mp.u_index(i)]) for i in range(s))
     pair_v = tuple((column(mp.v_index(i)), grad_f[mp.v_index(i)]) for i in range(s))
-    values_i = tuple(func.value(coords) for func in mp.ci_funcs)
     inactive = tuple(k for k, v in enumerate(values_i) if v != 0)
     return _MultiplierSystem(
         m1=m1,
@@ -256,7 +259,10 @@ def _mpcc_system(mp: MpccProgram, point: MpccPoint) -> _MultiplierSystem:
 def _anf_system(p: AbsNormalProgram, e: EvalResult) -> _MultiplierSystem:
     """The same system read off the abs-normal data: the pair multipliers are
     the row combination of the zeta-Jacobians shifted by -/+ the switching
-    multiplier of the index."""
+    multiplier of the index.  Raises ``ValueError`` when the point is not
+    feasible."""
+    if not e.is_feasible():
+        raise ValueError("point is not feasible")
     jac = constraint_jacobians(p, e)
     n_t, s, m1, m2 = p.n_t, p.s, p.m1, p.m2
     grad_f = p.f.gradient(e.t)

@@ -23,6 +23,7 @@ from absnormal.ratmath import (
     KIND_POINT,
     LpCertificate,
     LpResult,
+    vec_neg,
     zero_vec,
 )
 from absnormal.problemfile import (
@@ -779,6 +780,66 @@ def test_branch_self_checks_exit_three_not_as_a_verdict(tmp_path, capsys, monkey
     code, out, err = run_cli(capsys, "check-stationarity", path, "--point", "origin", "--b")
     assert (code, out, len(solved)) == (3, "", 2)
     assert err == f"error: internal: {message}\n"
+
+
+def e3_with_t1_nonnegative() -> dict:
+    """E3 with the inequality t1 >= 0: only the σ=+ branch has directions
+    off the feasible line, so kink Guignard fails with one witness sign."""
+    data = json.loads(_corpus_path("E3").read_text(encoding="utf-8"))
+    data["name"] = "e3-half"
+    data["dimensions"]["m2"] = 1
+    data["inequalities"] = [{"linear": ["1", "0", "0"]}]
+    return data
+
+
+def test_negated_guignard_witness_exits_three_not_as_a_verdict(tmp_path, capsys, monkeypatch):
+    # hull_escape hands the kink decider the negated dual vector.  On E3 the
+    # two branches mirror each other, so the negation escapes the other
+    # branch's linearized dual and is a valid witness; with t1 >= 0 it
+    # escapes none, and the decider's self-check rejects it
+    import absnormal.cq
+
+    real = absnormal.cq.hull_escape
+    monkeypatch.setattr(absnormal.cq, "hull_escape", lambda *args: None if (w := real(*args)) is None else vec_neg(w))
+    code, out, _ = run_cli(capsys, "check-cq", "E3", "--gkq")
+    assert code == 1
+    assert json.loads(out)["points"][0]["cq"]["gkq"]["witness"] == ["1", "0", "0"]
+    code, out, err = run_cli(capsys, "check-cq", write_problem(tmp_path, e3_with_t1_nonnegative()), "--gkq")
+    assert (code, out) == (3, "")
+    assert err == "error: internal: gkq certificate failed self-check: ['witness does not escape the linearized dual']\n"
+
+
+def test_abadie_witness_inside_a_member_exits_three_not_as_a_verdict(capsys, monkeypatch):
+    # union_covers reports a lineality direction of its first member (an E3
+    # tangent piece is a line) as uncovered
+    import absnormal.cq
+
+    monkeypatch.setattr(absnormal.cq, "union_covers", lambda members, target: (False, members[0].generators()[1][0]))
+    code, out, err = run_cli(capsys, "check-cq", "E3", "--akq")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal: akq certificate failed self-check: ['witness lies inside the tangent bound of branch σ=+', "
+        "'witness lies inside the tangent bound of branch σ=-']\n"
+    )
+
+
+def test_branch_fails_naming_another_branch_exits_three_not_as_a_verdict(capsys, monkeypatch):
+    # a branch Fails relabeled to the formulation's other branch: its witness
+    # is checked against that branch's cones alone, and lies outside them
+    import absnormal.cq
+
+    real = absnormal.cq.check_branch_cq
+    other = {"σ=+": "σ=-", "σ=-": "σ=+", "P={}": "P={1}", "P={1}": "P={}"}
+
+    def relabeled(ba, which):
+        verdict = real(ba, which)
+        return dataclasses.replace(verdict, branch=other[verdict.branch]) if verdict.status == "fails" else verdict
+
+    monkeypatch.setattr(absnormal.cq, "check_branch_cq", relabeled)
+    for problem in ("E3", "E4"):
+        code, out, err = run_cli(capsys, "check-cq", problem, "--branches")
+        assert (code, out) == (3, ""), problem
+        assert err == "error: internal: branch-acq certificate failed self-check: ['witness is not linearized-feasible']\n"
 
 
 def test_mpcc_system_disagreement_exits_three_not_as_a_verdict(capsys, monkeypatch):

@@ -10,7 +10,7 @@ lists means the integer kernel took the same pivots and picked the same ray
 representatives, down to the types of the entries; run on integer rows, its
 output is the reference's numerators, every entry an ``int``, whatever
 positive integer scales the rows.  The membership tests of ``cones`` and
-``cli``, on a cone's primitive integer rows, are checked against the
+``cq``, on a cone's primitive integer rows, are checked against the
 rational rows the cone was given, and the row test that ``cone_contains``
 tries first against containment of the reference generators.
 """
@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from branch_oracles import on_rational_rows
 
-from absnormal.cli import _escapes_dual
 from absnormal.cones import PolyCone, _rows_contain, cone_contains
+from absnormal.cq import _escapes_dual
 from absnormal.ratmath import (
     ZERO,
     cone_generators,
@@ -375,7 +375,7 @@ def test_integer_membership_matches_rational():
             assert cone.contains(v) is inside, (cone, v)
             assert cone.contains(primitive_integer(v)) is inside, (cone, v)
             seen[inside] += 1
-            # the recheck's dual test: some generator pairs negatively with v
+            # the verifier's dual test: some generator pairs negatively with v
             escaped = _escapes_dual(v, cone)
             assert escaped == any(dot(v, g) < 0 for g in gens), (cone, v)
             escapes[escaped] += 1

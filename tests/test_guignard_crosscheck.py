@@ -11,7 +11,7 @@ import functools
 import random
 import types
 
-from absnormal.cli import _reader, _recheck_kink_verdict, _ser
+from absnormal.cli import _reader, _ser
 from absnormal.cones import PolyCone, cone_contains, dual_cone
 from absnormal.cq import (
     FAILS,
@@ -22,6 +22,7 @@ from absnormal.cq import (
     analyze_point,
     check_branch_cq,
     decide_kink_cq,
+    verify_cq_verdict,
 )
 from absnormal.anf import evaluate
 from absnormal.problemfile import load_corpus, parse_problem_data
@@ -66,7 +67,7 @@ def recheck(key: str, verdict, pa) -> list[str]:
     read back from its report entry."""
     entry = _reader(CQVerdict)(_ser(verdict))
     assert entry == verdict
-    return _recheck_kink_verdict(key, entry, key, pa)
+    return verify_cq_verdict(entry, key, pa.formulation)
 
 
 def assert_agrees(pa, seen: set) -> None:

@@ -175,6 +175,36 @@ def test_b_stationarity_agrees_across_forms(e1, e2, e3, e4):
             assert v_mpcc.failing_branch.startswith("P")
 
 
+def test_checks_at_an_infeasible_point_raise_in_both_forms(e1):
+    # E1 at t = (1, 5) misses its equality; a negative c_i misses an
+    # inequality.  No check returns a verdict there, in either form.
+    below = AbsNormalProgram(
+        n_t=1,
+        s=1,
+        m1=0,
+        m2=1,
+        f=affine(1, 0, [1]),
+        c_e=(),
+        c_i=(affine(2, 0, [1, 0]),),
+        c_z=(affine(2, 0, [1, 0]),),
+    )
+    for p, t in ((e1, [1, 5]), (below, [-1])):
+        e = evaluate(p, t)
+        assert not e.is_feasible()
+        mp, point = to_mpcc(p), mpcc_point_from_eval(e)
+        checks = [
+            lambda: check_m_stationary_anf(p, e),
+            lambda: check_m_stationary_mpcc(mp, point),
+            lambda: check_b_stationary(p, e),
+            lambda: check_b_stationary(mp, point),
+            lambda: multiplier_system(p, e),
+            lambda: multiplier_system(mp, point),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="^point is not feasible$"):
+                check()
+
+
 def test_b_stationary_unconstrained_kink_needs_no_qualification():
     # pure unconstrained kink minimization: branches are affine, so the check
     # is always decisive
