@@ -4,7 +4,7 @@ A program couples a smooth objective over variables ``t`` with constraint
 families over the block ``(t, zeta)``, where ``zeta`` stands for the absolute
 values of the switching vector ``z``.  The switching constraint is strictly
 lower triangular in ``zeta``, so ``z`` is computed by forward substitution and
-every derived quantity (signature, active sets, Jacobians) is exact.
+every derived quantity (signature, active sets, gradients) is exact.
 
 Constraint functions are quadratic polynomials with rational coefficients;
 that keeps point-wise Jacobians rational and downstream cone computations
@@ -143,18 +143,6 @@ class EvalResult:
         return all(r == 0 for r in self.residual_e) and all(v >= 0 for v in self.value_i)
 
 
-@dataclass(frozen=True)
-class JacobianBlocks:
-    """All constraint Jacobians at (t, |z|), split into t- and zeta-columns."""
-
-    d1_ce: RatMatrix
-    d2_ce: RatMatrix
-    d1_ci: RatMatrix
-    d2_ci: RatMatrix
-    d1_cz: RatMatrix
-    d2_cz: RatMatrix
-
-
 def validate(p: AbsNormalProgram) -> list[str]:
     """Structural validation; returns the list of violations (empty = valid)."""
     issues: list[str] = []
@@ -209,21 +197,6 @@ def evaluate(p: AbsNormalProgram, t) -> EvalResult:
     value_i = tuple(func.value(block) for func in p.c_i)
     active_i = tuple(k for k, v in enumerate(value_i) if v == 0)
     return EvalResult(t, tuple(z), signs, alpha, active_i, residual_e, value_i)
-
-
-def constraint_jacobians(p: AbsNormalProgram, e: EvalResult) -> JacobianBlocks:
-    block = e.t + e.abs_z
-
-    def split(funcs) -> tuple[RatMatrix, RatMatrix]:
-        grads = [func.gradient(block) for func in funcs]
-        d1 = RatMatrix.from_rows([g[: p.n_t] for g in grads], p.n_t)
-        d2 = RatMatrix.from_rows([g[p.n_t :] for g in grads], p.s)
-        return d1, d2
-
-    d1_ce, d2_ce = split(p.c_e)
-    d1_ci, d2_ci = split(p.c_i)
-    d1_cz, d2_cz = split(p.c_z)
-    return JacobianBlocks(d1_ce, d2_ce, d1_ci, d2_ci, d1_cz, d2_cz)
 
 
 def quadratic_from_strings(dim: int, data: dict) -> QuadraticFunc:

@@ -351,7 +351,7 @@ def _stationarity_verdicts(pa: PointAnalysis, which: set[str], forms: set[str]) 
         if "mpcc" in forms:
             out["m-mpcc"] = translate_m_verdict(m_anf, counterpart_system, "m-mpcc")
     if "b" in which:
-        b_anf = check_b_stationary(p, e, pa.branch_cap, m_anf, system)
+        b_anf = check_b_stationary(p, e, m_anf, system)
         if "anf" in forms:
             out["b-anf"] = b_anf
         if "mpcc" in forms:
@@ -433,15 +433,32 @@ def exit_code_for_report(report: dict) -> int:
     return EXIT_OK
 
 
+# the kind and formulation of the kink verdict under each report name: ``akq``
+# and ``akq-slack`` in a ``cq`` section, ``abadie[abs-i]`` among the relations'
+# kink verdicts
+_KINK_ENTRIES = {
+    **{name: (name, key) for name, (key, _) in KINK_VERDICTS.items()},
+    **{f"{name}-slack": (name, SLACK_FORMS[key]) for name, (key, _) in KINK_VERDICTS.items()},
+    **{f"{c}[{form}]": (name, form) for name, (key, c) in KINK_VERDICTS.items() for form in (key, SLACK_FORMS[key])},
+}
+# the kind and form of the branch verdict under each formulation's ``acq`` and ``gcq``
+_BRANCH_ENTRIES = {
+    (key, which): (f"branch-{which}", "mpcc" if key.startswith("mpcc") else "anf")
+    for key in FORMULATIONS
+    for which in ("acq", "gcq")
+}
+
+
 def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRANCH_CAP) -> list[str]:
     """Re-validate every certificate and witness in the report's verdict
     entries by substitution, each by its module's verifier
     (``verify_cq_verdict``, ``verify_stationarity_verdict``), against cones
     rebuilt from the problem file: a formulation is analyzed, once, with the
     file's annotations and ``branch_cap``, when some kink, branch or relation
-    witness names it.  A
-    part of a point entry that no report writes is a named ``malformed
-    entry`` error."""
+    witness names it.  A qualification verdict that its verifier finds
+    valid must also be the kind and formulation its place in the report
+    names (``_KINK_ENTRIES``, ``_BRANCH_ENTRIES``).  A part of a point entry that no
+    report writes is a named ``malformed entry`` error."""
     errors: list[str] = []
 
     def read(where: str, data, tp, default=None):
@@ -479,30 +496,35 @@ def recheck_report(pf: ProblemFile, report: dict, branch_cap: int = DEFAULT_BRAN
         relations = read(f"{prefix} relations", point_entry.get("relations", {}), dict, {})
         kink_verdicts = read(f"{prefix} kink_verdicts", relations.get("kink_verdicts", {}), dict, {})
         stationarity = read(f"{prefix} stationarity", point_entry.get("stationarity", {}), dict, {})
-        # every verdict entry: where, its type, its formulation (None: the verdict's own) and the entry;
-        # branch verdicts name the form ("anf"/"mpcc"), so their formulation is their section's
+        # every verdict entry: where, its type, its formulation (None: the verdict's own), the kind and
+        # formulation its place names (None: no verdict is written there) and the entry; branch
+        # verdicts name the form ("anf"/"mpcc"), so their formulation is their section's
         entries = [
-            (f"{prefix} {name}", CQVerdict, None, entry)
+            (f"{prefix} {name}", CQVerdict, None, _KINK_ENTRIES.get(name), entry)
             for name, entry in [*cq.items(), *kink_verdicts.items()]
             if name != "branches"
         ]
         entries += [
-            (f"{prefix} {key} {branch_entry.get('branch')} {which}", CQVerdict, key, branch_entry.get(which))
+            (f"{prefix} {key} {b.get('branch')} {which}", CQVerdict, key, _BRANCH_ENTRIES.get((key, which)), b.get(which))
             for key, branch_entries in branches.items()
-            for branch_entry in branch_entries
+            for b in branch_entries
             for which in ("acq", "gcq")
         ]
-        entries += [(f"{prefix} {name}", StationarityVerdict, None, entry) for name, entry in stationarity.items()]
-        verdicts = [(where, key, v) for where, cls, key, entry in entries if (v := read(where, entry, cls)) is not None]
-        kink = [(where, key or v.formulation, v) for where, key, v in verdicts if type(v) is CQVerdict]
-        if not e.is_feasible() and any(verdict.witness is not None for _, _, verdict in kink):
+        entries += [(f"{prefix} {name}", StationarityVerdict, None, None, entry) for name, entry in stationarity.items()]
+        verdicts = [(where, *rest, v) for where, cls, *rest, entry in entries if (v := read(where, entry, cls)) is not None]
+        kink = [(where, key or v.formulation, named, v) for where, key, named, v in verdicts if type(v) is CQVerdict]
+        if not e.is_feasible() and any(verdict.witness is not None for *_, verdict in kink):
             errors.append(f"{prefix}: point is not feasible, so no witness rechecks")
             kink = []
         pa = PointAnalysis(pf.program, e, annotations=pf.annotations, branch_cap=branch_cap)
-        for where, key, verdict in kink:
-            errors.extend(f"{where}: {msg}" for msg in verify_cq_verdict(verdict, key, pa.formulation))
+        for where, key, named, v in kink:
+            msgs = verify_cq_verdict(v, key, pa.formulation)
+            if not msgs and (v.kind, v.formulation) != named:  # valid, but not the verdict of its place
+                written = "kind {} of {}".format(*named) if named else "no qualification verdict"
+                msgs = [f"the entry is kind {v.kind} of {v.formulation}, where the report writes {written}"]
+            errors.extend(f"{where}: {msg}" for msg in msgs)
         systems = functools.cache(lambda form: multiplier_system(*pa.anchor(form)))
-        for where, _, verdict in verdicts:
+        for where, *_, verdict in verdicts:
             if type(verdict) is StationarityVerdict:
                 errors.extend(_recheck_stationarity(pa, systems, where, verdict))
     return errors
@@ -555,7 +577,7 @@ def _point_report(command: str, pf: ProblemFile, args, sections) -> dict:
     return report
 
 
-def _analyze(pf: ProblemFile, point: ProblemPoint, cap: int) -> PointAnalysis:
+def _analyze(pf: ProblemFile, point: ProblemPoint, cap: int = DEFAULT_BRANCH_CAP) -> PointAnalysis:
     return analyze_point(pf.program, point.t, pf.annotations, branch_cap=cap)
 
 
@@ -643,7 +665,7 @@ def cmd_check_stationarity(pf: ProblemFile, args) -> dict:
     forms = {args.form} if args.form else {"anf", "mpcc"}
 
     def sections(p: ProblemPoint) -> dict:
-        verdicts = _stationarity_verdicts(_analyze(pf, p, args.branch_cap), which, forms)
+        verdicts = _stationarity_verdicts(_analyze(pf, p), which, forms)
         return {"stationarity": {name: _ser(v) for name, v in verdicts.items()}}
 
     return _point_report("check-stationarity", pf, args, sections)
@@ -780,7 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-stationarity", help="decide M-/B-stationarity")
     add_common(sp)
-    add_branch_cap(sp)
     sp.add_argument("--m", action="store_true")
     sp.add_argument("--b", action="store_true")
     sp.add_argument("--form", choices=["anf", "mpcc"])

@@ -8,7 +8,10 @@ branch, which the branch decomposition makes canonical.  Every branch
 linearized cone comes from one linearization of its formulation at the point
 (``linearize_anf``, ``linearize_mpcc``), which evaluates each constraint
 gradient once for all branches and also gives each branch's exact, unscaled
-rows (``BranchLinearization.rows``) for printing.
+rows (``BranchLinearization.rows``) for printing.  The same linearization,
+transposed, is the point's multiplier system
+(``stationarity.multiplier_system``), so the cones and the stationarity
+checks read one derivation of the first-order data.
 
 Tangent cones of branch problems are only ever asserted together with a
 certificate: affine constraints, a linear-independence rank test, or a
@@ -291,14 +294,18 @@ class BranchLinearization:
     gradients evaluated once here:
 
     * abs-normal form, variables ``(t, z)``: ``eq_grads`` are the gradients of
-      ``c_e`` and ``c_z`` at ``(t, |z|)``, ``ineq_grads`` those of the active
-      ``c_i``.  A branch flips the zeta columns where its signature is
+      ``c_e`` and ``c_z`` at ``(t, |z|)``, ``ci_grads`` those of ``c_i``.  A
+      branch flips the zeta columns where its signature is
       negative, subtracts from each switching row its own ``z`` unit, and
       adds the sign row ``sigma_i dz_i >= 0`` of each degenerate switch.
     * counterpart, variables ``(x, u, v)``: ``eq_grads`` are the gradients of
-      ``eq_funcs``, ``ineq_grads`` those of the active ``ci_funcs``.  A branch
+      ``eq_funcs``, ``ci_grads`` those of ``ci_funcs``.  A branch
       adds one row per pair pinning the side it leaves to zero, and the row
       of the resolved side of each degenerate pair.
+
+    A branch's rows read the active inequalities alone (``ineq_grads``); the
+    multiplier system of the point (``stationarity.multiplier_system``) is
+    the transpose of the same gradients, every inequality included.
 
     ``cone`` has exactly the rows, in the same order, of the linearized cone
     of the branch problem built for the same signature by the test oracles
@@ -313,9 +320,15 @@ class BranchLinearization:
     base: tuple[int, ...]  # the anchor signature
     gradient: Vec  # of the objective, at the anchor
     eq_grads: tuple[Vec, ...]
-    ineq_grads: tuple[Vec, ...]
+    ci_grads: tuple[Vec, ...]  # of every inequality, active or not
+    active_i: tuple[int, ...]  # the active inequalities
     degenerate: tuple[int, ...]
     affine: bool
+
+    @functools.cached_property
+    def ineq_grads(self) -> tuple[Vec, ...]:
+        """The gradients of the active inequalities."""
+        return tuple(self.ci_grads[k] for k in self.active_i)
 
     @property
     def dim(self) -> int:
@@ -428,7 +441,8 @@ def linearize_anf(p: AbsNormalProgram, e: EvalResult) -> BranchLinearization:
         base=e.sigma,
         gradient=p.f.gradient(e.t) + zero_vec(p.s),
         eq_grads=tuple(func.gradient(block) for func in p.c_e + p.c_z),
-        ineq_grads=tuple(p.c_i[k].gradient(block) for k in e.active_i),
+        ci_grads=tuple(func.gradient(block) for func in p.c_i),
+        active_i=e.active_i,
         degenerate=e.alpha,
         affine=all(func.is_affine() for func in p.c_e + p.c_z + p.c_i),
     )
@@ -446,7 +460,8 @@ def linearize_mpcc(mp: MpccProgram, point: MpccPoint) -> BranchLinearization:
         base=point.base_signature,
         gradient=mp.objective.gradient(coords),
         eq_grads=tuple(func.gradient(coords) for func in mp.eq_funcs),
-        ineq_grads=tuple(func.gradient(coords) for func, v in zip(mp.ci_funcs, values_i) if v == 0),
+        ci_grads=tuple(func.gradient(coords) for func in mp.ci_funcs),
+        active_i=tuple(k for k, v in enumerate(values_i) if v == 0),
         degenerate=point.degenerate,
         affine=all(func.is_affine() for func in mp.eq_funcs + mp.ci_funcs),
     )

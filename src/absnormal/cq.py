@@ -322,10 +322,21 @@ def _decide_kink_cq(fa: FormulationAnalysis, which: str, branch_gcq=None) -> CQV
 _CONDITIONS = {name: condition for name, (_, condition) in KINK_VERDICTS.items()}
 _CONDITIONS.update({"branch-acq": "abadie", "branch-gcq": "guignard"})
 
+# the fields, with their defaults, that a verdict never writes, besides the
+# witness (which has its own rule): a kink verdict's by its condition, a
+# branch verdict's under "branch", each by status
+_BRANCH, _BLOCKING, _NOTE = ("branch", None), ("blocking", ()), ("note", "")
+_UNWRITTEN = {
+    "abadie": {HOLDS: (_BRANCH, _BLOCKING, _NOTE), FAILS: (_BLOCKING, _NOTE), UNKNOWN: (_BRANCH,)},
+    "guignard": {HOLDS: (_BRANCH, _BLOCKING, _NOTE), FAILS: (_BRANCH, _BLOCKING, _NOTE), UNKNOWN: (_BRANCH, _NOTE)},
+    "branch": {HOLDS: (_BLOCKING,), FAILS: (_BLOCKING, _NOTE), UNKNOWN: ()},
+}
+
 
 def verify_cq_verdict(verdict: CQVerdict, key: str, formulation) -> list[str]:
     """Why ``verdict`` is not a valid Abadie/Guignard verdict of formulation
-    ``key`` at a feasible point, by substitution: its kind and status, and a
+    ``key`` at a feasible point, by substitution: its kind and status, that
+    it sets no field its kind and status never write (``_UNWRITTEN``), and a
     Fails witness against the branch cones of ``formulation(key)``, read only
     for a witness; a branch verdict's against its own branch alone.  The one
     check of a verdict's validity, for the deciders' self-checks
@@ -335,21 +346,24 @@ def verify_cq_verdict(verdict: CQVerdict, key: str, formulation) -> list[str]:
         return [f"unknown kind {kind!r}"]
     if status not in (HOLDS, FAILS, UNKNOWN):
         return [f"unknown status {status!r}"]
+    errors = []
+    for name, default in _UNWRITTEN["branch" if kind.startswith("branch-") else _CONDITIONS[kind]][status]:
+        if getattr(verdict, name) != default:
+            errors.append(f"a verdict of kind {kind} that {status} writes no {name}")
     if w is None:
-        return ["fails without a witness"] if status == FAILS else []
+        return errors + (["fails without a witness"] if status == FAILS else [])
     if status != FAILS:
-        return [f"{status} with a witness"]
+        return errors + [f"{status} with a witness"]
     if key not in FORMULATIONS:
-        return [f"no formulation {key!r} to recheck the witness in"]
+        return errors + [f"no formulation {key!r} to recheck the witness in"]
     fa = formulation(key)
     if len(w) != fa.lin.dim:
-        return [f"witness has {len(w)} entries, expected {fa.lin.dim}"]
+        return errors + [f"witness has {len(w)} entries, expected {fa.lin.dim}"]
     branches = fa.branches
     if kind.startswith("branch-"):
         branches = [ba for ba in branches if ba.label == verdict.branch]
         if not branches:
-            return [f"no branch {verdict.branch!r} in formulation {key}"]
-    errors: list[str] = []
+            return errors + [f"no branch {verdict.branch!r} in formulation {key}"]
     if _CONDITIONS[kind] == "abadie":
         # a valid Abadie witness is linearized-feasible somewhere but escapes
         # the tangent upper bound of every branch

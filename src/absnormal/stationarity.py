@@ -23,9 +23,12 @@ recheck verifies each certificate and that the prefixes cover all 3^k
 assignments (``uncovered_case``).  The case cap bounds the LPs solved, the
 single LP included: at most 1 + (3^(k+1) - 3)/2.
 
-Both problem forms give the same system, derived separately from each form's
-data (``_anf_system``, ``_mpcc_system``).  The M check runs once, and
-``translate_m_verdict`` carries its certificate to the other form's system.
+Both problem forms give the same system, each the transpose of its own
+form's linearization (``multiplier_system`` on ``cones.linearize_anf`` or
+``linearize_mpcc``, the first-order data the branch cones are made from), so
+the two are still derived separately, from each form's data.  The M check
+runs once, and ``translate_m_verdict`` carries its certificate to the other
+form's system.
 One function decides whether a verdict is valid, by substitution:
 ``verify_stationarity_verdict``.  Each decider self-checks what it returns
 through it, each translation checks its result in the target system, and
@@ -43,7 +46,8 @@ Mitchell, Pang, Bennett & Kunapuli 2008): a prefix fixes the sides of its
 pairs and keeps both pair multipliers of the later ones nonnegative, so a
 feasible prefix closes its subtree.  A Holds lists the closed prefixes with
 their points; the first open branch fails with the Farkas ray of its case
-LP.  Both are rechecked and translated as an M Fails's prefixes are
+LP.  B's case LPs count against the same case cap as M's.  Both are
+rechecked and translated as an M Fails's prefixes are
 (``verify_stationarity_verdict``, ``translate_m_verdict``): every verdict
 lives in the multiplier system, and the three walks over case prefixes (the
 M search, the B search and the coverage check) are one, ``first_open``.
@@ -55,7 +59,8 @@ import functools
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .anf import AbsNormalProgram, EvalResult, constraint_jacobians
+from .anf import AbsNormalProgram, EvalResult
+from .cones import linearize_anf, linearize_mpcc
 from .cq import FAILS, HOLDS
 from .ratmath import (
     FEASIBLE,
@@ -70,17 +75,11 @@ from .ratmath import (
     integer_dot,
     lp_solve,
     primitive_integer,
+    vec_neg,
     verify_certificate,
 )
 from .ratmath.matrix import integer_rank, integer_row
-from .transforms import (
-    DEFAULT_BRANCH_CAP,
-    BranchSpec,
-    MpccPoint,
-    MpccProgram,
-    branch_specs,
-    parse_branch_label,
-)
+from .transforms import BranchSpec, MpccPoint, MpccProgram, parse_branch_label
 
 DEFAULT_CASE_CAP = 3**10
 
@@ -217,95 +216,47 @@ class _MultiplierSystem:
         return len(rows) >= n and integer_rank([list(primitive_integer(r)) for r in rows], n) == n
 
 
-def _mpcc_system(mp: MpccProgram, point: MpccPoint) -> _MultiplierSystem:
-    """Stationarity of f + lam_e.c_e - lam_i.c_i + lam_z.(switching rows) minus
-    the pair terms, over the full (x, u, v) gradient.  Raises ``ValueError``
-    when the point is not feasible."""
-    coords = point.coords
-    values_i = tuple(func.value(coords) for func in mp.ci_funcs)
-    if any(func.value(coords) for func in mp.eq_funcs) or any(v < 0 for v in values_i):
-        raise ValueError("point is not feasible")
-    n_x, s, m1, m2 = mp.n_x, mp.s, mp.m1, mp.m2
-    grad_f = mp.objective.gradient(coords)
-    grads_e = [func.gradient(coords) for func in mp.ce_funcs]
-    grads_i = [func.gradient(coords) for func in mp.ci_funcs]
-    grads_z = [func.gradient(coords) for func in mp.cz_funcs]
+def multiplier_system(program, point) -> _MultiplierSystem:
+    """The linear stationarity system of an ``MpccProgram`` at an
+    ``MpccPoint``, else of an ``AbsNormalProgram`` at an ``EvalResult``: the
+    transpose of the form's linearization (``cones.linearize_mpcc``,
+    ``linearize_anf``), whose guard raises ``ValueError`` at a point that is
+    not feasible.
 
-    def column(coord: int) -> Vec:
-        return (
-            tuple(g[coord] for g in grads_e)
-            + tuple(-g[coord] for g in grads_i)
-            + tuple(g[coord] for g in grads_z)
-        )
+    Column c of the gradients of ``(c_e, -c_i, c_z)``, every inequality
+    included, is the row of unknowns (lam_e, lam_i, lam_z) whose offset is
+    the objective's c-th partial.  The x columns are the stationary rows.
+    The pair rows of the counterpart are its u and v columns; those of the
+    abs-normal form are the zeta column of each switch, less (u) or plus (v)
+    the unit of its own switching multiplier.  The fixed pairs are the
+    signed switches of the anchor signature."""
+    mpcc = isinstance(program, MpccProgram)
+    lin = (linearize_mpcc if mpcc else linearize_anf)(program, point)
+    n_x, s = lin.n_x, len(lin.base)
+    m1, m2 = len(lin.eq_grads) - s, len(lin.ci_grads)
+    grads = lin.eq_grads[:m1] + tuple(map(vec_neg, lin.ci_grads)) + lin.eq_grads[m1:]
 
-    stationary = tuple((column(c), grad_f[c]) for c in range(n_x))
-    pair_u = tuple((column(mp.u_index(i)), grad_f[mp.u_index(i)]) for i in range(s))
-    pair_v = tuple((column(mp.v_index(i)), grad_f[mp.v_index(i)]) for i in range(s))
-    inactive = tuple(k for k, v in enumerate(values_i) if v != 0)
+    def row(c: int, own: Fraction = ZERO) -> tuple[Vec, Fraction]:
+        """Column ``c``, plus ``own`` on the switching multiplier of the zeta
+        column it is."""
+        coeffs = tuple(g[c] for g in grads)
+        if own:
+            j = m1 + m2 + c - n_x
+            coeffs = coeffs[:j] + (coeffs[j] + own,) + coeffs[j + 1 :]
+        return coeffs, lin.gradient[c]
+
+    u, v, own = (n_x, n_x + s, ZERO) if mpcc else (n_x, n_x, ONE)
     return _MultiplierSystem(
         m1=m1,
         m2=m2,
         s=s,
-        stationary_rows=stationary,
-        pair_u=pair_u,
-        pair_v=pair_v,
-        inactive_i=inactive,
-        degenerate=point.degenerate,
-        fixed_pair_u_zero=point.u_plus,
-        fixed_pair_v_zero=point.v_plus,
-    )
-
-
-def _anf_system(p: AbsNormalProgram, e: EvalResult) -> _MultiplierSystem:
-    """The same system read off the abs-normal data: the pair multipliers are
-    the row combination of the zeta-Jacobians shifted by -/+ the switching
-    multiplier of the index.  Raises ``ValueError`` when the point is not
-    feasible."""
-    if not e.is_feasible():
-        raise ValueError("point is not feasible")
-    jac = constraint_jacobians(p, e)
-    n_t, s, m1, m2 = p.n_t, p.s, p.m1, p.m2
-    grad_f = p.f.gradient(e.t)
-
-    def t_column(c: int) -> Vec:
-        return (
-            tuple(jac.d1_ce.entry(k, c) for k in range(m1))
-            + tuple(-jac.d1_ci.entry(k, c) for k in range(m2))
-            + tuple(jac.d1_cz.entry(i, c) for i in range(s))
-        )
-
-    def zeta_column(i: int) -> Vec:
-        return (
-            tuple(jac.d2_ce.entry(k, i) for k in range(m1))
-            + tuple(-jac.d2_ci.entry(k, i) for k in range(m2))
-            + tuple(jac.d2_cz.entry(j, i) for j in range(s))
-        )
-
-    stationary = tuple((t_column(c), grad_f[c]) for c in range(n_t))
-    pair_u = []
-    pair_v = []
-    for i in range(s):
-        col = list(zeta_column(i))
-        col_u = list(col)
-        col_u[m1 + m2 + i] -= ONE  # subtract the switching multiplier itself
-        col_v = list(col)
-        col_v[m1 + m2 + i] += ONE
-        pair_u.append((tuple(col_u), ZERO))
-        pair_v.append((tuple(col_v), ZERO))
-    inactive = tuple(k for k, v in enumerate(e.value_i) if v != 0)
-    u_plus = tuple(i for i, sg in enumerate(e.sigma) if sg > 0)
-    v_plus = tuple(i for i, sg in enumerate(e.sigma) if sg < 0)
-    return _MultiplierSystem(
-        m1=m1,
-        m2=m2,
-        s=s,
-        stationary_rows=stationary,
-        pair_u=tuple(pair_u),
-        pair_v=tuple(pair_v),
-        inactive_i=inactive,
-        degenerate=e.alpha,
-        fixed_pair_u_zero=u_plus,
-        fixed_pair_v_zero=v_plus,
+        stationary_rows=tuple(map(row, range(n_x))),
+        pair_u=tuple(row(u + i, -own) for i in range(s)),
+        pair_v=tuple(row(v + i, own) for i in range(s)),
+        inactive_i=tuple(k for k in range(m2) if k not in lin.active_i),
+        degenerate=lin.degenerate,
+        fixed_pair_u_zero=tuple(i for i, sg in enumerate(lin.base) if sg > 0),
+        fixed_pair_v_zero=tuple(i for i, sg in enumerate(lin.base) if sg < 0),
     )
 
 
@@ -528,7 +479,7 @@ def _verify_case_point(system: _MultiplierSystem, assignment: tuple[str, ...], l
 
 def check_m_stationary_mpcc(mp: MpccProgram, point: MpccPoint) -> StationarityVerdict:
     """M-stationarity of the counterpart, within ``DEFAULT_CASE_CAP`` case LPs."""
-    system = _mpcc_system(mp, point)
+    system = multiplier_system(mp, point)
     return _checked(system, _solve_system(system, "m-mpcc"), "self-check")
 
 
@@ -538,16 +489,8 @@ def check_m_stationary_anf(
     """M-stationarity of the abs-normal form, with the case cap as above.
     ``system`` is ``multiplier_system(p, e)`` when the caller already has it."""
     if system is None:
-        system = _anf_system(p, e)
+        system = multiplier_system(p, e)
     return _checked(system, _solve_system(system, "m-anf"), "self-check")
-
-
-def multiplier_system(program, point) -> _MultiplierSystem:
-    """The linear stationarity system at a point: of an ``MpccProgram`` at an
-    ``MpccPoint``, else of an ``AbsNormalProgram`` at an ``EvalResult``."""
-    if isinstance(program, MpccProgram):
-        return _mpcc_system(program, point)
-    return _anf_system(program, point)
 
 
 # the fields that a verdict writes besides its kind and status, by whether it
@@ -694,7 +637,6 @@ def _sign_violations(system: _MultiplierSystem, assignment: tuple[str, ...], mu_
 def check_b_stationary(
     program,
     point,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
     m_verdict: StationarityVerdict | None = None,
     system: _MultiplierSystem | None = None,
 ) -> StationarityVerdict:
@@ -712,15 +654,15 @@ def check_b_stationary(
     multipliers, which then decides every prefix with no LP.  A failed M
     verdict closes no root, as S implies M.  The first open branch fails
     with the Farkas ray of its case LP: the search's own LP of that leaf,
-    the root's when k == 0, else solved once.  The branch cap is checked at
-    the call.
+    the root's when k == 0, else solved once.  The case LPs count against
+    ``DEFAULT_CASE_CAP``, as M's do; the 2^k branches are never listed.
     """
     kind, label_kind = ("b-mpcc", "partition") if isinstance(program, MpccProgram) else ("b-anf", "signature")
     if system is None:
         system = multiplier_system(program, point)
     base = system.base_signature
-    branch_specs(label_kind, base, branch_cap)  # checks the cap; no spec is made
     k = len(system.degenerate)
+    solved = 0
     m_failed = m_verdict is not None and m_verdict.status != HOLDS
     known = None  # the candidate, which solves the root's rows
     if m_verdict is not None and not m_failed:
@@ -735,8 +677,11 @@ def check_b_stationary(
     def relaxed(prefix: tuple[str, ...]) -> LpResult:
         """The result of ``prefix``'s case LP, both pair multipliers of each
         later pair kept nonnegative: a leaf's is its branch's own."""
+        nonlocal solved
         if not k:
             return system.root_result
+        _check_case_cap(solved, system)
+        solved += 1
         return lp_solve(build_case_problem(system, prefix + (CASE_BOTH_POSITIVE,) * (k - len(prefix))))
 
     def closes(prefix: tuple[str, ...]) -> bool:

@@ -161,14 +161,6 @@ class MpccPoint:
             raise ProgramError("complementarity violated")
 
     @property
-    def u_plus(self) -> tuple[int, ...]:
-        return tuple(i for i, a in enumerate(self.u) if a > 0)
-
-    @property
-    def v_plus(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.v) if b > 0)
-
-    @property
     def degenerate(self) -> tuple[int, ...]:
         return tuple(i for i, (a, b) in enumerate(zip(self.u, self.v)) if a == 0 and b == 0)
 

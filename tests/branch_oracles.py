@@ -34,8 +34,12 @@ compared with the oracle unions.
 The rest are maps the package no longer needs: the feasibility test of a
 counterpart point (``mpcc_feasible``), the direction maps between the
 abs-normal and the counterpart coordinates (``merge_direction``,
-``merge_direction_matrix``, ``split_direction_matrix``, ``split_direction``)
-and the Jacobian of the fixed-signature switching solve (``jacobian_z``).
+``merge_direction_matrix``, ``split_direction_matrix``, ``split_direction``),
+the Jacobian of the fixed-signature switching solve (``jacobian_z``), the
+constraint Jacobians split into t- and zeta-columns
+(``constraint_jacobians``, ``JacobianBlocks``) and the multiplier system
+read off them (``multiplier_system_oracle``), the reference for
+``stationarity.multiplier_system``, which transposes a linearization.
 """
 
 from dataclasses import dataclass
@@ -46,7 +50,6 @@ from absnormal.anf import (
     EvalResult,
     ProgramError,
     QuadraticFunc,
-    constraint_jacobians,
 )
 from absnormal.cones import BranchLinearization, PolyCone, cone_contains
 from absnormal.ratmath import (
@@ -62,7 +65,86 @@ from absnormal.ratmath import (
     vec_neg,
     zero_vec,
 )
+from absnormal.stationarity import _MultiplierSystem
 from absnormal.transforms import DEFAULT_BRANCH_CAP, BranchSpec, MpccPoint, MpccProgram, branch_specs
+
+
+@dataclass(frozen=True)
+class JacobianBlocks:
+    """All constraint Jacobians at (t, |z|), split into t- and zeta-columns."""
+
+    d1_ce: RatMatrix
+    d2_ce: RatMatrix
+    d1_ci: RatMatrix
+    d2_ci: RatMatrix
+    d1_cz: RatMatrix
+    d2_cz: RatMatrix
+
+
+def constraint_jacobians(p: AbsNormalProgram, e: EvalResult) -> JacobianBlocks:
+    block = e.t + e.abs_z
+
+    def split(funcs) -> tuple[RatMatrix, RatMatrix]:
+        grads = [func.gradient(block) for func in funcs]
+        d1 = RatMatrix.from_rows([g[: p.n_t] for g in grads], p.n_t)
+        d2 = RatMatrix.from_rows([g[p.n_t :] for g in grads], p.s)
+        return d1, d2
+
+    d1_ce, d2_ce = split(p.c_e)
+    d1_ci, d2_ci = split(p.c_i)
+    d1_cz, d2_cz = split(p.c_z)
+    return JacobianBlocks(d1_ce, d2_ce, d1_ci, d2_ci, d1_cz, d2_cz)
+
+
+def multiplier_system_oracle(p: AbsNormalProgram, e: EvalResult) -> _MultiplierSystem:
+    """The multiplier system read off the abs-normal Jacobian blocks: the
+    stationary rows are the t-columns of ``(c_e, -c_i, c_z)``, and the pair
+    multipliers the row combination of the zeta-Jacobians shifted by -/+ the
+    switching multiplier of the index.  Raises ``ValueError`` when the point
+    is not feasible."""
+    if not e.is_feasible():
+        raise ValueError("point is not feasible")
+    jac = constraint_jacobians(p, e)
+    n_t, s, m1, m2 = p.n_t, p.s, p.m1, p.m2
+    grad_f = p.f.gradient(e.t)
+
+    def t_column(c: int) -> Vec:
+        return (
+            tuple(jac.d1_ce.entry(k, c) for k in range(m1))
+            + tuple(-jac.d1_ci.entry(k, c) for k in range(m2))
+            + tuple(jac.d1_cz.entry(i, c) for i in range(s))
+        )
+
+    def zeta_column(i: int) -> Vec:
+        return (
+            tuple(jac.d2_ce.entry(k, i) for k in range(m1))
+            + tuple(-jac.d2_ci.entry(k, i) for k in range(m2))
+            + tuple(jac.d2_cz.entry(j, i) for j in range(s))
+        )
+
+    stationary = tuple((t_column(c), grad_f[c]) for c in range(n_t))
+    pair_u = []
+    pair_v = []
+    for i in range(s):
+        col = list(zeta_column(i))
+        col_u = list(col)
+        col_u[m1 + m2 + i] -= ONE  # subtract the switching multiplier itself
+        col_v = list(col)
+        col_v[m1 + m2 + i] += ONE
+        pair_u.append((tuple(col_u), ZERO))
+        pair_v.append((tuple(col_v), ZERO))
+    return _MultiplierSystem(
+        m1=m1,
+        m2=m2,
+        s=s,
+        stationary_rows=stationary,
+        pair_u=tuple(pair_u),
+        pair_v=tuple(pair_v),
+        inactive_i=tuple(k for k, v in enumerate(e.value_i) if v != 0),
+        degenerate=e.alpha,
+        fixed_pair_u_zero=tuple(i for i, sg in enumerate(e.sigma) if sg > 0),
+        fixed_pair_v_zero=tuple(i for i, sg in enumerate(e.sigma) if sg < 0),
+    )
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,13 @@ from absnormal.anf import (
     AbsNormalProgram,
     ProgramError,
     QuadraticFunc,
-    constraint_jacobians,
     evaluate,
     validate,
 )
 from absnormal.ratmath import RatMatrix, rat, vec
 from absnormal.transforms import branch_specs, parse_branch_label
 
-from branch_oracles import jacobian_z
+from branch_oracles import constraint_jacobians, jacobian_z
 from conftest import affine, make_e1, make_e2, make_e3
 
 

@@ -32,6 +32,7 @@ from absnormal.problemfile import (
     parse_problem,
     parse_problem_data,
 )
+from absnormal.transforms import MpccProgram
 
 from branch_oracles import anf_branches, mpcc_branches
 from conftest import bench_kinks, fallback_kinks_problem, qkinks_problem, random_affine_program
@@ -323,6 +324,59 @@ def test_recheck_detects_tampered_witness(capsys):
     assert recheck_report(pf, report) == ["point origin abs-i σ=+ acq: no branch 'σ=?' in formulation abs-i"]
 
 
+@pytest.mark.parametrize(
+    "place, edit, message",
+    [
+        (("gkq",), {"kind": "mpcc-gcq", "formulation": "mpcc-e"}, "the entry is kind mpcc-gcq of mpcc-e, where the report writes kind gkq of abs-i"),
+        (("akq",), {"formulation": "abs-e"}, "the entry is kind akq of abs-e, where the report writes kind akq of abs-i"),
+        (("akq",), {"note": "tampered"}, "a verdict of kind akq that fails writes no note"),
+        (("gkq-slack",), {"blocking": ["σ=+"]}, "a verdict of kind gkq that holds writes no blocking"),
+        (("mpcc-gcq",), {"branch": "P={}"}, "a verdict of kind mpcc-gcq that holds writes no branch"),
+        (("abs-i", "acq"), {"formulation": "mpcc"}, "the entry is kind branch-acq of mpcc, where the report writes kind branch-acq of anf"),
+        (("mpcc-i", "gcq"), {"kind": "branch-acq"}, "the entry is kind branch-acq of mpcc, where the report writes kind branch-gcq of mpcc"),
+        (("abs-i", "gcq"), {"blocking": ["σ=+"]}, "a verdict of kind branch-gcq that holds writes no blocking"),
+        (("bogus",), None, "the entry is kind gkq of abs-i, where the report writes no qualification verdict"),
+    ],
+    ids=["kind", "formulation", "note", "blocking", "kink-branch", "branch-form", "branch-kind", "branch-blocking", "name"],
+)
+def test_recheck_names_a_qualification_entry_out_of_place(capsys, place, edit, message):
+    # each entry must be the verdict its place in the report names, setting
+    # only the fields that its kind and status write; ``place`` is a cq name,
+    # or a formulation and a field of its first branch's entry
+    code, out, _ = run_cli(capsys, "check-cq", "E4", "--point", "origin", "--all", "--recheck")
+    report = json.loads(out)
+    assert (code, report.pop("recheck")) == (1, {"errors": []})
+    cq = report["points"][0]["cq"]
+    if len(place) == 1:
+        where = place[0]
+        entry = cq.setdefault(where, dict(cq["gkq"]))
+    else:
+        key, which = place
+        branch = cq["branches"][key][0]
+        where, entry = f"{key} {branch['branch']} {which}", branch[which]
+    entry.update(edit or {})
+    assert recheck_report(load_corpus_problem("E4"), report) == [f"point origin {where}: {message}"]
+
+
+def test_branch_verdict_writing_a_field_it_never_writes_exits_three_not_as_a_verdict(capsys, monkeypatch):
+    # the branch list's self-check holds each branch verdict to the same rule
+    import absnormal.cq
+
+    real = absnormal.cq.check_branch_cq
+
+    def blocked(ba, which):
+        verdict = real(ba, which)
+        return dataclasses.replace(verdict, blocking=(ba.label,)) if verdict.status == "holds" else verdict
+
+    monkeypatch.setattr(absnormal.cq, "check_branch_cq", blocked)
+    code, out, err = run_cli(capsys, "check-cq", "E4", "--branches")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: internal: branch-gcq certificate failed self-check: "
+        "['a verdict of kind branch-gcq that holds writes no blocking']\n"
+    )
+
+
 def test_recheck_detects_tampered_dual_witness(capsys):
     code = main(["check-cq", "E3", "--point", "origin", "--gkq"])
     report = json.loads(capsys.readouterr().out)
@@ -423,10 +477,23 @@ def test_case_cap_bounds_solved_lps_not_case_count(tmp_path, capsys, monkeypatch
     assert err.startswith("error:")
 
 
-def test_check_stationarity_honours_branch_cap(capsys):
+def test_check_stationarity_counts_b_case_lps_against_the_case_cap(tmp_path, capsys, monkeypatch):
+    # B is bounded by the case LPs it solves, not by its 2^k branches: every
+    # pair of fallback3 needs its own prefix, 2^4 - 1 = 15 case LPs with the
+    # root prefix's, and check-stationarity takes no branch cap
+    path = write_problem(tmp_path, fallback_kinks_problem(3))
+    lps = count_calls(monkeypatch, stationarity, "lp_solve")
+    assert run_cli(capsys, "check-stationarity", path, "--b")[::2] == (0, "")
+    assert len(lps) == 15
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 14)
+    code, out, err = run_cli(capsys, "check-stationarity", path, "--b")
+    assert (code, out) == (3, "")
+    assert err == "error: the multiplier case search over 3 degenerate switches needs more than the cap of 14 case LPs\n"
+    monkeypatch.setattr(stationarity, "DEFAULT_CASE_CAP", 15)
+    assert run_cli(capsys, "check-stationarity", path, "--b")[::2] == (0, "")
     code, out, err = run_cli(capsys, "check-stationarity", "E2", "--branch-cap", "1")
-    assert code == 3
-    assert "exceed the cap of 1" in err
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments: --branch-cap 1" in err
 
 
 def test_check_stationarity_rejects_infeasible_point(capsys):
@@ -845,15 +912,17 @@ def test_branch_fails_naming_another_branch_exits_three_not_as_a_verdict(capsys,
 def test_mpcc_system_disagreement_exits_three_not_as_a_verdict(capsys, monkeypatch):
     # the counterpart's M verdict is the abs-normal certificate re-checked in
     # the system read off the MPCC data; a wrong MPCC pair row must surface
-    real = stationarity._mpcc_system
+    real = stationarity.multiplier_system
 
-    def flipped(mp, point):
-        system = real(mp, point)
+    def flipped(program, point):
+        system = real(program, point)
+        if not isinstance(program, MpccProgram):
+            return system
         coeffs, offset = system.pair_u[0]
         flipped_row = (tuple(-x for x in coeffs), -offset)
         return dataclasses.replace(system, pair_u=(flipped_row,) + system.pair_u[1:])
 
-    monkeypatch.setattr(stationarity, "_mpcc_system", flipped)
+    rebind(monkeypatch, real, flipped)
     for argv in (("check-stationarity", "E1", "--point", "origin"), ("corpus", "run")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
@@ -1533,17 +1602,17 @@ def test_check_stationarity_builds_each_multiplier_system_once_per_pass(tmp_path
     # recheck rebuilds each from the problem file, once, for the verdicts
     # that read it, which every verdict does
     kinks = bench_kinks()
-    builds = {name: count_calls(monkeypatch, stationarity, name) for name in ("_anf_system", "_mpcc_system")}
+    calls = count_calls(monkeypatch, stationarity, "multiplier_system")
     runs = [
         ((write_problem(tmp_path, kinks.problem_data(kinks.draw(random.Random(1), 4, sign))),), code, 2)
         for sign, code in ((1, 0), (-1, 1))
     ]
     runs += [(("E1", "--point", "shoulder", "--b"), 1, 2), (("E1", "--point", "shoulder"), 1, 2)]
     for args, code, count in runs:
-        for calls in builds.values():
-            calls.clear()
+        calls.clear()
         assert run_cli(capsys, "check-stationarity", *args, "--recheck")[::2] == (code, ""), args
-        assert {name: len(calls) for name, calls in builds.items()} == {"_anf_system": count, "_mpcc_system": count}, args
+        builds = Counter("mpcc" if isinstance(program, MpccProgram) else "anf" for program, _ in calls)
+        assert builds == {"anf": count, "mpcc": count}, args
 
 
 def test_back_to_back_main_calls_share_the_parser_but_no_state(capsys):

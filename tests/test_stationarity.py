@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from operator import mul
 
@@ -40,6 +40,7 @@ from branch_oracles import (
     anf_branches,
     lin_cone_branch,
     mpcc_branches,
+    multiplier_system_oracle,
 )
 from conftest import (
     affine,
@@ -47,6 +48,7 @@ from conftest import (
     fallback_kinks_problem,
     kinks_like_program,
     make_e1,
+    qkinks_problem,
     random_affine_program,
 )
 
@@ -188,21 +190,24 @@ def test_checks_at_an_infeasible_point_raise_in_both_forms(e1):
         c_i=(affine(2, 0, [1, 0]),),
         c_z=(affine(2, 0, [1, 0]),),
     )
-    for p, t in ((e1, [1, 5]), (below, [-1])):
+    # Each form's multiplier system is its linearization's transpose, so the
+    # linearization's guard names the anchor's first branch in that form.
+    for p, t, signature in ((e1, [1, 5], "σ=+"), (below, [-1], "σ=-")):
         e = evaluate(p, t)
         assert not e.is_feasible()
         mp, point = to_mpcc(p), mpcc_point_from_eval(e)
         checks = [
-            lambda: check_m_stationary_anf(p, e),
-            lambda: check_m_stationary_mpcc(mp, point),
-            lambda: check_b_stationary(p, e),
-            lambda: check_b_stationary(mp, point),
-            lambda: multiplier_system(p, e),
-            lambda: multiplier_system(mp, point),
+            (signature, lambda: check_m_stationary_anf(p, e)),
+            ("P={}", lambda: check_m_stationary_mpcc(mp, point)),
+            (signature, lambda: check_b_stationary(p, e)),
+            ("P={}", lambda: check_b_stationary(mp, point)),
+            (signature, lambda: multiplier_system(p, e)),
+            ("P={}", lambda: multiplier_system(mp, point)),
         ]
-        for check in checks:
-            with pytest.raises(ValueError, match="^point is not feasible$"):
+        for label, check in checks:
+            with pytest.raises(ValueError) as raised:
                 check()
+            assert str(raised.value) == f"anchor is infeasible for branch {label}"
 
 
 def test_b_stationary_unconstrained_kink_needs_no_qualification():
@@ -700,6 +705,40 @@ def test_b_fails_rays_read_as_descents_in_both_forms():
     fails = [(p, e) for p, e in points if e.is_feasible() and assert_ray_descends_in_both_forms(p, e)]
     assert len(fails) == 340
     assert {len(e.alpha) for _, e in fails} == {0, 1, 2, 3, 4}
+
+
+def typed(x):
+    """``x`` with the type of each leaf beside it, so that ``==`` tells ``1``
+    from ``Fraction(1)``."""
+    return tuple(map(typed, x)) if isinstance(x, tuple) else (type(x), x)
+
+
+def test_multiplier_system_of_either_form_is_the_jacobian_oracle():
+    # each form's system transposes its own linearization; the oracle reads
+    # the abs-normal Jacobian blocks, as the package once did.  The corpus,
+    # qkinks1-3, fallback1-3, seeded kinks-like and random programs, each
+    # also on its slack form, at their feasible points
+    programs = [(pf.program, pt.t) for pf in load_corpus() for pt in pf.points]
+    for k in (1, 2, 3):
+        for data in (qkinks_problem(k, False), fallback_kinks_problem(k)):
+            pf = parse_problem_data(data)
+            programs.append((pf.program, pf.points[0].t))
+    rng = random.Random(4711)
+    programs += [(kinks_like_program(rng, rng.randint(1, 4)), None) for _ in range(200)]
+    programs += [(random_affine_program(random.Random(seed), max_s=4), None) for seed in range(400)]
+    compared = 0
+    for p, t in programs:
+        e = evaluate(p, zero_vec(p.n_t) if t is None else t)
+        if not e.is_feasible():
+            continue
+        slack = to_slack(p)
+        for q, qe in ((p, e), (slack, evaluate(slack, slack_point(e)))):
+            oracle = multiplier_system_oracle(q, qe)
+            for system in (multiplier_system(q, qe), multiplier_system(to_mpcc(q), mpcc_point_from_eval(qe))):
+                for field in fields(system):
+                    assert typed(getattr(system, field.name)) == typed(getattr(oracle, field.name)), field.name
+                compared += 1
+    assert compared == 2448
 
 
 def forms_at_origin(p):

@@ -118,8 +118,6 @@ def test_phi_preserves_feasibility(e1, e2):
 
 def test_index_sets():
     pt = phi_inv(vec([0]), vec([2, -3, 0]))
-    assert pt.u_plus == (0,)
-    assert pt.v_plus == (1,)
     assert pt.degenerate == (2,)
     assert pt.base_signature == (1, -1, 0)
 
