@@ -10,7 +10,9 @@ Everything reduces to exact cone comparisons over the branch decomposition:
   H-representation of a dual,
 * the four formulations are analyzed with the same engine, each when a
   verdict first reads it, with tangent knowledge transported along the branch
-  homeomorphisms where a branch cannot certify its own tangent cone.
+  homeomorphisms where a branch cannot certify its own tangent cone,
+* a program with no inequality is its own slack form, so there abs-e and
+  mpcc-e share the analyses of abs-i and mpcc-i (``PointAnalysis``).
 
 A branch is its spec (``transforms.BranchSpec``) and its linearized cone from
 the linearization of its formulation at the point; no branch problem is
@@ -87,6 +89,7 @@ _KINK_NAMES = {
     for name, (key, condition) in KINK_VERDICTS.items()
     for form in (key, SLACK_FORMS[key])
 }
+_TWINS = {slack: key for key, slack in SLACK_FORMS.items()}
 
 
 class AnnotationError(ValueError):
@@ -413,6 +416,13 @@ class PointAnalysis:
     each formulation's branch analyses (``formulation(key)``), are built the
     first time they are read.  ``annotations`` maps inequality-form branch
     labels to trusted tangent unions.
+
+    A program with no inequality, annotation or ``w_signs`` is its own slack
+    form, exactly: ``to_slack`` embeds every function in place and
+    ``slack_point`` is ``t``.  There abs-e and mpcc-e share the anchor and
+    analysis of their twins abs-i and mpcc-i (``_twin``) under their own
+    keys.  An annotated program's slack branches carry their pieces with
+    their own rows (``lift:annotation``), so it keeps the derivation.
     """
 
     program: AbsNormalProgram
@@ -429,6 +439,8 @@ class PointAnalysis:
         built from the anchor of its source on first read."""
         if key == ABS_I:
             return self.program, self.point_eval
+        if twin := self._twin(key):
+            return self.anchor(twin)
         if key not in self._anchors:
             source, how = _SOURCES[key]
             p, e = self.anchor(source)
@@ -445,8 +457,15 @@ class PointAnalysis:
     def formulation(self, key: str) -> FormulationAnalysis:
         """The branches of formulation ``key``, analyzed on first read."""
         if key not in self._analyses:
-            self._analyses[key] = self._analyze(key)
+            twin = self._twin(key)
+            self._analyses[key] = replace(self.formulation(twin), key=key) if twin else self._analyze(key)
         return self._analyses[key]
+
+    def _twin(self, key: str) -> str | None:
+        """The inequality form that the slack form ``key`` equals, or None."""
+        if self.program.c_i or self.annotations or self.w_signs:
+            return None
+        return _TWINS.get(key)
 
     def _analyze(self, key: str) -> FormulationAnalysis:
         """Abs-i from the annotations; any other formulation from its source in
@@ -547,12 +566,17 @@ def _converse(lhs: str, rhs: str) -> str:
 
 def branch_verdicts(pa: PointAnalysis) -> dict[str, list[tuple[CQVerdict, CQVerdict]]]:
     """The ``branch-acq`` and ``branch-gcq`` verdicts of each branch, by
-    formulation, in branch order, each checked by ``verify_cq_verdict``."""
+    formulation, in branch order, each checked by ``verify_cq_verdict``; a
+    branch analysis that two formulations share is decided once."""
+    decided: dict[tuple[int, str], CQVerdict] = {}
+
+    def verdict(key: str, ba: BranchAnalysis, which: str) -> CQVerdict:
+        if (id(ba), which) not in decided:
+            decided[id(ba), which] = check_branch_cq(ba, which)
+        return _checked(decided[id(ba), which], key, pa.formulation)
+
     return {
-        key: [
-            tuple(_checked(check_branch_cq(ba, which), key, pa.formulation) for which in ("acq", "gcq"))
-            for ba in pa.formulation(key).branches
-        ]
+        key: [tuple(verdict(key, ba, which) for which in ("acq", "gcq")) for ba in pa.formulation(key).branches]
         for key in FORMULATIONS
     }
 

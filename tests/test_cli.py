@@ -15,7 +15,7 @@ from absnormal import stationarity
 from absnormal.anf import evaluate
 from absnormal.cli import _ser_program, main, recheck_report
 from absnormal.cones import BranchLinearization, PolyCone
-from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, PointAnalysis, analyze_point
+from absnormal.cq import ABS_E, ABS_I, FORMULATIONS, MPCC_E, MPCC_I, PointAnalysis, analyze_point
 from absnormal.ratmath import (
     FEASIBLE,
     INFEASIBLE,
@@ -601,11 +601,14 @@ def test_recheck_analyzes_the_point_once_and_only_for_a_witness(tmp_path, capsys
     built = count_formulation_builds(monkeypatch)
     # the command reads every formulation once (the branch list); the recheck
     # analyzes only the formulations its witnesses name: none on seed-1
-    # kinks3, all four on E3, and abs-i alone for the E3 gkq witness
+    # kinks3, all four on E3, and abs-i alone for the E3 gkq witness.
+    # kinks3 has no inequality, so its slack forms share the analyses of
+    # their inequality forms, and only those two are built
     once, twice = dict.fromkeys(FORMULATIONS, 1), dict.fromkeys(FORMULATIONS, 2)
+    twins_shared = {ABS_I: 1, MPCC_I: 1}
     for problem, argv, builds in (
-        (kinks3, ("check-cq", "--all"), once),
-        (kinks3, ("verify-relations",), once),
+        (kinks3, ("check-cq", "--all"), twins_shared),
+        (kinks3, ("verify-relations",), twins_shared),
         ("E3", ("check-cq", "--all"), twice),
         ("E3", ("verify-relations",), twice),
         ("E3", ("check-cq", "--gkq"), {**once, ABS_I: 2}),
@@ -959,13 +962,15 @@ def test_qualifications_decide_without_polar_double_description(tmp_path, capsys
 def test_each_branch_makes_one_guignard_pass(capsys, monkeypatch):
     # check-cq --all and verify-relations decide each branch's Guignard
     # first, and the kink Guignard skips a branch whose own holds; a
-    # kink-only call makes every pass, and no skip costs an LP
+    # kink-only call makes every pass, and no skip costs an LP.  E1 has no
+    # inequality, so its slack forms share their branches with abs-i and
+    # mpcc-i, and each shared branch is decided once
     import absnormal.cones
     import absnormal.ratmath.lp
 
     passes = count_calls(monkeypatch, absnormal.cones, "hull_escape")
     lps = count_calls(monkeypatch, absnormal.ratmath.lp, "lp_solve")
-    expected = {"E1": (0, 12, 0), "E2": (0, 26, 0), "E3": (1, 12, 12), "E4": (1, 8, 0)}
+    expected = {"E1": (0, 6, 0), "E2": (0, 26, 0), "E3": (1, 12, 12), "E4": (1, 8, 0)}
     for problem, (exit_code, passes_made, lps_solved) in expected.items():
         for argv in (("check-cq", problem, "--all"), ("verify-relations", problem)):
             passes.clear()

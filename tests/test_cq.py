@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from absnormal.anf import AbsNormalProgram, ProgramError, QuadraticFunc, evaluate
-from absnormal.cones import PolyCone, linearize_anf
+from absnormal.cones import TANGENT_LICQ, PolyCone, linearize_anf
 from absnormal.cq import (
     ABS_E,
     ABS_I,
@@ -17,17 +17,19 @@ from absnormal.cq import (
     MPCC_I,
     UNKNOWN,
     AnnotationError,
+    PointAnalysis,
     analyze_branch,
     analyze_point,
     check_branch_cq,
     decide_kink_cq,
     verify_relations,
 )
+from absnormal.problemfile import load_corpus_problem, parse_problem_data
 from absnormal.ratmath import RatMatrix, generators_to_hrep, vec, zero_vec
 from absnormal.transforms import mpcc_point_from_eval, slack_point, to_mpcc, to_slack
 
 from branch_oracles import cone_equal, cone_image, lift_tangent_piece, on_rational_rows, split_direction_matrix
-from conftest import e3_annotations, e4_annotations, random_affine_program
+from conftest import e3_annotations, e4_annotations, kinks_like_program, qkinks_problem, random_affine_program
 
 
 def branch_analyses(p, e, annotations=None):
@@ -154,7 +156,7 @@ def test_check_mpcc_cq_standalone(e1):
     assert decide_kink_cq(fa, "guignard").status == HOLDS
 
 
-def test_anchors_are_built_once_each_from_its_source(e2, monkeypatch):
+def test_anchors_are_built_once_each_from_its_source(e1, e2, monkeypatch):
     import absnormal.cq
 
     built = []
@@ -182,14 +184,92 @@ def test_anchors_are_built_once_each_from_its_source(e2, monkeypatch):
     assert built == [("to_slack", e2), ("to_mpcc", slack)]
     assert (slack, mp) == (to_slack(e2), to_mpcc(to_slack(e2)))
     assert point == mpcc_point_from_eval(se)
+    # without inequalities each slack form is anchored as its inequality form:
+    # no slack lifting, and one counterpart for both
+    built.clear()
+    pa = analyze_point(e1, [0, 0])
+    anchors = dict(zip(FORMULATIONS, map(pa.anchor, FORMULATIONS)))
+    assert built == [("to_mpcc", e1)]
+    assert anchors[ABS_E] == anchors[ABS_I] == (to_slack(e1), pa.point_eval)
+    assert anchors[MPCC_E] == anchors[MPCC_I] == (to_mpcc(e1), mpcc_point_from_eval(pa.point_eval))
 
 
-def test_slack_point_needs_one_sign_per_inequality(e2):
+def test_slack_point_needs_one_sign_per_inequality(e1, e2):
     e = evaluate(e2, [0, 0])
     with pytest.raises(ProgramError, match="need one sign per inequality"):
         slack_point(e, (1,))
     with pytest.raises(ProgramError, match="need one sign per inequality"):
         analyze_point(e2, [0, 0], w_signs=(1,)).anchor(ABS_E)
+    # a program without inequalities takes no sign: its slack forms are not
+    # read as their inequality forms then, so the signs are refused
+    for key in (ABS_E, MPCC_E):
+        with pytest.raises(ProgramError, match="need one sign per inequality"):
+            analyze_point(e1, [0, 0], w_signs=(1,)).anchor(key)
+        with pytest.raises(ProgramError, match="need one sign per inequality"):
+            analyze_point(e1, [0, 0], w_signs=(1,)).formulation(key)
+
+
+class GeneralPath(PointAnalysis):
+    """A point analysis that derives every formulation from its source."""
+
+    def _twin(self, key):
+        return None
+
+
+def branch_fields(fa):
+    return [
+        (ba.spec, ba.lin.eq_rows, ba.lin.ineq_rows, ba.tangent_pieces, ba.tangent_source, ba.certificate)
+        for ba in fa.branches
+    ]
+
+
+def test_slack_forms_without_inequalities_are_their_inequality_forms(monkeypatch):
+    # a program without inequalities reads abs-e and mpcc-e as abs-i and
+    # mpcc-i under their own keys: each equals what the derivation from its
+    # source builds, field by field, and so does every verdict
+    rng = random.Random(40)
+    cases = [(pf.program, point.t) for pf in [load_corpus_problem("E1")] for point in pf.points]
+    at_origin = []
+    while len(at_origin) < 60:
+        p = random_affine_program(rng, max_s=3)
+        if p.m2 == 0:
+            at_origin.append(p)
+    at_origin += [kinks_like_program(rng, rng.randint(1, 4)) for _ in range(40)]
+    at_origin += [parse_problem_data(qkinks_problem(k, False)).program for k in (1, 2, 3)]
+    cases += [(p, zero_vec(p.n_t)) for p in at_origin]
+    twins, certified = {ABS_E: ABS_I, MPCC_E: MPCC_I}, 0
+    for p, t in cases:
+        pa, general = analyze_point(p, t), GeneralPath(p, evaluate(p, t))
+        for key, twin in twins.items():
+            fa, built = pa.formulation(key), general.formulation(key)
+            assert pa.anchor(key) == general.anchor(key)
+            assert (fa.key, fa.lin, fa.branches) == (key, pa.formulation(twin).lin, pa.formulation(twin).branches)
+            assert fa.lin == built.lin
+            assert branch_fields(fa) == branch_fields(built)
+            certified += sum(ba.certificate.status == TANGENT_LICQ for ba in fa.branches)
+        report, kink, branches = verify_relations(pa)
+        assert (report, kink, branches) == verify_relations(general)
+        for (which, key), v in kink.items():
+            if key in twins:
+                assert v == dataclasses.replace(kink[(which, twins[key])], formulation=key)
+        assert (branches[ABS_E], branches[MPCC_E]) == (branches[ABS_I], branches[MPCC_I])
+    # the qkinks branches are not affine: each certifies its tangent cone by rank
+    assert certified == 2 * (2 + 4 + 8)
+    # with inequalities, or with annotations, every formulation is derived
+    built = []
+    analyze = PointAnalysis._analyze
+
+    def counted(pa, key):
+        built.append(key)
+        return analyze(pa, key)
+
+    monkeypatch.setattr(PointAnalysis, "_analyze", counted)
+    for pf in map(load_corpus_problem, ("E2", "E3")):
+        for point in pf.points:
+            built.clear()
+            pa = analyze_point(pf.program, point.t, pf.annotations)
+            verify_relations(pa)
+            assert sorted(built) == sorted(FORMULATIONS), (pf.name, point.label)
 
 
 def test_verify_relations_consistent_everywhere(e1, e2, e3, e4):
